@@ -107,10 +107,13 @@ def smoke(workdir: Path, trace: Path = None) -> int:
                             ttl_s=2.0, throttle_s=0.05, poll_s=0.1,
                             respawn=False)
     dispatcher.prepare()
-    procs = [dispatcher.spawn_worker() for _ in range(3)]
-    victim = procs[0]
+    # The victim starts alone, so it is sure to hold a lease when the watch
+    # below looks (shards hold whole compilations, and a lease on a small
+    # or empty one lasts milliseconds); the survivors join after the kill.
+    victim = dispatcher.spawn_worker()
+    procs = [victim]
     try:
-        # Kill worker 0 once it holds a lease, so its shard must be
+        # Kill the victim once it holds a lease, so its shard must be
         # reclaimed by the survivors through lease expiry.
         suffix = f"pid{victim.pid}"
         victim_shards = []
@@ -126,6 +129,7 @@ def smoke(workdir: Path, trace: Path = None) -> int:
         victim.wait()
         print(f"[smoke] SIGKILLed worker {victim.pid} holding "
               f"shard(s) {victim_shards}")
+        procs += [dispatcher.spawn_worker() for _ in range(2)]
 
         deadline = time.monotonic() + 300.0
         while time.monotonic() < deadline and not dispatcher.ledger.all_done():
@@ -268,8 +272,10 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
                             ttl_s=ttl_s, throttle_s=0.05, poll_s=0.1,
                             respawn=False)
     dispatcher.prepare()
-    procs = [dispatcher.spawn_worker() for _ in range(2)]
-    victim = procs[0]
+    # As in the kill phase, the victim starts alone so the watch is sure to
+    # see it holding a lease; the second worker joins once it is stopped.
+    victim = dispatcher.spawn_worker()
+    procs = [victim]
     monitor = FleetMonitor(store_dir, ttl_s=ttl_s)
     stopped = False
     try:
@@ -289,6 +295,7 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
         stopped = True
         print(f"[smoke] SIGSTOPped worker {victim.pid} "
               f"(owner {victim_owner}, lease TTL {ttl_s:.0f}s)")
+        procs.append(dispatcher.spawn_worker())
 
         flagged_age = None
         deadline = time.monotonic() + 60.0

@@ -449,8 +449,11 @@ def _add_dse_parsers(subparsers) -> None:
     run.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes (default: 1 = serial)")
     run.add_argument("--shard", default=None,
-                     help="evaluate only shard i/N of the points (e.g. 2/4); "
-                          "each shard appends to its own store file")
+                     help="evaluate only shard i/N of the points (e.g. 2/4), "
+                          "split by compilation so a program's gate variants "
+                          "share a shard; each shard appends to its own "
+                          "store file, and all shards of one space must run "
+                          "under the same repro version")
     run.add_argument("--top", type=_positive_int, default=5,
                      help="rows to print in the summary table (default: 5)")
     run.add_argument("--output", default=None, help="write the records as JSON")

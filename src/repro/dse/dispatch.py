@@ -75,6 +75,12 @@ TELEMETRY_DIR = "telemetry"
 #: Dispatch manifest file name inside the store directory.
 MANIFEST_NAME = "dispatch.json"
 
+#: Fixed ``partition`` marker of shards-mode manifests: points map to shards
+#: by compilation (:meth:`~repro.dse.runner.DSERunner.partition_key`).  Not
+#: an option.  A shards manifest without it was written under the older
+#: point-fingerprint partition, whose done markers certify other points.
+SHARD_PARTITION = "compile"
+
 #: Default lease time-to-live.  A worker heartbeats after every completed
 #: task group -- one compilation plus a simulation per folded gate variant
 #: -- so the TTL must exceed the wall time of the slowest *task group*, not
@@ -755,14 +761,17 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
 
     A worker pointed at the store directory reads everything it needs from
     this manifest: the space, the coordination ``mode`` (``"shards"`` --
-    static fingerprint-hash shards, the default and the only pre-v3 mode --
-    or ``"adaptive"`` -- workers lease proposal batches written by a
+    static shards of whole compilations, the default and the only pre-v3
+    mode -- or ``"adaptive"`` -- workers lease proposal batches written by a
     strategy proposer, see :mod:`repro.dse.adaptive.protocol`), the shard
-    count (shards mode), the strategy spec (adaptive mode), the lease TTL
-    and the per-worker ``jobs``.  Re-preparing an existing dispatch is
-    allowed only if the space, mode, shard count and strategy are unchanged
-    (the work partition must stay stable across resumes); TTL/jobs/throttle
-    may be retuned.
+    count and the fixed ``partition`` marker (shards mode), the strategy
+    spec (adaptive mode), the lease TTL and the per-worker ``jobs``.
+    Re-preparing an existing dispatch is allowed only if the space, mode,
+    shard count and strategy are unchanged and the manifest carries this
+    version's partition (the work partition must stay stable across
+    resumes); TTL/jobs/throttle may be retuned.  A *new* manifest is refused
+    when ``<store>/leases/`` already holds done markers: they belong to an
+    earlier run, and workers would trust them without evaluating a point.
     """
 
     from repro.io.serialization import SCHEMA_VERSION
@@ -787,10 +796,13 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     }
     if shards is not None:
         manifest["shards"] = int(shards)
+    if mode == "shards":
+        manifest["partition"] = SHARD_PARTITION
     if strategy is not None:
         manifest["strategy"] = dict(strategy)
     if path.exists():
         existing = read_manifest(store_dir)
+        _check_partition(existing, path)
         if (existing.get("space") != manifest["space"]
                 or existing.get("mode", "shards") != mode
                 or existing.get("shards") != manifest.get("shards")
@@ -798,7 +810,12 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
             raise ValueError(
                 f"{path} already describes a different dispatch (space, "
                 f"mode, shard count or strategy differs); use a fresh store "
-                f"directory, or delete the manifest to redefine the run")
+                f"directory")
+    elif any((store_dir / LEASE_DIR).glob("*.done")):
+        raise ValueError(
+            f"{store_dir / LEASE_DIR} holds done markers of an earlier "
+            f"dispatch, which a new run would trust without evaluating its "
+            f"points; use a fresh store directory")
     tmp = store_dir / f".{MANIFEST_NAME}.{default_owner()}.tmp"
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
@@ -823,6 +840,18 @@ def read_manifest(store_dir) -> Dict:
     return manifest
 
 
+def _check_partition(manifest: Dict, source) -> None:
+    """Refuse a shards-mode manifest written under another shard partition."""
+
+    if (manifest.get("mode", "shards") == "shards"
+            and manifest.get("partition") != SHARD_PARTITION):
+        raise ValueError(
+            f"{source} was written by an older version that assigned points "
+            f"to shards by fingerprint; its shards and done markers do not "
+            f"match this version's partition by compilation.  Use a fresh "
+            f"store directory")
+
+
 # --------------------------------------------------------------------------- #
 # Worker loop
 # --------------------------------------------------------------------------- #
@@ -838,17 +867,22 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     worker, local or remote, joins either kind of run through this one
     entry point.
 
-    The shards-mode loop: claim a shard, open a *fresh* store view (so rows flushed by
-    other workers -- including a dead worker's partial shard file -- replay
-    instead of recomputing), evaluate the shard's points with a heartbeat
-    after every persisted task group, mark the shard done, repeat.  When
-    shards remain but none is claimable (all actively leased), the worker
-    waits for a lease to expire rather than exiting and stranding a dead
-    worker's shard.
+    The shards-mode loop: claim a shard, refresh the worker's store view
+    with the incremental ``reload`` (so rows flushed by other workers --
+    including a dead worker's partial shard file -- replay instead of
+    recomputing), evaluate the shard's points with a heartbeat after every
+    persisted task group, mark the shard done, repeat.  When shards remain
+    but none is claimable (all actively leased), the worker re-polls every
+    ``idle_wait_s`` (default 0.05 s) rather than exiting and stranding a
+    dead worker's shard.  An idle poll only stats lease files, so it writes
+    nothing, and the worker exits within one poll of the last shard's done
+    marker.
 
-    One :class:`~repro.toolflow.parallel.ProgramCache` is shared across all
-    shards this worker runs, so gate variants split across shards still
-    compile once per worker.
+    One store view and one :class:`~repro.dse.runner.DSERunner` -- with
+    its built circuits, point fingerprints and compiled-program cache --
+    serve every shard this worker runs; each claim rebinds only the
+    runner's shard and heartbeat.  Shards hold whole compilations, so a
+    program compiles once and its gate variants run as one batched fan-out.
 
     Returns ``{"owner", "completed", "lost"}`` where ``lost`` lists shards
     aborted because the lease was reclaimed mid-evaluation.
@@ -864,6 +898,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         return run_adaptive_worker(store_dir, manifest=manifest, owner=owner,
                                    jobs=jobs, circuits=circuits,
                                    idle_wait_s=idle_wait_s)
+    _check_partition(manifest, store_dir / MANIFEST_NAME)
     space = DesignSpace.from_dict(manifest["space"])
     ledger = ShardLedger.for_store(store_dir, manifest["shards"],
                                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
@@ -871,7 +906,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     jobs = int(manifest.get("jobs", 1)) if jobs is None else int(jobs)
     throttle_s = float(manifest.get("throttle_s", 0.0))
     if idle_wait_s is None:
-        idle_wait_s = max(0.05, min(1.0, ledger.ttl_s / 4))
+        idle_wait_s = 0.05
 
     telemetry = WorkerTelemetry(store_dir, owner, clock=ledger.clock)
     # Join the dispatcher's trace when it stamped one into our environment:
@@ -906,40 +941,44 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         seen_counters.update(current)
         return moved
 
-    while True:
-        shard = ledger.next_claim(owner)
-        if shard is None:
-            if ledger.all_done():
-                break
-            # Unfinished shards are all actively leased; one of them may
-            # belong to a dead worker, so wait for expiry instead of exiting.
-            time.sleep(idle_wait_s)
-            continue
-        telemetry.emit("claim", work=shard.name, **_live_phase())
-        shard_started = time.perf_counter()
+    with ExperimentStore(store_dir) as store:
+        runner = DSERunner(space, store=store, jobs=jobs, cache=cache,
+                           circuits=circuits)
+        while True:
+            shard = ledger.next_claim(owner)
+            if shard is None:
+                if ledger.all_done():
+                    break
+                # Unfinished shards are all actively leased; one of them
+                # may belong to a dead worker, so wait for expiry instead
+                # of exiting.
+                time.sleep(idle_wait_s)
+                continue
+            telemetry.emit("claim", work=shard.name, **_live_phase())
+            shard_started = time.perf_counter()
 
-        def heartbeat(index: int = shard.index, name: str = shard.name) -> None:
-            if not ledger.renew(index, owner):
-                raise LeaseLost(f"lease on shard {index}/{ledger.count} was "
-                                f"reclaimed from {owner}")
-            telemetry.emit("renew", work=name, **_live_phase())
-            if throttle_s:
-                time.sleep(throttle_s)
+            def heartbeat(index: int = shard.index,
+                          name: str = shard.name) -> None:
+                if not ledger.renew(index, owner):
+                    raise LeaseLost(f"lease on shard {index}/{ledger.count} "
+                                    f"was reclaimed from {owner}")
+                telemetry.emit("renew", work=name, **_live_phase())
+                if throttle_s:
+                    time.sleep(throttle_s)
 
-        # A fresh store load sees every row other workers have flushed so
-        # far, so a reclaimed shard replays the dead worker's partial
-        # results instead of recomputing them.  The writer file is
-        # per-(shard, owner): after a takeover, an alive-but-slow previous
-        # owner may still flush one in-flight group before its next
-        # heartbeat notices the loss, and two processes appending to one
-        # file over NFS can tear each other's rows.  Separate files close
-        # that window; directory union and fingerprint dedup merge them
-        # losslessly.
-        writer = f"{shard.name}-{_filename_safe(owner)}"
-        with ExperimentStore(store_dir, writer=writer) as store:
-            runner = DSERunner(space, store=store, jobs=jobs, shard=shard,
-                               cache=cache, circuits=circuits,
-                               heartbeat=heartbeat)
+            # The reload picks up every row other workers have flushed so
+            # far, so a reclaimed shard replays the dead worker's partial
+            # results instead of recomputing them.  The writer file is
+            # per-(shard, owner): after a takeover, an alive-but-slow
+            # previous owner may still flush one in-flight group before its
+            # next heartbeat notices the loss, and two processes appending
+            # to one file over NFS can tear each other's rows.  Separate
+            # files close that window; directory union and fingerprint
+            # dedup merge them losslessly.
+            store.reload()
+            store.set_writer(f"{shard.name}-{_filename_safe(owner)}")
+            runner.shard, runner.heartbeat = shard, heartbeat
+            before = dict(runner.stats)
             try:
                 with span("dse.shard", shard=shard.name, owner=owner):
                     runner.evaluate_space()
@@ -949,18 +988,19 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
                 if shard_writer is not None:
                     shard_writer.flush(current_tracer())
                 continue
-        ledger.release(shard.index, owner, done=True)
-        completed.append(shard.index)
-        telemetry.emit("done", work=shard.name,
-                       points=runner.stats.get("evaluated", 0),
-                       replayed=runner.stats.get("reused", 0),
-                       wall_s=round(time.perf_counter() - shard_started, 6),
-                       counters=counters_delta())
-        if shard_writer is not None:
-            # Flush after every completed shard: a SIGKILL later costs only
-            # the spans since this point, and the shard file is always a
-            # complete atomic snapshot (never a torn append).
-            shard_writer.flush(current_tracer())
+            ledger.release(shard.index, owner, done=True)
+            completed.append(shard.index)
+            telemetry.emit(
+                "done", work=shard.name,
+                points=runner.stats["evaluated"] - before["evaluated"],
+                replayed=runner.stats["reused"] - before["reused"],
+                wall_s=round(time.perf_counter() - shard_started, 6),
+                counters=counters_delta())
+            if shard_writer is not None:
+                # Flush after every completed shard: a SIGKILL later costs
+                # only the spans since this point, and the shard file is
+                # always a complete atomic snapshot (never a torn append).
+                shard_writer.flush(current_tracer())
     telemetry.emit("worker_exit", completed=len(completed), lost=len(lost),
                    counters=cache.metrics.counters())
     if shard_writer is not None:
@@ -1055,7 +1095,8 @@ class Dispatcher:
     shards:
         Lease granularity; defaults to ``4 * workers`` so workers stay busy
         through the tail and a worker death forfeits at most one shard of
-        fresh progress.
+        fresh progress.  Shards hold whole compilations, so a space with
+        few distinct compilations may leave some shards empty.
     ttl_s:
         Lease time-to-live; must exceed the slowest task group's wall time
         -- one compile plus all its folded gate-variant simulations --
@@ -1067,6 +1108,11 @@ class Dispatcher:
         Optional sleep per heartbeat inside workers -- a load limiter for
         shared machines, also used by the CI smoke test to widen the
         kill window.  Default 0.
+    poll_s:
+        Longest wait between two checks of the ledger and of worker
+        liveness.  The dispatcher waits on a worker process instead of
+        sleeping, so it wakes as soon as that worker exits -- which workers
+        do once every shard is done.
     respawn / max_respawns:
         Replace workers that exited non-zero (up to ``max_respawns``,
         default ``workers``) while unfinished shards remain.
@@ -1217,7 +1263,8 @@ class Dispatcher:
                 if timeout_s is not None and time.monotonic() - started > timeout_s:
                     break
                 self._reap_and_respawn()
-                if not self._alive():
+                alive = self._alive()
+                if not alive:
                     # Every worker exited (cleanly or beyond the respawn
                     # budget) with shards unfinished: nobody is left to
                     # reclaim them.
@@ -1227,7 +1274,12 @@ class Dispatcher:
                         and time.monotonic() - last_report >= progress_interval_s):
                     last_report = time.monotonic()
                     on_progress(self.progress())
-                time.sleep(self.poll_s)
+                # Workers exit once every shard is done, so waiting on one
+                # ends the run on that event instead of on a sleep tick.
+                try:
+                    alive[0].wait(timeout=self.poll_s)
+                except subprocess.TimeoutExpired:
+                    pass
         finally:
             # Workers exit by themselves once every shard is done; anything
             # still running after a grace period (timeout/abort paths) is

@@ -16,13 +16,19 @@ any point list a strategy proposes) and the parallel sweep executor of
   :func:`~repro.toolflow.parallel.run_tasks`; results come back in point
   order for any ``jobs`` value.
 * **Sharding.**  With ``shard=Shard(i, n)`` the runner evaluates only the
-  points whose fingerprint hashes into shard ``i``; every shard appends to
-  its own store file, so N machines can split one space and the directory
-  union is the full result set.
+  points whose *compilation* hashes into shard ``i`` (see
+  :meth:`DSERunner.partition_key`), so every gate variant of a program
+  lands in one shard and runs as one batched fan-out.  Every shard appends
+  to its own store file, so N machines can split one space and the
+  directory union is the full result set.  All ``--shard i/N`` runs of one
+  space must use the same version of this package: earlier versions
+  assigned shards by point fingerprint, and runs under the two partitions
+  would each skip points the other one owns.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,9 +50,11 @@ from repro.toolflow.parallel import ProgramCache, SweepTask, iter_tasks
 class Shard:
     """One slice of a sharded sweep: shard ``index`` of ``count`` (1-based).
 
-    Points are assigned by fingerprint hash, so the partition is stable
-    under resume, reordering and strategy choice -- a point always belongs
-    to the same shard.
+    Points are assigned by the hash of their compilation
+    (:meth:`DSERunner.partition_key`), so all points sharing a compiled
+    program -- every gate variant of one configuration -- belong to the
+    same shard, and the partition is stable under resume, reordering and
+    strategy choice.
     """
 
     index: int
@@ -81,8 +89,10 @@ class Shard:
     def name(self) -> str:
         return f"shard-{self.index}of{self.count}"
 
-    def owns(self, fingerprint: str) -> bool:
-        return int(fingerprint, 16) % self.count == self.index - 1
+    def owns(self, digest: str) -> bool:
+        """Whether the work unit with hex ``digest`` falls in this shard."""
+
+        return int(digest, 16) % self.count == self.index - 1
 
 
 def _default_circuit_builder(app: str, qubits: Optional[int]) -> Circuit:
@@ -184,6 +194,18 @@ class DSERunner:
             self._fingerprint_memo[point] = cached
         return cached
 
+    def partition_key(self, point: DesignPoint) -> str:
+        """Shard-assignment digest of a point.
+
+        The sha256 of :meth:`ProgramCache.key_for` -- the definition of
+        "same compilation", which leaves out the gate -- so points sharing
+        a compiled program share a shard.
+        """
+
+        circuit = self.circuit_for(point.app, point.qubits)
+        key = ProgramCache.key_for(circuit, point.config)
+        return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
     # ------------------------------------------------------------------ #
     def evaluate(self, points: Sequence[DesignPoint]) -> List[object]:
         """Evaluate ``points``, returning one record per point, in order.
@@ -225,7 +247,8 @@ class DSERunner:
                 self.stats["reused"] += 1
             elif fingerprint in first_index:
                 slots.append((ALIAS, first_index[fingerprint]))
-            elif self.shard is not None and not self.shard.owns(fingerprint):
+            elif (self.shard is not None
+                  and not self.shard.owns(self.partition_key(point))):
                 slots.append((SKIP, None))
                 self.stats["skipped"] += 1
             else:

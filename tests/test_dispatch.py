@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
+from repro.dse.dispatch import read_telemetry
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -150,6 +152,7 @@ class TestManifest:
         assert path.name == "dispatch.json"
         manifest = read_manifest(tmp_path / "store")
         assert manifest["shards"] == 4
+        assert manifest["partition"] == "compile"
         assert manifest["ttl_s"] == 12.0
         assert manifest["jobs"] == 2
         assert DesignSpace.from_dict(manifest["space"]) == space
@@ -172,6 +175,35 @@ class TestManifest:
     def test_missing_manifest_is_a_clear_error(self, tmp_path):
         with pytest.raises(ValueError, match="no dispatch manifest"):
             read_manifest(tmp_path / "store")
+
+    def test_new_manifest_refuses_earlier_done_markers(self, tmp_path):
+        # Deleting the manifest must not redefine a run in place: the new
+        # run would trust the old run's done markers and report complete
+        # without evaluating a single one of its own points.
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=2)
+        run_worker(store_dir, owner="first")
+        (store_dir / "dispatch.json").unlink()
+        other = DesignSpace(**dict(TINY_SPACE, capacities=(8,)))
+        with pytest.raises(ValueError, match="fresh store directory"):
+            Dispatcher(other, store_dir, workers=1, shards=2).prepare()
+        assert not (store_dir / "dispatch.json").exists()
+
+    def test_legacy_shards_manifest_is_refused(self, tmp_path):
+        # A shards manifest without the partition marker was written under
+        # the point-fingerprint partition; its done markers would certify
+        # the wrong points, so neither re-preparing nor joining may resume.
+        store_dir = tmp_path / "store"
+        space = DesignSpace(**TINY_SPACE)
+        path = write_manifest(store_dir, space, shards=2)
+        legacy = json.loads(path.read_text())
+        del legacy["partition"]
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(ValueError, match="older version"):
+            write_manifest(store_dir, space, shards=2)
+        with pytest.raises(ValueError, match="older version"):
+            run_worker(store_dir, owner="solo")
+        assert len(ExperimentStore(store_dir)) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -200,6 +232,26 @@ class TestWorkerLoop:
         assert summary["lost"] == []
         assert ShardLedger.for_store(store_dir, 3).all_done()
         assert len(ExperimentStore(store_dir)) == space.size
+
+    # A point-fingerprint partition keeps TINY_SPACE's gate pairs together
+    # at 3 shards but splits one at 5, so both counts are checked.
+    @pytest.mark.parametrize("shards", [3, 5])
+    def test_worker_compiles_once_and_batches_every_gate_fanout(
+            self, tmp_path, shards):
+        space = DesignSpace(**TINY_SPACE)
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, space, shards=shards, ttl_s=60.0)
+        run_worker(store_dir, owner="solo")
+        (exit_event,) = [event for event in read_telemetry(store_dir)
+                         if event["event"] == "worker_exit"]
+        counters = exit_event["counters"]
+        # Shards hold whole compilations: no point fell back to the serial
+        # simulate(), and each distinct program compiled exactly once.
+        assert counters["cache.batch.variants"] == space.size
+        compilations = {(point.app, point.qubits,
+                         replace(point.config, gate="FM"))
+                        for point in space.points()}
+        assert counters["cache.misses"] == len(compilations)
 
     def test_dead_workers_expired_shard_is_reclaimed_and_finished(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)
@@ -271,6 +323,15 @@ class TestDispatcherLocal:
         dispatched = _export(tmp_path / "dispatched",
                              tmp_path / "dispatched.json")
         assert dispatched == serial
+
+    def test_dispatcher_wakes_when_its_worker_exits(self, tmp_path):
+        # The dispatcher waits on its workers rather than sleeping poll_s,
+        # so a long poll interval does not delay the end of the run.
+        dispatcher = Dispatcher(DesignSpace(**TINY_SPACE), tmp_path / "store",
+                                workers=1, shards=2, poll_s=20.0)
+        summary = dispatcher.run(timeout_s=120.0)
+        assert summary["complete"] is True
+        assert summary["elapsed_s"] < 10.0
 
     def test_kill_one_worker_shard_reclaimed_export_identical(self):
         """The acceptance scenario: 48 points, 3 workers, one SIGKILLed.

@@ -37,6 +37,7 @@ from repro.dse import (
 )
 from repro.io.fingerprint import design_point_fingerprint, result_fingerprint
 from repro.toolflow import ArchitectureConfig
+from repro.toolflow.parallel import ProgramCache
 from repro.toolflow.runner import run_experiment
 
 
@@ -468,15 +469,30 @@ class TestResumeAndShard:
 
     def test_shards_partition_points(self, mini_space, mini_circuits):
         full = DSERunner(mini_space, circuits=mini_circuits).evaluate_space()
-        shard_records = []
-        for index in (1, 2, 3):
-            runner = DSERunner(mini_space, circuits=mini_circuits,
-                               shard=Shard(index, 3))
-            shard_records.append(runner.evaluate_space())
-        for position, merged in enumerate(zip(*shard_records)):
-            owners = [record for record in merged if record is not None]
-            assert len(owners) == 1  # every point belongs to exactly one shard
-            assert owners[0].as_row() == full[position].as_row()
+        points = list(mini_space.points())
+        assert len({point.config.gate for point in points}) == 2
+        cache = ProgramCache()  # shared: only the partition is under test
+        for count in range(1, 6):
+            owner_of = {}
+            for index in range(1, count + 1):
+                runner = DSERunner(mini_space, circuits=mini_circuits,
+                                   shard=Shard(index, count), cache=cache)
+                records = runner.evaluate_space()
+                for position, record in enumerate(records):
+                    if record is None:
+                        continue
+                    # Every point belongs to exactly one shard.
+                    assert position not in owner_of
+                    owner_of[position] = index
+                    assert record.as_row() == full[position].as_row()
+            assert sorted(owner_of) == list(range(len(points)))
+            # Changing only the gate never moves a point to another shard.
+            shards_of = {}
+            for position, point in enumerate(points):
+                compilation = (point.app, point.qubits,
+                               replace(point.config, gate="FM"))
+                shards_of.setdefault(compilation, set()).add(owner_of[position])
+            assert all(len(owners) == 1 for owners in shards_of.values())
 
     def test_sharded_stores_union_to_full_run(self, mini_space, mini_circuits,
                                               tmp_path):
