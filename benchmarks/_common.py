@@ -19,14 +19,13 @@ variant-simulation comparison (``bench_pipeline_scale.py``):
 
 * ``points``/``programs``/``gates`` -- sweep shape: compiled programs times
   gate implementations evaluated per pass;
-* ``serial_s``/``batched_cold_s``/``batched_warm_s`` -- best-of wall time of
-  the per-variant serial loop versus one batched pass with cold (plans
-  rebuilt) and warm (plans + memos populated) caches, with
-  ``speedup_cold``/``speedup_warm`` and ``per_variant_us`` derived views;
+* ``batched_cold_s``/``batched_warm_s`` -- best-of wall time of one
+  batched pass with cold (lowering and plans rebuilt) and warm (plans +
+  memos populated) caches, with a ``per_variant_us`` derived view;
 * ``dedup`` -- timeline cache behaviour over the run: ``timelines_built``,
   ``timeline_hits``, ``variants``, ``hit_rate``;
 * ``ablation`` -- the heating/fidelity model fan-out (one program, many
-  parameter vectors): ``variants``, ``serial_s``, ``batched_s``, ``speedup``.
+  parameter vectors, cold plan): ``variants``, ``batched_s``.
 """
 
 from __future__ import annotations

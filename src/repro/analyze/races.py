@@ -6,15 +6,16 @@ durations -- and flags double-booked hardware:
 
 * **Dependency-only schedule** (``RC001``): every op starts as soon as its
   *declared* dependencies finish.  If two ops then overlap on the same trap,
-  the compiler emitted a program whose correctness relies on the engines'
-  implicit program-order resource serialization rather than on an explicit
-  dependency -- exactly the class of bug a pass-pipeline rewrite could
-  introduce silently.  Segments and junctions are exempt here by design:
-  the builder deliberately carries no cross-route dependency for them and
-  both engines serialize them through ``free_at`` / merged predecessors.
+  the compiler emitted a program whose correctness relies on the
+  simulator's implicit program-order resource serialization rather than on
+  an explicit dependency -- exactly the class of bug a pass-pipeline
+  rewrite could introduce silently.  Segments and junctions are exempt here
+  by design: the builder deliberately carries no cross-route dependency for
+  them and the simulator serializes them through merged predecessors.
 * **Merged dependency+resource schedule** (``RC002``/``RC003``): the exact
-  predecessor relation :func:`repro.sim.batch._merged_predecessors` lowers
-  to.  Under it, *no* resource may ever be double-booked and no op may start
+  predecessor relation of the program's lowering
+  (:attr:`repro.sim.lower.LoweredProgram.preds`), which the simulator walks.
+  Under it, *no* resource may ever be double-booked and no op may start
   before a declared dependency finishes; a finding means the lowering itself
   (or an injected predecessor table, via the ``predecessors`` hook used by
   the mutation-corpus tests) is broken.
@@ -25,19 +26,17 @@ overlap scan sorts each resource's claim intervals, O(claims log claims).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.diagnostics import Report, diag
 from repro.isa.program import QCCDProgram
-from repro.sim.batch import _merged_predecessors
-from repro.sim.engine import _op_records
-
-Predecessors = Sequence[Union[int, Tuple[int, ...]]]
+from repro.sim.lower import JUNCTION, MOVE, Predecessors, lower
 
 
 def detect_races(program: QCCDProgram, *,
                  durations: Optional[Sequence[float]] = None,
-                 predecessors: Optional[Predecessors] = None) -> Report:
+                 predecessors: Optional[Sequence[Predecessors]] = None,
+                 ) -> Report:
     """Run the RC001/RC002/RC003 checks over ``program``.
 
     ``durations`` replaces the default unit duration per op (the checks are
@@ -48,8 +47,8 @@ def detect_races(program: QCCDProgram, *,
     """
 
     report = Report()
-    records, resource_names = _op_records(program)
-    count = len(records)
+    lowered = lower(program)
+    count = len(lowered)
     if count == 0:
         return report
     if durations is None:
@@ -57,11 +56,17 @@ def detect_races(program: QCCDProgram, *,
     elif len(durations) != count:
         raise ValueError(f"expected {count} durations, got {len(durations)}")
 
-    trap_resources = _trap_resources(records, resource_names)
+    resource_names = lowered.resource_names
+    deps = [op.dependencies for op in program.operations]
+    # Ops other than moves and junction crossings claim a trap.
+    trap_resources = frozenset(
+        rid for code, rid in zip(lowered.codes, lowered.resources)
+        if code != MOVE and code != JUNCTION)
 
     # --- RC001: dependency-only schedule, trap overlap ------------------- #
-    dep_start, dep_finish = _schedule_by_deps(records, durations)
-    for rid, claims in _claims_by_resource(records, dep_start, dep_finish):
+    dep_start, dep_finish = _schedule_by_predecessors(deps, durations)
+    for rid, claims in _claims_by_resource(lowered.resources, dep_start,
+                                           dep_finish):
         if rid not in trap_resources:
             continue
         for earlier, later in _overlaps(claims):
@@ -76,13 +81,12 @@ def detect_races(program: QCCDProgram, *,
                      f"does not rely on implicit resource serialization"))
 
     # --- RC002/RC003: merged dep+resource schedule ----------------------- #
-    merged = predecessors if predecessors is not None \
-        else _merged_predecessors(records)
+    merged = predecessors if predecessors is not None else lowered.preds
     if len(merged) != count:
         raise ValueError(f"expected {count} predecessor entries, "
                          f"got {len(merged)}")
     start, finish = _schedule_by_predecessors(merged, durations)
-    for rid, claims in _claims_by_resource(records, start, finish):
+    for rid, claims in _claims_by_resource(lowered.resources, start, finish):
         for earlier, later in _overlaps(claims):
             report.add(diag(
                 "RC002",
@@ -90,11 +94,11 @@ def detect_races(program: QCCDProgram, *,
                 f"{resource_names[rid]} under the merged "
                 f"dependency+resource schedule",
                 location=f"op {later}",
-                hint="the sim/batch lowering would double-book this "
+                hint="the simulator's lowering would double-book this "
                      "resource; the predecessor table is missing the "
                      "last-user edge"))
-    for index, rec in enumerate(records):
-        for dep in rec.deps:
+    for index, op_deps in enumerate(deps):
+        for dep in op_deps:
             if 0 <= dep < index and start[index] < finish[dep] - 1e-12:
                 report.add(diag(
                     "RC003",
@@ -108,28 +112,7 @@ def detect_races(program: QCCDProgram, *,
     return report
 
 
-def _trap_resources(records, resource_names: Tuple[str, ...]) -> frozenset:
-    """Interned ids of resources that are traps (vs segments/junctions)."""
-
-    trap_names = {rec.trap for rec in records if rec.trap}
-    return frozenset(rid for rid, name in enumerate(resource_names)
-                     if name in trap_names)
-
-
-def _schedule_by_deps(records, durations) -> Tuple[List[float], List[float]]:
-    start = [0.0] * len(records)
-    finish = [0.0] * len(records)
-    for index, rec in enumerate(records):
-        begin = 0.0
-        for dep in rec.deps:
-            if 0 <= dep < index and finish[dep] > begin:
-                begin = finish[dep]
-        start[index] = begin
-        finish[index] = begin + durations[index]
-    return start, finish
-
-
-def _schedule_by_predecessors(merged: Predecessors,
+def _schedule_by_predecessors(merged: Sequence[Predecessors],
                               durations) -> Tuple[List[float], List[float]]:
     start = [0.0] * len(merged)
     finish = [0.0] * len(merged)
@@ -147,14 +130,12 @@ def _schedule_by_predecessors(merged: Predecessors,
     return start, finish
 
 
-def _claims_by_resource(records, start, finish):
+def _claims_by_resource(resources, start, finish):
     """Yield ``(rid, [(start, finish, op_index), ...])`` per resource."""
 
     claims: Dict[int, List[Tuple[float, float, int]]] = {}
-    for index, rec in enumerate(records):
-        for rid in rec.resources:
-            claims.setdefault(rid, []).append(
-                (start[index], finish[index], index))
+    for index, rid in enumerate(resources):
+        claims.setdefault(rid, []).append((start[index], finish[index], index))
     for rid in sorted(claims):
         yield rid, claims[rid]
 

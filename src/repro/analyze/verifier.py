@@ -25,9 +25,9 @@ emitting -- and checks the paper's legality rules op by op (checks ``QV001``
   chain contents, so a wrong annotation silently corrupts results.
 * **Dependency coverage.**  Op ids are dense, dependencies are in range, and
   consecutive ops touching the same ion are ordered by a happens-before path
-  through dependencies and shared-resource chains -- the exact predecessor
-  relation :func:`repro.sim.batch._merged_predecessors` lowers to, so a
-  program that passes here cannot be misordered by either engine.
+  through dependencies and shared-resource chains -- the merged predecessor
+  relation of the simulator's lowering (:mod:`repro.sim.lower`), so a
+  program that passes here cannot be misordered by the simulator.
 * **Connectivity** (when a device is supplied).  Every trap/segment/junction
   name exists in the topology, moves run along segments that join their
   endpoints with matching lengths, junction degrees agree, and merge/split
@@ -54,6 +54,7 @@ from repro.isa.operations import (
     SwapGateOp,
 )
 from repro.isa.program import QCCDProgram
+from repro.sim.lower import lower
 
 #: Op kinds allowed to touch a trap while it transiently holds capacity+1
 #: ions: the pass-through reorder (either microarchitecture) and the
@@ -560,34 +561,24 @@ def _check_final_state(state: _Replay, report: Report) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Dependency coverage (consistency with the sim/batch lowering)
+# Dependency coverage (consistency with the simulator's lowering)
 # --------------------------------------------------------------------------- #
 def _check_dependency_coverage(program: QCCDProgram, report: Report) -> None:
     """Consecutive ops on one ion must be ordered dep-wise or resource-wise.
 
-    This mirrors how :func:`repro.sim.batch._merged_predecessors` lowers the
-    program: op ``i`` waits on its dependencies and on the previous op in
-    program order using each of its resources.  If the previous op touching
-    one of ``i``'s ions is reachable through neither relation, both engines
-    would happily overlap the two ops -- a compiler bug the timeline cannot
-    surface.
+    Reads the merged predecessors of the program's lowering
+    (:attr:`repro.sim.lower.LoweredProgram.preds`), the relation the
+    simulator walks: op ``i`` waits on its dependencies and on the previous
+    op in program order using its resource.  If the previous op touching
+    one of ``i``'s ions is reachable through neither relation, the
+    simulator would happily overlap the two ops -- a compiler bug the
+    timeline cannot surface.
     """
 
-    operations = program.operations
-    # Merged predecessors, the batch lowering's exact rule.
-    last_user: Dict[str, int] = {}
-    merged: List[Tuple[int, ...]] = []
-    for index, op in enumerate(operations):
-        preds = {dep for dep in op.dependencies if 0 <= dep < index}
-        for resource in op.resources:
-            prev = last_user.get(resource)
-            if prev is not None:
-                preds.add(prev)
-            last_user[resource] = index
-        merged.append(tuple(preds))
-
+    merged = [(preds,) if preds.__class__ is int else preds
+              for preds in lower(program).preds]
     last_for_ion: Dict[int, int] = {}
-    for index, op in enumerate(operations):
+    for index, op in enumerate(program.operations):
         ions = _op_ions(op)
         for ion in ions:
             prev = last_for_ion.get(ion)

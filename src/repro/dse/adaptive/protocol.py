@@ -51,7 +51,6 @@ from repro.dse.dispatch import (
     LeaseDir,
     LeaseLost,
     WorkerTelemetry,
-    _filename_safe,
     _live_phase,
     default_owner,
     read_manifest,
@@ -63,6 +62,7 @@ from repro.dse.runner import DSERunner
 from repro.dse.space import DesignSpace, point_from_spec
 from repro.dse.store import ExperimentStore, row_to_record
 from repro.obs.distributed import TraceContext, TraceShardWriter, adopt_shards
+from repro.obs.export import filename_safe
 from repro.obs.trace import current_tracer
 from repro.obs.trace import span as _span
 
@@ -167,7 +167,7 @@ class ProposalLedger:
         name = self.work_name(payload["batch"], payload["part"])
         path = self.work_path(name)
         tmp = self.directory / \
-            f".{path.name}.{_filename_safe(default_owner())}.tmp"
+            f".{path.name}.{filename_safe(default_owner())}.tmp"
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
         return path
@@ -307,7 +307,7 @@ class ProposalLedger:
         body["signature"] = _signature(body)
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self.directory / \
-            f".{COMPLETE_NAME}.{_filename_safe(default_owner())}.tmp"
+            f".{COMPLETE_NAME}.{filename_safe(default_owner())}.tmp"
         tmp.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, self.complete_path)
         return self.complete_path
@@ -520,7 +520,7 @@ def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
         return moved
 
     with ExperimentStore(store_dir,
-                         writer=f"adaptive-{_filename_safe(owner)}") as store:
+                         writer=f"adaptive-{filename_safe(owner)}") as store:
         while True:
             claimed = ledger.claim_next(owner)
             if claimed is None:

@@ -57,6 +57,7 @@ from repro.obs.distributed import (
     TraceShardWriter,
     adopt_shards,
 )
+from repro.obs.export import filename_safe
 from repro.obs.trace import (
     current_span_name,
     current_span_ref,
@@ -140,12 +141,6 @@ def default_owner() -> str:
     """Default lease-owner identity: host plus pid (unique per worker)."""
 
     return f"{socket.gethostname()}-pid{os.getpid()}"
-
-
-def _filename_safe(owner: str) -> str:
-    """An owner string reduced to filename-safe characters (temp names)."""
-
-    return "".join(c if c.isalnum() or c in "-._" else "_" for c in owner)
 
 
 class LeaseClock:
@@ -252,7 +247,7 @@ class LeaseDir:
                              sort_keys=True) + "\n"
         # The temp name must be unique per *owner*, not per pid: two hosts
         # sharing the store over NFS can easily collide on pid alone.
-        tmp = self.directory / f".claim-{name}.{_filename_safe(owner)}.tmp"
+        tmp = self.directory / f".claim-{name}.{filename_safe(owner)}.tmp"
         tmp.write_text(payload)
         try:
             try:
@@ -304,7 +299,7 @@ class LeaseDir:
 
         self.directory.mkdir(parents=True, exist_ok=True)
         if done:
-            tmp = self.directory / f".done-{name}.{_filename_safe(owner)}.tmp"
+            tmp = self.directory / f".done-{name}.{filename_safe(owner)}.tmp"
             tmp.write_text(json.dumps({"owner": owner,
                                        "finished_at": self.clock.now()},
                                       sort_keys=True) + "\n")
@@ -486,7 +481,7 @@ class WorkerTelemetry:
         self.owner = owner
         self.clock = clock if clock is not None else LeaseClock()
         self.directory = Path(store_dir) / TELEMETRY_DIR
-        self.stem = _filename_safe(owner)
+        self.stem = filename_safe(owner)
         self.path = self.directory / f"{self.stem}.jsonl"
         self.max_bytes = max_bytes
         self.keep_segments = max(1, int(keep_segments))
@@ -976,7 +971,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
             # files close that window; directory union and fingerprint
             # dedup merge them losslessly.
             store.reload()
-            store.set_writer(f"{shard.name}-{_filename_safe(owner)}")
+            store.set_writer(f"{shard.name}-{filename_safe(owner)}")
             runner.shard, runner.heartbeat = shard, heartbeat
             before = dict(runner.stats)
             try:

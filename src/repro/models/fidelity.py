@@ -73,10 +73,6 @@ class FidelityModel:
                         motional_energy: float) -> GateErrorBreakdown:
         """Error breakdown of one MS gate.
 
-        NOTE: the fused simulation engine (:mod:`repro.sim.engine`) inlines
-        this formula (and the clamp of :meth:`two_qubit_fidelity`) in its hot
-        loop; keep the two in sync when changing it.
-
         Parameters
         ----------
         duration:

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.export import atomic_write_text
+from repro.obs.export import atomic_write_text, filename_safe
 from repro.obs.metrics import registry
 from repro.obs.trace import Tracer, current_tracer, enable_tracing, span
 
@@ -81,12 +80,6 @@ SHARD_SCHEMA_VERSION = 1
 #: Keys a shard record must carry to be mergeable.
 _REQUIRED_KEYS = ("name", "span_id", "pid", "tid", "epoch_start_s",
                   "duration_s")
-
-
-def _filename_safe(owner: str) -> str:
-    # Same sanitisation as repro.dse.dispatch._filename_safe (duplicated
-    # to keep obs free of an import cycle with the dispatch layer).
-    return re.sub(r"[^A-Za-z0-9._-]", "_", owner)
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ class TraceShardWriter:
     def __init__(self, store_dir, owner: str) -> None:
         self.owner = owner
         self.path = (Path(store_dir) / TRACE_DIR
-                     / f"{_filename_safe(owner)}.jsonl")
+                     / f"{filename_safe(owner)}.jsonl")
 
     def flush(self, tracer: Optional[Tracer]) -> Optional[Path]:
         if tracer is None:

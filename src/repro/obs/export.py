@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import socket
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -41,6 +42,7 @@ __all__ = [
     "atomic_write_text",
     "chrome_trace",
     "config_fingerprint",
+    "filename_safe",
     "run_manifest",
     "spans_jsonl",
     "validate_chrome_trace",
@@ -212,6 +214,18 @@ def atomic_write_text(path, text: str) -> Path:
         if scratch.exists():  # replace failed; don't litter
             scratch.unlink()
     return path
+
+
+def filename_safe(name: str) -> str:
+    """``name`` with every character outside ASCII ``[A-Za-z0-9._-]``
+    replaced by ``_``.
+
+    Owner identities (host plus pid) name each worker's telemetry log,
+    trace shard, store writer and lease temp files; one rule keeps those
+    names portable and in agreement with each other.
+    """
+
+    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
 def write_trace(path, tracer: Tracer, *,

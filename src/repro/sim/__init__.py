@@ -13,11 +13,14 @@ The simulator replays a :class:`~repro.isa.program.QCCDProgram` on a
   own fidelity from equation (1); the per-gate error is also attributed to its
   background and motional components for Figure 6g.
 
-:func:`simulate` is the public entry point for one (program, device) pair and
-returns a :class:`SimulationResult`; :func:`simulate_batch` (and the
+There is one engine (:mod:`repro.sim.batch`): a program is lowered once
+(:mod:`repro.sim.lower`) into a cached :class:`BatchPlan`, against which any
+number of (gate implementation, physical model) variants are evaluated.
+:func:`simulate` is the public entry point for one (program, device) pair
+and returns a :class:`SimulationResult`; :func:`simulate_batch` (and the
 :func:`simulate_gate_variants` / :func:`simulate_model_variants` helpers)
-evaluates one compiled program under a whole axis of device variants in a
-single shared pass, bit-identical to serial :func:`simulate`.
+evaluates a whole axis of device variants in one call, with results
+identical to one :func:`simulate` per variant.
 """
 
 from repro.sim.batch import (

@@ -1,64 +1,49 @@
-"""Batched variant simulation: one plan, many (gate x physical-model) variants.
+"""The simulation engine: one plan per program, any axis of device variants.
 
-The DSE fan-outs evaluate thousands of *near-identical* simulations: the same
-compiled :class:`~repro.isa.program.QCCDProgram` under different two-qubit
-gate implementations (the Figure 8 axis) or different physical-model
-parameter vectors (the heating/fidelity ablations).  The serial engine
-(:func:`repro.sim.engine.simulate`) re-walks the full fused loop once per
-variant, recomputing a dependency/resource timeline that is byte-identical
-across most of the fan-out.
+Every simulation -- a single :func:`repro.sim.engine.simulate` call, the
+Figure 8 gate fan-out, the heating/fidelity ablation grids -- evaluates
+``(two-qubit gate implementation, physical model)`` variants against the
+:class:`BatchPlan` of a compiled :class:`~repro.isa.program.QCCDProgram`.
+The plan wraps the program's :class:`~repro.sim.lower.LoweredProgram` (one
+pass over the op stream, shared with the static analyzers) and memoises
+everything a variant does not change:
 
-This module lowers a program once into a :class:`BatchPlan` -- a
-struct-of-arrays view with flat parallel arrays for op codes, merged
-dependency/resource predecessor lists and the model-facing annotation slots
--- and then evaluates a whole axis of variants against it:
-
-* **Merged predecessors.**  In the serial engine an operation waits on its
-  dependencies (``finish``) and on its exclusive resources (``free_at``).
-  Because operations are visited in program order, the resource term is
-  simply the finish time of the *previous operation in program order using
-  that resource* -- a fact of the op stream, not of any duration vector.  The
-  plan therefore merges dependencies and per-resource predecessors into one
-  deduplicated predecessor entry per op (a bare int in the common
-  single-predecessor case), and a timeline walk reduces to
-  ``finish[i] = max(finish[p] for p in preds[i]) + dur[i]``.
-* **Duration-vector dedup.**  The timeline depends on the duration vector
-  alone, so it is walked once per *distinct* vector and cached on the plan:
-  variants that only change heating/fidelity parameters (and gate variants
-  whose clamped gate times collide) skip the walk entirely and re-accumulate
-  log-fidelity over the cached finish times.
-* **Shared heating trajectory.**  Chain-energy accounting depends only on the
-  op stream and the heating constants ``k1``/``k2``/``k_junction`` -- never
-  on durations -- so the trajectory (per-gate chain energies, final trap
-  energies, peak occupancy) is computed once per distinct heating vector and
-  shared by every gate variant.
-* **Reduced noise pass.**  Per variant only the fidelity-bearing ops are
-  visited: two-qubit/SWAP gates evaluate equation (1) against the cached
-  finish times and trajectory energies; single-qubit gates and measurements
-  add a precomputed constant log-fidelity.  The accumulated totals are
-  memoised per (timeline, trajectory, fidelity-parameter) combination, so
-  re-evaluating an already-seen variant (a warm re-sweep, a resumed run)
-  skips even this pass.
+* **Timeline walk.**  An operation starts once its merged predecessors --
+  dependencies plus the previous user of its exclusive resource -- have
+  finished, so ``finish[i] = max(finish[p] for p in preds[i]) + dur[i]``.
+  The walk also advances the zero-communication timeline behind the
+  Figure 6b computation/communication split and sums per-trap busy times.
+  It depends on the duration vector alone, so it runs once per *distinct*
+  vector: variants that only change heating/fidelity parameters (and gate
+  variants whose clamped gate times collide) reuse it.
+* **Heating trajectory.**  Chain-energy accounting depends only on the op
+  stream and the heating constants ``k1``/``k2``/``k_junction`` -- never on
+  durations -- so the trajectory (per-gate chain energies, final trap
+  energies, peak occupancy) is computed once per distinct heating vector
+  and shared by every gate variant.
+* **Noise pass.**  Per variant only the fidelity-bearing ops are visited:
+  two-qubit/SWAP gates evaluate equation (1) against the cached finish
+  times and trajectory energies; single-qubit gates and measurements add a
+  constant log-fidelity.  The totals are memoised per (timeline,
+  trajectory, fidelity parameters) combination, so re-evaluating a seen
+  variant (a warm re-sweep, a resumed run) skips even this pass.  When a
+  per-operation timeline is requested, the same pass records each gate's
+  fidelity.
 * **No device churn.**  Variants are evaluated from ``(gate, model)`` pairs
   directly: :func:`simulate_gate_variants` never constructs the per-variant
   :class:`~repro.hardware.device.QCCDDevice` copies (and their topology
-  re-validation) that a serial ``device.with_gate(...)`` loop pays for.
+  re-validation) that a ``device.with_gate(...)`` loop pays for.
 
-Every arithmetic expression mirrors :func:`repro.sim.engine.simulate`
-operation for operation, so batch results are **bit-identical** to the serial
-engine (``tests/test_sim_batch.py`` asserts this across the application
-suite, both reorder methods, all four gate implementations and the ablation
-parameter grids; the determinism goldens then pin both engines to the seed).
-
-The batch path does not produce per-operation timelines; callers that need
-``keep_timeline=True`` fall back to the serial engine
-(:func:`~repro.toolflow.parallel.execute_task` does this automatically).
+The arithmetic is the seed three-pass engine's, operation for operation, so
+every metric is bit-identical to it: ``tests/seed_engine.py`` keeps the seed
+engine as the test reference, and the determinism goldens pin the results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import QCCDDevice
 from repro.isa.program import QCCDProgram
@@ -66,114 +51,51 @@ from repro.models.fidelity import FidelityModel
 from repro.models.gate_times import GateImplementation
 from repro.models.heating import HeatingModel
 from repro.obs.trace import span
-from repro.sim.engine import (
-    _CODE_TO_KIND,
-    _GATE_1Q,
-    _GATE_2Q,
-    _ION_SWAP,
-    _JUNCTION,
-    _MEASURE,
-    _MERGE,
-    _MOVE,
-    _SPLIT,
-    _SWAP_GATE,
-    _durations,
-    _op_records,
+from repro.sim.lower import (
+    FID_1Q,
+    GATE_1Q,
+    GATE_2Q,
+    H_JUNCTION,
+    H_MERGE,
+    H_MOVE,
+    H_SPLIT,
+    IS_COMM,
+    KINDS,
+    MEASURE,
+    MS_PER_SWAP,
+    SWAP_GATE,
+    lower,
 )
-from repro.sim.results import SimulationResult
-
-#: Sentinels in the fidelity schedule for ops whose fidelity is a constant of
-#: the model (everything else is a gate tuple).
-_FID_1Q = -1
-_FID_MEASURE = -2
-
-#: Tags in the heating schedule (gate snapshots plus the energy-moving ops).
-_H_SNAPSHOT, _H_SPLIT, _H_MERGE, _H_MOVE, _H_JUNCTION, _H_ION_SWAP = range(6)
-
-_MS_PER_SWAP = 3  # SwapGateOp.MS_GATES_PER_SWAP; asserted at import below
+from repro.sim.results import OperationRecord, SimulationResult
 
 
-def _merged_predecessors(records) -> List[Union[int, Tuple[int, ...]]]:
-    """Dependency + resource predecessors per op, deduplicated.
-
-    The resource predecessor of op ``i`` on resource ``r`` is the previous op
-    in program order using ``r`` (exactly what ``free_at[r]`` holds when the
-    serial engine reaches ``i``).  Predecessor indices ``>= i`` are dropped:
-    the serial engine reads their still-unset finish time of ``0.0`` there,
-    which contributes nothing to the running max.  Single-predecessor entries
-    (the overwhelmingly common case) are stored as bare ints so the timeline
-    walk skips the max loop entirely.
-    """
-
-    last_user: Dict[int, int] = {}
-    merged: List[Union[int, Tuple[int, ...]]] = []
-    for index, rec in enumerate(records):
-        preds = {dep for dep in rec.deps if dep < index}
-        for rid in rec.resources:
-            prev = last_user.get(rid)
-            if prev is not None:
-                preds.add(prev)
-            last_user[rid] = index
-        if len(preds) == 1:
-            merged.append(preds.pop())
-        else:
-            merged.append(tuple(sorted(preds)))
-    return merged
-
-
+@dataclass(slots=True, eq=False)
 class _Timeline:
     """Finish times and derived timing metrics of one duration vector."""
 
-    __slots__ = ("finish", "makespan", "computation_time", "communication_time",
-                 "trap_gate_busy", "trap_comm_busy")
-
-    def __init__(self, finish, makespan, computation_time, communication_time,
-                 trap_gate_busy, trap_comm_busy) -> None:
-        self.finish = finish
-        self.makespan = makespan
-        self.computation_time = computation_time
-        self.communication_time = communication_time
-        self.trap_gate_busy = trap_gate_busy
-        self.trap_comm_busy = trap_comm_busy
+    finish: List[float]
+    makespan: float
+    computation_time: float
+    communication_time: float
+    trap_gate_busy: Dict[str, float]
+    trap_comm_busy: Dict[str, float]
 
 
+@dataclass(slots=True, eq=False)
 class _Trajectory:
     """Heating state shared by every variant with the same heating constants."""
 
-    __slots__ = ("gate_energies", "final_trap_energies", "peak_occupancy",
-                 "max_energy")
-
-    def __init__(self, gate_energies, final_trap_energies, peak_occupancy,
-                 max_energy) -> None:
-        self.gate_energies = gate_energies
-        self.final_trap_energies = final_trap_energies
-        self.peak_occupancy = peak_occupancy
-        self.max_energy = max_energy
-
-
-class _DeviceView:
-    """The slice of a device that :func:`repro.sim.engine._durations` reads.
-
-    Lets the batch engine price one (gate, model) variant without building a
-    full :class:`~repro.hardware.device.QCCDDevice` copy (whose constructor
-    re-validates the topology).  The duration memo key ``(gate, model)``
-    matches a real device's, so serial and batch runs share the memo.
-    """
-
-    __slots__ = ("gate", "model")
-
-    def __init__(self, gate, model) -> None:
-        self.gate = gate
-        self.model = model
+    gate_energies: List[float]
+    final_trap_energies: Dict[str, float]
+    peak_occupancy: Dict[str, int]
+    max_energy: float
 
 
 class BatchPlan:
-    """Struct-of-arrays lowering of one compiled program, with variant caches.
+    """The lowered program plus the memo layers shared across variants.
 
     Built once per program (and cached on it, keyed by the identity of the
-    operation list like the serial engine's record cache), then reused by
-    every batch-simulation call.  The plan owns the memo layers shared across
-    variants:
+    operation list like the lowering), then reused by every simulation:
 
     * duration vectors per (gate, shuttle, single-qubit) parameter slot;
     * timelines per distinct duration vector (:meth:`timeline_for`);
@@ -182,59 +104,13 @@ class BatchPlan:
       parameters, background rate) combination;
     * validated :class:`~repro.models.fidelity.FidelityModel` instances per
       parameter set (construction implies validation, so invalid parameters
-      still raise exactly like the serial engine).
+      raise even when every heavy structure comes from a cache).
     """
 
     def __init__(self, program: QCCDProgram) -> None:
-        records, resource_names = _op_records(program)
         self.operations = program.operations
-        self.records = records
-        self.resource_names = resource_names
-        self.num_ops = len(records)
-        self.preds = _merged_predecessors(records)
-        self.is_comm = [rec.is_comm for rec in records]
-
-        op_count_by_code = [0] * 9
-        first_seen: List[int] = []
-        chain_lengths: List[int] = []
-        cl_index: Dict[int, int] = {}
-        fid_items: List[object] = []
-        heat_items: List[Tuple] = []
-        for index, rec in enumerate(records):
-            code = rec.code
-            if not op_count_by_code[code]:
-                first_seen.append(code)
-            op_count_by_code[code] += 1
-            if code == _GATE_2Q or code == _SWAP_GATE:
-                slot = cl_index.get(rec.chain_length)
-                if slot is None:
-                    slot = len(chain_lengths)
-                    cl_index[rec.chain_length] = slot
-                    chain_lengths.append(rec.chain_length)
-                reps = 1 if code == _GATE_2Q else _MS_PER_SWAP
-                fid_items.append((index, slot, reps))
-                heat_items.append((_H_SNAPSHOT, rec.trap))
-            elif code == _GATE_1Q:
-                fid_items.append(_FID_1Q)
-            elif code == _MEASURE:
-                fid_items.append(_FID_MEASURE)
-            elif code == _SPLIT:
-                heat_items.append((_H_SPLIT, rec.trap, rec.ion, rec.chain_size))
-            elif code == _MERGE:
-                heat_items.append((_H_MERGE, rec.trap, rec.ion))
-            elif code == _MOVE:
-                heat_items.append((_H_MOVE, rec.ion, rec.length))
-            elif code == _JUNCTION:
-                heat_items.append((_H_JUNCTION, rec.ion))
-            else:  # _ION_SWAP
-                heat_items.append((_H_ION_SWAP, rec.trap, rec.chain_size))
-
-        self.fid_items = fid_items
-        self.heat_items = heat_items
-        self.chain_lengths = chain_lengths
-        self.op_counts = {_CODE_TO_KIND[code]: op_count_by_code[code]
-                          for code in first_seen}
-        self.num_shuttles = op_count_by_code[_SPLIT]
+        self.lowered = lower(program)
+        self.num_ops = len(self.lowered)
 
         #: (gate, shuttle, single_qubit) -> (durations, timeline)
         self._duration_slots: Dict[Tuple, Tuple[List[float], _Timeline]] = {}
@@ -242,8 +118,6 @@ class BatchPlan:
         self._timelines: Dict[Tuple[float, ...], _Timeline] = {}
         #: (k1, k2, k_junction, trap names) -> _Trajectory
         self._trajectories: Dict[Tuple, _Trajectory] = {}
-        #: trap names -> per-trap (name, gate op ids, comm op ids) busy lists.
-        self._busy_lists: Dict[Tuple[str, ...], List[Tuple]] = {}
         #: (timeline id, trajectory id, fidelity params, background rate) ->
         #: (log_fid, background_total, motional_total, num_ms).  The id keys
         #: are stable: the plan holds every timeline/trajectory forever.
@@ -258,24 +132,6 @@ class BatchPlan:
         self.variants_evaluated = 0
 
     # ------------------------------------------------------------------ #
-    def _busy_for(self, trap_names: Tuple[str, ...]) -> List[Tuple]:
-        lists = self._busy_lists.get(trap_names)
-        if lists is None:
-            members = set(trap_names)
-            per_rid: Dict[int, Tuple[str, List[int], List[int]]] = {}
-            for rid, name in enumerate(self.resource_names):
-                if name in members:
-                    per_rid[rid] = (name, [], [])
-            for index, rec in enumerate(self.records):
-                is_comm = rec.is_comm
-                for rid in rec.resources:
-                    entry = per_rid.get(rid)
-                    if entry is not None:
-                        entry[2 if is_comm else 1].append(index)
-            lists = list(per_rid.values())
-            self._busy_lists[trap_names] = lists
-        return lists
-
     def timeline_for(self, durations: Sequence[float],
                      trap_names: Tuple[str, ...]) -> _Timeline:
         """The (cached) timeline of one duration vector.
@@ -291,17 +147,18 @@ class BatchPlan:
             self.timeline_hits += 1
             return timeline
         self.timelines_built += 1
+        lowered = self.lowered
 
-        # Zero-communication durations for the Figure 6b breakdown: the
-        # serial engine adds the zeroed duration too, and x + 0.0 == x for
-        # every value the accumulator can take (all finish times are >= 0.0).
-        cdur = [0.0 if comm else dur
-                for comm, dur in zip(self.is_comm, durations)]
+        # Zero-communication durations for the Figure 6b breakdown.  Adding
+        # the zeroed duration is exact: x + 0.0 == x for every value the
+        # accumulator can take (all finish times are >= 0.0).
+        cdur = [0.0 if IS_COMM[code] else dur
+                for code, dur in zip(lowered.codes, durations)]
         finish: List[float] = []
         finish_c: List[float] = []
         fin_append = finish.append
         fin_c_append = finish_c.append
-        for preds, duration, cduration in zip(self.preds, durations, cdur):
+        for preds, duration, cduration in zip(lowered.preds, durations, cdur):
             if preds.__class__ is int:
                 ready = finish[preds]
                 ready_c = finish_c[preds]
@@ -322,12 +179,15 @@ class BatchPlan:
         computation_time = max(finish_c, default=0.0)
         communication_time = max(0.0, makespan - computation_time)
 
-        # Busy accounting: the serial engine adds durations in op order into
-        # per-resource slots; summing each trap's op list in order is the
-        # same addition sequence.  Only trap resources are reported.
+        # Busy time per trap: the resource's durations added in program
+        # order, gate and communication ops separately.  Only trap resources
+        # are reported, keyed in the topology's trap order.
         trap_gate_busy = {name: 0.0 for name in trap_names}
         trap_comm_busy = dict(trap_gate_busy)
-        for name, gate_ids, comm_ids in self._busy_for(trap_names):
+        for name in trap_names:
+            if name not in lowered.busy_ops:
+                continue
+            gate_ids, comm_ids = lowered.busy_ops[name]
             total = 0.0
             for index in gate_ids:
                 total += durations[index]
@@ -371,11 +231,12 @@ class BatchPlan:
 
         heating_split = heating.split
         heating_merge = heating.merge
-        for item in self.heat_items:
+        for item in self.lowered.heat_items:
+            if item.__class__ is str:  # a gate: snapshot its chain's energy
+                gate_energies.append(trap_energy[item])
+                continue
             tag = item[0]
-            if tag == _H_SNAPSHOT:
-                gate_energies.append(trap_energy[item[1]])
-            elif tag == _H_SPLIT:
+            if tag == H_SPLIT:
                 _, trap, ion, chain_size = item
                 remaining, split_off = heating_split(trap_energy[trap],
                                                      chain_size, 1)
@@ -384,7 +245,7 @@ class BatchPlan:
                     max_energy = remaining
                 transit_energy[ion] = split_off
                 occupancy[trap] -= 1
-            elif tag == _H_MERGE:
+            elif tag == H_MERGE:
                 _, trap, ion = item
                 incoming = transit_energy.pop(ion, 0.0)
                 merged = heating_merge(trap_energy[trap], incoming)
@@ -395,15 +256,15 @@ class BatchPlan:
                 occupancy[trap] = count
                 if count > peak_occupancy[trap]:
                     peak_occupancy[trap] = count
-            elif tag == _H_MOVE:
+            elif tag == H_MOVE:
                 _, ion, length = item
                 transit_energy[ion] = heating.move(
                     transit_energy.get(ion, 0.0), length)
-            elif tag == _H_JUNCTION:
+            elif tag == H_JUNCTION:
                 ion = item[1]
                 transit_energy[ion] = heating.cross_junction(
                     transit_energy.get(ion, 0.0))
-            else:  # _H_ION_SWAP
+            else:  # H_ION_SWAP: split the pair off, rotate, merge back
                 _, trap, chain_size = item
                 remaining, pair = heating_split(trap_energy[trap], chain_size, 2)
                 merged = heating_merge(remaining, pair)
@@ -441,13 +302,13 @@ def batch_plan(program: QCCDProgram) -> BatchPlan:
 
 def _noise_pass(plan: BatchPlan, durations: Sequence[float],
                 finish: Sequence[float], gate_energies: Sequence[float],
-                fidelity_model: FidelityModel, background_rate: float):
-    """Per-variant fidelity accumulation over the cached finish times.
+                fidelity_model: FidelityModel, background_rate: float,
+                op_fidelities: Optional[List[float]] = None):
+    """Fidelity accumulation (equation 1) over the cached finish times.
 
-    Mirrors the noise arm of the serial fused loop exactly; only the
-    fidelity-bearing ops are visited, and the per-op fidelity list is not
-    materialised (it only feeds ``keep_timeline``, which the batch path does
-    not produce).
+    Only the fidelity-bearing ops are visited.  ``op_fidelities``, when
+    given, receives each two-qubit/SWAP gate's fidelity at its op index
+    (the per-operation timeline); the fan-out path passes nothing.
     """
 
     params = fidelity_model.params
@@ -456,22 +317,25 @@ def _noise_pass(plan: BatchPlan, durations: Sequence[float],
     single_qubit_fid = fidelity_model.single_qubit_fidelity()
     measurement_fid = fidelity_model.measurement_fidelity()
     # log() of a constant is a constant: accumulating the precomputed value
-    # is the same addition the serial engine performs per op.
+    # is the same addition as taking the log per op.
     log = math.log
     neg_inf = -math.inf
     log_1q = log(single_qubit_fid) if single_qubit_fid > 0.0 else None
     log_measure = log(measurement_fid) if measurement_fid > 0.0 else None
-    instability = [fidelity_model.laser_instability(length)
-                   for length in plan.chain_lengths]
+    # A(N) per duration slot; only MS-gate slots (code, distance, chain
+    # length) are ever read.
+    instability = [fidelity_model.laser_instability(key[2])
+                   if key[0] == GATE_2Q or key[0] == SWAP_GATE else 0.0
+                   for key in plan.lowered.slot_keys]
 
     log_fid = 0.0
     background_total = 0.0
     motional_total = 0.0
     num_ms = 0
     gate_pos = 0
-    for item in plan.fid_items:
+    for item in plan.lowered.fid_items:
         if item.__class__ is int:
-            if item == _FID_1Q:
+            if item == FID_1Q:
                 if log_1q is None:
                     log_fid = neg_inf
                 elif log_fid != neg_inf:
@@ -484,9 +348,11 @@ def _noise_pass(plan: BatchPlan, durations: Sequence[float],
             continue
         index, slot, repetitions = item
         duration = durations[index]
-        end = finish[index]
-        background_energy = background_rate * (end - duration)
-        one_ms = duration if repetitions == 1 else duration / _MS_PER_SWAP
+        # Background heating of the chain since the start of execution adds
+        # to its shuttling-induced energy for the gate error (but is not
+        # reported: Figure 6f tracks shuttling-induced energy only).
+        background_energy = background_rate * (finish[index] - duration)
+        one_ms = duration if repetitions == 1 else duration / MS_PER_SWAP
         background = error_rate * one_ms
         motional = instability[slot] * (
             2.0 * (gate_energies[gate_pos] + background_energy) + 1.0)
@@ -502,6 +368,8 @@ def _noise_pass(plan: BatchPlan, durations: Sequence[float],
             clamped = min_fidelity
         # clamped ** 1 is exact (IEEE pow(x, 1) == x); skip the call.
         fid = clamped if repetitions == 1 else clamped ** repetitions
+        if op_fidelities is not None:
+            op_fidelities[index] = fid
         if fid <= 0.0:
             log_fid = neg_inf
         elif log_fid != neg_inf:
@@ -511,13 +379,12 @@ def _noise_pass(plan: BatchPlan, durations: Sequence[float],
 
 
 def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
-              trap_names: Tuple[str, ...],
-              with_breakdown: bool) -> SimulationResult:
+              trap_names: Tuple[str, ...], with_breakdown: bool,
+              keep_timeline: bool) -> SimulationResult:
     """Evaluate one (gate, physical-model) variant against the plan."""
 
-    # The serial engine validates both noise models on entry (via the
-    # HeatingModel/FidelityModel constructors); keep the same contract even
-    # when every heavy structure comes from a cache.
+    # Both noise models validate their parameters on construction; keep
+    # that contract even when every heavy structure comes from a cache.
     heating_params = model.heating
     heating_params.validate()
     fidelity_model = plan._fidelity_models.get(model.fidelity)
@@ -528,23 +395,41 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
     slot_key = (gate, model.shuttle, model.single_qubit)
     slot = plan._duration_slots.get(slot_key)
     if slot is None:
-        durations = _durations(program, plan.records, _DeviceView(gate, model))
+        durations = plan.lowered.durations(gate, model)
         timeline = plan.timeline_for(durations, trap_names)
         plan._duration_slots[slot_key] = (durations, timeline)
     else:
         durations, timeline = slot
         plan.timeline_hits += 1
     trajectory = plan.trajectory_for(program, heating_params, trap_names)
+    background_rate = heating_params.background_rate
 
-    noise_key = (id(timeline), id(trajectory), model.fidelity,
-                 heating_params.background_rate)
+    noise_key = (id(timeline), id(trajectory), model.fidelity, background_rate)
+    op_fidelities = None
     noise = plan._noise_memo.get(noise_key)
+    if keep_timeline:
+        # Per-op fidelities: the model constant for single-qubit gates and
+        # measurements, 1.0 for shuttles; the noise pass fills in the MS
+        # gates (the memo keeps totals only, so it runs again).
+        constant = [1.0] * len(KINDS)
+        constant[GATE_1Q] = fidelity_model.single_qubit_fidelity()
+        constant[MEASURE] = fidelity_model.measurement_fidelity()
+        op_fidelities = [constant[code] for code in plan.lowered.codes]
+        noise = None
     if noise is None:
         noise = _noise_pass(plan, durations, timeline.finish,
                             trajectory.gate_energies, fidelity_model,
-                            heating_params.background_rate)
+                            background_rate, op_fidelities)
         plan._noise_memo[noise_key] = noise
     log_fid, background_total, motional_total, num_ms = noise
+    records = None
+    if keep_timeline:
+        records = [
+            OperationRecord(op_id=index, kind=KINDS[code], start=end - duration,
+                            finish=end, fidelity=fidelity)
+            for index, (code, duration, end, fidelity) in enumerate(zip(
+                plan.lowered.codes, durations, timeline.finish, op_fidelities))
+        ]
 
     plan.variants_evaluated += 1
     makespan = timeline.makespan
@@ -560,7 +445,7 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         log_fidelity=log_fid,
         computation_time=computation_time,
         communication_time=communication_time,
-        op_counts=dict(plan.op_counts),
+        op_counts=dict(plan.lowered.op_counts),
         mean_background_error=background_total / num_ms if num_ms else 0.0,
         mean_motional_error=motional_total / num_ms if num_ms else 0.0,
         total_background_error=background_total,
@@ -568,20 +453,26 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         max_motional_energy=trajectory.max_energy,
         final_trap_energies=dict(trajectory.final_trap_energies),
         peak_occupancy=dict(trajectory.peak_occupancy),
-        num_shuttles=plan.num_shuttles,
+        num_shuttles=plan.lowered.num_shuttles,
         num_ms_gates=num_ms,
         trap_gate_busy_time=dict(timeline.trap_gate_busy),
         trap_comm_busy_time=dict(timeline.trap_comm_busy),
-        timeline=None,
+        timeline=records,
         circuit_name=program.circuit_name,
         device_name=program.device_name,
     )
 
 
-def _run_specs(program: QCCDProgram, specs: Sequence[Tuple],
-               trap_names: Tuple[str, ...], with_breakdown: bool,
-               stats: Optional[Dict[str, int]]) -> List[SimulationResult]:
-    """Shared driver: evaluate ``(gate, model)`` specs, tracking counters."""
+def _simulate_specs(program: QCCDProgram, specs: Sequence[Tuple],
+                    trap_names: Tuple[str, ...], *, with_breakdown: bool = True,
+                    keep_timeline: bool = False,
+                    stats: Optional[Dict[str, int]] = None,
+                    ) -> List[SimulationResult]:
+    """Evaluate ``(gate, model)`` specs against the plan, tracking counters.
+
+    The one driver behind :func:`repro.sim.engine.simulate` and every batch
+    entry point.
+    """
 
     had_plan = getattr(program, "_batch_plan", None) is not None and \
         program._batch_plan.operations is program.operations
@@ -594,7 +485,7 @@ def _run_specs(program: QCCDProgram, specs: Sequence[Tuple],
     with span("sim.batch.variants", circuit=program.circuit_name,
               variants=len(specs)) as trace:
         results = [_evaluate(plan, program, gate, model, trap_names,
-                             with_breakdown)
+                             with_breakdown, keep_timeline)
                    for gate, model in specs]
         trace.set(timelines=plan.timelines_built - timelines_before,
                   timeline_hits=plan.timeline_hits - hits_before)
@@ -614,6 +505,16 @@ def _trap_names(device: QCCDDevice) -> Tuple[str, ...]:
     return tuple(trap.name for trap in device.topology.traps)
 
 
+def _simulate_gates(program: QCCDProgram, device: QCCDDevice,
+                    gates: Sequence[str], *, keep_timeline: bool = False,
+                    stats: Optional[Dict[str, int]] = None,
+                    ) -> List[SimulationResult]:
+    specs = [(GateImplementation.from_name(gate), device.model)
+             for gate in gates]
+    return _simulate_specs(program, specs, _trap_names(device),
+                           keep_timeline=keep_timeline, stats=stats)
+
+
 def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
                    with_breakdown: bool = True,
                    stats: Optional[Dict[str, int]] = None,
@@ -622,14 +523,14 @@ def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
 
     Every device must target the same topology as the program was compiled
     for (gate implementation and physical-model parameters are free to vary;
-    that is the fan-out).  Results are bit-identical to calling
+    that is the fan-out).  Results are identical to calling
     :func:`repro.sim.engine.simulate` once per device, in order.
 
     Parameters
     ----------
     with_breakdown:
-        As in the serial engine: when ``False`` the computation versus
-        communication split collapses to the makespan.
+        As in :func:`~repro.sim.engine.simulate`: when ``False`` the
+        computation versus communication split collapses to the makespan.
     stats:
         Optional counter dictionary (e.g. ``ProgramCache.batch``);
         plan/timeline activity for this call is accumulated into it under
@@ -649,9 +550,10 @@ def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
                 "simulate_batch variants must share the compiled program's "
                 f"topology; got {device.topology.name!r} after "
                 f"{first_topology.name!r}")
-    return _run_specs(program,
-                      [(device.gate, device.model) for device in devices],
-                      trap_names, with_breakdown, stats)
+    return _simulate_specs(program,
+                           [(device.gate, device.model) for device in devices],
+                           trap_names, with_breakdown=with_breakdown,
+                           stats=stats)
 
 
 def simulate_gate_variants(program: QCCDProgram, device: QCCDDevice,
@@ -661,14 +563,12 @@ def simulate_gate_variants(program: QCCDProgram, device: QCCDDevice,
     """Batch-simulate one compiled program under several gate implementations.
 
     The Figure 8 fan-out: the compiled operation stream is shared, only gate
-    durations and fidelities differ per variant.  Bit-identical with
-    simulating ``device.with_gate(gate)`` per entry, but without constructing
-    any per-variant device.
+    durations and fidelities differ per variant.  Identical to simulating
+    ``device.with_gate(gate)`` per entry, but without constructing any
+    per-variant device.
     """
 
-    specs = [(GateImplementation.from_name(gate), device.model)
-             for gate in gates]
-    return _run_specs(program, specs, _trap_names(device), True, stats)
+    return _simulate_gates(program, device, gates, stats=stats)
 
 
 def simulate_model_variants(program: QCCDProgram, device: QCCDDevice,
@@ -684,15 +584,4 @@ def simulate_model_variants(program: QCCDProgram, device: QCCDDevice,
     """
 
     specs = [(device.gate, model) for model in models]
-    return _run_specs(program, specs, _trap_names(device), True, stats)
-
-
-def _assert_swap_constant() -> None:
-    from repro.isa.operations import SwapGateOp
-
-    if SwapGateOp.MS_GATES_PER_SWAP != _MS_PER_SWAP:  # pragma: no cover
-        raise AssertionError(
-            "repro.sim.batch hard-codes MS_GATES_PER_SWAP; update _MS_PER_SWAP")
-
-
-_assert_swap_constant()
+    return _simulate_specs(program, specs, _trap_names(device), stats=stats)

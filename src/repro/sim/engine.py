@@ -1,263 +1,24 @@
-"""Simulation engine: replay a compiled program on a candidate device.
+"""Single-point simulation: replay one compiled program on one device.
 
-The engine conceptually evaluates three models -- durations (gate-time model
-for the selected MS implementation, Table I shuttling times), noise (heating
-and fidelity accumulation in program order) and timing (start/finish times
-under dependency and exclusive-resource constraints).  The seed implementation
-ran them as three separate passes over the operation objects, plus a *fourth*
-pass (a second timing pass with communication durations zeroed) for the
-computation/communication breakdown of Figure 6b.
-
-This implementation makes a single dispatch-table-driven pass over
-*precomputed per-op records*: each operation is lowered once per program to a
-compact record (integer kind code, resource ids interned to ints, the
-annotations the models need) that is cached on the program, so re-simulating
-the same program under a different gate implementation -- the Figure 8
-fan-out -- skips all of the isinstance/property dispatch.  The fused loop
-advances the real timeline, the zero-communication timeline (for the
-Figure 6b breakdown), the per-trap busy accounting and the heating/fidelity
-state together.  Every arithmetic expression matches the seed implementation
-operation for operation, so all metrics are bit-identical to the three-pass
-engine (the determinism golden tests assert this).
+The simulator evaluates three models -- durations (the gate-time model of
+the selected MS implementation, Table I shuttling times), timing
+(start/finish times under dependency and exclusive-resource constraints)
+and noise (heating and fidelity accumulation in program order).
+:func:`simulate` runs them as a one-variant evaluation of the program's
+:class:`~repro.sim.batch.BatchPlan`, the same engine the batched fan-outs
+use; the plan is cached on the program, so re-simulating it under another
+device reuses the lowering and every memoised timeline.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
-
 from repro.hardware.device import QCCDDevice
-from repro.isa.operations import (
-    GateOp,
-    IonSwapOp,
-    JunctionCrossOp,
-    MergeOp,
-    MeasureOp,
-    MoveOp,
-    OpKind,
-    SplitOp,
-    SwapGateOp,
-)
 from repro.isa.program import QCCDProgram
-from repro.models.fidelity import FidelityModel
-from repro.models.gate_times import gate_time
-from repro.models.heating import HeatingModel
 from repro.obs.trace import span
-from repro.sim.results import OperationRecord, SimulationResult
-
-# --------------------------------------------------------------------------- #
-# Precomputed per-op records
-# --------------------------------------------------------------------------- #
-#: Integer kind codes used by the dispatch loops (cheaper than enum identity).
-_GATE_1Q, _GATE_2Q, _SWAP_GATE, _MEASURE, _SPLIT, _MERGE, _MOVE, _JUNCTION, _ION_SWAP = range(9)
-
-_CODE_TO_KIND: Dict[int, OpKind] = {
-    _GATE_1Q: OpKind.GATE_1Q,
-    _GATE_2Q: OpKind.GATE_2Q,
-    _SWAP_GATE: OpKind.SWAP_GATE,
-    _MEASURE: OpKind.MEASURE,
-    _SPLIT: OpKind.SPLIT,
-    _MERGE: OpKind.MERGE,
-    _MOVE: OpKind.MOVE,
-    _JUNCTION: OpKind.JUNCTION,
-    _ION_SWAP: OpKind.ION_SWAP,
-}
-
-#: Codes whose operations exist purely to move state between traps (mirrors
-#: :meth:`OpKind.is_communication`).
-_COMM_CODES = frozenset({_SWAP_GATE, _SPLIT, _MERGE, _MOVE, _JUNCTION, _ION_SWAP})
+from repro.sim.batch import _simulate_specs, _trap_names
+from repro.sim.results import SimulationResult
 
 
-class _OpRecord:
-    """Flat, device-independent view of one operation."""
-
-    __slots__ = ("code", "deps", "resources", "is_comm", "trap", "ion",
-                 "chain_length", "ion_distance", "chain_size", "length",
-                 "junction_degree")
-
-    def __init__(self) -> None:
-        self.code = -1
-        self.deps: Tuple[int, ...] = ()
-        self.resources: Tuple[int, ...] = ()
-        self.is_comm = False
-        self.trap = ""
-        self.ion = -1
-        self.chain_length = 0
-        self.ion_distance = 0
-        self.chain_size = 0
-        self.length = 0
-        self.junction_degree = 0
-
-
-def _op_records(program: QCCDProgram) -> Tuple[List[_OpRecord], Tuple[str, ...]]:
-    """Lower ``program`` to records; cached on the program instance.
-
-    Returns ``(records, resource_names)`` where ``resource_names[rid]`` is the
-    hardware resource interned as integer ``rid``.  The cache key is the
-    identity of the operation list, so the (immutable in practice) program can
-    be re-simulated under many devices without re-lowering.
-    """
-
-    cached = getattr(program, "_sim_records", None)
-    if cached is not None and cached[0] is program.operations:
-        return cached[1], cached[2]
-    program._sim_durations = {}
-
-    intern: Dict[str, int] = {}
-    records: List[_OpRecord] = []
-    for op in program.operations:
-        rec = _OpRecord()
-        rec.deps = op.dependencies
-        if isinstance(op, GateOp):
-            rec.code = _GATE_2Q if len(op.ions) == 2 else _GATE_1Q
-            rec.trap = op.trap
-            rec.chain_length = op.chain_length
-            rec.ion_distance = op.ion_distance
-        elif isinstance(op, SwapGateOp):
-            rec.code = _SWAP_GATE
-            rec.trap = op.trap
-            rec.chain_length = op.chain_length
-            rec.ion_distance = op.ion_distance
-        elif isinstance(op, MeasureOp):
-            rec.code = _MEASURE
-            rec.trap = op.trap
-        elif isinstance(op, SplitOp):
-            rec.code = _SPLIT
-            rec.trap = op.trap
-            rec.ion = op.ion
-            rec.chain_size = op.chain_size
-        elif isinstance(op, MergeOp):
-            rec.code = _MERGE
-            rec.trap = op.trap
-            rec.ion = op.ion
-        elif isinstance(op, MoveOp):
-            rec.code = _MOVE
-            rec.ion = op.ion
-            rec.length = op.length
-        elif isinstance(op, JunctionCrossOp):
-            rec.code = _JUNCTION
-            rec.ion = op.ion
-            rec.junction_degree = op.junction_degree
-        elif isinstance(op, IonSwapOp):
-            rec.code = _ION_SWAP
-            rec.trap = op.trap
-            rec.chain_size = op.chain_size
-        else:
-            raise TypeError(f"unknown operation type: {type(op).__name__}")
-        rec.is_comm = rec.code in _COMM_CODES
-        rec.resources = tuple(
-            intern.setdefault(name, len(intern)) for name in op.resources
-        )
-        records.append(rec)
-
-    resource_names = tuple(sorted(intern, key=intern.get))
-    program._sim_records = (program.operations, records, resource_names)
-    return records, resource_names
-
-
-def _durations(program: QCCDProgram, records: List[_OpRecord],
-               device: QCCDDevice) -> List[float]:
-    """Duration of every operation under the device's performance models.
-
-    Two-qubit gate times are memoised by ``(ion_distance, chain_length)`` --
-    the gate-time formulas are pure, and large circuits revisit a handful of
-    distinct geometries thousands of times.  The whole duration list is
-    additionally memoised per (gate implementation, physical model): in the
-    Figure 8 fan-out the same program is re-simulated under several devices
-    that differ only in those two (hashable, frozen) inputs.
-    """
-
-    memo = getattr(program, "_sim_durations", None)
-    if memo is not None:
-        key = (device.gate, device.model)
-        durations = memo.get(key)
-        if durations is not None:
-            return durations
-
-    shuttle = device.model.shuttle
-    single = device.model.single_qubit
-    gate = device.gate
-    single_gate_time = single.gate_time
-    measurement_time = single.measurement_time
-    split_time = shuttle.split
-    merge_time = shuttle.merge
-    move_segment = shuttle.move_segment
-    ion_swap_time = shuttle.split + shuttle.ion_rotation + shuttle.merge
-    ms_cache: Dict[Tuple[int, int], float] = {}
-    junction_cache: Dict[int, float] = {}
-
-    durations: List[float] = []
-    append = durations.append
-    for rec in records:
-        code = rec.code
-        if code == _GATE_2Q or code == _SWAP_GATE:
-            key = (rec.ion_distance, rec.chain_length)
-            one_ms = ms_cache.get(key)
-            if one_ms is None:
-                one_ms = gate_time(gate, distance=rec.ion_distance,
-                                   chain_length=rec.chain_length)
-                ms_cache[key] = one_ms
-            append(one_ms if code == _GATE_2Q else SwapGateOp.MS_GATES_PER_SWAP * one_ms)
-        elif code == _GATE_1Q:
-            append(single_gate_time)
-        elif code == _MEASURE:
-            append(measurement_time)
-        elif code == _SPLIT:
-            append(split_time)
-        elif code == _MERGE:
-            append(merge_time)
-        elif code == _MOVE:
-            append(move_segment * rec.length)
-        elif code == _JUNCTION:
-            degree = rec.junction_degree
-            value = junction_cache.get(degree)
-            if value is None:
-                value = shuttle.junction_time(degree)
-                junction_cache[degree] = value
-            append(value)
-        else:  # _ION_SWAP
-            append(ion_swap_time)
-    if memo is not None:
-        memo[(device.gate, device.model)] = durations
-    return durations
-
-
-# --------------------------------------------------------------------------- #
-# Noise accumulator
-# --------------------------------------------------------------------------- #
-class _NoiseState:
-    """Mutable accumulator for the heating/fidelity bookkeeping."""
-
-    def __init__(self, program: QCCDProgram, device: QCCDDevice) -> None:
-        self.trap_energy: Dict[str, float] = {
-            trap.name: 0.0 for trap in device.topology.traps
-        }
-        self.transit_energy: Dict[int, float] = {}
-        self.occupancy: Dict[str, int] = {trap.name: 0 for trap in device.topology.traps}
-        for trap_name, chain in program.placement.trap_chains.items():
-            self.occupancy[trap_name] = len(chain)
-        self.peak_occupancy: Dict[str, int] = dict(self.occupancy)
-        self.log_fidelity: float = 0.0
-        self.op_fidelities: List[float] = []
-        self.background_error: float = 0.0
-        self.motional_error: float = 0.0
-        self.num_ms_gates: int = 0
-        self.max_energy: float = 0.0
-
-    def bump_energy(self, trap: str, value: float) -> None:
-        self.trap_energy[trap] = value
-        if value > self.max_energy:
-            self.max_energy = value
-
-    def bump_occupancy(self, trap: str, delta: int) -> None:
-        self.occupancy[trap] += delta
-        if self.occupancy[trap] > self.peak_occupancy[trap]:
-            self.peak_occupancy[trap] = self.occupancy[trap]
-
-
-# --------------------------------------------------------------------------- #
-# The fused pass
-# --------------------------------------------------------------------------- #
 def simulate(program: QCCDProgram, device: QCCDDevice, *,
              keep_timeline: bool = False,
              with_breakdown: bool = True) -> SimulationResult:
@@ -268,249 +29,13 @@ def simulate(program: QCCDProgram, device: QCCDDevice, *,
     keep_timeline:
         Also record a per-operation (start, finish, fidelity) timeline.
     with_breakdown:
-        Also advance the zero-communication timeline that produces the
-        computation versus communication time split of Figure 6b.
+        Report the computation versus communication time split of
+        Figure 6b; when ``False`` the split collapses to the makespan.
     """
 
     with span("sim.simulate", circuit=program.circuit_name,
               ops=len(program), gate=device.gate.value):
-        return _simulate(program, device, keep_timeline=keep_timeline,
-                         with_breakdown=with_breakdown)
-
-
-def _simulate(program: QCCDProgram, device: QCCDDevice, *,
-              keep_timeline: bool, with_breakdown: bool) -> SimulationResult:
-    records, resource_names = _op_records(program)
-    durations = _durations(program, records, device)
-    num_ops = len(records)
-    num_resources = len(resource_names)
-
-    heating = HeatingModel(device.model.heating)
-    fidelity_model = FidelityModel(device.model.fidelity)
-    noise = _NoiseState(program, device)
-    fidelity_params = fidelity_model.params
-    min_fidelity = fidelity_params.min_fidelity
-    error_rate = fidelity_params.background_heating_rate
-    background_rate = device.model.heating.background_rate
-    single_qubit_fid = fidelity_model.single_qubit_fidelity()
-    measurement_fid = fidelity_model.measurement_fidelity()
-    instability_cache: Dict[int, float] = {}
-    trap_energy = noise.trap_energy
-    transit_energy = noise.transit_energy
-    ms_per_swap = SwapGateOp.MS_GATES_PER_SWAP
-    # Log-fidelity accumulation inlined into the loop (a method call per op
-    # is measurable at sweep scale).  Appending 1.0 without touching the
-    # accumulator is exact: log(1.0) == +0.0 and x + 0.0 == x for every
-    # value the accumulator can take (0.0 or a negative sum or -inf).
-    log_fid = 0.0
-    neg_inf = -math.inf
-    log = math.log
-    op_fidelities: List[float] = []
-    fid_append = op_fidelities.append
-
-    finish: List[float] = [0.0] * num_ops
-    free_at: List[float] = [0.0] * num_resources
-    finish_c: List[float] = [0.0] * num_ops if with_breakdown else []
-    free_c: List[float] = [0.0] * num_resources
-    gate_busy: List[float] = [0.0] * num_resources
-    comm_busy: List[float] = [0.0] * num_resources
-
-    op_count_by_code = [0] * 9
-    first_seen_codes: List[int] = []
-
-    for index in range(num_ops):
-        rec = records[index]
-        code = rec.code
-        duration = durations[index]
-        is_comm = rec.is_comm
-        if not op_count_by_code[code]:
-            first_seen_codes.append(code)
-        op_count_by_code[code] += 1
-
-        # --- real timeline -------------------------------------------- #
-        ready = 0.0
-        for dep in rec.deps:
-            value = finish[dep]
-            if value > ready:
-                ready = value
-        avail = 0.0
-        for rid in rec.resources:
-            value = free_at[rid]
-            if value > avail:
-                avail = value
-        start = ready if ready >= avail else avail
-        end = start + duration
-        finish[index] = end
-        for rid in rec.resources:
-            free_at[rid] = end
-            if is_comm:
-                comm_busy[rid] += duration
-            else:
-                gate_busy[rid] += duration
-
-        # --- zero-communication timeline (Figure 6b breakdown) -------- #
-        if with_breakdown:
-            cduration = 0.0 if is_comm else duration
-            ready = 0.0
-            for dep in rec.deps:
-                value = finish_c[dep]
-                if value > ready:
-                    ready = value
-            avail = 0.0
-            for rid in rec.resources:
-                value = free_c[rid]
-                if value > avail:
-                    avail = value
-            cstart = ready if ready >= avail else avail
-            cend = cstart + cduration
-            finish_c[index] = cend
-            for rid in rec.resources:
-                free_c[rid] = cend
-
-        # --- noise ----------------------------------------------------- #
-        if code == _GATE_2Q or code == _SWAP_GATE:
-            # Anomalous (background) heating of the chain accumulated since
-            # the start of the execution; added to the shuttling-induced
-            # energy for the gate error but reported separately (Figure 6f
-            # tracks shuttling-induced energy only).
-            background_energy = background_rate * (end - duration)
-            trap = rec.trap
-            if code == _GATE_2Q:
-                one_ms = duration
-                repetitions = 1
-            else:
-                one_ms = duration / ms_per_swap
-                repetitions = ms_per_swap
-            chain_length = rec.chain_length
-            instability = instability_cache.get(chain_length)
-            if instability is None:
-                instability = fidelity_model.laser_instability(chain_length)
-                instability_cache[chain_length] = instability
-            # Inlined FidelityModel.two_qubit_error / two_qubit_fidelity
-            # (equation 1): any change there must be mirrored here, and the
-            # legacy-engine A/B in bench_pipeline_scale.py will catch drift.
-            background = error_rate * one_ms
-            motional = instability * (2.0 * (trap_energy[trap] + background_energy) + 1.0)
-            noise.background_error += background * repetitions
-            noise.motional_error += motional * repetitions
-            noise.num_ms_gates += repetitions
-            total = background + motional
-            clamped = 1.0 - total
-            if clamped > 1.0:
-                clamped = 1.0
-            if clamped < min_fidelity:
-                clamped = min_fidelity
-            fid = clamped ** repetitions
-            if fid <= 0.0:
-                log_fid = neg_inf
-            elif log_fid != neg_inf:
-                log_fid += log(fid)
-            fid_append(fid)
-        elif code == _GATE_1Q:
-            if single_qubit_fid <= 0.0:
-                log_fid = neg_inf
-            elif log_fid != neg_inf:
-                log_fid += log(single_qubit_fid)
-            fid_append(single_qubit_fid)
-        elif code == _MEASURE:
-            if measurement_fid <= 0.0:
-                log_fid = neg_inf
-            elif log_fid != neg_inf:
-                log_fid += log(measurement_fid)
-            fid_append(measurement_fid)
-        elif code == _SPLIT:
-            trap = rec.trap
-            remaining, split_off = heating.split(trap_energy[trap], rec.chain_size, 1)
-            noise.bump_energy(trap, remaining)
-            transit_energy[rec.ion] = split_off
-            noise.bump_occupancy(trap, -1)
-            fid_append(1.0)
-        elif code == _MERGE:
-            trap = rec.trap
-            incoming = transit_energy.pop(rec.ion, 0.0)
-            noise.bump_energy(trap, heating.merge(trap_energy[trap], incoming))
-            noise.bump_occupancy(trap, +1)
-            fid_append(1.0)
-        elif code == _MOVE:
-            current = transit_energy.get(rec.ion, 0.0)
-            transit_energy[rec.ion] = heating.move(current, rec.length)
-            fid_append(1.0)
-        elif code == _JUNCTION:
-            current = transit_energy.get(rec.ion, 0.0)
-            transit_energy[rec.ion] = heating.cross_junction(current)
-            fid_append(1.0)
-        else:  # _ION_SWAP
-            # One IS hop: split the pair off, rotate, merge back.  Net effect
-            # on the chain energy is +3*k1 (two sub-chains gain k1 at the
-            # split and the merge adds another k1); derived through the model
-            # so any parameter change stays consistent.
-            trap = rec.trap
-            energy = trap_energy[trap]
-            remaining, pair = heating.split(energy, rec.chain_size, 2)
-            noise.bump_energy(trap, heating.merge(remaining, pair))
-            fid_append(1.0)
-
-    noise.log_fidelity = log_fid
-    noise.op_fidelities = op_fidelities
-
-    makespan = max(finish, default=0.0)
-    if with_breakdown:
-        computation_time = max(finish_c, default=0.0)
-    else:
-        computation_time = makespan
-    communication_time = max(0.0, makespan - computation_time)
-
-    # Dicts build from the topology's ordered trap tuple (never the set:
-    # iteration order must not be hash-dependent); the set serves membership
-    # tests only.
-    trap_gate_busy: Dict[str, float] = {
-        trap.name: 0.0 for trap in device.topology.traps
-    }
-    trap_comm_busy: Dict[str, float] = dict(trap_gate_busy)
-    trap_names = {trap.name for trap in device.topology.traps}
-    for rid, name in enumerate(resource_names):
-        if name in trap_names:
-            trap_gate_busy[name] = gate_busy[rid]
-            trap_comm_busy[name] = comm_busy[rid]
-
-    op_counts = {
-        _CODE_TO_KIND[code]: op_count_by_code[code] for code in first_seen_codes
-    }
-
-    timeline: Optional[List[OperationRecord]] = None
-    if keep_timeline:
-        op_fidelities = noise.op_fidelities
-        timeline = [
-            OperationRecord(
-                op_id=index,
-                kind=_CODE_TO_KIND[records[index].code],
-                start=finish[index] - durations[index],
-                finish=finish[index],
-                fidelity=op_fidelities[index],
-            )
-            for index in range(num_ops)
-        ]
-
-    num_ms = noise.num_ms_gates
-    return SimulationResult(
-        duration=makespan,
-        fidelity=SimulationResult.fidelity_from_log(noise.log_fidelity),
-        log_fidelity=noise.log_fidelity,
-        computation_time=computation_time,
-        communication_time=communication_time,
-        op_counts=op_counts,
-        mean_background_error=noise.background_error / num_ms if num_ms else 0.0,
-        mean_motional_error=noise.motional_error / num_ms if num_ms else 0.0,
-        total_background_error=noise.background_error,
-        total_motional_error=noise.motional_error,
-        max_motional_energy=noise.max_energy,
-        final_trap_energies=dict(noise.trap_energy),
-        peak_occupancy=dict(noise.peak_occupancy),
-        num_shuttles=op_count_by_code[_SPLIT],
-        num_ms_gates=num_ms,
-        trap_gate_busy_time=trap_gate_busy,
-        trap_comm_busy_time=trap_comm_busy,
-        timeline=timeline,
-        circuit_name=program.circuit_name,
-        device_name=program.device_name,
-    )
+        return _simulate_specs(program, [(device.gate, device.model)],
+                               _trap_names(device),
+                               with_breakdown=with_breakdown,
+                               keep_timeline=keep_timeline)[0]

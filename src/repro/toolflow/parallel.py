@@ -21,13 +21,13 @@ This module adds the two throughput layers the sweep drivers share:
   task-submission order, so the produced record list is byte-for-byte
   independent of the worker count.
 
-Gate fan-outs (``SweepTask.gates``) are simulated through the batch engine
-(:func:`repro.sim.batch.simulate_gate_variants`): one struct-of-arrays plan per
-compiled program, one timeline walk per distinct duration vector, and a
-reduced per-variant noise pass -- bit-identical to serial
-:func:`~repro.sim.engine.simulate` (golden-tested).  Tasks that need a
-per-operation timeline (``keep_timeline=True``) fall back to the serial
-engine, which is the only path that materialises one.
+Gate fan-outs (``SweepTask.gates``) are simulated in one batched call
+(:func:`repro.sim.batch.simulate_gate_variants`): one plan per compiled
+program, one timeline walk per distinct duration vector, and a reduced
+per-variant noise pass -- the same engine as single-point
+:func:`~repro.sim.engine.simulate`, so results do not depend on the path.
+Tasks with ``keep_timeline=True`` take the same batched evaluation, which
+then also materialises each variant's per-operation timeline.
 
 Physical-model parameters are allowed to differ between cache hits: the
 compiler never reads them (they only drive simulation), which is asserted by
@@ -57,7 +57,7 @@ from repro.obs.trace import (
     enable_tracing,
     span,
 )
-from repro.sim.batch import simulate_gate_variants
+from repro.sim.batch import _simulate_gates, simulate_gate_variants
 from repro.sim.engine import simulate
 from repro.toolflow.config import ArchitectureConfig
 from repro.toolflow.runner import ExperimentRecord
@@ -226,13 +226,11 @@ def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]
     cache hit).  The DSE store persists these timings, which is what drives
     ``dse status --eta`` and the dispatcher's progress watch.
 
-    Gate fan-outs run through :func:`repro.sim.batch.simulate_gate_variants`
-    -- one shared plan/timeline pass for the whole ``gates`` tuple,
-    bit-identical to the per-gate serial loop -- and each record's ``wall_s``
-    is an even
-    apportionment of the batch's measured wall time.  ``keep_timeline=True``
-    falls back to serial :func:`~repro.sim.engine.simulate`, the only engine
-    that materialises per-operation timelines.
+    Gate fan-outs run as one batched evaluation of the whole ``gates``
+    tuple (:func:`repro.sim.batch.simulate_gate_variants`; with
+    ``keep_timeline=True`` each result also carries its per-operation
+    timeline), and each record's ``wall_s`` is an even apportionment of the
+    batch's measured wall time.
     """
 
     with span("sweep.task", app=task.circuit.name,
@@ -265,24 +263,15 @@ def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord
         ))
         return records
     compile_share = compile_s / len(task.gates)
-    if task.keep_timeline:
-        for gate in task.gates:
-            variant_device = device.with_gate(gate)
-            sim_start = perf_counter()
-            result = simulate(program, variant_device, keep_timeline=True)
-            sim_s = perf_counter() - sim_start
-            records.append(ExperimentRecord(
-                application=task.circuit.name,
-                config=task.config.with_updates(gate=gate),
-                result=result,
-                program_size=program_size,
-                num_shuttles=num_shuttles,
-                wall_s=compile_share + sim_s,
-            ))
-        return records
     sim_start = perf_counter()
-    results = simulate_gate_variants(program, device, task.gates,
-                                     stats=cache.batch)
+    if task.keep_timeline:
+        # The driver behind simulate_gate_variants, which takes no
+        # timeline flag of its own.
+        results = _simulate_gates(program, device, task.gates,
+                                  keep_timeline=True, stats=cache.batch)
+    else:
+        results = simulate_gate_variants(program, device, task.gates,
+                                         stats=cache.batch)
     sim_share = (perf_counter() - sim_start) / len(task.gates)
     for gate, result in zip(task.gates, results):
         records.append(ExperimentRecord(

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.compiler.compile import CompilerOptions, compile_circuit
-from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
-from repro.isa.program import QCCDProgram
 from repro.sim.batch import simulate_gate_variants
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
@@ -109,10 +107,10 @@ def run_gate_variants(circuit: Circuit, config: ArchitectureConfig,
 
     The compiled program depends on topology, capacity and reordering method
     but not on the MS pulse-modulation scheme, so the program is compiled once
-    (under ``config``) and simulated for every entry of ``gates`` through the
-    batch engine (:func:`repro.sim.batch.simulate_gate_variants`): one shared
-    timeline pass per distinct duration vector, bit-identical to simulating
-    each variant serially.
+    (under ``config``) and simulated for every entry of ``gates`` in one
+    batched call (:func:`repro.sim.batch.simulate_gate_variants`): one
+    shared timeline pass per distinct duration vector, identical to
+    simulating each variant on its own.
     """
 
     program, device = compile_for(circuit, config, options)
@@ -128,9 +126,3 @@ def run_gate_variants(circuit: Circuit, config: ArchitectureConfig,
             num_shuttles=program.num_shuttles,
         )
     return records
-
-
-def simulate_program(program: QCCDProgram, device: QCCDDevice) -> SimulationResult:
-    """Thin wrapper kept for API symmetry with :func:`run_experiment`."""
-
-    return simulate(program, device)

@@ -1,15 +1,18 @@
-"""Verbatim copy of the SEED simulation engine (pre fast-path rewrite).
+"""The seed simulation engine: the test reference for :mod:`repro.sim`.
 
-Kept only as the A/B baseline for ``bench_pipeline_scale.py``: the optimized
-engine in :mod:`repro.sim.engine` is benchmarked against this reference on the
-same compiled programs, and the determinism tests can assert both produce
-bit-identical metrics.  Do not import this from library code.
+This is the three-pass engine that produced the determinism goldens --
+durations, then heating/fidelity, then timing (plus a second timing pass
+with communication durations zeroed for the Figure 6b breakdown), each a
+plain walk over the operation objects.  It is slow and straightforward,
+and the identity tests compare every result of :mod:`repro.sim` against it
+bit for bit, including the per-operation timeline.  Do not import this
+from library code.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.hardware.device import QCCDDevice
 from repro.isa.operations import (
@@ -20,7 +23,6 @@ from repro.isa.operations import (
     MeasureOp,
     MoveOp,
     Operation,
-    OpKind,
     SplitOp,
     SwapGateOp,
 )
@@ -28,8 +30,52 @@ from repro.isa.program import QCCDProgram
 from repro.models.fidelity import FidelityModel
 from repro.models.gate_times import gate_time
 from repro.models.heating import HeatingModel
-from repro.sim.resources import ResourceTimeline
 from repro.sim.results import OperationRecord, SimulationResult
+
+
+class ResourceTimeline:
+    """Exclusive-use bookkeeping for traps, segments and junctions.
+
+    Every trap, segment and junction is an exclusive resource: an operation
+    can only start once the resources it occupies are free.  This is how
+    the paper's congestion handling appears in simulation -- a shuttle that
+    needs a segment another shuttle is using simply waits, and gates within
+    a trap serialise.  Tracks, per resource, the time it next becomes free.
+    """
+
+    def __init__(self) -> None:
+        self._free_at: Dict[str, float] = {}
+        self._busy_time: Dict[str, float] = {}
+
+    def available_at(self, resources: Iterable[str]) -> float:
+        """Earliest time every resource in ``resources`` is simultaneously free."""
+
+        return max((self._free_at.get(name, 0.0) for name in resources), default=0.0)
+
+    def occupy(self, resources: Iterable[str], start: float, finish: float) -> None:
+        """Mark ``resources`` busy during [start, finish)."""
+
+        if finish < start:
+            raise ValueError("finish must not precede start")
+        for name in resources:
+            if self._free_at.get(name, 0.0) > start:
+                raise ValueError(
+                    f"resource {name!r} is busy at {start}; scheduling bug in the caller"
+                )
+            self._free_at[name] = finish
+            self._busy_time[name] = self._busy_time.get(name, 0.0) + (finish - start)
+
+    def busy_time(self, resource: str) -> float:
+        """Total time ``resource`` has been occupied so far."""
+
+        return self._busy_time.get(resource, 0.0)
+
+    def utilisation(self, resource: str, horizon: float) -> float:
+        """Fraction of [0, horizon) during which ``resource`` was busy."""
+
+        if horizon <= 0:
+            return 0.0
+        return min(1.0, self.busy_time(resource) / horizon)
 
 
 def simulate(program: QCCDProgram, device: QCCDDevice, *,
@@ -143,7 +189,7 @@ def _duration_of(op: Operation, device: QCCDDevice, shuttle, single) -> float:
 # --------------------------------------------------------------------------- #
 # Pass 2: heating and fidelity
 # --------------------------------------------------------------------------- #
-class _NoiseState:
+class _NoiseAccumulator:
     """Mutable accumulator for the noise pass."""
 
     def __init__(self, program: QCCDProgram, device: QCCDDevice) -> None:
@@ -181,10 +227,10 @@ class _NoiseState:
 
 
 def _noise_pass(program: QCCDProgram, device: QCCDDevice,
-                durations: List[float], start_times: List[float]) -> _NoiseState:
+                durations: List[float], start_times: List[float]) -> _NoiseAccumulator:
     heating = HeatingModel(device.model.heating)
     fidelity_model = FidelityModel(device.model.fidelity)
-    state = _NoiseState(program, device)
+    state = _NoiseAccumulator(program, device)
     background_rate = device.model.heating.background_rate
 
     for op in program.operations:
@@ -245,7 +291,7 @@ def _noise_pass(program: QCCDProgram, device: QCCDDevice,
     return state
 
 
-def _apply_ms_gate(state: _NoiseState, model: FidelityModel, trap: str,
+def _apply_ms_gate(state: _NoiseAccumulator, model: FidelityModel, trap: str,
                    one_gate_duration: float, chain_length: int,
                    repetitions: int, extra_energy: float = 0.0) -> float:
     """Fidelity of ``repetitions`` MS gates in ``trap``; updates error totals.
@@ -280,9 +326,11 @@ def _timing_pass(program: QCCDProgram, device: QCCDDevice,
 
     resources = ResourceTimeline()
     finish: List[float] = [0.0] * len(program.operations)
-    trap_names = {trap.name for trap in device.topology.traps}
-    trap_gate_busy: Dict[str, float] = {name: 0.0 for name in trap_names}
-    trap_comm_busy: Dict[str, float] = {name: 0.0 for name in trap_names}
+    # Keyed in the topology's trap order, so dict order is deterministic.
+    trap_gate_busy: Dict[str, float] = {
+        trap.name: 0.0 for trap in device.topology.traps
+    }
+    trap_comm_busy: Dict[str, float] = dict(trap_gate_busy)
 
     for op in program.operations:
         duration = durations[op.op_id]
@@ -292,7 +340,7 @@ def _timing_pass(program: QCCDProgram, device: QCCDDevice,
         resources.occupy(op.resources, start, end)
         finish[op.op_id] = end
         for resource in op.resources:
-            if resource in trap_names:
+            if resource in trap_gate_busy:
                 if op.kind.is_communication:
                     trap_comm_busy[resource] += duration
                 else:

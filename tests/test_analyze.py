@@ -40,8 +40,7 @@ from repro.io import program_from_dict, program_to_dict
 from repro.isa.operations import GateOp, MeasureOp, MergeOp, MoveOp, SplitOp
 from repro.isa.program import InitialPlacement, QCCDProgram
 from repro.obs.metrics import registry, reset_registry
-from repro.sim.batch import _merged_predecessors
-from repro.sim.engine import _op_records
+from repro.sim.lower import lower
 
 
 @pytest.fixture(autouse=True)
@@ -231,8 +230,7 @@ def test_mutation_dropped_gate_dependency_flags_race():
 
 def test_mutation_corrupted_predecessors_flag_rc002_rc003():
     program, _ = _fresh()
-    records, _names = _op_records(program)
-    merged = list(_merged_predecessors(records))
+    merged = list(lower(program).preds)
     rng = random.Random(43)
     victims = [i for i, preds in enumerate(merged) if preds != ()]
     victim = victims[rng.randrange(len(victims))]
@@ -240,7 +238,7 @@ def test_mutation_corrupted_predecessors_flag_rc002_rc003():
     races = detect_races(program, predecessors=merged)
     ids = _check_ids(races)
     assert "RC002" in ids or "RC003" in ids
-    if records[victim].deps:
+    if program.operations[victim].dependencies:
         assert "RC003" in ids
 
 

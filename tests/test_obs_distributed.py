@@ -22,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.dse import DesignSpace, Dispatcher
-from repro.dse.dispatch import run_worker, telemetry_summary
+from repro.dse.dispatch import WorkerTelemetry, run_worker, telemetry_summary
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs import (
     SHARD_SCHEMA_VERSION,
@@ -195,6 +195,14 @@ class TestTraceShards:
         records, skips = read_trace_shards(tmp_path)
         assert skips == {}
         assert [r["name"] for r in records] == ["dse.shard", "sweep.task"]
+
+    def test_non_ascii_owner_names_shard_like_its_telemetry(self, tmp_path):
+        """A worker's trace shard and telemetry log share one file stem."""
+
+        owner = "höst-pid7"
+        telemetry = WorkerTelemetry(tmp_path, owner)
+        shard = TraceShardWriter(tmp_path, owner)
+        assert telemetry.path.name == shard.path.name == "h_st-pid7.jsonl"
 
     def test_flush_none_and_empty_are_noops(self, tmp_path):
         writer = TraceShardWriter(tmp_path, "w0")

@@ -1,13 +1,15 @@
-"""Batch engine correctness: bit-identity to the serial simulator.
+"""Simulator correctness: bit-identity to the seed reference engine.
 
-The batch engine (:mod:`repro.sim.batch`) shares one struct-of-arrays plan,
-one timeline walk per distinct duration vector and one heating trajectory per
-heating-constant vector across a whole axis of device variants.  Its single
-correctness contract is that every result is **bit-identical** to calling
-:func:`repro.sim.engine.simulate` once per variant -- these tests pin that
-contract over the full application suite, both reorder methods, all four gate
-implementations and the ablation parameter grids, plus the cache/dedup
-behaviour the speedup relies on.
+The simulator (:mod:`repro.sim.batch`) shares one lowered plan, one
+timeline walk per distinct duration vector and one heating trajectory per
+heating-constant vector across a whole axis of device variants; single-point
+:func:`repro.sim.engine.simulate` is a one-variant evaluation of the same
+plan.  Its correctness contract is that every result is **bit-identical** to
+the seed three-pass engine that generated the goldens (``seed_engine.py``,
+next to these tests) -- these tests pin that contract over the full
+application suite, both reorder methods, all four gate implementations, the
+ablation parameter grids and the per-operation timeline, plus the
+cache/dedup behaviour the speedup relies on.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+import seed_engine
 from repro.apps.suite import scaled_suite
 from repro.io.fingerprint import result_fingerprint
 from repro.models.params import FidelityParams, HeatingParams
@@ -51,14 +54,29 @@ def compiled():
     return programs
 
 
-def assert_identical(serial, batched):
-    """Bit-identity including the insertion order of every reported dict."""
+def assert_identical(reference, result, device):
+    """Bit-identity of every metric, including dict insertion orders.
 
-    assert result_fingerprint(serial) == result_fingerprint(batched)
-    for field in ("op_counts", "final_trap_energies", "peak_occupancy",
+    Per-trap dicts are keyed in the topology's trap order by the reference
+    and the simulator alike; op counts in first-seen kind order.
+    """
+
+    assert result_fingerprint(reference) == result_fingerprint(result)
+    traps = [trap.name for trap in device.topology.traps]
+    for field in ("final_trap_energies", "peak_occupancy",
                   "trap_gate_busy_time", "trap_comm_busy_time"):
-        assert list(getattr(serial, field).items()) == \
-               list(getattr(batched, field).items())
+        assert list(getattr(reference, field)) == traps
+        assert list(getattr(reference, field).items()) == \
+               list(getattr(result, field).items())
+    assert list(reference.op_counts.items()) == list(result.op_counts.items())
+
+
+def timeline_hex(result):
+    """Every timeline record with its floats rendered exactly."""
+
+    return [(record.op_id, record.kind, record.start.hex(),
+             record.finish.hex(), record.fidelity.hex())
+            for record in result.timeline]
 
 
 def heating_grid(model):
@@ -97,18 +115,23 @@ class TestGateVariantIdentity:
         program, device = compiled[app, reorder]
         batched = simulate_gate_variants(program, device, GATES)
         for gate, result in zip(GATES, batched):
-            assert_identical(simulate(program, device.with_gate(gate)), result)
+            variant = device.with_gate(gate)
+            reference = seed_engine.simulate(program, variant)
+            assert_identical(reference, result, device)
+            assert_identical(reference, simulate(program, variant), device)
 
     def test_without_breakdown(self, compiled):
         program, device = compiled["QFT", "GS"]
-        serial = [simulate(program, device.with_gate(g), with_breakdown=False)
-                  for g in GATES]
-        batched = simulate_batch(
-            program, [device.with_gate(g) for g in GATES], with_breakdown=False)
-        for s, b in zip(serial, batched):
-            assert_identical(s, b)
-            assert b.communication_time == 0.0
-            assert b.computation_time == b.duration
+        variants = [device.with_gate(g) for g in GATES]
+        batched = simulate_batch(program, variants, with_breakdown=False)
+        for variant, result in zip(variants, batched):
+            reference = seed_engine.simulate(program, variant,
+                                             with_breakdown=False)
+            assert_identical(reference, result, device)
+            assert_identical(reference, simulate(program, variant,
+                                                 with_breakdown=False), device)
+            assert result.communication_time == 0.0
+            assert result.computation_time == result.duration
 
 
 class TestModelVariantIdentity:
@@ -118,8 +141,9 @@ class TestModelVariantIdentity:
         models = heating_grid(device.model) + fidelity_grid(device.model)
         batched = simulate_model_variants(program, device, models)
         for model, result in zip(models, batched):
-            serial = simulate(program, replace(device, model=model, name=""))
-            assert_identical(serial, result)
+            variant = replace(device, model=model, name="")
+            assert_identical(seed_engine.simulate(program, variant), result,
+                             device)
 
     def test_mixed_gate_and_model_axis(self, compiled):
         """One batch may mix gate and physical-model variation freely."""
@@ -132,7 +156,8 @@ class TestModelVariantIdentity:
                                        model=model, name=""))
         batched = simulate_batch(program, devices)
         for variant, result in zip(devices, batched):
-            assert_identical(simulate(program, variant), result)
+            assert_identical(seed_engine.simulate(program, variant), result,
+                             device)
 
     def test_zero_fidelity_edge(self, compiled):
         """A variant whose gate errors exceed 1 clamps to the 0-fidelity
@@ -144,8 +169,9 @@ class TestModelVariantIdentity:
         models = [device.model, dead]
         batched = simulate_model_variants(program, device, models)
         for model, result in zip(models, batched):
-            assert_identical(simulate(program, replace(device, model=model,
-                                                       name="")), result)
+            variant = replace(device, model=model, name="")
+            assert_identical(seed_engine.simulate(program, variant), result,
+                             device)
         assert batched[1].log_fidelity == float("-inf")
         assert batched[1].fidelity == 0.0
 
@@ -154,12 +180,31 @@ class TestModelVariantIdentity:
         bad = replace(device.model,
                       heating=HeatingParams(background_rate=-1.0))
         with pytest.raises(ValueError):
-            simulate(program, replace(device, model=bad, name=""))
-        # Even when the trajectory/timeline would come from a cache, the
-        # batch engine must validate every variant's parameters.
+            seed_engine.simulate(program, replace(device, model=bad, name=""))
+        # Even when the trajectory/timeline would come from a cache, every
+        # variant's parameters must be validated.
         simulate_model_variants(program, device, [device.model])
         with pytest.raises(ValueError):
             simulate_model_variants(program, device, [bad])
+        with pytest.raises(ValueError):
+            simulate(program, replace(device, model=bad, name=""))
+
+
+class TestTimelineIdentity:
+    @pytest.mark.parametrize("reorder", REORDERS)
+    @pytest.mark.parametrize("app", APPS)
+    def test_timeline_bit_identical(self, compiled, app, reorder):
+        """``keep_timeline`` records match the reference record for record."""
+
+        program, device = compiled[app, reorder]
+        for gate in GATES:
+            variant = device.with_gate(gate)
+            reference = seed_engine.simulate(program, variant,
+                                             keep_timeline=True)
+            result = simulate(program, variant, keep_timeline=True)
+            assert_identical(reference, result, device)
+            assert len(result.timeline) == len(program)
+            assert timeline_hex(result) == timeline_hex(reference)
 
 
 class TestPlanCaching:

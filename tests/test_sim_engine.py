@@ -10,7 +10,7 @@ from repro.ir.circuit import Circuit
 from repro.isa.operations import OpKind
 from repro.models.gate_times import fm_gate_time
 from repro.sim import simulate
-from repro.sim.resources import ResourceTimeline
+from seed_engine import ResourceTimeline
 
 
 class TestResourceTimeline:

@@ -96,6 +96,20 @@ class TestSweepTaskExecution:
         assert [_record_identity(r) for r in direct] == \
                [_record_identity(r) for r in via_task]
 
+    def test_keep_timeline_fanout_matches_plain_fanout(self, qft8, small_config):
+        """Asking for timelines changes no metric of a gate fan-out."""
+
+        gates = ("AM1", "AM2", "PM", "FM")
+        plain = execute_task(SweepTask(qft8, small_config, gates=gates),
+                             ProgramCache())
+        timed = execute_task(SweepTask(qft8, small_config, gates=gates,
+                                       keep_timeline=True), ProgramCache())
+        assert [_record_identity(r) for r in timed] == \
+               [_record_identity(r) for r in plain]
+        for record in timed:
+            single = run_experiment(qft8, record.config, keep_timeline=True)
+            assert record.result.timeline == single.result.timeline
+
 
 class _FakeClock:
     """Deterministic ``perf_counter`` stand-in: each call advances by 1.0."""
@@ -154,19 +168,18 @@ class TestWallClockAccounting:
         assert [r.wall_s for r in records] == [0.5] * 4
         assert sum(r.wall_s for r in records) == 2.0
 
-    def test_keep_timeline_fallback_times_each_variant(self, qft8, small_config,
-                                                       monkeypatch):
+    def test_keep_timeline_fanout_apportions_evenly(self, qft8, small_config,
+                                                    monkeypatch):
         monkeypatch.setattr("repro.toolflow.parallel.perf_counter", _FakeClock())
         cache = ProgramCache()
         gates = ("AM1", "FM")
         records = execute_task(
             SweepTask(qft8, small_config, gates=gates, keep_timeline=True), cache)
-        # Serial fallback: each variant gets its own 1.0 sim interval plus
-        # half of the 1.0 compile interval.
-        assert [r.wall_s for r in records] == [1.5, 1.5]
+        # Timelines come out of the one batched evaluation: a single 1.0 sim
+        # interval and the 1.0 compile interval, each split 2 ways.
+        assert [r.wall_s for r in records] == [1.0, 1.0]
         assert all(r.result.timeline is not None for r in records)
-        # The fallback must not be counted as batch work.
-        assert cache.stats()["batch_variants"] == 0
+        assert cache.stats()["batch_variants"] == 2
 
 
 class TestBatchCounters:
