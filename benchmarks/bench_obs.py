@@ -145,6 +145,8 @@ def test_timeline_fold_and_profile_cost(benchmark, tmp_path):
             moment[0] += 0.125
             log.emit("done", work=f"s{i}-{k}", points=3, replayed=0,
                      wall_s=0.1, counters={"cache.hits": 2, "cache.misses": 1})
+    for log in logs:
+        log.close()
     events = read_telemetry(tmp_path)
     fold_s = _best_of(lambda: fold_timeline(events, bucket_s=5.0))
 

@@ -41,6 +41,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -61,6 +62,7 @@ from repro.dse.pareto import objective_value
 from repro.dse.runner import DSERunner
 from repro.dse.space import DesignSpace, point_from_spec
 from repro.dse.store import ExperimentStore, row_to_record
+from repro.io.appendlog import atomic_write_text
 from repro.obs.distributed import TraceContext, TraceShardWriter, adopt_shards
 from repro.obs.export import filename_safe
 from repro.obs.trace import current_tracer
@@ -92,8 +94,9 @@ class ProposalLedger:
     ``batch-<n:06d>-part<p:02d>.json``; its lease and done marker use the
     same name through a :class:`~repro.dse.dispatch.LeaseDir`, so the
     claim/heartbeat/takeover discipline is byte-for-byte the shard
-    ledger's.  All writes are atomic (private temp file + ``os.replace``)
-    and all payloads carry a content signature checked on read.
+    ledger's.  All writes are atomic
+    (:func:`~repro.io.appendlog.atomic_write_text`) and all payloads carry
+    a content signature checked on read.
     """
 
     def __init__(self, store_dir, *, ttl_s: float = DEFAULT_TTL_S,
@@ -165,12 +168,9 @@ class ProposalLedger:
 
     def _write_part(self, payload: Dict[str, object]) -> Path:
         name = self.work_name(payload["batch"], payload["part"])
-        path = self.work_path(name)
-        tmp = self.directory / \
-            f".{path.name}.{filename_safe(default_owner())}.tmp"
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(self.work_path(name),
+                                 json.dumps(payload, indent=2,
+                                            sort_keys=True) + "\n")
 
     def write_batch(self, batch: ProposalBatch, meta: Dict[str, object], *,
                     parts: int = 1) -> List[Path]:
@@ -180,7 +180,6 @@ class ProposalLedger:
         temp file + rename).
         """
 
-        self.directory.mkdir(parents=True, exist_ok=True)
         return [self._write_part(self._part_payload(batch, meta, parts,
                                                     part, span))
                 for part, span in self._slices(batch, parts)]
@@ -200,7 +199,6 @@ class ProposalLedger:
         proposer would have written.
         """
 
-        self.directory.mkdir(parents=True, exist_ok=True)
         for part, span in self._slices(batch, parts):
             expected = self._part_payload(batch, meta, parts, part, span)
             name = self.work_name(batch.number, part)
@@ -305,12 +303,9 @@ class ProposalLedger:
         body = {"schema_version": SCHEMA_VERSION}
         body.update(payload)
         body["signature"] = _signature(body)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.directory / \
-            f".{COMPLETE_NAME}.{filename_safe(default_owner())}.tmp"
-        tmp.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.complete_path)
-        return self.complete_path
+        return atomic_write_text(self.complete_path,
+                                 json.dumps(body, indent=2,
+                                            sort_keys=True) + "\n")
 
     def read_complete(self) -> Optional[Dict[str, object]]:
         try:
@@ -493,16 +488,10 @@ def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
     if idle_wait_s is None:
         idle_wait_s = max(0.05, min(1.0, ledger.ttl_s / 4))
 
-    telemetry = WorkerTelemetry(store_dir, owner, clock=ledger.clock)
     # Join the dispatcher's trace when one was stamped into our environment
     # (the same propagation the shards-mode worker does).
     trace_ctx = TraceContext.from_env()
-    shard_writer = None
-    if trace_ctx is not None:
-        trace_ctx.arm()
-        shard_writer = TraceShardWriter(store_dir, owner)
-    telemetry.emit("worker_start", mode="adaptive", jobs=jobs,
-                   pid=os.getpid())
+    tracer = trace_ctx.arm() if trace_ctx is not None else None
     cache = ProgramCache()
     completed: List[str] = []
     lost: List[str] = []
@@ -519,8 +508,14 @@ def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
         seen_counters.update(current)
         return moved
 
-    with ExperimentStore(store_dir,
-                         writer=f"adaptive-{filename_safe(owner)}") as store:
+    with ExitStack() as logs:
+        telemetry = logs.enter_context(
+            WorkerTelemetry(store_dir, owner, clock=ledger.clock))
+        shard_writer = logs.enter_context(TraceShardWriter(store_dir, owner))
+        telemetry.emit("worker_start", mode="adaptive", jobs=jobs,
+                       pid=os.getpid())
+        store = logs.enter_context(ExperimentStore(
+            store_dir, writer=f"adaptive-{filename_safe(owner)}"))
         while True:
             claimed = ledger.claim_next(owner)
             if claimed is None:
@@ -562,8 +557,7 @@ def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
             except LeaseLost:
                 lost.append(claimed)
                 telemetry.emit("lease_lost", work=claimed)
-                if shard_writer is not None:
-                    shard_writer.flush(current_tracer())
+                shard_writer.flush(tracer)
                 continue
             ledger.release(claimed, owner, done=True)
             completed.append(claimed)
@@ -572,15 +566,12 @@ def run_adaptive_worker(store_dir, *, manifest: Optional[Dict] = None,
                            replayed=runner.stats.get("reused", 0),
                            wall_s=round(time.perf_counter() - part_started, 6),
                            counters=counters_delta())
-            if shard_writer is not None:
-                # Per-part flush: the shard file is always a complete
-                # atomic snapshot, so a SIGKILL costs only the spans since
-                # the last finished part.
-                shard_writer.flush(current_tracer())
-    telemetry.emit("worker_exit", completed=len(completed), lost=len(lost),
-                   counters=cache.metrics.counters())
-    if shard_writer is not None:
-        shard_writer.flush(current_tracer())
+            # Per-part flush: a SIGKILL costs only the spans closed since
+            # the last finished part.
+            shard_writer.flush(tracer)
+        telemetry.emit("worker_exit", completed=len(completed),
+                       lost=len(lost), counters=cache.metrics.counters())
+        shard_writer.flush(tracer)
     return {"owner": owner, "completed": completed, "lost": lost}
 
 

@@ -45,6 +45,7 @@ import subprocess
 import sys
 import time
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -52,12 +53,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.dse.runner import DSERunner, Shard
 from repro.dse.space import DesignSpace
 from repro.dse.store import ExperimentStore
+from repro.io.appendlog import LogReader, LogWriter, atomic_write_text
 from repro.obs.distributed import (
     TraceContext,
     TraceShardWriter,
     adopt_shards,
 )
 from repro.obs.export import filename_safe
+from repro.obs.timeline import (
+    TelemetryReader,
+    ZERO_TOTALS,
+    fold_event,
+    fold_workers,
+    parse_segment,
+)
 from repro.obs.trace import (
     current_span_name,
     current_span_ref,
@@ -297,13 +306,11 @@ class LeaseDir:
         so work can never report done-and-claimable.
         """
 
-        self.directory.mkdir(parents=True, exist_ok=True)
         if done:
-            tmp = self.directory / f".done-{name}.{filename_safe(owner)}.tmp"
-            tmp.write_text(json.dumps({"owner": owner,
-                                       "finished_at": self.clock.now()},
-                                      sort_keys=True) + "\n")
-            os.replace(tmp, self.done_path(name))
+            atomic_write_text(self.done_path(name),
+                              json.dumps({"owner": owner,
+                                          "finished_at": self.clock.now()},
+                                         sort_keys=True) + "\n")
         if self.owner_of(name) == owner:
             self.lease_path(name).unlink(missing_ok=True)
 
@@ -449,29 +456,27 @@ class ShardLedger:
 # --------------------------------------------------------------------------- #
 # Worker telemetry: append-only JSONL event logs under <store>/telemetry/.
 # --------------------------------------------------------------------------- #
-class WorkerTelemetry:
+class WorkerTelemetry(LogWriter):
     """One worker's append-only event log inside the store directory.
 
     Each worker owns exactly one *active* file,
-    ``<store>/telemetry/<owner>.jsonl``, and only ever appends to it -- the
-    same single-writer-per-file discipline the experiment store uses, so no
-    cross-process locking is needed.  Events record the lease lifecycle
-    (claims, heartbeat renewals, losses, completions) and worker
+    ``<store>/telemetry/<owner>.jsonl``, and only ever appends to it (a
+    :class:`~repro.io.appendlog.LogWriter`, open until :meth:`close`) --
+    the same single-writer-per-file discipline the experiment store uses,
+    so no cross-process locking is needed.  Events record the lease
+    lifecycle (claims, heartbeat renewals, losses, completions) and worker
     start/exit, each stamped by the shared :class:`LeaseClock`;
     :func:`telemetry_summary` folds the directory union into a per-worker
     fleet view for ``repro dse status --workers``.
 
     **Rotation/compaction** keeps long-lived fleets bounded: once the
     active file exceeds ``max_bytes`` it is renamed to
-    ``<owner>.seg<k>.jsonl`` (atomic; segment numbers only ever grow), and
-    once more than ``keep_segments`` raw segments accumulate, the oldest
-    are folded -- together with any previous summary -- into one
-    cumulative ``event: "summary"`` row in ``<owner>.seg0.jsonl`` and
-    unlinked.  The summary row carries the folded claim/renew/loss/done
-    counters, point/wall totals and ``folded_through`` (the highest raw
-    segment it accounts for), so readers can consume summaries and
-    surviving raw segments together without double counting.  All of this
-    happens inside the single writer, so the discipline holds.
+    ``<owner>.seg<k>.jsonl`` (segment numbers only ever grow), and once
+    more than ``keep_segments`` raw segments accumulate, the oldest are
+    folded -- with any previous summary -- into one cumulative
+    ``event: "summary"`` row in ``<owner>.seg0.jsonl`` and unlinked.  Its
+    ``folded_through`` (the highest raw segment it accounts for) lets
+    readers skip the segments it folded, so nothing is counted twice.
     """
 
     def __init__(self, store_dir, owner: str, *,
@@ -482,111 +487,71 @@ class WorkerTelemetry:
         self.clock = clock if clock is not None else LeaseClock()
         self.directory = Path(store_dir) / TELEMETRY_DIR
         self.stem = filename_safe(owner)
-        self.path = self.directory / f"{self.stem}.jsonl"
+        super().__init__(self.directory / f"{self.stem}.jsonl")
         self.max_bytes = max_bytes
         self.keep_segments = max(1, int(keep_segments))
 
     def emit(self, event: str, **fields) -> None:
         """Append one event record (creates the directory lazily)."""
 
-        self.directory.mkdir(parents=True, exist_ok=True)
         record = {"t": self.clock.now(), "owner": self.owner, "event": event}
         record.update(fields)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        if self.max_bytes is not None and \
-                self.path.stat().st_size > self.max_bytes:
+        size = self.append(record)
+        if self.max_bytes is not None and size > self.max_bytes:
             self._rotate()
 
     # ------------------------------------------------------------------ #
     def _segment_path(self, k: int) -> Path:
         return self.directory / f"{self.stem}.seg{k}.jsonl"
 
-    def _raw_segments(self) -> List[int]:
-        """Existing raw segment numbers for this worker, ascending."""
-
-        numbers = []
-        prefix = f"{self.stem}.seg"
-        for path in self.directory.glob(f"{prefix}*.jsonl"):
-            digits = path.name[len(prefix):-len(".jsonl")]
-            if digits.isdigit() and int(digits) > 0:
-                numbers.append(int(digits))
-        return sorted(numbers)
-
-    def _summary_row(self) -> Optional[Dict[str, object]]:
-        """The current cumulative summary row (from ``seg0``), if any."""
-
-        for record in _parse_telemetry_file(self._segment_path(0)):
-            if record.get("event") == "summary":
-                return record
-        return None
-
     def _rotate(self) -> None:
         """Rotate the active file out and compact surplus raw segments."""
 
-        summary = self._summary_row()
+        # This worker's segments by number: the seg0 summary row and the
+        # events of every raw segment.
+        history: Dict[int, List[Dict[str, object]]] = {}
+
+        def take(name: str, lineno: int, record: Dict[str, object]) -> None:
+            segment = parse_segment(name)
+            if segment is not None and segment[0] == self.stem:
+                history.setdefault(segment[1], []).append(record)
+
+        LogReader(self.directory, take, pattern=f"{self.stem}.seg*.jsonl").poll()
+        summary = next((record for record in history.get(0, ())
+                        if record.get("event") == "summary"), None)
         folded_through = int(summary.get("folded_through", 0)) if summary \
             else 0
-        segments = self._raw_segments()
+        segments = sorted(k for k in history if k > 0)
         next_k = max(segments + [folded_through]) + 1
-        os.replace(self.path, self._segment_path(next_k))
+        self.rotate(self._segment_path(next_k))
         segments.append(next_k)
-        surplus = segments[:-self.keep_segments] \
-            if len(segments) > self.keep_segments else []
+        surplus = segments[:-self.keep_segments]
         if surplus:
-            self._compact(summary, surplus)
+            self._compact(summary, surplus, history)
 
     def _compact(self, summary: Optional[Dict[str, object]],
-                 segments: Sequence[int]) -> None:
+                 segments: Sequence[int],
+                 history: Dict[int, List[Dict[str, object]]]) -> None:
         """Fold ``segments`` (and the prior summary) into ``seg0``."""
 
-        totals = {
-            "t": 0.0, "owner": self.owner, "event": "summary",
-            "claims": 0, "renews": 0, "lost": 0, "done": 0,
-            "points": 0, "replayed": 0, "wall_s": 0.0,
-            "folded": 0, "folded_through": max(segments),
-            "first_t": None, "alive": None, "last_event": None,
-        }
+        totals = dict(ZERO_TOTALS, t=0.0, owner=self.owner, event="summary",
+                      folded=0, folded_through=max(segments), first_t=None,
+                      alive=None, last_event=None)
         if summary is not None:
-            for key in ("claims", "renews", "lost", "done", "points",
-                        "replayed", "wall_s", "folded"):
-                value = summary.get(key)
-                if isinstance(value, (int, float)):
-                    totals[key] += value
+            fold_event(totals, summary)
+            if isinstance(summary.get("folded"), (int, float)):
+                totals["folded"] += summary["folded"]
             totals["first_t"] = summary.get("first_t", summary.get("t"))
-            totals["t"] = float(summary.get("t") or 0.0)
-            totals["alive"] = summary.get("alive")
-            totals["last_event"] = summary.get("last_event")
         for k in segments:
-            for record in _parse_telemetry_file(self._segment_path(k)):
-                event = record.get("event")
+            for record in history.get(k, ()):
+                fold_event(totals, record)
                 totals["folded"] += 1
-                if event == "claim":
-                    totals["claims"] += 1
-                elif event == "renew":
-                    totals["renews"] += 1
-                elif event == "lease_lost":
-                    totals["lost"] += 1
-                elif event == "done":
-                    totals["done"] += 1
-                    totals["points"] += int(record.get("points") or 0)
-                    totals["replayed"] += int(record.get("replayed") or 0)
-                    totals["wall_s"] += float(record.get("wall_s") or 0.0)
-                elif event == "worker_start":
-                    totals["alive"] = True
-                elif event == "worker_exit":
-                    totals["alive"] = False
-                totals["last_event"] = event
                 t = record.get("t")
-                if isinstance(t, (int, float)):
-                    totals["t"] = max(totals["t"], float(t))
-                    if totals["first_t"] is None or t < totals["first_t"]:
-                        totals["first_t"] = float(t)
-        target = self._segment_path(0)
-        scratch = target.with_name(target.name + ".tmp")
-        scratch.write_text(json.dumps(totals, sort_keys=True) + "\n",
-                           encoding="utf-8")
-        os.replace(scratch, target)
+                if isinstance(t, (int, float)) and (
+                        totals["first_t"] is None or t < totals["first_t"]):
+                    totals["first_t"] = float(t)
+        atomic_write_text(self._segment_path(0),
+                          json.dumps(totals, sort_keys=True) + "\n")
         # Only after the summary durably covers them may the raw segments
         # go; a crash between these steps leaves both readable, and the
         # ``folded_through`` guard keeps readers from counting twice.
@@ -597,77 +562,17 @@ class WorkerTelemetry:
                 pass
 
 
-def _parse_telemetry_file(path: Path) -> List[Dict[str, object]]:
-    """Parse one telemetry JSONL file, skipping torn or garbled lines."""
-
-    records: List[Dict[str, object]] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
-
-
-def _telemetry_segment(name: str) -> Optional[Tuple[str, int]]:
-    """``(stem, k)`` when ``name`` is a rotated ``<stem>.seg<k>.jsonl``."""
-
-    if not name.endswith(".jsonl"):
-        return None
-    base = name[:-len(".jsonl")]
-    stem, dot, seg = base.rpartition(".")
-    if dot and seg.startswith("seg") and seg[len("seg"):].isdigit():
-        return stem, int(seg[len("seg"):])
-    return None
-
-
 def read_telemetry(store_dir) -> List[Dict[str, object]]:
-    """All telemetry events of a store, ordered by timestamp.
+    """All telemetry events of a store, in the canonical content ordering.
 
-    Torn or garbled lines (a live worker's in-flight append) are skipped,
-    mirroring the store's tolerance for its own tail lines.  Rotated
-    segments are read transparently; compacted history appears as
-    cumulative ``event: "summary"`` rows (sorted at the timestamp of the
-    last event they folded), and raw segments a summary already accounts
-    for (``k <= folded_through``) are skipped so nothing is counted twice.
+    One poll of a :class:`~repro.obs.timeline.TelemetryReader`: compacted
+    history appears as cumulative ``event: "summary"`` rows, and raw
+    segments a summary already accounts for are left out.
     """
 
-    directory = Path(store_dir) / TELEMETRY_DIR
-    events: List[Dict[str, object]] = []
-    if not directory.is_dir():
-        return events
-    paths = sorted(directory.glob("*.jsonl"))
-    # Summary segments first: their folded_through markers gate which raw
-    # segments still carry unfolded history.
-    folded: Dict[str, int] = {}
-    for path in paths:
-        segment = _telemetry_segment(path.name)
-        if segment is None or segment[1] != 0:
-            continue
-        for record in _parse_telemetry_file(path):
-            events.append(record)
-            through = record.get("folded_through")
-            if isinstance(through, int):
-                folded[segment[0]] = max(folded.get(segment[0], 0), through)
-    for path in paths:
-        segment = _telemetry_segment(path.name)
-        if segment is not None:
-            if segment[1] == 0:
-                continue  # summary rows were ingested above
-            if segment[1] <= folded.get(segment[0], 0):
-                continue  # already folded into the stem's summary
-        events.extend(_parse_telemetry_file(path))
-    events.sort(key=lambda r: (r.get("t") or 0.0, str(r.get("owner", ""))))
-    return events
+    reader = TelemetryReader(store_dir)
+    reader.poll()
+    return reader.events
 
 
 def telemetry_summary(store_dir, *,
@@ -685,64 +590,8 @@ def telemetry_summary(store_dir, *,
     workers; ``None`` for untraced runs or between work units).
     """
 
-    workers: Dict[str, Dict[str, object]] = {}
-    for record in read_telemetry(store_dir):
-        owner = record.get("owner")
-        if not isinstance(owner, str) or not owner:
-            continue
-        row = workers.setdefault(owner, {
-            "claims": 0, "renewals": 0, "lost": 0, "done": 0,
-            "points": 0, "replayed": 0, "wall_s": 0.0,
-            "alive": False, "last_event": None, "last_seen_t": None,
-            "phase": None,
-        })
-        event = record.get("event")
-        if event == "claim":
-            row["claims"] += 1
-        elif event == "renew":
-            row["renewals"] += 1
-        elif event == "lease_lost":
-            row["lost"] += 1
-        elif event == "done":
-            row["done"] += 1
-            row["points"] += int(record.get("points") or 0)
-            row["replayed"] += int(record.get("replayed") or 0)
-            row["wall_s"] += float(record.get("wall_s") or 0.0)
-        elif event == "worker_start":
-            row["alive"] = True
-        elif event == "worker_exit":
-            row["alive"] = False
-        elif event == "summary":
-            # Compacted history: fold the cumulative totals in, and let
-            # the (ordered) live events that follow refine alive/last_event.
-            row["claims"] += int(record.get("claims") or 0)
-            row["renewals"] += int(record.get("renews") or 0)
-            row["lost"] += int(record.get("lost") or 0)
-            row["done"] += int(record.get("done") or 0)
-            row["points"] += int(record.get("points") or 0)
-            row["replayed"] += int(record.get("replayed") or 0)
-            row["wall_s"] += float(record.get("wall_s") or 0.0)
-            if record.get("alive") is not None:
-                row["alive"] = bool(record["alive"])
-            event = record.get("last_event") or event
-        row["last_event"] = event
-        if "phase" in record:
-            phase = record["phase"]
-            row["phase"] = phase if isinstance(phase, str) else None
-        elif event in ("done", "lease_lost", "worker_exit"):
-            row["phase"] = None  # the work unit's span closed with it
-        t = record.get("t")
-        if isinstance(t, (int, float)):
-            last = row["last_seen_t"]
-            if last is None or t > last:
-                row["last_seen_t"] = float(t)
-    if now is None:
-        now = LeaseClock().now()
-    for row in workers.values():
-        last = row.pop("last_seen_t")
-        row["last_seen_age_s"] = (max(0.0, now - last)
-                                  if last is not None else None)
-    return workers
+    events = read_telemetry(store_dir)
+    return fold_workers(events, now=LeaseClock().now() if now is None else now)
 
 
 # --------------------------------------------------------------------------- #
@@ -779,7 +628,6 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     if mode == "adaptive" and strategy is None:
         raise ValueError("adaptive-mode dispatch needs a strategy spec")
     store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
     path = store_dir / MANIFEST_NAME
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -811,10 +659,8 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
             f"{store_dir / LEASE_DIR} holds done markers of an earlier "
             f"dispatch, which a new run would trust without evaluating its "
             f"points; use a fresh store directory")
-    tmp = store_dir / f".{MANIFEST_NAME}.{default_owner()}.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    return atomic_write_text(path, json.dumps(manifest, indent=2,
+                                              sort_keys=True) + "\n")
 
 
 def read_manifest(store_dir) -> Dict:
@@ -903,17 +749,11 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     if idle_wait_s is None:
         idle_wait_s = 0.05
 
-    telemetry = WorkerTelemetry(store_dir, owner, clock=ledger.clock)
     # Join the dispatcher's trace when it stamped one into our environment:
-    # spans recorded here flush crash-safely to this worker's shard file,
-    # which the dispatcher merges into one fleet trace after the run.
+    # spans go to this worker's shard file, which the dispatcher merges
+    # into one fleet trace.  Untraced, every flush is a no-op.
     trace_ctx = TraceContext.from_env()
-    shard_writer = None
-    if trace_ctx is not None:
-        trace_ctx.arm()
-        shard_writer = TraceShardWriter(store_dir, owner)
-    telemetry.emit("worker_start", mode="shards", shards=ledger.count,
-                   jobs=jobs, pid=os.getpid())
+    tracer = trace_ctx.arm() if trace_ctx is not None else None
     cache = ProgramCache()
     completed: List[int] = []
     lost: List[int] = []
@@ -936,7 +776,13 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         seen_counters.update(current)
         return moved
 
-    with ExperimentStore(store_dir) as store:
+    with ExitStack() as logs:
+        telemetry = logs.enter_context(
+            WorkerTelemetry(store_dir, owner, clock=ledger.clock))
+        shard_writer = logs.enter_context(TraceShardWriter(store_dir, owner))
+        telemetry.emit("worker_start", mode="shards", shards=ledger.count,
+                       jobs=jobs, pid=os.getpid())
+        store = logs.enter_context(ExperimentStore(store_dir))
         runner = DSERunner(space, store=store, jobs=jobs, cache=cache,
                            circuits=circuits)
         while True:
@@ -980,8 +826,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
             except LeaseLost:
                 lost.append(shard.index)
                 telemetry.emit("lease_lost", work=shard.name)
-                if shard_writer is not None:
-                    shard_writer.flush(current_tracer())
+                shard_writer.flush(tracer)
                 continue
             ledger.release(shard.index, owner, done=True)
             completed.append(shard.index)
@@ -991,15 +836,12 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
                 replayed=runner.stats["reused"] - before["reused"],
                 wall_s=round(time.perf_counter() - shard_started, 6),
                 counters=counters_delta())
-            if shard_writer is not None:
-                # Flush after every completed shard: a SIGKILL later costs
-                # only the spans since this point, and the shard file is
-                # always a complete atomic snapshot (never a torn append).
-                shard_writer.flush(current_tracer())
-    telemetry.emit("worker_exit", completed=len(completed), lost=len(lost),
-                   counters=cache.metrics.counters())
-    if shard_writer is not None:
-        shard_writer.flush(current_tracer())
+            # Flush after every completed shard: a SIGKILL later costs only
+            # the spans closed since this point.
+            shard_writer.flush(tracer)
+        telemetry.emit("worker_exit", completed=len(completed),
+                       lost=len(lost), counters=cache.metrics.counters())
+        shard_writer.flush(tracer)
     return {"owner": owner, "completed": completed, "lost": lost}
 
 
@@ -1057,6 +899,46 @@ def estimate_eta_s(pending: int, timings: Sequence[float],
         return None
     mean = sum(timings) / len(timings)
     return pending * mean / max(1, active_workers)
+
+
+class StoreProgress:
+    """Point counts and the ``wall_s``-driven ETA of one store directory.
+
+    One store view stays open and is refreshed with the incremental
+    :meth:`~repro.dse.store.ExperimentStore.reload`, so a tick costs the
+    rows appended since the previous one.  Behind :meth:`Dispatcher.progress`
+    and the ``dse top`` monitor (:class:`~repro.obs.timeline.FleetMonitor`).
+    """
+
+    def __init__(self, store_dir) -> None:
+        self.store_dir = Path(store_dir)
+        self._store: Optional[ExperimentStore] = None
+
+    def snapshot(self, total: Optional[int] = None, *,
+                 shards: Optional[Dict[str, int]] = None) -> Dict[str, object]:
+        """``points_done``; given the space size ``total``, also the pending
+        points, the lease ``shards`` counts and the ETA over the active
+        leases (at least one)."""
+
+        if self._store is None:
+            self._store = ExperimentStore(self.store_dir)
+        else:
+            self._store.reload()
+        progress: Dict[str, object] = {"points_done": len(self._store)}
+        if total is not None:
+            pending = max(0, total - len(self._store))
+            progress.update(points_total=total, points_pending=pending)
+            if shards is not None:
+                progress["shards"] = shards
+            progress["eta_s"] = estimate_eta_s(
+                pending, self._store.wall_timings(),
+                max(1, (shards or {}).get("active", 0)))
+        return progress
+
+    def close(self) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store = None
 
 
 def format_eta(eta_s: Optional[float]) -> str:
@@ -1136,7 +1018,7 @@ class Dispatcher:
         self.ledger = ShardLedger.for_store(self.store_dir, self.shards,
                                             ttl_s=self.ttl_s)
         self._procs: List[subprocess.Popen] = []
-        self._progress_store: Optional[ExperimentStore] = None
+        self._progress = StoreProgress(self.store_dir)
 
     # ------------------------------------------------------------------ #
     def prepare(self) -> Path:
@@ -1174,31 +1056,14 @@ class Dispatcher:
     def progress(self) -> Dict[str, object]:
         """One snapshot: point counts, shard states and the wall_s-driven ETA.
 
-        The store view is kept open across snapshots and refreshed with the
-        incremental :meth:`~repro.dse.store.ExperimentStore.reload`, so a
-        progress tick costs O(rows appended since the last tick) -- not a
-        full re-parse of the directory.
+        A progress tick costs O(rows appended since the last tick) -- not a
+        full re-parse of the directory (see :class:`StoreProgress`).
         """
 
-        if self._progress_store is None:
-            self._progress_store = ExperimentStore(self.store_dir)
-        else:
-            self._progress_store.reload()
-        store = self._progress_store
-        counts = self.ledger.status_counts()
-        total = self.space.size
-        done_points = len(store)
-        pending = max(0, total - done_points)
-        eta_s = estimate_eta_s(pending, store.wall_timings(),
-                               max(1, counts["active"]))
-        return {
-            "points_done": done_points,
-            "points_total": total,
-            "points_pending": pending,
-            "shards": counts,
-            "eta_s": eta_s,
-            "workers": telemetry_summary(self.store_dir),
-        }
+        progress = self._progress.snapshot(
+            self.space.size, shards=self.ledger.status_counts())
+        progress["workers"] = telemetry_summary(self.store_dir)
+        return progress
 
     def _alive(self) -> List[subprocess.Popen]:
         return [proc for proc in self._procs if proc.poll() is None]

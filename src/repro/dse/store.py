@@ -31,24 +31,22 @@ stripped from :meth:`ExperimentStore.export_rows`, the canonical export used
 to check that sharded/dispatched/adaptive runs match serial ones
 byte-for-byte across schema generations.
 
-Reloads are incremental: the store tracks a per-file byte offset (advanced
-only past newline-terminated lines) and :meth:`ExperimentStore.reload` reads
-just the appended suffix of each file -- O(new rows), which is what keeps
-the dispatcher's progress ticks and the adaptive proposer's ingest loop
-cheap at paper scale.  A tracked file that shrinks below its consumed offset
-or disappears triggers the full-rescan fallback.
+Files go through the shared append log (:mod:`repro.io.appendlog`), so
+:meth:`ExperimentStore.reload` reads just what was appended since the last
+read -- O(new rows), which keeps the dispatcher's progress ticks and the
+adaptive proposer's ingest loop cheap at paper scale.  The store adds its
+own rules: the schema gate, fingerprint and required keys, first-wins dedup.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro.dse.space import DesignPoint, point_from_spec
-from repro.obs.metrics import registry as _metrics_registry
+from repro.io.appendlog import LogReader, LogWriter, StoreCorruptionWarning
+from repro.io.serialization import SCHEMA_VERSION, check_schema_version
 
 #: Default writer file name (shard writers use ``shard-<i>of<N>.jsonl``).
 DEFAULT_WRITER = "results"
@@ -69,10 +67,6 @@ VOLATILE_ROW_KEYS = frozenset({"wall_s", "schema_version", "provenance"})
 #: warning instead of blowing up later in :func:`row_to_record`.
 REQUIRED_ROW_KEYS = frozenset(
     {"fingerprint", "point", "application", "metrics", "program_ops", "shuttles"})
-
-
-class StoreCorruptionWarning(UserWarning):
-    """A store file contained lines that could not be loaded and were skipped."""
 
 
 class CachedResult:
@@ -224,8 +218,6 @@ def record_to_row(fingerprint: str, point: DesignPoint, record, *,
     from the record itself; rows never gain an invented provenance.
     """
 
-    from repro.io.serialization import SCHEMA_VERSION
-
     row = {
         "schema_version": SCHEMA_VERSION,
         "fingerprint": fingerprint,
@@ -258,151 +250,26 @@ class ExperimentStore:
         self.writer = writer
         self._rows: Dict[str, Dict] = {}
         self._sources: Dict[str, str] = {}
-        self._handle = None
-        # Permanent skips: newline-terminated lines that failed to load.
-        # Unterminated tails are tracked separately (``_tail_skips``): they
-        # are usually a writer's *in-flight* line, so their skip is
-        # tentative -- it evaporates when a later scan finds the line
-        # completed -- and must not accumulate across reload ticks.
-        self._skipped = 0
-        self._skip_counts: Dict[str, int] = {}
-        self._tail_skips: Dict[str, bool] = {}
-        # Incremental-reload bookkeeping, all keyed by file name: bytes
-        # consumed (advanced only past newline-terminated lines), lines
-        # consumed (for warning positions), the last unterminated tail
-        # examined (so an in-flight torn line is not re-processed or
-        # recounted on every tick), and any deferred mid-file corruption
-        # warning whose "is it really mid-file?" proof may arrive in a
-        # later chunk.  The file size at the last scan -- the unchanged
-        # fast path's comparand -- is derived, not stored:
-        # ``_known_size() == offset + len(tail)`` by construction.
-        self._offsets: Dict[str, int] = {}
-        self._linenos: Dict[str, int] = {}
-        self._tails: Dict[str, bytes] = {}
-        self._pending_warn: Dict[str, tuple] = {}
-        #: Observability counters for the reload path: ``full_scans`` counts
-        #: directory-wide rescans (initial load included), ``files_scanned``
-        #: counts files actually opened and parsed, ``files_unchanged``
-        #: counts files skipped by the size fast path, ``bytes_read`` the
-        #: bytes parsed.  The incremental-reload tests pin the O(new rows)
-        #: behaviour on these.
-        self.scan_stats = {"full_scans": 0, "files_scanned": 0,
-                           "files_unchanged": 0, "bytes_read": 0}
+        self._log: Optional[LogWriter] = None
+        self._reader: Optional[LogReader] = None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._load()
+            self._reader = LogReader(self.directory, self._ingest,
+                                     reset=self._forget,
+                                     counter="store.lines_skipped")
+            self._reader.poll()
 
     # ------------------------------------------------------------------ #
-    def _load(self) -> None:
-        self.scan_stats["full_scans"] += 1
-        for path in sorted(self.directory.glob("*.jsonl")):
-            try:
-                self._scan_file(path)
-            except FileNotFoundError:
-                continue  # deleted between glob and open
+    def _ingest(self, name: str, lineno: int, row: Dict) -> Optional[str]:
+        """Index one stored row; returns a skip reason for unusable rows."""
 
-    def _known_size(self, name: str) -> int:
-        """File size as of the last scan: consumed bytes plus the seen tail."""
-
-        return self._offsets.get(name, 0) + len(self._tails.get(name, b""))
-
-    def _scan_file(self, path: Path) -> None:
-        """Parse the unconsumed suffix of one store file.
-
-        A broken *trailing* line is the expected artifact of a killed (or
-        still-appending) writer -- the designed resume-after-kill path --
-        and is skipped silently.  A broken line anywhere else means real
-        corruption (e.g. a partially copied shard file) and is worth a
-        warning.  Both are skipped, never aborted on; the warning for a
-        skip is therefore deferred until a later non-empty line proves the
-        skip was mid-file -- possibly in a later incremental scan.
-        ``errors="replace"`` keeps a partially copied (even binary-torn)
-        file decodable; the mangled lines then fail JSON parsing and are
-        skipped like any other corrupt line.
-
-        The consumed byte offset advances only past newline-terminated
-        lines.  An unterminated tail is still examined (a complete JSON row
-        whose newline the kill ate is indexed; a fragment is counted as
-        skipped) but never consumed, so once the writer terminates or heals
-        it the next scan re-reads that region and picks up the final truth.
-        """
-
-        from repro.io.serialization import check_schema_version
-
-        name = path.name
-        start = self._offsets.get(name, 0)
-        size = path.stat().st_size
-        if name in self._offsets and size == self._known_size(name):
-            self.scan_stats["files_unchanged"] += 1
-            return
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            data = handle.read()
-        self.scan_stats["files_scanned"] += 1
-        self.scan_stats["bytes_read"] += len(data)
-        cut = data.rfind(b"\n") + 1  # 0 when the chunk holds no newline
-        chunk, tail = data[:cut], data[cut:]
-        lineno = self._linenos.get(name, 0)
-        pending = self._pending_warn.pop(name, None)
-        for raw in chunk.decode(errors="replace").split("\n")[:-1]:
-            lineno += 1
-            line = raw.strip()
-            if not line:
-                continue
-            if pending is not None:
-                self._warn_skip(path, *pending)
-                pending = None
-            reason = self._ingest_line(path, lineno, line,
-                                       check_schema_version)
-            if reason is not None:
-                self._skipped += 1
-                self._skip_counts[name] = self._skip_counts.get(name, 0) + 1
-                # Mirrored into the process-wide metrics registry so
-                # telemetry surfaces corruption without anyone having to
-                # catch StoreCorruptionWarning.
-                _metrics_registry().counter("store.lines_skipped").inc()
-                pending = (lineno, reason)
-        self._offsets[name] = start + cut
-        self._linenos[name] = lineno
-        if tail != self._tails.get(name):
-            # The tail region was re-read, so any previous tentative skip
-            # for it is superseded by what this scan finds.
-            self._tail_skips.pop(name, None)
-            if tail:
-                self._tails[name] = tail
-                text = tail.decode(errors="replace").strip()
-                if text:
-                    # A non-empty tail is a *later* line: it proves any
-                    # pending skip above it was mid-file, so warn now.
-                    if pending is not None:
-                        self._warn_skip(path, *pending)
-                        pending = None
-                    reason = self._ingest_line(path, lineno + 1, text,
-                                               check_schema_version)
-                    if reason is not None:
-                        self._tail_skips[name] = True
-            else:
-                self._tails.pop(name, None)
-        if pending is not None:
-            self._pending_warn[name] = pending
-
-    def _ingest_line(self, path: Path, lineno: int, line: str,
-                     check_schema_version) -> Optional[str]:
-        """Index one store line; returns a skip reason for corrupt lines."""
-
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            return "unparseable JSON (torn or corrupt line)"
-        if not isinstance(row, dict):
-            return "not a JSON object"
         version = row.get("schema_version", 0)
         if not isinstance(version, int) or version < 0:
             # A garbled version field is line corruption: skip the line,
             # don't abort the directory.  Genuinely *newer* payloads still
             # fail loudly below -- silently misreading them would be worse.
             return f"malformed schema_version {version!r}"
-        check_schema_version(row, source=f"{path}:{lineno}")
+        check_schema_version(row, source=f"{self.directory}{os.sep}{name}:{lineno}")
         fingerprint = row.get("fingerprint")
         if not fingerprint:
             return "row has no fingerprint"
@@ -412,89 +279,49 @@ class ExperimentStore:
         if missing:
             return f"row is missing {sorted(missing)} (torn mid-copy?)"
         self._rows[fingerprint] = row
-        self._sources[fingerprint] = path.name
+        self._sources[fingerprint] = name
         return None
 
-    def _warn_skip(self, path: Path, lineno: int, reason: str) -> None:
-        warnings.warn(f"experiment store: skipping {path.name}:{lineno}: "
-                      f"{reason}", StoreCorruptionWarning, stacklevel=4)
+    def _forget(self) -> None:
+        """Drop the index before the reader rescans the directory."""
+
+        self._rows.clear()
+        self._sources.clear()
+        self.close()
 
     def reload(self) -> None:
         """Pick up rows appended by other writers, in O(new rows).
 
-        Each tracked file is stat'ed; unchanged files are not even opened,
-        grown files are parsed from their consumed byte offset.  Rows are
-        append-only, so incremental ingestion and a from-scratch reload
-        agree -- except when a tracked file shrank below its offset or
-        disappeared (history rewritten: a healed torn tail, a deleted
-        shard), which falls back to a full rescan of the directory.
+        A file that was deleted, truncated or replaced (history rewritten)
+        makes the reload rescan the whole directory instead.
         """
 
-        if self.directory is None:
-            return
-        paths = sorted(self.directory.glob("*.jsonl"))
-        names = {path.name for path in paths}
-        rescan = any(name not in names for name in self._offsets)
-        if not rescan:
-            for path in paths:
-                try:
-                    if path.stat().st_size < self._offsets.get(path.name, 0):
-                        rescan = True
-                        break
-                except FileNotFoundError:
-                    rescan = True
-                    break
-        if rescan:
-            self._full_rescan()
-            return
-        for path in paths:
-            try:
-                self._scan_file(path)
-            except FileNotFoundError:
-                self._full_rescan()
-                return
-
-    def _full_rescan(self) -> None:
-        """Drop all indexed state and re-read the directory from scratch."""
-
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._rows.clear()
-        self._sources.clear()
-        self._offsets.clear()
-        self._linenos.clear()
-        self._tails.clear()
-        self._tail_skips.clear()
-        self._pending_warn.clear()
-        self._skipped = 0
-        self._skip_counts.clear()
-        self._load()
+        if self._reader is not None:
+            self._reader.poll()
 
     # ------------------------------------------------------------------ #
     @property
-    def skipped_lines(self) -> int:
-        """Lines that could not be loaded: permanent skips plus any file's
-        current unterminated-and-unparseable tail (an in-flight or torn
-        trailing write, counted once and uncounted if a later scan finds
-        the line completed)."""
+    def scan_stats(self) -> Dict[str, int]:
+        """Reload-path counters (:attr:`LogReader.scan_stats`)."""
 
-        return self._skipped + sum(1 for skip in self._tail_skips.values()
-                                   if skip)
+        return self._reader.scan_stats if self._reader is not None else {}
 
     def skip_counts(self) -> Dict[str, int]:
-        """Skipped-line totals per store file (tentative tail skips included).
+        """Skipped-line totals per store file, a torn or in-flight tail
+        included (counted once, and uncounted if the line completes).
 
         What ``dse status`` prints: every corrupt file is named with its
         skip count, instead of the information living only in
         :class:`StoreCorruptionWarning` messages as they scroll past.
         """
 
-        counts = dict(self._skip_counts)
-        for name, skip in self._tail_skips.items():
-            if skip:
-                counts[name] = counts.get(name, 0) + 1
-        return counts
+        return self._reader.skip_counts() if self._reader is not None else {}
+
+    @property
+    def skipped_lines(self) -> int:
+        """Lines that could not be loaded (see :meth:`skip_counts`)."""
+
+        return sum(self.skip_counts().values())
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -578,59 +405,18 @@ class ExperimentStore:
         if fingerprint in self._rows:
             return False
         self._rows[fingerprint] = row
-        if self.directory is not None:
-            if self._handle is None:
-                self._handle = self._open_writer()
-            self._handle.write(json.dumps(row, sort_keys=True) + "\n")
-            self._handle.flush()
-            name = self.writer_path.name
-            self._sources[fingerprint] = name
-            # Our own appends are already indexed: advance the incremental-
-            # reload cursor past them so reload() only parses *other*
-            # writers' rows.  Opening the writer also healed any torn tail
-            # the file carried, so its tentative skip is gone with it.
-            self._offsets[name] = self._handle.tell()
-            self._linenos[name] = self._linenos.get(name, 0) + 1
-            self._tails.pop(name, None)
-            self._tail_skips.pop(name, None)
-        else:
+        if self._reader is None:
             self._sources[fingerprint] = "memory"
+            return True
+        if self._log is None:
+            self._log = LogWriter(self.writer_path)
+        end = self._log.append(row)
+        name = self.writer_path.name
+        self._sources[fingerprint] = name
+        # Our own appends are already indexed: move the reader past them so
+        # reload() parses only *other* writers' rows.
+        self._reader.advance(name, end)
         return True
-
-    def _open_writer(self):
-        """Open the writer file for append, healing a torn trailing line.
-
-        A run killed mid-write can leave the file without a final newline;
-        appending straight after would concatenate the next row onto the
-        unterminated tail and silently lose both on reload.  Two cases:
-        a tail that is a *complete* JSON row (killed between the write and
-        its newline) is terminated in place -- the loader already indexed
-        it, so deleting it would lose a point forever (dedup stops it from
-        being rewritten).  A tail that is a genuine fragment holds no
-        recoverable row and is truncated away, so the file stays clean
-        JSONL and later loads never trip over a permanent mid-file scar.
-        """
-
-        path = self.writer_path
-        if path.exists():
-            with open(path, "rb+") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    if existing.read(1) != b"\n":
-                        # Rare heal path: inspect the unterminated tail.
-                        existing.seek(0)
-                        content = existing.read()
-                        tail = content[content.rfind(b"\n") + 1:]
-                        try:
-                            complete = isinstance(json.loads(tail), dict)
-                        except json.JSONDecodeError:
-                            complete = False
-                        if complete:
-                            existing.write(b"\n")
-                        else:
-                            existing.truncate(content.rfind(b"\n") + 1)
-        return open(path, "a")
 
     def set_writer(self, writer: str) -> None:
         """Redirect future appends to ``<writer>.jsonl`` (rows stay loaded).
@@ -645,9 +431,9 @@ class ExperimentStore:
             self.writer = writer
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "ExperimentStore":
         return self

@@ -16,10 +16,11 @@ makes those executions debuggable:
 * :mod:`~repro.obs.export` -- Chrome trace-event JSON (loads in
   Perfetto), flat span JSONL, and a per-run manifest (config fingerprint,
   schema versions, phase timings, metrics snapshot), all written through
-  an atomic temp-file-rename writer so crashed runs keep their traces.
+  :func:`repro.io.appendlog.atomic_write_text` so crashed runs keep their
+  traces.
 * :mod:`~repro.obs.distributed` -- fleet-wide tracing: trace-context
   propagation into worker subprocesses and pool children, per-worker
-  crash-safe trace shards under ``<store>/traces/``, and the
+  append-only trace shards under ``<store>/traces/``, and the
   deterministic shard merger behind ``repro trace merge`` and the
   automatic merge of ``dse dispatch --trace``.
 * :mod:`~repro.obs.timeline` -- windowed time-series aggregation over the
@@ -36,6 +37,7 @@ for one command and writes the bundle; span/metric naming conventions and
 the export schemas are documented in ``docs/observability.md``.
 """
 
+from repro.io.appendlog import atomic_write_text
 from repro.obs.benchdiff import (
     classify_metric,
     compare_bench,
@@ -53,7 +55,6 @@ from repro.obs.distributed import (
 )
 from repro.obs.export import (
     TRACE_SCHEMA_VERSION,
-    atomic_write_text,
     chrome_trace,
     config_fingerprint,
     run_manifest,

@@ -11,20 +11,20 @@ the dispatcher process.  Three pieces make that work:
   needed) and into process-pool children through the pool initializer of
   :func:`repro.toolflow.parallel.iter_tasks`.  Every process arms a
   tracer parented under the same root.
-* **Trace shards** -- each worker flushes its span records to
-  ``<store>/traces/<owner>.jsonl`` (:class:`TraceShardWriter`), through
-  the same atomic temp+rename discipline as
-  :func:`repro.obs.export.atomic_write_text`, after every completed work
-  unit and at exit; a SIGKILLed worker leaves its last complete flush.
-  Records carry *absolute* wall-clock starts (``epoch_start_s``), so any
-  process can place them on a shared timeline.
-* **A deterministic merger** -- :func:`read_trace_shards` parses every
-  shard (skipping torn or corrupt lines with a
-  :class:`~repro.dse.store.StoreCorruptionWarning`, counted per file like
-  the experiment store does) and returns records in a total content
-  ordering, so the same span set merges byte-identically regardless of
-  how it was split across shard files.  :func:`adopt_shards` folds them
-  into a live tracer (what ``dse dispatch --trace`` does automatically);
+* **Trace shards** -- each worker appends the spans closed since its
+  previous flush to ``<store>/traces/<owner>.jsonl``
+  (:class:`TraceShardWriter`, on the shared :mod:`repro.io.appendlog`)
+  after every completed work unit and at exit; a SIGKILLed worker leaves
+  every flushed line plus at most one torn tail.  Records carry
+  *absolute* wall-clock starts (``epoch_start_s``), so any process can
+  place them on a shared timeline.
+* **A deterministic merger** -- :func:`read_trace_shards` reads every
+  shard by the append log's rules (torn or corrupt lines skipped, counted
+  per file and warned about, exactly as in the experiment store) and
+  returns records in a total content ordering, so the same span set
+  merges byte-identically regardless of how it was split across shard
+  files.  :func:`adopt_shards` folds them into a live
+  tracer (what ``dse dispatch --trace`` does automatically);
   :func:`write_merged_trace` is the standalone ``repro trace merge``.
 
 Shard records are the flat ``Span.to_dict`` schema plus ``trace_id``,
@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.export import atomic_write_text, filename_safe
-from repro.obs.metrics import registry
+from repro.io.appendlog import LogReader, LogWriter
+from repro.obs.export import filename_safe
 from repro.obs.trace import Tracer, current_tracer, enable_tracing, span
 
 __all__ = [
@@ -135,20 +134,23 @@ def export_records(tracer: Tracer, *,
     cross-process ``parent_ref``.
     """
 
-    shard_records = []
-    for record in tracer.records():
-        record = dict(record)
-        record["epoch_start_s"] = tracer.epoch_s + float(
-            record.pop("start_s", 0.0) or 0.0)
-        record.setdefault("trace_id", tracer.trace_id)
-        record["schema_version"] = SHARD_SCHEMA_VERSION
-        if owner and not record.get("owner"):
-            record["owner"] = owner
-        if (tracer.parent_ref and record.get("parent_id") is None
-                and not record.get("parent_ref")):
-            record["parent_ref"] = tracer.parent_ref
-        shard_records.append(record)
-    return shard_records
+    return [_shard_record(tracer, record, owner)
+            for record in tracer.records()]
+
+
+def _shard_record(tracer: Tracer, record: Dict[str, object],
+                  owner: Optional[str]) -> Dict[str, object]:
+    record = dict(record)
+    record["epoch_start_s"] = tracer.epoch_s + float(
+        record.pop("start_s", 0.0) or 0.0)
+    record.setdefault("trace_id", tracer.trace_id)
+    record["schema_version"] = SHARD_SCHEMA_VERSION
+    if owner and not record.get("owner"):
+        record["owner"] = owner
+    if (tracer.parent_ref and record.get("parent_id") is None
+            and not record.get("parent_ref")):
+        record["parent_ref"] = tracer.parent_ref
+    return record
 
 
 def drain_records(tracer: Tracer, *,
@@ -186,29 +188,35 @@ def adopt_exported(tracer: Tracer, records) -> None:
     tracer.adopt(_to_frame(record, tracer.epoch_s) for record in records)
 
 
-class TraceShardWriter:
-    """Crash-safe flusher of one worker's span records to its shard file.
+class TraceShardWriter(LogWriter):
+    """Appends one worker's span records to its shard file.
 
-    Every :meth:`flush` rewrites ``<store>/traces/<owner>.jsonl``
-    atomically with all records so far, so readers (and the post-run
-    merger) always see a complete prefix of the worker's trace -- a
-    SIGKILL costs only the spans since the last flush.
+    Every :meth:`flush` appends the records that arrived since the previous
+    flush -- spans the tracer closed and foreign records it adopted,
+    counted apart because :meth:`~repro.obs.trace.Tracer.records` lists own
+    spans before foreign ones -- so a flush costs its new records, not the
+    run so far, and the spans stay in the tracer.  A SIGKILL costs only the
+    spans since the last flush.  The file stays open until :meth:`close`.
     """
 
     def __init__(self, store_dir, owner: str) -> None:
+        super().__init__(Path(store_dir) / TRACE_DIR
+                         / f"{filename_safe(owner)}.jsonl")
         self.owner = owner
-        self.path = (Path(store_dir) / TRACE_DIR
-                     / f"{filename_safe(owner)}.jsonl")
+        self._spans = self._foreign = 0
 
     def flush(self, tracer: Optional[Tracer]) -> Optional[Path]:
+        """Append the records new since the last flush; ``None`` if none."""
+
         if tracer is None:
             return None
-        records = export_records(tracer, owner=self.owner)
-        if not records:
-            return None
-        text = "".join(json.dumps(record, sort_keys=True, default=str) + "\n"
-                       for record in records)
-        return atomic_write_text(self.path, text)
+        records = [item.to_dict(tracer.origin_s)
+                   for item in tracer.spans[self._spans:]]
+        records += tracer.foreign[self._foreign:]
+        self._spans, self._foreign = len(tracer.spans), len(tracer.foreign)
+        for record in records:
+            self.append(_shard_record(tracer, record, self.owner))
+        return self.path if records else None
 
 
 def _record_sort_key(record: Dict[str, object]):
@@ -223,56 +231,29 @@ def read_trace_shards(store_dir) -> Tuple[List[Dict[str, object]],
 
     Records come back in a total content ordering (start, pid, span id,
     canonical JSON), so downstream merges are independent of the shard
-    split.  Unparseable or incomplete lines are skipped: a torn *final*
-    line without a trailing newline is counted silently (it may be a live
-    writer's in-flight append -- the experiment store's tail discipline),
-    anything else warns with a :class:`~repro.dse.store.StoreCorruptionWarning`.
-    ``skips`` counts skipped lines per shard file name, mirrored into the
+    split.  Lines are read by the shared append log's rules; records
+    missing a span field, or from a future shard schema, are skipped with
+    a :class:`~repro.io.appendlog.StoreCorruptionWarning`.  ``skips``
+    counts skipped lines per shard file name, mirrored into the
     ``trace.lines_skipped`` metrics counter.
     """
 
-    from repro.dse.store import StoreCorruptionWarning
-
-    directory = Path(store_dir) / TRACE_DIR
     records: List[Dict[str, object]] = []
-    skips: Dict[str, int] = {}
-    paths = sorted(directory.glob("*.jsonl")) if directory.is_dir() else []
-    for path in paths:
-        text = path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        torn_tail = bool(lines and lines[-1].strip())
-        if lines and not lines[-1].strip():
-            lines.pop()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            reason = None
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                reason = f"invalid JSON ({exc})"
-                record = None
-            if reason is None:
-                if not isinstance(record, dict) or any(
-                        key not in record for key in _REQUIRED_KEYS):
-                    reason = "not a trace-shard span record"
-                elif int(record.get("schema_version") or 0) \
-                        > SHARD_SCHEMA_VERSION:
-                    reason = (f"schema_version "
-                              f"{record['schema_version']} is newer than "
-                              f"this reader ({SHARD_SCHEMA_VERSION})")
-            if reason is None:
-                records.append(record)
-                continue
-            skips[path.name] = skips.get(path.name, 0) + 1
-            registry().counter("trace.lines_skipped").inc()
-            if not (torn_tail and lineno == len(lines)):
-                warnings.warn(f"trace shards: skipping "
-                              f"{path.name}:{lineno}: {reason}",
-                              StoreCorruptionWarning, stacklevel=3)
+
+    def take(name: str, lineno: int, record: Dict[str, object]) -> Optional[str]:
+        if any(key not in record for key in _REQUIRED_KEYS):
+            return "not a trace-shard span record"
+        if int(record.get("schema_version") or 0) > SHARD_SCHEMA_VERSION:
+            return (f"schema_version {record['schema_version']} is newer "
+                    f"than this reader ({SHARD_SCHEMA_VERSION})")
+        records.append(record)
+        return None
+
+    reader = LogReader(Path(store_dir) / TRACE_DIR, take,
+                       counter="trace.lines_skipped")
+    reader.poll()
     records.sort(key=_record_sort_key)
-    return records, skips
+    return records, reader.skip_counts()
 
 
 def _merge_info(records, skips,

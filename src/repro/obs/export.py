@@ -28,18 +28,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import socket
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.io.appendlog import atomic_write_text
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.trace import Tracer
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "atomic_write_text",
     "chrome_trace",
     "config_fingerprint",
     "filename_safe",
@@ -195,27 +194,6 @@ def run_manifest(tracer: Tracer, *,
     return manifest
 
 
-def atomic_write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path`` via a temp file and ``os.replace``.
-
-    A reader (or a crash mid-write) never observes a half-written file:
-    either the old content is still there or the new content is complete.
-    The ``--trace`` flush-on-failure path depends on this -- a command
-    that raises still leaves every trace artefact readable.
-    """
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        scratch.write_text(text)
-        os.replace(scratch, path)
-    finally:
-        if scratch.exists():  # replace failed; don't litter
-            scratch.unlink()
-    return path
-
-
 def filename_safe(name: str) -> str:
     """``name`` with every character outside ASCII ``[A-Za-z0-9._-]``
     replaced by ``_``.
@@ -236,8 +214,9 @@ def write_trace(path, tracer: Tracer, *,
 
     ``out.json`` gets the Chrome trace; the span JSONL and the manifest go
     to ``out.spans.jsonl`` and ``out.manifest.json`` beside it.  Every
-    file lands through :func:`atomic_write_text`, so a crashed run's
-    partial trace is always a *valid* trace of the spans that finished.
+    file lands through :func:`~repro.io.appendlog.atomic_write_text`, so
+    a crashed run's partial trace is always a *valid* trace of the spans
+    that finished (the ``--trace`` flush-on-failure path depends on it).
     """
 
     path = Path(path)

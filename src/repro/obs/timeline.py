@@ -7,10 +7,10 @@ happened"; a live fleet needs "how much is happening *now*" -- so this
 module turns the same event logs into fixed-width time-series buckets:
 
 * :class:`TelemetryReader` -- an incremental, O(new-rows) reader over the
-  telemetry directory, the same stat-skip / byte-offset / rescan-on-shrink
-  discipline as :meth:`repro.dse.store.ExperimentStore.reload`.  Rotated
-  segments and compacted summary rows (see
-  :class:`repro.dse.dispatch.WorkerTelemetry`) are read transparently.
+  telemetry directory through the shared append log
+  (:mod:`repro.io.appendlog`).  Rotated segments and compacted summary
+  rows (see :class:`repro.dse.dispatch.WorkerTelemetry`) are read
+  transparently; :func:`fold_event` is the one fold of their events.
 * :func:`fold_timeline` -- deterministic aggregation of an event list into
   per-worker and fleet-wide bucket series (points, wall_s, claims, losses,
   heartbeats, cache hits/misses).  Same events in, byte-identical series
@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.io.appendlog import LogReader
 from repro.obs.trace import span
 
 __all__ = [
@@ -63,9 +65,18 @@ DEFAULT_MAD_K = 3.0
 #: lease expires and the reclaim machinery kicks in.
 DEFAULT_STALL_FRACTION = 0.5
 
-#: Fields accumulated per bucket (all integers except wall_s).
+#: Fields of a published bucket (all integers except wall_s).
 _BUCKET_FIELDS = ("points", "replayed", "wall_s", "claims", "renews",
                   "losses", "done", "cache_hits", "cache_misses")
+
+#: Zeroed :func:`fold_event` totals, named as in a compacted ``summary``
+#: row (``renews``/``lost`` stay, so older builds' ``seg0`` files read).
+ZERO_TOTALS = {"claims": 0, "renews": 0, "lost": 0, "done": 0, "points": 0,
+               "replayed": 0, "wall_s": 0.0}
+
+#: The counter each telemetry event kind increments.
+_EVENT_COUNTERS = {"claim": "claims", "renew": "renews",
+                   "lease_lost": "lost", "done": "done"}
 
 
 def _event_sort_key(record: Dict[str, object]) -> Tuple:
@@ -83,185 +94,158 @@ def _event_sort_key(record: Dict[str, object]) -> Tuple:
             json.dumps(record, sort_keys=True, default=str))
 
 
+def parse_segment(name: str) -> Optional[Tuple[str, int]]:
+    """``(stem, k)`` when ``name`` is a rotated ``<stem>.seg<k>.jsonl``
+    (``k == 0``: the compacted summary segment)."""
+
+    stem, dot, segment = name[:-len(".jsonl")].rpartition(".")
+    if (name.endswith(".jsonl") and dot and segment.startswith("seg")
+            and segment[len("seg"):].isdigit()):
+        return stem, int(segment[len("seg"):])
+    return None
+
+
 class TelemetryReader:
     """Incremental reader of ``<store>/telemetry/*.jsonl`` event logs.
 
-    :meth:`poll` stats every telemetry file and parses only bytes appended
-    since the previous poll (torn trailing lines are left for the next
-    poll); unchanged files are never opened.  Any shrunk or vanished file
-    -- rotation replaced the active log, compaction rewrote or deleted a
-    segment -- triggers a full rescan, which is when the
-    summary-row/segment dedup guard (``folded_through``) re-applies.  The
-    cumulative-summary segment (``*.seg0.jsonl``) is rewritten in place by
-    compaction, so any change to it also forces a rescan.
+    :meth:`poll` reads through the shared append log
+    (:class:`~repro.io.appendlog.LogReader`), which rescans once rotation
+    or compaction replaced or deleted a log.  The telemetry rule added here
+    is the ``folded_through`` guard: events of a raw segment a summary row
+    already accounts for are left out of :attr:`events`.
     """
 
     def __init__(self, store_dir) -> None:
         from repro.dse.dispatch import TELEMETRY_DIR
 
         self.directory = Path(store_dir) / TELEMETRY_DIR
-        self._events: List[Dict[str, object]] = []
-        self._offsets: Dict[str, int] = {}
-        self._sizes: Dict[str, int] = {}
-        self._summary_sigs: Dict[str, Tuple[int, int]] = {}
+        self._reader = LogReader(self.directory, self._take,
+                                 reset=self._reset)
+        # (sort key, segment of the source file, event), kept sorted.
+        self._records: List[Tuple[Tuple, Optional[Tuple[str, int]],
+                                  Dict[str, object]]] = []
+        self._folded: Dict[str, int] = {}
+        self._added = 0
 
     # ------------------------------------------------------------------ #
     @property
     def events(self) -> List[Dict[str, object]]:
         """Every ingested event, in the canonical content ordering."""
 
-        return list(self._events)
-
-    @staticmethod
-    def _is_summary_file(name: str) -> bool:
-        return name.endswith(".seg0.jsonl")
-
-    @staticmethod
-    def _segment_of(name: str) -> Optional[Tuple[str, int]]:
-        """``(stem, k)`` when ``name`` is ``<stem>.seg<k>.jsonl``."""
-
-        if not name.endswith(".jsonl"):
-            return None
-        base = name[:-len(".jsonl")]
-        stem, dot, seg = base.rpartition(".")
-        if dot and seg.startswith("seg") and seg[len("seg"):].isdigit():
-            return stem, int(seg[len("seg"):])
-        return None
+        return [record for _, segment, record in self._records
+                if segment is None
+                or not 0 < segment[1] <= self._folded.get(segment[0], 0)]
 
     def poll(self) -> int:
         """Ingest newly appended events; returns how many were added."""
 
-        if not self.directory.is_dir():
-            if self._events or self._offsets:
-                self._reset()
-            return 0
-        paths = sorted(self.directory.glob("*.jsonl"))
-        names = {path.name for path in paths}
-        if self._needs_rescan(paths, names):
-            return self._rescan(paths)
-        added = 0
-        for path in paths:
-            name = path.name
-            if self._is_summary_file(name):
-                continue  # unchanged, or the rescan above caught it
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            if size <= self._offsets.get(name, 0):
-                continue
-            added += self._consume(path, self._offsets.get(name, 0))
-        if added:
-            self._events.sort(key=_event_sort_key)
-        return added
+        self._added = 0
+        self._reader.poll()
+        if self._added:
+            self._records.sort(key=itemgetter(0))
+        return self._added
 
-    def _needs_rescan(self, paths: Sequence[Path], names) -> bool:
-        for name in self._offsets:
-            if name not in names:
-                return True
-        for path in paths:
-            name = path.name
-            try:
-                stat = path.stat()
-            except OSError:
-                return True
-            if self._is_summary_file(name):
-                sig = (stat.st_size, stat.st_mtime_ns)
-                if sig != self._summary_sigs.get(name):
-                    return True
-            elif stat.st_size < self._offsets.get(name, 0):
-                return True
-        return False
+    def _take(self, name: str, lineno: int,
+              record: Dict[str, object]) -> None:
+        segment = parse_segment(name)
+        through = record.get("folded_through")
+        if segment is not None and segment[1] == 0 and isinstance(through, int):
+            self._folded[segment[0]] = max(self._folded.get(segment[0], 0),
+                                           through)
+        self._records.append((_event_sort_key(record), segment, record))
+        self._added += 1
 
     def _reset(self) -> None:
-        self._events.clear()
-        self._offsets.clear()
-        self._sizes.clear()
-        self._summary_sigs.clear()
-
-    def _rescan(self, paths: Sequence[Path]) -> int:
-        self._reset()
-        # Summary segments first: their ``folded_through`` marker says
-        # which raw segments they already account for, so reading a
-        # summary *and* the raw segment it folded can never double count.
-        folded: Dict[str, int] = {}
-        for path in paths:
-            if not self._is_summary_file(path.name):
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            self._summary_sigs[path.name] = (stat.st_size, stat.st_mtime_ns)
-            for record in _parse_lines(path):
-                self._events.append(record)
-                through = record.get("folded_through")
-                stem = path.name[:-len(".seg0.jsonl")]
-                if isinstance(through, int):
-                    folded[stem] = max(folded.get(stem, 0), through)
-        for path in paths:
-            name = path.name
-            if self._is_summary_file(name):
-                continue
-            segment = self._segment_of(name)
-            if segment is not None and segment[1] <= folded.get(segment[0], 0):
-                continue  # already folded into the stem's summary row
-            self._consume(path, 0)
-        self._events.sort(key=_event_sort_key)
-        return len(self._events)
-
-    def _consume(self, path: Path, start: int) -> int:
-        """Parse newline-terminated records of ``path`` from byte ``start``."""
-
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(start)
-                data = handle.read()
-        except OSError:
-            return 0
-        cut = data.rfind(b"\n") + 1  # 0 when the chunk holds no newline
-        added = 0
-        for line in data[:cut].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn or garbled line: a live writer's in-flight append
-            if isinstance(record, dict):
-                self._events.append(record)
-                added += 1
-        self._offsets[path.name] = start + cut
-        return added
+        self._records.clear()
+        self._folded.clear()
 
 
-def _parse_lines(path: Path) -> List[Dict[str, object]]:
-    records: List[Dict[str, object]] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+# --------------------------------------------------------------------------- #
+# The one fold of telemetry events into totals
+# --------------------------------------------------------------------------- #
+def fold_event(row: Dict[str, object], record: Dict[str, object]) -> None:
+    """Add one telemetry event, or a compacted ``summary`` row, to ``row``.
+
+    The one fold behind compaction, ``telemetry_summary`` and the timeline:
+    :data:`ZERO_TOTALS` counts and sums, plus the worker's ``alive`` flag
+    (from its start and exit markers), ``last_event`` and latest ``t``.  A
+    summary row carries the ``alive`` and ``last_event`` of the history it
+    folded; the (ordered) live events after it refine them.
+    """
+
+    event = record.get("event")
+    if event == "summary":
+        for key in ZERO_TOTALS:
+            value = record.get(key)
+            if isinstance(value, (int, float)):
+                row[key] += value
+        if record.get("alive") is not None:
+            row["alive"] = bool(record["alive"])
+        event = record.get("last_event") or event
+    elif event in _EVENT_COUNTERS:
+        row[_EVENT_COUNTERS[event]] += 1
+        if event == "done":
+            row["points"] += int(record.get("points") or 0)
+            row["replayed"] += int(record.get("replayed") or 0)
+            row["wall_s"] += float(record.get("wall_s") or 0.0)
+    elif event in ("worker_start", "worker_exit"):
+        row["alive"] = event == "worker_start"
+    row["last_event"] = event
+    t = record.get("t")
+    if isinstance(t, (int, float)) and (row["t"] is None or t > row["t"]):
+        row["t"] = float(t)
+
+
+def fold_workers(events: Sequence[Dict[str, object]], *,
+                 now: float) -> Dict[str, Dict[str, object]]:
+    """Fold ordered telemetry events into the per-worker rows of
+    :func:`repro.dse.dispatch.telemetry_summary`, aged at ``now``."""
+
+    rows: Dict[str, Dict[str, object]] = {}
+    for record in events:
+        owner = record.get("owner")
+        if not isinstance(owner, str) or not owner:
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+        row = rows.setdefault(owner, dict(ZERO_TOTALS, alive=False,
+                                          last_event=None, t=None,
+                                          phase=None))
+        fold_event(row, record)
+        if "phase" in record:
+            phase = record["phase"]
+            row["phase"] = phase if isinstance(phase, str) else None
+        elif row["last_event"] in ("done", "lease_lost", "worker_exit"):
+            row["phase"] = None  # the work unit's span closed with it
+    workers: Dict[str, Dict[str, object]] = {}
+    for owner, row in rows.items():
+        last = row.pop("t")
+        workers[owner] = {("renewals" if key == "renews" else key): value
+                          for key, value in row.items()}
+        workers[owner]["last_seen_age_s"] = (max(0.0, now - last)
+                                             if last is not None else None)
+    return workers
 
 
 # --------------------------------------------------------------------------- #
 # Folding events into fixed-width buckets
 # --------------------------------------------------------------------------- #
 def _empty_bucket() -> Dict[str, object]:
-    bucket = {field: 0 for field in _BUCKET_FIELDS}
-    bucket["wall_s"] = 0.0
-    return bucket
+    return dict(ZERO_TOTALS, alive=None, last_event=None, t=None,
+                cache_hits=0, cache_misses=0)
+
+
+def _fold_bucket(bucket: Dict[str, object], record: Dict[str, object]) -> None:
+    fold_event(bucket, record)
+    counters = record.get("counters")
+    if record.get("event") == "done" and isinstance(counters, dict):
+        bucket["cache_hits"] += int(counters.get("cache.hits") or 0)
+        bucket["cache_misses"] += int(counters.get("cache.misses") or 0)
+
+
+def _published(bucket: Dict[str, object]) -> Dict[str, object]:
+    """A bucket under its published field names (``losses``, not ``lost``)."""
+
+    return {field: bucket["lost" if field == "losses" else field]
+            for field in _BUCKET_FIELDS}
 
 
 def fold_timeline(events: Sequence[Dict[str, object]], *,
@@ -329,17 +313,8 @@ def fold_timeline(events: Sequence[Dict[str, object]], *,
         for record in stamped:
             owner = record["owner"]
             if record.get("event") == "summary":
-                totals = compacted.setdefault(owner, _empty_bucket())
-                for field, key in (("points", "points"),
-                                   ("replayed", "replayed"),
-                                   ("wall_s", "wall_s"),
-                                   ("claims", "claims"),
-                                   ("renews", "renews"),
-                                   ("losses", "lost"),
-                                   ("done", "done")):
-                    value = record.get(key)
-                    if isinstance(value, (int, float)):
-                        totals[field] += value
+                fold_event(compacted.setdefault(owner, _empty_bucket()),
+                           record)
                 continue
             index = math.floor((float(record["t"]) - origin) / bucket_s)
             if not 0 <= index < count:
@@ -347,32 +322,14 @@ def fold_timeline(events: Sequence[Dict[str, object]], *,
             series = workers.setdefault(
                 owner, [_empty_bucket() for _ in range(count)])
             for bucket in (series[index], fleet[index]):
-                _fold_event(bucket, record)
-        timeline["fleet"] = fleet
-        timeline["workers"] = {owner: workers[owner]
+                _fold_bucket(bucket, record)
+        timeline["fleet"] = [_published(bucket) for bucket in fleet]
+        timeline["workers"] = {owner: [_published(bucket)
+                                       for bucket in workers[owner]]
                                for owner in sorted(workers)}
-        timeline["compacted"] = {owner: compacted[owner]
+        timeline["compacted"] = {owner: _published(compacted[owner])
                                  for owner in sorted(compacted)}
         return timeline
-
-
-def _fold_event(bucket: Dict[str, object], record: Dict[str, object]) -> None:
-    event = record.get("event")
-    if event == "claim":
-        bucket["claims"] += 1
-    elif event == "renew":
-        bucket["renews"] += 1
-    elif event == "lease_lost":
-        bucket["losses"] += 1
-    elif event == "done":
-        bucket["done"] += 1
-        bucket["points"] += int(record.get("points") or 0)
-        bucket["replayed"] += int(record.get("replayed") or 0)
-        bucket["wall_s"] += float(record.get("wall_s") or 0.0)
-        counters = record.get("counters")
-        if isinstance(counters, dict):
-            bucket["cache_hits"] += int(counters.get("cache.hits") or 0)
-            bucket["cache_misses"] += int(counters.get("cache.misses") or 0)
 
 
 def rolling_rates(timeline: Dict[str, object], *,
@@ -463,9 +420,9 @@ class FleetMonitor:
     """Incremental fleet snapshots of one dispatched store directory.
 
     Owns the persistent pieces a live dashboard needs -- the incremental
-    :class:`TelemetryReader` and an open experiment-store view refreshed
-    with the O(new-rows) ``reload()`` -- so each :meth:`snapshot` tick
-    costs new rows, not a directory re-parse.  Works on any dispatched
+    :class:`TelemetryReader` and a
+    :class:`~repro.dse.dispatch.StoreProgress` store view -- so each
+    :meth:`snapshot` tick costs new rows, not a directory re-parse.  Works on any dispatched
     store from the outside (manifest + ledgers + telemetry), no
     :class:`~repro.dse.dispatch.Dispatcher` object required, so ``dse
     top`` can watch a fleet some other process (or machine) launched.
@@ -482,7 +439,12 @@ class FleetMonitor:
                  k: float = DEFAULT_MAD_K,
                  stall_fraction: float = DEFAULT_STALL_FRACTION,
                  clock=None) -> None:
-        from repro.dse.dispatch import DEFAULT_TTL_S, LeaseClock, read_manifest
+        from repro.dse.dispatch import (
+            DEFAULT_TTL_S,
+            LeaseClock,
+            StoreProgress,
+            read_manifest,
+        )
 
         self.store_dir = Path(store_dir)
         self.bucket_s = float(bucket_s)
@@ -502,54 +464,34 @@ class FleetMonitor:
             self.ttl_s = float(self.manifest.get("ttl_s", DEFAULT_TTL_S))
         else:
             self.ttl_s = DEFAULT_TTL_S
-        self._store = None
+        self._store_progress = StoreProgress(self.store_dir)
 
     def _progress(self) -> Dict[str, object]:
         """Dispatcher-style progress from the store's own records."""
 
-        from repro.dse.dispatch import ShardLedger, estimate_eta_s
+        from repro.dse.dispatch import ShardLedger
         from repro.dse.space import DesignSpace
-        from repro.dse.store import ExperimentStore
 
-        progress: Dict[str, object] = {}
+        total = shards = None
+        if self.manifest is not None:
+            total = DesignSpace.from_dict(self.manifest["space"]).size
+            if self.manifest.get("mode", "shards") == "shards":
+                shards = ShardLedger.for_store(
+                    self.store_dir, self.manifest["shards"], ttl_s=self.ttl_s,
+                    clock=self.clock).status_counts()
         try:
-            if self._store is None:
-                self._store = ExperimentStore(self.store_dir)
-            else:
-                self._store.reload()
+            return self._store_progress.snapshot(total, shards=shards)
         except (OSError, ValueError):
-            return progress
-        progress["points_done"] = len(self._store)
-        if self.manifest is None:
-            return progress
-        space = DesignSpace.from_dict(self.manifest["space"])
-        total = space.size
-        pending = max(0, total - len(self._store))
-        progress["points_total"] = total
-        progress["points_pending"] = pending
-        active = 1
-        if self.manifest.get("mode", "shards") == "shards":
-            ledger = ShardLedger.for_store(self.store_dir,
-                                           self.manifest["shards"],
-                                           ttl_s=self.ttl_s,
-                                           clock=self.clock)
-            counts = ledger.status_counts()
-            progress["shards"] = counts
-            active = max(1, counts["active"])
-        progress["eta_s"] = estimate_eta_s(pending,
-                                           self._store.wall_timings(), active)
-        return progress
+            return {}
 
     def snapshot(self) -> Dict[str, object]:
         """Poll everything and assemble one :func:`render_top` snapshot."""
 
-        from repro.dse.dispatch import telemetry_summary
-
         self.reader.poll()
         now = self.clock.now()
-        timeline = fold_timeline(self.reader.events, bucket_s=self.bucket_s,
-                                 until_t=now)
-        workers = telemetry_summary(self.store_dir, now=now)
+        events = self.reader.events
+        timeline = fold_timeline(events, bucket_s=self.bucket_s, until_t=now)
+        workers = fold_workers(events, now=now)
         stragglers = detect_stragglers(workers, ttl_s=self.ttl_s,
                                        timeline=timeline, window=self.window,
                                        k=self.k,
@@ -564,9 +506,7 @@ class FleetMonitor:
         }
 
     def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-            self._store = None
+        self._store_progress.close()
 
 
 # --------------------------------------------------------------------------- #

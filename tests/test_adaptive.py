@@ -470,6 +470,7 @@ class TestIncrementalReload:
         store.add(self._row("aa"))
         bytes_before = store.scan_stats["bytes_read"]
         store.reload()
+        store.close()
         assert store.scan_stats["bytes_read"] == bytes_before
         assert "aa" in store
 

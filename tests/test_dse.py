@@ -443,6 +443,7 @@ class TestResumeAndShard:
         runner = DSERunner(mini_space, store=resumed_store,
                            circuits=mini_circuits)
         resumed = runner.evaluate_space()
+        resumed_store.close()
         assert runner.stats == {"evaluated": 5, "reused": 3, "skipped": 0}
 
         # Bit-identical to the one-shot run: same record rows in order, and

@@ -407,6 +407,7 @@ class TestWorkerTelemetry:
         if exit_marker:
             fake.t += 1.0
             telemetry.emit("worker_exit", completed=1, lost=0)
+        telemetry.close()
         return telemetry
 
     def test_events_land_in_the_telemetry_subdir(self, tmp_path):

@@ -22,7 +22,12 @@ import pytest
 
 from repro.cli import main
 from repro.dse import DesignSpace, Dispatcher
-from repro.dse.dispatch import WorkerTelemetry, run_worker, telemetry_summary
+from repro.dse.dispatch import (
+    WorkerTelemetry,
+    read_telemetry,
+    run_worker,
+    telemetry_summary,
+)
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs import (
     SHARD_SCHEMA_VERSION,
@@ -191,6 +196,7 @@ class TestTraceShards:
         _make_spans(tracer)
         writer = TraceShardWriter(tmp_path, "worker/0")
         path = writer.flush(tracer)
+        writer.close()
         assert path == tmp_path / TRACE_DIR / "worker_0.jsonl"
         records, skips = read_trace_shards(tmp_path)
         assert skips == {}
@@ -203,6 +209,36 @@ class TestTraceShards:
         telemetry = WorkerTelemetry(tmp_path, owner)
         shard = TraceShardWriter(tmp_path, owner)
         assert telemetry.path.name == shard.path.name == "h_st-pid7.jsonl"
+
+    @staticmethod
+    def _appended_by_second_flush(store, first, more=3):
+        tracer = enable_tracing()
+        writer = TraceShardWriter(store, "w0")
+        try:
+            for _ in range(first):
+                with span("sweep.task"):
+                    pass
+            path = writer.flush(tracer)
+            before, inode = path.read_bytes(), path.stat().st_ino
+            for _ in range(more):
+                with span("sweep.task"):
+                    pass
+            writer.flush(tracer)
+            after = path.read_bytes()
+            assert path.stat().st_ino == inode  # appended, not replaced
+            assert after[:len(before)] == before
+            assert len(tracer.spans) == first + more  # spans stay put
+        finally:
+            writer.close()
+        return [json.loads(line)["span_id"]
+                for line in after[len(before):].splitlines()]
+
+    def test_flush_appends_only_the_new_spans(self, tmp_path):
+        # Per-flush cost is constant in run length: the second flush adds
+        # exactly the spans closed since the first, however many came before.
+        assert self._appended_by_second_flush(tmp_path / "a", 2) == [3, 4, 5]
+        assert self._appended_by_second_flush(tmp_path / "b", 200) == \
+            [201, 202, 203]
 
     def test_flush_none_and_empty_are_noops(self, tmp_path):
         writer = TraceShardWriter(tmp_path, "w0")
@@ -327,6 +363,32 @@ class TestShardCorruption:
             records, skips = read_trace_shards(tmp_path)
         assert len(records) == 1
         assert skips == {"w0.jsonl": 1}
+
+    @pytest.mark.parametrize("entry", ["read_trace_shards", "read_telemetry",
+                                       "telemetry_summary"])
+    def test_binary_torn_line_is_skipped(self, tmp_path, entry):
+        # A partial binary copy leaves invalid UTF-8 mid-file: the line is
+        # skipped and the records on both sides still read.
+        if entry == "read_trace_shards":
+            path, records = tmp_path / TRACE_DIR / "w0.jsonl", FLEET_RECORDS[:2]
+        else:
+            path = tmp_path / "telemetry" / "w0.jsonl"
+            records = [{"t": float(t), "owner": "w0", "event": "claim",
+                        "work": f"s{t}"} for t in (1, 2)]
+        path.parent.mkdir(parents=True)
+        path.write_bytes(json.dumps(records[0]).encode() + b"\n"
+                         + b"\xff\xfe\x00garbage\n"
+                         + json.dumps(records[1]).encode() + b"\n")
+        with pytest.warns(StoreCorruptionWarning, match="w0.jsonl:2"):
+            if entry == "read_trace_shards":
+                spans, skips = read_trace_shards(tmp_path)
+                assert skips == {"w0.jsonl": 1}
+                count = len(spans)
+            elif entry == "read_telemetry":
+                count = len(read_telemetry(tmp_path))
+            else:
+                count = telemetry_summary(tmp_path)["w0"]["claims"]
+        assert count == 2
 
     def test_torn_store_still_merges_and_profiles(self, tmp_path):
         _write_shard(tmp_path, "w0.jsonl", FLEET_RECORDS)
@@ -472,6 +534,7 @@ class TestLivePhase:
         row = telemetry_summary(tmp_path)["w0"]
         assert row["phase"] == "dse.shard"
         telemetry.emit("done", work="shard-0")
+        telemetry.close()
         row = telemetry_summary(tmp_path)["w0"]
         assert row["phase"] is None  # the work unit's span closed with it
 

@@ -63,6 +63,8 @@ def synthetic_fleet(tmp_path, *, workers=3, rounds=4, clock=None,
             log.emit("done", work=f"s{round_index}-{worker_index}",
                      points=4 + worker_index, replayed=1, wall_s=2.0,
                      counters={"cache.hits": 3, "cache.misses": 1})
+    for log in logs:
+        log.close()
     return clock
 
 
@@ -133,6 +135,7 @@ class TestTimelineDeterminism:
         for i in range(12):
             clock_a.advance(1.0)
             log.emit("done", work=f"s{i}", points=2, replayed=0, wall_s=1.0)
+        log.close()
 
         clock_b = FakeClock()
         b_dir = tmp_path / "many"
@@ -144,6 +147,8 @@ class TestTimelineDeterminism:
             clock_b.advance(1.0)
             logs[i % 4].emit("done", work=f"s{i}", points=2, replayed=0,
                              wall_s=1.0)
+        for log in logs:
+            log.close()
         fold_a = fold_timeline(read_telemetry(a_dir), bucket_s=5.0)
         fold_b = fold_timeline(read_telemetry(b_dir), bucket_s=5.0)
         assert json.dumps(fold_a, sort_keys=True) == \
@@ -179,6 +184,7 @@ class TestTelemetryReader:
         for i in range(5):
             clock.advance(1.0)
             log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.5)
+        log.close()
         assert reader.poll() == 5
         assert reader.poll() == 0  # nothing new: stat-skip path
         expected = read_telemetry(tmp_path)
@@ -189,6 +195,7 @@ class TestTelemetryReader:
         clock = FakeClock()
         log = WorkerTelemetry(tmp_path, "w0", clock=clock)
         log.emit("worker_start", pid=1)
+        log.close()
         reader = TelemetryReader(tmp_path)
         assert reader.poll() == 1
         # A live writer's partial append: no trailing newline yet.
@@ -210,6 +217,7 @@ class TestTelemetryReader:
             clock.advance(1.0)
             log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.5)
             reader.poll()
+        log.close()
         timeline = fold_timeline(reader.events, bucket_s=5.0)
         live = sum(b["points"] for b in timeline["fleet"])
         folded = sum(t["points"] for t in timeline["compacted"].values())
@@ -218,6 +226,28 @@ class TestTelemetryReader:
         fresh = fold_timeline(read_telemetry(tmp_path), bucket_s=5.0)
         assert sum(b["points"] for b in fresh["fleet"]) + \
             sum(t["points"] for t in fresh["compacted"].values()) == 30
+
+    def test_rotation_between_polls_is_read_once(self, tmp_path):
+        # The rotated-out log reappears as seg1 while the new active file
+        # has already grown past the old offset: the reader must notice
+        # the rename (new inode) and rescan, not re-read seg1 from byte 0.
+        clock = FakeClock(0.0)
+        reader = TelemetryReader(tmp_path)
+        log = WorkerTelemetry(tmp_path, "w0", clock=clock, max_bytes=600,
+                              keep_segments=50)
+        try:
+            for i in range(18):
+                clock.advance(1.0)
+                log.emit("claim", work=f"s{i}")
+                if i == 3:
+                    reader.poll()
+            reader.poll()
+            assert (tmp_path / "telemetry" / "w0.seg1.jsonl").exists()
+            assert [event["t"] for event in reader.events] == \
+                [float(t) for t in range(1, 19)]
+            assert reader.events == read_telemetry(tmp_path)
+        finally:
+            log.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -233,6 +263,7 @@ class TestRotationCompaction:
             clock.advance(1.0)
             log.emit("done", work=f"s{i}", points=3, replayed=1, wall_s=1.0)
         log.emit("worker_exit", completed=40, lost=0, counters={})
+        log.close()
         summary = telemetry_summary(tmp_path, now=clock.now())
         row = summary["w0"]
         assert row["claims"] == 40
@@ -254,6 +285,7 @@ class TestRotationCompaction:
         for i in range(30):
             clock.advance(1.0)
             log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.1)
+        log.close()
         summary_row = [r for r in read_telemetry(tmp_path)
                        if r.get("event") == "summary"]
         assert summary_row, "compaction should have produced a summary"
@@ -271,6 +303,7 @@ class TestRotationCompaction:
         for i in range(50):
             clock.advance(1.0)
             log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.1)
+        log.close()
         names = [p.name for p in (tmp_path / "telemetry").iterdir()]
         assert names == ["w0.jsonl"]
 
@@ -306,6 +339,8 @@ class TestStragglerDetection:
                 points = 1 if worker_index == 3 else 20
                 log.emit("done", work=f"s{round_index}", points=points,
                          replayed=0, wall_s=1.0)
+        for log in logs:
+            log.close()
         timeline = fold_timeline(read_telemetry(tmp_path), bucket_s=5.0,
                                  until_t=clock.now())
         workers = {f"w{i}": {"alive": True, "last_seen_age_s": 0.0}
@@ -356,6 +391,7 @@ class TestFleetMonitor:
         log.emit("worker_start", pid=1)
         clock.advance(1.0)
         log.emit("claim", work="s0")
+        log.close()
         monitor = FleetMonitor(tmp_path, ttl_s=10.0, clock=clock)
         try:
             assert monitor.snapshot()["stragglers"] == {}
