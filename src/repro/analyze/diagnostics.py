@@ -49,7 +49,7 @@ CHECKS: Dict[str, Tuple[str, str, str]] = {
               "operation's qubit operands, or an op references an unplaced "
               "ion"),
     "QV006": ("dependency-coverage", "error",
-              "op ids are not dense, a dependency is out of range, or two "
+              "a dependency is out of range, or two "
               "ops touching the same ion have no happens-before path "
               "through dependencies and shared resources (the sim/batch "
               "lowering would misorder them)"),

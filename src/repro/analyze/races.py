@@ -29,8 +29,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.diagnostics import Report, diag
+from repro.isa.operations import JUNCTION, MOVE
 from repro.isa.program import QCCDProgram
-from repro.sim.lower import JUNCTION, MOVE, Predecessors, lower
+from repro.sim.lower import Predecessors, lower
 
 
 def detect_races(program: QCCDProgram, *,

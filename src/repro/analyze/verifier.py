@@ -23,7 +23,8 @@ emitting -- and checks the paper's legality rules op by op (checks ``QV001``
   split sides / IS-hop adjacency equal what the replayed chain shows -- the
   simulator's performance and noise models read these without re-deriving
   chain contents, so a wrong annotation silently corrupts results.
-* **Dependency coverage.**  Op ids are dense, dependencies are in range, and
+* **Dependency coverage.**  Dependencies are in range (op ids are dense by
+  construction: an op's id is its record's position), and
   consecutive ops touching the same ion are ordered by a happens-before path
   through dependencies and shared-resource chains -- the merged predecessor
   relation of the simulator's lowering (:mod:`repro.sim.lower`), so a
@@ -35,7 +36,9 @@ emitting -- and checks the paper's legality rules op by op (checks ``QV001``
 
 The replay runs in one pass over the op stream (chains are bounded by trap
 capacity, so per-op work is O(capacity)); it is cheap enough to run on every
-compile under ``--check``.
+compile under ``--check``.  It reads ``program.operations``; the structural
+subset behind :func:`quick_validate` and the dependency-coverage check read
+the op records and build no operation objects.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from repro.isa.operations import (
     MoveOp,
     SplitOp,
     SwapGateOp,
+    record_ions,
 )
 from repro.isa.program import QCCDProgram
 from repro.sim.lower import lower
@@ -134,8 +138,9 @@ def quick_validate(program: QCCDProgram) -> Report:
     """The cheap structural subset behind :meth:`QCCDProgram.validate`.
 
     Covers referenced-ion existence, placement self-consistency and
-    dependency-range/density -- the checks every compile pays for; the full
-    replay stays behind :func:`verify_program` / ``--check``.
+    dependency ranges -- the checks every compile pays for, all read from
+    the op records; the full replay stays behind :func:`verify_program` /
+    ``--check``.
     """
 
     report = Report()
@@ -184,27 +189,21 @@ def _check_placement(program: QCCDProgram,
                 hint="every program qubit needs a placed ion"))
 
     placed = set(seen)
-    for op in program.operations:
-        for ion in _op_ions(op):
+    for index, record in enumerate(program.records):
+        for ion in record_ions(record):
             if ion not in placed:
                 # Message kept compatible with the historical
                 # QCCDProgram.validate() wording.
                 report.add(diag(
-                    "QV005", f"op {op.op_id} references unknown ion {ion}",
-                    location=_op_location(op.op_id),
+                    "QV005", f"op {index} references unknown ion {ion}",
+                    location=_op_location(index),
                     hint="the operation uses an ion the initial placement "
                          "never loaded"))
 
 
 def _check_structure(program: QCCDProgram, report: Report) -> None:
-    for index, op in enumerate(program.operations):
-        if op.op_id != index:
-            report.add(diag(
-                "QV006", f"operation at position {index} has op_id "
-                         f"{op.op_id}; ids must be dense",
-                location=_op_location(op.op_id),
-                hint="renumber the operation stream 0..n-1"))
-        for dep in op.dependencies:
+    for index, record in enumerate(program.records):
+        for dep in record[1]:
             if dep < 0 or dep >= index:
                 report.add(diag(
                     "QV006", f"op {index} depends on {dep}, which is not an "
@@ -212,14 +211,6 @@ def _check_structure(program: QCCDProgram, report: Report) -> None:
                     location=_op_location(index),
                     hint="dependencies must reference earlier ops (this also "
                          "guarantees the DAG is acyclic)"))
-
-
-def _op_ions(op) -> Tuple[int, ...]:
-    ions = getattr(op, "ions", None)
-    if ions is not None:
-        return tuple(ions)
-    ion = getattr(op, "ion", None)
-    return (ion,) if ion is not None else ()
 
 
 # --------------------------------------------------------------------------- #
@@ -578,8 +569,8 @@ def _check_dependency_coverage(program: QCCDProgram, report: Report) -> None:
     merged = [(preds,) if preds.__class__ is int else preds
               for preds in lower(program).preds]
     last_for_ion: Dict[int, int] = {}
-    for index, op in enumerate(program.operations):
-        ions = _op_ions(op)
+    for index, record in enumerate(program.records):
+        ions = record_ions(record)
         for ion in ions:
             prev = last_for_ion.get(ion)
             if prev is not None and prev not in merged[index] \

@@ -28,7 +28,7 @@ from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
 from repro.ir.gate import Gate, GateKind
-from repro.isa.program import QCCDProgram
+from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 
 
@@ -177,7 +177,7 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
             state.validate()
 
     program = QCCDProgram(
-        operations=builder.operations,
+        operations=OpSequence(tuple(builder.records)),
         placement=placement,
         circuit_name=circuit.name,
         device_name=device.name,

@@ -23,17 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, Iterable, List
 
-from repro.isa.operations import (
-    GateOp,
-    IonSwapOp,
-    JunctionCrossOp,
-    MeasureOp,
-    MergeOp,
-    MoveOp,
-    OpKind,
-    SplitOp,
-    SwapGateOp,
-)
+from repro.isa.operations import KINDS, OP_CLASSES
 from repro.isa.program import InitialPlacement, QCCDProgram
 from repro.models.params import (
     FidelityParams,
@@ -141,8 +131,10 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
 
     The inverse exists for offline verification (``repro check --program``)
     and program diffing; recompiling stays the canonical way to obtain a
-    program.  Construction re-runs every ``__post_init__`` check, so a
-    hand-edited payload fails here before the verifier ever sees it.
+    program.  Construction re-runs every ``__post_init__`` check, and each
+    entry's ``kind`` tag must match the op its fields build (a ``gate_1q``
+    entry with two ions is refused) as must a declared ``num_operations``,
+    so a hand-edited payload fails here before the verifier ever sees it.
     """
 
     check_schema_version(payload, source="program payload")
@@ -155,8 +147,13 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
         trap_chains={trap: tuple(chain)
                      for trap, chain in placement_payload["trap_chains"].items()},
     )
+    entries = payload["operations"]
+    declared = payload.get("num_operations")
+    if declared is not None and declared != len(entries):
+        raise ValueError(f"program payload: num_operations is {declared} but "
+                         f"{len(entries)} operations are listed")
     operations = []
-    for entry in payload["operations"]:
+    for position, entry in enumerate(entries):
         fields = dict(entry)
         kind = fields.pop("kind")
         op_type = _OP_TYPES.get(kind)
@@ -166,7 +163,12 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
         for name in ("ions", "qubits"):
             if name in fields:
                 fields[name] = tuple(fields[name])
-        operations.append(op_type(**fields))
+        op = op_type(**fields)
+        if op.kind.value != kind:
+            raise ValueError(f"program payload: operation {position} is tagged "
+                             f"{kind!r} but its fields make it "
+                             f"{op.kind.value!r}")
+        operations.append(op)
     return QCCDProgram(
         operations=operations,
         placement=placement,
@@ -178,18 +180,8 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
 
 #: Operation kind tag -> concrete class, for :func:`program_from_dict`.
 #: ``gate_1q``/``gate_2q`` are both :class:`GateOp`; the arity is derived
-#: from the operand tuple, so the two tags share a constructor.
-_OP_TYPES = {
-    OpKind.GATE_1Q.value: GateOp,
-    OpKind.GATE_2Q.value: GateOp,
-    OpKind.SWAP_GATE.value: SwapGateOp,
-    OpKind.MEASURE.value: MeasureOp,
-    OpKind.SPLIT.value: SplitOp,
-    OpKind.MOVE.value: MoveOp,
-    OpKind.JUNCTION.value: JunctionCrossOp,
-    OpKind.MERGE.value: MergeOp,
-    OpKind.ION_SWAP.value: IonSwapOp,
-}
+#: from the operand tuple and must agree with the tag.
+_OP_TYPES = {kind.value: cls for kind, cls in zip(KINDS, OP_CLASSES)}
 
 
 # --------------------------------------------------------------------------- #

@@ -1,19 +1,36 @@
 """QCCDProgram: the compiled executable.
 
 A program is the output of :func:`repro.compiler.compile_circuit`: an ordered
-operation list with explicit dependencies, plus the initial placement of
+operation stream with explicit dependencies, plus the initial placement of
 program qubits onto physical ions and traps.  The order is a valid execution
 order (every dependency points backwards); the simulator may overlap
 operations that have no dependency and no resource conflict.
+
+The stream is stored as op records (one plain tuple per op, see
+:mod:`repro.isa.operations`) behind an :class:`OpSequence`.  The lowering,
+the structural checks and the kind counters (``len``, :meth:`count`,
+:meth:`op_counts`, :attr:`num_shuttles`, ...) read the records;
+``program.operations`` builds :class:`~repro.isa.operations.Operation`
+objects on its first read and returns the same objects afterwards.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Optional, Tuple
 
-from repro.isa.operations import OpKind, Operation
+from repro.isa.operations import (
+    CODES,
+    IS_COMM,
+    KINDS,
+    OpKind,
+    Operation,
+    op_from_record,
+    op_record,
+)
 
 
 @dataclass(frozen=True)
@@ -59,22 +76,87 @@ class InitialPlacement:
         return {trap: len(chain) for trap, chain in self.trap_chains.items()}
 
 
+class OpSequence(Sequence):
+    """A program's operations: a read-only sequence over its op records.
+
+    ``len`` and the kind histogram read the records.  Indexing or iterating
+    builds the :class:`~repro.isa.operations.Operation` objects once, on the
+    first such read, and every later read returns the same objects.
+    """
+
+    __slots__ = ("records", "_ops", "_kind_counts")
+
+    def __init__(self, records: Tuple[tuple, ...]) -> None:
+        self.records = records
+        self._ops: Optional[Tuple[Operation, ...]] = None
+        self._kind_counts: Optional[Counter] = None
+
+    def _materialised(self) -> Tuple[Operation, ...]:
+        ops = self._ops
+        if ops is None:
+            ops = self._ops = tuple(op_from_record(index, record)
+                                    for index, record in enumerate(self.records))
+        return ops
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        return self._materialised()[index]
+
+    def __iter__(self):
+        return iter(self._materialised())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OpSequence):
+            return self.records == other.records
+        return NotImplemented
+
+    def kind_counts(self) -> Counter:
+        """Ops per kind code in first-seen order, counted on first call.
+
+        The returned counter is shared; do not modify it.
+        """
+
+        counts = self._kind_counts
+        if counts is None:
+            counts = self._kind_counts = Counter(map(itemgetter(0), self.records))
+        return counts
+
+
 @dataclass
 class QCCDProgram:
-    """A compiled QCCD executable."""
+    """A compiled QCCD executable.
 
-    operations: List[Operation]
+    ``operations`` is either an :class:`OpSequence` (the compiler's route,
+    also what :func:`dataclasses.replace` passes on) or a list of
+    :class:`~repro.isa.operations.Operation` objects, whose ids must be dense
+    and which are converted to records once.  The program always holds an
+    :class:`OpSequence`.
+    """
+
+    operations: Sequence[Operation]
     placement: InitialPlacement
     circuit_name: str = "circuit"
     device_name: str = "device"
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for index, op in enumerate(self.operations):
+        operations = self.operations
+        if isinstance(operations, OpSequence):
+            return
+        for index, op in enumerate(operations):
             if op.op_id != index:
                 raise ValueError(
                     f"operation at position {index} has op_id {op.op_id}; ids must be dense"
                 )
+        self.operations = OpSequence(tuple(op_record(op) for op in operations))
+
+    @property
+    def records(self) -> Tuple[tuple, ...]:
+        """The op records, one per operation in program order."""
+
+        return self.operations.records
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -87,14 +169,15 @@ class QCCDProgram:
         return self.operations[index]
 
     def op_counts(self) -> Dict[OpKind, int]:
-        """Histogram of operation kinds."""
+        """Histogram of operation kinds, in first-seen order."""
 
-        return dict(Counter(op.kind for op in self.operations))
+        return {KINDS[code]: count
+                for code, count in self.operations.kind_counts().items()}
 
     def count(self, kind: OpKind) -> int:
         """Number of operations of a given kind."""
 
-        return sum(1 for op in self.operations if op.kind is kind)
+        return self.operations.kind_counts()[CODES[kind]]
 
     @property
     def num_two_qubit_gates(self) -> int:
@@ -113,7 +196,8 @@ class QCCDProgram:
     def num_communication_ops(self) -> int:
         """Number of operations that exist purely for communication."""
 
-        return sum(1 for op in self.operations if op.kind.is_communication)
+        return sum(count for code, count
+                   in self.operations.kind_counts().items() if IS_COMM[code])
 
     def communication_summary(self) -> Dict[str, int]:
         """Compact summary used by reports and the regression tests."""

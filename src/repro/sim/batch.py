@@ -46,6 +46,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import QCCDDevice
+from repro.isa.operations import (
+    GATE_1Q,
+    GATE_2Q,
+    IS_COMM,
+    KINDS,
+    MEASURE,
+    SWAP_GATE,
+)
 from repro.isa.program import QCCDProgram
 from repro.models.fidelity import FidelityModel
 from repro.models.gate_times import GateImplementation
@@ -53,17 +61,11 @@ from repro.models.heating import HeatingModel
 from repro.obs.trace import span
 from repro.sim.lower import (
     FID_1Q,
-    GATE_1Q,
-    GATE_2Q,
     H_JUNCTION,
     H_MERGE,
     H_MOVE,
     H_SPLIT,
-    IS_COMM,
-    KINDS,
-    MEASURE,
     MS_PER_SWAP,
-    SWAP_GATE,
     lower,
 )
 from repro.sim.results import OperationRecord, SimulationResult
@@ -73,7 +75,7 @@ from repro.sim.results import OperationRecord, SimulationResult
 class _Timeline:
     """Finish times and derived timing metrics of one duration vector."""
 
-    finish: List[float]
+    finish: Tuple[float, ...]
     makespan: float
     computation_time: float
     communication_time: float
@@ -85,7 +87,7 @@ class _Timeline:
 class _Trajectory:
     """Heating state shared by every variant with the same heating constants."""
 
-    gate_energies: List[float]
+    gate_energies: Tuple[float, ...]
     final_trap_energies: Dict[str, float]
     peak_occupancy: Dict[str, int]
     max_energy: float
@@ -95,7 +97,7 @@ class BatchPlan:
     """The lowered program plus the memo layers shared across variants.
 
     Built once per program (and cached on it, keyed by the identity of the
-    operation list like the lowering), then reused by every simulation:
+    record tuple like the lowering), then reused by every simulation:
 
     * duration vectors per (gate, shuttle, single-qubit) parameter slot;
     * timelines per distinct duration vector (:meth:`timeline_for`);
@@ -108,12 +110,13 @@ class BatchPlan:
     """
 
     def __init__(self, program: QCCDProgram) -> None:
-        self.operations = program.operations
+        self.records = program.records
         self.lowered = lower(program)
         self.num_ops = len(self.lowered)
 
         #: (gate, shuttle, single_qubit) -> (durations, timeline)
-        self._duration_slots: Dict[Tuple, Tuple[List[float], _Timeline]] = {}
+        self._duration_slots: Dict[Tuple, Tuple[Tuple[float, ...],
+                                                _Timeline]] = {}
         #: duration tuple -> _Timeline (content-keyed: equal vectors dedup).
         self._timelines: Dict[Tuple[float, ...], _Timeline] = {}
         #: (k1, k2, k_junction, trap names) -> _Trajectory
@@ -197,7 +200,7 @@ class BatchPlan:
                 total += durations[index]
             trap_comm_busy[name] = total
 
-        timeline = _Timeline(finish, makespan, computation_time,
+        timeline = _Timeline(tuple(finish), makespan, computation_time,
                              communication_time, trap_gate_busy, trap_comm_busy)
         self._timelines[key] = timeline
         return timeline
@@ -272,8 +275,8 @@ class BatchPlan:
                 if merged > max_energy:
                     max_energy = merged
 
-        trajectory = _Trajectory(gate_energies, trap_energy, peak_occupancy,
-                                 max_energy)
+        trajectory = _Trajectory(tuple(gate_energies), trap_energy,
+                                 peak_occupancy, max_energy)
         self._trajectories[key] = trajectory
         return trajectory
 
@@ -293,7 +296,7 @@ def batch_plan(program: QCCDProgram) -> BatchPlan:
     """The program's batch plan, built on first use and cached on it."""
 
     plan = getattr(program, "_batch_plan", None)
-    if plan is not None and plan.operations is program.operations:
+    if plan is not None and plan.records is program.records:
         return plan
     plan = BatchPlan(program)
     program._batch_plan = plan
@@ -445,7 +448,7 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         log_fidelity=log_fid,
         computation_time=computation_time,
         communication_time=communication_time,
-        op_counts=dict(plan.lowered.op_counts),
+        op_counts=program.op_counts(),
         mean_background_error=background_total / num_ms if num_ms else 0.0,
         mean_motional_error=motional_total / num_ms if num_ms else 0.0,
         total_background_error=background_total,
@@ -453,7 +456,7 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         max_motional_energy=trajectory.max_energy,
         final_trap_energies=dict(trajectory.final_trap_energies),
         peak_occupancy=dict(trajectory.peak_occupancy),
-        num_shuttles=plan.lowered.num_shuttles,
+        num_shuttles=program.num_shuttles,
         num_ms_gates=num_ms,
         trap_gate_busy_time=dict(timeline.trap_gate_busy),
         trap_comm_busy_time=dict(timeline.trap_comm_busy),
@@ -475,7 +478,7 @@ def _simulate_specs(program: QCCDProgram, specs: Sequence[Tuple],
     """
 
     had_plan = getattr(program, "_batch_plan", None) is not None and \
-        program._batch_plan.operations is program.operations
+        program._batch_plan.records is program.records
     with span("sim.batch.plan", reused=had_plan,
               circuit=program.circuit_name):
         plan = batch_plan(program)

@@ -4,10 +4,13 @@ The simulator (:mod:`repro.sim.batch`), the race detector
 (:mod:`repro.analyze.races`) and the program verifier
 (:mod:`repro.analyze.verifier`) all read a compiled
 :class:`~repro.isa.program.QCCDProgram` through the same
-:class:`LoweredProgram`, built by a single pass over ``program.operations``
-and cached on the program (:func:`lower`).  Per operation ``i`` it holds:
+:class:`LoweredProgram`, built by a single pass over the program's op
+records (``program.records``, see :mod:`repro.isa.operations`) and cached on
+the program (:func:`lower`).  No :class:`~repro.isa.operations.Operation`
+object is built.  Per operation ``i`` it holds:
 
-* ``codes[i]`` -- an integer kind code (index into :data:`KINDS`);
+* ``codes[i]`` -- the integer kind code (index into
+  :data:`~repro.isa.operations.KINDS`);
 * ``resources[i]`` -- the interned id of the one exclusive resource (trap,
   segment or junction) the op claims; ``resource_names[rid]`` names it;
 * ``preds[i]`` -- the **merged predecessors**: the op's dependencies plus,
@@ -31,8 +34,13 @@ the busy-time accounting:
   energy), else a tuple tagged :data:`H_SPLIT` .. :data:`H_ION_SWAP`;
 * ``busy_ops[name]`` -- ``(gate op ids, communication op ids)`` claiming
   the named resource, in program order (the per-trap busy-time
-  accounting);
-* ``op_counts`` (in first-seen kind order) and ``num_shuttles``.
+  accounting).
+
+Every per-op sequence is a tuple of atomic values (ints, strings, floats
+and tuples of those), as is each :meth:`LoweredProgram.durations` vector.
+CPython's cyclic collector stops tracking such a tuple once a collection
+finds everything in it untracked (a nested tuple may take one pass per
+level), whereas it walks a list item by item on every full collection.
 
 :meth:`LoweredProgram.durations` prices the duration vector of one
 ``(gate implementation, physical model)`` pair from the slot keys.
@@ -40,34 +48,24 @@ the busy-time accounting:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Dict, List, Tuple, Union
 
 from repro.isa.operations import (
-    GateOp,
-    IonSwapOp,
-    JunctionCrossOp,
-    MeasureOp,
-    MergeOp,
-    MoveOp,
-    OpKind,
-    SplitOp,
+    GATE_1Q,
+    GATE_2Q,
+    ION_SWAP,
+    IS_COMM,
+    JUNCTION,
+    MEASURE,
+    MERGE,
+    MOVE,
+    SPLIT,
+    SWAP_GATE,
     SwapGateOp,
 )
 from repro.isa.program import QCCDProgram
 from repro.models.gate_times import gate_time
-
-#: Integer kind codes (cheaper than enum identity in the hot loops).
-GATE_1Q, GATE_2Q, SWAP_GATE, MEASURE, SPLIT, MERGE, MOVE, JUNCTION, ION_SWAP = range(9)
-
-#: ``KINDS[code]`` is the :class:`OpKind` of a kind code.
-KINDS: Tuple[OpKind, ...] = (
-    OpKind.GATE_1Q, OpKind.GATE_2Q, OpKind.SWAP_GATE, OpKind.MEASURE,
-    OpKind.SPLIT, OpKind.MERGE, OpKind.MOVE, OpKind.JUNCTION, OpKind.ION_SWAP,
-)
-
-#: ``IS_COMM[code]``: whether the kind is communication overhead
-#: (:attr:`OpKind.is_communication`).
-IS_COMM: Tuple[bool, ...] = tuple(kind.is_communication for kind in KINDS)
 
 #: Fidelity-schedule sentinels for ops whose fidelity is a model constant.
 FID_1Q = -1
@@ -100,12 +98,10 @@ def _merge(deps: Tuple[int, ...], prev: int, index: int) -> Predecessors:
 class LoweredProgram:
     """Struct-of-arrays view of one compiled program (see the module doc)."""
 
-    __slots__ = ("operations", "codes", "resources", "resource_names", "preds",
-                 "slots", "slot_keys", "fid_items", "heat_items", "busy_ops",
-                 "op_counts", "num_shuttles")
+    __slots__ = ("records", "codes", "resources", "resource_names", "preds",
+                 "slots", "slot_keys", "fid_items", "heat_items", "busy_ops")
 
-    def __init__(self, operations: Sequence) -> None:
-        codes: List[int] = []
+    def __init__(self, records: Tuple[tuple, ...]) -> None:
         resources: List[int] = []
         preds: List[Predecessors] = []
         slots: List[int] = []
@@ -120,69 +116,64 @@ class LoweredProgram:
         heat_append = heat_items.append
         is_comm = IS_COMM
 
-        for index, op in enumerate(operations):
-            cls = op.__class__
-            if cls is GateOp:
-                resource = op.trap
-                if len(op.ions) == 2:
-                    code = GATE_2Q
-                    key = (GATE_2Q, op.ion_distance, op.chain_length)
-                    slot = slot_of.get(key)
-                    if slot is None:
-                        slot = slot_of[key] = len(slot_of)
-                    fid_append((index, slot, 1))
-                    heat_append(resource)
-                else:
-                    code = GATE_1Q
-                    slot = _SLOT_1Q
-                    fid_append(FID_1Q)
-            elif cls is MoveOp:
-                resource = op.segment
-                code = MOVE
-                key = (MOVE, op.length)
+        # Records unpack in their class's field order (see
+        # repro.isa.operations): code, dependencies, then the fields.
+        for index, record in enumerate(records):
+            code = record[0]
+            if code == GATE_2Q:
+                _, deps, resource, _, _, _, chain_length, ion_distance = record
+                key = (GATE_2Q, ion_distance, chain_length)
                 slot = slot_of.get(key)
                 if slot is None:
                     slot = slot_of[key] = len(slot_of)
-                heat_append((H_MOVE, op.ion, op.length))
-            elif cls is JunctionCrossOp:
-                resource = op.junction
-                code = JUNCTION
-                key = (JUNCTION, op.junction_degree)
+                fid_append((index, slot, 1))
+                heat_append(resource)
+            elif code == GATE_1Q:
+                deps = record[1]
+                resource = record[2]
+                slot = _SLOT_1Q
+                fid_append(FID_1Q)
+            elif code == MOVE:
+                _, deps, ion, resource, length, _, _ = record
+                key = (MOVE, length)
                 slot = slot_of.get(key)
                 if slot is None:
                     slot = slot_of[key] = len(slot_of)
-                heat_append((H_JUNCTION, op.ion))
-            elif cls is SplitOp:
-                resource = op.trap
-                code = SPLIT
+                heat_append((H_MOVE, ion, length))
+            elif code == JUNCTION:
+                _, deps, ion, resource, degree = record
+                key = (JUNCTION, degree)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(slot_of)
+                heat_append((H_JUNCTION, ion))
+            elif code == SPLIT:
+                _, deps, resource, ion, chain_size, _ = record
                 slot = _SLOT_SPLIT
-                heat_append((H_SPLIT, resource, op.ion, op.chain_size))
-            elif cls is MergeOp:
-                resource = op.trap
-                code = MERGE
+                heat_append((H_SPLIT, resource, ion, chain_size))
+            elif code == MERGE:
+                _, deps, resource, ion, _ = record
                 slot = _SLOT_MERGE
-                heat_append((H_MERGE, resource, op.ion))
-            elif cls is SwapGateOp:
-                resource = op.trap
-                code = SWAP_GATE
-                key = (SWAP_GATE, op.ion_distance, op.chain_length)
+                heat_append((H_MERGE, resource, ion))
+            elif code == SWAP_GATE:
+                _, deps, resource, _, _, chain_length, ion_distance = record
+                key = (SWAP_GATE, ion_distance, chain_length)
                 slot = slot_of.get(key)
                 if slot is None:
                     slot = slot_of[key] = len(slot_of)
                 fid_append((index, slot, MS_PER_SWAP))
                 heat_append(resource)
-            elif cls is IonSwapOp:
-                resource = op.trap
-                code = ION_SWAP
+            elif code == ION_SWAP:
+                _, deps, resource, _, chain_size = record
                 slot = _SLOT_ION_SWAP
-                heat_append((H_ION_SWAP, resource, op.chain_size))
-            elif cls is MeasureOp:
-                resource = op.trap
-                code = MEASURE
+                heat_append((H_ION_SWAP, resource, chain_size))
+            elif code == MEASURE:
+                deps = record[1]
+                resource = record[2]
                 slot = _SLOT_MEASURE
                 fid_append(FID_MEASURE)
             else:
-                raise TypeError(f"unknown operation type: {cls.__name__}")
+                raise TypeError(f"unknown operation kind code: {code!r}")
 
             rid = rid_of.get(resource)
             if rid is None:
@@ -196,7 +187,6 @@ class LoweredProgram:
             # rule); those cases skip building a set.
             prev = last_user[rid]
             last_user[rid] = index
-            deps = op.dependencies
             count = len(deps)
             if count == 2:
                 first, second = deps
@@ -222,31 +212,25 @@ class LoweredProgram:
             else:
                 preds.append(_merge(deps, prev, index))
 
-            codes.append(code)
             resources.append(rid)
             slots.append(slot)
 
-        self.operations = operations
-        self.codes = codes
-        self.resources = resources
+        self.records = records
+        self.codes = tuple(map(itemgetter(0), records))
+        self.resources = tuple(resources)
         self.resource_names = tuple(rid_of)
-        self.preds = preds
-        self.slots = slots
-        self.slot_keys = list(slot_of)
-        self.fid_items = fid_items
-        self.heat_items = heat_items
-        self.busy_ops = busy_ops
-        present = [code for code in range(len(KINDS)) if code in codes]
-        present.sort(key=codes.index)
-        self.op_counts: Dict[OpKind, int] = {
-            KINDS[code]: codes.count(code) for code in present
-        }
-        self.num_shuttles = codes.count(SPLIT)
+        self.preds = tuple(preds)
+        self.slots = tuple(slots)
+        self.slot_keys = tuple(slot_of)
+        self.fid_items = tuple(fid_items)
+        self.heat_items = tuple(heat_items)
+        self.busy_ops = {name: (tuple(gate_ids), tuple(comm_ids))
+                         for name, (gate_ids, comm_ids) in busy_ops.items()}
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    def durations(self, gate, model) -> List[float]:
+    def durations(self, gate, model) -> Tuple[float, ...]:
         """Duration of every op under one gate implementation and model.
 
         Each distinct slot key is priced once; the vector is then a gather
@@ -278,18 +262,20 @@ class LoweredProgram:
             else:  # ION_SWAP
                 value = shuttle.split + shuttle.ion_rotation + shuttle.merge
             values.append(value)
-        return [values[slot] for slot in self.slots]
+        return tuple(map(values.__getitem__, self.slots))
 
 
 def lower(program: QCCDProgram) -> LoweredProgram:
     """The program's lowering, built on first use and cached on it.
 
-    The cache is keyed by the identity of the operation list, so a program
-    is lowered once however many devices, variants and checks read it.
+    The cache is keyed by the identity of the program's record tuple, so a
+    program is lowered once however many devices, variants and checks read
+    it.
     """
 
+    records = program.records
     lowered = getattr(program, "_lowering", None)
-    if lowered is None or lowered.operations is not program.operations:
-        lowered = LoweredProgram(program.operations)
+    if lowered is None or lowered.records is not records:
+        lowered = LoweredProgram(records)
         program._lowering = lowered
     return lowered

@@ -1,15 +1,18 @@
 """Static analysis: verifier, race detector, determinism linter, runtime.
 
 The backbone is the mutation corpus: every legality rule the verifier
-enforces is exercised by corrupting a *golden* compiled program (seeded op
-selection, ``object.__setattr__`` to bypass the frozen dataclasses -- the
-same route a compiler bug would take) and asserting the matching check id
-fires.  The clean-suite test is the flip side: zero findings across the
+enforces is exercised by corrupting a *golden* compiled program and
+asserting the matching check id fires.  A corruption picks an op by seed
+and builds a new program around ``dataclasses.replace(op, ...)``
+(:func:`_corrupt`), so the corrupted op is in the program's records and the
+verifier, the race detector and the lowering all see it -- the route a
+compiler bug emitting a bad op would take.  The clean-suite test is the flip side: zero findings across the
 full app suite under both reorder modes and both topology families.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -109,6 +112,15 @@ def _pick(rng, program, op_type, predicate=lambda op: True):
     return candidates[rng.randrange(len(candidates))]
 
 
+def _corrupt(program, op, **changes):
+    """A new program: ``program`` with ``op`` replaced by
+    ``dataclasses.replace(op, **changes)``."""
+
+    operations = [dataclasses.replace(op, **changes) if candidate is op
+                  else candidate for candidate in program.operations]
+    return dataclasses.replace(program, operations=operations)
+
+
 def test_mutation_capacity_overflow_flags_qv001():
     program, device = _fresh()
     trap = next(iter(program.placement.trap_chains))
@@ -137,8 +149,6 @@ def test_mutation_unmerged_transit_ion_flags_qv002():
     merge = _pick(rng, program, MergeOp)
     operations = [op for op in program.operations if op is not merge]
     # Renumber densely, remapping dependencies past the removed op.
-    import dataclasses
-
     removed = merge.op_id
     remap = {}
     rebuilt = []
@@ -160,7 +170,7 @@ def test_mutation_gate_trap_corruption_flags_qv003():
     rng = random.Random(17)
     gate = _pick(rng, program, GateOp)
     other = next(t.name for t in device.topology.traps if t.name != gate.trap)
-    object.__setattr__(gate, "trap", other)
+    program = _corrupt(program, gate, trap=other)
     report = verify_program(program, device)
     assert "QV003" in _check_ids(report)
 
@@ -169,7 +179,7 @@ def test_mutation_chain_length_annotation_flags_qv004():
     program, device = _fresh()
     rng = random.Random(23)
     gate = _pick(rng, program, GateOp)
-    object.__setattr__(gate, "chain_length", gate.chain_length + 1)
+    program = _corrupt(program, gate, chain_length=gate.chain_length + 1)
     report = verify_program(program, device)
     assert "QV004" in _check_ids(report)
 
@@ -178,8 +188,8 @@ def test_mutation_split_side_annotation_flags_qv004():
     program, device = _fresh()
     rng = random.Random(29)
     split = _pick(rng, program, SplitOp)
-    object.__setattr__(split, "side",
-                       "tail" if split.side == "head" else "head")
+    program = _corrupt(program, split,
+                       side="tail" if split.side == "head" else "head")
     report = verify_program(program, device)
     assert "QV004" in _check_ids(report)
 
@@ -198,7 +208,7 @@ def test_mutation_dropped_move_dependency_flags_qv006():
     program, device = _fresh()
     rng = random.Random(31)
     move = _pick(rng, program, MoveOp, lambda op: op.dependencies)
-    object.__setattr__(move, "dependencies", ())
+    program = _corrupt(program, move, dependencies=())
     report = verify_program(program, device)
     assert "QV006" in _check_ids(report)
 
@@ -210,7 +220,7 @@ def test_mutation_move_route_corruption_flags_qv007():
     nodes = {t.name for t in device.topology.traps}
     bogus = next(name for name in sorted(nodes)
                  if name not in (move.from_node, move.to_node))
-    object.__setattr__(move, "to_node", bogus)
+    program = _corrupt(program, move, to_node=bogus)
     report = verify_program(program, device)
     assert not report.ok
     assert _check_ids(report) & {"QV007", "QV002"}
@@ -221,7 +231,7 @@ def test_mutation_dropped_gate_dependency_flags_race():
     rng = random.Random(41)
     gate = _pick(rng, program, GateOp,
                  lambda op: len(op.ions) == 2 and op.dependencies)
-    object.__setattr__(gate, "dependencies", ())
+    program = _corrupt(program, gate, dependencies=())
     races = detect_races(program)
     assert "RC001" in _check_ids(races)
     finding = next(d for d in races if d.check_id == "RC001")
@@ -286,7 +296,7 @@ def test_quick_validate_preserves_legacy_unknown_ion_error(compiled_qft8):
     program, _ = compiled_qft8
     rng = random.Random(47)
     gate = _pick(rng, program, GateOp, lambda op: len(op.ions) == 1)
-    object.__setattr__(gate, "ions", (999,))
+    program = _corrupt(program, gate, ions=(999,))
     with pytest.raises(ValueError, match="references unknown ion 999"):
         program.validate()
 
@@ -310,6 +320,28 @@ def test_program_from_dict_rejects_unknown_kind(compiled_qft8):
     payload = program_to_dict(program)
     payload["operations"][0]["kind"] = "teleport"
     with pytest.raises(ValueError, match="unknown operation kind"):
+        program_from_dict(payload)
+
+
+def test_program_from_dict_rejects_kind_contradicting_fields(compiled_qft8):
+    program, _ = compiled_qft8
+    payload = program_to_dict(program)
+    position = next(index for index, entry
+                    in enumerate(payload["operations"])
+                    if entry["kind"] == "gate_2q")
+    payload["operations"][position]["kind"] = "gate_1q"
+    with pytest.raises(ValueError, match=f"operation {position} is tagged "
+                                         f"'gate_1q' but its fields make it "
+                                         f"'gate_2q'"):
+        program_from_dict(payload)
+
+
+def test_program_from_dict_rejects_wrong_operation_count(compiled_qft8):
+    program, _ = compiled_qft8
+    payload = program_to_dict(program)
+    payload["num_operations"] = 3
+    with pytest.raises(ValueError, match=f"num_operations is 3 but "
+                                         f"{len(program)} operations"):
         program_from_dict(payload)
 
 
@@ -491,7 +523,7 @@ def test_verify_or_raise_raises_on_corruption():
     program, device = _fresh()
     rng = random.Random(53)
     gate = _pick(rng, program, GateOp)
-    object.__setattr__(gate, "chain_length", gate.chain_length + 3)
+    program = _corrupt(program, gate, chain_length=gate.chain_length + 3)
     with pytest.raises(StaticAnalysisError) as excinfo:
         verify_or_raise(program, device)
     assert "QV004" in str(excinfo.value)

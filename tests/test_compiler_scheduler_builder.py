@@ -108,9 +108,9 @@ class TestProgramBuilder:
         builder.gate(trap="T0", ions=(0,), qubits=(0,), name="h", chain_length=2)
         builder.gate(trap="T1", ions=(1,), qubits=(1,), name="h", chain_length=2)
         builder.merge(trap="T0", ion=1, side="tail")
-        gate = builder.gate(trap="T0", ions=(0, 1), qubits=(0, 1), name="cx",
-                            chain_length=2, ion_distance=0)
-        assert set(gate.dependencies) == {0, 2}
+        builder.gate(trap="T0", ions=(0, 1), qubits=(0, 1), name="cx",
+                     chain_length=2, ion_distance=0)
+        assert set(builder.operations[-1].dependencies) == {0, 2}
 
     def test_swap_gate_and_ion_swap_emission(self):
         builder = ProgramBuilder()

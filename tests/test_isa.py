@@ -1,7 +1,17 @@
-"""Unit tests for the QCCD ISA: operations and the compiled program container."""
+"""Unit tests for the QCCD ISA: operations, op records and the compiled
+program container."""
+
+import dataclasses
+import gc
 
 import pytest
 
+from repro.apps import scaled_suite
+from repro.compiler import compile_circuit
+from repro.dse import DesignSpace, DSERunner
+from repro.hardware import build_device
+from repro.io import program_from_dict, program_to_dict
+from repro.io.fingerprint import program_fingerprint
 from repro.isa.operations import (
     GateOp,
     IonSwapOp,
@@ -10,10 +20,17 @@ from repro.isa.operations import (
     MeasureOp,
     MoveOp,
     OpKind,
+    Operation,
     SplitOp,
     SwapGateOp,
+    op_record,
 )
 from repro.isa.program import InitialPlacement, QCCDProgram
+from repro.obs.trace import current_tracer
+from repro.sim import simulate
+from repro.sim.batch import batch_plan
+from repro.sim.lower import lower
+from repro.toolflow import ArchitectureConfig, sweep_microarchitecture
 
 
 class TestOpKind:
@@ -156,8 +173,9 @@ class TestQCCDProgram:
         program.validate()
 
     def test_validate_rejects_unknown_ion(self, program):
-        program.operations.append(
-            MergeOp(op_id=5, trap="T1", ion=99))
+        program = QCCDProgram(
+            operations=[*program.operations, MergeOp(op_id=5, trap="T1", ion=99)],
+            placement=program.placement)
         with pytest.raises(ValueError):
             program.validate()
 
@@ -168,3 +186,109 @@ class TestQCCDProgram:
     def test_iteration_and_indexing(self, program):
         assert program[0].kind is OpKind.GATE_1Q
         assert [op.op_id for op in program] == [0, 1, 2, 3, 4]
+
+
+# --------------------------------------------------------------------------- #
+# Op records
+# --------------------------------------------------------------------------- #
+_LOWERING_ARRAYS = ("codes", "resources", "resource_names", "preds", "slots",
+                    "slot_keys", "fid_items", "heat_items", "busy_ops")
+
+
+def _lowering_arrays(program):
+    lowered = lower(program)
+    return {name: getattr(lowered, name) for name in _LOWERING_ARRAYS}
+
+
+class TestOpRecords:
+    def test_operations_are_built_once_from_the_records(self, compiled_qft8):
+        program, _ = compiled_qft8
+        first = list(program.operations)
+        assert all(a is b for a, b in zip(first, program.operations))
+        assert len(first) == len(program.records)
+        assert tuple(op_record(op) for op in first) == program.records
+
+    @pytest.mark.parametrize("topology", ["L4", "G2x2"])
+    @pytest.mark.parametrize("reorder", ["GS", "IS"])
+    def test_construction_routes_agree(self, topology, reorder):
+        """Builder, a list of op objects and a JSON round trip give one
+        program."""
+
+        for name, circuit in scaled_suite(16).items():
+            device = build_device(topology, trap_capacity=6, gate="FM",
+                                  reorder=reorder, num_qubits=circuit.num_qubits)
+            built = compile_circuit(circuit, device)
+            from_ops = QCCDProgram(operations=list(built.operations),
+                                   placement=built.placement,
+                                   circuit_name=built.circuit_name,
+                                   device_name=built.device_name)
+            loaded = program_from_dict(program_to_dict(built))
+            for other in (from_ops, loaded):
+                label = f"{name}/{topology}/{reorder}"
+                assert other.records == built.records, label
+                assert program_fingerprint(other) == \
+                    program_fingerprint(built), label
+                assert _lowering_arrays(other) == _lowering_arrays(built), label
+
+    def test_replace_shares_the_records(self, compiled_qft8):
+        program, _ = compiled_qft8
+        copy = dataclasses.replace(program)
+        assert copy.records is program.records
+        assert copy.operations == program.operations
+
+    def test_per_op_sequences_are_untracked_after_a_collection(
+            self, compiled_qft8):
+        """The collector stops walking a program's per-op data.
+
+        A pass untracks a tuple only if the tuples inside it are untracked
+        already, and it does not visit objects in creation order; the
+        deepest nesting here is three (record tuple -> record ->
+        dependencies), so three full collections settle every tuple.  A
+        list is never untracked.
+        """
+
+        program, device = compiled_qft8
+        simulate(program, device)
+        lowered = lower(program)
+        plan = batch_plan(program)
+        trap_names = tuple(trap.name for trap in device.topology.traps)
+        durations = lowered.durations(device.gate, device.model)
+        timeline = plan.timeline_for(durations, trap_names)
+        trajectory = plan.trajectory_for(program, device.model.heating,
+                                         trap_names)
+        sequences = {
+            "records": program.records,
+            **{name: getattr(lowered, name) for name in
+               ("codes", "resources", "preds", "slots", "fid_items",
+                "heat_items")},
+            **{f"busy_ops[{name!r}]": ids
+               for name, ids in lowered.busy_ops.items()},
+            "durations": durations,
+            "finish": timeline.finish,
+            "gate_energies": trajectory.gate_energies,
+        }
+        for _ in range(3):
+            gc.collect()
+        assert [name for name, sequence in sequences.items()
+                if gc.is_tracked(sequence)] == []
+
+    def test_compile_and_simulate_build_no_operation_objects(
+            self, monkeypatch, small_suite):
+        def refuse(op):
+            raise AssertionError(f"built a {op.__class__.__name__}")
+
+        monkeypatch.setattr(Operation, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built a GateOp"):
+            GateOp(op_id=0, trap="T0", ions=(0,), qubits=(0,), name="h",
+                   chain_length=1)
+        assert current_tracer() is None
+
+        records = sweep_microarchitecture(
+            small_suite, capacities=(6, 8), gates=("AM1", "FM"),
+            reorders=("GS", "IS"),
+            base=ArchitectureConfig(topology="L3", trap_capacity=6))
+        assert len(records) == len(small_suite) * 2 * 2 * 2
+        runner = DSERunner(DesignSpace(apps=("QFT",), qubits=(8,),
+                                       topologies=("G2x2",), capacities=(6,)))
+        evaluated = runner.evaluate(list(runner.space.points()))
+        assert len(evaluated) == 1 and evaluated[0].num_shuttles > 0
