@@ -14,11 +14,15 @@ Dependencies emitted per operation are
 Shuttle moves through segments and junctions involve no trap, so independent
 shuttles remain free to overlap; the simulator adds segment/junction
 exclusivity on top of these dependencies.
+
+An op touches at most two ions and one trap, so its dependencies are at most
+three op ids; they are deduplicated and sorted by comparing them directly
+(:func:`_sorted_ids`), without building a set per op.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.operations import (
     Operation,
@@ -32,6 +36,33 @@ from repro.isa.operations import (
     split_record,
     swap_gate_record,
 )
+
+
+def _sorted_ids(a: Optional[int], b: Optional[int]) -> Tuple[int, ...]:
+    """The distinct op ids among ``a`` and ``b`` (``None``: absent), sorted."""
+
+    if a is None:
+        return () if b is None else (b,)
+    if b is None or b == a:
+        return (a,)
+    return (a, b) if a < b else (b, a)
+
+
+def _sorted_ids3(a: Optional[int], b: Optional[int],
+                 c: Optional[int]) -> Tuple[int, ...]:
+    """The distinct op ids among ``a``, ``b`` and ``c``, sorted."""
+
+    if c is None or c == a or c == b:
+        return _sorted_ids(a, b)
+    if a is None or a == b:
+        return _sorted_ids(b, c)
+    if b is None:
+        return _sorted_ids(a, c)
+    if a > b:
+        a, b = b, a
+    if c < a:
+        return (c, a, b)
+    return (a, c, b) if c < b else (a, b, c)
 
 
 class ProgramBuilder:
@@ -54,19 +85,17 @@ class ProgramBuilder:
         return [op_from_record(index, record)
                 for index, record in enumerate(self.records)]
 
-    def _dependencies(self, ions: Iterable[int],
+    def _dependencies(self, ions: Tuple[int, ...],
                       trap: Optional[str]) -> Tuple[int, ...]:
         last_for_ion = self._last_for_ion
-        deps = {
-            last_for_ion[ion] for ion in ions if ion in last_for_ion
-        }
-        if trap is not None and trap in self._last_for_trap:
-            deps.add(self._last_for_trap[trap])
-        if len(deps) > 1:
-            return tuple(sorted(deps))
-        return tuple(deps)
+        trap_dep = None if trap is None else self._last_for_trap.get(trap)
+        if len(ions) == 1:
+            return _sorted_ids(last_for_ion.get(ions[0]), trap_dep)
+        ion_a, ion_b = ions
+        return _sorted_ids3(last_for_ion.get(ion_a), last_for_ion.get(ion_b),
+                            trap_dep)
 
-    def _append(self, record: tuple, ions: Iterable[int],
+    def _append(self, record: tuple, ions: Tuple[int, ...],
                 trap: Optional[str]) -> None:
         op_id = len(self.records)
         self.records.append(record)

@@ -2,7 +2,11 @@
 
 The pass follows Section VI of the paper:
 
-1. lower the circuit to the trapped-ion native gate set;
+1. lower the circuit to the trapped-ion native gate set -- this and every
+   other device-independent table (dependency DAG, two-qubit operands,
+   interaction histogram, per-qubit use lists, first-use order) comes from
+   the circuit's cached :class:`~repro.ir.dag.CircuitFrontEnd`, built once
+   however many devices the circuit is compiled for;
 2. map program qubits onto traps with the selected heuristic;
 3. walk the dependency DAG in earliest-ready-gate-first order;
 4. for each two-qubit gate whose operands live in different traps, plan the
@@ -16,7 +20,7 @@ The pass follows Section VI of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analyze.runtime import checks_enabled, verify_or_raise
 from repro.compiler.builder import ProgramBuilder
@@ -27,7 +31,8 @@ from repro.compiler.scheduler import GateScheduler
 from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
-from repro.ir.gate import Gate, GateKind
+from repro.ir.dag import MEASUREMENT, SINGLE_QUBIT, TWO_QUBIT
+from repro.ir.gate import Gate
 from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 
@@ -70,31 +75,23 @@ class CompilerOptions:
 class _NextUseTracker:
     """Answers "when is this qubit needed next?" for the eviction policy."""
 
-    def __init__(self, circuit: Circuit,
-                 uses: Optional[Dict[int, List[int]]] = None) -> None:
-        if uses is None:
-            uses = {}
-            for index, gate in enumerate(circuit.gates):
-                if gate.kind is GateKind.TWO_QUBIT:
-                    for qubit in gate.qubits:
-                        uses.setdefault(qubit, []).append(index)
-        self._uses: Dict[int, List[int]] = uses
-        self._pointers: Dict[int, int] = {qubit: 0 for qubit in self._uses}
-        self._emitted: set = set()
+    def __init__(self, circuit: Circuit) -> None:
+        front = circuit.front_end()
+        self._uses = front.uses
+        self._pointers = [0] * circuit.num_qubits
+        self._emitted = bytearray(len(front.gates))
 
     def mark_emitted(self, gate_index: int) -> None:
-        """Record that a gate has been compiled."""
+        """Record that a two-qubit gate has been compiled."""
 
-        self._emitted.add(gate_index)
+        self._emitted[gate_index] = 1
 
     def next_use(self, qubit: int) -> Optional[int]:
         """Index of the next *uncompiled* two-qubit gate using ``qubit``."""
 
-        uses = self._uses.get(qubit)
-        if not uses:
-            return None
+        uses = self._uses[qubit]
         pointer = self._pointers[qubit]
-        while pointer < len(uses) and uses[pointer] in self._emitted:
+        while pointer < len(uses) and self._emitted[uses[pointer]]:
             pointer += 1
         self._pointers[qubit] = pointer
         return uses[pointer] if pointer < len(uses) else None
@@ -114,9 +111,9 @@ def compile_circuit(circuit: Circuit, device: QCCDDevice,
 
 def _compile_circuit(circuit: Circuit, device: QCCDDevice,
                      options: CompilerOptions) -> QCCDProgram:
-    if options.lower_to_native:
-        with span("compile.lower"):
-            circuit = circuit.lowered()
+    with span("compile.lower"):
+        front = circuit.front_end(options.lower_to_native)
+    circuit = front.circuit
     if circuit.num_qubits > device.num_qubits:
         raise ValueError(
             f"circuit uses {circuit.num_qubits} qubits but the device only loads "
@@ -128,53 +125,38 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
     placement = state.snapshot_placement()
     builder = ProgramBuilder()
 
-    # One preprocessing pass derives everything the loop needs per two-qubit
-    # gate: operand table (scheduler locality), interaction histogram (router
-    # affinity) and per-qubit use lists (eviction policy), with a single kind
-    # classification per gate.
-    two_qubit_operands: Dict[int, tuple] = {}
-    interaction_weights: Dict[tuple, int] = {}
-    uses: Dict[int, List[int]] = {}
-    for index, gate in enumerate(circuit):
-        if gate.kind is not GateKind.TWO_QUBIT:
-            continue
-        qubit_a, qubit_b = gate.qubits
-        two_qubit_operands[index] = gate.qubits
-        key = (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
-        interaction_weights[key] = interaction_weights.get(key, 0) + 1
-        uses.setdefault(qubit_a, []).append(index)
-        uses.setdefault(qubit_b, []).append(index)
-
-    next_use = _NextUseTracker(circuit, uses=uses)
+    next_use = _NextUseTracker(circuit)
     router = Router(state, device, next_use=next_use.next_use,
-                    interaction_weights=interaction_weights,
+                    interaction_weights=front.interaction_weights,
                     policy=options.routing)
     trap_of_qubit = state.trap_of_qubit
+    operands = front.operands
 
     def is_local(gate_index: int) -> bool:
-        operands = two_qubit_operands.get(gate_index)
-        if operands is None:
-            return True
-        return trap_of_qubit(operands[0]) == trap_of_qubit(operands[1])
+        qubit_a, qubit_b = operands[gate_index]
+        return trap_of_qubit(qubit_a) == trap_of_qubit(qubit_b)
 
-    scheduler = GateScheduler(circuit, is_local=is_local,
-                              two_qubit_operands=two_qubit_operands)
+    scheduler = GateScheduler(circuit, is_local=is_local)
+    gates, kinds = front.gates, front.kinds
     # One span covers the interleaved schedule/route/reorder loop: gates are
     # scheduled earliest-ready-first, routed (shuttle planning + chain
     # reordering) and emitted in the same pass.
     with span("compile.route", policy=options.routing,
-              gates=len(two_qubit_operands)):
-        while not scheduler.done():
+              gates=front.num_two_qubit_gates):
+        for _ in range(len(gates)):
             index = scheduler.next_gate()
-            moved_qubits = _emit_gate(circuit[index], builder, state, device, router)
-            if moved_qubits:
-                scheduler.note_qubits_moved(moved_qubits)
-            next_use.mark_emitted(index)
+            kind = kinds[index]
+            if kind == TWO_QUBIT:
+                moved_qubits = _emit_two_qubit(gates[index], builder, state,
+                                               device, router)
+                if moved_qubits:
+                    scheduler.note_qubits_moved(moved_qubits)
+                next_use.mark_emitted(index)
+            elif kind == SINGLE_QUBIT:
+                _emit_single_qubit(gates[index], builder, state)
+            elif kind == MEASUREMENT:
+                _emit_measurement(gates[index], builder, state)
             scheduler.mark_done(index)
-
-    if options.validate:
-        with span("compile.validate"):
-            state.validate()
 
     program = QCCDProgram(
         operations=OpSequence(tuple(builder.records)),
@@ -183,40 +165,22 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
         device_name=device.name,
         metadata={
             "num_program_qubits": circuit.num_qubits,
-            "num_circuit_two_qubit_gates": circuit.num_two_qubit_gates,
+            "num_circuit_two_qubit_gates": front.num_two_qubit_gates,
             "mapping": options.mapping,
             "gate": device.gate.value,
             "reorder": device.reorder.value,
         },
     )
     if options.validate:
-        program.validate()
+        with span("compile.validate"):
+            state.validate()
+            program.validate()
     if checks_enabled():
         verify_or_raise(program, device)
     return program
 
 
 # --------------------------------------------------------------------------- #
-def _emit_gate(gate: Gate, builder: ProgramBuilder, state: PlacementState,
-               device: QCCDDevice, router: Router) -> List[int]:
-    """Emit one IR gate (plus any communication it needs).
-
-    Returns the program qubits whose trap changed while emitting the gate, so
-    the compile loop can invalidate the scheduler's and router's caches.
-    """
-
-    kind = gate.kind
-    if kind is GateKind.BARRIER:
-        return []
-    if kind is GateKind.SINGLE_QUBIT:
-        _emit_single_qubit(gate, builder, state)
-        return []
-    if kind is GateKind.MEASUREMENT:
-        _emit_measurement(gate, builder, state)
-        return []
-    return _emit_two_qubit(gate, builder, state, device, router)
-
-
 def _emit_single_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState) -> None:
     qubit = gate.qubits[0]
     trap = state.trap_of_qubit(qubit)

@@ -28,20 +28,11 @@ def first_use_order(circuit: Circuit) -> List[int]:
     """Program qubits ordered by the position of their first gate.
 
     Qubits that never appear in a gate are appended afterwards in index order
-    so that every program qubit receives an ion.
+    so that every program qubit receives an ion.  Read from the circuit's
+    cached front-end.
     """
 
-    order: List[int] = []
-    seen = set()
-    for gate in circuit.gates:
-        for qubit in gate.qubits:
-            if qubit not in seen:
-                seen.add(qubit)
-                order.append(qubit)
-    for qubit in range(circuit.num_qubits):
-        if qubit not in seen:
-            order.append(qubit)
-    return order
+    return list(circuit.front_end().first_use_order)
 
 
 def _check_fits(circuit: Circuit, device: QCCDDevice) -> None:

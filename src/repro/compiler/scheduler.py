@@ -9,7 +9,8 @@ whose predecessors have all been emitted.  Among ready gates it prefers
 2. earlier program order (the "earliest ready gate").
 
 The preference function is injected so the compile loop can describe locality
-against its live placement state without the scheduler importing it.
+against its live placement state without the scheduler importing it.  Only
+two-qubit gates are ever asked about: every other ready gate is local.
 
 Implementation: ready gates live in a *two-tier heap* -- one min-heap of
 locally-executable gates and one of gates that would need communication.
@@ -18,50 +19,47 @@ remote gate, in O(log W) for ready-list width W.  Locality of a ready gate
 only changes when one of its operands moves between traps, so the compile
 loop reports shuttled qubits via :meth:`note_qubits_moved` and only the
 affected gates are re-classified (lazy invalidation: the entry in the stale
-tier is skipped when it surfaces).  This replaces the seed implementation's
-per-pop ``sorted()`` scan plus full ``heapq.heapify`` rebuild while emitting
-gates in exactly the same order.
+tier is skipped when it surfaces).  Per-gate state is one ``bytearray``
+indexed by gate (waiting, ready in either tier, handed out, done), and the
+remaining in-degrees are a list seeded from the circuit's cached
+:class:`~repro.ir.dag.CircuitFrontEnd`.  The gates touching one qubit form a
+dependency chain, so at most one of them is ready at a time: the
+invalidation index is a plain per-qubit list of that gate.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional
 
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
-from repro.ir.gate import GateKind
+
+#: Per-gate states of :class:`GateScheduler`.
+_WAITING, _LOCAL, _REMOTE, _HANDED_OUT, _DONE = range(5)
 
 
 class GateScheduler:
     """Iterator over gate indices in earliest-ready-gate-first order."""
 
     def __init__(self, circuit: Circuit,
-                 is_local: Optional[Callable[[int], bool]] = None,
-                 two_qubit_operands: Optional[Dict[int, tuple]] = None) -> None:
+                 is_local: Optional[Callable[[int], bool]] = None) -> None:
         self.circuit = circuit
         self.dag = DependencyDAG(circuit)
+        front = circuit.front_end()
         self._is_local = is_local or (lambda index: True)
-        self._remaining_preds = self.dag.in_degrees()
-        self._emitted: Set[int] = set()
-        #: Ready gate indices (the union of both heap tiers, without stale
-        #: duplicates).
-        self._ready: Set[int] = set()
-        #: Current locality classification of every ready gate.
-        self._local_flag: Dict[int, bool] = {}
-        #: Two-qubit ready gates indexed by operand qubit, for invalidation.
-        self._by_qubit: Dict[int, Set[int]] = {}
+        self._successors = front.successors
+        #: Operand qubits of every two-qubit gate, ``None`` for the rest
+        #: (locality can only change for two-qubit gates).
+        self._operands = front.operands
+        self._remaining_preds = list(front.in_degrees)
+        self._state = bytearray(len(front.gates))
+        self._num_ready = 0
+        self._num_emitted = 0
+        #: The ready two-qubit gate using each qubit, or -1.
+        self._ready_on_qubit: List[int] = [-1] * circuit.num_qubits
         self._local_heap: List[int] = []
         self._remote_heap: List[int] = []
-        #: Operand qubits of every two-qubit gate (locality can only change
-        #: for these); computed once instead of re-classifying gate names, or
-        #: supplied by a caller that already has the table (the compile loop).
-        if two_qubit_operands is None:
-            two_qubit_operands = {
-                index: gate.qubits for index, gate in enumerate(circuit.gates)
-                if gate.kind is GateKind.TWO_QUBIT
-            }
-        self._two_qubit_operands = two_qubit_operands
         for index, degree in enumerate(self._remaining_preds):
             if degree == 0:
                 self._push_ready(index)
@@ -70,17 +68,18 @@ class GateScheduler:
     def _push_ready(self, index: int) -> None:
         """Classify a newly-ready gate and push it into the right tier."""
 
-        self._ready.add(index)
-        local = bool(self._is_local(index))
-        self._local_flag[index] = local
-        if local:
-            heapq.heappush(self._local_heap, index)
-        else:
-            heapq.heappush(self._remote_heap, index)
-        operands = self._two_qubit_operands.get(index)
+        self._num_ready += 1
+        operands = self._operands[index]
         if operands is not None:
-            for qubit in operands:
-                self._by_qubit.setdefault(qubit, set()).add(index)
+            qubit_a, qubit_b = operands
+            self._ready_on_qubit[qubit_a] = index
+            self._ready_on_qubit[qubit_b] = index
+            if not self._is_local(index):
+                self._state[index] = _REMOTE
+                heapq.heappush(self._remote_heap, index)
+                return
+        self._state[index] = _LOCAL
+        heapq.heappush(self._local_heap, index)
 
     def note_qubits_moved(self, qubits) -> None:
         """Re-classify ready gates whose operand ``qubits`` changed traps.
@@ -91,46 +90,38 @@ class GateScheduler:
         are skipped when popped.
         """
 
+        state = self._state
         for qubit in qubits:
-            for index in self._by_qubit.get(qubit, ()):
-                local = bool(self._is_local(index))
-                if local == self._local_flag[index]:
-                    continue
-                self._local_flag[index] = local
-                if local:
-                    heapq.heappush(self._local_heap, index)
-                else:
-                    heapq.heappush(self._remote_heap, index)
-
-    def _valid_top(self, heap: List[int], want_local: bool) -> Optional[int]:
-        """Smallest non-stale entry of ``heap``, discarding stale heads."""
-
-        while heap:
-            index = heap[0]
-            if index in self._ready and self._local_flag[index] == want_local:
-                return index
-            heapq.heappop(heap)
-        return None
+            index = self._ready_on_qubit[qubit]
+            if index < 0:
+                continue
+            tier = _LOCAL if self._is_local(index) else _REMOTE
+            if tier == state[index]:
+                continue
+            state[index] = tier
+            heapq.heappush(self._local_heap if tier == _LOCAL
+                           else self._remote_heap, index)
 
     # ------------------------------------------------------------------ #
     def __bool__(self) -> bool:
-        return bool(self._ready)
+        return self._num_ready > 0
 
     @property
     def num_emitted(self) -> int:
         """Gates already handed out."""
 
-        return len(self._emitted)
+        return self._num_emitted
 
     def done(self) -> bool:
         """Whether every gate has been scheduled."""
 
-        return len(self._emitted) == self.dag.num_gates
+        return self._num_emitted == len(self._state)
 
     def ready_gates(self) -> List[int]:
         """Currently ready gate indices, in program order."""
 
-        return sorted(self._ready)
+        return [index for index, state in enumerate(self._state)
+                if state == _LOCAL or state == _REMOTE]
 
     def next_gate(self) -> int:
         """Pop the next gate to compile.
@@ -140,32 +131,37 @@ class GateScheduler:
         the remote tier).
         """
 
-        if not self._ready:
+        if not self._num_ready:
             raise RuntimeError("no ready gates; scheduling is complete or stuck")
-        chosen = self._valid_top(self._local_heap, want_local=True)
-        if chosen is None:
-            chosen = self._valid_top(self._remote_heap, want_local=False)
-        if chosen is None:  # pragma: no cover - defensive; _ready is non-empty
-            raise RuntimeError("scheduler heaps out of sync with ready set")
-        heap = self._local_heap if self._local_flag[chosen] else self._remote_heap
-        heapq.heappop(heap)
-        self._ready.discard(chosen)
-        del self._local_flag[chosen]
-        operands = self._two_qubit_operands.get(chosen)
+        state = self._state
+        heap = self._local_heap
+        while heap and state[heap[0]] != _LOCAL:
+            heapq.heappop(heap)
+        if not heap:
+            heap = self._remote_heap
+            while state[heap[0]] != _REMOTE:
+                heapq.heappop(heap)
+        chosen = heapq.heappop(heap)
+        state[chosen] = _HANDED_OUT
+        self._num_ready -= 1
+        operands = self._operands[chosen]
         if operands is not None:
-            for qubit in operands:
-                self._by_qubit[qubit].discard(chosen)
+            qubit_a, qubit_b = operands
+            self._ready_on_qubit[qubit_a] = -1
+            self._ready_on_qubit[qubit_b] = -1
         return chosen
 
     def mark_done(self, index: int) -> None:
         """Record that ``index`` has been emitted; unlock its successors."""
 
-        if index in self._emitted:
+        if self._state[index] == _DONE:
             raise ValueError(f"gate {index} already marked done")
-        self._emitted.add(index)
-        for successor in self.dag.successors(index):
-            self._remaining_preds[successor] -= 1
-            if self._remaining_preds[successor] == 0:
+        self._state[index] = _DONE
+        self._num_emitted += 1
+        remaining = self._remaining_preds
+        for successor in self._successors[index]:
+            remaining[successor] -= 1
+            if not remaining[successor]:
                 self._push_ready(successor)
 
     def schedule(self) -> List[int]:

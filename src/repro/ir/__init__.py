@@ -10,7 +10,8 @@ Public surface:
 * :class:`~repro.ir.circuit.Circuit` -- an ordered gate list plus helpers for
   counting, slicing and lowering to the trapped-ion native gate set.
 * :class:`~repro.ir.dag.DependencyDAG` -- per-qubit data-dependency graph used
-  by the earliest-ready-gate-first scheduler.
+  by the earliest-ready-gate-first scheduler, a view over the circuit's cached
+  :class:`~repro.ir.dag.CircuitFrontEnd` (``Circuit.front_end()``).
 * :mod:`~repro.ir.qasm` -- a small OpenQASM 2.0 subset reader/writer so the
   toolflow can interface with external front ends (Qiskit, Cirq, ScaffCC).
 """

@@ -3,7 +3,8 @@
 Circuits in this toolflow are always fully unrolled (Section VI of the paper):
 no loops, no classical control.  The class therefore stays deliberately
 simple -- an immutable-ish gate list with builder helpers, statistics used by
-the experiment tables, and a lowering pass to the trapped-ion native set.
+the experiment tables, a lowering pass to the trapped-ion native set, and the
+cached compile front-end (:class:`~repro.ir.dag.CircuitFrontEnd`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.ir.dag import CircuitFrontEnd
 from repro.ir.gate import Gate, GateKind
 
 
@@ -244,6 +246,38 @@ class Circuit:
 
         new_n = num_qubits if num_qubits is not None else self.num_qubits
         return Circuit(new_n, (g.remap(mapping) for g in self._gates), self.name)
+
+    # ------------------------------------------------------------------ #
+    # Compile front-end
+    # ------------------------------------------------------------------ #
+    def front_end(self, lower_to_native: bool = False) -> CircuitFrontEnd:
+        """The device-independent compile tables of this circuit, or of its
+        :meth:`lowered` form, built on first use and cached on the instance.
+
+        The cache is keyed on the gate count (like
+        :func:`~repro.io.fingerprint.circuit_fingerprint`), so an
+        :meth:`append` invalidates it.  A lowered front-end describes a
+        lowered copy built once for it (``front_end(True).circuit``), whose
+        own ``front_end()`` is the same object.
+        """
+
+        memo = self.__dict__.setdefault("_front_ends", {})
+        cached = memo.get(lower_to_native)
+        if cached is not None and cached[0] == len(self._gates):
+            return cached[1]
+        if lower_to_native:
+            front = self.lowered().front_end()
+        else:
+            front = CircuitFrontEnd(self)
+        memo[lower_to_native] = (len(self._gates), front)
+        return front
+
+    def __getstate__(self) -> dict:
+        # The front-end memo is derived data: a pickled circuit (a sweep
+        # chunk shipped to a worker process) travels without it.
+        state = self.__dict__.copy()
+        state.pop("_front_ends", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Circuit(name={self.name!r}, qubits={self.num_qubits}, "

@@ -31,6 +31,15 @@ SNAPSHOT_PLAN = (
      [("L6", 22, "GS"), ("L6", 22, "IS")]),
 )
 
+#: Compile-only snapshot at paper scale: the Figure 7/8 device grid
+#: ({L6, G2x3} x the six capacities x {GS, IS}), op count and program
+#: fingerprint per application -- 144 compilations, no simulation.
+COMPILE_PLAN = ("paper_compile", table2_suite,
+                [(topology, capacity, reorder)
+                 for topology in ("L6", "G2x3")
+                 for capacity in (14, 18, 22, 26, 30, 34)
+                 for reorder in ("GS", "IS")])
+
 
 def snapshot() -> dict:
     golden = {}
@@ -52,6 +61,21 @@ def snapshot() -> dict:
                     "metrics": result_metrics_hex(result),
                 }
                 print(f"{scale} {key} {name}: {len(program)} ops")
+    scale, suite_fn, configs = COMPILE_PLAN
+    suite = suite_fn()
+    golden[scale] = {}
+    for topology, capacity, reorder in configs:
+        config = ArchitectureConfig(topology=topology, trap_capacity=capacity,
+                                    reorder=reorder)
+        key = f"{topology}-cap{capacity}-{reorder}"
+        golden[scale][key] = {}
+        for name, circuit in suite.items():
+            program, _ = compile_for(circuit, config)
+            golden[scale][key][name] = {
+                "program": program_fingerprint(program),
+                "num_ops": len(program),
+            }
+        print(f"{scale} {key}: {len(suite)} programs")
     return golden
 
 

@@ -1,10 +1,14 @@
 """Unit and integration tests for the top-level compilation pass."""
 
+import gc
+import pickle
+
 import pytest
 
 from repro.compiler import compile_circuit
 from repro.compiler.compile import CompilerOptions
 from repro.hardware import build_device
+from repro.io.fingerprint import program_fingerprint
 from repro.ir.circuit import Circuit
 from repro.isa.operations import GateOp, MeasureOp, OpKind
 
@@ -78,6 +82,65 @@ class TestBasicCompilation:
         device = build_device("L2", trap_capacity=4, num_qubits=4)
         with pytest.raises(ValueError):
             compile_circuit(Circuit(10), device)
+
+
+class TestFrontEndMemo:
+    """The per-circuit front-end cache never changes what a compile emits."""
+
+    def test_append_after_compile_recompiles_like_a_fresh_copy(self, qft8):
+        device = build_device("L3", trap_capacity=6, num_qubits=8)
+        circuit = qft8.copy()
+        compile_circuit(circuit, device)
+        stale = circuit.front_end(lower_to_native=True)
+        circuit.add("swap", 0, 7)
+        assert circuit.front_end(lower_to_native=True) is not stale
+        program = compile_circuit(circuit, device)
+        fresh = compile_circuit(circuit.copy(), device)
+        assert program.records == fresh.records
+        assert program_fingerprint(program) == program_fingerprint(fresh)
+        assert program.metadata == fresh.metadata
+
+    def test_lowered_and_unlowered_never_share_a_front_end(self):
+        circuit = Circuit(2).add("h", 0).add("cx", 0, 1)
+        lowered = circuit.front_end(lower_to_native=True)
+        raw = circuit.front_end(lower_to_native=False)
+        assert lowered is not raw
+        assert raw.circuit is circuit and lowered.circuit is not circuit
+        assert circuit.front_end(lower_to_native=True) is lowered
+        assert circuit.front_end() is raw
+
+        device = build_device("L2", trap_capacity=6, num_qubits=2)
+        circuit = Circuit(2).add("cx", 0, 1).add("swap", 0, 1)
+        unlowered = compile_circuit(circuit, device,
+                                    CompilerOptions(lower_to_native=False))
+        program = compile_circuit(circuit, device)
+        assert unlowered.num_two_qubit_gates == 2
+        assert program.num_two_qubit_gates == 4
+        assert program.records == compile_circuit(circuit.copy(), device).records
+
+    def test_unpickled_circuit_carries_no_front_end(self, qft8):
+        front = qft8.front_end(lower_to_native=True)
+        clone = pickle.loads(pickle.dumps(qft8))
+        assert "_front_ends" not in vars(clone)
+        assert clone.gates == qft8.gates
+        assert clone.front_end(lower_to_native=True) is not front
+
+    def test_cached_sequences_are_untracked_after_a_collection(self, qft8):
+        """The collector stops walking the per-gate tables.
+
+        A pass untracks a tuple only once the tuples inside it are untracked,
+        and the nesting is two deep (table -> per-gate tuple), so two full
+        collections settle every table.
+        """
+
+        front = qft8.front_end(lower_to_native=True)
+        tables = {name: getattr(front, name) for name in (
+            "kinds", "predecessors", "successors", "in_degrees", "operands",
+            "uses", "first_use_order")}
+        for _ in range(2):
+            gc.collect()
+        assert [name for name, table in tables.items()
+                if gc.is_tracked(table)] == []
 
 
 class TestReorderMethods:

@@ -1,8 +1,10 @@
 """Unit tests for the gate scheduler and the program builder."""
 
+import itertools
+
 import pytest
 
-from repro.compiler.builder import ProgramBuilder
+from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
 from repro.compiler.scheduler import GateScheduler
 from repro.ir.circuit import Circuit
 
@@ -67,6 +69,78 @@ class TestGateScheduler:
         assert not bool(scheduler)
 
 
+class TestSchedulerOrderProperty:
+    """``GateScheduler`` against an in-test reference on random circuits.
+
+    The reference re-derives the ready set from scratch every step: the
+    smallest-index local ready gate, else the smallest-index ready gate,
+    where every gate that is not two-qubit is local.  Locality comes from a
+    random trap per qubit; after each handed-out gate some qubits change
+    traps and are reported, as the compile loop reports shuttled qubits.
+    """
+
+    def test_order_matches_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        given, settings, st = (hypothesis.given, hypothesis.settings,
+                               hypothesis.strategies)
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            num_qubits = data.draw(st.integers(min_value=2, max_value=6))
+            qubit = st.integers(min_value=0, max_value=num_qubits - 1)
+            circuit = Circuit(num_qubits)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
+                name = data.draw(st.sampled_from(("h", "cx", "measure",
+                                                  "barrier")))
+                if name == "cx":
+                    circuit.add(name, *data.draw(st.lists(
+                        qubit, min_size=2, max_size=2, unique=True)))
+                elif name == "barrier":
+                    circuit.add(name, *data.draw(st.lists(
+                        qubit, min_size=1, max_size=num_qubits, unique=True)))
+                else:
+                    circuit.add(name, data.draw(qubit))
+
+            operands = [gate.qubits if gate.is_two_qubit else None
+                        for gate in circuit]
+            predecessors, last_use = [], {}
+            for index, gate in enumerate(circuit):
+                predecessors.append({last_use[q] for q in gate.qubits
+                                     if q in last_use})
+                last_use.update(dict.fromkeys(gate.qubits, index))
+            trap = [data.draw(st.integers(0, 2)) for _ in range(num_qubits)]
+
+            def local(index):
+                return operands[index] is None or \
+                    trap[operands[index][0]] == trap[operands[index][1]]
+
+            def is_local(index):
+                assert operands[index] is not None, \
+                    "the scheduler asked about a gate that is not two-qubit"
+                return local(index)
+
+            scheduler = GateScheduler(circuit, is_local=is_local)
+            emitted = set()
+            for _ in range(len(circuit)):
+                ready = [index for index in range(len(circuit))
+                         if index not in emitted
+                         and predecessors[index] <= emitted]
+                assert scheduler.ready_gates() == ready
+                expected = min([index for index in ready if local(index)]
+                               or ready)
+                assert scheduler.next_gate() == expected
+                moved = data.draw(st.lists(qubit, max_size=3, unique=True))
+                for moved_qubit in moved:
+                    trap[moved_qubit] = data.draw(st.integers(0, 2))
+                scheduler.note_qubits_moved(moved)
+                emitted.add(expected)
+                scheduler.mark_done(expected)
+            assert scheduler.done() and not scheduler
+
+        check()
+
+
 class TestProgramBuilder:
     def test_op_ids_are_dense(self):
         builder = ProgramBuilder()
@@ -111,6 +185,15 @@ class TestProgramBuilder:
         builder.gate(trap="T0", ions=(0, 1), qubits=(0, 1), name="cx",
                      chain_length=2, ion_distance=0)
         assert set(builder.operations[-1].dependencies) == {0, 2}
+
+    def test_dependency_merge_is_sorted_and_distinct(self):
+        """The compare-based merge equals sorting the set of last op ids."""
+
+        ids = (None, 0, 1, 2)
+        for a, b in itertools.product(ids, repeat=2):
+            assert _sorted_ids(a, b) == tuple(sorted({a, b} - {None}))
+        for a, b, c in itertools.product(ids, repeat=3):
+            assert _sorted_ids3(a, b, c) == tuple(sorted({a, b, c} - {None}))
 
     def test_swap_gate_and_ion_swap_emission(self):
         builder = ProgramBuilder()

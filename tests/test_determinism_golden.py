@@ -10,7 +10,10 @@ patterns, so these tests fail on a single ULP of drift.
 The scaled suite (all six Table II applications at 16 qubits, three
 topology/reorder configs) runs in every test invocation; the full paper-scale
 suite runs when ``REPRO_GOLDEN_SCALE=paper`` is set (it compiles 64-78 qubit
-circuits and takes a few seconds).
+circuits and takes a few seconds).  So does the compile-only
+``paper_compile`` snapshot: op count and program fingerprint of every Table II
+application on the Figure 7/8 device grid ({L6, G2x3} x six capacities x
+{GS, IS}, 144 compilations).
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -83,6 +86,24 @@ class TestGoldenDeterminism:
         """The full Table II suite at paper scale matches the seed exactly."""
 
         _check_scale("paper", table2_suite())
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(os.environ.get("REPRO_GOLDEN_SCALE") != "paper",
+                        reason="paper-scale golden check (set REPRO_GOLDEN_SCALE=paper)")
+    def test_paper_device_grid_compiles_bit_identical(self):
+        """All 144 Figure 7/8 grid compilations match their op sequences."""
+
+        golden = _golden()["paper_compile"]
+        suite = table2_suite()
+        assert len(golden) * len(suite) == 144
+        for key, per_app in golden.items():
+            config = _config_from_key(key)
+            for name, entry in per_app.items():
+                program, _ = compile_for(suite[name], config)
+                assert len(program) == entry["num_ops"], f"{key}/{name}: op count"
+                assert program_fingerprint(program) == entry["program"], (
+                    f"{key}/{name}: compiled op sequence diverged"
+                )
 
     def test_simulation_is_repeatable(self):
         """Re-simulating the same program yields the same metric bits."""
