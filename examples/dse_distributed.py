@@ -78,7 +78,7 @@ def quickstart(workdir: Path) -> None:
     for line in dispatcher.command_lines():
         print(f"  {line}")
 
-    print("\nStore status (note the per-shard files and wall_s timings):")
+    print("\nStore status (note the per-worker files and wall_s timings):")
     repro_main(["dse", "status", "--store", str(store_dir), "--eta"])
 
 
@@ -105,7 +105,7 @@ def smoke(workdir: Path, trace: Path = None) -> int:
     store_dir = workdir / "dispatched"
     dispatcher = Dispatcher(space, store_dir, workers=3, shards=8,
                             ttl_s=2.0, throttle_s=0.05, poll_s=0.1,
-                            respawn=False)
+                            max_respawns=0)
     dispatcher.prepare()
     # The victim starts alone, so it is sure to hold a lease when the watch
     # below looks (shards hold whole compilations, and a lease on a small
@@ -119,8 +119,9 @@ def smoke(workdir: Path, trace: Path = None) -> int:
         victim_shards = []
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and not victim_shards:
-            victim_shards = [s.index for s in dispatcher.ledger.states()
-                            if s.owner and s.owner.endswith(suffix)]
+            victim_shards = [
+                name for name in dispatcher.ledger.work_names()
+                if (dispatcher.ledger.owner_of(name) or "").endswith(suffix)]
             time.sleep(0.02)
         if not victim_shards:
             print("[smoke] FAIL: victim worker never claimed a shard")
@@ -145,9 +146,9 @@ def smoke(workdir: Path, trace: Path = None) -> int:
                 proc.kill()
                 proc.wait()
 
-    for index in victim_shards:
-        status = dispatcher.ledger.state(index).status
-        print(f"[smoke] victim shard {index}: {status}")
+    for name in victim_shards:
+        status = dispatcher.ledger.status_of(name)[0]
+        print(f"[smoke] victim shard {name}: {status}")
         if status != "done":
             print("[smoke] FAIL: victim shard was not reclaimed")
             return 1
@@ -270,7 +271,7 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
     ttl_s = 4.0
     dispatcher = Dispatcher(space, store_dir, workers=2, shards=8,
                             ttl_s=ttl_s, throttle_s=0.05, poll_s=0.1,
-                            respawn=False)
+                            max_respawns=0)
     dispatcher.prepare()
     # As in the kill phase, the victim starts alone so the watch is sure to
     # see it holding a lease; the second worker joins once it is stopped.
@@ -283,9 +284,10 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
         victim_owner = None
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and victim_owner is None:
-            for state in dispatcher.ledger.states():
-                if state.owner and state.owner.endswith(suffix):
-                    victim_owner = state.owner
+            for name in dispatcher.ledger.work_names():
+                owner = dispatcher.ledger.owner_of(name)
+                if owner and owner.endswith(suffix):
+                    victim_owner = owner
                     break
             time.sleep(0.02)
         if victim_owner is None:

@@ -48,7 +48,7 @@ Custom design-space studies run through the ``dse`` family (quickstart)::
 
     # The same adaptive search distributed: the dispatcher runs the
     # proposer, workers lease signed proposal batches off the store's
-    # proposals/ ledger -- same best point, byte-identical export:
+    # work ledger -- same best point, byte-identical export:
     python -m repro dse dispatch --apps QFT,BV --capacities 14,18,22 \\
         --store runs/study --strategy bayes --workers 3
     python -m repro dse propose --store runs/study   # remote: proposer
@@ -550,7 +550,7 @@ def _add_dse_parsers(subparsers) -> None:
         description="Drive the propose/evaluate loop of an adaptive "
                     "dispatch (see `repro dse dispatch --strategy bayes "
                     "--print-only`): write signed proposal batches into the "
-                    "store's proposals/ ledger, ingest results as workers "
+                    "store's work ledger, ingest results as workers "
                     "append them, and emit the next batch until the budget "
                     "is spent.  Exactly one proposer per run; killed "
                     "proposers restart from the ledger alone.")
@@ -973,36 +973,36 @@ def _print_by_strategy(store) -> None:
 def _print_eta(args, store, space, pending) -> int:
     """The ``dse status --eta`` tail: pending x mean wall_s / active workers."""
 
-    from repro.dse import DesignSpace, ShardLedger, estimate_eta_s
-    from repro.dse.dispatch import DEFAULT_TTL_S, format_eta, read_manifest
+    from repro.dse import DesignSpace, WorkLedger, estimate_eta_s
+    from repro.dse.dispatch import (
+        DEFAULT_TTL_S,
+        MANIFEST_NAME,
+        format_eta,
+        read_manifest,
+    )
 
     # --workers without a count (telemetry display, const 0) does not pin
     # the ETA's active-worker count; only an explicit number does.
     active = args.workers if args.workers else None
     manifest = None
     if space is None or active is None:
-        # A dispatched store describes itself: the manifest names the space
-        # and the work partition, the ledgers know how many leases are live.
+        # A dispatched store describes itself: the manifest names the space,
+        # the work ledger knows how many leases are live.
         try:
             manifest = read_manifest(store.directory)
-        except ValueError:
+        except ValueError as exc:
+            if (store.directory / MANIFEST_NAME).exists():
+                print(f"\nerror: {exc}", file=sys.stderr)
             manifest = None
         if manifest is not None:
             if space is None:
                 space = DesignSpace.from_dict(manifest["space"])
                 pending = None
-            if active is None and manifest.get("mode", "shards") == "shards":
-                ledger = ShardLedger.for_store(
-                    store.directory, manifest["shards"],
-                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
-                active = ledger.status_counts()["active"]
-            elif active is None:
-                from repro.dse import ProposalLedger
-
-                ledger = ProposalLedger(
+            if active is None:
+                active = WorkLedger.for_store(
                     store.directory,
-                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
-                active = ledger.active_leases()
+                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S),
+                ).status_counts()["active"]
     if space is None:
         print("\nETA: unknown -- provide --space FILE (or dispatch through "
               "`repro dse dispatch`, which records the space in the store's "
@@ -1014,12 +1014,11 @@ def _print_eta(args, store, space, pending) -> int:
         # run stops at its evaluation budget, not the grid size -- and its
         # ledger's complete marker means nothing is pending at all.
         total = space.size
-        if manifest is not None and manifest.get("mode") == "adaptive":
-            from repro.dse import ProposalLedger
+        if manifest is not None and manifest["mode"] == "adaptive":
             from repro.dse.adaptive.propose import default_max_evals
 
             spec = manifest.get("strategy", {})
-            if ProposalLedger(store.directory).read_complete() is not None:
+            if WorkLedger.for_store(store.directory).read_complete() is not None:
                 total = len(store)
             elif spec.get("max_evals") is not None:
                 total = min(total, int(spec["max_evals"]))
@@ -1056,19 +1055,25 @@ def _cmd_dse_dispatch(args) -> int:
         raise SystemExit(f"error: --objectives only applies to the "
                          f"multi-objective strategies ('ehvi', 'parego'); "
                          f"use --metric with {args.strategy!r}")
-    if args.strategy != "grid":
-        return _dse_dispatch_adaptive(args, space)
+    strategy = (None if args.strategy == "grid"
+                else _adaptive_strategy_spec(args))
     try:
         dispatcher = Dispatcher(
             space, args.store, workers=args.workers, shards=args.shards,
             ttl_s=args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S,
             jobs=args.jobs,
-            throttle_s=args.throttle_s if args.throttle_s is not None else 0.0)
+            throttle_s=args.throttle_s if args.throttle_s is not None else 0.0,
+            strategy=strategy)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
-    print(f"Design space: {space.size} points -> {dispatcher.shards} leased "
-          f"shards, {args.workers} worker(s) x {args.jobs} job(s)")
+    if strategy is None:
+        print(f"Design space: {space.size} points -> {dispatcher.shards} "
+              f"leased shards, {args.workers} worker(s) x {args.jobs} job(s)")
+    else:
+        print(f"Design space: {space.size} points, adaptive strategy "
+              f"{args.strategy} (seed {args.seed}) -> proposal batches x "
+              f"{args.workers} worker(s)")
     print(f"Store       : {dispatcher.store_dir}")
     if args.print_only:
         try:
@@ -1076,8 +1081,12 @@ def _cmd_dse_dispatch(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
         print(f"Manifest    : {manifest}")
-        print("\nLaunch one worker per machine (each must mount the store "
-              "directory):")
+        if strategy is None:
+            print("\nLaunch one worker per machine (each must mount the "
+                  "store directory):")
+        else:
+            print("\nRun the proposer on one machine and one worker per "
+                  "machine (each must mount the store directory):")
         for line in dispatcher.command_lines():
             print(f"  {line}")
         print("\nWatch progress with "
@@ -1091,15 +1100,26 @@ def _cmd_dse_dispatch(args) -> int:
               f"ETA {format_eta(progress['eta_s'])}")
 
     try:
-        summary = dispatcher.run(timeout_s=args.timeout_s, on_progress=report)
+        summary = dispatcher.run(timeout_s=args.timeout_s,
+                                 on_progress=report if strategy is None
+                                 else None)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     status = "complete" if summary["complete"] else "INCOMPLETE"
-    print(f"\nDispatch {status}: {summary['points']} points in "
-          f"{summary['elapsed_s']:.1f} s "
-          f"(respawned {summary['respawned']} worker(s))")
+    if strategy is None:
+        print(f"\nDispatch {status}: {summary['points']} points in "
+              f"{summary['elapsed_s']:.1f} s "
+              f"(respawned {summary['respawned']} worker(s))")
+    else:
+        print(f"\nAdaptive dispatch {status}: "
+              f"{summary.get('evaluations', 0)} evaluations over "
+              f"{summary.get('batches', 0)} batches in "
+              f"{summary['elapsed_s']:.1f} s "
+              f"(respawned {summary['respawned']} worker(s))")
     _print_trace_merge(summary)
-    if summary["complete"]:
+    if strategy is not None:
+        _print_adaptive_result(summary, strategy, args.metric)
+    elif summary["complete"]:
         print(f"Export with `python -m repro dse export --store "
               f"{dispatcher.store_dir} --output study.json`")
     return 0 if summary["complete"] else 1
@@ -1118,11 +1138,8 @@ def _print_trace_merge(summary) -> None:
           f"process(es){skip_note}")
 
 
-def _dse_dispatch_adaptive(args, space) -> int:
-    """``dse dispatch --strategy bayes|adaptive-halving``: propose/evaluate."""
-
-    from repro.dse import AdaptiveDispatcher
-    from repro.dse.dispatch import DEFAULT_TTL_S
+def _adaptive_strategy_spec(args) -> dict:
+    """The manifest strategy spec of ``dse dispatch --strategy <adaptive>``."""
 
     if args.strategy in ("ehvi", "parego"):
         from repro.dse import make_strategy
@@ -1160,46 +1177,17 @@ def _dse_dispatch_adaptive(args, space) -> int:
                     "proxy_qubits": args.proxy_qubits}
         if args.surrogate is not None:
             strategy["surrogate"] = args.surrogate
-    try:
-        dispatcher = AdaptiveDispatcher(
-            space, args.store, strategy=strategy, workers=args.workers,
-            ttl_s=args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S,
-            jobs=args.jobs,
-            throttle_s=args.throttle_s if args.throttle_s is not None else 0.0)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    return strategy
 
-    print(f"Design space: {space.size} points, adaptive strategy "
-          f"{args.strategy} (seed {args.seed}) -> proposal batches x "
-          f"{args.workers} worker(s)")
-    print(f"Store       : {dispatcher.store_dir}")
-    if args.print_only:
-        try:
-            manifest = dispatcher.prepare()
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        print(f"Manifest    : {manifest}")
-        print("\nRun the proposer on one machine and one worker per machine "
-              "(each must mount the store directory):")
-        for line in dispatcher.command_lines():
-            print(f"  {line}")
-        return 0
 
-    try:
-        summary = dispatcher.run(timeout_s=args.timeout_s)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    status = "complete" if summary["complete"] else "INCOMPLETE"
-    print(f"\nAdaptive dispatch {status}: {summary.get('evaluations', 0)} "
-          f"evaluations over {summary.get('batches', 0)} batches in "
-          f"{summary['elapsed_s']:.1f} s "
-          f"(respawned {summary['respawned']} worker(s))")
-    _print_trace_merge(summary)
+def _print_adaptive_result(summary, strategy, metric) -> None:
+    """The best point (and frontier) of a finished adaptive dispatch."""
+
     best = summary.get("best")
     if best is not None:
         config = best["point"]["config"]
-        metric = (strategy["objectives"][0] if "objectives" in strategy
-                  else args.metric)
+        metric = strategy["objectives"][0] if "objectives" in strategy \
+            else metric
         print(f"Best point  : {best['point']['app']} on "
               f"{config['topology']}-cap{config['trap_capacity']}-"
               f"{config['gate']}-{config['reorder']} "
@@ -1214,7 +1202,6 @@ def _dse_dispatch_adaptive(args, space) -> int:
             print(f"  {entry['point']['app']} "
                   f"{config['topology']}-cap{config['trap_capacity']}-"
                   f"{config['gate']}-{config['reorder']}  [{values}]")
-    return 0 if summary["complete"] else 1
 
 
 def _cmd_dse_propose(args) -> int:
@@ -1234,10 +1221,13 @@ def _cmd_dse_propose(args) -> int:
 
 
 def _cmd_dse_worker(args) -> int:
-    from repro.toolflow.parallel import shard_worker
+    # Looked up on the module at call time, so a wrapper installed on
+    # repro.dse.dispatch.run_worker applies to this command too.
+    from repro.dse import dispatch
 
     try:
-        summary = shard_worker(args.store, owner=args.owner, jobs=args.jobs)
+        summary = dispatch.run_worker(args.store, owner=args.owner,
+                                      jobs=args.jobs)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(f"worker {summary['owner']}: completed "

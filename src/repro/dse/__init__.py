@@ -17,16 +17,18 @@ compile/simulate core:
 * :mod:`~repro.dse.pareto` -- best-point selection and fidelity-vs-runtime
   Pareto frontiers.
 * :mod:`~repro.dse.dispatch` -- filesystem-coordinated distributed
-  execution: a :class:`ShardLedger` of lease files (atomic claims,
-  heartbeat renewal, expiry-based reclaim of dead workers) and a
-  :class:`Dispatcher` that partitions a space into leased shards, runs
-  local worker processes (``repro dse dispatch``) or prints remote launch
-  commands, and watches progress with a ``wall_s``-driven ETA.
+  execution: a :class:`WorkLedger` of signed work items and lease files
+  (atomic claims, heartbeat renewal, expiry-based reclaim of dead
+  workers), the one worker loop :func:`run_worker`, and a
+  :class:`Dispatcher` that writes a grid's shards (or runs an adaptive
+  proposer), runs local worker processes (``repro dse dispatch``) or
+  prints remote launch commands, and watches progress with a
+  ``wall_s``-driven ETA.
 * :mod:`~repro.dse.adaptive` -- model-based search: incremental surrogate
   regressors, expected-improvement/UCB batch proposers, a surrogate-ranked
-  multi-fidelity ladder, and the distributed propose/evaluate protocol
-  (a signed proposal ledger inside the store directory; ``repro dse
-  dispatch --strategy bayes``, ``repro dse propose``).
+  multi-fidelity ladder, and the proposer of the distributed
+  propose/evaluate protocol (signed proposal parts in the store's work
+  ledger; ``repro dse dispatch --strategy bayes``, ``repro dse propose``).
 * :mod:`~repro.dse.moo` -- multi-objective frontier search: named objective
   vectors, the incremental Pareto archive, exact 2-D/3-D hypervolume, and
   the EHVI/ParEGO proposers (``repro dse run|dispatch --strategy
@@ -38,20 +40,15 @@ command-line entry point for custom studies.
 """
 
 from repro.dse.adaptive import (
-    AdaptiveDispatcher,
     AdaptiveHalvingProposer,
     BayesProposer,
-    ProposalLedger,
-    run_adaptive_worker,
     run_proposer,
 )
 from repro.dse.dispatch import (
     DEFAULT_TTL_S,
     Dispatcher,
-    LeaseDir,
     LeaseLost,
-    LeaseState,
-    ShardLedger,
+    WorkLedger,
     estimate_eta_s,
     read_manifest,
     run_worker,
@@ -114,7 +111,6 @@ __all__ = [
     "MOO_STRATEGY_NAMES",
     "OBJECTIVES",
     "STRATEGY_NAMES",
-    "AdaptiveDispatcher",
     "AdaptiveHalving",
     "AdaptiveHalvingProposer",
     "BayesProposer",
@@ -130,20 +126,17 @@ __all__ = [
     "EHVISearch",
     "ExhaustiveGrid",
     "ExperimentStore",
-    "LeaseDir",
     "LeaseLost",
-    "LeaseState",
     "ParEGOProposer",
     "ParEGOSearch",
     "ParetoArchive",
-    "ProposalLedger",
     "RandomSampling",
     "Shard",
-    "ShardLedger",
     "StoreCorruptionWarning",
     "Strategy",
     "StrategyResult",
     "SuccessiveHalving",
+    "WorkLedger",
     "best_record",
     "cloud_rows",
     "dominates",
@@ -162,7 +155,6 @@ __all__ = [
     "record_to_row",
     "records_hypervolume",
     "row_to_record",
-    "run_adaptive_worker",
     "run_proposer",
     "run_worker",
     "spawn_worker_process",

@@ -17,13 +17,14 @@ through the ordinary compile/simulate pipeline and experiment store.
   :class:`AdaptiveHalvingProposer` multi-fidelity scheduler that promotes
   points through the scaled-proxy ladder on surrogate rank instead of a
   fixed eta.
-* :mod:`~repro.dse.adaptive.protocol` -- the distributed propose/evaluate
-  split: the proposer writes signed proposal batches into a
-  ``proposals/`` ledger inside the store directory (same atomic
-  create/rename lease discipline as the shard ledger), workers lease
-  batches and append results to the store, and the proposer ingests them
-  incrementally to emit the next batch.  A killed proposer or worker is
-  recoverable from the ledger alone.
+* :mod:`~repro.dse.adaptive.protocol` -- the proposer of the distributed
+  propose/evaluate split: it writes each batch as signed proposal parts
+  into the store's work ledger (:class:`~repro.dse.dispatch.WorkLedger`,
+  the same items, leases and done markers as a grid run's shards), the
+  ordinary dispatch workers lease the parts and append results to the
+  store, and the proposer ingests them incrementally to emit the next
+  batch.  A killed proposer or worker is recoverable from the ledger
+  alone.
 
 The ``bayes`` and ``adaptive-halving`` strategies of
 :mod:`repro.dse.strategies` drive these proposers single-process through
@@ -50,27 +51,19 @@ from repro.dse.adaptive.propose import (
     make_proposer,
     upper_confidence_bound,
 )
-from repro.dse.adaptive.protocol import (
-    AdaptiveDispatcher,
-    ProposalLedger,
-    run_adaptive_worker,
-    run_proposer,
-)
+from repro.dse.adaptive.protocol import run_proposer
 
 __all__ = [
-    "AdaptiveDispatcher",
     "AdaptiveHalvingProposer",
     "BayesProposer",
     "PointEncoder",
     "ProposalBatch",
-    "ProposalLedger",
     "RFFSurrogate",
     "TreeEnsembleSurrogate",
     "default_max_evals",
     "expected_improvement",
     "make_proposer",
     "make_surrogate",
-    "run_adaptive_worker",
     "run_proposer",
     "upper_confidence_bound",
 ]

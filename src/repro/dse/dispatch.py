@@ -1,4 +1,4 @@
-"""Filesystem-coordinated shard dispatch for distributed DSE runs.
+"""Filesystem-coordinated dispatch for distributed DSE runs.
 
 PR 2's :class:`~repro.dse.store.ExperimentStore` made sharded sweeps
 *mergeable* (every shard appends to its own JSONL file; the directory union
@@ -8,35 +8,40 @@ layer, using nothing but the shared store directory -- no daemon, no
 database, so it works on any shared filesystem (NFS scratch space, a
 laptop's tmpdir, a CI runner):
 
-* :class:`ShardLedger` -- one lease file per shard under
-  ``<store>/leases/``.  Claims are atomic create-via-hardlink (the classic
+* :class:`WorkLedger` -- signed work items under ``<store>/leases/``, one
+  lease file per item.  Claims are atomic create-via-hardlink (the classic
   lockfile idiom: ``os.link`` fails iff the lease exists); heartbeats renew
   the lease mtime; a lease whose mtime is older than the TTL is *expired*
-  and may be taken over atomically by rename, which is how the shard of a
-  SIGKILLed worker gets re-leased.  Completed shards leave a ``.done``
-  marker so they are never claimed again.
-* :func:`run_worker` -- the worker loop behind ``repro dse worker`` (entry
-  point: :func:`repro.toolflow.parallel.shard_worker`).  Claim a shard,
-  evaluate its points with heartbeat renewal after every persisted task
-  group, mark it done, repeat; when shards remain but none is claimable,
-  wait for a lease to expire instead of stranding it.
-* :class:`Dispatcher` -- partitions a :class:`~repro.dse.space.DesignSpace`
-  into M shards (M > N workers, so a death costs at most one shard of
-  progress), writes the dispatch manifest, runs N local worker processes
-  (or prints the per-machine command lines for remote launch), and watches
-  progress -- point counts and an ETA driven by the per-point ``wall_s``
-  timings the store rows record since schema v2.
+  and may be taken over atomically by rename, which is how the item of a
+  SIGKILLed worker gets re-leased.  Completed items leave a ``.done``
+  marker so they are never claimed again.  A grid run's items are its
+  static shards, written with the manifest; an adaptive run's are the
+  proposal parts its proposer (:mod:`repro.dse.adaptive.protocol`) writes
+  as the search goes.
+* :func:`run_worker` -- the worker loop behind ``repro dse worker``.  Claim
+  an item, evaluate its points with heartbeat renewal after every persisted
+  task group, mark it done, repeat; when items remain but none is
+  claimable, wait for a lease to expire (or for the proposer) instead of
+  stranding the work.
+* :class:`Dispatcher` -- writes the dispatch manifest (a grid space
+  partitioned into M shards, M > N workers, so a death costs at most one
+  shard of progress; or an adaptive strategy), runs N local worker
+  processes (or prints the per-machine command lines for remote launch),
+  runs an adaptive run's proposer in-process, and watches progress --
+  point counts and an ETA driven by the per-point ``wall_s`` timings the
+  store rows record since schema v2.
 
 Correctness leans on two properties rather than on perfect mutual
-exclusion: shard evaluation is **idempotent** (results are deterministic)
-and the store **dedups by fingerprint**, so the worst a lease race can cost
-is duplicated work, never wrong or duplicated data.  A dispatched run's
+exclusion: evaluation is **idempotent** (results are deterministic) and the
+store **dedups by fingerprint**, so the worst a lease race can cost is
+duplicated work, never wrong or duplicated data.  A dispatched run's
 merged store therefore exports byte-identically to a single-process run of
 the same space (see :meth:`~repro.dse.store.ExperimentStore.export_rows`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -46,12 +51,11 @@ import sys
 import time
 import zlib
 from contextlib import ExitStack
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.runner import DSERunner, Shard
-from repro.dse.space import DesignSpace
+from repro.dse.space import DesignSpace, point_from_spec
 from repro.dse.store import ExperimentStore
 from repro.io.appendlog import LogReader, LogWriter, atomic_write_text
 from repro.obs.distributed import (
@@ -74,7 +78,7 @@ from repro.obs.trace import (
     span,
 )
 
-#: Subdirectory of the store directory holding lease and done files.
+#: Subdirectory of the store directory holding the work ledger.
 LEASE_DIR = "leases"
 
 #: Subdirectory of the store directory holding per-worker telemetry JSONL.
@@ -85,18 +89,27 @@ TELEMETRY_DIR = "telemetry"
 #: Dispatch manifest file name inside the store directory.
 MANIFEST_NAME = "dispatch.json"
 
-#: Fixed ``partition`` marker of shards-mode manifests: points map to shards
-#: by compilation (:meth:`~repro.dse.runner.DSERunner.partition_key`).  Not
-#: an option.  A shards manifest without it was written under the older
-#: point-fingerprint partition, whose done markers certify other points.
-SHARD_PARTITION = "compile"
+#: Fixed ``ledger`` marker of every manifest: the run's work lives as
+#: signed items in :class:`WorkLedger`'s layout.  Not an option.  Stores
+#: written without it keep their shards and proposals in other layouts
+#: (and older ones assigned shards by point fingerprint), so
+#: :func:`read_manifest` refuses them.
+LEDGER_LAYOUT = "work-items"
+
+#: Name of the ledger's end-of-run marker (``complete.json``).
+COMPLETE_NAME = "complete"
 
 #: Default lease time-to-live.  A worker heartbeats after every completed
 #: task group -- one compilation plus a simulation per folded gate variant
 #: -- so the TTL must exceed the wall time of the slowest *task group*, not
 #: just the slowest point, by a comfortable margin; expiry within that
-#: margin makes another worker redo the shard (harmlessly, but twice).
+#: margin makes another worker redo the item (harmlessly, but twice).
 DEFAULT_TTL_S = 60.0
+
+#: How long a worker with nothing claimable waits before polling again.  An
+#: idle poll only stats lease files, so it writes nothing, and a worker
+#: exits within one poll of the run's last done marker.
+IDLE_WAIT_S = 0.05
 
 #: Telemetry rotation threshold: when a worker's active event log exceeds
 #: this many bytes, it is rotated to a numbered segment (and old segments
@@ -110,27 +123,16 @@ DEFAULT_TELEMETRY_KEEP_SEGMENTS = 2
 
 
 class LeaseLost(RuntimeError):
-    """A worker's heartbeat found its shard lease reclaimed by another worker.
+    """A worker's heartbeat found its item's lease reclaimed by another worker.
 
-    Raised out of the heartbeat hook to abort the shard mid-evaluation; the
+    Raised out of the heartbeat hook to abort the item mid-evaluation; the
     rows persisted so far stay in the store (deduped by fingerprint), so the
     new owner replays them instead of recomputing.
     """
 
 
-@dataclass(frozen=True)
-class LeaseState:
-    """Snapshot of one shard's coordination state.
-
-    ``status`` is one of ``"open"`` (unclaimed), ``"active"`` (leased,
-    heartbeat fresh), ``"expired"`` (leased, heartbeat older than the TTL --
-    claimable by takeover) or ``"done"`` (completed, never claimable again).
-    """
-
-    index: int
-    status: str
-    owner: Optional[str] = None
-    age_s: Optional[float] = None
+class WorkTampered(ValueError):
+    """A ledger item failed its content-signature check."""
 
 
 def _live_phase() -> Dict[str, str]:
@@ -150,6 +152,14 @@ def default_owner() -> str:
     """Default lease-owner identity: host plus pid (unique per worker)."""
 
     return f"{socket.gethostname()}-pid{os.getpid()}"
+
+
+def _signature(payload: Dict[str, object]) -> str:
+    """SHA-256 over the canonical JSON of a payload, signature field excluded."""
+
+    body = {key: value for key, value in payload.items() if key != "signature"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class LeaseClock:
@@ -183,15 +193,21 @@ class LeaseClock:
         return max(0.0, self.now() - os.stat(path).st_mtime)
 
 
-class LeaseDir:
-    """Name-keyed lease files with atomic claim/renew/release semantics.
+class WorkLedger:
+    """Signed work items with atomic claim/renew/release semantics.
 
-    The coordination primitive shared by the shard ledger and the adaptive
-    proposal ledger (:mod:`repro.dse.adaptive.protocol`).  Every unit of
-    work is a *name*; ``<name>.lease`` holds the current owner, ``<name>.done``
-    marks completion.  All operations go through atomic filesystem
+    Every unit of work is a *name*: ``<name>.json`` holds the item --
+    a static shard ``{"shard": i, "shards": N}`` or an adaptive proposal
+    part -- signed with a SHA-256 over its canonical payload, so a torn or
+    tampered item is detected rather than half-read; ``<name>.lease`` holds
+    the current owner; ``<name>.done`` marks completion.  A signed
+    ``complete.json`` says that no further items will appear: the
+    dispatcher writes it together with a grid run's shards, a proposer
+    once its search has ended.  All writes go through atomic filesystem
     primitives:
 
+    * **items and markers** -- private temp file + rename
+      (:func:`~repro.io.appendlog.atomic_write_text`).
     * **claim** -- the owner payload is written to a private temp file and
       hardlinked to the lease name; ``os.link`` fails if the lease exists,
       so exactly one contender wins a fresh claim.  An *expired* lease is
@@ -208,10 +224,10 @@ class LeaseDir:
     can only duplicate work, which the experiment store's fingerprint dedup
     absorbs; they cannot corrupt results.
 
-    The directory is created lazily by the write paths (claim/release) so
-    that read-only inspection -- ``dse status --eta`` on a store the user
-    only queries, possibly on a read-only mount -- never mutates the store.
-    Read paths treat a missing directory as all-open.
+    The directory is created lazily by the write paths so that read-only
+    inspection -- ``dse status --eta`` on a store the user only queries,
+    possibly on a read-only mount -- never mutates the store.  Read paths
+    treat a missing directory as an empty ledger.
     """
 
     def __init__(self, directory, *, ttl_s: float = DEFAULT_TTL_S,
@@ -222,12 +238,63 @@ class LeaseDir:
         self.ttl_s = float(ttl_s)
         self.clock = clock if clock is not None else LeaseClock()
 
+    @classmethod
+    def for_store(cls, store_dir, *, ttl_s: float = DEFAULT_TTL_S,
+                  clock: Optional[LeaseClock] = None) -> "WorkLedger":
+        """The ledger living inside an experiment-store directory."""
+
+        return cls(Path(store_dir) / LEASE_DIR, ttl_s=ttl_s, clock=clock)
+
     # ------------------------------------------------------------------ #
+    def item_path(self, name: str) -> Path:
+        return self.directory / f"{name}.json"
+
     def lease_path(self, name: str) -> Path:
         return self.directory / f"{name}.lease"
 
     def done_path(self, name: str) -> Path:
         return self.directory / f"{name}.done"
+
+    # ------------------------------------------------------------------ #
+    def write_item(self, name: str, payload: Dict[str, object]) -> Path:
+        """Persist one signed item (atomic: temp file + rename)."""
+
+        from repro.io.serialization import SCHEMA_VERSION
+
+        body = {"schema_version": SCHEMA_VERSION}
+        body.update(payload)
+        body["signature"] = _signature(body)
+        return atomic_write_text(self.item_path(name),
+                                 json.dumps(body, indent=2,
+                                            sort_keys=True) + "\n")
+
+    def read_item(self, name: str) -> Dict[str, object]:
+        """Load and signature-check one item."""
+
+        from repro.io.serialization import check_schema_version
+
+        path = self.item_path(name)
+        try:
+            payload = json.loads(path.read_text())
+        except FileNotFoundError:
+            raise ValueError(f"no work item {name} at {path}")
+        except json.JSONDecodeError as err:
+            raise WorkTampered(f"{path}: unparseable work item "
+                               f"({err})") from err
+        if payload.get("signature") != _signature(payload):
+            raise WorkTampered(
+                f"{path}: signature mismatch -- the item was torn or "
+                f"tampered with; delete it to let its writer rewrite it")
+        check_schema_version(payload, source=str(path))
+        return payload
+
+    def work_names(self) -> List[str]:
+        """Every item present, in name order."""
+
+        if not self.directory.exists():
+            return []
+        return sorted(path.stem for path in self.directory.glob("*.json")
+                      if path.stem != COMPLETE_NAME)
 
     # ------------------------------------------------------------------ #
     def claim(self, name: str, owner: str) -> bool:
@@ -289,7 +356,11 @@ class LeaseDir:
         return age > self.ttl_s
 
     def renew(self, name: str, owner: str) -> bool:
-        """Heartbeat: refresh ``owner``'s lease mtime; False if it was lost."""
+        """Heartbeat: refresh ``owner``'s lease mtime; False if it was lost.
+
+        A False return means the lease expired and another worker took the
+        item over (or released it) -- the caller must stop working on it.
+        """
 
         if self.owner_of(name) != owner:
             return False
@@ -343,114 +414,50 @@ class LeaseDir:
         status = "expired" if age > self.ttl_s else "active"
         return status, self.owner_of(name), age
 
-
-class ShardLedger:
-    """Lease files deciding which worker owns which shard of a dispatch.
-
-    A thin index-keyed view over :class:`LeaseDir` (shard ``i`` of ``N`` is
-    the work unit named ``shard-<i>of<N>``); see there for the atomicity and
-    crash-recovery discipline.
-    """
-
-    def __init__(self, directory, count: int, *, ttl_s: float = DEFAULT_TTL_S,
-                 clock: Optional[LeaseClock] = None) -> None:
-        if count < 1:
-            raise ValueError("shard count must be at least 1")
-        self._leases = LeaseDir(directory, ttl_s=ttl_s, clock=clock)
-        self.directory = self._leases.directory
-        self.count = int(count)
-        self.ttl_s = self._leases.ttl_s
-        self.clock = self._leases.clock
-
-    @classmethod
-    def for_store(cls, store_dir, count: int, *, ttl_s: float = DEFAULT_TTL_S,
-                  clock: Optional[LeaseClock] = None) -> "ShardLedger":
-        """The ledger living inside an experiment-store directory."""
-
-        return cls(Path(store_dir) / LEASE_DIR, count, ttl_s=ttl_s, clock=clock)
-
-    # ------------------------------------------------------------------ #
-    def _check_index(self, index: int) -> None:
-        if not 1 <= index <= self.count:
-            raise ValueError(f"shard index must be in 1..{self.count}, "
-                             f"got {index}")
-
-    def _name(self, index: int) -> str:
-        self._check_index(index)
-        return f"shard-{index}of{self.count}"
-
-    def shard(self, index: int) -> Shard:
-        self._check_index(index)
-        return Shard(index, self.count)
-
-    def lease_path(self, index: int) -> Path:
-        return self._leases.lease_path(self._name(index))
-
-    def done_path(self, index: int) -> Path:
-        return self._leases.done_path(self._name(index))
-
-    # ------------------------------------------------------------------ #
-    def claim(self, index: int, owner: str) -> bool:
-        """Try to lease shard ``index`` for ``owner``; True iff it succeeded."""
-
-        return self._leases.claim(self._name(index), owner)
-
-    def renew(self, index: int, owner: str) -> bool:
-        """Heartbeat: refresh ``owner``'s lease mtime; False if it was lost.
-
-        A False return means the lease expired and another worker took the
-        shard over (or released it) -- the caller must stop working on it.
-        """
-
-        return self._leases.renew(self._name(index), owner)
-
-    def release(self, index: int, owner: str, *, done: bool = True) -> None:
-        """Drop ``owner``'s lease; with ``done=True`` mark the shard complete."""
-
-        self._leases.release(self._name(index), owner, done=done)
-
-    def owner_of(self, index: int) -> Optional[str]:
-        """The owner recorded in a shard's lease file, or ``None``."""
-
-        return self._leases.owner_of(self._name(index))
-
-    # ------------------------------------------------------------------ #
-    def state(self, index: int) -> LeaseState:
-        """The current :class:`LeaseState` of one shard."""
-
-        status, owner, age = self._leases.status_of(self._name(index))
-        return LeaseState(index, status, owner=owner, age_s=age)
-
-    def states(self) -> List[LeaseState]:
-        return [self.state(index) for index in range(1, self.count + 1)]
-
     def status_counts(self) -> Dict[str, int]:
         counts = {"open": 0, "active": 0, "expired": 0, "done": 0}
-        for state in self.states():
-            counts[state.status] += 1
+        for name in self.work_names():
+            counts[self.status_of(name)[0]] += 1
         return counts
 
-    def done_count(self) -> int:
-        return sum(1 for index in range(1, self.count + 1)
-                   if self.done_path(index).exists())
-
-    def all_done(self) -> bool:
-        return self.done_count() == self.count
-
-    def next_claim(self, owner: str) -> Optional[Shard]:
-        """Claim the first available shard for ``owner`` (or ``None``).
+    def claim_next(self, owner: str) -> Optional[str]:
+        """Claim the first available item for ``owner`` (or ``None``).
 
         Workers start their scan at an owner-dependent offset so N workers
-        hitting an empty ledger at once mostly claim N different shards on
-        the first pass instead of stampeding shard 1.
+        hitting a fresh ledger at once mostly claim N different items on
+        the first pass instead of stampeding the first one.
         """
 
-        offset = zlib.crc32(owner.encode()) % self.count
-        for step in range(self.count):
-            index = (offset + step) % self.count + 1
-            if self.claim(index, owner):
-                return self.shard(index)
+        names = self.work_names()
+        if not names:
+            return None
+        offset = zlib.crc32(owner.encode()) % len(names)
+        for step in range(len(names)):
+            name = names[(offset + step) % len(names)]
+            if not self.is_done(name) and self.claim(name, owner):
+                return name
         return None
+
+    # ------------------------------------------------------------------ #
+    @property
+    def complete_path(self) -> Path:
+        return self.item_path(COMPLETE_NAME)
+
+    def write_complete(self, payload: Dict[str, object]) -> Path:
+        return self.write_item(COMPLETE_NAME, payload)
+
+    def read_complete(self) -> Optional[Dict[str, object]]:
+        try:
+            return self.read_item(COMPLETE_NAME)
+        except ValueError:
+            return None  # absent, or a torn write in flight: not complete
+
+    def all_done(self) -> bool:
+        """True when the run is complete and every item is done."""
+
+        if self.read_complete() is None:
+            return False
+        return all(self.is_done(name) for name in self.work_names())
 
 
 # --------------------------------------------------------------------------- #
@@ -604,18 +611,23 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     """Write ``<store>/dispatch.json`` describing the run (atomic replace).
 
     A worker pointed at the store directory reads everything it needs from
-    this manifest: the space, the coordination ``mode`` (``"shards"`` --
-    static shards of whole compilations, the default and the only pre-v3
-    mode -- or ``"adaptive"`` -- workers lease proposal batches written by a
-    strategy proposer, see :mod:`repro.dse.adaptive.protocol`), the shard
-    count and the fixed ``partition`` marker (shards mode), the strategy
-    spec (adaptive mode), the lease TTL and the per-worker ``jobs``.
+    this manifest and the work ledger: the space, the coordination ``mode``
+    (``"shards"`` -- static shards of whole compilations, the default -- or
+    ``"adaptive"`` -- workers lease proposal parts written by a strategy
+    proposer, see :mod:`repro.dse.adaptive.protocol`), the shard count
+    (shards mode), the strategy spec (adaptive mode), the lease TTL, the
+    per-worker ``jobs`` and the fixed ``ledger`` layout marker.  In shards
+    mode the shard items ``shard-<i>of<N>`` and the complete marker are
+    written *before* the manifest, so a worker never reads a manifest
+    without its work.
+
     Re-preparing an existing dispatch is allowed only if the space, mode,
-    shard count and strategy are unchanged and the manifest carries this
-    version's partition (the work partition must stay stable across
-    resumes); TTL/jobs/throttle may be retuned.  A *new* manifest is refused
-    when ``<store>/leases/`` already holds done markers: they belong to an
-    earlier run, and workers would trust them without evaluating a point.
+    shard count and strategy are unchanged (the work must stay stable
+    across resumes); TTL/jobs/throttle may be retuned.  A *new* manifest is
+    refused when ``<store>/leases/`` already holds anything -- items, leases,
+    done markers or a complete marker: they belong to an earlier run, and
+    workers would claim its items or trust its markers without evaluating
+    a point.
     """
 
     from repro.io.serialization import SCHEMA_VERSION
@@ -623,42 +635,48 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     if mode not in ("shards", "adaptive"):
         raise ValueError(f"unknown dispatch mode {mode!r}; "
                          f"expected 'shards' or 'adaptive'")
-    if mode == "shards" and shards is None:
-        raise ValueError("shards-mode dispatch needs a shard count")
+    if mode == "shards" and (shards is None or shards < 1):
+        raise ValueError("shards-mode dispatch needs a shard count of at "
+                         "least 1")
     if mode == "adaptive" and strategy is None:
         raise ValueError("adaptive-mode dispatch needs a strategy spec")
     store_dir = Path(store_dir)
     path = store_dir / MANIFEST_NAME
+    ledger = WorkLedger.for_store(store_dir)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "space": space.to_dict(),
         "mode": mode,
+        "ledger": LEDGER_LAYOUT,
         "ttl_s": float(ttl_s),
         "jobs": int(jobs),
         "throttle_s": float(throttle_s),
     }
     if shards is not None:
         manifest["shards"] = int(shards)
-    if mode == "shards":
-        manifest["partition"] = SHARD_PARTITION
     if strategy is not None:
         manifest["strategy"] = dict(strategy)
     if path.exists():
         existing = read_manifest(store_dir)
-        _check_partition(existing, path)
         if (existing.get("space") != manifest["space"]
-                or existing.get("mode", "shards") != mode
+                or existing.get("mode") != mode
                 or existing.get("shards") != manifest.get("shards")
                 or existing.get("strategy") != manifest.get("strategy")):
             raise ValueError(
                 f"{path} already describes a different dispatch (space, "
                 f"mode, shard count or strategy differs); use a fresh store "
                 f"directory")
-    elif any((store_dir / LEASE_DIR).glob("*.done")):
+    elif ledger.directory.is_dir() and any(ledger.directory.iterdir()):
         raise ValueError(
-            f"{store_dir / LEASE_DIR} holds done markers of an earlier "
-            f"dispatch, which a new run would trust without evaluating its "
-            f"points; use a fresh store directory")
+            f"{ledger.directory} holds the work ledger of an earlier "
+            f"dispatch (items, leases, done or complete markers), which a "
+            f"new run would claim or trust without evaluating its points; "
+            f"use a fresh store directory")
+    if mode == "shards":
+        for index in range(1, int(shards) + 1):
+            ledger.write_item(Shard(index, int(shards)).name,
+                              {"shard": index, "shards": int(shards)})
+        ledger.write_complete({"shards": int(shards)})
     return atomic_write_text(path, json.dumps(manifest, indent=2,
                                               sort_keys=True) + "\n")
 
@@ -678,76 +696,57 @@ def read_manifest(store_dir) -> Dict:
     except json.JSONDecodeError as err:
         raise ValueError(f"corrupt dispatch manifest at {path}: {err}") from err
     check_schema_version(manifest, source=str(path))
-    return manifest
-
-
-def _check_partition(manifest: Dict, source) -> None:
-    """Refuse a shards-mode manifest written under another shard partition."""
-
-    if (manifest.get("mode", "shards") == "shards"
-            and manifest.get("partition") != SHARD_PARTITION):
+    if manifest.get("ledger") != LEDGER_LAYOUT:
         raise ValueError(
-            f"{source} was written by an older version that assigned points "
-            f"to shards by fingerprint; its shards and done markers do not "
-            f"match this version's partition by compilation.  Use a fresh "
+            f"{path} was written by an older version whose lease ledger "
+            f"has another layout (no \"ledger\": \"{LEDGER_LAYOUT}\" marker); "
+            f"this version can neither join nor resume it.  Use a fresh "
             f"store directory")
+    return manifest
 
 
 # --------------------------------------------------------------------------- #
 # Worker loop
 # --------------------------------------------------------------------------- #
 def run_worker(store_dir, *, owner: Optional[str] = None,
-               jobs: Optional[int] = None, circuits=None,
-               idle_wait_s: Optional[float] = None) -> Dict[str, object]:
-    """Lease and evaluate work from ``store_dir`` until the run completes.
+               jobs: Optional[int] = None, circuits=None) -> Dict[str, object]:
+    """Lease and evaluate work items from ``store_dir`` until the run completes.
 
-    The dispatch manifest decides the coordination mode: static shards
-    (below) or, for ``mode: "adaptive"`` manifests, proposal batches written
-    by a strategy proposer -- the worker then delegates to
-    :func:`repro.dse.adaptive.protocol.run_adaptive_worker`, so every
-    worker, local or remote, joins either kind of run through this one
-    entry point.
-
-    The shards-mode loop: claim a shard, refresh the worker's store view
-    with the incremental ``reload`` (so rows flushed by other workers --
-    including a dead worker's partial shard file -- replay instead of
-    recomputing), evaluate the shard's points with a heartbeat after every
-    persisted task group, mark the shard done, repeat.  When shards remain
-    but none is claimable (all actively leased), the worker re-polls every
-    ``idle_wait_s`` (default 0.05 s) rather than exiting and stranding a
-    dead worker's shard.  An idle poll only stats lease files, so it writes
-    nothing, and the worker exits within one poll of the last shard's done
-    marker.
+    The loop behind every ``repro dse worker``, local or remote, for grid
+    and adaptive manifests alike: claim an item, refresh the worker's store
+    view with the incremental ``reload`` (so rows flushed by other workers
+    -- including a dead worker's partial item -- replay instead of
+    recomputing), evaluate the item's points with a heartbeat after every
+    persisted task group, mark the item done, repeat.  A shard item
+    restricts the runner to the shard's compilations of the whole space; a
+    proposal part names its points and the provenance its rows carry.
+    When nothing is claimable -- every open item is actively leased, or an
+    adaptive proposer has yet to write the next batch -- the worker
+    re-polls every :data:`IDLE_WAIT_S` rather than exiting and stranding a
+    dead worker's item.  It exits once the ledger's complete marker exists
+    and every item is done.
 
     One store view and one :class:`~repro.dse.runner.DSERunner` -- with
     its built circuits, point fingerprints and compiled-program cache --
-    serve every shard this worker runs; each claim rebinds only the
-    runner's shard and heartbeat.  Shards hold whole compilations, so a
-    program compiles once and its gate variants run as one batched fan-out.
+    serve every item this worker runs; each claim rebinds only the
+    runner's shard, provenance and heartbeat.  Shards hold whole
+    compilations, so a program compiles once and its gate variants run as
+    one batched fan-out.
 
-    Returns ``{"owner", "completed", "lost"}`` where ``lost`` lists shards
-    aborted because the lease was reclaimed mid-evaluation.
+    Returns ``{"owner", "completed", "lost"}``: item names finished, and
+    item names aborted because the lease was reclaimed mid-evaluation.
     """
 
     from repro.toolflow.parallel import ProgramCache
 
     store_dir = Path(store_dir)
     manifest = read_manifest(store_dir)
-    if manifest.get("mode", "shards") == "adaptive":
-        from repro.dse.adaptive.protocol import run_adaptive_worker
-
-        return run_adaptive_worker(store_dir, manifest=manifest, owner=owner,
-                                   jobs=jobs, circuits=circuits,
-                                   idle_wait_s=idle_wait_s)
-    _check_partition(manifest, store_dir / MANIFEST_NAME)
     space = DesignSpace.from_dict(manifest["space"])
-    ledger = ShardLedger.for_store(store_dir, manifest["shards"],
-                                   ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
+    ledger = WorkLedger.for_store(store_dir,
+                                  ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
     owner = owner or default_owner()
     jobs = int(manifest.get("jobs", 1)) if jobs is None else int(jobs)
     throttle_s = float(manifest.get("throttle_s", 0.0))
-    if idle_wait_s is None:
-        idle_wait_s = 0.05
 
     # Join the dispatcher's trace when it stamped one into our environment:
     # spans go to this worker's shard file, which the dispatcher merges
@@ -755,8 +754,8 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     trace_ctx = TraceContext.from_env()
     tracer = trace_ctx.arm() if trace_ctx is not None else None
     cache = ProgramCache()
-    completed: List[int] = []
-    lost: List[int] = []
+    completed: List[str] = []
+    lost: List[str] = []
     seen_counters: Dict[str, int] = {}
 
     def counters_delta() -> Dict[str, int]:
@@ -780,63 +779,72 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         telemetry = logs.enter_context(
             WorkerTelemetry(store_dir, owner, clock=ledger.clock))
         shard_writer = logs.enter_context(TraceShardWriter(store_dir, owner))
-        telemetry.emit("worker_start", mode="shards", shards=ledger.count,
-                       jobs=jobs, pid=os.getpid())
-        store = logs.enter_context(ExperimentStore(store_dir))
+        telemetry.emit("worker_start", mode=manifest["mode"],
+                       shards=manifest.get("shards"), jobs=jobs,
+                       pid=os.getpid())
+        # One store file per owner.  After a takeover, an alive-but-slow
+        # previous owner may still flush one in-flight group before its
+        # next heartbeat notices the loss, and two processes appending to
+        # one file over NFS can tear each other's rows.  Separate files
+        # close that window; directory union and fingerprint dedup merge
+        # them losslessly.
+        store = logs.enter_context(ExperimentStore(
+            store_dir, writer=f"worker-{filename_safe(owner)}"))
         runner = DSERunner(space, store=store, jobs=jobs, cache=cache,
                            circuits=circuits)
         while True:
-            shard = ledger.next_claim(owner)
-            if shard is None:
+            name = ledger.claim_next(owner)
+            if name is None:
                 if ledger.all_done():
                     break
-                # Unfinished shards are all actively leased; one of them
-                # may belong to a dead worker, so wait for expiry instead
-                # of exiting.
-                time.sleep(idle_wait_s)
+                time.sleep(IDLE_WAIT_S)
                 continue
-            telemetry.emit("claim", work=shard.name, **_live_phase())
-            shard_started = time.perf_counter()
+            telemetry.emit("claim", work=name, **_live_phase())
+            started = time.perf_counter()
+            item = ledger.read_item(name)
+            if "shard" in item:
+                runner.shard = Shard(item["shard"], item["shards"])
+                runner.provenance = None
+                points = list(space.points())
+            else:
+                runner.shard = None
+                runner.provenance = {key: item.get(key) for key in
+                                     ("strategy", "seed", "rung",
+                                      "proxy_qubits")}
+                if item.get("objectives") is not None:
+                    # Multi-objective batches: mirror the serial strategy
+                    # driver's stamp so raw rows match serial runs exactly.
+                    runner.provenance["objectives"] = item["objectives"]
+                points = [point_from_spec(spec) for spec in item["points"]]
 
-            def heartbeat(index: int = shard.index,
-                          name: str = shard.name) -> None:
-                if not ledger.renew(index, owner):
-                    raise LeaseLost(f"lease on shard {index}/{ledger.count} "
-                                    f"was reclaimed from {owner}")
+            def heartbeat(name: str = name) -> None:
+                if not ledger.renew(name, owner):
+                    raise LeaseLost(f"lease on {name} was reclaimed from "
+                                    f"{owner}")
                 telemetry.emit("renew", work=name, **_live_phase())
                 if throttle_s:
                     time.sleep(throttle_s)
 
-            # The reload picks up every row other workers have flushed so
-            # far, so a reclaimed shard replays the dead worker's partial
-            # results instead of recomputing them.  The writer file is
-            # per-(shard, owner): after a takeover, an alive-but-slow
-            # previous owner may still flush one in-flight group before its
-            # next heartbeat notices the loss, and two processes appending
-            # to one file over NFS can tear each other's rows.  Separate
-            # files close that window; directory union and fingerprint
-            # dedup merge them losslessly.
+            runner.heartbeat = heartbeat
             store.reload()
-            store.set_writer(f"{shard.name}-{filename_safe(owner)}")
-            runner.shard, runner.heartbeat = shard, heartbeat
             before = dict(runner.stats)
             try:
-                with span("dse.shard", shard=shard.name, owner=owner):
-                    runner.evaluate_space()
+                with span("dse.work", work=name, owner=owner):
+                    runner.evaluate(points)
             except LeaseLost:
-                lost.append(shard.index)
-                telemetry.emit("lease_lost", work=shard.name)
+                lost.append(name)
+                telemetry.emit("lease_lost", work=name)
                 shard_writer.flush(tracer)
                 continue
-            ledger.release(shard.index, owner, done=True)
-            completed.append(shard.index)
+            ledger.release(name, owner, done=True)
+            completed.append(name)
             telemetry.emit(
-                "done", work=shard.name,
+                "done", work=name,
                 points=runner.stats["evaluated"] - before["evaluated"],
                 replayed=runner.stats["reused"] - before["reused"],
-                wall_s=round(time.perf_counter() - shard_started, 6),
+                wall_s=round(time.perf_counter() - started, 6),
                 counters=counters_delta())
-            # Flush after every completed shard: a SIGKILL later costs only
+            # Flush after every completed item: a SIGKILL later costs only
             # the spans closed since this point.
             shard_writer.flush(tracer)
         telemetry.emit("worker_exit", completed=len(completed),
@@ -954,14 +962,17 @@ def format_eta(eta_s: Optional[float]) -> str:
 # --------------------------------------------------------------------------- #
 # Dispatcher
 # --------------------------------------------------------------------------- #
+class _Stopped(Exception):
+    """Raised by the dispatcher's tick to end a run before it completed."""
+
+
 class Dispatcher:
-    """Partition a space into leased shards and drive workers to completion.
+    """Write a dispatch's work, drive local workers to completion.
 
     Parameters
     ----------
     space:
-        The design space to evaluate (exhaustive grid; adaptive strategies
-        cannot shard -- see :meth:`DSERunner.run`).
+        The design space to evaluate.
     store_dir:
         Experiment-store directory shared by all workers.  Should be
         dedicated to this study: progress accounting assumes every row in
@@ -970,10 +981,11 @@ class Dispatcher:
         Local worker processes to run (ignored by :meth:`command_lines`,
         which targets remote launch).
     shards:
-        Lease granularity; defaults to ``4 * workers`` so workers stay busy
-        through the tail and a worker death forfeits at most one shard of
-        fresh progress.  Shards hold whole compilations, so a space with
-        few distinct compilations may leave some shards empty.
+        Lease granularity of a grid run; defaults to ``4 * workers`` so
+        workers stay busy through the tail and a worker death forfeits at
+        most one shard of fresh progress.  Shards hold whole compilations,
+        so a space with few distinct compilations may leave some shards
+        empty.
     ttl_s:
         Lease time-to-live; must exceed the slowest task group's wall time
         -- one compile plus all its folded gate-variant simulations --
@@ -983,40 +995,72 @@ class Dispatcher:
         ``workers x jobs``).
     throttle_s:
         Optional sleep per heartbeat inside workers -- a load limiter for
-        shared machines, also used by the CI smoke test to widen the
-        kill window.  Default 0.
+        shared machines, also used by the CI smoke tests to widen the kill
+        window.  Default 0.
     poll_s:
         Longest wait between two checks of the ledger and of worker
-        liveness.  The dispatcher waits on a worker process instead of
-        sleeping, so it wakes as soon as that worker exits -- which workers
-        do once every shard is done.
-    respawn / max_respawns:
-        Replace workers that exited non-zero (up to ``max_respawns``,
-        default ``workers``) while unfinished shards remain.
+        liveness (and, for an adaptive run, between two result polls of
+        the proposer).  A grid dispatcher waits on a worker process instead
+        of sleeping, so it wakes as soon as that worker exits -- which
+        workers do once every item is done.
+    max_respawns:
+        Replace workers that exited non-zero, up to this many times
+        (default ``workers``; 0 disables respawning), while unfinished
+        work remains.
+    strategy:
+        An adaptive strategy spec (``{"name": "bayes", "seed": ...}``).
+        Given one, the run is a propose/evaluate search: each proposal
+        batch is split into ``workers`` leaseable parts (unless the spec
+        sets ``parts``), and the proposer
+        (:func:`~repro.dse.adaptive.protocol.run_proposer`) runs in this
+        process.  ``None`` (the default) dispatches the whole grid as
+        static shards.
     """
 
     def __init__(self, space: DesignSpace, store_dir, *, workers: int = 2,
                  shards: Optional[int] = None, ttl_s: float = DEFAULT_TTL_S,
-                 jobs: int = 1, throttle_s: float = 0.0, poll_s: float = 0.5,
-                 respawn: bool = True, max_respawns: Optional[int] = None) -> None:
+                 jobs: int = 1, throttle_s: float = 0.0, poll_s: float = 0.2,
+                 max_respawns: Optional[int] = None,
+                 strategy: Optional[Dict[str, object]] = None) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.space = space
         self.store_dir = Path(store_dir)
         self.workers = int(workers)
-        self.shards = int(shards) if shards is not None else 4 * self.workers
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
+        self.strategy = None if strategy is None else dict(strategy)
+        if self.strategy is None:
+            self.shards = (int(shards) if shards is not None
+                           else 4 * self.workers)
+            if self.shards < 1:
+                raise ValueError("need at least one shard")
+        else:
+            self.shards = None
+            self.strategy.setdefault("parts", self.workers)
+            if self.strategy.get("max_evals") is None:
+                # Record the resolved budget in the manifest so progress
+                # tooling (``dse status --eta``) can read it without
+                # constructing a proposer.  Identical to the proposer's own
+                # default, so determinism is unaffected.
+                name = self.strategy.get("name")
+                batch_size = self.strategy.get("batch_size", 4)
+                if name == "bayes":
+                    from repro.dse.adaptive.propose import default_max_evals
+
+                    self.strategy["max_evals"] = default_max_evals(
+                        space.size, batch_size)
+                elif name in ("ehvi", "parego"):
+                    from repro.dse.moo.propose import default_moo_max_evals
+
+                    self.strategy["max_evals"] = default_moo_max_evals(
+                        space.size, batch_size)
         self.ttl_s = float(ttl_s)
         self.jobs = int(jobs)
         self.throttle_s = float(throttle_s)
         self.poll_s = float(poll_s)
-        self.respawn = respawn
         self.max_respawns = (self.workers if max_respawns is None
                              else int(max_respawns))
         self.respawned = 0
-        self.ledger = ShardLedger.for_store(self.store_dir, self.shards,
-                                            ttl_s=self.ttl_s)
+        self.ledger = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s)
         self._procs: List[subprocess.Popen] = []
         self._progress = StoreProgress(self.store_dir)
 
@@ -1024,28 +1068,29 @@ class Dispatcher:
     def prepare(self) -> Path:
         """Write the dispatch manifest; workers can join once this returns."""
 
-        return write_manifest(self.store_dir, self.space, shards=self.shards,
-                              ttl_s=self.ttl_s, jobs=self.jobs,
-                              throttle_s=self.throttle_s)
-
-    def worker_command(self) -> List[str]:
-        """argv for one local worker subprocess."""
-
-        return worker_argv(self.store_dir)
+        return write_manifest(
+            self.store_dir, self.space, shards=self.shards, ttl_s=self.ttl_s,
+            jobs=self.jobs, throttle_s=self.throttle_s,
+            mode="shards" if self.strategy is None else "adaptive",
+            strategy=self.strategy)
 
     def command_lines(self) -> List[str]:
-        """Shell commands for launching the workers on remote machines.
+        """Shell commands for launching the fleet on remote machines.
 
-        Every machine that mounts the store directory runs the same
+        Every machine that mounts the store directory runs the same worker
         command; workers coordinate purely through the ledger, so any
-        number may join or die at any time.  Derived from
+        number may join or die at any time.  An adaptive run also needs
+        exactly one proposer, listed first.  Derived from
         :func:`worker_argv` with a portable ``python`` in place of this
         machine's interpreter path.
         """
 
         argv = ["python"] + worker_argv(self.store_dir)[1:]
-        command = " ".join(shlex.quote(arg) for arg in argv)
-        return [command] * self.workers
+        lines = [" ".join(shlex.quote(arg) for arg in argv)] * self.workers
+        if self.strategy is not None:
+            argv[argv.index("worker")] = "propose"
+            lines.insert(0, " ".join(shlex.quote(arg) for arg in argv))
+        return lines
 
     def spawn_worker(self) -> subprocess.Popen:
         """Start one local worker subprocess (repro importable via env)."""
@@ -1054,7 +1099,7 @@ class Dispatcher:
 
     # ------------------------------------------------------------------ #
     def progress(self) -> Dict[str, object]:
-        """One snapshot: point counts, shard states and the wall_s-driven ETA.
+        """One snapshot: point counts, item states and the wall_s-driven ETA.
 
         A progress tick costs O(rows appended since the last tick) -- not a
         full re-parse of the directory (see :class:`StoreProgress`).
@@ -1075,7 +1120,7 @@ class Dispatcher:
             if proc.poll() is None or proc.returncode == 0:
                 continue
             self._procs.remove(proc)
-            if (self.respawn and self.respawned < self.max_respawns
+            if (self.respawned < self.max_respawns
                     and not self.ledger.all_done()):
                 self.respawned += 1
                 self._procs.append(self.spawn_worker())
@@ -1083,16 +1128,20 @@ class Dispatcher:
     def run(self, *, timeout_s: Optional[float] = None,
             on_progress: Optional[Callable[[Dict[str, object]], None]] = None,
             progress_interval_s: float = 2.0) -> Dict[str, object]:
-        """Prepare, spawn local workers, and watch until every shard is done.
+        """Prepare, spawn local workers, and watch until every item is done.
 
-        Dead workers' shards are reclaimed by the survivors through lease
+        Dead workers' items are reclaimed by the survivors through lease
         expiry; workers that *exited* abnormally are additionally respawned
         (the reclaim still happens through the ledger -- respawn just keeps
-        N workers pulling).  Returns a summary dictionary; ``complete`` is
-        False when the run timed out or every worker stopped with shards
-        unfinished and the respawn budget exhausted.
+        N workers pulling).  Returns a summary dictionary -- for an
+        adaptive run, the proposer's summary plus the fleet accounting;
+        ``complete`` is False when the run timed out or every worker
+        stopped with work unfinished and the respawn budget exhausted.
         """
 
+        # The dispatch span is the cross-process parent traced workers hang
+        # their root spans under (spawn_worker_process stamps the open span
+        # into their environment).
         with span("dse.dispatch", workers=self.workers,
                   shards=self.shards) as trace:
             summary = self._run(timeout_s=timeout_s, on_progress=on_progress,
@@ -1101,9 +1150,9 @@ class Dispatcher:
                       respawned=summary["respawned"])
         tracer = current_tracer()
         if tracer is not None:
-            # The workers joined this trace (spawn_worker_process stamped
-            # the context) and flushed their spans to shard files; fold
-            # them in so the ordinary --trace flush writes one fleet trace.
+            # The workers joined this trace and flushed their spans to
+            # shard files; fold them in so the ordinary --trace flush
+            # writes one fleet trace.
             summary["trace"] = adopt_shards(tracer, self.store_dir)
         return summary
 
@@ -1114,34 +1163,45 @@ class Dispatcher:
         started = time.monotonic()
         self._procs = [self.spawn_worker() for _ in range(self.workers)]
         last_report = -float("inf")
-        complete = False
+
+        def tick() -> List[subprocess.Popen]:
+            """Timeout, reap and respawn, progress; the live workers."""
+
+            nonlocal last_report
+            if timeout_s is not None and time.monotonic() - started > timeout_s:
+                raise _Stopped
+            self._reap_and_respawn()
+            alive = self._alive()
+            if not alive:
+                # Every worker exited (cleanly or beyond the respawn
+                # budget) with work unfinished: nobody is left to do it.
+                raise _Stopped
+            if (on_progress is not None
+                    and time.monotonic() - last_report >= progress_interval_s):
+                last_report = time.monotonic()
+                on_progress(self.progress())
+            return alive
+
+        summary: Dict[str, object] = {}
         try:
-            while True:
-                if self.ledger.all_done():
-                    complete = True
-                    break
-                if timeout_s is not None and time.monotonic() - started > timeout_s:
-                    break
-                self._reap_and_respawn()
-                alive = self._alive()
-                if not alive:
-                    # Every worker exited (cleanly or beyond the respawn
-                    # budget) with shards unfinished: nobody is left to
-                    # reclaim them.
-                    complete = self.ledger.all_done()
-                    break
-                if (on_progress is not None
-                        and time.monotonic() - last_report >= progress_interval_s):
-                    last_report = time.monotonic()
-                    on_progress(self.progress())
-                # Workers exit once every shard is done, so waiting on one
-                # ends the run on that event instead of on a sleep tick.
-                try:
-                    alive[0].wait(timeout=self.poll_s)
-                except subprocess.TimeoutExpired:
-                    pass
+            if self.strategy is None:
+                while not self.ledger.all_done():
+                    # Workers exit once every item is done, so waiting on
+                    # one ends the run on that event, not on a sleep tick.
+                    try:
+                        tick()[0].wait(timeout=self.poll_s)
+                    except subprocess.TimeoutExpired:
+                        pass
+            else:
+                from repro.dse.adaptive.protocol import run_proposer
+
+                summary = run_proposer(self.store_dir, poll_s=self.poll_s,
+                                       tick=tick)
+            complete = True
+        except _Stopped:
+            complete = self.ledger.all_done()
         finally:
-            # Workers exit by themselves once every shard is done; anything
+            # Workers exit by themselves once every item is done; anything
             # still running after a grace period (timeout/abort paths) is
             # terminated so the dispatcher never leaks processes.
             deadline = time.monotonic() + max(5.0, 4 * self.poll_s)
@@ -1159,11 +1219,13 @@ class Dispatcher:
         snapshot = self.progress()
         if on_progress is not None:
             on_progress(snapshot)
-        return {
+        summary = dict(summary)
+        summary.update({
             "complete": complete,
             "elapsed_s": time.monotonic() - started,
             "respawned": self.respawned,
             "points": snapshot["points_done"],
             "points_total": snapshot["points_total"],
             "shards": snapshot["shards"],
-        }
+        })
+        return summary

@@ -124,10 +124,12 @@ class DSERunner:
         default).
     heartbeat:
         Optional no-argument callable invoked after each completed-and-
-        persisted task group.  The shard dispatcher uses it to renew the
-        worker's lease on its shard (and to abort the shard, by raising
-        :class:`~repro.dse.dispatch.LeaseLost`, when the lease was reclaimed
-        by another worker); progress monitors can use it as a tick.
+        persisted task group.  The dispatch worker loop
+        (:func:`~repro.dse.dispatch.run_worker`) sets it per leased work
+        item to renew the worker's lease on it (and to abort the item, by
+        raising :class:`~repro.dse.dispatch.LeaseLost`, when the lease was
+        reclaimed by another worker); progress monitors can use it as a
+        tick.
     """
 
     def __init__(self, space: DesignSpace, store: Optional[ExperimentStore] = None, *,
@@ -158,8 +160,9 @@ class DSERunner:
         self.stats = {"evaluated": 0, "reused": 0, "skipped": 0}
         #: Active provenance context (strategy name, seed, rung): stamped
         #: into every store row this runner persists (schema v3).  Set by
-        #: strategies and the adaptive worker loop; ``None`` leaves rows
-        #: provenance-free (direct evaluations, pre-v3 behaviour).
+        #: strategies and, per proposal part, the dispatch worker loop;
+        #: ``None`` leaves rows provenance-free (direct evaluations, grid
+        #: shards, pre-v3 behaviour).
         self.provenance: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #

@@ -422,10 +422,13 @@ class FleetMonitor:
     Owns the persistent pieces a live dashboard needs -- the incremental
     :class:`TelemetryReader` and a
     :class:`~repro.dse.dispatch.StoreProgress` store view -- so each
-    :meth:`snapshot` tick costs new rows, not a directory re-parse.  Works on any dispatched
-    store from the outside (manifest + ledgers + telemetry), no
+    :meth:`snapshot` tick costs new rows, not a directory re-parse.  Works
+    on any dispatched store from the outside (manifest + work ledger +
+    telemetry), grid or adaptive, no
     :class:`~repro.dse.dispatch.Dispatcher` object required, so ``dse
-    top`` can watch a fleet some other process (or machine) launched.
+    top`` can watch a fleet some other process (or machine) launched.  A
+    store whose manifest :func:`~repro.dse.dispatch.read_manifest` refuses
+    shows telemetry without point progress.
 
     Every timestamp flows through the injectable ``clock``
     (:class:`~repro.dse.dispatch.LeaseClock`), so a fake clock drives the
@@ -469,16 +472,14 @@ class FleetMonitor:
     def _progress(self) -> Dict[str, object]:
         """Dispatcher-style progress from the store's own records."""
 
-        from repro.dse.dispatch import ShardLedger
+        from repro.dse.dispatch import WorkLedger
         from repro.dse.space import DesignSpace
 
         total = shards = None
         if self.manifest is not None:
             total = DesignSpace.from_dict(self.manifest["space"]).size
-            if self.manifest.get("mode", "shards") == "shards":
-                shards = ShardLedger.for_store(
-                    self.store_dir, self.manifest["shards"], ttl_s=self.ttl_s,
-                    clock=self.clock).status_counts()
+            shards = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s,
+                                          clock=self.clock).status_counts()
         try:
             return self._store_progress.snapshot(total, shards=shards)
         except (OSError, ValueError):

@@ -8,8 +8,8 @@ Covers the contracts the subsystem is built around:
   dispatched propose/evaluate runs (kill-one-worker variant included,
   driven through ``examples/dse_adaptive.py --smoke`` exactly like the
   shard dispatcher's smoke in ``tests/test_dispatch.py``);
-* the proposal ledger detects torn/tampered batches and recovers a killed
-  proposer from its files alone;
+* proposal parts in the work ledger detect torn/tampered batches and
+  recover a killed proposer from the ledger alone;
 * store rows carry schema v3 provenance that canonical exports strip;
 * ``ExperimentStore.reload`` is incremental: O(new rows), no re-parse of
   unchanged files, full-rescan fallback on shrink/disappear.
@@ -29,11 +29,11 @@ from repro.dse import (
     DSERunner,
     DesignSpace,
     ExperimentStore,
-    ProposalLedger,
     Shard,
+    WorkLedger,
     make_strategy,
-    run_adaptive_worker,
     run_proposer,
+    run_worker,
     write_manifest,
 )
 from repro.dse.adaptive.model import (
@@ -49,7 +49,13 @@ from repro.dse.adaptive.propose import (
     make_proposer,
     upper_confidence_bound,
 )
-from repro.dse.adaptive.protocol import ProposalTampered
+from repro.dse.adaptive.protocol import (
+    batch_from_payload,
+    part_name,
+    read_logical_batch,
+    write_batch,
+)
+from repro.dse.dispatch import WorkTampered
 
 #: A fast 8-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -593,47 +599,47 @@ class TestIncrementalReload:
 
 
 # --------------------------------------------------------------------------- #
-class TestProposalLedger:
+class TestProposalParts:
     def _batch(self, proposer=None):
         proposer = proposer or BayesProposer(_space(), seed=0, batch_size=4)
         return proposer.next_batch()
 
     def test_write_read_round_trip(self, tmp_path):
-        ledger = ProposalLedger(tmp_path / "store")
+        ledger = WorkLedger.for_store(tmp_path / "store")
         batch = self._batch()
-        ledger.write_batch(batch, {"strategy": "bayes", "seed": 0,
-                                   "metric": "fidelity"})
-        rebuilt = ledger.batch_from_payload(
-            ledger.read_work(ledger.work_name(batch.number, 1)))
+        write_batch(ledger, batch, {"strategy": "bayes", "seed": 0,
+                                    "metric": "fidelity"})
+        rebuilt = batch_from_payload(
+            ledger.read_item(part_name(batch.number, 1)))
         assert rebuilt.keys == batch.keys
         assert rebuilt.points == batch.points
 
     def test_parts_split_points_contiguously(self, tmp_path):
-        ledger = ProposalLedger(tmp_path / "store")
+        ledger = WorkLedger.for_store(tmp_path / "store")
         batch = self._batch()
-        paths = ledger.write_batch(batch, {}, parts=3)
+        paths = write_batch(ledger, batch, {}, parts=3)
         assert len(paths) == 3
-        merged = ledger.read_logical_batch(batch.number)
+        merged = read_logical_batch(ledger, batch.number)
         assert tuple(merged["keys"]) == batch.keys
         assert merged["points"] == [p.spec() for p in batch.points]
-        sizes = [len(ledger.read_work(p.stem)["keys"]) for p in paths]
+        sizes = [len(ledger.read_item(p.stem)["keys"]) for p in paths]
         assert sum(sizes) == len(batch.keys)
         assert max(sizes) - min(sizes) <= 1
 
     def test_tampered_batch_is_rejected(self, tmp_path):
-        ledger = ProposalLedger(tmp_path / "store")
+        ledger = WorkLedger.for_store(tmp_path / "store")
         batch = self._batch()
-        (path,) = ledger.write_batch(batch, {})
+        (path,) = write_batch(ledger, batch, {})
         payload = json.loads(path.read_text())
         payload["keys"][0] = 99  # tamper
         path.write_text(json.dumps(payload))
-        with pytest.raises(ProposalTampered, match="signature mismatch"):
-            ledger.read_work(path.stem)
+        with pytest.raises(WorkTampered, match="signature mismatch"):
+            ledger.read_item(path.stem)
 
     def test_claim_done_lifecycle(self, tmp_path):
-        ledger = ProposalLedger(tmp_path / "store")
+        ledger = WorkLedger.for_store(tmp_path / "store")
         batch = self._batch()
-        ledger.write_batch(batch, {}, parts=2)
+        write_batch(ledger, batch, {}, parts=2)
         first = ledger.claim_next("worker-a")
         second = ledger.claim_next("worker-b")
         assert {first, second} == set(ledger.work_names())
@@ -647,7 +653,7 @@ class TestProposalLedger:
         assert ledger.read_complete()["evaluations"] == 4
 
     def test_corrupt_complete_marker_reads_as_absent(self, tmp_path):
-        ledger = ProposalLedger(tmp_path / "store")
+        ledger = WorkLedger.for_store(tmp_path / "store")
         ledger.directory.mkdir(parents=True)
         ledger.complete_path.write_text('{"torn')
         assert ledger.read_complete() is None
@@ -676,8 +682,8 @@ class TestProposeEvaluateProtocol:
         store_dir = tmp_path / "dispatched"
         self._manifest(store_dir, strategy)
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
-            kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
+            target=run_worker, args=(store_dir,),
+            kwargs=dict(owner="threaded-worker"))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
         worker.join(timeout=120.0)
@@ -704,18 +710,18 @@ class TestProposeEvaluateProtocol:
         # First proposer "dies" after writing batch 1: simulate by writing
         # the batch by hand through the proposer, then evaluating it.
         proposer = make_proposer(space, dict(strategy))
-        ledger = ProposalLedger(store_dir)
+        ledger = WorkLedger.for_store(store_dir)
         batch = proposer.next_batch()
-        ledger.write_batch(batch, {"strategy": "bayes", "seed": 7,
-                                   "metric": "fidelity"})
+        write_batch(ledger, batch, {"strategy": "bayes", "seed": 7,
+                                    "metric": "fidelity"})
         with ExperimentStore(store_dir, writer="adaptive-w") as store:
             DSERunner(space, store=store).evaluate(list(batch.points))
 
         # The restarted proposer replays batch 1 from the ledger, then runs
         # the remaining batches; a worker thread evaluates them.
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
-            kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
+            target=run_worker, args=(store_dir,),
+            kwargs=dict(owner="threaded-worker"))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
         worker.join(timeout=120.0)
@@ -740,16 +746,16 @@ class TestProposeEvaluateProtocol:
         # First proposer "dies" mid-write_batch: only part 1 of 3 landed.
         proposer = make_proposer(space, {k: v for k, v in strategy.items()
                                          if k != "parts"})
-        ledger = ProposalLedger(store_dir)
+        ledger = WorkLedger.for_store(store_dir)
         batch = proposer.next_batch()
-        paths = ledger.write_batch(batch, {"strategy": "bayes", "seed": 5,
-                                           "metric": "fidelity"}, parts=3)
+        paths = write_batch(ledger, batch, {"strategy": "bayes", "seed": 5,
+                                            "metric": "fidelity"}, parts=3)
         for path in paths[1:]:
             path.unlink()  # the parts the kill prevented
 
         worker = threading.Thread(
-            target=run_adaptive_worker, args=(store_dir,),
-            kwargs=dict(owner="threaded-worker", idle_wait_s=0.02))
+            target=run_worker, args=(store_dir,),
+            kwargs=dict(owner="threaded-worker"))
         worker.start()
         summary = run_proposer(store_dir, poll_s=0.02)
         worker.join(timeout=120.0)
@@ -771,7 +777,7 @@ class TestProposeEvaluateProtocol:
         # silently continued.
         other = make_proposer(space, {"name": "bayes", "seed": 1,
                                       "metric": "fidelity", "batch_size": 2})
-        ProposalLedger(store_dir).write_batch(other.next_batch(), {})
+        write_batch(WorkLedger.for_store(store_dir), other.next_batch(), {})
         with ExperimentStore(store_dir, writer="w") as store:
             DSERunner(space, store=store).evaluate_space()  # rows available
         with pytest.raises(ValueError, match="does not match"):
@@ -852,6 +858,23 @@ class TestAdaptiveCli:
         # The resolved budget is recorded so `dse status --eta` never has
         # to construct a proposer (space size 4 -> floor of two batches).
         assert manifest["strategy"]["max_evals"] == 4
+
+    def test_dispatch_adaptive_runs_proposer_under_the_dispatcher(
+            self, capsys, tmp_path):
+        # The one Dispatcher runs the proposer in-process and one real
+        # worker subprocess; the summary's "trace" key stays the fleet
+        # trace merge, so an untraced run reports without it.
+        store = tmp_path / "store"
+        assert main(["dse", "dispatch", "--apps", "QFT", "--qubits", "8",
+                     "--topologies", "L3", "--capacities", "6,8",
+                     "--gates", "AM1,FM", "--strategy", "bayes",
+                     "--store", str(store), "--workers", "1",
+                     "--timeout-s", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "Adaptive dispatch complete: 4 evaluations" in out
+        assert "Best point" in out
+        assert "Trace merge" not in out
+        assert len(ExperimentStore(store)) == 4
 
     def test_status_eta_unbudgeted_adaptive_reports_unknown(self, capsys,
                                                             tmp_path):

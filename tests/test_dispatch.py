@@ -1,17 +1,19 @@
-"""Tests for the shard-lease dispatcher (repro.dse.dispatch).
+"""Tests for the work-ledger dispatcher (repro.dse.dispatch).
 
 Covers the lease lifecycle the dispatcher is built on -- claim contention,
 heartbeat renewal, expiry-based reclaim of a killed worker's shard -- plus
-the worker loop, the dispatch manifest, the ETA estimate, the CLI surface,
-and the ISSUE's acceptance scenario: a 3-worker dispatched run of a
-48-point space with one worker SIGKILLed mid-run whose merged store exports
-byte-identically to a single-process run of the same space.
+the worker loop, the dispatch manifest (and its refusal of stores whose
+ledger has another layout or belongs to an earlier run), the ETA estimate,
+the CLI surface, and the acceptance scenario: a 3-worker dispatched run of
+a 48-point space with one worker SIGKILLed mid-run whose merged store
+exports byte-identically to a single-process run of the same space.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -25,9 +27,11 @@ from repro.dse import (
     Dispatcher,
     ExperimentStore,
     LeaseLost,
-    ShardLedger,
+    Shard,
+    WorkLedger,
     estimate_eta_s,
     read_manifest,
+    run_proposer,
     run_worker,
     write_manifest,
 )
@@ -52,95 +56,103 @@ def _export(store_dir: Path, output: Path) -> bytes:
 
 
 # --------------------------------------------------------------------------- #
-class TestShardLedger:
+class TestWorkLedger:
+    """The lease lifecycle over shard items ``shard-<i>of<N>``."""
+
     def test_claim_contention_single_winner(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 3)
-        assert ledger.claim(1, "worker-a") is True
-        assert ledger.claim(1, "worker-b") is False
-        assert ledger.owner_of(1) == "worker-a"
-        assert ledger.state(1).status == "active"
+        ledger = WorkLedger(tmp_path / "leases")
+        assert ledger.claim("shard-1of3", "worker-a") is True
+        assert ledger.claim("shard-1of3", "worker-b") is False
+        assert ledger.owner_of("shard-1of3") == "worker-a"
+        assert ledger.status_of("shard-1of3")[0] == "active"
 
     def test_heartbeat_renewal_defers_expiry(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 1, ttl_s=10.0)
-        assert ledger.claim(1, "worker-a")
-        _backdate(ledger.lease_path(1), by_s=9.5)  # one tick from expiring
-        assert ledger.renew(1, "worker-a") is True
-        state = ledger.state(1)
-        assert state.status == "active"
-        assert state.age_s < 1.0  # the heartbeat reset the clock
+        ledger = WorkLedger(tmp_path / "leases", ttl_s=10.0)
+        assert ledger.claim("shard-1of1", "worker-a")
+        _backdate(ledger.lease_path("shard-1of1"), by_s=9.5)  # one tick left
+        assert ledger.renew("shard-1of1", "worker-a") is True
+        status, _, age = ledger.status_of("shard-1of1")
+        assert status == "active"
+        assert age < 1.0  # the heartbeat reset the clock
 
     def test_expired_lease_is_reclaimed_by_takeover(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0)
-        assert ledger.claim(1, "dead-worker")
-        _backdate(ledger.lease_path(1))
-        assert ledger.state(1).status == "expired"
-        assert ledger.claim(1, "survivor") is True
-        assert ledger.owner_of(1) == "survivor"
+        ledger = WorkLedger(tmp_path / "leases", ttl_s=5.0)
+        assert ledger.claim("shard-1of2", "dead-worker")
+        _backdate(ledger.lease_path("shard-1of2"))
+        assert ledger.status_of("shard-1of2")[0] == "expired"
+        assert ledger.claim("shard-1of2", "survivor") is True
+        assert ledger.owner_of("shard-1of2") == "survivor"
         # The dead worker's heartbeat now fails: it must stop working.
-        assert ledger.renew(1, "dead-worker") is False
-        assert ledger.renew(1, "survivor") is True
+        assert ledger.renew("shard-1of2", "dead-worker") is False
+        assert ledger.renew("shard-1of2", "survivor") is True
 
     def test_fresh_lease_cannot_be_taken_over(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 1, ttl_s=3600.0)
-        assert ledger.claim(1, "worker-a")
-        assert ledger.claim(1, "worker-b") is False
-        assert ledger.owner_of(1) == "worker-a"
+        ledger = WorkLedger(tmp_path / "leases", ttl_s=3600.0)
+        assert ledger.claim("shard-1of1", "worker-a")
+        assert ledger.claim("shard-1of1", "worker-b") is False
+        assert ledger.owner_of("shard-1of1") == "worker-a"
 
     def test_release_marks_done_and_blocks_reclaim(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0)
-        assert ledger.claim(2, "worker-a")
-        ledger.release(2, "worker-a", done=True)
-        assert ledger.state(2).status == "done"
-        assert not ledger.lease_path(2).exists()
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=2)
+        ledger = WorkLedger.for_store(store_dir, ttl_s=5.0)
+        assert ledger.claim("shard-2of2", "worker-a")
+        ledger.release("shard-2of2", "worker-a", done=True)
+        assert ledger.status_of("shard-2of2")[0] == "done"
+        assert not ledger.lease_path("shard-2of2").exists()
         # Done shards are never claimable again, even for another owner.
-        assert ledger.claim(2, "worker-b") is False
-        assert ledger.done_count() == 1
+        assert ledger.claim("shard-2of2", "worker-b") is False
+        assert ledger.status_counts()["done"] == 1
         assert not ledger.all_done()
 
     def test_renew_without_lease_fails(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 1)
-        assert ledger.renew(1, "worker-a") is False
+        ledger = WorkLedger(tmp_path / "leases")
+        assert ledger.renew("shard-1of1", "worker-a") is False
 
     def test_read_paths_do_not_create_the_directory(self, tmp_path):
         # `dse status --eta` inspects the ledger of stores it only queries
         # (possibly on a read-only mount): reads must not mkdir.
         lease_dir = tmp_path / "leases"
-        ledger = ShardLedger(lease_dir, 2)
-        assert ledger.status_counts() == {"open": 2, "active": 0,
+        ledger = WorkLedger(lease_dir)
+        assert ledger.status_counts() == {"open": 0, "active": 0,
                                           "expired": 0, "done": 0}
-        assert ledger.owner_of(1) is None
+        assert ledger.owner_of("shard-1of2") is None
+        assert ledger.read_complete() is None
         assert not ledger.all_done()
         assert not lease_dir.exists()
-        assert ledger.claim(1, "worker-a")  # first write creates it
+        assert ledger.claim("shard-1of2", "worker-a")  # first write creates it
         assert lease_dir.exists()
 
     def test_next_claim_partitions_workers(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 3)
-        claimed = [ledger.next_claim(owner) for owner in ("a", "b", "c")]
-        indices = sorted(shard.index for shard in claimed)
-        assert indices == [1, 2, 3]
-        for shard in claimed:
-            assert shard.count == 3
-        assert ledger.next_claim("d") is None  # everything leased
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=3)
+        ledger = WorkLedger.for_store(store_dir)
+        claimed = [ledger.claim_next(owner) for owner in ("a", "b", "c")]
+        assert sorted(claimed) == ["shard-1of3", "shard-2of3", "shard-3of3"]
+        for name in claimed:
+            assert ledger.read_item(name)["shards"] == 3
+        assert ledger.claim_next("d") is None  # everything leased
 
     def test_states_and_counts(self, tmp_path):
-        ledger = ShardLedger(tmp_path / "leases", 4, ttl_s=5.0)
-        ledger.claim(1, "a")
-        ledger.claim(2, "b")
-        _backdate(ledger.lease_path(2))
-        ledger.claim(3, "c")
-        ledger.release(3, "c", done=True)
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=4)
+        ledger = WorkLedger.for_store(store_dir, ttl_s=5.0)
+        ledger.claim("shard-1of4", "a")
+        ledger.claim("shard-2of4", "b")
+        _backdate(ledger.lease_path("shard-2of4"))
+        ledger.claim("shard-3of4", "c")
+        ledger.release("shard-3of4", "c", done=True)
         assert ledger.status_counts() == {"open": 1, "active": 1,
                                           "expired": 1, "done": 1}
 
     def test_index_and_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError, match="at least 1"):
-            ShardLedger(tmp_path / "leases", 0)
+            write_manifest(tmp_path / "store", DesignSpace(**TINY_SPACE),
+                           shards=0)
         with pytest.raises(ValueError, match="positive"):
-            ShardLedger(tmp_path / "leases", 1, ttl_s=0.0)
-        ledger = ShardLedger(tmp_path / "leases", 2)
+            WorkLedger(tmp_path / "leases", ttl_s=0.0)
         with pytest.raises(ValueError, match="1..2"):
-            ledger.claim(3, "worker-a")
+            Shard(3, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -152,7 +164,7 @@ class TestManifest:
         assert path.name == "dispatch.json"
         manifest = read_manifest(tmp_path / "store")
         assert manifest["shards"] == 4
-        assert manifest["partition"] == "compile"
+        assert manifest["ledger"] == "work-items"
         assert manifest["ttl_s"] == 12.0
         assert manifest["jobs"] == 2
         assert DesignSpace.from_dict(manifest["space"]) == space
@@ -189,15 +201,87 @@ class TestManifest:
             Dispatcher(other, store_dir, workers=1, shards=2).prepare()
         assert not (store_dir / "dispatch.json").exists()
 
+    def test_shard_items_are_written_with_the_manifest(self, tmp_path):
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=5)
+        ledger = WorkLedger.for_store(store_dir)
+        assert ledger.work_names() == [f"shard-{i}of5" for i in range(1, 6)]
+        assert [{key: ledger.read_item(name)[key]
+                 for key in ("shard", "shards")}
+                for name in ledger.work_names()] == \
+            [{"shard": i, "shards": 5} for i in range(1, 6)]
+        assert ledger.read_complete() is not None
+        assert ledger.status_counts()["open"] == 5
+
+    def test_new_manifest_refuses_stale_ledger_state(self, tmp_path):
+        # An adaptive run's done markers, items and complete marker must
+        # not carry over into a new run in the same store: its joining
+        # workers would find the run already complete and evaluate nothing.
+        store_dir = tmp_path / "adaptive"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), mode="adaptive",
+                       strategy={"name": "bayes", "seed": 0,
+                                 "metric": "fidelity", "batch_size": 2},
+                       ttl_s=60.0)
+        worker = threading.Thread(target=run_worker, args=(store_dir,),
+                                  kwargs=dict(owner="threaded-worker"))
+        worker.start()
+        run_proposer(store_dir, poll_s=0.02)
+        worker.join(timeout=120.0)
+        assert not worker.is_alive()
+        (store_dir / "dispatch.json").unlink()
+        other = DesignSpace(**dict(TINY_SPACE, capacities=(8,)))
+        with pytest.raises(ValueError, match="fresh store directory"):
+            write_manifest(store_dir, other, mode="adaptive",
+                           strategy={"name": "bayes", "seed": 0})
+        assert not (store_dir / "dispatch.json").exists()
+        # A grid run's leftover shard items, done or not, are refused too:
+        # a new shard count would otherwise see the old run's items.
+        store_dir = tmp_path / "grid"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=2)
+        (store_dir / "dispatch.json").unlink()
+        with pytest.raises(ValueError, match="fresh store directory"):
+            write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=3)
+
+    def test_store_of_an_older_ledger_layout_is_refused_by_name(
+            self, tmp_path, capsys):
+        # A store written before the one work ledger: a shards manifest
+        # with the compile partition marker but no ledger marker, and done
+        # markers in the old layout.  Refused everywhere, never half-read.
+        store_dir = tmp_path / "store"
+        path = write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=2)
+        older = json.loads(path.read_text())
+        del older["ledger"]
+        older["partition"] = "compile"
+        path.write_text(json.dumps(older))
+        for name in list((store_dir / "leases").iterdir()):
+            name.unlink()
+        (store_dir / "leases" / "shard-1of2.done").write_text("{}\n")
+        with pytest.raises(ValueError, match="older version"):
+            read_manifest(store_dir)
+        with pytest.raises(ValueError, match="older version"):
+            write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=2)
+        with pytest.raises(SystemExit, match="older version"):
+            main(["dse", "worker", "--store", str(store_dir),
+                  "--owner", "cli-worker"])
+        assert len(ExperimentStore(store_dir)) == 0
+        capsys.readouterr()
+        # The read-only views degrade to what they can show.
+        assert main(["dse", "status", "--store", str(store_dir),
+                     "--eta"]) == 1
+        assert "older version" in capsys.readouterr().err
+        assert main(["dse", "top", "--store", str(store_dir), "--once"]) == 0
+        assert "repro dse top" in capsys.readouterr().out
+
     def test_legacy_shards_manifest_is_refused(self, tmp_path):
-        # A shards manifest without the partition marker was written under
-        # the point-fingerprint partition; its done markers would certify
-        # the wrong points, so neither re-preparing nor joining may resume.
+        # A manifest without the ledger-layout marker was written by an
+        # older version, whose ledger this one cannot read; its done
+        # markers would certify the wrong work, so neither re-preparing nor
+        # joining may resume.
         store_dir = tmp_path / "store"
         space = DesignSpace(**TINY_SPACE)
         path = write_manifest(store_dir, space, shards=2)
         legacy = json.loads(path.read_text())
-        del legacy["partition"]
+        del legacy["ledger"]
         path.write_text(json.dumps(legacy))
         with pytest.raises(ValueError, match="older version"):
             write_manifest(store_dir, space, shards=2)
@@ -228,10 +312,14 @@ class TestWorkerLoop:
         store_dir = tmp_path / "store"
         write_manifest(store_dir, space, shards=3, ttl_s=60.0)
         summary = run_worker(store_dir, owner="solo")
-        assert sorted(summary["completed"]) == [1, 2, 3]
+        assert sorted(summary["completed"]) == ["shard-1of3", "shard-2of3",
+                                                "shard-3of3"]
         assert summary["lost"] == []
-        assert ShardLedger.for_store(store_dir, 3).all_done()
+        assert WorkLedger.for_store(store_dir).all_done()
         assert len(ExperimentStore(store_dir)) == space.size
+        # Shard items carry no strategy, so their rows carry no provenance.
+        assert [row.get("provenance") for row in
+                ExperimentStore(store_dir).rows()] == [None] * space.size
 
     # A point-fingerprint partition keeps TINY_SPACE's gate pairs together
     # at 3 shards but splits one at 5, so both counts are checked.
@@ -257,13 +345,13 @@ class TestWorkerLoop:
         space = DesignSpace(**TINY_SPACE)
         store_dir = tmp_path / "store"
         write_manifest(store_dir, space, shards=3, ttl_s=5.0)
-        ledger = ShardLedger.for_store(store_dir, 3, ttl_s=5.0)
+        ledger = WorkLedger.for_store(store_dir, ttl_s=5.0)
         # A worker claimed shard 2, then was SIGKILLed: the lease stops
         # renewing and ages past the TTL.
-        assert ledger.claim(2, "dead-worker")
-        _backdate(ledger.lease_path(2))
+        assert ledger.claim("shard-2of3", "dead-worker")
+        _backdate(ledger.lease_path("shard-2of3"))
         summary = run_worker(store_dir, owner="survivor")
-        assert 2 in summary["completed"]
+        assert "shard-2of3" in summary["completed"]
         assert ledger.all_done()
         assert len(ExperimentStore(store_dir)) == space.size
 
@@ -271,15 +359,14 @@ class TestWorkerLoop:
         space = DesignSpace(**TINY_SPACE)
         store_dir = tmp_path / "store"
         write_manifest(store_dir, space, shards=1, ttl_s=5.0)
-        ledger = ShardLedger.for_store(store_dir, 1, ttl_s=5.0)
+        ledger = WorkLedger.for_store(store_dir, ttl_s=5.0)
         # The dead worker evaluated (and flushed) part of its shard before
         # dying; the reclaiming worker must replay those rows, not redo them.
-        from repro.dse.runner import Shard
         with ExperimentStore(store_dir, writer="shard-1of1") as store:
             partial = DSERunner(space, store=store, shard=Shard(1, 1))
             partial.evaluate(list(space.points())[:2])
-        assert ledger.claim(1, "dead-worker")
-        _backdate(ledger.lease_path(1))
+        assert ledger.claim("shard-1of1", "dead-worker")
+        _backdate(ledger.lease_path("shard-1of1"))
         run_worker(store_dir, owner="survivor")
         merged = ExperimentStore(store_dir)
         assert len(merged) == space.size

@@ -21,9 +21,8 @@ from repro.cli import main
 from repro.dse import DesignSpace, DSERunner, ExperimentStore
 from repro.dse.dispatch import (
     LeaseClock,
-    LeaseDir,
-    ShardLedger,
     WorkerTelemetry,
+    WorkLedger,
     read_telemetry,
     telemetry_summary,
 )
@@ -337,8 +336,8 @@ class TestLeaseClock:
 
     def test_fresh_lease_holds_under_fake_clock(self, tmp_path):
         fake = _FakeTime()
-        leases = LeaseDir(tmp_path / "leases", ttl_s=10.0,
-                          clock=LeaseClock(now_fn=fake))
+        leases = WorkLedger(tmp_path / "leases", ttl_s=10.0,
+                            clock=LeaseClock(now_fn=fake))
         assert leases.claim("shard-1", "worker-a") is True
         fake.t += 9.9  # one tick from expiry: still held
         assert leases.claim("shard-1", "worker-b") is False
@@ -348,8 +347,8 @@ class TestLeaseClock:
 
     def test_renewal_resets_the_fake_clock_expiry(self, tmp_path):
         fake = _FakeTime()
-        leases = LeaseDir(tmp_path / "leases", ttl_s=10.0,
-                          clock=LeaseClock(now_fn=fake))
+        leases = WorkLedger(tmp_path / "leases", ttl_s=10.0,
+                            clock=LeaseClock(now_fn=fake))
         assert leases.claim("shard-1", "worker-a")
         fake.t += 9.0
         assert leases.renew("shard-1", "worker-a") is True
@@ -360,8 +359,8 @@ class TestLeaseClock:
 
     def test_expiry_and_takeover_follow_the_fake_clock(self, tmp_path):
         fake = _FakeTime()
-        leases = LeaseDir(tmp_path / "leases", ttl_s=10.0,
-                          clock=LeaseClock(now_fn=fake))
+        leases = WorkLedger(tmp_path / "leases", ttl_s=10.0,
+                            clock=LeaseClock(now_fn=fake))
         assert leases.claim("shard-1", "dead-worker")
         fake.t += 10.5
         assert leases.status_of("shard-1")[0] == "expired"
@@ -374,17 +373,16 @@ class TestLeaseClock:
     def test_ledgers_thread_the_clock_through(self, tmp_path):
         fake = _FakeTime()
         clock = LeaseClock(now_fn=fake)
-        ledger = ShardLedger(tmp_path / "leases", 2, ttl_s=5.0, clock=clock)
+        ledger = WorkLedger(tmp_path / "leases", ttl_s=5.0, clock=clock)
         assert ledger.clock is clock
-        assert ledger.claim(1, "worker-a")
+        assert ledger.claim("shard-1of2", "worker-a")
         fake.t += 6.0
-        assert ledger.state(1).status == "expired"
-        store_ledger = ShardLedger.for_store(tmp_path / "store", 2,
-                                             clock=clock)
+        assert ledger.status_of("shard-1of2")[0] == "expired"
+        store_ledger = WorkLedger.for_store(tmp_path / "store", clock=clock)
         assert store_ledger.clock is clock
 
     def test_default_clock_is_wall_time(self, tmp_path):
-        leases = LeaseDir(tmp_path / "leases", ttl_s=3600.0)
+        leases = WorkLedger(tmp_path / "leases", ttl_s=3600.0)
         assert leases.claim("shard-1", "worker-a")
         status, _, age = leases.status_of("shard-1")
         assert status == "active"

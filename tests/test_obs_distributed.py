@@ -479,7 +479,7 @@ class TestTracedDispatch:
         assert {r["owner"] for r in records} == {"w0"}
         roots = [r for r in records if r["parent_id"] is None]
         assert roots and all(r["parent_ref"] == "1:1" for r in roots)
-        assert "dse.shard" in {r["name"] for r in records}
+        assert "dse.work" in {r["name"] for r in records}
 
     def test_dispatch_merges_fleet_trace(self, tmp_path):
         tracer = enable_tracing()
@@ -498,7 +498,7 @@ class TestTracedDispatch:
         profile = build_profile(tracer.records())
         path_names = [s["name"] for s in profile["critical_path"]]
         assert path_names[0] == "dse.dispatch"
-        assert "dse.shard" in path_names
+        assert "dse.work" in path_names
 
     def test_untraced_dispatch_writes_no_shards(self, tmp_path):
         summary = Dispatcher(_tiny_space(), tmp_path, workers=1,
