@@ -1,6 +1,6 @@
 """Static-check overhead benchmark: ``--check`` must be free when off.
 
-The runtime contract of :mod:`repro.analyze.runtime` (see
+The runtime contract of :mod:`repro.checks` (see
 ``docs/static-analysis.md``): with ``--check`` disarmed -- the default --
 each guarded compile/sweep-task site pays one ``checks_enabled()`` call (a
 module flag test, falling back to one environment lookup).  This bench pins
@@ -27,7 +27,7 @@ import pytest
 
 from _common import bench_scale, bench_suite, record_bench
 
-from repro.analyze import checks_enabled, enable_checks, reset_checks
+from repro.checks import checks_enabled, enable_checks, reset_checks
 from repro.toolflow import ArchitectureConfig, ProgramCache, sweep_microarchitecture
 
 SWEEP_GATES = ("AM1", "AM2", "PM", "FM")

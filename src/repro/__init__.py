@@ -17,6 +17,11 @@ This package reproduces the system described in Murali et al.,
 * a design-space exploration toolflow regenerating the paper's figures and
   tables (:mod:`repro.toolflow`).
 
+The package's exports (``build_device``, ``compile_circuit``, ``simulate``,
+...) resolve on first access (PEP 562, :mod:`repro._lazy`): ``import repro``
+loads no layer, so each process -- a dispatched worker, the exporter,
+``repro info`` -- imports only the layers it runs.
+
 Quickstart::
 
     from repro import build_device, compile_circuit, simulate
@@ -29,20 +34,14 @@ Quickstart::
     print(result.fidelity, result.duration)
 """
 
-from repro.hardware import build_device, QCCDDevice
-from repro.compiler import compile_circuit
-from repro.sim import simulate, SimulationResult
-from repro.toolflow import ArchitectureConfig, run_experiment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "build_device",
-    "QCCDDevice",
-    "compile_circuit",
-    "simulate",
-    "SimulationResult",
-    "ArchitectureConfig",
-    "run_experiment",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hardware": ("build_device", "QCCDDevice"),
+    "repro.compiler": ("compile_circuit",),
+    "repro.sim": ("simulate", "SimulationResult"),
+    "repro.toolflow": ("ArchitectureConfig", "run_experiment"),
+})
+__all__.append("__version__")

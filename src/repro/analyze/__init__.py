@@ -25,14 +25,14 @@ from repro.analyze.diagnostics import (
 )
 from repro.analyze.lint import lint_paths, lint_source
 from repro.analyze.races import detect_races
-from repro.analyze.runtime import (
+from repro.analyze.runtime import verify_or_raise
+from repro.analyze.verifier import quick_validate, verify_program
+from repro.checks import (
     StaticAnalysisError,
     checks_enabled,
     enable_checks,
     reset_checks,
-    verify_or_raise,
 )
-from repro.analyze.verifier import quick_validate, verify_program
 
 __all__ = [
     "CHECKS",

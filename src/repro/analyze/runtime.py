@@ -1,11 +1,12 @@
 """Runtime hooks: opt-in verification of every compiled program.
 
 ``--check`` on ``run``/``sweep``/``dse run`` flips a process-wide flag
-(mirrored into the ``REPRO_CHECK`` environment variable so process-pool
-workers inherit it); while it is set, the compile pipeline and the sweep
-executor pass every program through :func:`verify_or_raise` -- the full
-static verifier plus the race detector -- and abort with
-:class:`StaticAnalysisError` on the first error-severity finding.
+(:mod:`repro.checks`, mirrored into the ``REPRO_CHECK`` environment variable
+so process-pool workers inherit it); while it is set, the compile pipeline
+and the sweep executor import this module and pass every program through
+:func:`verify_or_raise` -- the full static verifier plus the race detector
+-- and abort with :class:`StaticAnalysisError` on the first error-severity
+finding.
 
 Verification is memoized per program instance (an attribute stamped on the
 program, like the cached lowering of :func:`repro.sim.lower.lower`, which
@@ -21,59 +22,13 @@ Emits ``check.verify`` / ``check.races`` spans and ``check.programs`` /
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from repro.analyze.diagnostics import Report, merge_reports
+from repro.analyze.diagnostics import merge_reports
 from repro.analyze.races import detect_races
 from repro.analyze.verifier import verify_program
+from repro.checks import StaticAnalysisError
 from repro.isa.program import QCCDProgram
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import span
-
-#: Environment variable carrying the flag across process boundaries.
-ENV_FLAG = "REPRO_CHECK"
-
-_enabled: Optional[bool] = None
-
-
-class StaticAnalysisError(ValueError):
-    """A compiled program failed static verification under ``--check``."""
-
-    def __init__(self, report: Report) -> None:
-        super().__init__(report.format())
-        self.report = report
-
-
-def checks_enabled() -> bool:
-    """Whether ``--check`` verification is active in this process."""
-
-    if _enabled is not None:
-        return _enabled
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
-
-
-def enable_checks(enabled: bool = True) -> None:
-    """Turn runtime verification on (or off) for this process and children.
-
-    The environment mirror is what carries the flag into pool workers --
-    they are spawned after the CLI parses ``--check`` and re-read the
-    variable on import of this module's callers.
-    """
-
-    global _enabled
-    _enabled = enabled
-    if enabled:
-        os.environ[ENV_FLAG] = "1"
-    else:
-        os.environ.pop(ENV_FLAG, None)
-
-
-def reset_checks() -> None:
-    """Forget any explicit setting; fall back to the environment (tests)."""
-
-    global _enabled
-    _enabled = None
 
 
 def verify_or_raise(program: QCCDProgram, device=None, *,

@@ -497,12 +497,11 @@ def _check_port_side(op: MergeOp, state: _Replay, topology,
     # from the topology: a merge is legal from any neighbour, but the side
     # must match the port geometry of the arriving segment.  Without the
     # previous node we can only check that *some* neighbour maps to this
-    # side; the move-continuity check (QV002) pins the actual route.
-    try:
-        neighbours = list(topology.graph.neighbors(op.trap))
-    except Exception:  # pragma: no cover - graph backends without neighbors
+    # side; the move-continuity check (QV002) pins the actual route.  An
+    # unknown trap is reported as QV007 by the replay itself.
+    if not topology.is_trap(op.trap):
         return
-    sides = {topology.port_side(op.trap, n) for n in neighbours}
+    sides = {topology.port_side(op.trap, n) for n in topology.neighbors(op.trap)}
     if op.side not in sides:
         report.add(diag(
             "QV007", f"op {op.op_id} merges at the {op.side} of {op.trap} "

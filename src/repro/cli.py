@@ -79,15 +79,10 @@ import argparse
 import sys
 from typing import List, Optional
 
+# Only what build_parser needs: each _cmd_* imports the layers it runs, so
+# a dispatcher, worker or exporter process starts without the rest.
 from repro import __version__
-from repro.analysis.breakdown import error_contributions, time_breakdown
-from repro.apps import APPLICATION_NAMES, build_application, scaled_suite, table2_suite
-from repro.io import figure_bundle_to_dict, result_to_dict, save_json
-from repro.models.shuttle_times import format_table1
-from repro.toolflow import (ArchitectureConfig, ProgramCache, figure6, figure7,
-                            figure8, run_experiment)
-from repro.toolflow.tables import format_table2_text
-from repro.visualize import device_report
+from repro.apps import APPLICATION_NAMES
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -118,6 +113,8 @@ def _positive_float(value: str) -> float:
 
 
 def _config_from_args(args) -> ArchitectureConfig:
+    from repro.toolflow.config import ArchitectureConfig
+
     return ArchitectureConfig(topology=args.topology, trap_capacity=args.capacity,
                               gate=args.gate, reorder=args.reorder,
                               buffer_ions=args.buffer)
@@ -131,6 +128,8 @@ def _write_json(payload, path) -> bool:
     is reported on stderr instead of crashing with a traceback, and the
     calling subcommand exits non-zero.
     """
+
+    from repro.io import save_json
 
     try:
         written = save_json(payload, path)
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_check_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--check`` flag (see :mod:`repro.analyze.runtime`)."""
+    """The shared ``--check`` flag (see :mod:`repro.checks`)."""
 
     parser.add_argument(
         "--check", action="store_true",
@@ -648,17 +647,27 @@ def _cmd_info() -> int:
 
 
 def _cmd_table1() -> int:
+    from repro.models.shuttle_times import format_table1
+
     print(format_table1())
     return 0
 
 
 def _cmd_table2(args) -> int:
+    from repro.apps import scaled_suite, table2_suite
+    from repro.toolflow.tables import format_table2_text
+
     suite = scaled_suite(16) if args.small else table2_suite()
     print(format_table2_text(suite))
     return 0
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis.breakdown import error_contributions, time_breakdown
+    from repro.apps import build_application
+    from repro.io import result_to_dict
+    from repro.toolflow.runner import run_experiment
+
     circuit = build_application(args.app, num_qubits=args.qubits)
     config = _config_from_args(args)
     print(f"Application : {circuit.name} ({circuit.num_qubits} qubits, "
@@ -702,6 +711,12 @@ def _cache_summary_line(cache) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.apps import scaled_suite, table2_suite
+    from repro.io import figure_bundle_to_dict
+    from repro.toolflow.config import ArchitectureConfig
+    from repro.toolflow.figures import figure6, figure7, figure8
+    from repro.toolflow.parallel import ProgramCache
+
     store = _open_store(args.store) if args.store else None
     if args.small:
         suite = scaled_suite(16)
@@ -1426,6 +1441,8 @@ def _cmd_dse(args, parser) -> int:
 
 
 def _cmd_device(args) -> int:
+    from repro.visualize import device_report
+
     config = _config_from_args(args)
     device = config.build_device(args.qubits)
     print(device_report(device))
@@ -1446,7 +1463,7 @@ def _arm_checks(args) -> None:
     """Turn on ``--check`` runtime verification for this command."""
 
     if getattr(args, "check", False):
-        from repro.analyze import enable_checks
+        from repro.checks import enable_checks
 
         enable_checks()
 
@@ -1471,7 +1488,9 @@ def _cmd_check(args) -> int:
     import repro
     from repro.analyze import (detect_races, lint_paths, merge_reports,
                                verify_program)
+    from repro.apps import build_application, scaled_suite
     from repro.io import SCHEMA_VERSION
+    from repro.toolflow.config import ArchitectureConfig
 
     sections = []
     if args.src is not None:
@@ -1691,7 +1710,7 @@ def _flush_trace(args, tracer, trace_path, show_profile,
 
 
 def _dispatch_command(args, parser) -> int:
-    from repro.analyze import StaticAnalysisError
+    from repro.checks import StaticAnalysisError
 
     try:
         return _dispatch_command_inner(args, parser)

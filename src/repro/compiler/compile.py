@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.analyze.runtime import checks_enabled, verify_or_raise
+from repro.checks import checks_enabled
 from repro.compiler.builder import ProgramBuilder
 from repro.compiler.mapping import MAPPING_STRATEGIES
 from repro.compiler.placement_state import PlacementState
@@ -176,6 +176,8 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
             state.validate()
             program.validate()
     if checks_enabled():
+        from repro.analyze.runtime import verify_or_raise
+
         verify_or_raise(program, device)
     return program
 

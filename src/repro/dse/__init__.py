@@ -37,126 +37,38 @@ compile/simulate core:
 The paper's Figures 6-8 are expressed as design spaces and executed through
 this engine (see :mod:`repro.toolflow.sweep`); ``python -m repro dse`` is the
 command-line entry point for custom studies.
+
+The names below resolve on first access (:mod:`repro._lazy`), so the
+dispatcher and the exporter import the store and the ledger without the
+compiler or the search strategies.
 """
 
-from repro.dse.adaptive import (
-    AdaptiveHalvingProposer,
-    BayesProposer,
-    run_proposer,
-)
-from repro.dse.dispatch import (
-    DEFAULT_TTL_S,
-    Dispatcher,
-    LeaseLost,
-    WorkLedger,
-    estimate_eta_s,
-    read_manifest,
-    run_worker,
-    spawn_worker_process,
-    write_manifest,
-)
-from repro.dse.pareto import (
-    OBJECTIVES,
-    best_record,
-    frontier_rows,
-    objective_value,
-    pareto_frontier,
-    per_app_frontiers,
-)
-from repro.dse.moo import (
-    DEFAULT_OBJECTIVES,
-    EHVIProposer,
-    ParEGOProposer,
-    ParetoArchive,
-    cloud_rows,
-    dominates,
-    hypervolume,
-    objective_vector,
-    parse_objectives,
-    record_frontier,
-    records_hypervolume,
-)
-from repro.dse.runner import DSERunner, Shard
-from repro.dse.space import AXES, DesignPoint, DesignSpace, point_from_spec
-from repro.dse.store import (
-    CachedRecord,
-    CachedResult,
-    ExperimentStore,
-    StoreCorruptionWarning,
-    record_to_row,
-    row_to_record,
-)
-from repro.dse.strategies import (
-    ADAPTIVE_STRATEGY_NAMES,
-    MOO_STRATEGY_NAMES,
-    STRATEGY_NAMES,
-    AdaptiveHalving,
-    BayesianOptimization,
-    CoordinateDescent,
-    EHVISearch,
-    ExhaustiveGrid,
-    ParEGOSearch,
-    RandomSampling,
-    Strategy,
-    StrategyResult,
-    SuccessiveHalving,
-    make_strategy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADAPTIVE_STRATEGY_NAMES",
-    "AXES",
-    "DEFAULT_OBJECTIVES",
-    "DEFAULT_TTL_S",
-    "MOO_STRATEGY_NAMES",
-    "OBJECTIVES",
-    "STRATEGY_NAMES",
-    "AdaptiveHalving",
-    "AdaptiveHalvingProposer",
-    "BayesProposer",
-    "BayesianOptimization",
-    "CachedRecord",
-    "CachedResult",
-    "CoordinateDescent",
-    "DSERunner",
-    "DesignPoint",
-    "DesignSpace",
-    "Dispatcher",
-    "EHVIProposer",
-    "EHVISearch",
-    "ExhaustiveGrid",
-    "ExperimentStore",
-    "LeaseLost",
-    "ParEGOProposer",
-    "ParEGOSearch",
-    "ParetoArchive",
-    "RandomSampling",
-    "Shard",
-    "StoreCorruptionWarning",
-    "Strategy",
-    "StrategyResult",
-    "SuccessiveHalving",
-    "WorkLedger",
-    "best_record",
-    "cloud_rows",
-    "dominates",
-    "estimate_eta_s",
-    "frontier_rows",
-    "hypervolume",
-    "make_strategy",
-    "objective_value",
-    "objective_vector",
-    "parse_objectives",
-    "pareto_frontier",
-    "per_app_frontiers",
-    "point_from_spec",
-    "read_manifest",
-    "record_frontier",
-    "record_to_row",
-    "records_hypervolume",
-    "row_to_record",
-    "run_proposer",
-    "run_worker",
-    "spawn_worker_process",
-    "write_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dse.adaptive": ("AdaptiveHalvingProposer", "BayesProposer",
+                           "run_proposer"),
+    "repro.dse.dispatch": ("DEFAULT_TTL_S", "Dispatcher", "LeaseLost",
+                           "WorkLedger", "estimate_eta_s", "read_manifest",
+                           "run_worker", "spawn_worker_process",
+                           "write_manifest"),
+    "repro.dse.pareto": ("OBJECTIVES", "best_record", "frontier_rows",
+                         "objective_value", "pareto_frontier",
+                         "per_app_frontiers"),
+    "repro.dse.moo": ("DEFAULT_OBJECTIVES", "EHVIProposer", "ParEGOProposer",
+                      "ParetoArchive", "cloud_rows", "dominates",
+                      "hypervolume", "objective_vector", "parse_objectives",
+                      "record_frontier", "records_hypervolume"),
+    "repro.dse.runner": ("DSERunner",),
+    "repro.dse.space": ("AXES", "DesignPoint", "DesignSpace", "Shard",
+                        "point_from_spec"),
+    "repro.dse.store": ("CachedRecord", "CachedResult", "ExperimentStore",
+                        "StoreCorruptionWarning", "record_to_row",
+                        "row_to_record"),
+    "repro.dse.strategies": ("ADAPTIVE_STRATEGY_NAMES", "MOO_STRATEGY_NAMES",
+                             "STRATEGY_NAMES", "AdaptiveHalving",
+                             "BayesianOptimization", "CoordinateDescent",
+                             "EHVISearch", "ExhaustiveGrid", "ParEGOSearch",
+                             "RandomSampling", "Strategy", "StrategyResult",
+                             "SuccessiveHalving", "make_strategy"),
+})

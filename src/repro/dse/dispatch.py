@@ -54,8 +54,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dse.runner import DSERunner, Shard
-from repro.dse.space import DesignSpace, point_from_spec
+from repro.dse.space import DesignSpace, Shard, point_from_spec
 from repro.dse.store import ExperimentStore
 from repro.io.appendlog import LogReader, LogWriter, atomic_write_text
 from repro.obs.distributed import (
@@ -737,6 +736,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     item names aborted because the lease was reclaimed mid-evaluation.
     """
 
+    from repro.dse.runner import DSERunner
     from repro.toolflow.parallel import ProgramCache
 
     store_dir = Path(store_dir)

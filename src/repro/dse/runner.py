@@ -29,10 +29,10 @@ any point list a strategy proposes) and the parallel sweep executor of
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dse.space import DesignPoint, DesignSpace
+from repro.dse.space import DesignPoint, DesignSpace, Shard
 from repro.dse.store import (
     DEFAULT_WRITER,
     ExperimentStore,
@@ -44,55 +44,6 @@ from repro.ir.circuit import Circuit
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import span
 from repro.toolflow.parallel import ProgramCache, SweepTask, iter_tasks
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One slice of a sharded sweep: shard ``index`` of ``count`` (1-based).
-
-    Points are assigned by the hash of their compilation
-    (:meth:`DSERunner.partition_key`), so all points sharing a compiled
-    program -- every gate variant of one configuration -- belong to the
-    same shard, and the partition is stable under resume, reordering and
-    strategy choice.
-    """
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("shard count must be at least 1")
-        if not 1 <= self.index <= self.count:
-            raise ValueError(f"shard index must be in 1..{self.count}, "
-                             f"got {self.index}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Shard":
-        """Parse the CLI form ``"i/N"`` (e.g. ``"2/4"``).
-
-        Only *format* problems (not two ``/``-separated integers) collapse
-        into the generic message; the range errors of ``__post_init__`` --
-        ``--shard 0/4``, ``--shard 5/4`` -- propagate unmasked so the user
-        sees which bound was violated.
-        """
-
-        try:
-            index_text, count_text = text.split("/")
-            index, count = int(index_text), int(count_text)
-        except (ValueError, TypeError) as err:
-            raise ValueError(
-                f"expected a shard of the form i/N, got {text!r}") from err
-        return cls(index, count)
-
-    @property
-    def name(self) -> str:
-        return f"shard-{self.index}of{self.count}"
-
-    def owns(self, digest: str) -> bool:
-        """Whether the work unit with hex ``digest`` falls in this shard."""
-
-        return int(digest, 16) % self.count == self.index - 1
 
 
 def _default_circuit_builder(app: str, qubits: Optional[int]) -> Circuit:

@@ -13,6 +13,9 @@ sweeps: topology-major, then capacity, reorder, buffer, size, application,
 and gate innermost (so the four MS-gate implementations of one compilation
 are adjacent, which is what lets the runner reuse a single compile for all of
 them).
+
+A :class:`Shard` names one slice of a space split across machines or
+dispatched work items; the runner decides which points it owns.
 """
 
 from __future__ import annotations
@@ -254,3 +257,52 @@ class DesignSpace:
             model=model,
             order=axis("order", defaults.order),
         )
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One slice of a sharded sweep: shard ``index`` of ``count`` (1-based).
+
+    Points are assigned by the hash of their compilation
+    (:meth:`repro.dse.runner.DSERunner.partition_key`), so all points
+    sharing a compiled program -- every gate variant of one configuration --
+    belong to the same shard, and the partition is stable under resume,
+    reordering and strategy choice.
+    """
+
+    index: int
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("shard count must be at least 1")
+        if not 1 <= self.index <= self.count:
+            raise ValueError(f"shard index must be in 1..{self.count}, "
+                             f"got {self.index}")
+
+    @classmethod
+    def parse(cls, text: str) -> "Shard":
+        """Parse the CLI form ``"i/N"`` (e.g. ``"2/4"``).
+
+        Only *format* problems (not two ``/``-separated integers) collapse
+        into the generic message; the range errors of ``__post_init__`` --
+        ``--shard 0/4``, ``--shard 5/4`` -- propagate unmasked so the user
+        sees which bound was violated.
+        """
+
+        try:
+            index_text, count_text = text.split("/")
+            index, count = int(index_text), int(count_text)
+        except (ValueError, TypeError) as err:
+            raise ValueError(
+                f"expected a shard of the form i/N, got {text!r}") from err
+        return cls(index, count)
+
+    @property
+    def name(self) -> str:
+        return f"shard-{self.index}of{self.count}"
+
+    def owns(self, digest: str) -> bool:
+        """Whether the work unit with hex ``digest`` falls in this shard."""
+
+        return int(digest, 16) % self.count == self.index - 1

@@ -1,6 +1,9 @@
 """Device communication topology: traps, junctions and segments as a graph.
 
-The topology answers the questions the compiler's router asks (Section VI):
+The graph is an adjacency dict kept in insertion order, searched by one
+stdlib Dijkstra whose tie-break is networkx's, so routes stay those the
+paper goldens pin.  The topology answers the questions the compiler's router
+asks (Section VI):
 
 * what is the shortest shuttling path between two traps,
 * which segments and junctions does that path use (they become exclusive
@@ -13,9 +16,9 @@ The topology answers the questions the compiler's router asks (Section VI):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.hardware.junction import Junction
 from repro.hardware.segment import Segment
@@ -97,17 +100,126 @@ class ShuttlePath:
         return len(self.steps)
 
 
+class _Search:
+    """One Dijkstra search from ``origin`` over a topology's adjacency.
+
+    Nodes leave the heap in (distance, insertion count) order and relax
+    their segments in the order the segments were added: networkx's
+    tie-break.  ``preds[node]`` lists every neighbour through which
+    ``node`` is reached at its shortest distance, in the order found; its
+    first entry is the one predecessor a single-route search keeps.
+    """
+
+    __slots__ = ("adjacency", "counter", "heap", "seen", "settled", "preds")
+
+    def __init__(self, adjacency: Dict[str, Dict[str, Segment]], origin: str,
+                 counter: Iterator[int]) -> None:
+        self.adjacency = adjacency
+        self.counter = counter
+        self.heap = [(0, next(counter), origin)]
+        self.seen = {origin: 0}
+        self.settled: Dict[str, int] = {}
+        self.preds: Dict[str, List[str]] = {origin: []}
+
+    def pop(self) -> Optional[str]:
+        """Settle the nearest node on the heap; ``None`` if it already was."""
+
+        distance, _, node = heappop(self.heap)
+        if node in self.settled:
+            return None
+        self.settled[node] = distance
+        return node
+
+    def relax(self, node: str) -> List[Tuple[str, int]]:
+        """Relax the segments of settled ``node``: the neighbours whose
+        tentative distance fell, each with its new distance."""
+
+        improved = []
+        base = self.settled[node]
+        for other, segment in self.adjacency[node].items():
+            if other in self.settled:
+                continue  # lengths are >= 1: no equal-length route remains
+            distance = base + segment.length
+            known = self.seen.get(other)
+            if known is None or distance < known:
+                self.seen[other] = distance
+                heappush(self.heap, (distance, next(self.counter), other))
+                self.preds[other] = [node]
+                improved.append((other, distance))
+            elif distance == known:
+                self.preds[other].append(node)
+        return improved
+
+    def run(self, until: Optional[str] = None) -> None:
+        """Settle nodes until ``until`` is settled or the heap is empty."""
+
+        while self.heap:
+            node = self.pop()
+            if node is None:
+                continue
+            if node == until:
+                return
+            self.relax(node)
+
+    def chain(self, node: str) -> List[str]:
+        """``node`` back to the origin along first predecessors."""
+
+        nodes = [node]
+        while self.preds[nodes[-1]]:
+            nodes.append(self.preds[nodes[-1]][0])
+        return nodes
+
+    def routes(self, node: str) -> List[List[str]]:
+        """Every shortest route from the origin to settled ``node``, in the
+        depth-first predecessor order networkx enumerates them."""
+
+        if not self.preds[node]:
+            return [[node]]
+        return [route + [node] for pred in self.preds[node]
+                for route in self.routes(pred)]
+
+
+def _bidirectional_route(adjacency: Dict[str, Dict[str, Segment]],
+                         source: str, destination: str) -> List[str]:
+    """The single shortest route networkx's bidirectional Dijkstra returns:
+    forward and backward searches settle one node each in turn, and the
+    route runs through the first node that ties the best distance found
+    when some node is settled by both."""
+
+    counter = count()
+    searches = (_Search(adjacency, source, counter),
+                _Search(adjacency, destination, counter))
+    best: Optional[int] = None
+    meet: Optional[str] = None
+    direction = 1
+    while searches[0].heap and searches[1].heap:
+        direction = 1 - direction
+        search, other = searches[direction], searches[1 - direction]
+        node = search.pop()
+        if node is None:
+            continue
+        if node in other.settled:
+            forward, backward = searches[0].chain(meet), searches[1].chain(meet)
+            return forward[::-1] + backward[1:]
+        for neighbour, distance in search.relax(node):
+            known = other.seen.get(neighbour)
+            if known is not None and (best is None or distance + known < best):
+                best, meet = distance + known, neighbour
+    raise ValueError(f"no path between {source!r} and {destination!r}")
+
+
 class Topology:
     """The device connectivity graph.
 
-    Nodes are trap and junction names; edges are segments.  The class wraps a
-    :class:`networkx.Graph` and keeps typed registries of the hardware
-    elements so that path planning can return real objects rather than labels.
+    Nodes are trap and junction names; edges are segments.  The graph is an
+    adjacency dict (node -> neighbour -> segment, both in insertion order)
+    beside typed registries of the hardware elements, so that path planning
+    returns real objects rather than labels.
     """
 
     def __init__(self, name: str = "custom") -> None:
         self.name = name
-        self.graph = nx.Graph()
+        self._adjacency: Dict[str, Dict[str, Segment]] = {}
         self._traps: Dict[str, Trap] = {}
         self._junctions: Dict[str, Junction] = {}
         self._segments: Dict[int, Segment] = {}
@@ -130,20 +242,20 @@ class Topology:
     def add_trap(self, trap: Trap) -> Trap:
         """Register a trapping zone as a graph node."""
 
-        if trap.name in self.graph:
+        if trap.name in self._adjacency:
             raise ValueError(f"duplicate node name {trap.name!r}")
         self._traps[trap.name] = trap
-        self.graph.add_node(trap.name, kind="trap", element=trap)
+        self._adjacency[trap.name] = {}
         self._invalidate_route_caches()
         return trap
 
     def add_junction(self, junction: Junction) -> Junction:
         """Register a junction as a graph node."""
 
-        if junction.name in self.graph:
+        if junction.name in self._adjacency:
             raise ValueError(f"duplicate node name {junction.name!r}")
         self._junctions[junction.name] = junction
-        self.graph.add_node(junction.name, kind="junction", element=junction)
+        self._adjacency[junction.name] = {}
         self._invalidate_route_caches()
         return junction
 
@@ -151,14 +263,15 @@ class Topology:
         """Add a segment between two existing nodes and return it."""
 
         for node in (node_a, node_b):
-            if node not in self.graph:
+            if node not in self._adjacency:
                 raise ValueError(f"unknown node {node!r}")
-        if self.graph.has_edge(node_a, node_b):
+        if node_b in self._adjacency[node_a]:
             raise ValueError(f"segment {node_a}-{node_b} already exists")
         segment = Segment(self._next_segment_id, node_a, node_b, length)
         self._next_segment_id += 1
         self._segments[segment.segment_id] = segment
-        self.graph.add_edge(node_a, node_b, element=segment, weight=length)
+        self._adjacency[node_a][node_b] = segment
+        self._adjacency[node_b][node_a] = segment
         self._invalidate_route_caches()
         return segment
 
@@ -173,10 +286,13 @@ class Topology:
 
         if not self._traps:
             raise ValueError("topology has no traps")
-        if len(self.graph) > 1 and not nx.is_connected(self.graph):
-            raise ValueError("topology graph is not connected")
+        if len(self._adjacency) > 1:
+            search = _Search(self._adjacency, next(iter(self._adjacency)), count())
+            search.run()
+            if len(search.settled) != len(self._adjacency):
+                raise ValueError("topology graph is not connected")
         for junction in self._junctions.values():
-            actual = self.graph.degree[junction.name]
+            actual = len(self._adjacency[junction.name])
             if actual != junction.degree:
                 raise ValueError(
                     f"junction {junction.name} declares degree {junction.degree} "
@@ -239,6 +355,15 @@ class Topology:
 
         return node in self._traps
 
+    def neighbors(self, node: str) -> Tuple[str, ...]:
+        """The nodes one segment away from ``node``, in the order their
+        segments were added."""
+
+        try:
+            return tuple(self._adjacency[node])
+        except KeyError:
+            raise KeyError(f"unknown node {node!r}") from None
+
     def segment_between(self, node_a: str, node_b: str) -> Segment:
         """The segment joining two adjacent nodes."""
 
@@ -246,10 +371,9 @@ class Topology:
         segment = self._segment_cache.get(key)
         if segment is not None:
             return segment
-        data = self.graph.get_edge_data(node_a, node_b)
-        if data is None:
+        segment = self._adjacency.get(node_a, {}).get(node_b)
+        if segment is None:
             raise KeyError(f"no segment between {node_a!r} and {node_b!r}")
-        segment = data["element"]
         self._segment_cache[key] = segment
         return segment
 
@@ -267,30 +391,40 @@ class Topology:
         The path is shortest by total segment length (junction and
         intermediate-trap penalties are reflected later by the timing model;
         for the topologies in the paper both notions of shortest coincide).
+        Among equal-length routes it is the one networkx's bidirectional
+        Dijkstra picks.  Raises ``ValueError`` when no route exists.
         """
 
         key = (source, destination)
         path = self._path_cache.get(key)
         if path is not None:
             return path
-        if source not in self._traps or destination not in self._traps:
-            raise KeyError("shuttle paths must start and end at traps")
+        self._check_endpoints(source, destination)
         if source == destination:
             path = ShuttlePath(source, destination, ())
         else:
-            nodes = nx.shortest_path(self.graph, source, destination, weight="weight")
-            path = self._path_from_nodes(nodes)
+            path = self._path_from_nodes(
+                _bidirectional_route(self._adjacency, source, destination))
         self._path_cache[key] = path
         return path
 
     def all_shortest_paths(self, source: str, destination: str) -> List[ShuttlePath]:
         """Every shortest route between two traps (used by congestion-aware
-        routing to pick an uncontended alternative)."""
+        routing to pick an uncontended alternative), in networkx's order.
+        Raises ``ValueError`` when no route exists."""
 
+        self._check_endpoints(source, destination)
         if source == destination:
             return [ShuttlePath(source, destination, ())]
-        paths = nx.all_shortest_paths(self.graph, source, destination, weight="weight")
-        return [self._path_from_nodes(nodes) for nodes in paths]
+        search = _Search(self._adjacency, source, count())
+        search.run(until=destination)
+        if destination not in search.settled:
+            raise ValueError(f"no path between {source!r} and {destination!r}")
+        return [self._path_from_nodes(nodes) for nodes in search.routes(destination)]
+
+    def _check_endpoints(self, source: str, destination: str) -> None:
+        if source not in self._traps or destination not in self._traps:
+            raise KeyError("shuttle paths must start and end at traps")
 
     def _path_from_nodes(self, nodes: List[str]) -> ShuttlePath:
         steps: List[PathStep] = []
@@ -323,10 +457,10 @@ class Topology:
             return side
         if trap_name not in self._traps:
             raise KeyError(f"no trap named {trap_name!r}")
-        if not self.graph.has_edge(trap_name, neighbor):
+        if neighbor not in self._adjacency[trap_name]:
             raise KeyError(f"{neighbor!r} is not adjacent to {trap_name!r}")
         trap = self._traps[trap_name]
-        neighbor_element = self.graph.nodes[neighbor]["element"]
+        neighbor_element = self._traps.get(neighbor) or self._junctions[neighbor]
         trap_pos = trap.position
         neighbor_pos = getattr(neighbor_element, "position", None)
         if trap_pos is None or neighbor_pos is None:

@@ -7,31 +7,27 @@ to plain JSON so they can be diffed, archived next to EXPERIMENTS.md, or
 plotted with external tooling.  :mod:`repro.io.appendlog` is the JSONL log
 behind the experiment store, worker telemetry and trace shards.
 
-The serialization names are re-exported on first access (PEP 562): eagerly,
-``serialization`` -> toolflow -> :mod:`repro.obs` -> ``repro.io.appendlog``
-would be an import cycle.
+The serialization names are re-exported on first access (PEP 562,
+:mod:`repro._lazy`), so a process that only appends to a log never imports
+the serializers or the layers they describe.
 """
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "check_schema_version",
-    "config_from_dict",
-    "config_to_dict",
-    "figure_bundle_to_dict",
-    "load_json",
-    "model_from_dict",
-    "model_to_dict",
-    "program_from_dict",
-    "program_to_dict",
-    "records_to_json",
-    "result_to_dict",
-    "save_json",
-]
+from repro._lazy import lazy_exports
 
-
-def __getattr__(name: str):
-    if name in __all__:
-        from repro.io import serialization
-
-        return getattr(serialization, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.io.serialization": (
+        "SCHEMA_VERSION",
+        "check_schema_version",
+        "config_from_dict",
+        "config_to_dict",
+        "figure_bundle_to_dict",
+        "load_json",
+        "model_from_dict",
+        "model_to_dict",
+        "program_from_dict",
+        "program_to_dict",
+        "records_to_json",
+        "result_to_dict",
+        "save_json",
+    ),
+})

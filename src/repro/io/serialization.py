@@ -21,7 +21,7 @@ import dataclasses
 import json
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.isa.operations import KINDS, OP_CLASSES
 from repro.isa.program import InitialPlacement, QCCDProgram
@@ -34,7 +34,9 @@ from repro.models.params import (
 )
 from repro.sim.results import SimulationResult
 from repro.toolflow.config import ArchitectureConfig
-from repro.toolflow.runner import ExperimentRecord
+
+if TYPE_CHECKING:  # the runner imports the compiler and the simulator
+    from repro.toolflow.runner import ExperimentRecord
 
 #: Version stamped into every persisted payload (programs, results, figure
 #: bundles, experiment-store rows).  Bump when a field changes meaning or is

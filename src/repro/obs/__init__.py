@@ -35,108 +35,29 @@ makes those executions debuggable:
 ``repro run|sweep|dse run|dse dispatch --trace out.json`` enables tracing
 for one command and writes the bundle; span/metric naming conventions and
 the export schemas are documented in ``docs/observability.md``.
+The names below resolve on first access (:mod:`repro._lazy`).
 """
 
-from repro.io.appendlog import atomic_write_text
-from repro.obs.benchdiff import (
-    classify_metric,
-    compare_bench,
-    diff_bench_files,
-    format_bench_diff,
-)
-from repro.obs.distributed import (
-    SHARD_SCHEMA_VERSION,
-    TRACE_DIR,
-    TraceContext,
-    TraceShardWriter,
-    adopt_shards,
-    read_trace_shards,
-    write_merged_trace,
-)
-from repro.obs.export import (
-    TRACE_SCHEMA_VERSION,
-    chrome_trace,
-    config_fingerprint,
-    run_manifest,
-    spans_jsonl,
-    validate_chrome_trace,
-    write_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    CounterDict,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-    reset_registry,
-)
-from repro.obs.profile import (
-    build_profile,
-    collapsed_stacks,
-    format_profile,
-    parse_spans_jsonl,
-)
-from repro.obs.timeline import (
-    TelemetryReader,
-    detect_stragglers,
-    fold_timeline,
-    render_top,
-    rolling_rates,
-)
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    current_span_name,
-    current_span_ref,
-    current_tracer,
-    disable_tracing,
-    enable_tracing,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SHARD_SCHEMA_VERSION",
-    "TRACE_DIR",
-    "TRACE_SCHEMA_VERSION",
-    "Counter",
-    "CounterDict",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "TelemetryReader",
-    "TraceContext",
-    "TraceShardWriter",
-    "Tracer",
-    "adopt_shards",
-    "atomic_write_text",
-    "build_profile",
-    "chrome_trace",
-    "classify_metric",
-    "collapsed_stacks",
-    "compare_bench",
-    "config_fingerprint",
-    "current_span_name",
-    "current_span_ref",
-    "current_tracer",
-    "detect_stragglers",
-    "diff_bench_files",
-    "disable_tracing",
-    "enable_tracing",
-    "fold_timeline",
-    "format_bench_diff",
-    "format_profile",
-    "parse_spans_jsonl",
-    "read_trace_shards",
-    "registry",
-    "render_top",
-    "reset_registry",
-    "rolling_rates",
-    "run_manifest",
-    "span",
-    "spans_jsonl",
-    "validate_chrome_trace",
-    "write_merged_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.io.appendlog": ("atomic_write_text",),
+    "repro.obs.benchdiff": ("classify_metric", "compare_bench",
+                            "diff_bench_files", "format_bench_diff"),
+    "repro.obs.distributed": ("SHARD_SCHEMA_VERSION", "TRACE_DIR",
+                              "TraceContext", "TraceShardWriter",
+                              "adopt_shards", "read_trace_shards",
+                              "write_merged_trace"),
+    "repro.obs.export": ("TRACE_SCHEMA_VERSION", "chrome_trace",
+                         "config_fingerprint", "run_manifest", "spans_jsonl",
+                         "validate_chrome_trace", "write_trace"),
+    "repro.obs.metrics": ("Counter", "CounterDict", "Gauge", "Histogram",
+                          "MetricsRegistry", "registry", "reset_registry"),
+    "repro.obs.profile": ("build_profile", "collapsed_stacks",
+                          "format_profile", "parse_spans_jsonl"),
+    "repro.obs.timeline": ("TelemetryReader", "detect_stragglers",
+                           "fold_timeline", "render_top", "rolling_rates"),
+    "repro.obs.trace": ("Span", "Tracer", "current_span_name",
+                        "current_span_ref", "current_tracer",
+                        "disable_tracing", "enable_tracing", "span"),
+})

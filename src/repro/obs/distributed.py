@@ -6,7 +6,7 @@ the dispatcher process.  Three pieces make that work:
 * :class:`TraceContext` -- the root ``trace_id`` plus the dispatcher's
   open-span ``parent_ref``, carried to worker subprocesses through the
   environment (the ``REPRO_CHECK`` pattern of
-  :mod:`repro.analyze.runtime`: ``spawn_worker_process`` copies the
+  :mod:`repro.checks`: ``spawn_worker_process`` copies the
   parent environment, so stamping the spawn env is all the propagation
   needed) and into process-pool children through the pool initializer of
   :func:`repro.toolflow.parallel.iter_tasks`.  Every process arms a

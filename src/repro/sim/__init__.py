@@ -20,34 +20,18 @@ number of (gate implementation, physical model) variants are evaluated.
 and returns a :class:`SimulationResult`; :func:`simulate_batch` (and the
 :func:`simulate_gate_variants` / :func:`simulate_model_variants` helpers)
 evaluates a whole axis of device variants in one call, with results
-identical to one :func:`simulate` per variant.
+identical to one :func:`simulate` per variant.  The names below resolve
+on first access (:mod:`repro._lazy`), so reading a stored
+:class:`SimulationResult` loads no engine.
 """
 
-from repro.sim.batch import (
-    BatchPlan,
-    batch_plan,
-    simulate_batch,
-    simulate_gate_variants,
-    simulate_model_variants,
-)
-from repro.sim.engine import simulate
-from repro.sim.results import SimulationResult, OperationRecord
-from repro.sim.metrics import (
-    communication_fraction,
-    mean_two_qubit_error,
-    shuttles_per_two_qubit_gate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "simulate",
-    "simulate_batch",
-    "simulate_gate_variants",
-    "simulate_model_variants",
-    "BatchPlan",
-    "batch_plan",
-    "SimulationResult",
-    "OperationRecord",
-    "communication_fraction",
-    "mean_two_qubit_error",
-    "shuttles_per_two_qubit_gate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.batch": ("BatchPlan", "batch_plan", "simulate_batch",
+                        "simulate_gate_variants", "simulate_model_variants"),
+    "repro.sim.engine": ("simulate",),
+    "repro.sim.results": ("SimulationResult", "OperationRecord"),
+    "repro.sim.metrics": ("communication_fraction", "mean_two_qubit_error",
+                          "shuttles_per_two_qubit_gate"),
+})

@@ -16,32 +16,21 @@ paper reports:
 * :mod:`~repro.toolflow.figures` -- harnesses that regenerate the data series
   of Figures 6, 7 and 8.
 * :mod:`~repro.toolflow.tables` -- harnesses for Tables I and II.
+
+The names below resolve on first access (:mod:`repro._lazy`):
+``repro.toolflow.config`` is imported by processes that never compile.
 """
 
-from repro.toolflow.config import ArchitectureConfig
-from repro.toolflow.parallel import (ProgramCache, SweepTask, execute_task,
-                                     iter_tasks, run_tasks)
-from repro.toolflow.runner import ExperimentRecord, run_experiment, run_gate_variants
-from repro.toolflow.sweep import sweep_capacity, sweep_topologies, sweep_microarchitecture
-from repro.toolflow.figures import figure6, figure7, figure8
-from repro.toolflow.tables import table1, table2
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureConfig",
-    "ExperimentRecord",
-    "ProgramCache",
-    "SweepTask",
-    "execute_task",
-    "iter_tasks",
-    "run_tasks",
-    "run_experiment",
-    "run_gate_variants",
-    "sweep_capacity",
-    "sweep_topologies",
-    "sweep_microarchitecture",
-    "figure6",
-    "figure7",
-    "figure8",
-    "table1",
-    "table2",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.toolflow.config": ("ArchitectureConfig",),
+    "repro.toolflow.parallel": ("ProgramCache", "SweepTask", "execute_task",
+                                "iter_tasks", "run_tasks"),
+    "repro.toolflow.runner": ("ExperimentRecord", "run_experiment",
+                              "run_gate_variants"),
+    "repro.toolflow.sweep": ("sweep_capacity", "sweep_topologies",
+                             "sweep_microarchitecture"),
+    "repro.toolflow.figures": ("figure6", "figure7", "figure8"),
+    "repro.toolflow.tables": ("table1", "table2"),
+})

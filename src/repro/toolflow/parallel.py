@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from dataclasses import replace
 
-from repro.analyze.runtime import checks_enabled, verify_or_raise
+from repro.checks import checks_enabled
 from repro.compiler.compile import CompilerOptions, compile_circuit
 from repro.hardware.device import QCCDDevice
 from repro.models.gate_times import GateImplementation
@@ -244,6 +244,8 @@ def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord
     if checks_enabled():
         # Covers the cache-hit path (a fresh compile already verified); the
         # per-program memo makes repeat hits free.
+        from repro.analyze.runtime import verify_or_raise
+
         verify_or_raise(program, device)
     compile_s = perf_counter() - compile_start
     program_size = len(program)

@@ -226,6 +226,25 @@ def test_mutation_move_route_corruption_flags_qv007():
     assert _check_ids(report) & {"QV007", "QV002"}
 
 
+def test_mutation_merge_into_junction_flags_qv007():
+    # The ion's last move and its merge both name a junction: the replay
+    # reports the merge target as an unknown trap instead of asking the
+    # topology for a junction's port side.
+    program, device = _fresh(topology="G2x2")
+    merge = _pick(random.Random(47), program, MergeOp)
+    move = [op for op in program.operations if isinstance(op, MoveOp)
+            and op.ion == merge.ion and op.op_id < merge.op_id][-1]
+    junction = device.topology.junctions[0].name
+    operations = [dataclasses.replace(op, to_node=junction) if op is move
+                  else dataclasses.replace(op, trap=junction) if op is merge
+                  else op for op in program.operations]
+    program = dataclasses.replace(program, operations=operations)
+    report = verify_program(program, device)
+    assert not report.ok
+    assert any(d.check_id == "QV007" and "unknown trap" in d.message
+               for d in report)
+
+
 def test_mutation_dropped_gate_dependency_flags_race():
     program, device = _fresh()
     rng = random.Random(41)

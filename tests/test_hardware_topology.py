@@ -148,6 +148,12 @@ class TestGridPaths:
         assert len(paths) >= 1
         assert all(p.num_segments == 2 for p in paths)
 
+    def test_neighbors_in_segment_order(self, g2x3):
+        assert g2x3.neighbors("J1") == ("T1", "T4", "J0", "J2")
+        assert g2x3.neighbors("T0") == ("J0",)
+        with pytest.raises(KeyError):
+            g2x3.neighbors("T9")
+
 
 class TestOtherTopologies:
     def test_ring(self):

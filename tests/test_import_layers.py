@@ -1,0 +1,85 @@
+"""Which modules each kind of toolflow process loads.
+
+The toolflow runs as many short processes -- a dispatched study starts a
+dispatcher, its workers and an exporter -- so each one should import only
+the layers it runs.  Every probe here starts a fresh interpreter, does one
+thing and reports ``sys.modules``; the assertions are on module sets, never
+on timings.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: What a bare ``import repro`` or the CLI shell must not load: every layer
+#: package, and networkx (a test-only dependency).
+LAYERS = ("repro.hardware", "repro.compiler", "repro.sim", "repro.toolflow",
+          "repro.dse", "repro.analyze", "repro.obs", "networkx")
+#: What a process that never compiles must not load.
+COMPILE_SIDE = ("repro.compiler", "repro.sim.batch", "repro.analyze")
+
+
+def _cli(*argv):
+    """Probe code running ``python -m repro <argv>`` in the probe process."""
+
+    return (f"import runpy\nsys.argv = ['repro', *{list(argv)!r}]\n"
+            f"try:\n    runpy.run_module('repro', run_name='__main__')\n"
+            f"except SystemExit as exc:\n    assert exc.code in (0, None), exc.code")
+
+
+def _loaded(code, tmp_path):
+    """The module names a fresh interpreter holds after running ``code``."""
+
+    out = tmp_path / "modules.json"
+    probe = (f"import json, sys\n{code}\n"
+             f"open({str(out)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n")
+    subprocess.run([sys.executable, "-c", probe], check=True, cwd=tmp_path,
+                   env=dict(os.environ, PYTHONPATH=str(SRC)),
+                   stdout=subprocess.DEVNULL)
+    return json.loads(out.read_text())
+
+
+def _offending(modules, prefixes):
+    return [name for name in modules
+            if any(name == prefix or name.startswith(prefix + ".")
+                   for prefix in prefixes)]
+
+
+@pytest.mark.parametrize("code", [
+    "import repro",
+    "import repro.cli",
+    _cli("info"),
+], ids=["import repro", "import repro.cli", "repro info"])
+def test_package_and_cli_shell_load_no_layer_and_no_networkx(code, tmp_path):
+    assert _offending(_loaded(code, tmp_path), LAYERS) == []
+
+
+def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
+    store = tmp_path / "store"
+    space = ("--apps", "BV", "--qubits", "8", "--topologies", "L3",
+             "--capacities", "6", "--gates", "AM1,FM")
+    for code in ("import repro.dse.dispatch",
+                 "import repro.dse.store",
+                 "import repro.io.serialization",
+                 _cli("dse", "dispatch", *space, "--store", str(store),
+                      "--print-only"),
+                 _cli("dse", "export", "--store", str(store),
+                      "--output", str(tmp_path / "export.json"))):
+        assert _offending(_loaded(code, tmp_path), COMPILE_SIDE) == [], code
+    assert json.loads((tmp_path / "export.json").read_text())["num_points"] == 0
+
+
+@pytest.mark.parametrize("module", ["repro.compiler.compile",
+                                    "repro.toolflow.parallel"])
+def test_compile_paths_load_no_analyzer(module, tmp_path):
+    loaded = _loaded(f"import {module}", tmp_path)
+    assert module in loaded
+    assert _offending(loaded, ("repro.analyze",)) == []
