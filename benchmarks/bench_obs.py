@@ -190,23 +190,24 @@ def test_timeline_fold_and_profile_cost(benchmark, tmp_path):
 
 
 def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
-    """Time distributed tracing: traced pool workers and the shard merger.
+    """Time distributed tracing: traced pool workers and the span merger.
 
     Two perf-history sections for the fleet-tracing layer.
     ``worker_tracing`` compares a ``jobs=2`` sweep untraced vs traced --
     the traced run adds per-task span shipping through the pool result
     tuple, allowed to cost but tracked so a regression (say, shipping
     spans per *span* instead of per task) shows up in ``bench diff``.
-    ``shard_merge`` times :func:`read_trace_shards` + the deterministic
-    merge over a synthetic many-worker shard directory -- the post-run
-    step of every traced dispatch, and the interactive cost of
+    ``shard_merge`` times reading the span records of a synthetic
+    many-worker fleet's event streams plus the deterministic merge -- the
+    post-run step of every traced dispatch, and the interactive cost of
     ``repro trace merge``.
     """
 
     import json
 
+    from repro.dse.dispatch import TELEMETRY_DIR
     from repro.obs import write_merged_trace
-    from repro.obs.distributed import SHARD_SCHEMA_VERSION, TRACE_DIR
+    from repro.obs.distributed import SHARD_SCHEMA_VERSION, SPAN_EVENT
     from repro.toolflow import SweepTask
     from repro.toolflow.parallel import run_tasks
 
@@ -231,7 +232,7 @@ def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
     traced_s = _best_of(lambda: traced_run(), repeats=2)
     shipped = len(traced_run().foreign)
 
-    # A synthetic fleet shard directory: 8 workers x `spans_per` records.
+    # A synthetic fleet's streams: 8 workers x `spans_per` span records.
     spans_per = 2_000 if bench_scale() == "paper" else 250
     for worker in range(8):
         lines = []
@@ -243,9 +244,9 @@ def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
                 "epoch_start_s": 1000.0 + i * 0.01, "duration_s": 0.01,
                 "attrs": {"point": i}, "trace_id": "bench",
                 "schema_version": SHARD_SCHEMA_VERSION,
-                "owner": f"w{worker}",
+                "event": SPAN_EVENT, "owner": f"w{worker}",
             }, sort_keys=True))
-        directory = tmp_path / "store" / TRACE_DIR
+        directory = tmp_path / "store" / TELEMETRY_DIR
         directory.mkdir(parents=True, exist_ok=True)
         (directory / f"w{worker}.jsonl").write_text("\n".join(lines) + "\n")
     merged = tmp_path / "merged.json"

@@ -154,7 +154,8 @@ def smoke(workdir: Path, trace: Path = None) -> int:
             return 1
 
     if trace is not None:
-        code = _check_fleet_trace(workdir, store_dir, trace)
+        code = _check_fleet_trace(workdir, store_dir, trace,
+                                  [proc.pid for proc in procs])
         if code != 0:
             return code
 
@@ -175,19 +176,23 @@ def smoke(workdir: Path, trace: Path = None) -> int:
     return 0
 
 
-def _check_fleet_trace(workdir: Path, store_dir: Path, trace: Path) -> int:
+def _check_fleet_trace(workdir: Path, store_dir: Path, trace: Path,
+                       spawned_pids) -> int:
     """Validate the distributed-tracing guarantees on the smoke's fleet.
 
     The workers joined this process's trace through the environment
-    (``spawn_worker`` stamped the context) and flushed span shards into
-    the store -- the SIGKILLed one included, up to its last atomic flush.
-    Checks: the merged trace carries spans from at least two worker pids
-    under one root trace id, validates as Chrome trace JSON with process
-    metadata, profiles into a fleet-wide critical path, and the standalone
-    ``repro trace merge`` is deterministic (byte-identical across runs).
+    (``spawn_worker`` stamped the context) and flushed their spans into
+    their event streams beside their lease events -- the SIGKILLed one
+    included, up to its last flush.  Checks: each worker wrote exactly one
+    stream file and no ``traces/`` directory exists, the merged trace
+    carries spans from at least two worker pids under one root trace id,
+    validates as Chrome trace JSON with process metadata, profiles into a
+    fleet-wide critical path, and the standalone ``repro trace merge`` is
+    deterministic (byte-identical across runs).
     """
 
     import json
+    import socket
 
     from repro.obs import (
         adopt_shards,
@@ -197,13 +202,28 @@ def _check_fleet_trace(workdir: Path, store_dir: Path, trace: Path) -> int:
         validate_chrome_trace,
         write_trace,
     )
+    from repro.obs.export import filename_safe
+
+    if (store_dir / "traces").exists():
+        print("[smoke] FAIL: the dispatched store has a traces/ directory")
+        return 1
+    streams = sorted(path.name
+                     for path in (store_dir / "telemetry").iterdir())
+    expected = sorted(filename_safe(f"{socket.gethostname()}-pid{pid}")
+                      + ".jsonl" for pid in spawned_pids)
+    if streams != expected:
+        print(f"[smoke] FAIL: expected one stream file per worker "
+              f"{expected}, found {streams}")
+        return 1
+    print(f"[smoke] one event stream per worker, the SIGKILLed one "
+          f"included ({len(streams)} files), and no traces/ directory")
 
     tracer = current_tracer()
     info = adopt_shards(tracer, store_dir)
     disable_tracing()
     worker_pids = {record["pid"] for record in tracer.foreign}
     if len(worker_pids) < 2:
-        print(f"[smoke] FAIL: expected trace shards from >= 2 worker "
+        print(f"[smoke] FAIL: expected spans from >= 2 worker "
               f"pids, got {sorted(worker_pids)}")
         return 1
     trace_ids = {record["trace_id"] for record in tracer.foreign}
@@ -223,7 +243,7 @@ def _check_fleet_trace(workdir: Path, store_dir: Path, trace: Path) -> int:
     skipped = sum(info["skipped"].values())
     print(f"[smoke] trace: {paths['trace']} validates as Chrome trace "
           f"JSON ({events} events; {info['spans']} worker spans from "
-          f"{len(worker_pids)} pids, {skipped} shard lines skipped)")
+          f"{len(worker_pids)} pids, {skipped} stream lines skipped)")
 
     profile = build_profile(tracer.records())
     critical = profile["critical_path"]
@@ -233,7 +253,7 @@ def _check_fleet_trace(workdir: Path, store_dir: Path, trace: Path) -> int:
     steps = " -> ".join(step["name"] for step in critical)
     print(f"[smoke] fleet critical path: {steps}")
 
-    # The standalone merger must be deterministic: merging the same shard
+    # The standalone merger must be deterministic: merging the same span
     # set twice writes byte-identical bundles.
     merges = []
     for k in (1, 2):
@@ -364,8 +384,9 @@ def main() -> int:
                              "differs from the serial golden export")
     parser.add_argument("--trace", type=Path, default=None, metavar="OUT.JSON",
                         help="with --smoke: trace the whole fleet (workers "
-                             "join via the environment and flush span "
-                             "shards), merge the shards, and validate the "
+                             "join via the environment and flush their spans "
+                             "into their event streams), check one stream "
+                             "per worker, merge the spans, and validate the "
                              "fleet Chrome trace, critical path and "
                              "deterministic `repro trace merge`")
     args = parser.parse_args()

@@ -259,20 +259,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
-        help="distributed-trace utilities over store trace shards")
+        help="distributed-trace utilities over a store's worker streams")
     trace_sub = trace.add_subparsers(dest="trace_command")
     trace_merge = trace_sub.add_parser(
         "merge",
-        help="merge a store's per-worker trace shards into one trace bundle",
-        description="Read every <store>/traces/*.jsonl span shard traced "
-                    "workers flushed, skip torn or corrupt lines with a "
-                    "warning, and write one Perfetto-loadable Chrome trace "
-                    "(plus .spans.jsonl and .manifest.json) at OUTPUT.  "
-                    "Deterministic: the same span set merges "
-                    "byte-identically regardless of how it was sharded.")
+        help="merge the span records of a store's worker streams into one "
+             "trace bundle",
+        description="Read the span records traced workers flushed to their "
+                    "event streams (<store>/telemetry/*.jsonl), skip torn "
+                    "or corrupt lines with a warning, and write one "
+                    "Perfetto-loadable Chrome trace (plus .spans.jsonl and "
+                    ".manifest.json) at OUTPUT.  Deterministic: the same "
+                    "span set merges byte-identically regardless of how it "
+                    "was split across workers.  A store holding the "
+                    "traces/ directory of an older version is refused.")
     trace_merge.add_argument("--store", required=True,
-                             help="experiment-store directory holding "
-                                  "traces/ shards")
+                             help="experiment-store directory of a traced "
+                                  "dispatch")
     trace_merge.add_argument("--output", required=True, metavar="OUT.JSON",
                              help="path of the merged Chrome trace")
 
@@ -1141,13 +1144,13 @@ def _cmd_dse_dispatch(args) -> int:
 
 
 def _print_trace_merge(summary) -> None:
-    """Report the automatic shard merge of a traced dispatch, if any."""
+    """Report the automatic span merge of a traced dispatch, if any."""
 
     info = summary.get("trace")
     if not info:
         return
     skipped = sum(info["skipped"].values())
-    skip_note = f", {skipped} shard line(s) skipped" if skipped else ""
+    skip_note = f", {skipped} stream line(s) skipped" if skipped else ""
     print(f"Trace merge : {info['spans']} worker spans adopted from "
           f"{info['shards']} shard(s) across {len(info['pids'])} "
           f"process(es){skip_note}")
@@ -1593,7 +1596,7 @@ def _cmd_trace(args) -> int:
         paths, info = write_merged_trace(args.store, args.output,
                                          config=config)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot merge trace shards: {exc}", file=sys.stderr)
+        print(f"error: cannot merge the trace: {exc}", file=sys.stderr)
         return 1
     skipped = sum(info["skipped"].values())
     skip_note = f", {skipped} line(s) skipped" if skipped else ""

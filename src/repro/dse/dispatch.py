@@ -1,12 +1,10 @@
 """Filesystem-coordinated dispatch for distributed DSE runs.
 
-PR 2's :class:`~repro.dse.store.ExperimentStore` made sharded sweeps
-*mergeable* (every shard appends to its own JSONL file; the directory union
-is the result set), but shards still had to be launched by hand with
-``--shard i/N`` per machine.  This module adds the missing coordination
-layer, using nothing but the shared store directory -- no daemon, no
-database, so it works on any shared filesystem (NFS scratch space, a
-laptop's tmpdir, a CI runner):
+The :class:`~repro.dse.store.ExperimentStore` is mergeable (every writer
+appends to its own JSONL file; the directory union is the result set).
+This module coordinates who evaluates what through nothing but the shared
+store directory -- no daemon, no database, so it works on any shared
+filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
 
 * :class:`WorkLedger` -- signed work items under ``<store>/leases/``, one
   lease file per item.  Claims are atomic create-via-hardlink (the classic
@@ -56,20 +54,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.space import DesignSpace, Shard, point_from_spec
 from repro.dse.store import ExperimentStore
-from repro.io.appendlog import LogReader, LogWriter, atomic_write_text
+from repro.io.appendlog import LogWriter, atomic_write_text
 from repro.obs.distributed import (
     TraceContext,
-    TraceShardWriter,
     adopt_shards,
+    refuse_trace_shards,
+    span_record,
 )
 from repro.obs.export import filename_safe
-from repro.obs.timeline import (
-    TelemetryReader,
-    ZERO_TOTALS,
-    fold_event,
-    fold_workers,
-    parse_segment,
-)
+from repro.obs.timeline import TelemetryReader, fold_workers
 from repro.obs.trace import (
     current_span_name,
     current_span_ref,
@@ -80,9 +73,10 @@ from repro.obs.trace import (
 #: Subdirectory of the store directory holding the work ledger.
 LEASE_DIR = "leases"
 
-#: Subdirectory of the store directory holding per-worker telemetry JSONL.
-#: A subdirectory, not the store root: the store ingests every top-level
-#: ``*.jsonl`` as experiment rows, so telemetry must live one level down.
+#: Subdirectory of the store directory holding the per-worker event
+#: streams.  A subdirectory, not the store root: the store ingests every
+#: top-level ``*.jsonl`` as experiment rows, so the streams live one level
+#: down.
 TELEMETRY_DIR = "telemetry"
 
 #: Dispatch manifest file name inside the store directory.
@@ -109,16 +103,6 @@ DEFAULT_TTL_S = 60.0
 #: idle poll only stats lease files, so it writes nothing, and a worker
 #: exits within one poll of the run's last done marker.
 IDLE_WAIT_S = 0.05
-
-#: Telemetry rotation threshold: when a worker's active event log exceeds
-#: this many bytes, it is rotated to a numbered segment (and old segments
-#: are compacted into a summary row), bounding per-worker telemetry at
-#: roughly ``(keep_segments + 1) * max_bytes`` however long the fleet runs.
-DEFAULT_TELEMETRY_MAX_BYTES = 1 << 20
-
-#: Raw (uncompacted) rotated segments kept per worker before the oldest is
-#: folded into the cumulative summary segment.
-DEFAULT_TELEMETRY_KEEP_SEGMENTS = 2
 
 
 class LeaseLost(RuntimeError):
@@ -460,120 +444,59 @@ class WorkLedger:
 
 
 # --------------------------------------------------------------------------- #
-# Worker telemetry: append-only JSONL event logs under <store>/telemetry/.
+# Worker telemetry: one append-only event stream per worker.
 # --------------------------------------------------------------------------- #
 class WorkerTelemetry(LogWriter):
-    """One worker's append-only event log inside the store directory.
+    """One worker's event stream, ``<store>/telemetry/<owner>.jsonl``.
 
-    Each worker owns exactly one *active* file,
-    ``<store>/telemetry/<owner>.jsonl``, and only ever appends to it (a
-    :class:`~repro.io.appendlog.LogWriter`, open until :meth:`close`) --
-    the same single-writer-per-file discipline the experiment store uses,
-    so no cross-process locking is needed.  Events record the lease
-    lifecycle (claims, heartbeat renewals, losses, completions) and worker
-    start/exit, each stamped by the shared :class:`LeaseClock`;
-    :func:`telemetry_summary` folds the directory union into a per-worker
-    fleet view for ``repro dse status --workers``.
-
-    **Rotation/compaction** keeps long-lived fleets bounded: once the
-    active file exceeds ``max_bytes`` it is renamed to
-    ``<owner>.seg<k>.jsonl`` (segment numbers only ever grow), and once
-    more than ``keep_segments`` raw segments accumulate, the oldest are
-    folded -- with any previous summary -- into one cumulative
-    ``event: "summary"`` row in ``<owner>.seg0.jsonl`` and unlinked.  Its
-    ``folded_through`` (the highest raw segment it accounts for) lets
-    readers skip the segments it folded, so nothing is counted twice.
+    The worker only ever appends to its one file (a
+    :class:`~repro.io.appendlog.LogWriter`, open until :meth:`close`), the
+    store's single-writer-per-file discipline.  Two kinds of record: lease
+    events (:meth:`emit`), stamped by the shared :class:`LeaseClock`, and,
+    when the worker traces, span records (:meth:`flush_spans`).  Nothing
+    rotates: a stream grows far slower than the store rows beside it.
     """
 
     def __init__(self, store_dir, owner: str, *,
-                 clock: Optional[LeaseClock] = None,
-                 max_bytes: Optional[int] = DEFAULT_TELEMETRY_MAX_BYTES,
-                 keep_segments: int = DEFAULT_TELEMETRY_KEEP_SEGMENTS) -> None:
+                 clock: Optional[LeaseClock] = None) -> None:
+        super().__init__(Path(store_dir) / TELEMETRY_DIR
+                         / f"{filename_safe(owner)}.jsonl")
         self.owner = owner
         self.clock = clock if clock is not None else LeaseClock()
-        self.directory = Path(store_dir) / TELEMETRY_DIR
-        self.stem = filename_safe(owner)
-        super().__init__(self.directory / f"{self.stem}.jsonl")
-        self.max_bytes = max_bytes
-        self.keep_segments = max(1, int(keep_segments))
+        self._spans = self._foreign = 0
 
     def emit(self, event: str, **fields) -> None:
         """Append one event record (creates the directory lazily)."""
 
         record = {"t": self.clock.now(), "owner": self.owner, "event": event}
         record.update(fields)
-        size = self.append(record)
-        if self.max_bytes is not None and size > self.max_bytes:
-            self._rotate()
+        self.append(record)
 
-    # ------------------------------------------------------------------ #
-    def _segment_path(self, k: int) -> Path:
-        return self.directory / f"{self.stem}.seg{k}.jsonl"
+    def flush_spans(self, tracer) -> int:
+        """Append the span records new since the last flush; returns how many.
 
-    def _rotate(self) -> None:
-        """Rotate the active file out and compact surplus raw segments."""
+        New are the spans the tracer closed and the foreign records it
+        adopted, counted apart (:meth:`~repro.obs.trace.Tracer.records`
+        lists own spans first), so a flush costs its new records and a
+        SIGKILL only those since the last flush.  ``None``: a no-op.
+        """
 
-        # This worker's segments by number: the seg0 summary row and the
-        # events of every raw segment.
-        history: Dict[int, List[Dict[str, object]]] = {}
-
-        def take(name: str, lineno: int, record: Dict[str, object]) -> None:
-            segment = parse_segment(name)
-            if segment is not None and segment[0] == self.stem:
-                history.setdefault(segment[1], []).append(record)
-
-        LogReader(self.directory, take, pattern=f"{self.stem}.seg*.jsonl").poll()
-        summary = next((record for record in history.get(0, ())
-                        if record.get("event") == "summary"), None)
-        folded_through = int(summary.get("folded_through", 0)) if summary \
-            else 0
-        segments = sorted(k for k in history if k > 0)
-        next_k = max(segments + [folded_through]) + 1
-        self.rotate(self._segment_path(next_k))
-        segments.append(next_k)
-        surplus = segments[:-self.keep_segments]
-        if surplus:
-            self._compact(summary, surplus, history)
-
-    def _compact(self, summary: Optional[Dict[str, object]],
-                 segments: Sequence[int],
-                 history: Dict[int, List[Dict[str, object]]]) -> None:
-        """Fold ``segments`` (and the prior summary) into ``seg0``."""
-
-        totals = dict(ZERO_TOTALS, t=0.0, owner=self.owner, event="summary",
-                      folded=0, folded_through=max(segments), first_t=None,
-                      alive=None, last_event=None)
-        if summary is not None:
-            fold_event(totals, summary)
-            if isinstance(summary.get("folded"), (int, float)):
-                totals["folded"] += summary["folded"]
-            totals["first_t"] = summary.get("first_t", summary.get("t"))
-        for k in segments:
-            for record in history.get(k, ()):
-                fold_event(totals, record)
-                totals["folded"] += 1
-                t = record.get("t")
-                if isinstance(t, (int, float)) and (
-                        totals["first_t"] is None or t < totals["first_t"]):
-                    totals["first_t"] = float(t)
-        atomic_write_text(self._segment_path(0),
-                          json.dumps(totals, sort_keys=True) + "\n")
-        # Only after the summary durably covers them may the raw segments
-        # go; a crash between these steps leaves both readable, and the
-        # ``folded_through`` guard keeps readers from counting twice.
-        for k in segments:
-            try:
-                self._segment_path(k).unlink()
-            except OSError:
-                pass
+        if tracer is None:
+            return 0
+        records = [item.to_dict(tracer.origin_s)
+                   for item in tracer.spans[self._spans:]]
+        records += tracer.foreign[self._foreign:]
+        self._spans, self._foreign = len(tracer.spans), len(tracer.foreign)
+        for record in records:
+            self.append(span_record(tracer, record, self.owner))
+        return len(records)
 
 
 def read_telemetry(store_dir) -> List[Dict[str, object]]:
-    """All telemetry events of a store, in the canonical content ordering.
+    """All lease events of a store, in the canonical content ordering.
 
-    One poll of a :class:`~repro.obs.timeline.TelemetryReader`: compacted
-    history appears as cumulative ``event: "summary"`` rows, and raw
-    segments a summary already accounts for are left out.
+    One poll of a :class:`~repro.obs.timeline.TelemetryReader`; span
+    records are left out.
     """
 
     reader = TelemetryReader(store_dir)
@@ -583,21 +506,18 @@ def read_telemetry(store_dir) -> List[Dict[str, object]]:
 
 def telemetry_summary(store_dir, *,
                       now: Optional[float] = None) -> Dict[str, Dict[str, object]]:
-    """Fold the telemetry logs into one row per worker.
+    """Fold the worker streams' events into one row per worker.
 
-    Each row counts lease claims, heartbeat renewals, losses and completed
-    work units, accumulates evaluated/replayed point totals and shard wall
-    time (throughput = points / wall_s), and reports the age of the
-    worker's most recent event (``last_seen_age_s``) -- the fleet-level
-    analogue of a lease heartbeat age.  ``alive`` tracks worker_start /
-    worker_exit markers; a worker that died without its exit marker shows
-    ``alive`` with a growing ``last_seen_age_s``.  ``phase`` is the
-    worker's live open span (stamped on heartbeat events by traced
-    workers; ``None`` for untraced runs or between work units).
+    Each row counts claims, renewals, losses and completed work units,
+    sums evaluated/replayed points and work wall time, and ages the
+    worker's latest event (``last_seen_age_s``).  ``alive`` follows the
+    start/exit markers, so a worker that died without its exit marker
+    shows ``alive`` with a growing age.  ``phase`` is the open span traced
+    workers stamp on heartbeats (``None`` untraced or between items).
     """
 
-    events = read_telemetry(store_dir)
-    return fold_workers(events, now=LeaseClock().now() if now is None else now)
+    return fold_workers(read_telemetry(store_dir),
+                        now=LeaseClock().now() if now is None else now)
 
 
 # --------------------------------------------------------------------------- #
@@ -681,7 +601,11 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
 
 
 def read_manifest(store_dir) -> Dict:
-    """Load and validate the dispatch manifest of a store directory."""
+    """Load and validate the dispatch manifest of a store directory.
+
+    Refused by name: a manifest without the work-ledger layout marker, and
+    a store holding the ``traces/`` directory of an older version.
+    """
 
     from repro.io.serialization import check_schema_version
 
@@ -701,6 +625,7 @@ def read_manifest(store_dir) -> Dict:
             f"has another layout (no \"ledger\": \"{LEDGER_LAYOUT}\" marker); "
             f"this version can neither join nor resume it.  Use a fresh "
             f"store directory")
+    refuse_trace_shards(store_dir)
     return manifest
 
 
@@ -749,8 +674,9 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     throttle_s = float(manifest.get("throttle_s", 0.0))
 
     # Join the dispatcher's trace when it stamped one into our environment:
-    # spans go to this worker's shard file, which the dispatcher merges
-    # into one fleet trace.  Untraced, every flush is a no-op.
+    # spans go to this worker's stream beside its events, and the
+    # dispatcher merges them into one fleet trace.  Untraced, every flush
+    # is a no-op.
     trace_ctx = TraceContext.from_env()
     tracer = trace_ctx.arm() if trace_ctx is not None else None
     cache = ProgramCache()
@@ -778,7 +704,6 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     with ExitStack() as logs:
         telemetry = logs.enter_context(
             WorkerTelemetry(store_dir, owner, clock=ledger.clock))
-        shard_writer = logs.enter_context(TraceShardWriter(store_dir, owner))
         telemetry.emit("worker_start", mode=manifest["mode"],
                        shards=manifest.get("shards"), jobs=jobs,
                        pid=os.getpid())
@@ -834,7 +759,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
             except LeaseLost:
                 lost.append(name)
                 telemetry.emit("lease_lost", work=name)
-                shard_writer.flush(tracer)
+                telemetry.flush_spans(tracer)
                 continue
             ledger.release(name, owner, done=True)
             completed.append(name)
@@ -846,10 +771,10 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
                 counters=counters_delta())
             # Flush after every completed item: a SIGKILL later costs only
             # the spans closed since this point.
-            shard_writer.flush(tracer)
+            telemetry.flush_spans(tracer)
         telemetry.emit("worker_exit", completed=len(completed),
                        lost=len(lost), counters=cache.metrics.counters())
-        shard_writer.flush(tracer)
+        telemetry.flush_spans(tracer)
     return {"owner": owner, "completed": completed, "lost": lost}
 
 
@@ -1063,6 +988,9 @@ class Dispatcher:
         self.ledger = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s)
         self._procs: List[subprocess.Popen] = []
         self._progress = StoreProgress(self.store_dir)
+        # One reader for every progress tick, so a tick reads only the
+        # stream records appended since the previous one.
+        self.telemetry = TelemetryReader(self.store_dir)
 
     # ------------------------------------------------------------------ #
     def prepare(self) -> Path:
@@ -1099,15 +1027,19 @@ class Dispatcher:
 
     # ------------------------------------------------------------------ #
     def progress(self) -> Dict[str, object]:
-        """One snapshot: point counts, item states and the wall_s-driven ETA.
+        """One snapshot: point counts, item states, the wall_s-driven ETA
+        and the per-worker telemetry rows.
 
-        A progress tick costs O(rows appended since the last tick) -- not a
-        full re-parse of the directory (see :class:`StoreProgress`).
+        A progress tick costs O(rows and stream records appended since the
+        last tick) -- not a full re-parse of the directory (see
+        :class:`StoreProgress` and :attr:`telemetry`).
         """
 
         progress = self._progress.snapshot(
             self.space.size, shards=self.ledger.status_counts())
-        progress["workers"] = telemetry_summary(self.store_dir)
+        self.telemetry.poll()
+        progress["workers"] = fold_workers(self.telemetry.events,
+                                           now=self.ledger.clock.now())
         return progress
 
     def _alive(self) -> List[subprocess.Popen]:
@@ -1151,7 +1083,7 @@ class Dispatcher:
         tracer = current_tracer()
         if tracer is not None:
             # The workers joined this trace and flushed their spans to
-            # shard files; fold them in so the ordinary --trace flush
+            # their streams; fold them in so the ordinary --trace flush
             # writes one fleet trace.
             summary["trace"] = adopt_shards(tracer, self.store_dir)
         return summary

@@ -5,7 +5,7 @@ persist and post-process outside Python: compiled programs, simulation
 results, and figure bundles (sweep series).  This package serialises all three
 to plain JSON so they can be diffed, archived next to EXPERIMENTS.md, or
 plotted with external tooling.  :mod:`repro.io.appendlog` is the JSONL log
-behind the experiment store, worker telemetry and trace shards.
+behind the experiment store and the worker event streams.
 
 The serialization names are re-exported on first access (PEP 562,
 :mod:`repro._lazy`), so a process that only appends to a log never imports

@@ -1,4 +1,4 @@
-"""The append-only JSONL log behind store rows, telemetry and trace shards.
+"""The append-only JSONL log behind store rows and worker event streams.
 
 Each per-owner JSONL file under a store directory has one writer, which only
 appends, and any number of readers following it from any process.
@@ -16,8 +16,8 @@ appends, and any number of readers following it from any process.
   :class:`StoreCorruptionWarning` once a later line proves it sat mid-file
   rather than being a live writer's tail; a parsed record the consumer
   refuses warns at once, as only an unparseable line can be torn.  A file
-  that vanished, shrank below its offset or was replaced by rename (a new
-  inode) makes the poll rescan the directory.
+  that vanished, shrank below its offset or was replaced from outside by
+  rename (a new inode) makes the poll rescan the directory.
 * :func:`atomic_write_text` replaces a whole small file via ``os.replace``.
 """
 
@@ -91,12 +91,6 @@ class LogWriter:
             else:
                 handle.truncate(cut)
 
-    def rotate(self, target) -> None:
-        """Rename the file to ``target``; the next append starts a new one."""
-
-        self.close()
-        os.replace(self.path, target)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -132,19 +126,17 @@ class LogReader:
     """Incremental reader of the append-only JSONL files in one directory.
 
     :meth:`poll` calls ``accept(name, lineno, record)`` with every new JSON
-    object of the files ``pattern`` matches, in sorted name order; it
-    returns ``None`` to take the record or the reason it refuses it.
+    object of the ``*.jsonl`` files, in sorted name order; it returns
+    ``None`` to take the record or the reason it refuses it.
     ``reset()`` runs before a rescan,
     so the consumer can drop what it built.  ``counter`` names a metrics
     counter that mirrors skipped newline-terminated lines.
     """
 
     def __init__(self, directory, accept: Callable[[str, int, Dict], Optional[str]],
-                 *, pattern: str = "*.jsonl",
-                 reset: Optional[Callable[[], None]] = None,
+                 *, reset: Optional[Callable[[], None]] = None,
                  counter: Optional[str] = None) -> None:
         self.directory = Path(directory)
-        self.pattern = pattern
         self._accept = accept
         self._reset = reset
         self._counter = counter
@@ -158,7 +150,7 @@ class LogReader:
         """Read every line completed since the previous poll."""
 
         stats = {}
-        for path in sorted(self.directory.glob(self.pattern)):
+        for path in sorted(self.directory.glob("*.jsonl")):
             try:
                 stats[path.name] = path.stat()
             except FileNotFoundError:

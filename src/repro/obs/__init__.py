@@ -19,13 +19,14 @@ makes those executions debuggable:
   :func:`repro.io.appendlog.atomic_write_text` so crashed runs keep their
   traces.
 * :mod:`~repro.obs.distributed` -- fleet-wide tracing: trace-context
-  propagation into worker subprocesses and pool children, per-worker
-  append-only trace shards under ``<store>/traces/``, and the
-  deterministic shard merger behind ``repro trace merge`` and the
-  automatic merge of ``dse dispatch --trace``.
-* :mod:`~repro.obs.timeline` -- windowed time-series aggregation over the
-  fleet telemetry logs with straggler/stall detection; the engine behind
-  ``repro dse top``.
+  propagation into worker subprocesses and pool children, the span
+  records each worker appends to its event stream
+  (``<store>/telemetry/<owner>.jsonl``), and the deterministic merger
+  behind ``repro trace merge`` and the automatic merge of ``dse dispatch
+  --trace``.
+* :mod:`~repro.obs.timeline` -- the one reader of the worker streams, and
+  windowed time-series aggregation over their lease events with
+  straggler/stall detection; the engine behind ``repro dse top``.
 * :mod:`~repro.obs.profile` -- span-derived hierarchical profiling
   (self/total per span name, quantiles, critical path, collapsed stacks);
   the engine behind ``repro profile`` and ``--profile``.
@@ -44,9 +45,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.io.appendlog": ("atomic_write_text",),
     "repro.obs.benchdiff": ("classify_metric", "compare_bench",
                             "diff_bench_files", "format_bench_diff"),
-    "repro.obs.distributed": ("SHARD_SCHEMA_VERSION", "TRACE_DIR",
-                              "TraceContext", "TraceShardWriter",
-                              "adopt_shards", "read_trace_shards",
+    "repro.obs.distributed": ("SHARD_SCHEMA_VERSION", "SPAN_EVENT",
+                              "TraceContext", "adopt_shards",
                               "write_merged_trace"),
     "repro.obs.export": ("TRACE_SCHEMA_VERSION", "chrome_trace",
                          "config_fingerprint", "run_manifest", "spans_jsonl",

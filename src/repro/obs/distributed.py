@@ -1,4 +1,4 @@
-"""Fleet-wide distributed tracing: context propagation, shards, merging.
+"""Fleet-wide distributed tracing: context propagation, span records, merging.
 
 A ``--trace`` on ``repro dse dispatch`` must see the whole fleet, not just
 the dispatcher process.  Three pieces make that work:
@@ -11,29 +11,28 @@ the dispatcher process.  Three pieces make that work:
   needed) and into process-pool children through the pool initializer of
   :func:`repro.toolflow.parallel.iter_tasks`.  Every process arms a
   tracer parented under the same root.
-* **Trace shards** -- each worker appends the spans closed since its
-  previous flush to ``<store>/traces/<owner>.jsonl``
-  (:class:`TraceShardWriter`, on the shared :mod:`repro.io.appendlog`)
-  after every completed work unit and at exit; a SIGKILLed worker leaves
-  every flushed line plus at most one torn tail.  Records carry
-  *absolute* wall-clock starts (``epoch_start_s``), so any process can
-  place them on a shared timeline.
-* **A deterministic merger** -- :func:`read_trace_shards` reads every
-  shard by the append log's rules (torn or corrupt lines skipped, counted
-  per file and warned about, exactly as in the experiment store) and
-  returns records in a total content ordering, so the same span set
-  merges byte-identically regardless of how it was split across shard
-  files.  :func:`adopt_shards` folds them into a live
-  tracer (what ``dse dispatch --trace`` does automatically);
-  :func:`write_merged_trace` is the standalone ``repro trace merge``.
+* **Span records** -- after every completed work unit and at exit, each
+  worker appends the spans closed since its previous flush to its one
+  event stream (:meth:`~repro.dse.dispatch.WorkerTelemetry.flush_spans`);
+  a SIGKILLed worker leaves every flushed line plus at most one torn
+  tail.  Records carry *absolute* wall-clock starts (``epoch_start_s``),
+  so any process can place them on a shared timeline.
+* **A deterministic merger** -- the streams' one reader
+  (:class:`~repro.obs.timeline.TelemetryReader`) hands over the records
+  that pass :func:`span_refusal` in a total content ordering
+  (:func:`span_sort_key`), so the same span set merges byte-identically
+  however it was split across workers (each worker's part is its
+  *shard*).  :func:`adopt_shards` folds them into a live tracer (``dse
+  dispatch --trace``); :func:`write_merged_trace` is ``repro trace merge``.
 
-Shard records are the flat ``Span.to_dict`` schema plus ``trace_id``,
+A span record is the flat ``Span.to_dict`` schema plus ``trace_id``,
 ``owner``, ``epoch_start_s``, a per-record ``schema_version``
-(:data:`SHARD_SCHEMA_VERSION`) and -- on spans with no in-process parent
--- the tracer's cross-process ``parent_ref``.  Profiling resolves
-``parent_ref`` links, so the fleet critical path descends from the
-dispatcher's ``dse.dispatch`` span into the worker that actually spent
-the wall time.
+(:data:`SHARD_SCHEMA_VERSION`), ``"event": "span"`` (:data:`SPAN_EVENT`,
+which tells it from the stream's lease events) and -- on spans with no
+in-process parent -- the tracer's cross-process ``parent_ref``.
+Profiling resolves ``parent_ref`` links, so the fleet critical path
+descends from the dispatcher's ``dse.dispatch`` span into the worker that
+actually spent the wall time.
 """
 
 from __future__ import annotations
@@ -44,22 +43,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.io.appendlog import LogReader, LogWriter
-from repro.obs.export import filename_safe
 from repro.obs.trace import Tracer, current_tracer, enable_tracing, span
 
 __all__ = [
     "ENV_TRACE_ID",
     "ENV_TRACE_PARENT",
     "SHARD_SCHEMA_VERSION",
-    "TRACE_DIR",
+    "SPAN_EVENT",
     "TraceContext",
-    "TraceShardWriter",
     "adopt_exported",
     "adopt_shards",
     "drain_records",
     "export_records",
-    "read_trace_shards",
+    "refuse_trace_shards",
+    "span_record",
+    "span_refusal",
+    "span_sort_key",
     "write_merged_trace",
 ]
 
@@ -67,16 +66,14 @@ __all__ = [
 ENV_TRACE_ID = "REPRO_TRACE"
 ENV_TRACE_PARENT = "REPRO_TRACE_PARENT"
 
-#: Subdirectory of the store directory holding per-worker trace shards
-#: (a sibling of ``telemetry/``; one level down so the store never
-#: ingests span records as experiment rows).
-TRACE_DIR = "traces"
+#: The ``event`` of a span record in a worker's stream.
+SPAN_EVENT = "span"
 
-#: Version stamped on every shard record; readers skip-with-warning any
+#: Version stamped on every span record; readers skip-with-warning any
 #: record from a future schema instead of misinterpreting it.
 SHARD_SCHEMA_VERSION = 1
 
-#: Keys a shard record must carry to be mergeable.
+#: Keys a span record must carry to be mergeable.
 _REQUIRED_KEYS = ("name", "span_id", "pid", "tid", "epoch_start_s",
                   "duration_s")
 
@@ -125,26 +122,29 @@ class TraceContext:
 
 def export_records(tracer: Tracer, *,
                    owner: Optional[str] = None) -> List[Dict[str, object]]:
-    """The tracer's records in the self-contained shard schema.
+    """The tracer's records in the self-contained span-record schema.
 
     Times become absolute (``epoch_start_s``) so the records merge onto
     any process's timeline; every record is stamped with the trace id,
-    the shard schema version and (when given) the flushing worker's
-    ``owner``; spans with no in-process parent inherit the tracer's
-    cross-process ``parent_ref``.
+    the span-record schema version, ``"event": "span"`` and (when given)
+    the flushing worker's ``owner``; spans with no in-process parent
+    inherit the tracer's cross-process ``parent_ref``.
     """
 
-    return [_shard_record(tracer, record, owner)
+    return [span_record(tracer, record, owner)
             for record in tracer.records()]
 
 
-def _shard_record(tracer: Tracer, record: Dict[str, object],
-                  owner: Optional[str]) -> Dict[str, object]:
+def span_record(tracer: Tracer, record: Dict[str, object],
+                owner: Optional[str]) -> Dict[str, object]:
+    """One tracer record (own span or adopted foreign one), epoch-framed."""
+
     record = dict(record)
     record["epoch_start_s"] = tracer.epoch_s + float(
         record.pop("start_s", 0.0) or 0.0)
     record.setdefault("trace_id", tracer.trace_id)
     record["schema_version"] = SHARD_SCHEMA_VERSION
+    record["event"] = SPAN_EVENT
     if owner and not record.get("owner"):
         record["owner"] = owner
     if (tracer.parent_ref and record.get("parent_id") is None
@@ -169,11 +169,13 @@ def drain_records(tracer: Tracer, *,
 
 def _to_frame(record: Dict[str, object],
               epoch_s: float) -> Dict[str, object]:
-    """A shard record rebased into a host tracer's time frame."""
+    """A span record rebased into a host tracer's time frame, less the
+    stream's ``event`` and ``schema_version`` stamps."""
 
     record = dict(record)
     record["start_s"] = float(record.pop("epoch_start_s", 0.0)) - epoch_s
     record.pop("schema_version", None)
+    record.pop("event", None)
     return record
 
 
@@ -181,85 +183,62 @@ def adopt_exported(tracer: Tracer, records) -> None:
     """Adopt exported (``epoch_start_s``-framed) records into a tracer.
 
     The in-memory counterpart of :func:`adopt_shards`: pool children ship
-    their drained records home through the task result instead of a shard
-    file, and the parent folds them in here, rebased into its time frame.
+    their drained records home through the task result instead of a worker
+    stream, and the parent folds them in here, rebased into its time frame.
     """
 
     tracer.adopt(_to_frame(record, tracer.epoch_s) for record in records)
 
 
-class TraceShardWriter(LogWriter):
-    """Appends one worker's span records to its shard file.
+def span_refusal(record: Dict[str, object]) -> Optional[str]:
+    """Why a span record cannot be merged, or ``None`` when it can."""
 
-    Every :meth:`flush` appends the records that arrived since the previous
-    flush -- spans the tracer closed and foreign records it adopted,
-    counted apart because :meth:`~repro.obs.trace.Tracer.records` lists own
-    spans before foreign ones -- so a flush costs its new records, not the
-    run so far, and the spans stay in the tracer.  A SIGKILL costs only the
-    spans since the last flush.  The file stays open until :meth:`close`.
-    """
-
-    def __init__(self, store_dir, owner: str) -> None:
-        super().__init__(Path(store_dir) / TRACE_DIR
-                         / f"{filename_safe(owner)}.jsonl")
-        self.owner = owner
-        self._spans = self._foreign = 0
-
-    def flush(self, tracer: Optional[Tracer]) -> Optional[Path]:
-        """Append the records new since the last flush; ``None`` if none."""
-
-        if tracer is None:
-            return None
-        records = [item.to_dict(tracer.origin_s)
-                   for item in tracer.spans[self._spans:]]
-        records += tracer.foreign[self._foreign:]
-        self._spans, self._foreign = len(tracer.spans), len(tracer.foreign)
-        for record in records:
-            self.append(_shard_record(tracer, record, self.owner))
-        return self.path if records else None
+    if any(key not in record for key in _REQUIRED_KEYS):
+        return "not a mergeable span record (a span field is missing)"
+    if int(record.get("schema_version") or 0) > SHARD_SCHEMA_VERSION:
+        return (f"schema_version {record['schema_version']} is newer "
+                f"than this reader ({SHARD_SCHEMA_VERSION})")
+    return None
 
 
-def _record_sort_key(record: Dict[str, object]):
+def span_sort_key(record: Dict[str, object]) -> Tuple:
+    """The merge order: start, pid, span id, canonical JSON (total)."""
+
     return (float(record.get("epoch_start_s") or 0.0),
             record.get("pid") or 0, record.get("span_id") or 0,
             json.dumps(record, sort_keys=True, default=str))
 
 
-def read_trace_shards(store_dir) -> Tuple[List[Dict[str, object]],
-                                          Dict[str, int]]:
-    """Parse every trace shard under a store; returns (records, skips).
+def refuse_trace_shards(store_dir) -> None:
+    """Refuse a store whose spans an older version kept in ``traces/``,
+    which reading only the worker streams would silently drop."""
 
-    Records come back in a total content ordering (start, pid, span id,
-    canonical JSON), so downstream merges are independent of the shard
-    split.  Lines are read by the shared append log's rules; records
-    missing a span field, or from a future shard schema, are skipped with
-    a :class:`~repro.io.appendlog.StoreCorruptionWarning`.  ``skips``
-    counts skipped lines per shard file name, mirrored into the
-    ``trace.lines_skipped`` metrics counter.
-    """
+    old = Path(store_dir) / "traces"
+    if old.is_dir():
+        raise ValueError(
+            f"{old} holds trace shards written by an older version, which "
+            f"kept spans apart from each worker's telemetry stream; this "
+            f"version reads spans only from telemetry/<owner>.jsonl and "
+            f"can neither resume nor merge this store.  Use a fresh store "
+            f"directory")
 
-    records: List[Dict[str, object]] = []
 
-    def take(name: str, lineno: int, record: Dict[str, object]) -> Optional[str]:
-        if any(key not in record for key in _REQUIRED_KEYS):
-            return "not a trace-shard span record"
-        if int(record.get("schema_version") or 0) > SHARD_SCHEMA_VERSION:
-            return (f"schema_version {record['schema_version']} is newer "
-                    f"than this reader ({SHARD_SCHEMA_VERSION})")
-        records.append(record)
-        return None
+def _read_spans(store_dir) -> Tuple[List[Dict[str, object]], Dict[str, int]]:
+    """A store's span records in merge order, and skipped lines per stream."""
 
-    reader = LogReader(Path(store_dir) / TRACE_DIR, take,
-                       counter="trace.lines_skipped")
+    from repro.obs.timeline import TelemetryReader
+
+    reader = TelemetryReader(store_dir)
     reader.poll()
-    records.sort(key=_record_sort_key)
-    return records, reader.skip_counts()
+    return reader.spans, reader.skip_counts()
 
 
-def _merge_info(records, skips,
-                shard_count: int) -> Dict[str, object]:
+def _merge_info(records, skips, read_records) -> Dict[str, object]:
+    """The merge summary of ``records``, out of ``read_records``."""
+
     return {
-        "shards": shard_count,
+        "shards": len({record.get("owner") for record in read_records
+                       if record.get("owner")}),
         "spans": len(records),
         "pids": sorted({record["pid"] for record in records}),
         "trace_ids": sorted({str(record.get("trace_id"))
@@ -270,59 +249,57 @@ def _merge_info(records, skips,
 
 
 def adopt_shards(tracer: Tracer, store_dir) -> Dict[str, object]:
-    """Fold a store's trace shards into a live tracer (dispatch merge).
+    """Fold a store's span records into a live tracer (dispatch merge).
 
-    Shard records are rebased into the tracer's time frame and adopted as
+    Span records are rebased into the tracer's time frame and adopted as
     foreign records, so the ordinary ``--trace`` flush then writes one
     fleet-wide bundle: a metadata-annotated Chrome trace, a spans JSONL
     the profiler reads across pids, and a manifest whose phase timings
     cover every process.  Records the tracer itself produced (matching
     pid) are dropped -- the dispatcher's own spans are already in it.
 
-    Returns a summary: shard file count, adopted span count, pids, trace
-    ids seen and per-file skip counts.
+    Returns a summary: shard (worker owner) count, adopted span count,
+    pids, trace ids seen and per-stream skip counts.
     """
 
     with span("trace.merge", store=str(store_dir)) as merge_span:
-        records, skips = read_trace_shards(store_dir)
-        shard_count = len({record.get("owner") for record in records
-                           if record.get("owner")})
+        records, skips = _read_spans(store_dir)
         adopted = [_to_frame(record, tracer.epoch_s) for record in records
                    if record["pid"] != tracer.pid]
         tracer.adopt(adopted)
-        info = _merge_info(adopted, skips, shard_count)
-        merge_span.set(spans=len(adopted), shards=shard_count)
+        info = _merge_info(adopted, skips, records)
+        merge_span.set(spans=len(adopted), shards=info["shards"])
     return info
 
 
 def write_merged_trace(store_dir, output, *,
                        config: Optional[object] = None
                        ) -> Tuple[Dict[str, Path], Dict[str, object]]:
-    """Merge a store's trace shards into one trace bundle at ``output``.
+    """Merge a store's span records into one trace bundle at ``output``.
 
     The standalone merger behind ``repro trace merge``: a synthetic host
     tracer anchored at the earliest record (so the output is a pure
     function of the record set -- merging the same spans twice, however
-    sharded, writes byte-identical Chrome traces) adopts every shard
-    record and is written through the ordinary
+    split across streams, writes byte-identical Chrome traces) adopts
+    every span record and is written through the ordinary
     :func:`~repro.obs.export.write_trace` bundle.
 
-    Raises ``ValueError`` when the store has no readable shard records.
+    Raises ``ValueError`` when the store has no readable span records, or
+    holds the ``traces/`` directory of an older version.
     """
 
+    refuse_trace_shards(store_dir)
     with span("trace.merge", store=str(store_dir)):
-        records, skips = read_trace_shards(store_dir)
+        records, skips = _read_spans(store_dir)
         if not records:
-            raise ValueError(f"no trace shards under "
-                             f"{Path(store_dir) / TRACE_DIR}")
+            raise ValueError(f"no span records in the worker streams under "
+                             f"{Path(store_dir) / 'telemetry'}")
         origin = min(float(record["epoch_start_s"]) for record in records)
-        info = _merge_info(records, skips,
-                           len({record.get("owner") for record in records
-                                if record.get("owner")}))
+        info = _merge_info(records, skips, records)
         host = Tracer(trace_id=(info["trace_ids"][0]
                                 if info["trace_ids"] else None))
         # Anchor the synthetic host at the earliest span and mark the
-        # records as foreign even if one shard came from this very pid:
+        # records as foreign even if one stream came from this very pid:
         # determinism requires the output to depend on records alone.
         host.epoch_s = origin
         host.pid = -1

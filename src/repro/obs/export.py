@@ -198,9 +198,9 @@ def filename_safe(name: str) -> str:
     """``name`` with every character outside ASCII ``[A-Za-z0-9._-]``
     replaced by ``_``.
 
-    Owner identities (host plus pid) name each worker's telemetry log,
-    trace shard, store writer and lease temp files; one rule keeps those
-    names portable and in agreement with each other.
+    Owner identities (host plus pid) name each worker's event stream,
+    store writer and lease temp files; one rule keeps those names portable
+    and in agreement with each other.
     """
 
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)

@@ -1,16 +1,16 @@
-"""Windowed time-series aggregation over fleet telemetry (``repro dse top``).
+"""Fleet telemetry: the one reader of the worker streams, and ``repro dse top``.
 
-PR 7 gave every dispatched worker an append-only event log under
-``<store>/telemetry/`` and folded the directory into per-worker *totals*
-(:func:`repro.dse.dispatch.telemetry_summary`).  Totals answer "how much
-happened"; a live fleet needs "how much is happening *now*" -- so this
-module turns the same event logs into fixed-width time-series buckets:
+Each dispatched worker appends to one event stream,
+``<store>/telemetry/<owner>.jsonl``
+(:class:`repro.dse.dispatch.WorkerTelemetry`): lease events, and span
+records when it traces.  This module reads the streams and folds their
+events into fleet views:
 
-* :class:`TelemetryReader` -- an incremental, O(new-rows) reader over the
-  telemetry directory through the shared append log
-  (:mod:`repro.io.appendlog`).  Rotated segments and compacted summary
-  rows (see :class:`repro.dse.dispatch.WorkerTelemetry`) are read
-  transparently; :func:`fold_event` is the one fold of their events.
+* :class:`TelemetryReader` -- the incremental, O(new-rows) reader of the
+  streams through the shared append log (:mod:`repro.io.appendlog`).  It
+  hands over events in a canonical content ordering and span records,
+  validated, in the merge ordering of :mod:`repro.obs.distributed`;
+  :func:`fold_event` is the one fold of the events into totals.
 * :func:`fold_timeline` -- deterministic aggregation of an event list into
   per-worker and fleet-wide bucket series (points, wall_s, claims, losses,
   heartbeats, cache hits/misses).  Same events in, byte-identical series
@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.io.appendlog import LogReader
+from repro.obs.distributed import SPAN_EVENT, span_refusal, span_sort_key
 from repro.obs.trace import span
 
 __all__ = [
@@ -69,10 +70,9 @@ DEFAULT_STALL_FRACTION = 0.5
 _BUCKET_FIELDS = ("points", "replayed", "wall_s", "claims", "renews",
                   "losses", "done", "cache_hits", "cache_misses")
 
-#: Zeroed :func:`fold_event` totals, named as in a compacted ``summary``
-#: row (``renews``/``lost`` stay, so older builds' ``seg0`` files read).
-ZERO_TOTALS = {"claims": 0, "renews": 0, "lost": 0, "done": 0, "points": 0,
-               "replayed": 0, "wall_s": 0.0}
+#: Zeroed :func:`fold_event` totals.
+_ZERO_TOTALS = {"claims": 0, "renews": 0, "lost": 0, "done": 0,
+                "points": 0, "replayed": 0, "wall_s": 0.0}
 
 #: The counter each telemetry event kind increments.
 _EVENT_COUNTERS = {"claim": "claims", "renew": "renews",
@@ -94,95 +94,86 @@ def _event_sort_key(record: Dict[str, object]) -> Tuple:
             json.dumps(record, sort_keys=True, default=str))
 
 
-def parse_segment(name: str) -> Optional[Tuple[str, int]]:
-    """``(stem, k)`` when ``name`` is a rotated ``<stem>.seg<k>.jsonl``
-    (``k == 0``: the compacted summary segment)."""
+class TelemetryReader(LogReader):
+    """Incremental reader of the worker streams, ``<store>/telemetry/*.jsonl``.
 
-    stem, dot, segment = name[:-len(".jsonl")].rpartition(".")
-    if (name.endswith(".jsonl") and dot and segment.startswith("seg")
-            and segment[len("seg"):].isdigit()):
-        return stem, int(segment[len("seg"):])
-    return None
-
-
-class TelemetryReader:
-    """Incremental reader of ``<store>/telemetry/*.jsonl`` event logs.
-
-    :meth:`poll` reads through the shared append log
-    (:class:`~repro.io.appendlog.LogReader`), which rescans once rotation
-    or compaction replaced or deleted a log.  The telemetry rule added here
-    is the ``folded_through`` guard: events of a raw segment a summary row
-    already accounts for are left out of :attr:`events`.
+    :meth:`poll` reads what was appended since the last poll by the append
+    log's rules and files each record by kind: :attr:`events`, the lease
+    events, in ``(t, owner, canonical JSON)`` order; :attr:`spans`, the
+    span records (``"event": "span"``) that pass
+    :func:`~repro.obs.distributed.span_refusal`, in the merge order
+    (:func:`~repro.obs.distributed.span_sort_key`).  An ``event:
+    "summary"`` row, left by an older version's telemetry rotation, is
+    skipped with a :class:`~repro.io.appendlog.StoreCorruptionWarning`.
     """
 
     def __init__(self, store_dir) -> None:
         from repro.dse.dispatch import TELEMETRY_DIR
 
-        self.directory = Path(store_dir) / TELEMETRY_DIR
-        self._reader = LogReader(self.directory, self._take,
-                                 reset=self._reset)
-        # (sort key, segment of the source file, event), kept sorted.
-        self._records: List[Tuple[Tuple, Optional[Tuple[str, int]],
-                                  Dict[str, object]]] = []
-        self._folded: Dict[str, int] = {}
+        super().__init__(Path(store_dir) / TELEMETRY_DIR, self._take,
+                         reset=self._clear,
+                         counter="telemetry.lines_skipped")
+        # (sort key, record) pairs, kept sorted.
+        self._events: List[Tuple[Tuple, Dict[str, object]]] = []
+        self._spans: List[Tuple[Tuple, Dict[str, object]]] = []
         self._added = 0
 
-    # ------------------------------------------------------------------ #
     @property
     def events(self) -> List[Dict[str, object]]:
-        """Every ingested event, in the canonical content ordering."""
+        """Every ingested lease event, in the canonical content ordering."""
 
-        return [record for _, segment, record in self._records
-                if segment is None
-                or not 0 < segment[1] <= self._folded.get(segment[0], 0)]
+        return [record for _, record in self._events]
+
+    @property
+    def spans(self) -> List[Dict[str, object]]:
+        """Every ingested span record, in the merge ordering."""
+
+        return [record for _, record in self._spans]
 
     def poll(self) -> int:
-        """Ingest newly appended events; returns how many were added."""
+        """Ingest newly appended records; returns how many were added."""
 
         self._added = 0
-        self._reader.poll()
+        super().poll()
         if self._added:
-            self._records.sort(key=itemgetter(0))
+            self._events.sort(key=itemgetter(0))
+            self._spans.sort(key=itemgetter(0))
         return self._added
 
     def _take(self, name: str, lineno: int,
-              record: Dict[str, object]) -> None:
-        segment = parse_segment(name)
-        through = record.get("folded_through")
-        if segment is not None and segment[1] == 0 and isinstance(through, int):
-            self._folded[segment[0]] = max(self._folded.get(segment[0], 0),
-                                           through)
-        self._records.append((_event_sort_key(record), segment, record))
+              record: Dict[str, object]) -> Optional[str]:
+        event = record.get("event")
+        if event == SPAN_EVENT:
+            refusal = span_refusal(record)
+            if refusal is not None:
+                return refusal
+            self._spans.append((span_sort_key(record), record))
+        elif event == "summary":
+            return ("an event: \"summary\" row of the telemetry rotation "
+                    "of an older version; its folded totals are not read")
+        else:
+            self._events.append((_event_sort_key(record), record))
         self._added += 1
+        return None
 
-    def _reset(self) -> None:
-        self._records.clear()
-        self._folded.clear()
+    def _clear(self) -> None:
+        self._events.clear()
+        self._spans.clear()
 
 
 # --------------------------------------------------------------------------- #
 # The one fold of telemetry events into totals
 # --------------------------------------------------------------------------- #
 def fold_event(row: Dict[str, object], record: Dict[str, object]) -> None:
-    """Add one telemetry event, or a compacted ``summary`` row, to ``row``.
+    """Add one telemetry event to ``row``.
 
-    The one fold behind compaction, ``telemetry_summary`` and the timeline:
-    :data:`ZERO_TOTALS` counts and sums, plus the worker's ``alive`` flag
-    (from its start and exit markers), ``last_event`` and latest ``t``.  A
-    summary row carries the ``alive`` and ``last_event`` of the history it
-    folded; the (ordered) live events after it refine them.
+    The one fold behind ``telemetry_summary`` and the timeline:
+    :data:`_ZERO_TOTALS` counts and sums, plus the worker's ``alive`` flag
+    (from its start and exit markers), ``last_event`` and latest ``t``.
     """
 
     event = record.get("event")
-    if event == "summary":
-        for key in ZERO_TOTALS:
-            value = record.get(key)
-            if isinstance(value, (int, float)):
-                row[key] += value
-        if record.get("alive") is not None:
-            row["alive"] = bool(record["alive"])
-        event = record.get("last_event") or event
-    elif event in _EVENT_COUNTERS:
+    if event in _EVENT_COUNTERS:
         row[_EVENT_COUNTERS[event]] += 1
         if event == "done":
             row["points"] += int(record.get("points") or 0)
@@ -206,7 +197,7 @@ def fold_workers(events: Sequence[Dict[str, object]], *,
         owner = record.get("owner")
         if not isinstance(owner, str) or not owner:
             continue
-        row = rows.setdefault(owner, dict(ZERO_TOTALS, alive=False,
+        row = rows.setdefault(owner, dict(_ZERO_TOTALS, alive=False,
                                           last_event=None, t=None,
                                           phase=None))
         fold_event(row, record)
@@ -229,7 +220,7 @@ def fold_workers(events: Sequence[Dict[str, object]], *,
 # Folding events into fixed-width buckets
 # --------------------------------------------------------------------------- #
 def _empty_bucket() -> Dict[str, object]:
-    return dict(ZERO_TOTALS, alive=None, last_event=None, t=None,
+    return dict(_ZERO_TOTALS, alive=None, last_event=None, t=None,
                 cache_hits=0, cache_misses=0)
 
 
@@ -263,10 +254,8 @@ def fold_timeline(events: Sequence[Dict[str, object]], *,
 
     Per bucket: ``points`` / ``replayed`` / ``wall_s`` (from ``done``
     events), ``claims`` / ``renews`` / ``losses`` / ``done`` counts, and
-    ``cache_hits`` / ``cache_misses`` from the per-``done`` metrics
-    counter deltas workers ship since this PR.  Compacted ``summary`` rows
-    represent history older than any live bucket and fold into the
-    ``compacted`` totals instead of spiking one bucket.
+    ``cache_hits`` / ``cache_misses`` from the metrics counter deltas
+    each ``done`` event carries.
 
     Determinism: events are processed in the canonical content ordering
     (:func:`_event_sort_key`), so the same event set yields byte-identical
@@ -277,59 +266,38 @@ def fold_timeline(events: Sequence[Dict[str, object]], *,
     if bucket_s <= 0:
         raise ValueError("bucket_s must be positive")
     with span("obs.timeline.fold", events=len(events)):
-        ordered = sorted(events, key=_event_sort_key)
-        stamped = [record for record in ordered
+        # Sorted by t first, so the first and last records bound the range.
+        stamped = [record for record in sorted(events, key=_event_sort_key)
                    if isinstance(record.get("t"), (int, float))
                    and isinstance(record.get("owner"), str)]
-        timeline: Dict[str, object] = {
-            "bucket_s": float(bucket_s),
-            "origin_t": None,
-            "num_buckets": 0,
-            "fleet": [],
-            "workers": {},
-            "compacted": {},
-        }
-        live = [record for record in stamped
-                if record.get("event") != "summary"]
-        if live:
-            first_t = min(float(record["t"]) for record in live)
-            last_t = max(float(record["t"]) for record in live)
+        origin = None if origin_t is None else float(origin_t)
+        count = 0 if origin is None else 1
+        if stamped:
+            last_t = float(stamped[-1]["t"])
             if until_t is not None:
                 last_t = max(last_t, float(until_t))
-            origin = (math.floor(first_t / bucket_s) * bucket_s
-                      if origin_t is None else float(origin_t))
+            if origin is None:
+                origin = math.floor(float(stamped[0]["t"]) / bucket_s) \
+                    * bucket_s
             count = max(1, math.floor((last_t - origin) / bucket_s) + 1)
-        elif origin_t is not None:
-            origin = float(origin_t)
-            count = 1
-        else:
-            origin = None
-            count = 0
-        timeline["origin_t"] = origin
-        timeline["num_buckets"] = count
         fleet = [_empty_bucket() for _ in range(count)]
         workers: Dict[str, List[Dict[str, object]]] = {}
-        compacted: Dict[str, Dict[str, object]] = {}
         for record in stamped:
-            owner = record["owner"]
-            if record.get("event") == "summary":
-                fold_event(compacted.setdefault(owner, _empty_bucket()),
-                           record)
-                continue
-            index = math.floor((float(record["t"]) - origin) / bucket_s)
-            if not 0 <= index < count:
-                index = max(0, min(count - 1, index))
+            index = max(0, min(count - 1, math.floor(
+                (float(record["t"]) - origin) / bucket_s)))
             series = workers.setdefault(
-                owner, [_empty_bucket() for _ in range(count)])
+                record["owner"], [_empty_bucket() for _ in range(count)])
             for bucket in (series[index], fleet[index]):
                 _fold_bucket(bucket, record)
-        timeline["fleet"] = [_published(bucket) for bucket in fleet]
-        timeline["workers"] = {owner: [_published(bucket)
-                                       for bucket in workers[owner]]
-                               for owner in sorted(workers)}
-        timeline["compacted"] = {owner: _published(compacted[owner])
-                                 for owner in sorted(compacted)}
-        return timeline
+        return {
+            "bucket_s": float(bucket_s),
+            "origin_t": origin,
+            "num_buckets": count,
+            "fleet": [_published(bucket) for bucket in fleet],
+            "workers": {owner: [_published(bucket)
+                                for bucket in workers[owner]]
+                        for owner in sorted(workers)},
+        }
 
 
 def rolling_rates(timeline: Dict[str, object], *,
@@ -605,9 +573,4 @@ def render_top(snapshot: Dict[str, object], *,
             f"{phase_note}  [{spark}]{flag_note}")
     if not workers:
         lines.append("  (no telemetry yet -- is this store dispatched?)")
-    compacted = timeline.get("compacted") or {}
-    if compacted:
-        folded_points = sum(t["points"] for t in compacted.values())
-        lines.append(f"  (+{folded_points} points in compacted history "
-                     f"across {len(compacted)} worker log(s))")
     return "\n".join(lines)

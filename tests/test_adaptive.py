@@ -514,6 +514,30 @@ class TestIncrementalReload:
         assert reader.scan_stats["full_scans"] == 2
         assert reader.fingerprints() == ["bb"]
 
+    def test_file_replaced_by_rename_between_polls_is_read_once(
+            self, tmp_path):
+        # A file replaced from outside by rename (a new inode) that has
+        # already grown past the old offset: the reader must notice the
+        # new inode and rescan, not resume the new file at the old offset.
+        store_dir = tmp_path / "store"
+        with ExperimentStore(store_dir, writer="other") as writer:
+            writer.add(self._row("aa"))
+            writer.add(self._row("bb"))
+        reader = ExperimentStore(store_dir)
+        path = store_dir / "other.jsonl"
+        replacement = tmp_path / "replacement.jsonl"
+        replacement.write_text("".join(
+            json.dumps(self._row(fingerprint), sort_keys=True) + "\n"
+            for fingerprint in ("cc", "dd", "ee")))
+        assert replacement.stat().st_size > path.stat().st_size
+        os.replace(replacement, path)
+        reader.reload()
+        assert reader.scan_stats["full_scans"] == 2
+        assert sorted(reader.fingerprints()) == ["cc", "dd", "ee"]
+        reader.reload()  # and read once: a later poll adds nothing
+        assert reader.scan_stats["full_scans"] == 2
+        assert len(reader) == 3
+
     def test_torn_tail_completed_later_is_picked_up(self, tmp_path):
         # A writer killed mid-append leaves an unterminated fragment; the
         # incremental reader must not consume past it, so when the line is

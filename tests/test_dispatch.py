@@ -3,7 +3,8 @@
 Covers the lease lifecycle the dispatcher is built on -- claim contention,
 heartbeat renewal, expiry-based reclaim of a killed worker's shard -- plus
 the worker loop, the dispatch manifest (and its refusal of stores whose
-ledger has another layout or belongs to an earlier run), the ETA estimate,
+ledger has another layout or belongs to an earlier run, or that keep
+spans in an older version's ``traces/`` directory), the ETA estimate,
 the CLI surface, and the acceptance scenario: a 3-worker dispatched run of
 a 48-point space with one worker SIGKILLed mid-run whose merged store
 exports byte-identically to a single-process run of the same space.
@@ -35,7 +36,7 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
-from repro.dse.dispatch import read_telemetry
+from repro.dse.dispatch import WorkerTelemetry, read_telemetry
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -272,6 +273,33 @@ class TestManifest:
         assert main(["dse", "top", "--store", str(store_dir), "--once"]) == 0
         assert "repro dse top" in capsys.readouterr().out
 
+    def test_store_with_an_old_traces_directory_is_refused_by_name(
+            self, tmp_path, capsys):
+        # Older versions wrote each traced worker's spans to
+        # <store>/traces/<owner>.jsonl; this one keeps them in the worker
+        # streams.  Joining, resuming or estimating such a store is
+        # refused by name, as for an older ledger layout.
+        store_dir = tmp_path / "store"
+        space = DesignSpace(**TINY_SPACE)
+        write_manifest(store_dir, space, shards=2)
+        (store_dir / "traces").mkdir()
+        (store_dir / "traces" / "w0.jsonl").write_text("{}\n")
+        with pytest.raises(ValueError, match="traces.*older version"):
+            read_manifest(store_dir)
+        with pytest.raises(ValueError, match="older version"):
+            write_manifest(store_dir, space, shards=2)
+        with pytest.raises(ValueError, match="older version"):
+            run_worker(store_dir, owner="solo")
+        with pytest.raises(SystemExit, match="older version"):
+            main(["dse", "worker", "--store", str(store_dir),
+                  "--owner", "cli-worker"])
+        assert len(ExperimentStore(store_dir)) == 0
+        assert not (store_dir / "telemetry").exists()
+        capsys.readouterr()
+        assert main(["dse", "status", "--store", str(store_dir),
+                     "--eta"]) == 1
+        assert "older version" in capsys.readouterr().err
+
     def test_legacy_shards_manifest_is_refused(self, tmp_path):
         # A manifest without the ledger-layout marker was written by an
         # older version, whose ledger this one cannot read; its done
@@ -419,6 +447,24 @@ class TestDispatcherLocal:
         summary = dispatcher.run(timeout_s=120.0)
         assert summary["complete"] is True
         assert summary["elapsed_s"] < 10.0
+
+    def test_progress_tick_reads_only_new_stream_records(self, tmp_path):
+        # One reader serves every tick: a tick with nothing appended reads
+        # no telemetry bytes, and the next reads just the new record.
+        dispatcher = Dispatcher(DesignSpace(**TINY_SPACE), tmp_path / "store",
+                                workers=1)
+        with WorkerTelemetry(tmp_path / "store", "w0") as stream:
+            stream.emit("worker_start", pid=1)
+            assert dispatcher.progress()["workers"]["w0"]["alive"] is True
+            stats = dispatcher.telemetry.scan_stats
+            read = stats["bytes_read"]
+            dispatcher.progress()
+            assert stats["bytes_read"] == read
+            end = stream.append({"t": 1.0, "owner": "w0", "event": "claim",
+                                 "work": "s0"})
+            assert dispatcher.progress()["workers"]["w0"]["claims"] == 1
+        assert stats["bytes_read"] == end
+        assert stats["full_scans"] == 1
 
     def test_kill_one_worker_shard_reclaimed_export_identical(self):
         """The acceptance scenario: 48 points, 3 workers, one SIGKILLed.

@@ -1,13 +1,15 @@
 """Tests for fleet-wide distributed tracing (repro.obs.distributed).
 
-Covers the ISSUE's guarantees: the trace context propagates into pool
-children (``sweep.task`` spans no longer vanish for ``--jobs 2``) and into
-dispatched worker subprocesses via the environment; worker shards flush
-crash-safely and merge deterministically -- the same span set produces a
-byte-identical Chrome trace regardless of how it was split across shard
-files; torn or corrupt shard lines are skipped with the store's
-``StoreCorruptionWarning`` discipline while the merged trace still
-validates and profiles; and the profiler resolves cross-process
+Covers the fleet-tracing guarantees: the trace context propagates into
+pool children (``sweep.task`` spans no longer vanish for ``--jobs 2``) and
+into dispatched worker subprocesses via the environment; workers flush
+span records crash-safely into their one event stream beside the lease
+events, and the records merge deterministically -- the same span set
+produces a byte-identical Chrome trace regardless of how it was split
+across worker streams, and the same bytes the separate trace shards of
+the layout before produced; torn or corrupt stream lines are skipped with
+the store's ``StoreCorruptionWarning`` discipline while the merged trace
+still validates and profiles; and the profiler resolves cross-process
 ``parent_ref`` links into one fleet critical path.
 """
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,9 +35,8 @@ from repro.dse.dispatch import (
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs import (
     SHARD_SCHEMA_VERSION,
-    TRACE_DIR,
+    SPAN_EVENT,
     TraceContext,
-    TraceShardWriter,
     adopt_shards,
     build_profile,
     chrome_trace,
@@ -41,7 +44,6 @@ from repro.obs import (
     current_span_ref,
     disable_tracing,
     enable_tracing,
-    read_trace_shards,
     render_top,
     reset_registry,
     span,
@@ -53,6 +55,11 @@ from repro.obs.distributed import (
     ENV_TRACE_PARENT,
     drain_records,
     export_records,
+)
+from repro.obs.timeline import (
+    FleetMonitor,
+    TelemetryReader,
+    fold_timeline,
 )
 from repro.toolflow import ArchitectureConfig, SweepTask
 from repro.toolflow.parallel import run_tasks
@@ -72,6 +79,15 @@ def _make_spans(tracer):
         with span("sweep.task"):
             pass
     return tracer
+
+
+def _read_spans(store):
+    """The span records of a store's streams and skipped lines per stream,
+    as the merge reads them."""
+
+    reader = TelemetryReader(store)
+    reader.poll()
+    return reader.spans, reader.skip_counts()
 
 
 # --------------------------------------------------------------------------- #
@@ -194,36 +210,47 @@ class TestTraceShards:
     def test_writer_flush_and_read_round_trip(self, tmp_path):
         tracer = enable_tracing()
         _make_spans(tracer)
-        writer = TraceShardWriter(tmp_path, "worker/0")
-        path = writer.flush(tracer)
-        writer.close()
-        assert path == tmp_path / TRACE_DIR / "worker_0.jsonl"
-        records, skips = read_trace_shards(tmp_path)
+        with WorkerTelemetry(tmp_path, "worker/0") as stream:
+            stream.emit("claim", work="s0")
+            assert stream.flush_spans(tracer) == 2
+            stream.emit("done", work="s0")
+        assert stream.path == tmp_path / "telemetry" / "worker_0.jsonl"
+        records, skips = _read_spans(tmp_path)
         assert skips == {}
         assert [r["name"] for r in records] == ["dse.shard", "sweep.task"]
+        assert {(r["event"], r["owner"]) for r in records} == \
+            {(SPAN_EVENT, "worker/0")}
+        # The lease events of the same stream are read apart.
+        assert [e["event"] for e in read_telemetry(tmp_path)] == \
+            ["claim", "done"]
 
     def test_non_ascii_owner_names_shard_like_its_telemetry(self, tmp_path):
-        """A worker's trace shard and telemetry log share one file stem."""
+        """A worker's spans and events share one stream file."""
 
-        owner = "höst-pid7"
-        telemetry = WorkerTelemetry(tmp_path, owner)
-        shard = TraceShardWriter(tmp_path, owner)
-        assert telemetry.path.name == shard.path.name == "h_st-pid7.jsonl"
+        tracer = enable_tracing()
+        _make_spans(tracer)
+        with WorkerTelemetry(tmp_path, "höst-pid7") as stream:
+            stream.emit("worker_start", pid=7)
+            stream.flush_spans(tracer)
+        assert [path.name for path in (tmp_path / "telemetry").iterdir()] \
+            == ["h_st-pid7.jsonl"]
+        assert len(_read_spans(tmp_path)[0]) == 2
 
     @staticmethod
     def _appended_by_second_flush(store, first, more=3):
         tracer = enable_tracing()
-        writer = TraceShardWriter(store, "w0")
+        writer = WorkerTelemetry(store, "w0")
         try:
             for _ in range(first):
                 with span("sweep.task"):
                     pass
-            path = writer.flush(tracer)
+            writer.flush_spans(tracer)
+            path = writer.path
             before, inode = path.read_bytes(), path.stat().st_ino
             for _ in range(more):
                 with span("sweep.task"):
                     pass
-            writer.flush(tracer)
+            writer.flush_spans(tracer)
             after = path.read_bytes()
             assert path.stat().st_ino == inode  # appended, not replaced
             assert after[:len(before)] == before
@@ -241,23 +268,23 @@ class TestTraceShards:
             [201, 202, 203]
 
     def test_flush_none_and_empty_are_noops(self, tmp_path):
-        writer = TraceShardWriter(tmp_path, "w0")
-        assert writer.flush(None) is None
-        assert writer.flush(enable_tracing()) is None
-        assert not (tmp_path / TRACE_DIR).exists()
+        writer = WorkerTelemetry(tmp_path, "w0")
+        assert writer.flush_spans(None) == 0
+        assert writer.flush_spans(enable_tracing()) == 0
+        assert not (tmp_path / "telemetry").exists()
 
     def test_read_missing_directory(self, tmp_path):
-        assert read_trace_shards(tmp_path) == ([], {})
+        assert _read_spans(tmp_path) == ([], {})
 
 
 # --------------------------------------------------------------------------- #
 # Deterministic merging
 # --------------------------------------------------------------------------- #
-def _shard_record(name, span_id, pid, start, *, parent=None, ref=None,
-                  owner=None):
+def _span_record(name, span_id, pid, start, *, parent=None, ref=None,
+                 owner=None):
     record = {"name": name, "span_id": span_id, "parent_id": parent,
               "pid": pid, "tid": 1, "epoch_start_s": start,
-              "duration_s": 0.5, "attrs": {},
+              "duration_s": 0.5, "attrs": {}, "event": SPAN_EVENT,
               "trace_id": "root-t", "schema_version": SHARD_SCHEMA_VERSION}
     if ref:
         record["parent_ref"] = ref
@@ -266,29 +293,29 @@ def _shard_record(name, span_id, pid, start, *, parent=None, ref=None,
     return record
 
 
-def _write_shard(store, name, records):
-    directory = Path(store) / TRACE_DIR
+def _write_stream(store, name, records):
+    directory = Path(store) / "telemetry"
     directory.mkdir(parents=True, exist_ok=True)
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     (directory / name).write_text(text)
 
 
 FLEET_RECORDS = [
-    _shard_record("dse.shard", 1, 100, 10.0, owner="w0"),
-    _shard_record("sweep.task", 2, 100, 10.1, parent=1, owner="w0"),
-    _shard_record("dse.shard", 1, 200, 10.2, owner="w1"),
-    _shard_record("sweep.task", 2, 200, 10.3, parent=1, owner="w1"),
+    _span_record("dse.shard", 1, 100, 10.0, owner="w0"),
+    _span_record("sweep.task", 2, 100, 10.1, parent=1, owner="w0"),
+    _span_record("dse.shard", 1, 200, 10.2, owner="w1"),
+    _span_record("sweep.task", 2, 200, 10.3, parent=1, owner="w1"),
 ]
 
 
 class TestMergeDeterminism:
     def test_merge_is_independent_of_shard_split(self, tmp_path):
         split_a = tmp_path / "a"
-        _write_shard(split_a, "w0.jsonl", FLEET_RECORDS[:2])
-        _write_shard(split_a, "w1.jsonl", FLEET_RECORDS[2:])
+        _write_stream(split_a, "w0.jsonl", FLEET_RECORDS[:2])
+        _write_stream(split_a, "w1.jsonl", FLEET_RECORDS[2:])
         split_b = tmp_path / "b"
-        _write_shard(split_b, "odd.jsonl", FLEET_RECORDS[::2][::-1])
-        _write_shard(split_b, "even.jsonl", FLEET_RECORDS[1::2])
+        _write_stream(split_b, "odd.jsonl", FLEET_RECORDS[::2][::-1])
+        _write_stream(split_b, "even.jsonl", FLEET_RECORDS[1::2])
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         write_merged_trace(split_a, out_a)
@@ -299,7 +326,7 @@ class TestMergeDeterminism:
         assert spans_a == spans_b
 
     def test_merged_trace_validates_with_metadata(self, tmp_path):
-        _write_shard(tmp_path, "w0.jsonl", FLEET_RECORDS)
+        _write_stream(tmp_path, "w0.jsonl", FLEET_RECORDS)
         out = tmp_path / "out.json"
         _, info = write_merged_trace(tmp_path, out)
         payload = json.loads(out.read_text())
@@ -312,14 +339,14 @@ class TestMergeDeterminism:
         assert info["spans"] == 4 and len(info["pids"]) == 2
 
     def test_merge_empty_store_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="no trace shards"):
+        with pytest.raises(ValueError, match="no span records"):
             write_merged_trace(tmp_path, tmp_path / "out.json")
 
     def test_adopt_shards_drops_own_pid(self, tmp_path):
         own = enable_tracing()
         mixed = FLEET_RECORDS + [
-            _shard_record("dse.dispatch", 9, os.getpid(), 9.9, owner="me")]
-        _write_shard(tmp_path, "w0.jsonl", mixed)
+            _span_record("dse.dispatch", 9, os.getpid(), 9.9, owner="me")]
+        _write_stream(tmp_path, "w0.jsonl", mixed)
         info = adopt_shards(own, tmp_path)
         assert info["spans"] == 4  # the own-pid record was dropped
         assert {r["pid"] for r in own.foreign} == {100, 200}
@@ -327,30 +354,30 @@ class TestMergeDeterminism:
 
 
 # --------------------------------------------------------------------------- #
-# Crash path: torn and corrupt shard lines
+# Crash path: torn and corrupt stream lines
 # --------------------------------------------------------------------------- #
 class TestShardCorruption:
     def test_torn_tail_skipped_silently(self, tmp_path):
-        _write_shard(tmp_path, "w0.jsonl", FLEET_RECORDS[:2])
-        shard = tmp_path / TRACE_DIR / "w0.jsonl"
-        shard.write_text(shard.read_text()
-                         + json.dumps(FLEET_RECORDS[2])[:25])
+        _write_stream(tmp_path, "w0.jsonl", FLEET_RECORDS[:2])
+        stream = tmp_path / "telemetry" / "w0.jsonl"
+        stream.write_text(stream.read_text()
+                          + json.dumps(FLEET_RECORDS[2])[:25])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a torn tail must not warn
-            records, skips = read_trace_shards(tmp_path)
+            records, skips = _read_spans(tmp_path)
         assert len(records) == 2
         assert skips == {"w0.jsonl": 1}
 
     def test_mid_file_corruption_warns(self, tmp_path):
-        shard = tmp_path / TRACE_DIR / "w0.jsonl"
-        shard.parent.mkdir(parents=True)
+        stream = tmp_path / "telemetry" / "w0.jsonl"
+        stream.parent.mkdir(parents=True)
         lines = [json.dumps(FLEET_RECORDS[0], sort_keys=True),
                  "{not json",
-                 json.dumps({"name": "x"}),  # missing required keys
+                 json.dumps({"name": "x", "event": SPAN_EVENT}),  # no pid...
                  json.dumps(FLEET_RECORDS[1], sort_keys=True)]
-        shard.write_text("\n".join(lines) + "\n")
+        stream.write_text("\n".join(lines) + "\n")
         with pytest.warns(StoreCorruptionWarning) as caught:
-            records, skips = read_trace_shards(tmp_path)
+            records, skips = _read_spans(tmp_path)
         assert len(records) == 2
         assert skips == {"w0.jsonl": 2}
         assert any("w0.jsonl:2" in str(w.message) for w in caught)
@@ -358,30 +385,30 @@ class TestShardCorruption:
     def test_future_schema_version_skipped(self, tmp_path):
         future = dict(FLEET_RECORDS[0],
                       schema_version=SHARD_SCHEMA_VERSION + 1)
-        _write_shard(tmp_path, "w0.jsonl", [FLEET_RECORDS[1], future])
+        _write_stream(tmp_path, "w0.jsonl", [FLEET_RECORDS[1], future])
         with pytest.warns(StoreCorruptionWarning, match="newer than"):
-            records, skips = read_trace_shards(tmp_path)
+            records, skips = _read_spans(tmp_path)
         assert len(records) == 1
         assert skips == {"w0.jsonl": 1}
 
     @pytest.mark.parametrize("entry", ["read_trace_shards", "read_telemetry",
                                        "telemetry_summary"])
     def test_binary_torn_line_is_skipped(self, tmp_path, entry):
-        # A partial binary copy leaves invalid UTF-8 mid-file: the line is
-        # skipped and the records on both sides still read.
-        if entry == "read_trace_shards":
-            path, records = tmp_path / TRACE_DIR / "w0.jsonl", FLEET_RECORDS[:2]
-        else:
-            path = tmp_path / "telemetry" / "w0.jsonl"
-            records = [{"t": float(t), "owner": "w0", "event": "claim",
-                        "work": f"s{t}"} for t in (1, 2)]
+        # A partial binary copy leaves invalid UTF-8 mid-stream: the line
+        # is skipped and the records of both kinds on both sides still read
+        # -- the trace shard's span records, the events and their summary.
+        path = tmp_path / "telemetry" / "w0.jsonl"
+        events = [{"t": float(t), "owner": "w0", "event": "claim",
+                   "work": f"s{t}"} for t in (1, 2)]
         path.parent.mkdir(parents=True)
-        path.write_bytes(json.dumps(records[0]).encode() + b"\n"
+        path.write_bytes(json.dumps(FLEET_RECORDS[0]).encode() + b"\n"
+                         + json.dumps(events[0]).encode() + b"\n"
                          + b"\xff\xfe\x00garbage\n"
-                         + json.dumps(records[1]).encode() + b"\n")
-        with pytest.warns(StoreCorruptionWarning, match="w0.jsonl:2"):
+                         + json.dumps(FLEET_RECORDS[1]).encode() + b"\n"
+                         + json.dumps(events[1]).encode() + b"\n")
+        with pytest.warns(StoreCorruptionWarning, match="w0.jsonl:3"):
             if entry == "read_trace_shards":
-                spans, skips = read_trace_shards(tmp_path)
+                spans, skips = _read_spans(tmp_path)
                 assert skips == {"w0.jsonl": 1}
                 count = len(spans)
             elif entry == "read_telemetry":
@@ -391,9 +418,9 @@ class TestShardCorruption:
         assert count == 2
 
     def test_torn_store_still_merges_and_profiles(self, tmp_path):
-        _write_shard(tmp_path, "w0.jsonl", FLEET_RECORDS)
-        shard = tmp_path / TRACE_DIR / "w0.jsonl"
-        shard.write_text(shard.read_text() + '{"name": "torn')
+        _write_stream(tmp_path, "w0.jsonl", FLEET_RECORDS)
+        stream = tmp_path / "telemetry" / "w0.jsonl"
+        stream.write_text(stream.read_text() + '{"name": "torn')
         out = tmp_path / "out.json"
         paths, info = write_merged_trace(tmp_path, out)
         assert sum(info["skipped"].values()) == 1
@@ -473,7 +500,7 @@ class TestTracedDispatch:
         monkeypatch.setenv(ENV_TRACE_PARENT, "1:1")
         run_worker(tmp_path, owner="w0")
         disable_tracing()  # run_worker armed this process's tracer
-        records, skips = read_trace_shards(tmp_path)
+        records, skips = _read_spans(tmp_path)
         assert skips == {}
         assert {r["trace_id"] for r in records} == {"root-env"}
         assert {r["owner"] for r in records} == {"w0"}
@@ -505,10 +532,13 @@ class TestTracedDispatch:
                              shards=1).run(timeout_s=300)
         assert summary["complete"]
         assert "trace" not in summary
-        assert not (tmp_path / TRACE_DIR).exists()
+        assert _read_spans(tmp_path) == ([], {})
+        assert {"worker_start", "claim", "done", "worker_exit"} <= \
+            {event["event"] for event in read_telemetry(tmp_path)}
+        assert not (tmp_path / "traces").exists()
 
     def test_trace_merge_cli(self, tmp_path, capsys):
-        _write_shard(tmp_path / "store", "w0.jsonl", FLEET_RECORDS)
+        _write_stream(tmp_path / "store", "w0.jsonl", FLEET_RECORDS)
         out = tmp_path / "merged.json"
         code = main(["trace", "merge", "--store", str(tmp_path / "store"),
                      "--output", str(out)])
@@ -522,6 +552,148 @@ class TestTracedDispatch:
                      "--output", str(tmp_path / "out.json")])
         assert code == 1
         assert "cannot merge" in capsys.readouterr().err
+
+    def test_trace_merge_refuses_an_old_traces_directory(self, tmp_path,
+                                                         capsys):
+        # Older versions wrote spans to <store>/traces/<owner>.jsonl; this
+        # one reads only the worker streams, so it refuses such a store by
+        # name rather than merge the streams and drop the old spans.
+        store = tmp_path / "store"
+        _write_stream(store, "w0.jsonl", FLEET_RECORDS)
+        (store / "traces").mkdir()
+        (store / "traces" / "w0.jsonl").write_text(
+            json.dumps(FLEET_RECORDS[0]) + "\n")
+        with pytest.raises(ValueError, match="traces.*older version"):
+            write_merged_trace(store, tmp_path / "out.json")
+        code = main(["trace", "merge", "--store", str(store),
+                     "--output", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "older version" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def _run_worker(self, store, *, traced, monkeypatch):
+        Dispatcher(_tiny_space(), store, workers=1, shards=2).prepare()
+        if traced:
+            monkeypatch.setenv(ENV_TRACE_ID, "root-env")
+        else:
+            monkeypatch.delenv(ENV_TRACE_ID, raising=False)
+        run_worker(store, owner="w0")
+        disable_tracing()
+
+    def test_traced_worker_writes_one_stream_per_owner(self, tmp_path,
+                                                       monkeypatch):
+        self._run_worker(tmp_path, traced=True, monkeypatch=monkeypatch)
+        assert [path.name for path in (tmp_path / "telemetry").iterdir()] \
+            == ["w0.jsonl"]
+        assert not (tmp_path / "traces").exists()
+        assert _read_spans(tmp_path)[0]  # the spans are in that one file
+
+    def test_traced_stream_counts_events_like_an_untraced_run(
+            self, tmp_path, monkeypatch):
+        # Read every line of telemetry/*.jsonl and count it by ``event``,
+        # as perfbench's layer collector does: span records add a "span"
+        # count and leave every lease-event count as an untraced run's.
+        def counts(store):
+            kinds = Counter()
+            for path in sorted((store / "telemetry").glob("*.jsonl")):
+                for line in path.read_text().splitlines():
+                    if line.strip():
+                        kinds[json.loads(line).get("event")] += 1
+            return kinds
+
+        self._run_worker(tmp_path / "traced", traced=True,
+                         monkeypatch=monkeypatch)
+        self._run_worker(tmp_path / "untraced", traced=False,
+                         monkeypatch=monkeypatch)
+        traced, untraced = counts(tmp_path / "traced"), \
+            counts(tmp_path / "untraced")
+        assert traced.pop(SPAN_EVENT) > 0 and SPAN_EVENT not in untraced
+        assert traced == untraced
+        assert {kind: untraced[kind] for kind in
+                ("claim", "renew", "done", "worker_start", "worker_exit")} \
+            == {"claim": 2, "renew": 2, "done": 2, "worker_start": 1,
+                "worker_exit": 1}
+
+
+class TestStreamFixture:
+    """Fed the same records, the one stream reads to the parent's bytes.
+
+    ``tests/data/stream_fixture.json`` holds fixed lease events and span
+    records, and what the layout before the one stream made of them:
+    events in ``telemetry/<owner>.jsonl``, spans in ``traces/<owner>.jsonl``.
+    It was produced once by ``tests/data/regen_stream_fixture.py`` run
+    against a copy of that commit (``git archive 5c3a9a1 | tar -x -C
+    <parent>``, then ``PYTHONPATH=<parent>/src python
+    tests/data/regen_stream_fixture.py``).  Here the same records go
+    through :class:`WorkerTelemetry` into one stream per worker, and the
+    ``repro trace merge`` bundle, ``telemetry_summary``, ``fold_timeline``
+    (less the ``compacted`` key, always empty there) and the ``dse top
+    --once`` frame must equal the parent's byte for byte.
+    """
+
+    class FixedClock:
+        def __init__(self, t):
+            self.t = t
+
+        def now(self):
+            return self.t
+
+    def test_same_records_merge_and_fold_to_the_parents_bytes(
+            self, tmp_path, monkeypatch):
+        fixture = json.loads((Path(__file__).parent / "data"
+                              / "stream_fixture.json").read_text())
+        parent = fixture["parent"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(socket, "gethostname", lambda: "fixture-host")
+        clock = self.FixedClock(0.0)
+        streams = {}
+        for record in fixture["events"]:
+            clock.t = record["t"]
+            stream = streams.setdefault(record["owner"], WorkerTelemetry(
+                "store", record["owner"], clock=clock))
+            stream.emit(record["event"], **{
+                key: value for key, value in record.items()
+                if key not in ("t", "owner", "event")})
+        for owner, records in fixture["spans"].items():
+            tracer = enable_tracing(trace_id="fixture-trace")
+            tracer.epoch_s = 0.0  # so epoch_start_s is written as given
+            tracer.adopt(dict({key: value for key, value in record.items()
+                               if key != "epoch_start_s"},
+                              start_s=record["epoch_start_s"])
+                         for record in records)
+            streams[owner].flush_spans(tracer)
+        disable_tracing()
+        for stream in streams.values():
+            stream.close()
+        assert sorted(path.name for path in Path("store").iterdir()) == \
+            ["telemetry"]
+        assert sorted(path.name for path in
+                      Path("store", "telemetry").iterdir()) == \
+            ["w0.jsonl", "w1.jsonl", "w2.jsonl"]
+
+        assert main(["trace", "merge", "--store", "store",
+                     "--output", "merged.json"]) == 0
+        assert Path("merged.json").read_text() == parent["trace"]
+        assert Path("merged.spans.jsonl").read_text() == \
+            parent["spans_jsonl"]
+        assert Path("merged.manifest.json").read_text() == parent["manifest"]
+
+        now = fixture["now"]
+        assert json.dumps(telemetry_summary("store", now=now),
+                          sort_keys=True) == \
+            json.dumps(parent["telemetry_summary"], sort_keys=True)
+        expected = dict(parent["fold_timeline"])
+        assert expected.pop("compacted") == {}
+        assert json.dumps(fold_timeline(read_telemetry("store"),
+                                        until_t=now), sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
+        clock.t = now
+        monitor = FleetMonitor("store", clock=clock)
+        try:
+            frame = render_top(monitor.snapshot(), window=monitor.window)
+        finally:
+            monitor.close()
+        assert frame == parent["top_frame"]
 
 
 class TestLivePhase:

@@ -1,4 +1,4 @@
-"""Tests for the fleet timeline (repro.obs.timeline) and telemetry rotation.
+"""Tests for the fleet timeline and the worker-stream reader (repro.obs.timeline).
 
 The ISSUE's determinism bar: the same telemetry event set must fold into
 byte-identical series -- and render a byte-identical ``dse top`` frame --
@@ -21,6 +21,7 @@ from repro.dse.dispatch import (
     read_telemetry,
     telemetry_summary,
 )
+from repro.dse.store import StoreCorruptionWarning
 from repro.obs.timeline import (
     DEFAULT_BUCKET_S,
     FleetMonitor,
@@ -44,13 +45,11 @@ class FakeClock(LeaseClock):
         self.t += seconds
 
 
-def synthetic_fleet(tmp_path, *, workers=3, rounds=4, clock=None,
-                    max_bytes=None):
+def synthetic_fleet(tmp_path, *, workers=3, rounds=4, clock=None):
     """Emit a deterministic fleet history; returns the clock used."""
 
     clock = clock or FakeClock()
-    logs = [WorkerTelemetry(tmp_path, f"w{i}", clock=clock,
-                            max_bytes=max_bytes)
+    logs = [WorkerTelemetry(tmp_path, f"w{i}", clock=clock)
             for i in range(workers)]
     for log in logs:
         log.emit("worker_start", mode="shards", shards=workers * rounds,
@@ -86,7 +85,8 @@ class TestFoldTimeline:
         misses = sum(b["cache_misses"] for b in timeline["fleet"])
         assert (hits, misses) == (36, 12)
         assert sum(b["claims"] for b in timeline["fleet"]) == 12
-        assert timeline["compacted"] == {}
+        assert sorted(timeline) == ["bucket_s", "fleet", "num_buckets",
+                                    "origin_t", "workers"]
 
     def test_until_t_extends_with_empty_buckets(self, tmp_path):
         clock = synthetic_fleet(tmp_path)
@@ -207,105 +207,29 @@ class TestTelemetryReader:
         assert reader.poll() == 1
         assert reader.events[-1]["event"] == "claim"
 
-    def test_rotation_triggers_rescan_not_double_count(self, tmp_path):
+    def test_old_rotation_summary_row_is_skipped_by_name(self, tmp_path):
+        # Older versions rotated a worker's telemetry and folded old
+        # segments into one "summary" row in <owner>.seg0.jsonl.  Nothing
+        # folds such a row any more: it is skipped with a warning naming
+        # it, and the live events around it still read.
         clock = FakeClock()
-        # Tiny cap: every few emits rotate, and compaction folds history.
-        log = WorkerTelemetry(tmp_path, "w0", clock=clock, max_bytes=120,
-                              keep_segments=1)
-        reader = TelemetryReader(tmp_path)
-        for i in range(30):
+        with WorkerTelemetry(tmp_path, "w0", clock=clock) as log:
+            log.emit("worker_start", pid=1)
             clock.advance(1.0)
-            log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.5)
-            reader.poll()
-        log.close()
-        timeline = fold_timeline(reader.events, bucket_s=5.0)
-        live = sum(b["points"] for b in timeline["fleet"])
-        folded = sum(t["points"] for t in timeline["compacted"].values())
-        assert live + folded == 30
-        # And the one-shot reader agrees with the incremental one.
-        fresh = fold_timeline(read_telemetry(tmp_path), bucket_s=5.0)
-        assert sum(b["points"] for b in fresh["fleet"]) + \
-            sum(t["points"] for t in fresh["compacted"].values()) == 30
-
-    def test_rotation_between_polls_is_read_once(self, tmp_path):
-        # The rotated-out log reappears as seg1 while the new active file
-        # has already grown past the old offset: the reader must notice
-        # the rename (new inode) and rescan, not re-read seg1 from byte 0.
-        clock = FakeClock(0.0)
-        reader = TelemetryReader(tmp_path)
-        log = WorkerTelemetry(tmp_path, "w0", clock=clock, max_bytes=600,
-                              keep_segments=50)
-        try:
-            for i in range(18):
-                clock.advance(1.0)
-                log.emit("claim", work=f"s{i}")
-                if i == 3:
-                    reader.poll()
-            reader.poll()
-            assert (tmp_path / "telemetry" / "w0.seg1.jsonl").exists()
-            assert [event["t"] for event in reader.events] == \
-                [float(t) for t in range(1, 19)]
-            assert reader.events == read_telemetry(tmp_path)
-        finally:
-            log.close()
-
-
-# --------------------------------------------------------------------------- #
-class TestRotationCompaction:
-    def test_summary_preserves_totals(self, tmp_path):
-        clock = FakeClock()
-        log = WorkerTelemetry(tmp_path, "w0", clock=clock, max_bytes=150,
-                              keep_segments=2)
-        log.emit("worker_start", mode="shards", shards=8, jobs=1, pid=1)
-        for i in range(40):
-            clock.advance(1.0)
-            log.emit("claim", work=f"s{i}")
-            clock.advance(1.0)
-            log.emit("done", work=f"s{i}", points=3, replayed=1, wall_s=1.0)
-        log.emit("worker_exit", completed=40, lost=0, counters={})
-        log.close()
-        summary = telemetry_summary(tmp_path, now=clock.now())
-        row = summary["w0"]
-        assert row["claims"] == 40
-        assert row["done"] == 40
-        assert row["points"] == 120
-        assert row["replayed"] == 40
-        assert row["wall_s"] == pytest.approx(40.0)
-        assert row["alive"] is False
-        # The directory stayed bounded: active + keep raw segments + seg0.
-        names = sorted(p.name for p in (tmp_path / "telemetry").iterdir())
-        raw = [n for n in names if ".seg" in n and ".seg0." not in n]
-        assert len(raw) <= 2
-        assert "w0.seg0.jsonl" in names
-
-    def test_segment_numbers_never_reused(self, tmp_path):
-        clock = FakeClock()
-        log = WorkerTelemetry(tmp_path, "w0", clock=clock, max_bytes=100,
-                              keep_segments=1)
-        for i in range(30):
-            clock.advance(1.0)
-            log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.1)
-        log.close()
-        summary_row = [r for r in read_telemetry(tmp_path)
-                       if r.get("event") == "summary"]
-        assert summary_row, "compaction should have produced a summary"
-        through = summary_row[0]["folded_through"]
-        live_segments = [int(p.name.split(".seg")[1].split(".")[0])
-                         for p in (tmp_path / "telemetry").glob("*.seg*.jsonl")
-                         if ".seg0." not in p.name]
-        # Every surviving raw segment postdates the folded history, so no
-        # reader can double-count a rotated event.
-        assert all(k > through for k in live_segments)
-
-    def test_rotation_disabled_by_default_size(self, tmp_path):
-        clock = FakeClock()
-        log = WorkerTelemetry(tmp_path, "w0", clock=clock)  # 1 MiB cap
-        for i in range(50):
-            clock.advance(1.0)
-            log.emit("done", work=f"s{i}", points=1, replayed=0, wall_s=0.1)
-        log.close()
-        names = [p.name for p in (tmp_path / "telemetry").iterdir()]
-        assert names == ["w0.jsonl"]
+            log.emit("done", work="s1", points=2, replayed=0, wall_s=1.0)
+        (tmp_path / "telemetry" / "w0.seg0.jsonl").write_text(json.dumps(
+            {"t": 0.0, "owner": "w0", "event": "summary", "done": 5,
+             "points": 40, "folded": 12, "folded_through": 2},
+            sort_keys=True) + "\n")
+        with pytest.warns(StoreCorruptionWarning,
+                          match=r"w0\.seg0\.jsonl:1: an event: \"summary\""):
+            row = telemetry_summary(tmp_path, now=clock.now())["w0"]
+        assert (row["done"], row["points"], row["last_event"]) == \
+            (1, 2, "done")
+        with pytest.warns(StoreCorruptionWarning, match="summary"):
+            events = read_telemetry(tmp_path)
+        assert [event["event"] for event in events] == ["worker_start",
+                                                        "done"]
 
 
 # --------------------------------------------------------------------------- #
