@@ -131,9 +131,9 @@ def test_timeline_fold_and_profile_cost(benchmark, tmp_path):
 
     import json
 
-    from repro.dse.dispatch import LeaseClock, WorkerTelemetry, read_telemetry
+    from repro.dse.dispatch import LeaseClock, WorkerTelemetry
     from repro.obs import build_profile, enable_tracing
-    from repro.obs.timeline import fold_timeline
+    from repro.obs.timeline import TelemetryReader, fold_timeline
 
     # A synthetic 8-worker fleet history, fake-clock driven.
     moment = [1000.0]
@@ -147,7 +147,9 @@ def test_timeline_fold_and_profile_cost(benchmark, tmp_path):
                      wall_s=0.1, counters={"cache.hits": 2, "cache.misses": 1})
     for log in logs:
         log.close()
-    events = read_telemetry(tmp_path)
+    reader = TelemetryReader(tmp_path)
+    reader.poll()
+    events = reader.events
     fold_s = _best_of(lambda: fold_timeline(events, bucket_s=5.0))
 
     # Span records from a real traced (single-point) compile+sim run.

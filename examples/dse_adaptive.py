@@ -200,6 +200,18 @@ def smoke(workdir: Path) -> int:
     print(f"[smoke] dispatched run complete: {summary['evaluations']} "
           f"evaluations over {summary['batches']} batches, victim's "
           f"lease(s) reclaimed")
+    # The fleet view plans a finished adaptive run's points as its stored
+    # rows, never the grid: done, planned and evaluated agree.
+    progress = dispatcher.progress()
+    if not (progress["points_done"] == progress["points_total"]
+            == summary["evaluations"] and progress["points_pending"] == 0):
+        print(f"[smoke] FAIL: fleet view reads {progress['points_done']}/"
+              f"{progress['points_total']} points "
+              f"({progress['points_pending']} pending) after "
+              f"{summary['evaluations']} evaluations")
+        return 1
+    print(f"[smoke] OK: fleet view reads {progress['points_done']}/"
+          f"{progress['points_total']} points, 0 pending")
 
     dispatched = export_bytes(store_dir, workdir / "dispatched.json")
     if dispatched != golden:

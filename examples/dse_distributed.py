@@ -278,14 +278,15 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
 
     SIGKILL (above) tests the recovery path -- the lease expires and the
     shard is reclaimed.  A hung-but-alive worker is worse: it renews
-    nothing, produces nothing, and without the timeline monitor nobody
-    notices until the lease budget runs out.  ``detect_stragglers`` flags
-    it at half the TTL; this phase pins that the flag fires while the
-    worker's heartbeat age is still inside the lease budget, then SIGCONTs
-    the worker and checks the run still completes byte-identically.
+    nothing, produces nothing, and without the fleet view's straggler
+    flags nobody notices until the lease budget runs out.
+    ``detect_stragglers`` flags it at half the TTL; this phase pins that
+    the flag fires, on the dispatcher's view, while the worker's heartbeat
+    age is still inside the lease budget, then SIGCONTs the worker and
+    checks the run still completes byte-identically.
     """
 
-    from repro.obs.timeline import FleetMonitor
+    from repro.obs.timeline import top_snapshot
 
     store_dir = workdir / "straggler"
     ttl_s = 4.0
@@ -297,7 +298,6 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
     # see it holding a lease; the second worker joins once it is stopped.
     victim = dispatcher.spawn_worker()
     procs = [victim]
-    monitor = FleetMonitor(store_dir, ttl_s=ttl_s)
     stopped = False
     try:
         suffix = f"pid{victim.pid}"
@@ -322,7 +322,7 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
         flagged_age = None
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and flagged_age is None:
-            snapshot = monitor.snapshot()
+            snapshot = top_snapshot(dispatcher.view)
             reasons = snapshot["stragglers"].get(victim_owner, [])
             if any("stalled" in reason for reason in reasons):
                 flagged_age = snapshot["workers"][victim_owner][
@@ -351,7 +351,6 @@ def straggler_smoke(workdir: Path, space: DesignSpace, golden: bytes) -> int:
         for proc in procs:
             proc.wait(timeout=60.0)
     finally:
-        monitor.close()
         for proc in procs:
             if proc.poll() is None:
                 if stopped and proc is victim:

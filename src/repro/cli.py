@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 # Only what build_parser needs: each _cmd_* imports the layers it runs, so
@@ -894,8 +895,14 @@ def _objective(record, metric):
 
 def _cmd_dse_status(args) -> int:
     from repro.dse import DSERunner
+    from repro.dse.dispatch import FleetView
 
-    store = _open_store(args.store)
+    # One view tick reads the store, the ledger and the worker streams once
+    # for every section below.
+    view = FleetView(args.store)
+    with _store_errors(args.store):
+        progress = view.tick()
+    store = view.store
     print(f"Experiment store {store.directory}: {len(store)} evaluated points")
     for source, count in sorted(store.source_counts().items()):
         print(f"  {source:24s} {count} rows")
@@ -916,7 +923,7 @@ def _cmd_dse_status(args) -> int:
               f"mean {mean_s:.3f} s/point")
 
     if getattr(args, "workers", None) is not None:
-        _print_worker_telemetry(store)
+        _print_worker_telemetry(progress["workers"])
 
     if getattr(args, "by_strategy", False):
         _print_by_strategy(store)
@@ -935,16 +942,13 @@ def _cmd_dse_status(args) -> int:
         print(f"\nSpace {space_label}: {space.size - pending}/{space.size} "
               f"points completed, {pending} pending")
     if getattr(args, "eta", False):
-        return _print_eta(args, store, space, pending)
+        return _print_eta(args, view, progress, space, pending)
     return 0
 
 
-def _print_worker_telemetry(store) -> None:
+def _print_worker_telemetry(workers) -> None:
     """The ``dse status --workers`` tail: the dispatched fleet's telemetry."""
 
-    from repro.dse.dispatch import telemetry_summary
-
-    workers = telemetry_summary(store.directory)
     if not workers:
         print("\nWorkers: no telemetry recorded (the store was not "
               "dispatched, or predates worker telemetry)")
@@ -988,74 +992,37 @@ def _print_by_strategy(store) -> None:
               f"best fidelity {best.fidelity:.4e} ({best.application})")
 
 
-def _print_eta(args, store, space, pending) -> int:
-    """The ``dse status --eta`` tail: pending x mean wall_s / active workers."""
+def _print_eta(args, view, progress, space, pending) -> int:
+    """The ``dse status --eta`` tail: pending x mean wall_s / active workers.
 
-    from repro.dse import DesignSpace, WorkLedger, estimate_eta_s
-    from repro.dse.dispatch import (
-        DEFAULT_TTL_S,
-        MANIFEST_NAME,
-        format_eta,
-        read_manifest,
-    )
+    Without ``--space``, a dispatched store describes itself: the view's
+    tick planned its points from the manifest (:class:`FleetView`).
+    """
 
+    from repro.dse.dispatch import estimate_eta_s, format_eta
+
+    if view.refusal is not None:
+        print(f"\nerror: {view.refusal}", file=sys.stderr)
+    if space is None:
+        if view.manifest is None:
+            print("\nETA: unknown -- provide --space FILE (or dispatch "
+                  "through `repro dse dispatch`, which records the space in "
+                  "the store's manifest) so pending points can be counted",
+                  file=sys.stderr)
+            return 1
+        pending = progress["points_pending"]
+        if pending is None:
+            # A multi-fidelity ladder has no fixed budget: its rung sizes
+            # depend on results (and proxy rows can outnumber the grid).
+            print(f"\nETA: unknown -- adaptive strategy "
+                  f"{view.manifest['strategy'].get('name')!r} has no fixed "
+                  f"evaluation budget (run `dse status` again once the "
+                  f"proposals ledger records completion)")
+            return 0
     # --workers without a count (telemetry display, const 0) does not pin
     # the ETA's active-worker count; only an explicit number does.
-    active = args.workers if args.workers else None
-    manifest = None
-    if space is None or active is None:
-        # A dispatched store describes itself: the manifest names the space,
-        # the work ledger knows how many leases are live.
-        try:
-            manifest = read_manifest(store.directory)
-        except ValueError as exc:
-            if (store.directory / MANIFEST_NAME).exists():
-                print(f"\nerror: {exc}", file=sys.stderr)
-            manifest = None
-        if manifest is not None:
-            if space is None:
-                space = DesignSpace.from_dict(manifest["space"])
-                pending = None
-            if active is None:
-                active = WorkLedger.for_store(
-                    store.directory,
-                    ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S),
-                ).status_counts()["active"]
-    if space is None:
-        print("\nETA: unknown -- provide --space FILE (or dispatch through "
-              "`repro dse dispatch`, which records the space in the store's "
-              "manifest) so pending points can be counted", file=sys.stderr)
-        return 1
-    if pending is None:
-        # Cheap lower bound: every store row is assumed to belong to the
-        # space (dispatch stores are dedicated to one study).  An adaptive
-        # run stops at its evaluation budget, not the grid size -- and its
-        # ledger's complete marker means nothing is pending at all.
-        total = space.size
-        if manifest is not None and manifest["mode"] == "adaptive":
-            from repro.dse.adaptive.propose import default_max_evals
-
-            spec = manifest.get("strategy", {})
-            if WorkLedger.for_store(store.directory).read_complete() is not None:
-                total = len(store)
-            elif spec.get("max_evals") is not None:
-                total = min(total, int(spec["max_evals"]))
-            elif spec.get("name") == "bayes":
-                total = min(total, default_max_evals(
-                    space.size, int(spec.get("batch_size", 4))))
-            else:
-                # A multi-fidelity ladder has no fixed budget: its rung
-                # sizes depend on results (and proxy rows can outnumber the
-                # grid), so pretending pending == grid - stored would
-                # report "0 pending" mid-run.  Honest unknown instead.
-                print(f"\nETA: unknown -- adaptive strategy "
-                      f"{spec.get('name')!r} has no fixed evaluation "
-                      f"budget (run `dse status` again once the proposals "
-                      f"ledger records completion)")
-                return 0
-        pending = max(0, total - len(store))
-    active = active if active else 1
-    eta_s = estimate_eta_s(pending, store.wall_timings(), active)
+    active = args.workers or progress.get("shards", {}).get("active") or 1
+    eta_s = estimate_eta_s(pending, view.store.wall_timings(), active)
     print(f"ETA: {pending} pending points / {active} active worker(s) "
           f"~= {format_eta(eta_s)}")
     return 0
@@ -1334,50 +1301,55 @@ def _cmd_dse_export(args) -> int:
     return 0
 
 
+@contextmanager
+def _store_errors(path):
+    """Turn an experiment store's load errors into a clean exit."""
+
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot read experiment store {path}: {exc}")
+
+
 def _open_store(path):
     """Open an experiment store, turning load errors into a clean exit."""
 
     from repro.dse import ExperimentStore
 
-    try:
+    with _store_errors(path):
         return ExperimentStore(path)
-    except ValueError as exc:
-        raise SystemExit(f"error: cannot read experiment store {path}: {exc}")
 
 
 def _cmd_dse_top(args) -> int:
+    from repro.dse.dispatch import FleetView
     from repro.obs.timeline import (DEFAULT_BUCKET_S, DEFAULT_WINDOW_BUCKETS,
-                                    FleetMonitor, render_top)
+                                    render_top, top_snapshot)
 
-    monitor = FleetMonitor(
-        args.store,
-        bucket_s=args.bucket_s if args.bucket_s is not None
-        else DEFAULT_BUCKET_S,
-        window=args.window if args.window is not None
-        else DEFAULT_WINDOW_BUCKETS,
-        ttl_s=args.ttl_s)
-    try:
-        if args.once:
-            print(render_top(monitor.snapshot(), window=monitor.window))
-            return 0
-        return _top_loop(monitor, interval_s=args.interval_s)
-    finally:
-        monitor.close()
+    view = FleetView(args.store, ttl_s=args.ttl_s)
+    bucket_s = args.bucket_s or DEFAULT_BUCKET_S
+    window = args.window or DEFAULT_WINDOW_BUCKETS
+
+    def frame() -> str:
+        with _store_errors(args.store):
+            snapshot = top_snapshot(view, bucket_s=bucket_s, window=window)
+        return render_top(snapshot, window=window)
+
+    if args.once:
+        print(frame())
+        return 0
+    return _top_loop(frame, interval_s=args.interval_s)
 
 
-def _top_loop(monitor, *, interval_s: float) -> int:
+def _top_loop(frame, *, interval_s: float) -> int:
     """The live ``dse top`` refresh loop: q quits, p pauses, Ctrl-C exits."""
-
-    from repro.obs.timeline import render_top
 
     paused = False
     try:
         while True:
             if not paused:
-                frame = render_top(monitor.snapshot(), window=monitor.window)
                 # Clear + home, then the frame; one write per refresh so a
                 # slow terminal never shows a half-drawn dashboard.
-                sys.stdout.write("\x1b[2J\x1b[H" + frame
+                sys.stdout.write("\x1b[2J\x1b[H" + frame()
                                  + "\n\n[q] quit  [p] pause\n")
                 sys.stdout.flush()
             key = _read_key(interval_s)

@@ -87,8 +87,9 @@ def default_max_evals(space_size: int, batch_size: int = 4) -> int:
     """The bayes evaluation budget when none is given: a quarter of the grid
     (floored at two batches, capped at the grid itself).
 
-    Shared by :class:`BayesProposer` and the progress tooling (``dse status
-    --eta``), so budget estimates never require constructing a proposer.
+    Shared by :class:`BayesProposer` and
+    :func:`~repro.dse.dispatch.write_manifest`, which records it so the
+    fleet view plans a run's points without constructing a proposer.
     """
 
     return min(max(2 * batch_size, space_size // 4), space_size)

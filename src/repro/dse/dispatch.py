@@ -21,13 +21,16 @@ filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
   task group, mark it done, repeat; when items remain but none is
   claimable, wait for a lease to expire (or for the proposer) instead of
   stranding the work.
+* :class:`FleetView` -- the one operator's view of a dispatched store:
+  stored and planned points, item states, an ETA driven by the per-point
+  ``wall_s`` timings store rows record since schema v2, and one row per
+  worker, each tick reading only what was appended since the last.
 * :class:`Dispatcher` -- writes the dispatch manifest (a grid space
   partitioned into M shards, M > N workers, so a death costs at most one
   shard of progress; or an adaptive strategy), runs N local worker
   processes (or prints the per-machine command lines for remote launch),
-  runs an adaptive run's proposer in-process, and watches progress --
-  point counts and an ETA driven by the per-point ``wall_s`` timings the
-  store rows record since schema v2.
+  runs an adaptive run's proposer in-process, and watches progress
+  through its :class:`FleetView`.
 
 Correctness leans on two properties rather than on perfect mutual
 exclusion: evaluation is **idempotent** (results are deterministic) and the
@@ -492,34 +495,6 @@ class WorkerTelemetry(LogWriter):
         return len(records)
 
 
-def read_telemetry(store_dir) -> List[Dict[str, object]]:
-    """All lease events of a store, in the canonical content ordering.
-
-    One poll of a :class:`~repro.obs.timeline.TelemetryReader`; span
-    records are left out.
-    """
-
-    reader = TelemetryReader(store_dir)
-    reader.poll()
-    return reader.events
-
-
-def telemetry_summary(store_dir, *,
-                      now: Optional[float] = None) -> Dict[str, Dict[str, object]]:
-    """Fold the worker streams' events into one row per worker.
-
-    Each row counts claims, renewals, losses and completed work units,
-    sums evaluated/replayed points and work wall time, and ages the
-    worker's latest event (``last_seen_age_s``).  ``alive`` follows the
-    start/exit markers, so a worker that died without its exit marker
-    shows ``alive`` with a growing age.  ``phase`` is the open span traced
-    workers stamp on heartbeats (``None`` untraced or between items).
-    """
-
-    return fold_workers(read_telemetry(store_dir),
-                        now=LeaseClock().now() if now is None else now)
-
-
 # --------------------------------------------------------------------------- #
 # Dispatch manifest: the one file a worker needs to join a run.
 # --------------------------------------------------------------------------- #
@@ -538,7 +513,9 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     per-worker ``jobs`` and the fixed ``ledger`` layout marker.  In shards
     mode the shard items ``shard-<i>of<N>`` and the complete marker are
     written *before* the manifest, so a worker never reads a manifest
-    without its work.
+    without its work.  A ``bayes``, ``ehvi`` or ``parego`` spec without
+    ``max_evals`` records the default budget its proposer would use, so
+    :class:`FleetView` plans points without building a proposer.
 
     Re-preparing an existing dispatch is allowed only if the space, mode,
     shard count and strategy are unchanged (the work must stay stable
@@ -574,7 +551,16 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     if shards is not None:
         manifest["shards"] = int(shards)
     if strategy is not None:
-        manifest["strategy"] = dict(strategy)
+        spec = manifest["strategy"] = dict(strategy)
+        if (spec.get("max_evals") is None
+                and spec.get("name") in ("bayes", "ehvi", "parego")):
+            if spec["name"] == "bayes":
+                from repro.dse.adaptive.propose import default_max_evals
+            else:
+                from repro.dse.moo.propose import default_moo_max_evals \
+                    as default_max_evals
+            spec["max_evals"] = default_max_evals(
+                space.size, spec.get("batch_size", 4))
     if path.exists():
         existing = read_manifest(store_dir)
         if (existing.get("space") != manifest["space"]
@@ -834,44 +820,81 @@ def estimate_eta_s(pending: int, timings: Sequence[float],
     return pending * mean / max(1, active_workers)
 
 
-class StoreProgress:
-    """Point counts and the ``wall_s``-driven ETA of one store directory.
+class FleetView:
+    """The one operator's view of a dispatched store, polled by :meth:`tick`.
 
-    One store view stays open and is refreshed with the incremental
-    :meth:`~repro.dse.store.ExperimentStore.reload`, so a tick costs the
-    rows appended since the previous one.  Behind :meth:`Dispatcher.progress`
-    and the ``dse top`` monitor (:class:`~repro.obs.timeline.FleetMonitor`).
+    Behind :meth:`Dispatcher.progress`, ``repro dse top`` and ``repro dse
+    status --workers/--eta``, for a fleet launched here or elsewhere.  One
+    store view (refreshed by the incremental
+    :meth:`~repro.dse.store.ExperimentStore.reload`) and one
+    :class:`~repro.obs.timeline.TelemetryReader` make a tick cost what was
+    appended since the last.  The manifest is read on the first tick that
+    finds one; a refused one is not used, its reason kept in :attr:`refusal`.
+
+    Planned points (``points_total``): a grid run plans its space; an
+    adaptive run the ``max_evals`` its manifest records (at most the
+    space), or its stored rows once the complete marker exists; a ladder
+    with no budget ``None``, unknown.  ``ttl_s`` overrides the manifest's
+    lease TTL; ``clock`` stamps every age.
     """
 
-    def __init__(self, store_dir) -> None:
+    def __init__(self, store_dir, *, ttl_s: Optional[float] = None,
+                 clock: Optional[LeaseClock] = None) -> None:
         self.store_dir = Path(store_dir)
-        self._store: Optional[ExperimentStore] = None
+        self.clock = clock if clock is not None else LeaseClock()
+        self.reader = TelemetryReader(self.store_dir)
+        self.store: Optional[ExperimentStore] = None
+        self.manifest: Optional[Dict] = None
+        self.refusal: Optional[str] = None
+        self._ttl_s = ttl_s
 
-    def snapshot(self, total: Optional[int] = None, *,
-                 shards: Optional[Dict[str, int]] = None) -> Dict[str, object]:
-        """``points_done``; given the space size ``total``, also the pending
-        points, the lease ``shards`` counts and the ETA over the active
-        leases (at least one)."""
+    @property
+    def ttl_s(self) -> float:
+        """The lease TTL: the override, else the manifest's, else 60 s."""
 
-        if self._store is None:
-            self._store = ExperimentStore(self.store_dir)
+        if self._ttl_s is not None:
+            return float(self._ttl_s)
+        return float((self.manifest or {}).get("ttl_s", DEFAULT_TTL_S))
+
+    def tick(self) -> Dict[str, object]:
+        """``points_done`` and the ``workers`` rows
+        (:func:`~repro.obs.timeline.fold_workers`); with a manifest also
+        ``points_total``/``points_pending`` (``None`` when unknown), the
+        item ``shards`` counts and ``eta_s`` over the active leases."""
+
+        if self.store is None:
+            self.store = ExperimentStore(self.store_dir)
         else:
-            self._store.reload()
-        progress: Dict[str, object] = {"points_done": len(self._store)}
-        if total is not None:
-            pending = max(0, total - len(self._store))
-            progress.update(points_total=total, points_pending=pending)
-            if shards is not None:
-                progress["shards"] = shards
-            progress["eta_s"] = estimate_eta_s(
-                pending, self._store.wall_timings(),
-                max(1, (shards or {}).get("active", 0)))
+            self.store.reload()
+        if self.manifest is None and (self.store_dir / MANIFEST_NAME).exists():
+            try:
+                self.manifest = read_manifest(self.store_dir)
+                self.refusal = None
+            except ValueError as err:
+                self.refusal = str(err)
+        done = len(self.store)
+        progress: Dict[str, object] = {"points_done": done}
+        if self.manifest is not None:
+            ledger = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s,
+                                          clock=self.clock)
+            shards = ledger.status_counts()
+            total = DesignSpace.from_dict(self.manifest["space"]).size
+            if self.manifest["mode"] == "adaptive":
+                budget = self.manifest["strategy"].get("max_evals")
+                if ledger.read_complete() is not None:
+                    total = done
+                else:
+                    total = None if budget is None else min(total, int(budget))
+            pending = None if total is None else max(0, total - done)
+            progress.update(
+                points_total=total, points_pending=pending, shards=shards,
+                eta_s=None if pending is None else estimate_eta_s(
+                    pending, self.store.wall_timings(),
+                    max(1, shards["active"])))
+        self.reader.poll()
+        progress["workers"] = fold_workers(self.reader.events,
+                                           now=self.clock.now())
         return progress
-
-    def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
 
 def format_eta(eta_s: Optional[float]) -> str:
@@ -961,23 +984,6 @@ class Dispatcher:
         else:
             self.shards = None
             self.strategy.setdefault("parts", self.workers)
-            if self.strategy.get("max_evals") is None:
-                # Record the resolved budget in the manifest so progress
-                # tooling (``dse status --eta``) can read it without
-                # constructing a proposer.  Identical to the proposer's own
-                # default, so determinism is unaffected.
-                name = self.strategy.get("name")
-                batch_size = self.strategy.get("batch_size", 4)
-                if name == "bayes":
-                    from repro.dse.adaptive.propose import default_max_evals
-
-                    self.strategy["max_evals"] = default_max_evals(
-                        space.size, batch_size)
-                elif name in ("ehvi", "parego"):
-                    from repro.dse.moo.propose import default_moo_max_evals
-
-                    self.strategy["max_evals"] = default_moo_max_evals(
-                        space.size, batch_size)
         self.ttl_s = float(ttl_s)
         self.jobs = int(jobs)
         self.throttle_s = float(throttle_s)
@@ -987,10 +993,7 @@ class Dispatcher:
         self.respawned = 0
         self.ledger = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s)
         self._procs: List[subprocess.Popen] = []
-        self._progress = StoreProgress(self.store_dir)
-        # One reader for every progress tick, so a tick reads only the
-        # stream records appended since the previous one.
-        self.telemetry = TelemetryReader(self.store_dir)
+        self.view = FleetView(self.store_dir)
 
     # ------------------------------------------------------------------ #
     def prepare(self) -> Path:
@@ -1027,20 +1030,9 @@ class Dispatcher:
 
     # ------------------------------------------------------------------ #
     def progress(self) -> Dict[str, object]:
-        """One snapshot: point counts, item states, the wall_s-driven ETA
-        and the per-worker telemetry rows.
+        """One tick of the dispatcher's :class:`FleetView` (:attr:`view`)."""
 
-        A progress tick costs O(rows and stream records appended since the
-        last tick) -- not a full re-parse of the directory (see
-        :class:`StoreProgress` and :attr:`telemetry`).
-        """
-
-        progress = self._progress.snapshot(
-            self.space.size, shards=self.ledger.status_counts())
-        self.telemetry.poll()
-        progress["workers"] = fold_workers(self.telemetry.events,
-                                           now=self.ledger.clock.now())
-        return progress
+        return self.view.tick()
 
     def _alive(self) -> List[subprocess.Popen]:
         return [proc for proc in self._procs if proc.poll() is None]

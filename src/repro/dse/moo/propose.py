@@ -64,8 +64,9 @@ def default_moo_max_evals(space_size: int, batch_size: int = 4) -> int:
     Frontier recovery needs more evaluations than best-point search (a
     frontier has many members), so the default is half the grid rather
     than the scalar strategies' quarter -- floored at two batches, capped
-    at the grid itself.  Shared with the progress tooling so budget
-    estimates never construct a proposer.
+    at the grid itself.  Shared with
+    :func:`~repro.dse.dispatch.write_manifest`, which records it so the
+    fleet view plans a run's points without constructing a proposer.
     """
 
     return min(max(2 * batch_size, space_size // 2), space_size)

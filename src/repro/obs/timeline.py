@@ -3,24 +3,26 @@
 Each dispatched worker appends to one event stream,
 ``<store>/telemetry/<owner>.jsonl``
 (:class:`repro.dse.dispatch.WorkerTelemetry`): lease events, and span
-records when it traces.  This module reads the streams and folds their
-events into fleet views:
+records when it traces.  This module reads the streams (one reader per
+:class:`repro.dse.dispatch.FleetView`) and folds their events:
 
 * :class:`TelemetryReader` -- the incremental, O(new-rows) reader of the
   streams through the shared append log (:mod:`repro.io.appendlog`).  It
   hands over events in a canonical content ordering and span records,
   validated, in the merge ordering of :mod:`repro.obs.distributed`;
-  :func:`fold_event` is the one fold of the events into totals.
+  :func:`fold_event` is the one fold of the events into totals, and
+  :func:`fold_workers` folds them into the view's per-worker rows.
 * :func:`fold_timeline` -- deterministic aggregation of an event list into
   per-worker and fleet-wide bucket series (points, wall_s, claims, losses,
   heartbeats, cache hits/misses).  Same events in, byte-identical series
   out, regardless of how the events were split across worker files.
 * :func:`detect_stragglers` -- a worker whose rolling points/s falls
-  ``k * MAD`` below the fleet median, or whose last telemetry event is
-  older than a fraction of the lease TTL, is flagged *before* its lease
-  expires -- the early-warning analogue of lease reclaim.
-* :func:`render_top` -- one dashboard frame (pure text, deterministic for
-  a fixed snapshot), which ``repro dse top`` re-renders in place.
+  ``MAD_K`` MADs below the fleet median, or whose last telemetry event is
+  older than half the lease TTL, is flagged *before* its lease expires --
+  the early-warning analogue of lease reclaim.
+* :func:`top_snapshot` and :func:`render_top` -- one dashboard frame from
+  one view tick (pure text, deterministic for a fixed snapshot), which
+  ``repro dse top`` re-renders in place.
 
 All wall-clock readings go through the injectable
 :class:`~repro.dse.dispatch.LeaseClock`, so every series and frame is
@@ -42,12 +44,12 @@ from repro.obs.trace import span
 __all__ = [
     "DEFAULT_BUCKET_S",
     "DEFAULT_WINDOW_BUCKETS",
-    "FleetMonitor",
     "TelemetryReader",
     "detect_stragglers",
     "fold_timeline",
     "render_top",
     "rolling_rates",
+    "top_snapshot",
 ]
 
 #: Default width of one aggregation bucket.
@@ -58,13 +60,13 @@ DEFAULT_WINDOW_BUCKETS = 12
 
 #: Straggler rate test: flag a worker whose rolling points/s falls this
 #: many MADs below the fleet median.
-DEFAULT_MAD_K = 3.0
+MAD_K = 3.0
 
 #: Straggler heartbeat test: flag a worker whose last telemetry event is
 #: older than this fraction of the lease TTL.  Below 1.0 by design -- the
 #: whole point is to flag a stalled (e.g. SIGSTOPped) worker *before* its
 #: lease expires and the reclaim machinery kicks in.
-DEFAULT_STALL_FRACTION = 0.5
+STALL_FRACTION = 0.5
 
 #: Fields of a published bucket (all integers except wall_s).
 _BUCKET_FIELDS = ("points", "replayed", "wall_s", "claims", "renews",
@@ -167,7 +169,7 @@ class TelemetryReader(LogReader):
 def fold_event(row: Dict[str, object], record: Dict[str, object]) -> None:
     """Add one telemetry event to ``row``.
 
-    The one fold behind ``telemetry_summary`` and the timeline:
+    The one fold behind the per-worker rows and the timeline:
     :data:`_ZERO_TOTALS` counts and sums, plus the worker's ``alive`` flag
     (from its start and exit markers), ``last_event`` and latest ``t``.
     """
@@ -189,8 +191,15 @@ def fold_event(row: Dict[str, object], record: Dict[str, object]) -> None:
 
 def fold_workers(events: Sequence[Dict[str, object]], *,
                  now: float) -> Dict[str, Dict[str, object]]:
-    """Fold ordered telemetry events into the per-worker rows of
-    :func:`repro.dse.dispatch.telemetry_summary`, aged at ``now``."""
+    """The ``workers`` rows of a :class:`repro.dse.dispatch.FleetView` tick.
+
+    Per worker: claims, renewals, losses and completed work units,
+    evaluated/replayed points and work wall time, and the age of its latest
+    event at ``now`` (``last_seen_age_s``).  ``alive`` follows the
+    start/exit markers, so a worker that died without its exit marker shows
+    ``alive`` with a growing age.  ``phase`` is the open span traced workers
+    stamp on heartbeats (``None`` untraced or between items).
+    """
 
     rows: Dict[str, Dict[str, object]] = {}
     for record in events:
@@ -328,23 +337,22 @@ def detect_stragglers(workers: Dict[str, Dict[str, object]], *,
                       ttl_s: float,
                       timeline: Optional[Dict[str, object]] = None,
                       window: int = DEFAULT_WINDOW_BUCKETS,
-                      k: float = DEFAULT_MAD_K,
-                      stall_fraction: float = DEFAULT_STALL_FRACTION,
                       ) -> Dict[str, List[str]]:
     """Flag workers that are stalling or falling behind the fleet.
 
-    ``workers`` is a :func:`repro.dse.dispatch.telemetry_summary` mapping.
+    ``workers`` is the per-worker mapping of a
+    :class:`repro.dse.dispatch.FleetView` tick (:func:`fold_workers`).
     Two independent tests, both tuned to fire *before* the lease machinery
     would (so an operator sees the straggler while its lease is still
     active):
 
     * **stall** -- an alive worker whose last telemetry event is older
-      than ``stall_fraction * ttl_s`` (a SIGSTOPped or wedged process
+      than ``STALL_FRACTION * ttl_s`` (a SIGSTOPped or wedged process
       stops emitting long before its lease's TTL runs out);
     * **slow** -- with at least three alive workers, one whose rolling
       points/s over the trailing ``window`` buckets falls more than
-      ``k`` median-absolute-deviations below the fleet median (the MAD is
-      floored at 10% of the median so a perfectly uniform fleet never
+      ``MAD_K`` median-absolute-deviations below the fleet median (the MAD
+      is floored at 10% of the median so a perfectly uniform fleet never
       flags its slowest member over noise).
 
     Returns ``{owner: [reason, ...]}`` for the flagged workers only.
@@ -355,7 +363,7 @@ def detect_stragglers(workers: Dict[str, Dict[str, object]], *,
     flags: Dict[str, List[str]] = {}
     alive = {owner: row for owner, row in workers.items()
              if row.get("alive")}
-    budget_s = stall_fraction * ttl_s
+    budget_s = STALL_FRACTION * ttl_s
     for owner in sorted(alive):
         age = alive[owner].get("last_seen_age_s")
         if isinstance(age, (int, float)) and age > budget_s:
@@ -371,127 +379,54 @@ def detect_stragglers(workers: Dict[str, Dict[str, object]], *,
             median = _median(list(rates.values()))
             mad = _median([abs(rate - median) for rate in rates.values()])
             spread = max(mad, 0.1 * median)
-            threshold = median - k * spread
+            threshold = median - MAD_K * spread
             if median > 0:
                 for owner in sorted(rates):
                     if rates[owner] < threshold:
                         flags.setdefault(owner, []).append(
                             f"slow: {rates[owner]:.3f} points/s vs fleet "
-                            f"median {median:.3f} (k={k:g} MADs below)")
+                            f"median {median:.3f} (k={MAD_K:g} MADs below)")
     return flags
-
-
-# --------------------------------------------------------------------------- #
-# FleetMonitor: the stateful snapshot assembler behind `repro dse top`
-# --------------------------------------------------------------------------- #
-class FleetMonitor:
-    """Incremental fleet snapshots of one dispatched store directory.
-
-    Owns the persistent pieces a live dashboard needs -- the incremental
-    :class:`TelemetryReader` and a
-    :class:`~repro.dse.dispatch.StoreProgress` store view -- so each
-    :meth:`snapshot` tick costs new rows, not a directory re-parse.  Works
-    on any dispatched store from the outside (manifest + work ledger +
-    telemetry), grid or adaptive, no
-    :class:`~repro.dse.dispatch.Dispatcher` object required, so ``dse
-    top`` can watch a fleet some other process (or machine) launched.  A
-    store whose manifest :func:`~repro.dse.dispatch.read_manifest` refuses
-    shows telemetry without point progress.
-
-    Every timestamp flows through the injectable ``clock``
-    (:class:`~repro.dse.dispatch.LeaseClock`), so a fake clock drives the
-    whole dashboard in tests.
-    """
-
-    def __init__(self, store_dir, *,
-                 bucket_s: float = DEFAULT_BUCKET_S,
-                 window: int = DEFAULT_WINDOW_BUCKETS,
-                 ttl_s: Optional[float] = None,
-                 k: float = DEFAULT_MAD_K,
-                 stall_fraction: float = DEFAULT_STALL_FRACTION,
-                 clock=None) -> None:
-        from repro.dse.dispatch import (
-            DEFAULT_TTL_S,
-            LeaseClock,
-            StoreProgress,
-            read_manifest,
-        )
-
-        self.store_dir = Path(store_dir)
-        self.bucket_s = float(bucket_s)
-        self.window = int(window)
-        self.k = float(k)
-        self.stall_fraction = float(stall_fraction)
-        self.clock = clock if clock is not None else LeaseClock()
-        self.reader = TelemetryReader(store_dir)
-        try:
-            self.manifest: Optional[Dict[str, object]] = \
-                read_manifest(self.store_dir)
-        except ValueError:
-            self.manifest = None
-        if ttl_s is not None:
-            self.ttl_s = float(ttl_s)
-        elif self.manifest is not None:
-            self.ttl_s = float(self.manifest.get("ttl_s", DEFAULT_TTL_S))
-        else:
-            self.ttl_s = DEFAULT_TTL_S
-        self._store_progress = StoreProgress(self.store_dir)
-
-    def _progress(self) -> Dict[str, object]:
-        """Dispatcher-style progress from the store's own records."""
-
-        from repro.dse.dispatch import WorkLedger
-        from repro.dse.space import DesignSpace
-
-        total = shards = None
-        if self.manifest is not None:
-            total = DesignSpace.from_dict(self.manifest["space"]).size
-            shards = WorkLedger.for_store(self.store_dir, ttl_s=self.ttl_s,
-                                          clock=self.clock).status_counts()
-        try:
-            return self._store_progress.snapshot(total, shards=shards)
-        except (OSError, ValueError):
-            return {}
-
-    def snapshot(self) -> Dict[str, object]:
-        """Poll everything and assemble one :func:`render_top` snapshot."""
-
-        self.reader.poll()
-        now = self.clock.now()
-        events = self.reader.events
-        timeline = fold_timeline(events, bucket_s=self.bucket_s, until_t=now)
-        workers = fold_workers(events, now=now)
-        stragglers = detect_stragglers(workers, ttl_s=self.ttl_s,
-                                       timeline=timeline, window=self.window,
-                                       k=self.k,
-                                       stall_fraction=self.stall_fraction)
-        return {
-            "store": str(self.store_dir),
-            "progress": self._progress(),
-            "workers": workers,
-            "timeline": timeline,
-            "stragglers": stragglers,
-            "ttl_s": self.ttl_s,
-        }
-
-    def close(self) -> None:
-        self._store_progress.close()
 
 
 # --------------------------------------------------------------------------- #
 # The `dse top` frame
 # --------------------------------------------------------------------------- #
+def top_snapshot(view, *, bucket_s: float = DEFAULT_BUCKET_S,
+                 window: int = DEFAULT_WINDOW_BUCKETS) -> Dict[str, object]:
+    """One :func:`render_top` snapshot from one tick of ``view``.
+
+    ``view`` is a :class:`~repro.dse.dispatch.FleetView`: its tick gives
+    the point, work-item and worker rows, and its reader's events fold into
+    the ``bucket_s`` timeline and the straggler flags over the trailing
+    ``window`` buckets, judged against the view's lease TTL.
+    """
+
+    progress = view.tick()
+    workers = progress.pop("workers")
+    timeline = fold_timeline(view.reader.events, bucket_s=bucket_s,
+                             until_t=view.clock.now())
+    return {
+        "store": str(view.store_dir),
+        "progress": progress,
+        "workers": workers,
+        "timeline": timeline,
+        "stragglers": detect_stragglers(workers, ttl_s=view.ttl_s,
+                                        timeline=timeline, window=window),
+    }
+
+
 def render_top(snapshot: Dict[str, object], *,
                window: int = DEFAULT_WINDOW_BUCKETS,
                width: int = 100) -> str:
     """Render one ``dse top`` frame from an assembled snapshot.
 
-    ``snapshot`` carries ``store`` (label), ``progress`` (the
-    dispatcher-style points/shards/eta dict, may be partial), ``workers``
-    (the telemetry summary), ``timeline`` (:func:`fold_timeline` output),
-    ``stragglers`` (:func:`detect_stragglers` output) and ``ttl_s``.  Pure
-    text in, pure text out: a fixed snapshot renders byte-identically,
-    which is what the determinism tests pin.
+    ``snapshot`` is what :func:`top_snapshot` assembles: ``store``
+    (label), ``progress`` (a view tick's points/shards/eta, may be partial;
+    a ``points_total`` of ``None`` shows as ``?``), ``workers``,
+    ``timeline`` and ``stragglers``.  Pure text in, pure text out: a fixed
+    snapshot renders byte-identically, which is what the determinism tests
+    pin.
     """
 
     from repro.visualize.ascii_chart import ascii_sparkline
@@ -507,9 +442,9 @@ def render_top(snapshot: Dict[str, object], *,
 
     header = f"repro dse top -- {snapshot.get('store', '?')}"
     done = progress.get("points_done")
-    total = progress.get("points_total")
-    if done is not None and total is not None:
-        header += f" -- {done}/{total} points"
+    if done is not None and "points_total" in progress:
+        total = progress["points_total"]
+        header += f" -- {done}/{'?' if total is None else total} points"
         pending = progress.get("points_pending")
         if pending:
             header += f" ({pending} pending)"

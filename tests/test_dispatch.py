@@ -36,7 +36,8 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
-from repro.dse.dispatch import WorkerTelemetry, read_telemetry
+from repro.dse.dispatch import WorkerTelemetry
+from repro.obs.timeline import TelemetryReader
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -358,7 +359,9 @@ class TestWorkerLoop:
         store_dir = tmp_path / "store"
         write_manifest(store_dir, space, shards=shards, ttl_s=60.0)
         run_worker(store_dir, owner="solo")
-        (exit_event,) = [event for event in read_telemetry(store_dir)
+        reader = TelemetryReader(store_dir)
+        reader.poll()
+        (exit_event,) = [event for event in reader.events
                          if event["event"] == "worker_exit"]
         counters = exit_event["counters"]
         # Shards hold whole compilations: no point fell back to the serial
@@ -456,7 +459,7 @@ class TestDispatcherLocal:
         with WorkerTelemetry(tmp_path / "store", "w0") as stream:
             stream.emit("worker_start", pid=1)
             assert dispatcher.progress()["workers"]["w0"]["alive"] is True
-            stats = dispatcher.telemetry.scan_stats
+            stats = dispatcher.view.reader.scan_stats
             read = stats["bytes_read"]
             dispatcher.progress()
             assert stats["bytes_read"] == read
@@ -545,6 +548,48 @@ class TestDispatchCli:
         out = capsys.readouterr().out
         assert "2/4 points completed, 2 pending" in out
         assert "ETA: 2 pending points / 2 active worker(s)" in out
+
+    @pytest.mark.parametrize("run", ["grid", "bayes", "bayes-complete",
+                                     "ladder"])
+    def test_top_progress_and_eta_agree_on_planned_points(
+            self, capsys, tmp_path, monkeypatch, run):
+        # One rule plans the points: a grid its space, a bayes run its
+        # budget (4 of these 8 points) until its complete marker makes it
+        # the stored rows, a ladder nothing (unknown).  The dse top header,
+        # Dispatcher.progress() and dse status --eta all read it.
+        space = DesignSpace(apps=("QFT", "BV"), qubits=(8,),
+                            topologies=("L3",), capacities=(6, 8),
+                            gates=("AM1", "FM"))
+        strategy = {"grid": None,
+                    "bayes": {"name": "bayes", "seed": 0, "batch_size": 2},
+                    "ladder": {"name": "adaptive-halving", "seed": 0}}
+        monkeypatch.chdir(tmp_path)
+        dispatcher = Dispatcher(space, "store", workers=1, strategy=strategy[
+            "bayes" if run == "bayes-complete" else run])
+        dispatcher.prepare()
+        with ExperimentStore("store") as store:
+            DSERunner(space, store=store).evaluate(list(space.points())[:2])
+        if run == "bayes-complete":
+            dispatcher.ledger.write_complete({"batches": 1, "evaluations": 2,
+                                              "best": None})
+        total, pending = {"grid": (8, 6), "bayes": (4, 2),
+                          "bayes-complete": (2, 0), "ladder": (None, None)}[run]
+        progress = dispatcher.progress()
+        assert (progress["points_total"], progress["points_pending"]) == \
+            (total, pending)
+        capsys.readouterr()
+        assert main(["dse", "top", "--store", "store", "--once"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert main(["dse", "status", "--store", "store", "--eta"]) == 0
+        eta = capsys.readouterr().out
+        if total is None:
+            assert "-- 2/? points | shards" in header
+            assert "no fixed evaluation budget" in eta
+        else:
+            assert f"-- 2/{total} points" + (
+                f" ({pending} pending)" if pending else "") + " | shards" \
+                in header
+            assert f"ETA: {pending} pending points" in eta
 
     def test_status_eta_without_space_or_manifest_fails(self, capsys, tmp_path):
         store = tmp_path / "store"

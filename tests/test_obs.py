@@ -20,16 +20,16 @@ import pytest
 from repro.cli import main
 from repro.dse import DesignSpace, DSERunner, ExperimentStore
 from repro.dse.dispatch import (
+    FleetView,
     LeaseClock,
     WorkerTelemetry,
     WorkLedger,
-    read_telemetry,
-    telemetry_summary,
 )
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
     MetricsRegistry,
+    TelemetryReader,
     chrome_trace,
     config_fingerprint,
     current_tracer,
@@ -422,7 +422,9 @@ class TestWorkerTelemetry:
         telemetry = self._emit_lifecycle(tmp_path, "worker-a", fake)
         with telemetry.path.open("a", encoding="utf-8") as handle:
             handle.write('{"torn": ')  # a live writer's in-flight append
-        events = read_telemetry(tmp_path)
+        reader = TelemetryReader(tmp_path)
+        reader.poll()
+        events = reader.events
         assert [event["event"] for event in events] == \
             ["worker_start", "claim", "renew", "done", "worker_exit"]
         assert [event["t"] for event in events] == \
@@ -433,7 +435,8 @@ class TestWorkerTelemetry:
         self._emit_lifecycle(tmp_path, "worker-a", fake)
         self._emit_lifecycle(tmp_path, "worker-b", fake, exit_marker=False)
         fake.t += 10.0
-        workers = telemetry_summary(tmp_path, now=fake.t)
+        view = FleetView(tmp_path, clock=LeaseClock(now_fn=fake))
+        workers = view.tick()["workers"]
         assert set(workers) == {"worker-a", "worker-b"}
         row = workers["worker-a"]
         assert (row["claims"], row["renewals"], row["done"],
@@ -448,7 +451,7 @@ class TestWorkerTelemetry:
         assert workers["worker-b"]["last_seen_age_s"] == pytest.approx(10.0)
 
     def test_summary_of_an_undispatched_store_is_empty(self, tmp_path):
-        assert telemetry_summary(tmp_path) == {}
+        assert FleetView(tmp_path).tick()["workers"] == {}
 
     def test_status_workers_cli_prints_the_fleet(self, tmp_path, capsys):
         store_dir = tmp_path / "store"

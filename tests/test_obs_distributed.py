@@ -27,10 +27,10 @@ import pytest
 from repro.cli import main
 from repro.dse import DesignSpace, Dispatcher
 from repro.dse.dispatch import (
+    FleetView,
+    LeaseClock,
     WorkerTelemetry,
-    read_telemetry,
     run_worker,
-    telemetry_summary,
 )
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs import (
@@ -56,11 +56,7 @@ from repro.obs.distributed import (
     drain_records,
     export_records,
 )
-from repro.obs.timeline import (
-    FleetMonitor,
-    TelemetryReader,
-    fold_timeline,
-)
+from repro.obs.timeline import TelemetryReader, fold_timeline, top_snapshot
 from repro.toolflow import ArchitectureConfig, SweepTask
 from repro.toolflow.parallel import run_tasks
 
@@ -88,6 +84,21 @@ def _read_spans(store):
     reader = TelemetryReader(store)
     reader.poll()
     return reader.spans, reader.skip_counts()
+
+
+def read_telemetry(store):
+    """The lease events of a store's streams, as the fleet view reads them."""
+
+    reader = TelemetryReader(store)
+    reader.poll()
+    return reader.events
+
+
+def telemetry_summary(store, *, now=None):
+    """The per-worker rows of one fleet-view tick, aged at ``now``."""
+
+    clock = None if now is None else LeaseClock(now_fn=lambda: now)
+    return FleetView(store, clock=clock).tick()["workers"]
 
 
 # --------------------------------------------------------------------------- #
@@ -626,9 +637,10 @@ class TestStreamFixture:
     <parent>``, then ``PYTHONPATH=<parent>/src python
     tests/data/regen_stream_fixture.py``).  Here the same records go
     through :class:`WorkerTelemetry` into one stream per worker, and the
-    ``repro trace merge`` bundle, ``telemetry_summary``, ``fold_timeline``
-    (less the ``compacted`` key, always empty there) and the ``dse top
-    --once`` frame must equal the parent's byte for byte.
+    ``repro trace merge`` bundle, the worker rows of a :class:`FleetView`
+    tick (``telemetry_summary``), ``fold_timeline`` (less the ``compacted``
+    key, always empty there) and the view's ``dse top --once`` frame must
+    equal the parent's byte for byte.
     """
 
     class FixedClock:
@@ -688,12 +700,8 @@ class TestStreamFixture:
                                         until_t=now), sort_keys=True) == \
             json.dumps(expected, sort_keys=True)
         clock.t = now
-        monitor = FleetMonitor("store", clock=clock)
-        try:
-            frame = render_top(monitor.snapshot(), window=monitor.window)
-        finally:
-            monitor.close()
-        assert frame == parent["top_frame"]
+        assert render_top(top_snapshot(FleetView("store", clock=clock))) == \
+            parent["top_frame"]
 
 
 class TestLivePhase:

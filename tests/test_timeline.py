@@ -14,22 +14,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.dse import DesignSpace
 from repro.dse.dispatch import (
     DEFAULT_TTL_S,
+    FleetView,
     LeaseClock,
     WorkerTelemetry,
-    read_telemetry,
-    telemetry_summary,
+    write_manifest,
 )
 from repro.dse.store import StoreCorruptionWarning
 from repro.obs.timeline import (
     DEFAULT_BUCKET_S,
-    FleetMonitor,
     TelemetryReader,
     detect_stragglers,
     fold_timeline,
     render_top,
     rolling_rates,
+    top_snapshot,
 )
 from repro.visualize.ascii_chart import ascii_sparkline
 
@@ -43,6 +44,14 @@ class FakeClock(LeaseClock):
 
     def advance(self, seconds: float) -> None:
         self.t += seconds
+
+
+def read_telemetry(store_dir):
+    """Every lease event of a store: one poll of a fresh reader."""
+
+    reader = TelemetryReader(store_dir)
+    reader.poll()
+    return reader.events
 
 
 def synthetic_fleet(tmp_path, *, workers=3, rounds=4, clock=None):
@@ -157,7 +166,7 @@ class TestTimelineDeterminism:
     def test_top_frame_is_byte_identical(self, tmp_path):
         clock = synthetic_fleet(tmp_path)
         events = read_telemetry(tmp_path)
-        workers = telemetry_summary(tmp_path, now=clock.now())
+        workers = FleetView(tmp_path, clock=clock).tick()["workers"]
         frames = []
         for rotation in (0, 5):
             shuffled = events[rotation:] + events[:rotation]
@@ -223,7 +232,7 @@ class TestTelemetryReader:
             sort_keys=True) + "\n")
         with pytest.warns(StoreCorruptionWarning,
                           match=r"w0\.seg0\.jsonl:1: an event: \"summary\""):
-            row = telemetry_summary(tmp_path, now=clock.now())["w0"]
+            row = FleetView(tmp_path, clock=clock).tick()["workers"]["w0"]
         assert (row["done"], row["points"], row["last_event"]) == \
             (1, 2, "done")
         with pytest.warns(StoreCorruptionWarning, match="summary"):
@@ -296,15 +305,12 @@ class TestStragglerDetection:
 
 
 # --------------------------------------------------------------------------- #
-class TestFleetMonitor:
+class TestFleetView:
     def test_snapshot_of_undispatched_store(self, tmp_path):
         clock = synthetic_fleet(tmp_path)
-        monitor = FleetMonitor(tmp_path, clock=clock)
-        try:
-            snapshot = monitor.snapshot()
-        finally:
-            monitor.close()
-        assert snapshot["ttl_s"] == DEFAULT_TTL_S
+        view = FleetView(tmp_path, clock=clock)
+        snapshot = top_snapshot(view)
+        assert view.ttl_s == DEFAULT_TTL_S
         assert sorted(snapshot["workers"]) == ["w0", "w1", "w2"]
         frame = render_top(snapshot)
         assert "workers (3):" in frame
@@ -316,15 +322,28 @@ class TestFleetMonitor:
         clock.advance(1.0)
         log.emit("claim", work="s0")
         log.close()
-        monitor = FleetMonitor(tmp_path, ttl_s=10.0, clock=clock)
-        try:
-            assert monitor.snapshot()["stragglers"] == {}
-            clock.advance(6.0)  # past stall_fraction * ttl, before ttl
-            flagged = monitor.snapshot()["stragglers"]
-        finally:
-            monitor.close()
+        view = FleetView(tmp_path, ttl_s=10.0, clock=clock)
+        assert top_snapshot(view)["stragglers"] == {}
+        clock.advance(6.0)  # past half the ttl, before the ttl
+        flagged = top_snapshot(view)["stragglers"]
         assert list(flagged) == ["w0"]
         assert "stalled" in flagged["w0"][0]
+
+    def test_manifest_written_after_the_view_opened_is_read(self, tmp_path):
+        # `dse top` started before `dse dispatch` wrote the manifest: the
+        # view keeps looking, and the first tick that finds it shows the
+        # run's total and judges stalls against the run's lease TTL.
+        view = FleetView(tmp_path, clock=FakeClock())
+        assert top_snapshot(view)["progress"] == {"points_done": 0}
+        space = DesignSpace(apps=("QFT", "BV"), qubits=(8,),
+                            topologies=("L3",), capacities=(6, 8),
+                            gates=("AM1", "FM"))
+        write_manifest(tmp_path, space, shards=2, ttl_s=4.0)
+        snapshot = top_snapshot(view)
+        assert snapshot["progress"]["points_total"] == 8
+        assert view.ttl_s == 4.0
+        assert "-- 0/8 points (8 pending) | shards 0 done" in \
+            render_top(dict(snapshot, store="s"))
 
 
 # --------------------------------------------------------------------------- #
