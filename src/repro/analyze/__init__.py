@@ -11,45 +11,22 @@ Three checkers with one diagnostic vocabulary (see
   (``DT*`` checks).
 
 ``repro check`` is the CLI surface; ``--check`` on ``run``/``sweep``/
-``dse run`` arms :func:`verify_or_raise` on every compile at runtime.
+``dse run`` arms :func:`verify_or_raise` on every compile at runtime.  The
+names below resolve on first access (:mod:`repro._lazy`), so a compile,
+whose ``program.validate()`` runs :func:`quick_validate`, loads the
+verifier alone and not the linter, the race detector or the runtime hook.
 """
 
-from repro.analyze.diagnostics import (
-    CHECKS,
-    Diagnostic,
-    Report,
-    SEVERITIES,
-    check_severity,
-    diag,
-    merge_reports,
-)
-from repro.analyze.lint import lint_paths, lint_source
-from repro.analyze.races import detect_races
-from repro.analyze.runtime import verify_or_raise
-from repro.analyze.verifier import quick_validate, verify_program
-from repro.checks import (
-    StaticAnalysisError,
-    checks_enabled,
-    enable_checks,
-    reset_checks,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKS",
-    "Diagnostic",
-    "Report",
-    "SEVERITIES",
-    "StaticAnalysisError",
-    "check_severity",
-    "checks_enabled",
-    "detect_races",
-    "diag",
-    "enable_checks",
-    "lint_paths",
-    "lint_source",
-    "merge_reports",
-    "quick_validate",
-    "reset_checks",
-    "verify_or_raise",
-    "verify_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analyze.diagnostics": ("CHECKS", "Diagnostic", "Report",
+                                  "SEVERITIES", "check_severity", "diag",
+                                  "merge_reports"),
+    "repro.analyze.lint": ("lint_paths", "lint_source"),
+    "repro.analyze.races": ("detect_races",),
+    "repro.analyze.runtime": ("verify_or_raise",),
+    "repro.analyze.verifier": ("quick_validate", "verify_program"),
+    "repro.checks": ("StaticAnalysisError", "checks_enabled", "enable_checks",
+                     "reset_checks"),
+})

@@ -66,12 +66,21 @@ def _sorted_ids3(a: Optional[int], b: Optional[int],
 
 
 class ProgramBuilder:
-    """Accumulates op records with automatic dependency bookkeeping."""
+    """Accumulates op records with automatic dependency bookkeeping.
+
+    Besides the records, the builder keeps the last op per ion and per trap
+    and one ``(ion,)`` tuple per ion (:meth:`single`).  The records outlive
+    it (a sweep keeps every compiled program), so they hold no operand tuple
+    that another object holds already: a single-qubit gate's ``ions`` is
+    that kept tuple, and the compiler passes a gate's ``qubits`` as the
+    circuit gate's own tuple.
+    """
 
     def __init__(self) -> None:
         self.records: List[tuple] = []
         self._last_for_ion: Dict[int, int] = {}
         self._last_for_trap: Dict[str, int] = {}
+        self._singles: Dict[int, Tuple[int]] = {}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -109,6 +118,14 @@ class ProgramBuilder:
         """The op_id the next emitted operation will receive."""
 
         return len(self.records)
+
+    def single(self, ion: int) -> Tuple[int]:
+        """The one ``(ion,)`` tuple of ``ion``, for the records to share."""
+
+        ions = self._singles.get(ion)
+        if ions is None:
+            ions = self._singles[ion] = (ion,)
+        return ions
 
     # ------------------------------------------------------------------ #
     # Emission helpers, one per primitive

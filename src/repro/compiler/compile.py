@@ -14,7 +14,8 @@ The pass follows Section VI of the paper:
    emit the shuttle primitives, inserting chain-reordering operations where
    the departing state is not at the correct chain end;
 5. emit the gate itself, annotated with the chain length and ion separation
-   the simulator needs to evaluate the performance and fidelity models.
+   the simulator needs to evaluate the performance and fidelity models; its
+   record references the circuit gate's ``qubits`` tuple rather than a copy.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
 def _emit_single_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState) -> None:
     qubit = gate.qubits[0]
     trap = state.trap_of_qubit(qubit)
-    ion = state.ion_of_qubit(qubit)
-    builder.gate(trap=trap, ions=(ion,), qubits=(qubit,), name=gate.name,
+    builder.gate(trap=trap, ions=builder.single(state.ion_of_qubit(qubit)),
+                 qubits=gate.qubits, name=gate.name,
                  chain_length=len(state.chain(trap)))
 
 
@@ -223,7 +224,7 @@ def _emit_two_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState,
     builder.gate(
         trap=trap,
         ions=(ion_a, ion_b),
-        qubits=(qubit_a, qubit_b),
+        qubits=gate.qubits,
         name=gate.name,
         chain_length=len(chain),
         ion_distance=chain.distance_between(ion_a, ion_b),

@@ -71,10 +71,13 @@ class Gate:
     name:
         Gate name, e.g. ``"h"``, ``"cx"``, ``"rz"``, ``"measure"``.
     qubits:
-        Tuple of program-qubit indices the gate acts on.  One index for
+        Program-qubit indices the gate acts on.  One index for
         single-qubit gates and measurements, two for entangling gates.
     params:
-        Optional tuple of real parameters (rotation angles, in radians).
+        Optional real parameters (rotation angles, in radians).
+
+    Both are stored as tuples, whatever sequence is passed, so a gate is
+    hashable and compiled op records can share its ``qubits``.
     """
 
     name: str
@@ -82,6 +85,10 @@ class Gate:
     params: Tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if self.qubits.__class__ is not tuple:
+            object.__setattr__(self, "qubits", tuple(self.qubits))
+        if self.params.__class__ is not tuple:
+            object.__setattr__(self, "params", tuple(self.params))
         kind = classify(self.name)
         expected = 2 if kind is GateKind.TWO_QUBIT else 1
         if kind is GateKind.BARRIER:

@@ -13,16 +13,18 @@ everything a variant does not change:
   finished, so ``finish[i] = max(finish[p] for p in preds[i]) + dur[i]``.
   The walk also advances the zero-communication timeline behind the
   Figure 6b computation/communication split and sums per-trap busy times.
-  It depends on the duration vector alone, so it runs once per *distinct*
-  vector: variants that only change heating/fidelity parameters (and gate
-  variants whose clamped gate times collide) reuse it.
+  It depends on the durations alone, and every op's duration is the value
+  of its slot key (:meth:`~repro.sim.lower.LoweredProgram.slot_values`),
+  so it runs once per *distinct* vector of used-slot values: variants that
+  only change heating/fidelity parameters (and gate variants whose clamped
+  gate times collide) reuse it.
 * **Heating trajectory.**  Chain-energy accounting depends only on the op
   stream and the heating constants ``k1``/``k2``/``k_junction`` -- never on
   durations -- so the trajectory (per-gate chain energies, final trap
   energies, peak occupancy) is computed once per distinct heating vector
   and shared by every gate variant.
 * **Noise pass.**  Per variant only the fidelity-bearing ops are visited:
-  two-qubit/SWAP gates evaluate equation (1) against the cached finish
+  two-qubit/SWAP gates evaluate equation (1) against the cached start
   times and trajectory energies; single-qubit gates and measurements add a
   constant log-fidelity.  The totals are memoised per (timeline,
   trajectory, fidelity parameters) combination, so re-evaluating a seen
@@ -34,6 +36,13 @@ everything a variant does not change:
   :class:`~repro.hardware.device.QCCDDevice` copies (and their topology
   re-validation) that a ``device.with_gate(...)`` loop pays for.
 
+A plan lives as long as its program, and a sweep keeps every program it
+compiled, so each memo layer keeps only what a later step reads (listed on
+:class:`BatchPlan`).  Per two-qubit/SWAP gate that is a start time and a
+chain energy, as packed doubles (``array('d')``): 8 bytes an entry, with no
+float object behind it.  Per-op durations and finish times exist only while
+a walk runs; a per-operation timeline (``keep_timeline``) walks again.
+
 The arithmetic is the seed three-pass engine's, operation for operation, so
 every metric is bit-identical to it: ``tests/seed_engine.py`` keeps the seed
 engine as the test reference, and the determinism goldens pin the results.
@@ -42,6 +51,7 @@ engine as the test reference, and the determinism goldens pin the results.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,6 +76,7 @@ from repro.sim.lower import (
     H_MOVE,
     H_SPLIT,
     MS_PER_SWAP,
+    LoweredProgram,
     lower,
 )
 from repro.sim.results import OperationRecord, SimulationResult
@@ -73,9 +84,16 @@ from repro.sim.results import OperationRecord, SimulationResult
 
 @dataclass(slots=True, eq=False)
 class _Timeline:
-    """Finish times and derived timing metrics of one duration vector."""
+    """Timing metrics of one slot-value vector, as the noise pass reads them.
 
-    finish: Tuple[float, ...]
+    ``starts`` holds the start time of each two-qubit/SWAP gate, in
+    noise-pass order (the tuple entries of ``fid_items``), as packed
+    doubles: the walk computes ``finish[i] - duration[i]`` once and keeps
+    nothing else per op.  A per-operation timeline walks again
+    (:func:`_walk`).
+    """
+
+    starts: array
     makespan: float
     computation_time: float
     communication_time: float
@@ -85,9 +103,13 @@ class _Timeline:
 
 @dataclass(slots=True, eq=False)
 class _Trajectory:
-    """Heating state shared by every variant with the same heating constants."""
+    """Heating state shared by every variant with the same heating constants.
 
-    gate_energies: Tuple[float, ...]
+    ``gate_energies`` holds each two-qubit/SWAP gate's chain energy, in
+    noise-pass order, as packed doubles.
+    """
+
+    gate_energies: array
     final_trap_energies: Dict[str, float]
     peak_occupancy: Dict[str, int]
     max_energy: float
@@ -97,27 +119,40 @@ class BatchPlan:
     """The lowered program plus the memo layers shared across variants.
 
     Built once per program (and cached on it, keyed by the identity of the
-    record tuple like the lowering), then reused by every simulation:
+    record tuple like the lowering), then reused by every simulation.  It
+    keeps, for as long as the program lives:
 
-    * duration vectors per (gate, shuttle, single-qubit) parameter slot;
-    * timelines per distinct duration vector (:meth:`timeline_for`);
-    * heating trajectories per distinct ``(k1, k2, k_junction)`` vector;
+    * per (gate, shuttle, single-qubit) parameter triple, the slot values
+      (:meth:`~repro.sim.lower.LoweredProgram.slot_values`, one float per
+      slot key) and their timeline;
+    * per distinct vector of used-slot values, one :class:`_Timeline`
+      (:meth:`timeline_for`): scalars, per-trap busy times and one packed
+      double per two-qubit/SWAP gate;
+    * per distinct ``(k1, k2, k_junction)`` vector, one heating
+      :class:`_Trajectory` (scalars, per-trap dicts, one packed double per
+      two-qubit/SWAP gate);
     * accumulated noise totals per (timeline, trajectory, fidelity
       parameters, background rate) combination;
     * validated :class:`~repro.models.fidelity.FidelityModel` instances per
       parameter set (construction implies validation, so invalid parameters
       raise even when every heavy structure comes from a cache).
+
+    Nothing per op beyond the lowering: per-op durations and finish times
+    live only while a timeline is walked.
     """
 
     def __init__(self, program: QCCDProgram) -> None:
         self.records = program.records
         self.lowered = lower(program)
         self.num_ops = len(self.lowered)
+        #: The slots some op uses, in slot order: their values key a timeline.
+        self._used_slots = tuple(sorted(set(self.lowered.slots)))
 
-        #: (gate, shuttle, single_qubit) -> (durations, timeline)
+        #: (gate, shuttle, single_qubit) -> (slot values, timeline)
         self._duration_slots: Dict[Tuple, Tuple[Tuple[float, ...],
                                                 _Timeline]] = {}
-        #: duration tuple -> _Timeline (content-keyed: equal vectors dedup).
+        #: used-slot values -> _Timeline (content-keyed: two vectors that
+        #: give every op the same duration dedup).
         self._timelines: Dict[Tuple[float, ...], _Timeline] = {}
         #: (k1, k2, k_junction, trap names) -> _Trajectory
         self._trajectories: Dict[Tuple, _Trajectory] = {}
@@ -135,48 +170,26 @@ class BatchPlan:
         self.variants_evaluated = 0
 
     # ------------------------------------------------------------------ #
-    def timeline_for(self, durations: Sequence[float],
+    def timeline_for(self, values: Sequence[float],
                      trap_names: Tuple[str, ...]) -> _Timeline:
-        """The (cached) timeline of one duration vector.
+        """The (cached) timeline of one slot-value vector.
 
-        Equal vectors -- however they were produced -- return the *same*
-        timeline object; this is the duration-vector dedup that lets
+        ``values[slot]`` is the duration of every op in that slot (see
+        :meth:`~repro.sim.lower.LoweredProgram.slot_values`).  The memo is
+        keyed on the values of the slots some op uses, so two vectors that
+        give every op the same duration -- however they were produced --
+        return the *same* timeline object; this is the dedup that lets
         fidelity/heating-only variants skip the walk.
         """
 
-        key = tuple(durations)
+        key = tuple(map(values.__getitem__, self._used_slots))
         timeline = self._timelines.get(key)
         if timeline is not None:
             self.timeline_hits += 1
             return timeline
         self.timelines_built += 1
         lowered = self.lowered
-
-        # Zero-communication durations for the Figure 6b breakdown.  Adding
-        # the zeroed duration is exact: x + 0.0 == x for every value the
-        # accumulator can take (all finish times are >= 0.0).
-        cdur = [0.0 if IS_COMM[code] else dur
-                for code, dur in zip(lowered.codes, durations)]
-        finish: List[float] = []
-        finish_c: List[float] = []
-        fin_append = finish.append
-        fin_c_append = finish_c.append
-        for preds, duration, cduration in zip(lowered.preds, durations, cdur):
-            if preds.__class__ is int:
-                ready = finish[preds]
-                ready_c = finish_c[preds]
-            else:
-                ready = 0.0
-                ready_c = 0.0
-                for p in preds:
-                    value = finish[p]
-                    if value > ready:
-                        ready = value
-                    value = finish_c[p]
-                    if value > ready_c:
-                        ready_c = value
-            fin_append(ready + duration)
-            fin_c_append(ready_c + cduration)
+        durations, finish, finish_c = _walk(lowered, values)
 
         makespan = max(finish, default=0.0)
         computation_time = max(finish_c, default=0.0)
@@ -200,7 +213,10 @@ class BatchPlan:
                 total += durations[index]
             trap_comm_busy[name] = total
 
-        timeline = _Timeline(tuple(finish), makespan, computation_time,
+        starts = array("d", [finish[item[0]] - durations[item[0]]
+                             for item in lowered.fid_items
+                             if item.__class__ is not int])
+        timeline = _Timeline(starts, makespan, computation_time,
                              communication_time, trap_gate_busy, trap_comm_busy)
         self._timelines[key] = timeline
         return timeline
@@ -275,7 +291,7 @@ class BatchPlan:
                 if merged > max_energy:
                     max_energy = merged
 
-        trajectory = _Trajectory(tuple(gate_energies), trap_energy,
+        trajectory = _Trajectory(array("d", gate_energies), trap_energy,
                                  peak_occupancy, max_energy)
         self._trajectories[key] = trajectory
         return trajectory
@@ -292,6 +308,48 @@ class BatchPlan:
         }
 
 
+def _walk(lowered: LoweredProgram, values: Sequence[float]
+          ) -> Tuple[Tuple[float, ...], List[float], List[float]]:
+    """Per-op durations and finish times of one slot-value vector.
+
+    Returns ``(durations, finish, finish_c)``: ``finish[i] = max(finish[p]
+    for p in preds[i]) + durations[i]``, and ``finish_c`` the same walk with
+    communication ops taking no time (the Figure 6b breakdown).  The one
+    walk behind :meth:`BatchPlan.timeline_for` and the per-operation
+    timeline; neither keeps its vectors.
+    """
+
+    slots = lowered.slots
+    durations = tuple(map(values.__getitem__, slots))
+    # Zero-communication durations.  Adding the zeroed duration is exact:
+    # x + 0.0 == x for every value the accumulator can take (all finish
+    # times are >= 0.0).  A slot key's first entry is its ops' kind code.
+    cvalues = [0.0 if IS_COMM[key[0]] else value
+               for key, value in zip(lowered.slot_keys, values)]
+    finish: List[float] = []
+    finish_c: List[float] = []
+    fin_append = finish.append
+    fin_c_append = finish_c.append
+    for preds, duration, cduration in zip(lowered.preds, durations,
+                                          map(cvalues.__getitem__, slots)):
+        if preds.__class__ is int:
+            ready = finish[preds]
+            ready_c = finish_c[preds]
+        else:
+            ready = 0.0
+            ready_c = 0.0
+            for p in preds:
+                value = finish[p]
+                if value > ready:
+                    ready = value
+                value = finish_c[p]
+                if value > ready_c:
+                    ready_c = value
+        fin_append(ready + duration)
+        fin_c_append(ready_c + cduration)
+    return durations, finish, finish_c
+
+
 def batch_plan(program: QCCDProgram) -> BatchPlan:
     """The program's batch plan, built on first use and cached on it."""
 
@@ -303,15 +361,17 @@ def batch_plan(program: QCCDProgram) -> BatchPlan:
     return plan
 
 
-def _noise_pass(plan: BatchPlan, durations: Sequence[float],
-                finish: Sequence[float], gate_energies: Sequence[float],
+def _noise_pass(plan: BatchPlan, values: Sequence[float],
+                starts: Sequence[float], gate_energies: Sequence[float],
                 fidelity_model: FidelityModel, background_rate: float,
                 op_fidelities: Optional[List[float]] = None):
-    """Fidelity accumulation (equation 1) over the cached finish times.
+    """Fidelity accumulation (equation 1) over the cached gate start times.
 
-    Only the fidelity-bearing ops are visited.  ``op_fidelities``, when
-    given, receives each two-qubit/SWAP gate's fidelity at its op index
-    (the per-operation timeline); the fan-out path passes nothing.
+    Only the fidelity-bearing ops are visited.  ``values`` are the slot
+    values; ``starts`` and ``gate_energies`` hold one entry per
+    two-qubit/SWAP gate, in visiting order.  ``op_fidelities``, when given,
+    receives each two-qubit/SWAP gate's fidelity at its op index (the
+    per-operation timeline); the fan-out path passes nothing.
     """
 
     params = fidelity_model.params
@@ -350,11 +410,11 @@ def _noise_pass(plan: BatchPlan, durations: Sequence[float],
                     log_fid += log_measure
             continue
         index, slot, repetitions = item
-        duration = durations[index]
+        duration = values[slot]
         # Background heating of the chain since the start of execution adds
         # to its shuttling-induced energy for the gate error (but is not
         # reported: Figure 6f tracks shuttling-induced energy only).
-        background_energy = background_rate * (finish[index] - duration)
+        background_energy = background_rate * starts[gate_pos]
         one_ms = duration if repetitions == 1 else duration / MS_PER_SWAP
         background = error_rate * one_ms
         motional = instability[slot] * (
@@ -398,11 +458,11 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
     slot_key = (gate, model.shuttle, model.single_qubit)
     slot = plan._duration_slots.get(slot_key)
     if slot is None:
-        durations = plan.lowered.durations(gate, model)
-        timeline = plan.timeline_for(durations, trap_names)
-        plan._duration_slots[slot_key] = (durations, timeline)
+        values = plan.lowered.slot_values(gate, model)
+        timeline = plan.timeline_for(values, trap_names)
+        plan._duration_slots[slot_key] = (values, timeline)
     else:
-        durations, timeline = slot
+        values, timeline = slot
         plan.timeline_hits += 1
     trajectory = plan.trajectory_for(program, heating_params, trap_names)
     background_rate = heating_params.background_rate
@@ -420,18 +480,19 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         op_fidelities = [constant[code] for code in plan.lowered.codes]
         noise = None
     if noise is None:
-        noise = _noise_pass(plan, durations, timeline.finish,
+        noise = _noise_pass(plan, values, timeline.starts,
                             trajectory.gate_energies, fidelity_model,
                             background_rate, op_fidelities)
         plan._noise_memo[noise_key] = noise
     log_fid, background_total, motional_total, num_ms = noise
     records = None
     if keep_timeline:
+        durations, finish, _ = _walk(plan.lowered, values)
         records = [
             OperationRecord(op_id=index, kind=KINDS[code], start=end - duration,
                             finish=end, fidelity=fidelity)
             for index, (code, duration, end, fidelity) in enumerate(zip(
-                plan.lowered.codes, durations, timeline.finish, op_fidelities))
+                plan.lowered.codes, durations, finish, op_fidelities))
         ]
 
     plan.variants_evaluated += 1

@@ -37,13 +37,16 @@ the busy-time accounting:
   accounting).
 
 Every per-op sequence is a tuple of atomic values (ints, strings, floats
-and tuples of those), as is each :meth:`LoweredProgram.durations` vector.
-CPython's cyclic collector stops tracking such a tuple once a collection
-finds everything in it untracked (a nested tuple may take one pass per
-level), whereas it walks a list item by item on every full collection.
+and tuples of those).  CPython's cyclic collector stops tracking such a
+tuple once a collection finds everything in it untracked (a nested tuple
+may take one pass per level), whereas it walks a list item by item on every
+full collection.
 
-:meth:`LoweredProgram.durations` prices the duration vector of one
-``(gate implementation, physical model)`` pair from the slot keys.
+:meth:`LoweredProgram.slot_values` prices one ``(gate implementation,
+physical model)`` pair: one duration per slot key, which is all the
+simulator keeps per variant.  :meth:`LoweredProgram.durations` is its
+per-op gather over ``slots``, built anew on every call; the simulator
+gathers only while it walks a timeline.
 """
 
 from __future__ import annotations
@@ -230,11 +233,12 @@ class LoweredProgram:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def durations(self, gate, model) -> Tuple[float, ...]:
-        """Duration of every op under one gate implementation and model.
+    def slot_values(self, gate, model) -> Tuple[float, ...]:
+        """Duration of every slot key under one gate implementation and model.
 
-        Each distinct slot key is priced once; the vector is then a gather
-        over ``slots``.
+        ``slot_values(...)[slots[i]]`` is op ``i``'s duration.  This is what
+        the simulator keeps per variant: one float per slot key (tens per
+        program), where a per-op vector would hold one per op.
         """
 
         shuttle = model.shuttle
@@ -262,7 +266,16 @@ class LoweredProgram:
             else:  # ION_SWAP
                 value = shuttle.split + shuttle.ion_rotation + shuttle.merge
             values.append(value)
-        return tuple(map(values.__getitem__, self.slots))
+        return tuple(values)
+
+    def durations(self, gate, model) -> Tuple[float, ...]:
+        """Duration of every op under one gate implementation and model.
+
+        The gather of :meth:`slot_values` over ``slots``, built anew on
+        every call; the simulator does not keep it.
+        """
+
+        return tuple(map(self.slot_values(gate, model).__getitem__, self.slots))
 
 
 def lower(program: QCCDProgram) -> LoweredProgram:

@@ -83,3 +83,25 @@ def test_compile_paths_load_no_analyzer(module, tmp_path):
     loaded = _loaded(f"import {module}", tmp_path)
     assert module in loaded
     assert _offending(loaded, ("repro.analyze",)) == []
+
+
+def test_compile_loads_only_the_verifier(tmp_path):
+    """``program.validate()`` runs the verifier's quick check; a compile
+    loads no linter, race detector or ``--check`` runtime hook."""
+
+    loaded = _loaded("from repro.apps import qft_circuit\n"
+                     "from repro.compiler import compile_circuit\n"
+                     "from repro.hardware import build_device\n"
+                     "device = build_device('L3', trap_capacity=6, "
+                     "num_qubits=8)\n"
+                     "compile_circuit(qft_circuit(8), device)", tmp_path)
+    assert "repro.analyze.verifier" in loaded
+    assert _offending(loaded, ("repro.analyze.lint", "repro.analyze.races",
+                               "repro.analyze.runtime")) == []
+
+
+def test_analyze_exports_resolve():
+    import repro.analyze as analyze
+
+    assert [name for name in analyze.__all__
+            if getattr(analyze, name, None) is None] == []

@@ -85,6 +85,18 @@ class TestGateConstruction:
         with pytest.raises(AttributeError):
             gate.name = "cz"
 
+    def test_sequences_are_stored_as_tuples(self):
+        """A list argument becomes a tuple: the gate stays hashable, and a
+        compiled record that shares ``qubits`` holds no list."""
+
+        gate = Gate("cx", [0, 1])
+        assert gate.qubits.__class__ is tuple
+        assert gate == Gate("cx", (0, 1))
+        assert hash(gate) == hash(Gate("cx", (0, 1)))
+        rotation = Gate("rz", [2], [0.5])
+        assert rotation.params.__class__ is tuple
+        assert hash(rotation) == hash(Gate("rz", (2,), (0.5,)))
+
 
 class TestGateProperties:
     def test_symmetric_gates(self):

@@ -3,6 +3,7 @@ program container."""
 
 import dataclasses
 import gc
+from array import array
 
 import pytest
 
@@ -27,8 +28,7 @@ from repro.isa.operations import (
 )
 from repro.isa.program import InitialPlacement, QCCDProgram
 from repro.obs.trace import current_tracer
-from repro.sim import simulate
-from repro.sim.batch import batch_plan
+from repro.sim.batch import batch_plan, simulate_gate_variants
 from repro.sim.lower import lower
 from repro.toolflow import ArchitectureConfig, sweep_microarchitecture
 
@@ -244,29 +244,43 @@ class TestOpRecords:
         already, and it does not visit objects in creation order; the
         deepest nesting here is three (record tuple -> record ->
         dependencies), so three full collections settle every tuple.  A
-        list is never untracked.
+        list is never untracked.  What the batch plan keeps per variant
+        (slot values, timeline keys) is tuples of floats; what it keeps per
+        two-qubit/SWAP gate (start times, chain energies) is packed
+        doubles: one tracked object whose only referent is its type, with
+        no float object per entry for a collection to walk.
         """
 
         program, device = compiled_qft8
-        simulate(program, device)
+        simulate_gate_variants(program, device, ("AM1", "AM2", "PM", "FM"))
         lowered = lower(program)
         plan = batch_plan(program)
-        trap_names = tuple(trap.name for trap in device.topology.traps)
-        durations = lowered.durations(device.gate, device.model)
-        timeline = plan.timeline_for(durations, trap_names)
-        trajectory = plan.trajectory_for(program, device.model.heating,
-                                         trap_names)
+        num_ms = sum(1 for item in lowered.fid_items if item.__class__ is tuple)
+        assert num_ms > 0
+        packed = {}
+        for number, (values, timeline) in enumerate(
+                plan._duration_slots.values()):
+            assert len(values) == len(lowered.slot_keys)
+            packed[f"starts[{number}]"] = timeline.starts
+        for number, trajectory in enumerate(plan._trajectories.values()):
+            packed[f"gate_energies[{number}]"] = trajectory.gate_energies
+        for name, sequence in packed.items():
+            assert isinstance(sequence, array) and sequence.typecode == "d", name
+            assert len(sequence) == num_ms, name
+            assert gc.get_referents(sequence) == [array], name
         sequences = {
             "records": program.records,
             **{name: getattr(lowered, name) for name in
-               ("codes", "resources", "preds", "slots", "fid_items",
-                "heat_items")},
+               ("codes", "resources", "preds", "slots", "slot_keys",
+                "fid_items", "heat_items")},
             **{f"busy_ops[{name!r}]": ids
                for name, ids in lowered.busy_ops.items()},
-            "durations": durations,
-            "finish": timeline.finish,
-            "gate_energies": trajectory.gate_energies,
+            **{f"slot values[{number}]": values for number, (values, _)
+               in enumerate(plan._duration_slots.values())},
+            **{f"timeline key[{number}]": key
+               for number, key in enumerate(plan._timelines)},
         }
+        assert len(plan._duration_slots) == 4
         for _ in range(3):
             gc.collect()
         assert [name for name, sequence in sequences.items()

@@ -208,6 +208,26 @@ class TestTimelineIdentity:
 
 
 class TestPlanCaching:
+    @pytest.mark.parametrize("reorder", REORDERS)
+    def test_slot_values_gather_to_the_seed_durations(self, compiled,
+                                                       reorder):
+        """What a plan keeps per variant, one value per slot key, gives
+        every op the seed engine's duration, bit for bit."""
+
+        for app in APPS:
+            program, device = compiled[app, reorder]
+            lowered = batch_plan(program).lowered
+            for gate in GATES:
+                variant = device.with_gate(gate)
+                expected = [value.hex() for value in
+                            seed_engine._operation_durations(program, variant)]
+                values = lowered.slot_values(variant.gate, variant.model)
+                assert len(values) == len(lowered.slot_keys)
+                assert [values[slot].hex() for slot in lowered.slots] == \
+                    expected, (app, gate)
+                assert [value.hex() for value in lowered.durations(
+                    variant.gate, variant.model)] == expected, (app, gate)
+
     def test_plan_cached_on_program(self, compiled):
         program, device = compiled["QFT", "GS"]
         plan_a = batch_plan(program)
@@ -243,15 +263,23 @@ class TestPlanCaching:
         assert stats["timeline_hits"] == len(models) - 1
 
     def test_duration_vector_collision_dedups(self, compiled):
-        """Equal duration vectors map to the same timeline object."""
+        """Slot-value vectors that give every op the same duration map to
+        the same timeline object, whatever the slots no op uses hold."""
 
         program, device = compiled["QAOA", "GS"]
-        plan = batch_plan(program)
+        plan = BatchPlan(program)
         trap_names = tuple(t.name for t in device.topology.traps)
-        durations = [1.0] * plan.num_ops
-        first = plan.timeline_for(durations, trap_names)
-        second = plan.timeline_for(list(durations), trap_names)
+        values = [1.0] * len(plan.lowered.slot_keys)
+        first = plan.timeline_for(values, trap_names)
+        second = plan.timeline_for(list(values), trap_names)
         assert first is second
+        unused = sorted(set(range(len(values))) - set(plan.lowered.slots))
+        assert unused  # a GS program has no ion-swap op
+        for slot in unused:
+            bumped = list(values)
+            bumped[slot] += 1.0
+            assert plan.timeline_for(bumped, trap_names) is first
+        assert plan.timelines_built == 1
 
     def test_empty_device_list(self, compiled):
         program, _ = compiled["BV", "GS"]
@@ -266,7 +294,7 @@ class TestPlanCaching:
 
 
 class TestTimelineDedupProperty:
-    """Random duration-vector collisions always dedup to one timeline."""
+    """Random slot-value collisions always dedup to one timeline."""
 
     def test_random_collisions_dedup(self, compiled):
         hypothesis = pytest.importorskip("hypothesis")
@@ -275,24 +303,35 @@ class TestTimelineDedupProperty:
 
         program, device = compiled["Adder", "GS"]
         trap_names = tuple(t.name for t in device.topology.traps)
-        num_ops = len(program.operations)
+        lowered = batch_plan(program).lowered
+        num_slots = len(lowered.slot_keys)
+        used = sorted(set(lowered.slots))
+        unused = sorted(set(range(num_slots)) - set(used))
+        assert used and unused
 
         @settings(max_examples=25, deadline=None)
         @given(st.lists(st.floats(min_value=0.0, max_value=1e4,
                                   allow_nan=False, width=32),
-                        min_size=num_ops, max_size=num_ops),
-               st.integers(min_value=2, max_value=5))
-        def check(durations, repeats):
+                        min_size=num_slots, max_size=num_slots),
+               st.integers(min_value=2, max_value=5),
+               st.sampled_from(used))
+        def check(values, repeats, slot):
             plan = BatchPlan(program)  # fresh caches per example
-            timelines = {plan.timeline_for(list(durations), trap_names)
+            timelines = {plan.timeline_for(list(values), trap_names)
                          for _ in range(repeats)}
             assert len(timelines) == 1
             assert plan.timelines_built == 1
             assert plan.timeline_hits == repeats - 1
-            # A perturbed vector must not collide with the original.
-            bumped = list(durations)
-            if bumped:
-                bumped[0] += 1.0
-                assert plan.timeline_for(bumped, trap_names) not in timelines
+            # Changing a slot no op uses changes no duration: same timeline.
+            for other in unused:
+                bumped = list(values)
+                bumped[other] += 1.0
+                assert plan.timeline_for(bumped, trap_names) in timelines
+            assert plan.timelines_built == 1
+            # A vector perturbed in a slot some op uses must not collide
+            # with the original.
+            bumped = list(values)
+            bumped[slot] += 1.0
+            assert plan.timeline_for(bumped, trap_names) not in timelines
 
         check()
