@@ -7,9 +7,9 @@ Records the throughput trajectory of the fast-path rewrite along four axes:
    implementation recorded on the original machine).
 2. **Figure 8-style end-to-end sweep** (capacity x reorder x gate over the
    full suite): serial seed baseline versus the optimized pipeline, plus the
-   warm-cache re-sweep that shows what the program memo buys repeated
-   exploration.  At paper scale on the baseline machine the optimized sweep
-   must be >= 3x the recorded seed time.
+   warm re-sweep on a shared experiment store that shows what replaying
+   stored design points buys repeated exploration.  At paper scale on the
+   baseline machine the optimized sweep must be >= 3x the recorded seed time.
 3. **Operation memory**: slotted versus dict-backed per-op footprint.
 4. **Batched variant fan-out**: the Figure 8-style 96-point sweep's simulate
    share with cold plans (lowering, plans and timelines built on the fly)
@@ -37,9 +37,10 @@ import pytest
 
 from _common import bench_scale, bench_suite, record_bench
 
+from repro.dse.store import ExperimentStore
 from repro.isa.operations import GateOp
 from repro.sim.engine import simulate
-from repro.toolflow import ArchitectureConfig, ProgramCache, sweep_microarchitecture
+from repro.toolflow import ArchitectureConfig, sweep_microarchitecture
 from repro.toolflow.runner import compile_for
 
 BASELINE_PATH = Path(__file__).parent / "data" / "seed_baseline.json"
@@ -139,28 +140,30 @@ def test_fig8_sweep_end_to_end(benchmark):
     topology, capacities = _sweep_spec()
     base = ArchitectureConfig(topology=topology)
 
-    def run_sweep(cache):
+    def run_sweep(store=None):
         return sweep_microarchitecture(suite, capacities=capacities,
                                        gates=SWEEP_GATES, reorders=SWEEP_REORDERS,
-                                       base=base, cache=cache)
+                                       base=base, store=store)
 
     def run_cold_sweep():
         _drop_front_ends(suite.values())
-        return run_sweep(ProgramCache())
+        return run_sweep()
 
     cold_s = _best_of(run_cold_sweep)
-    records = run_sweep(ProgramCache())
+    records = run_sweep()
 
-    warm_cache = ProgramCache()
-    run_sweep(warm_cache)
-    warm_s = _best_of(lambda: run_sweep(warm_cache))
+    # A sweep releases each compilation once all its gate variants are
+    # stored, so what a re-sweep reuses is the store: every point replays.
+    warm_store = ExperimentStore()
+    run_sweep(warm_store)
+    warm_s = _best_of(lambda: run_sweep(warm_store))
 
     baseline = _baseline()
     comparable = _baseline_comparable(baseline)
     print()
     print(f"Fig. 8-style sweep (scale={bench_scale()}, {len(records)} design points):")
     print(f"  optimized, cold cache: {cold_s:8.3f} s")
-    print(f"  optimized, warm cache: {warm_s:8.3f} s   (memoized re-sweep)")
+    print(f"  optimized, warm store: {warm_s:8.3f} s   (store replay)")
     record_bench("pipeline", "fig8_sweep",
                  {"points": len(records), "cold_s": cold_s, "warm_s": warm_s})
     if comparable:
@@ -171,7 +174,7 @@ def test_fig8_sweep_end_to_end(benchmark):
         assert speedup >= 3.0, (
             f"end-to-end sweep speedup {speedup:.2f}x fell below the 3x target"
         )
-    assert warm_s < cold_s, "program cache should make re-sweeps cheaper"
+    assert warm_s < cold_s, "store replay should make re-sweeps cheaper"
 
     benchmark.pedantic(run_cold_sweep, rounds=2, iterations=1)
 
@@ -183,10 +186,10 @@ def test_batch_fanout(benchmark):
     reorder) program is compiled once up front, then simulated under all four
     gate implementations in one batched call per program -- cold (lowering,
     plans and timelines built on the fly) and warm (plans cached by a
-    previous sweep over the same programs, as in any repeated or resumed DSE
-    run).  A second section measures a model-ablation fan-out where all
-    variants share one duration vector.  The recorded ``batch_fanout``
-    schema is documented in ``_common.py``.
+    previous pass over the same programs, as while a sweep or an adaptive
+    run holds a compilation).  A second section measures a model-ablation
+    fan-out where all variants share one duration vector.  The recorded
+    ``batch_fanout`` schema is documented in ``_common.py``.
     """
 
     from dataclasses import replace

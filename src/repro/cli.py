@@ -16,11 +16,12 @@ designers can explore configurations without writing scripts::
     python -m repro run --app QFT --check         # verify every compile
 
 Sweeps share one compiled-program cache per invocation, so design points that
-differ only in the two-qubit gate implementation (or that repeat across
-figures) are compiled once; ``--jobs N`` additionally fans the sweep out to N
-worker processes with identical, deterministic output, and ``--store DIR``
-persists every evaluated design point so an interrupted sweep resumes where
-it stopped.
+differ only in the two-qubit gate implementation are compiled once (and the
+program is released once all of them are stored); ``--jobs N`` additionally
+fans the sweep out to N worker processes with identical, deterministic
+output, and ``--store DIR`` persists every evaluated design point, so an
+interrupted sweep resumes where it stopped and points that repeat across
+figures replay instead of compiling again.
 
 Custom design-space studies run through the ``dse`` family (quickstart)::
 

@@ -70,10 +70,10 @@ class ProgramBuilder:
 
     Besides the records, the builder keeps the last op per ion and per trap
     and one ``(ion,)`` tuple per ion (:meth:`single`).  The records outlive
-    it (a sweep keeps every compiled program), so they hold no operand tuple
-    that another object holds already: a single-qubit gate's ``ions`` is
-    that kept tuple, and the compiler passes a gate's ``qubits`` as the
-    circuit gate's own tuple.
+    it (a program cache or a caller may hold a compiled program for long),
+    so they hold no operand tuple that another object holds already: a
+    single-qubit gate's ``ions`` is that kept tuple, and the compiler
+    passes a gate's ``qubits`` as the circuit gate's own tuple.
     """
 
     def __init__(self) -> None:

@@ -641,7 +641,10 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     serve every item this worker runs; each claim rebinds only the
     runner's shard, provenance and heartbeat.  Shards hold whole
     compilations, so a program compiles once and its gate variants run as
-    one batched fan-out.
+    one batched fan-out.  The runner releases a program once the store view
+    holds a row for every gate of the space at that point, so a grid worker
+    holds only the compilation in flight, while an adaptive worker keeps
+    those with a gate still unseen, which a later proposal may reuse.
 
     Returns ``{"owner", "completed", "lost"}``: item names finished, and
     item names aborted because the lease was reclaimed mid-evaluation.

@@ -12,6 +12,8 @@ any point list a strategy proposes) and the parallel sweep executor of
   compilation, batch-simulated under every gate in a single shared pass
   (:func:`repro.sim.batch.simulate_batch`), exactly like the Figure 8
   driver.
+* **Release.**  Once the store holds a point under every gate of the space,
+  the runner drops that compilation from its program cache.
 * **Deterministic parallelism.**  Tasks run through
   :func:`~repro.toolflow.parallel.run_tasks`; results come back in point
   order for any ``jobs`` value.
@@ -72,7 +74,11 @@ class DSERunner:
         Evaluate only this shard's points (see :class:`Shard`).
     cache:
         Compiled-program cache shared across evaluations (one per runner by
-        default).
+        default).  After each task the runner releases the task's
+        compilation once the store holds a row for every gate in
+        ``space.gates`` at that point, so the cache keeps only the
+        compilations whose gate variants some later point may still ask
+        for.  Reuse across runs goes through a shared ``store``.
     heartbeat:
         Optional no-argument callable invoked after each completed-and-
         persisted task group.  The dispatch worker loop
@@ -237,14 +243,16 @@ class DSERunner:
         # Stream task results: every completed design point is persisted the
         # moment it finishes, so a killed run resumes at point granularity.
         results: List[object] = [None] * len(points)
-        for group, records in zip(groups, iter_tasks(tasks, jobs=self.jobs,
-                                                     cache=self.cache)):
+        for group, task, records in zip(groups, tasks,
+                                        iter_tasks(tasks, jobs=self.jobs,
+                                                   cache=self.cache)):
             for index, record in zip(group, records):
                 results[index] = record
                 self.stats["evaluated"] += 1
                 self.store.add(record_to_row(fingerprints[index],
                                              points[index], record,
                                              provenance=self.provenance))
+            self._release_if_stored(points[group[0]], task.circuit)
             if self.heartbeat is not None:
                 self.heartbeat()
 
@@ -254,6 +262,20 @@ class DSERunner:
             elif kind == ALIAS:
                 results[index] = results[payload]
         return results
+
+    def _release_if_stored(self, point: DesignPoint, circuit: Circuit) -> None:
+        """Drop ``point``'s compilation once every gate of the space is stored.
+
+        Points that differ only in the gate share one compilation, and a
+        stored point replays instead of compiling, so once the store holds
+        each of them no evaluation reads the program again.
+        """
+
+        for gate in self.space.gates:
+            variant = replace(point, config=point.config.with_updates(gate=gate))
+            if self.store.get(self.fingerprint(variant)) is None:
+                return
+        self.cache.release(ProgramCache.key_for(circuit, point.config))
 
     def evaluate_space(self) -> List[object]:
         """Evaluate every point of the space in enumeration order."""

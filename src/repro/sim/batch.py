@@ -28,7 +28,7 @@ everything a variant does not change:
   times and trajectory energies; single-qubit gates and measurements add a
   constant log-fidelity.  The totals are memoised per (timeline,
   trajectory, fidelity parameters) combination, so re-evaluating a seen
-  variant (a warm re-sweep, a resumed run) skips even this pass.  When a
+  variant of a held program skips even this pass.  When a
   per-operation timeline is requested, the same pass records each gate's
   fidelity.
 * **No device churn.**  Variants are evaluated from ``(gate, model)`` pairs
@@ -36,9 +36,9 @@ everything a variant does not change:
   :class:`~repro.hardware.device.QCCDDevice` copies (and their topology
   re-validation) that a ``device.with_gate(...)`` loop pays for.
 
-A plan lives as long as its program, and a sweep keeps every program it
-compiled, so each memo layer keeps only what a later step reads (listed on
-:class:`BatchPlan`).  Per two-qubit/SWAP gate that is a start time and a
+A plan lives as long as its program, which a caller, or the program cache
+of an adaptive run that may reuse it, can hold for long, so each memo layer
+keeps only what a later step reads (listed on :class:`BatchPlan`).  Per two-qubit/SWAP gate that is a start time and a
 chain energy, as packed doubles (``array('d')``): 8 bytes an entry, with no
 float object behind it.  Per-op durations and finish times exist only while
 a walk runs; a per-operation timeline (``keep_timeline``) walks again.

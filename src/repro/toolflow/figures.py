@@ -15,12 +15,15 @@ versions for tests and benchmarks.
 
 All three drivers delegate to the sweeps in :mod:`repro.toolflow.sweep` and
 therefore accept ``jobs`` (parallel worker processes; 1 = serial) and
-``cache`` (a shared :class:`~repro.toolflow.parallel.ProgramCache`, so e.g.
-regenerating Figure 6 after Figure 7 reuses every L6 compilation).  They
-also accept ``store`` (a persistent :class:`~repro.dse.store.ExperimentStore`),
-which makes a figure regeneration resumable: design points already in the
-store are replayed from disk bit-identically instead of recomputed.  The
-assembled series are identical for every ``jobs`` value and store state.
+``cache`` (a :class:`~repro.toolflow.parallel.ProgramCache` whose hit, miss
+and batch counters the caller can read; the sweep releases each compilation
+once all its gate variants are stored, so the cache ends a figure empty).
+They also accept ``store`` (an :class:`~repro.dse.store.ExperimentStore`,
+in memory or persistent), which makes a figure regeneration resumable and
+is how figures share work: design points already in the store are replayed
+bit-identically instead of recomputed, so regenerating Figure 6 after
+Figure 7 on one store compiles nothing.  The assembled series are identical
+for every ``jobs`` value and store state.
 """
 
 from __future__ import annotations

@@ -11,15 +11,20 @@ This module adds the two throughput layers the sweep drivers share:
   durations and fidelities, never the compiled operation sequence, which is
   exactly the sharing :func:`~repro.toolflow.runner.run_gate_variants`
   exploits for Figure 8.  With the cache, *every* sweep (capacity, topology,
-  microarchitecture) shares compilations the same way -- including across
-  separate sweeps in one session.
+  microarchitecture) shares compilations the same way.  A compilation is
+  held only while its sweep still needs it: the DSE runner releases it once
+  every gate of the design space has a stored row at that point.  Separate
+  sweeps reuse each other's work through one shared
+  :class:`~repro.dse.store.ExperimentStore`, which replays whole design
+  points without compiling or simulating.
 * :func:`run_tasks` -- a deterministic sweep executor.  ``jobs=1`` (the
   default) runs in-process against a shared cache; ``jobs>1`` fans tasks out
   to a ``ProcessPoolExecutor`` whose workers each keep a process-local cache
   (their cache/batch counters are merged back into the caller's cache so the
-  CLI summary stays meaningful).  Results always come back in
-  task-submission order, so the produced record list is byte-for-byte
-  independent of the worker count.
+  CLI summary stays meaningful).  A worker's cache keeps every program the
+  worker compiles until the pool shuts down: the caller's runner cannot
+  release them.  Results always come back in task-submission order, so the
+  produced record list is byte-for-byte independent of the worker count.
 
 Gate fan-outs (``SweepTask.gates``) are simulated in one batched call
 (:func:`repro.sim.batch.simulate_gate_variants`): one plan per compiled
@@ -69,6 +74,14 @@ class ProgramCache:
     The cached device is the one the program was compiled for; requests for a
     different gate implementation receive ``device.with_gate(...)`` copies,
     mirroring :func:`~repro.toolflow.runner.run_gate_variants`.
+
+    A program stays held until :meth:`release` drops it.  The DSE runner
+    (:class:`~repro.dse.runner.DSERunner`, behind every sweep and figure
+    function) releases a compilation as soon as its store holds a row for
+    every gate of the design space at that point: from then on every such
+    point replays from the store, so no evaluation reads the program
+    again.  Work repeated across separate sweeps is reused by sharing one
+    :class:`~repro.dse.store.ExperimentStore`, not one cache.
 
     Counters live in a :class:`~repro.obs.metrics.MetricsRegistry` (one per
     cache by default, so separate sweeps count independently) under the
@@ -151,13 +164,25 @@ class ProgramCache:
         self._programs[key] = (program, device)
         return program, device
 
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters, distinct compilations held, batch activity.
+    def release(self, key: Tuple) -> None:
+        """Drop the compilation held under ``key`` (a :meth:`key_for` value).
 
-        The ``batch_*`` keys count batch-engine work done against programs
-        compiled through this cache: plans built (one per program) versus
-        reused across tasks, variants evaluated, and timeline walks performed
-        versus skipped thanks to duration-vector dedup.
+        The program, with its lowering and batch plan, is freed once no
+        caller holds it; a later request for the key compiles again.  A key
+        the cache does not hold is ignored.
+        """
+
+        self._programs.pop(key, None)
+
+    def stats(self) -> Dict[str, int]:
+        """Hit/miss counters, compilations still held, batch activity.
+
+        ``entries`` counts the compilations the cache holds now: those
+        compiled through it and not yet released.  The ``batch_*`` keys
+        count batch-engine work done against programs compiled through this
+        cache: plans built (one per program) versus reused across tasks,
+        variants evaluated, and timeline walks performed versus skipped
+        thanks to duration-vector dedup.
         """
 
         stats = {"hits": self.hits, "misses": self.misses,

@@ -370,9 +370,10 @@ class TestDSERunner:
         runner.evaluate_space()
         # 8 points but only 4 (app x capacity) compilations: the two gate
         # variants of each pair fold into one task, which the batch engine
-        # evaluates in a single pass per compilation.
+        # evaluates in a single pass per compilation.  Each task stores both
+        # gates of the space, so its compilation is released at once.
         stats = runner.cache.stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 4, 4)
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 4, 0)
         assert stats["batch_plans"] == 4
         assert stats["batch_variants"] == 8
 
@@ -579,6 +580,41 @@ class TestStrategies:
         assert rerun.stats["evaluated"] == 0
         assert _rows(first.evaluated) == _rows(second.evaluated)
         assert first.best.as_row() == second.best.as_row()
+
+    @pytest.mark.parametrize("name, knobs, hits, misses, held", [
+        ("greedy", {}, 1, 4, 3),
+        ("bayes", {"max_evals": 12}, 2, 7, 7),
+        ("ehvi", {"max_evals": 12, "objectives": ("fidelity", "runtime")},
+         2, 4, 2),
+        ("random", {"samples": 12}, 0, 7, 7),
+    ])
+    def test_cache_holds_only_compilations_with_unstored_gates(
+            self, qft8, bv8, name, knobs, hits, misses, held):
+        """Adaptive runs keep every cache hit, and the cache ends up holding
+        exactly the compilations some gate of which has no stored row."""
+
+        space = DesignSpace(apps=("QFT", "BV"), topologies=("L3",),
+                            capacities=(6, 8), gates=("AM1", "AM2", "PM", "FM"),
+                            reorders=("GS", "IS"))
+        runner = DSERunner(space, circuits={"QFT": qft8, "BV": bv8})
+        runner.run(make_strategy(name, seed=1, **knobs))
+        cache = runner.cache
+        assert (cache.hits, cache.misses, len(cache)) == (hits, misses, held)
+
+        stored_gates = {}
+        for point in space.points():
+            compilation = replace(point, config=point.config.with_updates(gate="FM"))
+            gates = stored_gates.setdefault(compilation, set())
+            if runner.store.get(runner.fingerprint(point)) is not None:
+                gates.add(point.config.gate)
+        unfinished = [point for point, gates in stored_gates.items()
+                      if gates and gates != set(space.gates)]
+        assert len(unfinished) == held
+        # Every unfinished compilation is still held: asking for it hits.
+        for point in unfinished:
+            cache.get_or_compile(runner.circuit_for(point.app, point.qubits),
+                                 point.config)
+        assert (cache.hits, cache.misses) == (hits + held, misses)
 
     def test_successive_halving_narrows_to_full_scale(self):
         space = DesignSpace(apps=("QFT", "BV"), qubits=(16,), topologies=("L3",),

@@ -277,25 +277,42 @@ class TestSweepIntegration:
                [_record_identity(r) for r in parallel]
 
     def test_microarchitecture_cache_hit_counters(self, small_suite):
-        """Each (app, capacity, reorder) compiles once; repeats hit the cache."""
+        """Each (app, capacity, reorder) compiles once and is released once
+        its gates are stored; a shared store replays a repeated sweep."""
+
+        from repro.dse.store import CachedRecord, ExperimentStore
 
         base = ArchitectureConfig(topology="L3", trap_capacity=6)
         cache = ProgramCache()
-        sweep_microarchitecture(small_suite, capacities=(6,), gates=("AM1", "FM"),
-                                reorders=("GS",), base=base, cache=cache)
+        store = ExperimentStore()
+
+        def first_sweep():
+            return sweep_microarchitecture(
+                small_suite, capacities=(6,), gates=("AM1", "FM"),
+                reorders=("GS",), base=base, cache=cache, store=store)
+
+        first = first_sweep()
         # Each app's 2-gate fan-out runs through the batch engine: one plan,
         # two variants, two distinct duration vectors (AM1 vs FM never
-        # collide), no timeline dedup within the pair.
+        # collide), no timeline dedup within the pair.  Both gates of the
+        # sweep are then stored, so no compilation stays held.
         assert cache.stats() == _stats(
-            misses=len(small_suite), entries=len(small_suite),
+            misses=len(small_suite), entries=0,
             batch_plans=len(small_suite), batch_variants=2 * len(small_suite),
             batch_timelines=2 * len(small_suite))
         sweep_microarchitecture(small_suite, capacities=(6,), gates=("PM",),
                                 reorders=("GS",), base=base, cache=cache)
         # Single-gate points are not folded into a gates tuple, so the second
-        # sweep takes the serial path: cache hits, no new batch activity.
+        # sweep takes the serial path: no new batch activity.  The first
+        # sweep released its programs, so this one compiles them again.
         assert cache.stats() == _stats(
-            hits=len(small_suite), misses=len(small_suite),
-            entries=len(small_suite),
+            misses=2 * len(small_suite), entries=0,
             batch_plans=len(small_suite), batch_variants=2 * len(small_suite),
             batch_timelines=2 * len(small_suite))
+        # Re-running the first sweep on its store compiles nothing: every
+        # point replays from the store.
+        again = first_sweep()
+        assert cache.misses == 2 * len(small_suite)
+        assert all(isinstance(record, CachedRecord) for record in again)
+        assert [record.as_row() for record in again] == \
+               [record.as_row() for record in first]
