@@ -22,7 +22,7 @@ gate implementations for a 16-qubit QFT), extracts its true
 and reports how many evaluations each needed to recover the frontier and
 how much hypervolume each accumulated per batch.
 
-Smoke mode (used by the ``moo-smoke`` CI job)::
+Smoke mode (the second step of the ``adaptive-smoke`` CI job)::
 
     python examples/dse_moo.py --smoke
 

@@ -441,15 +441,16 @@ def _add_dse_parsers(subparsers) -> None:
                      help="starting proxy size for --strategy "
                           "halving/adaptive-halving (default: 12)")
     run.add_argument("--batch-size", type=_positive_int, default=4,
-                     help="points per proposal batch for --strategy bayes "
-                          "(default: 4)")
+                     help="points per proposal batch for --strategy "
+                          "bayes/ehvi/parego (default: 4)")
     run.add_argument("--max-evals", type=_positive_int, default=None,
-                     help="evaluation budget for --strategy bayes (default: "
-                          "a quarter of the grid)")
+                     help="evaluation budget for --strategy "
+                          "bayes/ehvi/parego (default: a quarter of the "
+                          "grid for bayes, half for ehvi/parego)")
     run.add_argument("--surrogate", default=None, choices=["rff", "trees"],
                      help="surrogate model for the adaptive strategies "
-                          "(default: rff for bayes, trees for "
-                          "adaptive-halving)")
+                          "(default: trees for adaptive-halving, rff for "
+                          "bayes/ehvi/parego)")
     run.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes (default: 1 = serial)")
     run.add_argument("--shard", default=None,
@@ -500,13 +501,16 @@ def _add_dse_parsers(subparsers) -> None:
                                "fidelity,runtime)")
     dispatch.add_argument("--batch-size", type=_positive_int, default=4,
                           help="points per proposal batch for --strategy "
-                               "bayes (default: 4)")
+                               "bayes/ehvi/parego (default: 4)")
     dispatch.add_argument("--max-evals", type=_positive_int, default=None,
-                          help="evaluation budget for --strategy bayes "
-                               "(default: a quarter of the grid)")
+                          help="evaluation budget for --strategy "
+                               "bayes/ehvi/parego (default: a quarter of "
+                               "the grid for bayes, half for ehvi/parego)")
     dispatch.add_argument("--surrogate", default=None,
                           choices=["rff", "trees"],
-                          help="surrogate model for an adaptive --strategy")
+                          help="surrogate model for an adaptive --strategy "
+                               "(default: trees for adaptive-halving, rff "
+                               "for bayes/ehvi/parego)")
     dispatch.add_argument("--proxy-qubits", type=_positive_int, default=12,
                           help="starting proxy size for --strategy "
                                "adaptive-halving (default: 12)")
@@ -1034,15 +1038,26 @@ def _cmd_dse_dispatch(args) -> int:
     from repro.dse.dispatch import DEFAULT_TTL_S, format_eta
 
     space = _space_from_args(args)
-    if args.objectives and args.strategy not in ("ehvi", "parego"):
-        # Same guard as `dse run` (make_strategy): a silently dropped
-        # --objectives would dispatch a scalar search the caller believes
-        # is multi-objective.
+    strategy = None
+    if args.strategy != "grid":
+        from repro.dse import make_strategy
+
+        # The spec `dse run` runs is the one the manifest records, validated
+        # by the same guards (a silently dropped --objectives or --metric
+        # would dispatch a search the caller never asked for).
+        try:
+            strategy = make_strategy(
+                args.strategy, seed=args.seed, metric=args.metric,
+                proxy_qubits=args.proxy_qubits, batch_size=args.batch_size,
+                max_evals=args.max_evals, surrogate=args.surrogate,
+                objectives=args.objectives).spec
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
+    elif args.objectives:
+        # A grid dispatch builds no strategy, so it keeps its own guard.
         raise SystemExit(f"error: --objectives only applies to the "
                          f"multi-objective strategies ('ehvi', 'parego'); "
-                         f"use --metric with {args.strategy!r}")
-    strategy = (None if args.strategy == "grid"
-                else _adaptive_strategy_spec(args))
+                         f"use --metric with 'grid'")
     try:
         dispatcher = Dispatcher(
             space, args.store, workers=args.workers, shards=args.shards,
@@ -1122,48 +1137,6 @@ def _print_trace_merge(summary) -> None:
     print(f"Trace merge : {info['spans']} worker spans adopted from "
           f"{info['shards']} shard(s) across {len(info['pids'])} "
           f"process(es){skip_note}")
-
-
-def _adaptive_strategy_spec(args) -> dict:
-    """The manifest strategy spec of ``dse dispatch --strategy <adaptive>``."""
-
-    if args.strategy in ("ehvi", "parego"):
-        from repro.dse import make_strategy
-
-        # Validation (objective names, --metric misuse, batch size) is
-        # make_strategy's -- one guard shared with `dse run`; the resolved
-        # objective list (DEFAULT_OBJECTIVES when the flag is omitted)
-        # comes from the constructed strategy.
-        try:
-            validated = make_strategy(args.strategy, seed=args.seed,
-                                      metric=args.metric,
-                                      batch_size=args.batch_size,
-                                      max_evals=args.max_evals,
-                                      surrogate=args.surrogate,
-                                      objectives=args.objectives)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "objectives": list(validated.objectives),
-                    "batch_size": args.batch_size}
-        if args.max_evals is not None:
-            strategy["max_evals"] = args.max_evals
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
-    elif args.strategy == "bayes":
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "metric": args.metric, "batch_size": args.batch_size}
-        if args.max_evals is not None:
-            strategy["max_evals"] = args.max_evals
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
-    else:
-        strategy = {"name": args.strategy, "seed": args.seed,
-                    "metric": args.metric,
-                    "proxy_qubits": args.proxy_qubits}
-        if args.surrogate is not None:
-            strategy["surrogate"] = args.surrogate
-    return strategy
 
 
 def _print_adaptive_result(summary, strategy, metric) -> None:

@@ -9,8 +9,10 @@ compile/simulate core:
 * :mod:`~repro.dse.store` -- :class:`ExperimentStore`, an append-only JSONL
   store keyed by point fingerprint: dedup, resume-after-kill, shard merge.
 * :mod:`~repro.dse.strategies` -- exhaustive grid, seeded random sampling,
-  greedy coordinate descent and successive halving, all deterministic under
-  a fixed seed for any worker count.
+  greedy coordinate descent, successive halving and the four adaptive
+  strategies (``bayes``, ``adaptive-halving``, ``ehvi``, ``parego``, each
+  a :class:`ProposerStrategy` over its proposer spec), all deterministic
+  under a fixed seed for any worker count.
 * :mod:`~repro.dse.runner` -- :class:`DSERunner`, which drives points through
   the parallel sweep executor with store replay, gate fan-out and
   ``--shard i/N`` support.
@@ -65,10 +67,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.dse.store": ("CachedRecord", "CachedResult", "ExperimentStore",
                         "StoreCorruptionWarning", "record_to_row",
                         "row_to_record"),
-    "repro.dse.strategies": ("ADAPTIVE_STRATEGY_NAMES", "MOO_STRATEGY_NAMES",
-                             "STRATEGY_NAMES", "AdaptiveHalving",
-                             "BayesianOptimization", "CoordinateDescent",
-                             "EHVISearch", "ExhaustiveGrid", "ParEGOSearch",
-                             "RandomSampling", "Strategy", "StrategyResult",
-                             "SuccessiveHalving", "make_strategy"),
+    "repro.dse.strategies": ("MOO_STRATEGY_NAMES", "STRATEGY_NAMES",
+                             "CoordinateDescent", "ExhaustiveGrid",
+                             "ProposerStrategy", "RandomSampling", "Strategy",
+                             "StrategyResult", "SuccessiveHalving",
+                             "make_strategy"),
 })

@@ -1,19 +1,29 @@
-"""Acquisition functions and batch proposers for adaptive search.
+"""The proposers of adaptive search, their one factory and one budget rule.
 
 A *proposer* owns the decision side of an adaptive run: it enumerates the
 candidate points of a :class:`~repro.dse.space.DesignSpace` once, then
 alternates ``next_batch()`` (which points to evaluate next) with
-``ingest()`` (fold the batch's objective values back in).  Crucially, the
-proposal sequence is a pure function of (space, seed, ingested values):
-evaluation results are deterministic, so any executor -- serial,
-``--jobs N``, or a fleet of workers leasing batches off the proposal
-ledger -- reproduces the identical sequence and best point, and a restarted
-proposer regenerates its own history from the ledger.
+``ingest()`` (fold the batch's :meth:`~Proposer.values` back in).
+Crucially, the proposal sequence is a pure function of (space, seed,
+ingested values): evaluation results are deterministic, so any executor --
+serial, ``--jobs N``, or a fleet of workers leasing batches off the
+proposal ledger -- reproduces the identical sequence and best point, and a
+restarted proposer regenerates its own history from the ledger.
 
-* :class:`BayesProposer` -- classic batch Bayesian optimization: a seeded
-  random initial batch, then batches of the top acquisition scorers
-  (expected improvement or UCB) under a surrogate model, within a fixed
-  evaluation budget (default: a quarter of the grid).
+An adaptive strategy *is* its proposer spec: the ``strategy`` entry of a
+dispatch manifest (``{"name": "bayes", "seed": 0, ...}``), which
+:func:`make_proposer` turns into a proposer and
+:func:`default_max_evals` gives its default budget.
+
+* :class:`Proposer` -- what every proposer shares: the candidates, metered
+  ``next_batch``/``ingest``, the values it ingests, the provenance stamp
+  of the rows it asks for, and the outcome its complete marker records.
+* :class:`BatchProposer` -- the batch machine of the budgeted proposers
+  (``bayes`` here, ``ehvi`` and ``parego`` in
+  :mod:`repro.dse.moo.propose`): a seeded random first batch, then the top
+  acquisition scorers, within an evaluation budget.
+* :class:`BayesProposer` -- classic batch Bayesian optimization: expected
+  improvement or UCB under one surrogate model.
 * :class:`AdaptiveHalvingProposer` -- multi-fidelity search over the
   scaled-proxy ladder of :class:`~repro.dse.strategies.SuccessiveHalving`,
   but the survivor set of each rung is chosen by surrogate rank: a
@@ -31,14 +41,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import random
 
 from repro.dse.adaptive.model import PointEncoder, make_surrogate
+from repro.dse.pareto import objective_value
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.obs.metrics import registry as _metrics_registry
 
-#: Strategy names implemented by proposers (mirrored in STRATEGY_NAMES).
-PROPOSER_NAMES = ("bayes", "adaptive-halving")
-
 #: Acquisition functions understood by :class:`BayesProposer`.
 ACQUISITIONS = ("ei", "ucb")
+
+#: The default budget of each budgeted strategy, as the share of the grid
+#: it evaluates: best-point search a quarter, frontier search half (a
+#: frontier has many members).  A ladder sizes itself and has no budget.
+GRID_SHARE = {"bayes": 4, "ehvi": 2, "parego": 2}
 
 
 def _norm_cdf(z: float) -> float:
@@ -64,35 +77,22 @@ def upper_confidence_bound(mean: float, std: float, beta: float = 2.0) -> float:
     return mean + beta * std
 
 
-def _record_proposal(batch: Optional[ProposalBatch], elapsed_s: float) -> None:
-    """Meter one ``next_batch`` call on the process metrics registry."""
+def default_max_evals(name: str, space_size: int,
+                      batch_size: int = 4) -> Optional[int]:
+    """The one budget rule: strategy ``name``'s evaluation budget when its
+    spec gives no ``max_evals``.
 
-    if batch is None:
-        return
-    registry = _metrics_registry()
-    registry.counter("dse.propose.batches").inc()
-    registry.counter("dse.propose.points").inc(len(batch.keys))
-    registry.histogram("dse.propose.latency_s").observe(elapsed_s)
-
-
-def _record_ingest(values: Sequence[float]) -> None:
-    """Meter one ``ingest`` call on the process metrics registry."""
-
-    registry = _metrics_registry()
-    registry.counter("dse.ingest.batches").inc()
-    registry.counter("dse.ingest.values").inc(len(values))
-
-
-def default_max_evals(space_size: int, batch_size: int = 4) -> int:
-    """The bayes evaluation budget when none is given: a quarter of the grid
-    (floored at two batches, capped at the grid itself).
-
-    Shared by :class:`BayesProposer` and
-    :func:`~repro.dse.dispatch.write_manifest`, which records it so the
-    fleet view plans a run's points without constructing a proposer.
+    Its :data:`GRID_SHARE` of the grid, floored at two batches and capped
+    at the grid itself; ``None`` for a strategy without a fixed budget
+    (``adaptive-halving``).  The budgeted proposers default to it, and
+    :func:`~repro.dse.dispatch.write_manifest` records it so the fleet view
+    plans a run's points without constructing a proposer.
     """
 
-    return min(max(2 * batch_size, space_size // 4), space_size)
+    share = GRID_SHARE.get(name)
+    if share is None:
+        return None
+    return min(max(2 * batch_size, space_size // share), space_size)
 
 
 @dataclass(frozen=True)
@@ -113,87 +113,118 @@ class ProposalBatch:
     proxy_qubits: Optional[int] = None
 
 
-class BayesProposer:
-    """Batch Bayesian optimization over a design space.
+class Proposer:
+    """The contract every proposer keeps, whatever executes its batches.
 
-    Parameters
-    ----------
-    space, seed, metric:
-        What is optimised.  The metric only names the objective for
-        provenance; the *values* arrive via :meth:`ingest` (higher is
-        better, as produced by :func:`repro.dse.pareto.objective_value`).
-    batch_size:
-        Points per proposal batch (also the size of the seeded random
-        initialisation batch).
-    max_evals:
-        Total evaluation budget.  Defaults to a quarter of the grid --
-        the operating point the adaptive subsystem is built for.
-    surrogate:
-        ``"rff"`` or ``"trees"`` (see :mod:`repro.dse.adaptive.model`).
-    acquisition:
-        ``"ei"`` (expected improvement, default) or ``"ucb"``.
+    Subclasses set :attr:`name` (the strategy name a spec carries) and
+    implement ``_next_batch``, ``_ingest``, :meth:`best`,
+    :meth:`trace_entry` and the ``evaluations`` count; :meth:`next_batch`
+    and :meth:`ingest` meter every call on the process metrics registry
+    (``dse.propose.*``, ``dse.ingest.*``).
     """
 
-    strategy_name = "bayes"
+    name = ""
 
-    def __init__(self, space: DesignSpace, *, seed: int = 0,
-                 metric: str = "fidelity", batch_size: int = 4,
-                 max_evals: Optional[int] = None, surrogate: str = "rff",
-                 acquisition: str = "ei", ucb_beta: float = 2.0) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if acquisition not in ACQUISITIONS:
-            raise ValueError(f"unknown acquisition {acquisition!r}; "
-                             f"expected one of {ACQUISITIONS}")
+    def __init__(self, space: DesignSpace, *, seed: int, metric: str) -> None:
         self.space = space
         self.seed = seed
+        #: The scalar objective :meth:`best` ranks by (and a scalar
+        #: proposer ingests).
         self.metric = metric
-        self.batch_size = batch_size
         self.candidates: List[DesignPoint] = list(space.points())
+
+    def next_batch(self) -> Optional[ProposalBatch]:
+        """The next batch to evaluate, or ``None`` once the search is done."""
+
+        started = perf_counter()
+        batch = self._next_batch()
+        if batch is not None:
+            registry = _metrics_registry()
+            registry.counter("dse.propose.batches").inc()
+            registry.counter("dse.propose.points").inc(len(batch.keys))
+            registry.histogram("dse.propose.latency_s").observe(
+                perf_counter() - started)
+        return batch
+
+    def ingest(self, batch: ProposalBatch, values: Sequence) -> None:
+        """Fold one evaluated batch back in (:meth:`values`, batch order)."""
+
+        if len(values) != len(batch.keys):
+            raise ValueError(f"batch {batch.number} has {len(batch.keys)} "
+                             f"points but {len(values)} values")
+        self._ingest(batch, values)
+        registry = _metrics_registry()
+        registry.counter("dse.ingest.batches").inc()
+        registry.counter("dse.ingest.values").inc(len(values))
+
+    def values(self, records: Sequence[object]) -> List:
+        """What :meth:`ingest` takes for a batch's evaluated records: each
+        record's :attr:`metric` objective value (higher is better)."""
+
+        return [objective_value(record, self.metric) for record in records]
+
+    def stamp(self) -> Dict[str, object]:
+        """The provenance every row this proposer asks for carries (beside
+        its batch's ``rung`` and ``proxy_qubits``)."""
+
+        return {"strategy": self.name, "seed": self.seed}
+
+    def frontier(self) -> Optional[List[Tuple[int, Tuple[float, ...]]]]:
+        """The Pareto archive of a multi-objective proposer; ``None`` here."""
+
+        return None
+
+    def outcome(self) -> Dict[str, object]:
+        """What a finished run's complete marker records: the evaluation
+        count and the best point."""
+
+        best = self.best()
+        return {"evaluations": self.evaluations,
+                "best": None if best is None else {
+                    "key": best[0], "value": best[1],
+                    "point": self.candidates[best[0]].spec()}}
+
+
+class BatchProposer(Proposer):
+    """The batch machine of the budgeted proposers.
+
+    Owns the encoded candidates, the seeded random initial batch, budget
+    accounting (:func:`default_max_evals` unless ``max_evals`` is given)
+    and the ranking of the unproposed candidates by :meth:`_scores`, the
+    acquisition values a subclass computes once observations exist.
+    """
+
+    def __init__(self, space: DesignSpace, *, seed: int, metric: str,
+                 batch_size: int, max_evals: Optional[int],
+                 surrogate: str) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be a positive integer")
+        super().__init__(space, seed=seed, metric=metric)
+        self.batch_size = batch_size
         if max_evals is None:
-            max_evals = default_max_evals(space.size, batch_size)
+            max_evals = default_max_evals(self.name, space.size, batch_size)
         self.max_evals = min(max_evals, len(self.candidates))
         if self.max_evals < 1:
             raise ValueError("max_evals must allow at least one evaluation")
         self.surrogate_name = surrogate
-        self.acquisition = acquisition
-        self.ucb_beta = ucb_beta
         self._encoder = PointEncoder(space)
         self._features = [self._encoder.encode(point)
                           for point in self.candidates]
-        self._surrogate = make_surrogate(surrogate, self._encoder.dim,
-                                         seed=seed)
         self._rng = random.Random(seed)
-        self._observed: Dict[int, float] = {}
+        self._observed: Dict[int, object] = {}
         self._proposed: set = set()
         self._batches = 0
 
-    # ------------------------------------------------------------------ #
     def spec(self) -> Dict[str, object]:
-        """JSON-safe constructor spec (the manifest's ``strategy`` entry)."""
+        """JSON-safe constructor spec (what :func:`make_proposer` takes)."""
 
-        return {
-            "name": self.strategy_name,
-            "seed": self.seed,
-            "metric": self.metric,
-            "batch_size": self.batch_size,
-            "max_evals": self.max_evals,
-            "surrogate": self.surrogate_name,
-            "acquisition": self.acquisition,
-            "ucb_beta": self.ucb_beta,
-        }
+        return {"name": self.name, "seed": self.seed,
+                "batch_size": self.batch_size, "max_evals": self.max_evals,
+                "surrogate": self.surrogate_name}
 
     @property
     def evaluations(self) -> int:
         return len(self._proposed)
-
-    def next_batch(self) -> Optional[ProposalBatch]:
-        """The next batch to evaluate, or ``None`` when the budget is spent."""
-
-        started = perf_counter()
-        batch = self._next_batch()
-        _record_proposal(batch, perf_counter() - started)
-        return batch
 
     def _next_batch(self) -> Optional[ProposalBatch]:
         remaining = self.max_evals - len(self._proposed)
@@ -220,6 +251,58 @@ class BayesProposer:
         )
 
     def _scores(self, unproposed: Sequence[int]) -> List[float]:
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
+        """A report row describing one ingested batch."""
+
+        return {"batch": batch.number, "proposed": len(batch.keys),
+                "evaluations": self.evaluations}
+
+
+class BayesProposer(BatchProposer):
+    """Batch Bayesian optimization over a design space.
+
+    Parameters
+    ----------
+    space, seed, metric:
+        What is optimised.  The metric names the objective whose values
+        :meth:`values` reads off evaluated records (higher is better, as
+        produced by :func:`repro.dse.pareto.objective_value`).
+    batch_size:
+        Points per proposal batch (also the size of the seeded random
+        initialisation batch).
+    max_evals:
+        Total evaluation budget.  Defaults to a quarter of the grid --
+        the operating point the adaptive subsystem is built for.
+    surrogate:
+        ``"rff"`` or ``"trees"`` (see :mod:`repro.dse.adaptive.model`).
+    acquisition:
+        ``"ei"`` (expected improvement, default) or ``"ucb"``.
+    """
+
+    name = "bayes"
+
+    def __init__(self, space: DesignSpace, *, seed: int = 0,
+                 metric: str = "fidelity", batch_size: int = 4,
+                 max_evals: Optional[int] = None, surrogate: str = "rff",
+                 acquisition: str = "ei", ucb_beta: float = 2.0) -> None:
+        super().__init__(space, seed=seed, metric=metric,
+                         batch_size=batch_size, max_evals=max_evals,
+                         surrogate=surrogate)
+        if acquisition not in ACQUISITIONS:
+            raise ValueError(f"unknown acquisition {acquisition!r}; "
+                             f"expected one of {ACQUISITIONS}")
+        self.acquisition = acquisition
+        self.ucb_beta = ucb_beta
+        self._surrogate = make_surrogate(surrogate, self._encoder.dim,
+                                         seed=seed)
+
+    def spec(self) -> Dict[str, object]:
+        return dict(super().spec(), metric=self.metric,
+                    acquisition=self.acquisition, ucb_beta=self.ucb_beta)
+
+    def _scores(self, unproposed: Sequence[int]) -> List[float]:
         best = max(self._observed.values())
         scores = []
         for index in unproposed:
@@ -230,16 +313,10 @@ class BayesProposer:
                 scores.append(upper_confidence_bound(mean, std, self.ucb_beta))
         return scores
 
-    def ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
-        """Fold one evaluated batch back in (objective values, batch order)."""
-
-        if len(values) != len(batch.keys):
-            raise ValueError(f"batch {batch.number} has {len(batch.keys)} "
-                             f"points but {len(values)} values")
+    def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
         for key, value in zip(batch.keys, values):
             self._observed[key] = float(value)
             self._surrogate.observe(self._features[key], float(value))
-        _record_ingest(values)
 
     def best(self) -> Optional[Tuple[int, float]]:
         """``(candidate index, value)`` of the best observation (ties: earliest)."""
@@ -251,15 +328,12 @@ class BayesProposer:
         return best_key, self._observed[best_key]
 
     def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
-        """A report row describing one ingested batch."""
-
         best = self.best()
-        return {"batch": batch.number, "proposed": len(batch.keys),
-                "evaluations": self.evaluations,
-                "best": None if best is None else best[1]}
+        return dict(super().trace_entry(batch),
+                    best=None if best is None else best[1])
 
 
-class AdaptiveHalvingProposer:
+class AdaptiveHalvingProposer(Proposer):
     """Multi-fidelity scheduler: surrogate-ranked promotion up a proxy ladder.
 
     Rung ``r`` evaluates the surviving candidates with their applications
@@ -274,7 +348,7 @@ class AdaptiveHalvingProposer:
     ``min_survivors``; the final rung runs at the space's true size.
     """
 
-    strategy_name = "adaptive-halving"
+    name = "adaptive-halving"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  metric: str = "fidelity", proxy_qubits: int = 12,
@@ -285,14 +359,11 @@ class AdaptiveHalvingProposer:
                              "(the smallest scaled suite)")
         if min_survivors < 1:
             raise ValueError("min_survivors must be positive")
-        self.space = space
-        self.seed = seed
-        self.metric = metric
+        super().__init__(space, seed=seed, metric=metric)
         self.proxy_qubits = proxy_qubits
         self.surrogate_name = surrogate
         self.min_survivors = min_survivors
         self.ucb_beta = ucb_beta
-        self.candidates: List[DesignPoint] = list(space.points())
         # The proxy ladder only makes sense below the true size; None means
         # "application default" (paper scale, 64-78 qubits).
         real_sizes = [qubits for qubits in space.qubits if qubits is not None]
@@ -309,7 +380,7 @@ class AdaptiveHalvingProposer:
     # ------------------------------------------------------------------ #
     def spec(self) -> Dict[str, object]:
         return {
-            "name": self.strategy_name,
+            "name": self.name,
             "seed": self.seed,
             "metric": self.metric,
             "proxy_qubits": self.proxy_qubits,
@@ -326,12 +397,6 @@ class AdaptiveHalvingProposer:
         if len(self._survivors) <= self.min_survivors:
             return True
         return self._size_cap is not None and self._size >= self._size_cap
-
-    def next_batch(self) -> Optional[ProposalBatch]:
-        started = perf_counter()
-        batch = self._next_batch()
-        _record_proposal(batch, perf_counter() - started)
-        return batch
 
     def _next_batch(self) -> Optional[ProposalBatch]:
         if self._done:
@@ -354,12 +419,8 @@ class AdaptiveHalvingProposer:
             proxy_qubits=self._size,
         )
 
-    def ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
-        if len(values) != len(batch.keys):
-            raise ValueError(f"batch {batch.number} has {len(batch.keys)} "
-                             f"points but {len(values)} values")
+    def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
         scores = dict(zip(batch.keys, (float(v) for v in values)))
-        _record_ingest(values)
         if batch.proxy_qubits is None:
             self._final_scores = scores
             self._done = True
@@ -421,23 +482,22 @@ class AdaptiveHalvingProposer:
         return dict(self.trace[-1], batch=batch.number) if self.trace else {}
 
 
-def make_proposer(space: DesignSpace, spec: Dict[str, object]):
-    """Build a proposer from a manifest/strategy spec dictionary.
+def make_proposer(space: DesignSpace, spec: Dict[str, object]) -> Proposer:
+    """The one proposer factory: build any adaptive strategy's proposer
+    from its spec (a dispatch manifest's ``strategy`` entry less
+    ``parts``, or a proposer's own :meth:`spec`).
 
-    Covers the whole adaptive family: the scalar proposers here and the
-    multi-objective ones of :mod:`repro.dse.moo.propose` (``ehvi``,
-    ``parego``), so the distributed protocol needs a single factory.
+    Its table covers the scalar proposers here and the multi-objective
+    ones of :mod:`repro.dse.moo.propose` (``ehvi``, ``parego``).
     """
 
-    from repro.dse.moo.propose import MOO_PROPOSER_NAMES, make_moo_proposer
+    from repro.dse.moo.propose import EHVIProposer, ParEGOProposer
 
+    table = {cls.name: cls for cls in (BayesProposer, AdaptiveHalvingProposer,
+                                       EHVIProposer, ParEGOProposer)}
     spec = dict(spec)
     name = spec.pop("name", None)
-    if name == "bayes":
-        return BayesProposer(space, **spec)
-    if name == "adaptive-halving":
-        return AdaptiveHalvingProposer(space, **spec)
-    if name in MOO_PROPOSER_NAMES:
-        return make_moo_proposer(space, dict(spec, name=name))
-    raise ValueError(f"unknown adaptive strategy {name!r}; expected one of "
-                     f"{PROPOSER_NAMES + MOO_PROPOSER_NAMES}")
+    if name not in table:
+        raise ValueError(f"unknown adaptive strategy {name!r}; expected one "
+                         f"of {tuple(table)}")
+    return table[name](space, **spec)

@@ -42,7 +42,6 @@ from repro.dse.dispatch import (
     WorkTampered,
     read_manifest,
 )
-from repro.dse.pareto import objective_value
 from repro.dse.runner import DSERunner
 from repro.dse.space import DesignSpace, point_from_spec
 from repro.dse.store import ExperimentStore, row_to_record
@@ -197,15 +196,10 @@ def run_proposer(store_dir, *, poll_s: float = 0.2,
     # store, but never evaluates anything (the workers do).
     index = DSERunner(space, store=store)
     existing = {int(name.split("-")[1]) for name in ledger.work_names()}
-    meta = {"strategy": proposer.strategy_name, "seed": proposer.seed,
-            "metric": proposer.metric}
-    if hasattr(proposer, "objectives"):
-        # Multi-objective runs: the objective list rides in every proposal
-        # part so workers stamp it into row provenance exactly like the
-        # in-process strategy driver does -- serial and dispatched runs of
-        # one study then persist identical raw rows, not only identical
-        # canonical exports.
-        meta["objectives"] = list(proposer.objectives)
+    # Every proposal part carries the proposer's provenance stamp, which
+    # workers put on the rows exactly like the in-process strategy does, so
+    # serial and dispatched runs of one study persist identical raw rows.
+    meta = dict(proposer.stamp(), metric=proposer.metric)
 
     trace: List[Dict[str, object]] = []
     while True:
@@ -223,49 +217,23 @@ def run_proposer(store_dir, *, poll_s: float = 0.2,
                 write_batch(ledger, batch, meta, parts=parts)
         with _span("dse.propose.await", batch=batch.number,
                    points=len(batch.keys)):
-            values = _await_batch(store, index, batch, proposer,
-                                  poll_s=poll_s, tick=tick)
-        proposer.ingest(batch, values)
+            records = _await_batch(store, index, batch, poll_s=poll_s,
+                                   tick=tick)
+        proposer.ingest(batch, proposer.values(records))
         trace.append(proposer.trace_entry(batch))
 
-    best = proposer.best()
-    best_payload = None
-    if best is not None:
-        key, value = best
-        best_payload = {"key": key, "value": value,
-                        "point": proposer.candidates[key].spec()}
-    complete = {
-        "batches": len(trace),
-        "evaluations": proposer.evaluations,
-        "best": best_payload,
-    }
-    if hasattr(proposer, "frontier"):
-        # Multi-objective runs: the complete marker records the Pareto
-        # archive (key, canonical objective values, point spec), so the
-        # frontier of a finished dispatched run is readable without
-        # reconstructing a proposer.
-        complete["objectives"] = list(proposer.objectives)
-        complete["frontier"] = [
-            {"key": key, "values": list(vector),
-             "point": proposer.candidates[key].spec()}
-            for key, vector in proposer.frontier()]
+    complete = dict(batches=len(trace), **proposer.outcome())
     ledger.write_complete(complete)
-    summary = dict(complete)
-    summary["proposals"] = trace
-    return summary
+    return dict(complete, proposals=trace)
 
 
 def _await_batch(store: ExperimentStore, index: DSERunner,
-                 batch: ProposalBatch, proposer, *, poll_s: float,
+                 batch: ProposalBatch, *, poll_s: float,
                  tick: Optional[Callable[[], None]]) -> List[object]:
-    """Block until every point of ``batch`` has a store row; return values.
-
-    Scalar proposers get one :func:`~repro.dse.pareto.objective_value` per
-    point; multi-objective proposers (an ``objectives`` attribute) get the
-    full :func:`~repro.dse.moo.objectives.objective_vector` -- exactly what
-    the in-process strategy drivers feed ``ingest``, so the proposal
-    sequence is identical either way.
-    """
+    """Block until every point of ``batch`` has a store row; return the
+    records, in batch order (what the in-process strategy hands the
+    proposer's ``values``, so the proposal sequence is identical either
+    way)."""
 
     fingerprints = [index.fingerprint(point) for point in batch.points]
     while any(fp not in store for fp in fingerprints):
@@ -273,10 +241,4 @@ def _await_batch(store: ExperimentStore, index: DSERunner,
             tick()
         time.sleep(poll_s)
         store.reload()  # incremental: O(rows appended since last poll)
-    records = [row_to_record(store.get(fp)) for fp in fingerprints]
-    objectives = getattr(proposer, "objectives", None)
-    if objectives is not None:
-        from repro.dse.moo.objectives import objective_vector
-
-        return [objective_vector(record, objectives) for record in records]
-    return [objective_value(record, proposer.metric) for record in records]
+    return [row_to_record(store.get(fp)) for fp in fingerprints]

@@ -513,8 +513,9 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     per-worker ``jobs`` and the fixed ``ledger`` layout marker.  In shards
     mode the shard items ``shard-<i>of<N>`` and the complete marker are
     written *before* the manifest, so a worker never reads a manifest
-    without its work.  A ``bayes``, ``ehvi`` or ``parego`` spec without
-    ``max_evals`` records the default budget its proposer would use, so
+    without its work.  A budgeted strategy's spec without ``max_evals``
+    records the default budget its proposer would use
+    (:func:`~repro.dse.adaptive.propose.default_max_evals`), so
     :class:`FleetView` plans points without building a proposer.
 
     Re-preparing an existing dispatch is allowed only if the space, mode,
@@ -551,16 +552,13 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     if shards is not None:
         manifest["shards"] = int(shards)
     if strategy is not None:
+        from repro.dse.adaptive.propose import default_max_evals
+
         spec = manifest["strategy"] = dict(strategy)
-        if (spec.get("max_evals") is None
-                and spec.get("name") in ("bayes", "ehvi", "parego")):
-            if spec["name"] == "bayes":
-                from repro.dse.adaptive.propose import default_max_evals
-            else:
-                from repro.dse.moo.propose import default_moo_max_evals \
-                    as default_max_evals
-            spec["max_evals"] = default_max_evals(
-                space.size, spec.get("batch_size", 4))
+        budget = default_max_evals(spec.get("name"), space.size,
+                                   spec.get("batch_size", 4))
+        if spec.get("max_evals") is None and budget is not None:
+            spec["max_evals"] = budget
     if path.exists():
         existing = read_manifest(store_dir)
         if (existing.get("space") != manifest["space"]
@@ -671,25 +669,10 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     cache = ProgramCache()
     completed: List[str] = []
     lost: List[str] = []
-    seen_counters: Dict[str, int] = {}
-
-    def counters_delta() -> Dict[str, int]:
-        """Metrics-counter movement since the previous ``done`` event.
-
-        Shipping the *delta* per completion (rather than the running total
-        only at exit) is what lets the timeline attribute cache hits and
-        misses to the bucket they happened in -- and summing the deltas
-        reproduces the exit totals exactly, because counters are integers.
-        """
-
-        current = cache.metrics.counters()
-        moved = {name: value - seen_counters.get(name, 0)
-                 for name, value in current.items()
-                 if value != seen_counters.get(name, 0)}
-        seen_counters.clear()
-        seen_counters.update(current)
-        return moved
-
+    # Each ``done`` event ships the counters' movement since the previous
+    # one, so the timeline attributes cache hits and misses to the bucket
+    # they happened in, and the deltas sum to the exit totals exactly.
+    counted = cache.metrics.snapshot()
     with ExitStack() as logs:
         telemetry = logs.enter_context(
             WorkerTelemetry(store_dir, owner, clock=ledger.clock))
@@ -752,12 +735,14 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
                 continue
             ledger.release(name, owner, done=True)
             completed.append(name)
+            moved = cache.metrics.delta(counted)["counters"]
+            counted = cache.metrics.snapshot()
             telemetry.emit(
                 "done", work=name,
                 points=runner.stats["evaluated"] - before["evaluated"],
                 replayed=runner.stats["reused"] - before["reused"],
                 wall_s=round(time.perf_counter() - started, 6),
-                counters=counters_delta())
+                counters=moved)
             # Flush after every completed item: a SIGKILL later costs only
             # the spans closed since this point.
             telemetry.flush_spans(tracer)
@@ -959,7 +944,8 @@ class Dispatcher:
         (default ``workers``; 0 disables respawning), while unfinished
         work remains.
     strategy:
-        An adaptive strategy spec (``{"name": "bayes", "seed": ...}``).
+        An adaptive strategy spec (``{"name": "bayes", "seed": ...}``, a
+        :class:`~repro.dse.strategies.ProposerStrategy`'s ``spec``).
         Given one, the run is a propose/evaluate search: each proposal
         batch is split into ``workers`` leaseable parts (unless the spec
         sets ``parts``), and the proposer

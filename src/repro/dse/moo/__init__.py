@@ -12,11 +12,12 @@ recovering it from exhaustive sweeps:
   n-D dominance, deterministic tie-breaking, insertion-order invariance.
 * :mod:`~repro.dse.moo.hypervolume` -- exact hypervolume (2-D sweep,
   WFG-style recursion for 3-D and above), seed-free and bit-deterministic.
-* :mod:`~repro.dse.moo.propose` -- the EHVI proposer (one PR 4 surrogate
-  per objective, seeded Monte-Carlo expected hypervolume improvement) and
-  the ParEGO baseline (seeded random-weight Chebyshev scalarization); both
-  run unchanged through ``DSERunner``, ``--jobs N`` and the distributed
-  propose/evaluate ledger.
+* :mod:`~repro.dse.moo.propose` -- the EHVI proposer (one surrogate per
+  objective, seeded Monte-Carlo expected hypervolume improvement) and the
+  ParEGO baseline (seeded random-weight Chebyshev scalarization), both on
+  the batch machine of :mod:`repro.dse.adaptive.propose`, built by its
+  ``make_proposer``; both run unchanged through ``DSERunner``, ``--jobs
+  N`` and the distributed propose/evaluate ledger.
 * :mod:`~repro.dse.moo.frontier` -- record-level frontiers, full-cloud
   report rows with a ``dominated`` column, and the hypervolume indicator
   behind ``dse pareto --hypervolume``.
@@ -39,29 +40,19 @@ from repro.dse.moo.objectives import (
     parse_objectives,
     vector_bounds,
 )
-from repro.dse.moo.propose import (
-    DEFAULT_OBJECTIVES,
-    MOO_PROPOSER_NAMES,
-    EHVIProposer,
-    ParEGOProposer,
-    default_moo_max_evals,
-    make_moo_proposer,
-)
+from repro.dse.moo.propose import DEFAULT_OBJECTIVES, EHVIProposer, ParEGOProposer
 
 __all__ = [
     "DEFAULT_OBJECTIVES",
-    "MOO_PROPOSER_NAMES",
     "REFERENCE_OFFSET",
     "EHVIProposer",
     "ParEGOProposer",
     "ParetoArchive",
     "brute_force_frontier",
     "cloud_rows",
-    "default_moo_max_evals",
     "dominates",
     "hypervolume",
     "hypervolume_improvement",
-    "make_moo_proposer",
     "normalise",
     "normalised_hypervolume",
     "objective_vector",

@@ -1,13 +1,13 @@
 """Multi-objective batch proposers: EHVI and Chebyshev scalarization.
 
-Both proposers speak the exact propose/evaluate contract of
-:mod:`repro.dse.adaptive.propose` -- ``next_batch()`` / ``ingest()`` /
-``best()`` / ``spec()`` -- so they run unchanged through
-:class:`~repro.dse.runner.DSERunner`, ``--jobs N`` worker pools and the
-distributed proposal ledger.  The one extension is that ``ingest`` receives
-*objective vectors* (tuples produced by
-:func:`~repro.dse.moo.objectives.objective_vector`) instead of scalars, and
-a :meth:`frontier` method exposes the current Pareto archive.
+Both proposers run on the batch machine of
+:mod:`repro.dse.adaptive.propose` (:class:`BatchProposer`: seeded first
+batch, budget, metered ``next_batch()`` / ``ingest()``), so they run
+unchanged through :class:`~repro.dse.runner.DSERunner`, ``--jobs N`` worker
+pools and the distributed proposal ledger.  What they add is that their
+``values()`` are *objective vectors*
+(:func:`~repro.dse.moo.objectives.objective_vector`) instead of scalars,
+and that ``frontier()`` exposes the current Pareto archive.
 
 * :class:`EHVIProposer` (``--strategy ehvi``) -- one PR 4 surrogate per
   objective.  A candidate's acquisition score is its expected hypervolume
@@ -35,8 +35,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dse.adaptive.model import PointEncoder, make_surrogate
-from repro.dse.adaptive.propose import ProposalBatch, expected_improvement
+from repro.dse.adaptive.model import make_surrogate
+from repro.dse.adaptive.propose import (
+    BatchProposer,
+    ProposalBatch,
+    expected_improvement,
+)
 from repro.dse.moo.archive import ParetoArchive
 from repro.dse.moo.hypervolume import (
     REFERENCE_OFFSET,
@@ -49,122 +53,47 @@ from repro.dse.moo.objectives import (
     parse_objectives,
     vector_bounds,
 )
-from repro.dse.space import DesignPoint, DesignSpace
-
-#: Strategy names implemented here (mirrored in STRATEGY_NAMES).
-MOO_PROPOSER_NAMES = ("ehvi", "parego")
+from repro.dse.space import DesignSpace
 
 #: Default objective pair: the paper's headline trade-off (Figures 6-8).
 DEFAULT_OBJECTIVES = ("fidelity", "runtime")
 
 
-def default_moo_max_evals(space_size: int, batch_size: int = 4) -> int:
-    """The multi-objective budget when none is given: half the grid.
+class _MOOProposer(BatchProposer):
+    """What the multi-objective proposers add to the batch machine.
 
-    Frontier recovery needs more evaluations than best-point search (a
-    frontier has many members), so the default is half the grid rather
-    than the scalar strategies' quarter -- floored at two batches, capped
-    at the grid itself.  Shared with
-    :func:`~repro.dse.dispatch.write_manifest`, which records it so the
-    fleet view plans a run's points without constructing a proposer.
+    Vector bookkeeping and the Pareto archive; the ingested values are
+    objective vectors, and the rows and the complete marker record the
+    objective list (and the marker the archive).  Subclasses implement
+    :meth:`_scores` (acquisition values for the unproposed candidates once
+    observations exist).
     """
-
-    return min(max(2 * batch_size, space_size // 2), space_size)
-
-
-class _MOOProposer:
-    """Shared state machine of the multi-objective proposers.
-
-    Owns candidate enumeration, the seeded random initial batch, budget
-    accounting, vector bookkeeping and the Pareto archive; subclasses
-    implement :meth:`_scores` (acquisition values for the unproposed
-    candidates once observations exist).
-    """
-
-    strategy_name = "moo"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  objectives=DEFAULT_OBJECTIVES, batch_size: int = 4,
                  max_evals: Optional[int] = None,
                  surrogate: str = "rff") -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        self.space = space
-        self.seed = seed
         self.objectives = parse_objectives(objectives)
-        #: Scalar objective the generic tooling reports on (`best()` and the
-        #: proposer meta): the first named objective.
-        self.metric = self.objectives[0]
-        self.batch_size = batch_size
-        self.candidates: List[DesignPoint] = list(space.points())
-        if max_evals is None:
-            max_evals = default_moo_max_evals(space.size, batch_size)
-        self.max_evals = min(max_evals, len(self.candidates))
-        if self.max_evals < 1:
-            raise ValueError("max_evals must allow at least one evaluation")
-        self.surrogate_name = surrogate
-        self._encoder = PointEncoder(space)
-        self._features = [self._encoder.encode(point)
-                          for point in self.candidates]
-        self._rng = random.Random(seed)
-        self._observed: Dict[int, Tuple[float, ...]] = {}
+        # best() and the proposer meta report on the first objective.
+        super().__init__(space, seed=seed, metric=self.objectives[0],
+                         batch_size=batch_size, max_evals=max_evals,
+                         surrogate=surrogate)
         self._archive = ParetoArchive(len(self.objectives))
-        self._proposed: set = set()
-        self._batches = 0
 
-    # ------------------------------------------------------------------ #
     def spec(self) -> Dict[str, object]:
-        """JSON-safe constructor spec (the manifest's ``strategy`` entry)."""
+        return dict(super().spec(), objectives=list(self.objectives))
 
-        return {
-            "name": self.strategy_name,
-            "seed": self.seed,
-            "objectives": list(self.objectives),
-            "batch_size": self.batch_size,
-            "max_evals": self.max_evals,
-            "surrogate": self.surrogate_name,
-        }
+    def values(self, records: Sequence[object]) -> List[Tuple[float, ...]]:
+        """Each record's :func:`~repro.dse.moo.objectives.objective_vector`."""
 
-    @property
-    def evaluations(self) -> int:
-        return len(self._proposed)
+        return [objective_vector(record, self.objectives)
+                for record in records]
 
-    def next_batch(self) -> Optional[ProposalBatch]:
-        """The next batch to evaluate, or ``None`` when the budget is spent."""
+    def stamp(self) -> Dict[str, object]:
+        return dict(super().stamp(), objectives=list(self.objectives))
 
-        remaining = self.max_evals - len(self._proposed)
-        unproposed = [index for index in range(len(self.candidates))
-                      if index not in self._proposed]
-        if remaining <= 0 or not unproposed:
-            return None
-        count = min(self.batch_size, remaining, len(unproposed))
-        if not self._observed:
-            # Seeded random initialisation; sorted so the batch runs in
-            # enumeration order (deterministic and gate-fold friendly).
-            keys = sorted(self._rng.sample(unproposed, count))
-        else:
-            scored = self._scores(unproposed)
-            ranked = sorted(range(len(unproposed)),
-                            key=lambda i: (-scored[i], unproposed[i]))
-            keys = sorted(unproposed[i] for i in ranked[:count])
-        self._proposed.update(keys)
-        self._batches += 1
-        return ProposalBatch(
-            number=self._batches,
-            keys=tuple(keys),
-            points=tuple(self.candidates[key] for key in keys),
-        )
-
-    def _scores(self, unproposed: Sequence[int]) -> List[float]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def ingest(self, batch: ProposalBatch,
-               values: Sequence[Sequence[float]]) -> None:
-        """Fold one evaluated batch back in (objective vectors, batch order)."""
-
-        if len(values) != len(batch.keys):
-            raise ValueError(f"batch {batch.number} has {len(batch.keys)} "
-                             f"points but {len(values)} values")
+    def _ingest(self, batch: ProposalBatch,
+                values: Sequence[Sequence[float]]) -> None:
         for key, vector in zip(batch.keys, values):
             vector = tuple(float(v) for v in vector)
             if len(vector) != len(self.objectives):
@@ -199,6 +128,16 @@ class _MOOProposer:
 
         return self._archive.items()
 
+    def outcome(self) -> Dict[str, object]:
+        """The scalar outcome plus the objective list and the archive (key,
+        canonical objective values, point spec), so the frontier of a
+        finished dispatched run is readable without a proposer."""
+
+        return dict(super().outcome(), objectives=list(self.objectives),
+                    frontier=[{"key": key, "values": list(vector),
+                               "point": self.candidates[key].spec()}
+                              for key, vector in self.frontier()])
+
     def hypervolume(self) -> float:
         """Normalised hypervolume of the observed set (0 when empty)."""
 
@@ -208,12 +147,8 @@ class _MOOProposer:
         return normalised_hypervolume(self._archive.vectors(), bounds)
 
     def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
-        """A report row describing one ingested batch."""
-
-        return {"batch": batch.number, "proposed": len(batch.keys),
-                "evaluations": self.evaluations,
-                "frontier": len(self._archive),
-                "hypervolume": self.hypervolume()}
+        return dict(super().trace_entry(batch), frontier=len(self._archive),
+                    hypervolume=self.hypervolume())
 
 
 class EHVIProposer(_MOOProposer):
@@ -228,7 +163,7 @@ class EHVIProposer(_MOOProposer):
     and with it the whole proposal sequence -- is deterministic.
     """
 
-    strategy_name = "ehvi"
+    name = "ehvi"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  objectives=DEFAULT_OBJECTIVES, batch_size: int = 4,
@@ -291,7 +226,7 @@ class ParEGOProposer(_MOOProposer):
     EHVI per batch, at the cost of frontier coverage per evaluation.
     """
 
-    strategy_name = "parego"
+    name = "parego"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  objectives=DEFAULT_OBJECTIVES, batch_size: int = 4,
@@ -347,16 +282,3 @@ def _log_guard(value: float) -> float:
     import math
 
     return math.log(max(value, 1e-12))
-
-
-def make_moo_proposer(space: DesignSpace, spec: Dict[str, object]):
-    """Build a multi-objective proposer from a manifest/strategy spec."""
-
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if name == "ehvi":
-        return EHVIProposer(space, **spec)
-    if name == "parego":
-        return ParEGOProposer(space, **spec)
-    raise ValueError(f"unknown multi-objective strategy {name!r}; "
-                     f"expected one of {MOO_PROPOSER_NAMES}")

@@ -17,25 +17,28 @@ same points and reports the same best.
 * :class:`SuccessiveHalving` -- rank all candidates on a cheap scaled-down
   proxy suite, keep the top ``1/eta``, grow the proxy, and only evaluate the
   survivors at full scale.
-* :class:`BayesianOptimization` -- surrogate-guided batch search
-  (:class:`~repro.dse.adaptive.propose.BayesProposer`): seeded random
-  initialisation, then expected-improvement/UCB batches under an
-  incremental surrogate model, within a budget of a quarter of the grid.
-* :class:`AdaptiveHalving` -- the multi-fidelity proxy ladder with
-  surrogate-ranked promotion instead of a fixed eta
-  (:class:`~repro.dse.adaptive.propose.AdaptiveHalvingProposer`).
-* :class:`EHVISearch` / :class:`ParEGOSearch` -- multi-objective frontier
-  search (:mod:`repro.dse.moo`): expected-hypervolume-improvement over one
-  surrogate per objective, and the seeded random-weight Chebyshev
-  scalarization baseline.  Both optimise a named *objective vector*
-  (``--objectives fidelity,runtime``) and report the Pareto archive next
-  to the scalar best.
+* :class:`ProposerStrategy` -- the four adaptive strategies, each one
+  proposer spec (:mod:`repro.dse.adaptive.propose`) driven in-process:
+
+  - ``bayes`` -- surrogate-guided batch search: seeded random
+    initialisation, then expected-improvement/UCB batches under an
+    incremental surrogate model, within a budget of a quarter of the grid;
+  - ``adaptive-halving`` -- the multi-fidelity proxy ladder with
+    surrogate-ranked promotion instead of a fixed eta;
+  - ``ehvi`` / ``parego`` -- multi-objective frontier search
+    (:mod:`repro.dse.moo`): expected-hypervolume-improvement over one
+    surrogate per objective, and the seeded random-weight Chebyshev
+    scalarization baseline, within a budget of half the grid.  Both
+    optimise a named *objective vector* (``--objectives
+    fidelity,runtime``) and report the Pareto archive next to the scalar
+    best.
 
 Every strategy stamps its provenance (name, seed, multi-fidelity rung) into
 the rows it persists (schema v3), so ``dse status --by-strategy`` can
-attribute stored points.  The two adaptive strategies can additionally run
+attribute stored points.  The adaptive strategies can additionally run
 distributed through the propose/evaluate ledger (``repro dse dispatch
---strategy bayes``); the proposal sequence is identical either way.
+--strategy bayes``, with the same spec in the manifest); the proposal
+sequence is identical either way.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ from typing import Dict, List, Optional
 from repro.dse.pareto import OBJECTIVES, best_record, objective_value
 from repro.dse.space import AXES
 
-#: CLI names of the built-in strategies.
+#: CLI names of the built-in strategies.  The last four are adaptive: each
+#: is a :class:`ProposerStrategy` whose proposer
+#: :func:`~repro.dse.adaptive.propose.make_proposer` builds by name.
 STRATEGY_NAMES = ("grid", "random", "greedy", "halving", "bayes",
                   "adaptive-halving", "ehvi", "parego")
-
-#: Strategies that run distributed through the propose/evaluate ledger.
-ADAPTIVE_STRATEGY_NAMES = ("bayes", "adaptive-halving", "ehvi", "parego")
 
 #: The multi-objective members of the family (vector-valued ingest).
 MOO_STRATEGY_NAMES = ("ehvi", "parego")
@@ -294,23 +296,39 @@ class SuccessiveHalving(Strategy):
         return result
 
 
-class _ProposerStrategy(Strategy):
-    """Shared driver for proposer-backed (adaptive) strategies.
+class ProposerStrategy(Strategy):
+    """An adaptive strategy: its proposer spec, driven in-process.
 
-    The strategy side is thin by design: :meth:`run` alternates the
-    proposer's ``next_batch``/``ingest`` with the runner's ``evaluate``,
-    which is *exactly* the loop :func:`repro.dse.adaptive.protocol.run_proposer`
-    drives over the distributed ledger -- one proposer implementation, two
-    executors, identical proposal sequences.
+    ``spec`` is the ``strategy`` entry ``repro dse dispatch`` writes into
+    its manifest (:func:`make_strategy` builds it for both commands;
+    ``name`` picks the proposer, the other keys are its knobs, and the
+    dispatcher adds ``parts`` and the default ``max_evals``), and
+    :func:`~repro.dse.adaptive.propose.make_proposer` turns it into the
+    proposer.  :meth:`run` alternates the proposer's ``next_batch`` /
+    ``ingest`` with the runner's ``evaluate`` -- exactly the loop
+    :func:`repro.dse.adaptive.protocol.run_proposer` drives over the work
+    ledger -- so serial, ``--jobs N`` and dispatched runs propose the same
+    sequence.  A multi-objective spec (``objectives``) also reports the
+    Pareto archive (``result.frontier``) next to the scalar best under the
+    first objective.
     """
 
     shardable = False
 
-    def make_proposer(self, space):  # pragma: no cover - interface
-        raise NotImplementedError
+    def __init__(self, spec: Dict[str, object]) -> None:
+        self.spec = dict(spec)
+        self.name = self.spec["name"]
+        objectives = self.spec.get("objectives")
+        self.objectives = tuple(objectives) if objectives else None
+        # What the result's scalar best ranks by: the first objective of a
+        # multi-objective spec, else its metric.
+        super().__init__(objectives[0] if objectives
+                         else self.spec.get("metric", "fidelity"))
 
     def run(self, runner) -> StrategyResult:
-        proposer = self.make_proposer(runner.space)
+        from repro.dse.adaptive.propose import make_proposer
+
+        proposer = make_proposer(runner.space, self.spec)
         records: List[object] = []
         trace: List[Dict[str, object]] = []
         # Latest record per candidate key: for multi-fidelity proposers the
@@ -320,185 +338,21 @@ class _ProposerStrategy(Strategy):
             batch = proposer.next_batch()
             if batch is None:
                 break
-            runner.provenance = self.provenance(
-                rung=batch.rung, proxy_qubits=batch.proxy_qubits)
+            runner.provenance = dict(proposer.stamp(), rung=batch.rung,
+                                     proxy_qubits=batch.proxy_qubits)
             evaluated = runner.evaluate(list(batch.points))
-            proposer.ingest(batch, [objective_value(record, self.metric)
-                                    for record in evaluated])
-            for key, record in zip(batch.keys, evaluated):
-                key_record[key] = record
+            proposer.ingest(batch, proposer.values(evaluated))
+            key_record.update(zip(batch.keys, evaluated))
             records.extend(evaluated)
             trace.append(proposer.trace_entry(batch))
         result = self._result(records, trace)
         best = proposer.best()
         if best is not None:
             result.best = key_record[best[0]]
+        frontier = proposer.frontier()
+        if frontier is not None:
+            result.frontier = [key_record[key] for key, _ in frontier]
         return result
-
-
-class BayesianOptimization(_ProposerStrategy):
-    """Surrogate-guided batch Bayesian optimization over the space.
-
-    A seeded random initial batch, then batches of the best acquisition
-    scorers (expected improvement by default) under an incremental
-    surrogate (random-Fourier-feature ridge regression or a bagged tree
-    ensemble), within an evaluation budget defaulting to a quarter of the
-    grid.  Deterministic for a fixed seed, for any ``jobs`` value, and for
-    distributed propose/evaluate runs.
-    """
-
-    name = "bayes"
-
-    def __init__(self, seed: int = 0, metric: str = "fidelity",
-                 batch_size: int = 4, max_evals: Optional[int] = None,
-                 surrogate: str = "rff", acquisition: str = "ei") -> None:
-        super().__init__(metric)
-        self.seed = seed
-        self.batch_size = batch_size
-        self.max_evals = max_evals
-        self.surrogate = surrogate
-        self.acquisition = acquisition
-
-    def make_proposer(self, space):
-        from repro.dse.adaptive.propose import BayesProposer
-
-        return BayesProposer(space, seed=self.seed, metric=self.metric,
-                             batch_size=self.batch_size,
-                             max_evals=self.max_evals,
-                             surrogate=self.surrogate,
-                             acquisition=self.acquisition)
-
-
-class AdaptiveHalving(_ProposerStrategy):
-    """Multi-fidelity proxy ladder with surrogate-ranked promotion.
-
-    Like :class:`SuccessiveHalving`, candidates climb the scaled-proxy
-    ladder -- but each rung's survivors are the candidates whose surrogate
-    upper confidence bound still reaches the rung's best observed score
-    (capped at half the rung, floored at ``min_survivors``), instead of a
-    fixed ``1/eta`` fraction.
-    """
-
-    name = "adaptive-halving"
-
-    def __init__(self, seed: int = 0, metric: str = "fidelity",
-                 proxy_qubits: int = 12, surrogate: str = "trees",
-                 min_survivors: int = 1) -> None:
-        super().__init__(metric)
-        self.seed = seed
-        self.proxy_qubits = proxy_qubits
-        self.surrogate = surrogate
-        self.min_survivors = min_survivors
-
-    def make_proposer(self, space):
-        from repro.dse.adaptive.propose import AdaptiveHalvingProposer
-
-        return AdaptiveHalvingProposer(space, seed=self.seed,
-                                       metric=self.metric,
-                                       proxy_qubits=self.proxy_qubits,
-                                       surrogate=self.surrogate,
-                                       min_survivors=self.min_survivors)
-
-
-class _MOOProposerStrategy(Strategy):
-    """Shared driver for the multi-objective proposer strategies.
-
-    Identical loop shape to :class:`_ProposerStrategy` -- and to the
-    distributed proposer of :func:`repro.dse.adaptive.protocol.run_proposer`
-    -- except the ingested values are objective *vectors*
-    (:func:`repro.dse.moo.objectives.objective_vector`), and the result
-    carries the Pareto archive (``result.frontier``) next to the scalar
-    best under the first objective.
-    """
-
-    shardable = False
-
-    def __init__(self, objectives=None, seed: int = 0,
-                 batch_size: int = 4, max_evals: Optional[int] = None,
-                 surrogate: str = "rff") -> None:
-        from repro.dse.moo import DEFAULT_OBJECTIVES, parse_objectives
-
-        self.objectives = parse_objectives(objectives if objectives
-                                           else DEFAULT_OBJECTIVES)
-        super().__init__(self.objectives[0])
-        self.seed = seed
-        self.batch_size = batch_size
-        self.max_evals = max_evals
-        self.surrogate = surrogate
-
-    def provenance(self, *, rung: Optional[int] = None,
-                   proxy_qubits: Optional[int] = None) -> Dict[str, object]:
-        stamp = super().provenance(rung=rung, proxy_qubits=proxy_qubits)
-        stamp["objectives"] = list(self.objectives)
-        return stamp
-
-    def make_proposer(self, space):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def run(self, runner) -> StrategyResult:
-        from repro.dse.moo import objective_vector
-
-        proposer = self.make_proposer(runner.space)
-        records: List[object] = []
-        trace: List[Dict[str, object]] = []
-        key_record: Dict[object, object] = {}
-        while True:
-            batch = proposer.next_batch()
-            if batch is None:
-                break
-            runner.provenance = self.provenance(
-                rung=batch.rung, proxy_qubits=batch.proxy_qubits)
-            evaluated = runner.evaluate(list(batch.points))
-            proposer.ingest(batch, [objective_vector(record, self.objectives)
-                                    for record in evaluated])
-            for key, record in zip(batch.keys, evaluated):
-                key_record[key] = record
-            records.extend(evaluated)
-            trace.append(proposer.trace_entry(batch))
-        result = self._result(records, trace)
-        best = proposer.best()
-        if best is not None:
-            result.best = key_record[best[0]]
-        result.frontier = [key_record[key]
-                           for key, _ in proposer.frontier()]
-        return result
-
-
-class EHVISearch(_MOOProposerStrategy):
-    """Expected-hypervolume-improvement frontier search.
-
-    One surrogate per objective; each batch proposes the candidates whose
-    sampled predictions add the most hypervolume to the current archive.
-    Deterministic for a fixed seed, any ``jobs`` value, and distributed
-    propose/evaluate runs.  Budget defaults to half the grid (frontier
-    recovery needs more points than best-point search).
-    """
-
-    name = "ehvi"
-
-    def make_proposer(self, space):
-        from repro.dse.moo import EHVIProposer
-
-        return EHVIProposer(space, seed=self.seed,
-                            objectives=self.objectives,
-                            batch_size=self.batch_size,
-                            max_evals=self.max_evals,
-                            surrogate=self.surrogate)
-
-
-class ParEGOSearch(_MOOProposerStrategy):
-    """Seeded random-weight Chebyshev scalarization (ParEGO baseline)."""
-
-    name = "parego"
-
-    def make_proposer(self, space):
-        from repro.dse.moo import ParEGOProposer
-
-        return ParEGOProposer(space, seed=self.seed,
-                              objectives=self.objectives,
-                              batch_size=self.batch_size,
-                              max_evals=self.max_evals,
-                              surrogate=self.surrogate)
 
 
 def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
@@ -508,7 +362,15 @@ def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
                   max_evals: Optional[int] = None,
                   surrogate: Optional[str] = None,
                   objectives=None) -> Strategy:
-    """Build a strategy from its CLI name and knobs."""
+    """Build a strategy from its CLI name and knobs.
+
+    An adaptive name gives a :class:`ProposerStrategy` whose spec holds
+    the knobs its proposer reads: ``batch_size`` and ``max_evals`` (when
+    given) for the budgeted ``bayes``, ``ehvi`` and ``parego``,
+    ``proxy_qubits`` for ``adaptive-halving``, ``metric`` for the scalar
+    two and the validated ``objectives`` for the multi-objective two, and
+    ``surrogate`` when given (each proposer has its own default).
+    """
 
     if name in MOO_STRATEGY_NAMES:
         if metric != "fidelity":
@@ -520,31 +382,37 @@ def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
                              f"multi-objective strategy {name!r}; name the "
                              f"objective vector with --objectives instead "
                              f"(e.g. --objectives {metric},{partner})")
-        cls = EHVISearch if name == "ehvi" else ParEGOSearch
-        return cls(objectives=objectives, seed=seed, batch_size=batch_size,
-                   max_evals=max_evals, surrogate=surrogate or "rff")
-    if objectives:
+        from repro.dse.moo import DEFAULT_OBJECTIVES, parse_objectives
+
+        spec = {"name": name, "seed": seed, "objectives": list(
+            parse_objectives(objectives or DEFAULT_OBJECTIVES))}
+    elif objectives:
         raise ValueError(f"--objectives only applies to the multi-objective "
                          f"strategies {MOO_STRATEGY_NAMES}; "
                          f"use --metric with {name!r}")
-    if name == "grid":
+    elif name == "grid":
         return ExhaustiveGrid(metric=metric)
-    if name == "random":
+    elif name == "random":
         if samples is None:
             raise ValueError("random sampling needs --samples")
         return RandomSampling(samples, seed=seed, metric=metric)
-    if name == "greedy":
+    elif name == "greedy":
         return CoordinateDescent(seed=seed, metric=metric)
-    if name == "halving":
+    elif name == "halving":
         return SuccessiveHalving(seed=seed, metric=metric,
                                  proxy_qubits=proxy_qubits)
-    if name == "bayes":
-        return BayesianOptimization(seed=seed, metric=metric,
-                                    batch_size=batch_size,
-                                    max_evals=max_evals,
-                                    surrogate=surrogate or "rff")
-    if name == "adaptive-halving":
-        return AdaptiveHalving(seed=seed, metric=metric,
-                               proxy_qubits=proxy_qubits,
-                               surrogate=surrogate or "trees")
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    elif name == "bayes":
+        spec = {"name": name, "seed": seed, "metric": metric}
+    elif name == "adaptive-halving":
+        spec = {"name": name, "seed": seed, "metric": metric,
+                "proxy_qubits": proxy_qubits}
+    else:
+        raise ValueError(f"unknown strategy {name!r}; "
+                         f"expected one of {STRATEGY_NAMES}")
+    if name != "adaptive-halving":  # the ladder sizes itself: no budget
+        spec["batch_size"] = batch_size
+        if max_evals is not None:
+            spec["max_evals"] = max_evals
+    if surrogate is not None:
+        spec["surrogate"] = surrogate
+    return ProposerStrategy(spec)

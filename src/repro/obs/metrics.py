@@ -1,14 +1,14 @@
 """Process-wide metrics: counters, gauges and histograms with delta-merge.
 
-The registry generalises the hand-rolled counter plumbing that grew in
-:mod:`repro.toolflow.parallel` (``ProgramCache.stats()`` /
-``counters_delta`` / ``merge_counters``) and :mod:`repro.sim.batch`
-(the ``stats=`` dict threaded through ``simulate_batch``): any component
-registers named series, a process-pool worker snapshots before a task and
-ships the :meth:`MetricsRegistry.delta` home with the result, and the
-parent :meth:`MetricsRegistry.merge`\\ s it -- so aggregate counts are
-identical for any ``--jobs`` value (deltas are merged in task-submission
-order, and counters are integers, so there is no float-association drift).
+Any component registers named series (:mod:`repro.sim.batch`'s ``stats=``
+dict drives them through :class:`CounterDict`).  The one counter protocol
+across processes: a ``--jobs`` pool worker snapshots its
+``ProgramCache.metrics`` before a task and ships the
+:meth:`MetricsRegistry.delta` home with the result, and the parent
+:meth:`MetricsRegistry.merge`\\ s it -- so aggregate counts are identical
+for any ``--jobs`` value (deltas are merged in task-submission order, and
+counters are integers, so there is no float-association drift).  A
+dispatched worker's ``done`` events carry the same delta's counters.
 
 Naming convention (see ``docs/observability.md``): dotted lowercase paths,
 ``<component>.<series>`` -- ``cache.hits``, ``cache.batch.variants``,

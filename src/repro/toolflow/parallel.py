@@ -195,37 +195,6 @@ class ProgramCache:
         stats["batch_timeline_hits"] = batch.get("timeline_hits", 0)
         return stats
 
-    def counters_delta(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Counter movement since a previous :meth:`stats` snapshot.
-
-        ``entries`` is excluded: it is the size of this process's memo, not a
-        monotone counter, so deltas across processes are not meaningful.
-        """
-
-        now = self.stats()
-        return {key: now[key] - before.get(key, 0)
-                for key in now if key != "entries"}
-
-    def merge_counters(self, delta: Dict[str, int]) -> None:
-        """Fold a :meth:`counters_delta` from a pool worker into this cache.
-
-        Lets ``jobs>1`` sweeps report aggregate cache/batch activity even
-        though worker processes keep private memos (their *entries* stay
-        process-local and are not merged).
-        """
-
-        self._hits.inc(delta.get("hits", 0))
-        self._misses.inc(delta.get("misses", 0))
-        batch = self.batch
-        for stat_key, raw_key in (("batch_plans", "plans"),
-                                  ("batch_plan_reuses", "plan_reuses"),
-                                  ("batch_variants", "variants"),
-                                  ("batch_timelines", "timelines"),
-                                  ("batch_timeline_hits", "timeline_hits")):
-            value = delta.get(stat_key, 0)
-            if value:
-                batch[raw_key] = batch.get(raw_key, 0) + value
-
 
 @dataclass(frozen=True)
 class SweepTask:
@@ -336,21 +305,22 @@ def _pool_tracer_init(trace_id: Optional[str],
 
 
 def _worker_execute(task: SweepTask,
-                    ) -> Tuple[List[ExperimentRecord], Dict[str, int],
+                    ) -> Tuple[List[ExperimentRecord], Dict[str, object],
                                Optional[List[Dict[str, object]]]]:
     """Execute one task in a pool worker.
 
-    Returns the records, the worker cache's counter movement for this task
-    (so the parent process can aggregate cache/batch statistics across
-    workers; the memo itself stays process-local), and -- when the pool
-    initializer armed a tracer -- the spans this task produced, drained
-    into the self-contained shard schema so the parent can adopt them.
+    Returns the records, the worker cache's metrics movement for this task
+    (a :meth:`~repro.obs.metrics.MetricsRegistry.delta`, so the parent
+    process can merge cache/batch statistics across workers; the memo
+    itself stays process-local), and -- when the pool initializer armed a
+    tracer -- the spans this task produced, drained into the
+    self-contained shard schema so the parent can adopt them.
     """
 
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
         _WORKER_CACHE = ProgramCache()
-    before = _WORKER_CACHE.stats()
+    before = _WORKER_CACHE.metrics.snapshot()
     records = execute_task(task, _WORKER_CACHE)
     spans: Optional[List[Dict[str, object]]] = None
     tracer = current_tracer()
@@ -358,7 +328,7 @@ def _worker_execute(task: SweepTask,
         from repro.obs.distributed import drain_records
 
         spans = drain_records(tracer)
-    return records, _WORKER_CACHE.counters_delta(before), spans
+    return records, _WORKER_CACHE.metrics.delta(before), spans
 
 
 def iter_tasks(tasks: Sequence[SweepTask], *, jobs: int = 1,
@@ -411,7 +381,7 @@ def iter_tasks(tasks: Sequence[SweepTask], *, jobs: int = 1,
         for records, delta, spans in pool.map(_worker_execute, tasks,
                                               chunksize=chunksize):
             if cache is not None:
-                cache.merge_counters(delta)
+                cache.metrics.merge(delta)
             if spans and tracer is not None:
                 from repro.obs.distributed import adopt_exported
 

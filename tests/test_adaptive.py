@@ -32,6 +32,7 @@ from repro.dse import (
     Shard,
     WorkLedger,
     make_strategy,
+    read_manifest,
     run_proposer,
     run_worker,
     write_manifest,
@@ -331,7 +332,142 @@ class TestAdaptiveStrategies:
     def test_make_strategy_names(self):
         assert make_strategy("bayes").name == "bayes"
         assert make_strategy("adaptive-halving").name == "adaptive-halving"
-        assert make_strategy("bayes", surrogate="trees").surrogate == "trees"
+        assert make_strategy("bayes", surrogate="trees").spec["surrogate"] \
+            == "trees"
+
+
+# --------------------------------------------------------------------------- #
+#: The 8-point space as ``dse`` flags (``_space()``).
+TINY_FLAGS = ["--apps", "QFT,BV", "--qubits", "8", "--topologies", "L3",
+              "--capacities", "6,8", "--gates", "AM1,FM", "--reorders", "GS"]
+
+#: What each adaptive strategy must keep doing, recorded at commit fad6e5e
+#: (before a strategy became its proposer spec).  ``dse dispatch
+#: --print-only`` on the 8-point space writes these ``strategy`` entries,
+#: with default flags and with ``--max-evals 6 --surrogate trees``.
+MANIFEST_STRATEGIES = {
+    "bayes": (
+        {"batch_size": 4, "max_evals": 8, "metric": "fidelity",
+         "name": "bayes", "parts": 2, "seed": 0},
+        {"batch_size": 4, "max_evals": 6, "metric": "fidelity",
+         "name": "bayes", "parts": 2, "seed": 0, "surrogate": "trees"}),
+    "adaptive-halving": (
+        {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
+         "proxy_qubits": 12, "seed": 0},
+        {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
+         "proxy_qubits": 12, "seed": 0, "surrogate": "trees"}),
+    "ehvi": (
+        {"batch_size": 4, "max_evals": 8, "name": "ehvi",
+         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0},
+        {"batch_size": 4, "max_evals": 6, "name": "ehvi",
+         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0,
+         "surrogate": "trees"}),
+    "parego": (
+        {"batch_size": 4, "max_evals": 8, "name": "parego",
+         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0},
+        {"batch_size": 4, "max_evals": 6, "name": "parego",
+         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0,
+         "surrogate": "trees"}),
+}
+
+#: Seed 5, batch size 2, a budget of 6 (``adaptive-halving`` takes only the
+#: seed): the proposal batches as candidate keys, the best key and the
+#: frontier keys, recorded at the same commit.
+PROPOSALS = {
+    "bayes": ([[4, 5], [6, 7], [0, 2]], 7, None),
+    "adaptive-halving": ([[0, 1, 2, 3, 4, 5, 6, 7]], 7, None),
+    "ehvi": ([[4, 5], [0, 1], [2, 3]], 3, [3]),
+    "parego": ([[4, 5], [2, 3], [6, 7]], 7, [7]),
+}
+
+
+def _knobs(name, **budget):
+    return dict(seed=5) if name == "adaptive-halving" else \
+        dict(seed=5, batch_size=2, **budget)
+
+
+def _label(record):
+    return f"{record.application}/{record.config.name}"
+
+
+def _point_label(point):
+    return f"{point.app.lower()}{point.qubits}/{point.config.name}"
+
+
+class TestStrategySpecs:
+    """Each adaptive strategy is one proposer spec: the manifest entry, the
+    proposal sequence and the metering are the same for all four."""
+
+    @pytest.mark.parametrize("name", sorted(MANIFEST_STRATEGIES))
+    def test_dispatch_manifest_strategy_entry(self, name, tmp_path, capsys):
+        default, budgeted = MANIFEST_STRATEGIES[name]
+        for flags, expected in (([], default),
+                                (["--max-evals", "6", "--surrogate", "trees"],
+                                 budgeted)):
+            store = tmp_path / f"store{len(flags)}"
+            assert main(["dse", "dispatch", *TINY_FLAGS, "--strategy", name,
+                         *flags, "--store", str(store), "--print-only"]) == 0
+            assert read_manifest(store)["strategy"] == expected
+        # `dse run` runs the spec the manifest records, less the parts the
+        # dispatcher adds.
+        spec = make_strategy(name, max_evals=6, surrogate="trees").spec
+        assert dict(spec, parts=2) == budgeted
+
+    @pytest.mark.parametrize("name", sorted(PROPOSALS))
+    def test_proposal_sequence_best_and_frontier(self, name):
+        space = _space()
+        strategy = make_strategy(name, **_knobs(name, max_evals=6))
+        proposer = make_proposer(space, strategy.spec)
+        runner = DSERunner(space)
+        batches = []
+        while True:
+            batch = proposer.next_batch()
+            if batch is None:
+                break
+            batches.append(list(batch.keys))
+            records = runner.evaluate(list(batch.points))
+            proposer.ingest(batch, proposer.values(records))
+        frontier = proposer.frontier()
+        expected_batches, best, expected_frontier = PROPOSALS[name]
+        assert batches == expected_batches
+        assert proposer.best()[0] == best
+        assert expected_frontier == (None if frontier is None
+                                     else [key for key, _ in frontier])
+
+        # The in-process strategy evaluates the same points in order and
+        # reports the records of the best and frontier keys.
+        key_of = {_point_label(point): key
+                  for key, point in enumerate(space.points())}
+        result = DSERunner(space).run(strategy)
+        assert [key_of[_label(record)] for record in result.records] == \
+            [key for batch in expected_batches for key in batch]
+        assert key_of[_label(result.best)] == best
+        assert expected_frontier == (
+            None if result.frontier is None else
+            [key_of[_label(record)] for record in result.frontier])
+
+    @pytest.mark.parametrize("name", sorted(PROPOSALS))
+    def test_every_strategy_meters_its_proposer(self, name):
+        from repro.obs.metrics import reset_registry
+
+        registry = reset_registry()
+        try:
+            result = DSERunner(_space()).run(make_strategy(name,
+                                                           **_knobs(name)))
+            counters = registry.counters()
+            latency = registry.snapshot()["histograms"][
+                "dse.propose.latency_s"]
+        finally:
+            reset_registry()
+        batches = len(result.trace)
+        points = sum(entry["proposed"] for entry in result.trace)
+        assert (batches, points) == ((1, 8) if name == "adaptive-halving"
+                                     else (2, 4))
+        assert counters["dse.propose.batches"] == batches
+        assert counters["dse.propose.points"] == points
+        assert counters["dse.ingest.batches"] == batches
+        assert counters["dse.ingest.values"] == points
+        assert latency["count"] == batches
 
 
 # --------------------------------------------------------------------------- #

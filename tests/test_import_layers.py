@@ -25,6 +25,9 @@ LAYERS = ("repro.hardware", "repro.compiler", "repro.sim", "repro.toolflow",
           "repro.dse", "repro.analyze", "repro.obs", "networkx")
 #: What a process that never compiles must not load.
 COMPILE_SIDE = ("repro.compiler", "repro.sim.batch", "repro.analyze")
+#: What a grid dispatch must not load either: the search strategies and
+#: every proposer.
+SEARCH_SIDE = ("repro.dse.strategies", "repro.dse.adaptive", "repro.dse.moo")
 
 
 def _cli(*argv):
@@ -73,8 +76,15 @@ def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
                       "--print-only"),
                  _cli("dse", "export", "--store", str(store),
                       "--output", str(tmp_path / "export.json"))):
-        assert _offending(_loaded(code, tmp_path), COMPILE_SIDE) == [], code
+        assert _offending(_loaded(code, tmp_path),
+                          COMPILE_SIDE + SEARCH_SIDE) == [], code
     assert json.loads((tmp_path / "export.json").read_text())["num_points"] == 0
+    # An adaptive prepare builds the strategy spec and records its default
+    # budget; the compile side loads only once the proposer runs.
+    for strategy in ("bayes", "adaptive-halving", "ehvi", "parego"):
+        code = _cli("dse", "dispatch", *space, "--strategy", strategy,
+                    "--store", str(tmp_path / strategy), "--print-only")
+        assert _offending(_loaded(code, tmp_path), COMPILE_SIDE) == [], code
 
 
 @pytest.mark.parametrize("module", ["repro.compiler.compile",

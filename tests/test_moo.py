@@ -12,7 +12,7 @@ Covers the contracts the subsystem is built around:
 * the EHVI/ParEGO proposers and strategies are deterministic for any
   ``--jobs`` value and for serial-vs-dispatched propose/evaluate runs
   (kill-one-worker variant driven through ``examples/dse_moo.py --smoke``,
-  the ``moo-smoke`` CI job);
+  the second step of the ``adaptive-smoke`` CI job);
 * store rows of a multi-objective run carry the objective list in their
   schema-v3 provenance, and canonical exports strip it;
 * the committed golden store export regenerates byte-identically through
@@ -42,6 +42,7 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
+from repro.dse.adaptive.propose import make_proposer
 from repro.dse.moo import (
     EHVIProposer,
     ParEGOProposer,
@@ -51,7 +52,6 @@ from repro.dse.moo import (
     dominates,
     hypervolume,
     hypervolume_improvement,
-    make_moo_proposer,
     normalise,
     objective_vector,
     parse_objectives,
@@ -373,23 +373,18 @@ class TestMOOProposers:
             ParEGOProposer(_space(), rho=-1.0)
         with pytest.raises(ValueError, match="unknown objective"):
             EHVIProposer(_space(), objectives=("fidelity", "latency"))
-        with pytest.raises(ValueError, match="unknown multi-objective"):
-            make_moo_proposer(_space(), {"name": "bayes"})
+        with pytest.raises(ValueError, match="unknown adaptive strategy"):
+            make_proposer(_space(), {"name": "moo"})
 
     @pytest.mark.parametrize("name", ["ehvi", "parego"])
     def test_spec_round_trips_through_factory(self, name):
         space = _space()
-        first = make_moo_proposer(space, {"name": name, "seed": 7,
-                                          "objectives": ["runtime",
-                                                         "fidelity"],
-                                          "batch_size": 2})
-        rebuilt = make_moo_proposer(space, first.spec())
+        first = make_proposer(space, {"name": name, "seed": 7,
+                                      "objectives": ["runtime", "fidelity"],
+                                      "batch_size": 2})
+        rebuilt = make_proposer(space, first.spec())
         assert rebuilt.spec() == first.spec()
         assert rebuilt.objectives == ("runtime", "fidelity")
-        # The generic adaptive factory covers the MOO names too.
-        from repro.dse.adaptive.propose import make_proposer
-
-        assert make_proposer(space, first.spec()).spec() == first.spec()
 
 
 # --------------------------------------------------------------------------- #
@@ -581,7 +576,7 @@ class TestMOOProtocol:
     def test_kill_one_worker_matches_serial_run(self):
         """The acceptance scenario, via the single source of truth.
 
-        ``examples/dse_moo.py --smoke`` (also the CI ``moo-smoke`` job)
+        ``examples/dse_moo.py --smoke`` (also the CI ``adaptive-smoke`` job)
         runs: seeded EHVI recovers the 24-point grid's exact 2-D frontier
         in under half the grid's evaluations, and a 3-worker
         propose/evaluate dispatch with one worker SIGKILLed mid-batch
