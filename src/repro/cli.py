@@ -437,10 +437,10 @@ def _add_dse_parsers(subparsers) -> None:
                      help="comma-separated objective vector for the "
                           "multi-objective strategies (ehvi/parego), e.g. "
                           "fidelity,runtime (default: fidelity,runtime)")
-    run.add_argument("--proxy-qubits", type=_positive_int, default=12,
+    run.add_argument("--proxy-qubits", type=_positive_int, default=None,
                      help="starting proxy size for --strategy "
                           "halving/adaptive-halving (default: 12)")
-    run.add_argument("--batch-size", type=_positive_int, default=4,
+    run.add_argument("--batch-size", type=_positive_int, default=None,
                      help="points per proposal batch for --strategy "
                           "bayes/ehvi/parego (default: 4)")
     run.add_argument("--max-evals", type=_positive_int, default=None,
@@ -499,7 +499,7 @@ def _add_dse_parsers(subparsers) -> None:
                           help="comma-separated objective vector for "
                                "--strategy ehvi/parego (default: "
                                "fidelity,runtime)")
-    dispatch.add_argument("--batch-size", type=_positive_int, default=4,
+    dispatch.add_argument("--batch-size", type=_positive_int, default=None,
                           help="points per proposal batch for --strategy "
                                "bayes/ehvi/parego (default: 4)")
     dispatch.add_argument("--max-evals", type=_positive_int, default=None,
@@ -511,7 +511,7 @@ def _add_dse_parsers(subparsers) -> None:
                           help="surrogate model for an adaptive --strategy "
                                "(default: trees for adaptive-halving, rff "
                                "for bayes/ehvi/parego)")
-    dispatch.add_argument("--proxy-qubits", type=_positive_int, default=12,
+    dispatch.add_argument("--proxy-qubits", type=_positive_int, default=None,
                           help="starting proxy size for --strategy "
                                "adaptive-halving (default: 12)")
     dispatch.add_argument("--workers", type=_positive_int, default=2,
@@ -1054,10 +1054,19 @@ def _cmd_dse_dispatch(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
     elif args.objectives:
-        # A grid dispatch builds no strategy, so it keeps its own guard.
+        # A grid dispatch builds no strategy, so it keeps its own guards.
         raise SystemExit(f"error: --objectives only applies to the "
                          f"multi-objective strategies ('ehvi', 'parego'); "
                          f"use --metric with 'grid'")
+    else:
+        from repro.dse.knobs import strategy_knobs
+
+        try:
+            strategy_knobs("grid", proxy_qubits=args.proxy_qubits,
+                           batch_size=args.batch_size,
+                           max_evals=args.max_evals, surrogate=args.surrogate)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
     try:
         dispatcher = Dispatcher(
             space, args.store, workers=args.workers, shards=args.shards,

@@ -18,11 +18,16 @@ exclusivity on top of these dependencies.
 An op touches at most two ions and one trap, so its dependencies are at most
 three op ids; they are deduplicated and sorted by comparing them directly
 (:func:`_sorted_ids`), without building a set per op.
+
+The rules live in the two positional emitters, ``one_ion`` and ``two_ions``,
+which take a record function and its fields; the compiler calls them
+directly.  The keyword emitters (``gate``, ``split``, ...) are thin calls to
+them.  An op its record function refuses leaves the builder unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.operations import (
     Operation,
@@ -68,19 +73,18 @@ def _sorted_ids3(a: Optional[int], b: Optional[int],
 class ProgramBuilder:
     """Accumulates op records with automatic dependency bookkeeping.
 
-    Besides the records, the builder keeps the last op per ion and per trap
-    and one ``(ion,)`` tuple per ion (:meth:`single`).  The records outlive
-    it (a program cache or a caller may hold a compiled program for long),
-    so they hold no operand tuple that another object holds already: a
-    single-qubit gate's ``ions`` is that kept tuple, and the compiler
-    passes a gate's ``qubits`` as the circuit gate's own tuple.
+    Besides the records, the builder keeps the last op per ion and per trap.
+    The records outlive it (a program cache or a caller may hold a compiled
+    program for long), so they hold no operand tuple that another object
+    holds already: the compiler passes a single-qubit gate's ``ions`` as its
+    one ``(ion,)`` tuple per ion, and a gate's ``qubits`` as the circuit
+    gate's own tuple.
     """
 
     def __init__(self) -> None:
         self.records: List[tuple] = []
         self._last_for_ion: Dict[int, int] = {}
         self._last_for_trap: Dict[str, int] = {}
-        self._singles: Dict[int, Tuple[int]] = {}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -94,103 +98,97 @@ class ProgramBuilder:
         return [op_from_record(index, record)
                 for index, record in enumerate(self.records)]
 
-    def _dependencies(self, ions: Tuple[int, ...],
-                      trap: Optional[str]) -> Tuple[int, ...]:
-        last_for_ion = self._last_for_ion
-        trap_dep = None if trap is None else self._last_for_trap.get(trap)
-        if len(ions) == 1:
-            return _sorted_ids(last_for_ion.get(ions[0]), trap_dep)
-        ion_a, ion_b = ions
-        return _sorted_ids3(last_for_ion.get(ion_a), last_for_ion.get(ion_b),
-                            trap_dep)
-
-    def _append(self, record: tuple, ions: Tuple[int, ...],
-                trap: Optional[str]) -> None:
-        op_id = len(self.records)
-        self.records.append(record)
-        for ion in ions:
-            self._last_for_ion[ion] = op_id
-        if trap is not None:
-            self._last_for_trap[trap] = op_id
-
     @property
     def next_id(self) -> int:
         """The op_id the next emitted operation will receive."""
 
         return len(self.records)
 
-    def single(self, ion: int) -> Tuple[int]:
-        """The one ``(ion,)`` tuple of ``ion``, for the records to share."""
+    # ------------------------------------------------------------------ #
+    # Positional emitters: the dependency rules
+    # ------------------------------------------------------------------ #
+    def one_ion(self, ion: int, trap: Optional[str],
+                make: Callable[..., tuple], *fields) -> None:
+        """Emit ``make(dependencies, *fields)``, an op on ``ion`` inside
+        ``trap`` (``None``: an ion in transit, which touches no trap)."""
 
-        ions = self._singles.get(ion)
-        if ions is None:
-            ions = self._singles[ion] = (ion,)
-        return ions
+        records = self.records
+        op_id = len(records)
+        trap_dep = None if trap is None else self._last_for_trap.get(trap)
+        records.append(make(_sorted_ids(self._last_for_ion.get(ion), trap_dep),
+                            *fields))
+        self._last_for_ion[ion] = op_id
+        if trap is not None:
+            self._last_for_trap[trap] = op_id
+
+    def two_ions(self, ion_a: int, ion_b: int, trap: str,
+                 make: Callable[..., tuple], *fields) -> None:
+        """Emit ``make(dependencies, *fields)``, an op on ``ion_a`` and
+        ``ion_b`` inside ``trap``."""
+
+        records = self.records
+        op_id = len(records)
+        last_for_ion = self._last_for_ion
+        records.append(make(
+            _sorted_ids3(last_for_ion.get(ion_a), last_for_ion.get(ion_b),
+                         self._last_for_trap.get(trap)),
+            *fields))
+        last_for_ion[ion_a] = last_for_ion[ion_b] = op_id
+        self._last_for_trap[trap] = op_id
 
     # ------------------------------------------------------------------ #
-    # Emission helpers, one per primitive
+    # Keyword emitters, one per primitive
     # ------------------------------------------------------------------ #
     def gate(self, *, trap: str, ions: Tuple[int, ...], qubits: Tuple[int, ...],
              name: str, chain_length: int, ion_distance: int = 0) -> None:
         """Emit a single- or two-qubit gate inside ``trap``."""
 
-        self._append(gate_record(self._dependencies(ions, trap), trap, ions,
-                                 qubits, name, chain_length, ion_distance),
-                     ions, trap)
+        if len(ions) == 1:
+            self.one_ion(ions[0], trap, gate_record, trap, ions, qubits, name,
+                         chain_length, ion_distance)
+        else:
+            ion_a, ion_b = ions
+            self.two_ions(ion_a, ion_b, trap, gate_record, trap, ions, qubits,
+                          name, chain_length, ion_distance)
 
     def swap_gate(self, *, trap: str, ions: Tuple[int, int],
                   qubits: Tuple[Optional[int], Optional[int]],
                   chain_length: int, ion_distance: int) -> None:
         """Emit a gate-based SWAP (GS reordering)."""
 
-        self._append(swap_gate_record(self._dependencies(ions, trap), trap,
-                                      ions, qubits, chain_length, ion_distance),
-                     ions, trap)
+        ion_a, ion_b = ions
+        self.two_ions(ion_a, ion_b, trap, swap_gate_record, trap, ions, qubits,
+                      chain_length, ion_distance)
 
     def measure(self, *, trap: str, ion: int, qubit: int) -> None:
         """Emit a measurement."""
 
-        ions = (ion,)
-        self._append(measure_record(self._dependencies(ions, trap), trap, ion,
-                                    qubit),
-                     ions, trap)
+        self.one_ion(ion, trap, measure_record, trap, ion, qubit)
 
     def split(self, *, trap: str, ion: int, chain_size: int, side: str) -> None:
         """Emit a split of ``ion`` off ``trap``'s chain."""
 
-        ions = (ion,)
-        self._append(split_record(self._dependencies(ions, trap), trap, ion,
-                                  chain_size, side),
-                     ions, trap)
+        self.one_ion(ion, trap, split_record, trap, ion, chain_size, side)
 
     def move(self, *, ion: int, segment: str, length: int,
              from_node: str, to_node: str) -> None:
         """Emit a move through one segment."""
 
-        ions = (ion,)
-        self._append(move_record(self._dependencies(ions, None), ion, segment,
-                                 length, from_node, to_node),
-                     ions, None)
+        self.one_ion(ion, None, move_record, ion, segment, length, from_node,
+                     to_node)
 
     def cross_junction(self, *, ion: int, junction: str, degree: int) -> None:
         """Emit a junction crossing."""
 
-        ions = (ion,)
-        self._append(junction_record(self._dependencies(ions, None), ion,
-                                     junction, degree),
-                     ions, None)
+        self.one_ion(ion, None, junction_record, ion, junction, degree)
 
     def merge(self, *, trap: str, ion: int, side: str) -> None:
         """Emit a merge of a travelling ion into ``trap``."""
 
-        ions = (ion,)
-        self._append(merge_record(self._dependencies(ions, trap), trap, ion,
-                                  side),
-                     ions, trap)
+        self.one_ion(ion, trap, merge_record, trap, ion, side)
 
     def ion_swap(self, *, trap: str, ions: Tuple[int, int], chain_size: int) -> None:
         """Emit a physical swap of two adjacent ions (one IS hop)."""
 
-        self._append(ion_swap_record(self._dependencies(ions, trap), trap, ions,
-                                     chain_size),
-                     ions, trap)
+        ion_a, ion_b = ions
+        self.two_ions(ion_a, ion_b, trap, ion_swap_record, trap, ions, chain_size)

@@ -8,11 +8,13 @@ The pass follows Section VI of the paper:
    the circuit's cached :class:`~repro.ir.dag.CircuitFrontEnd`, built once
    however many devices the circuit is compiled for;
 2. map program qubits onto traps with the selected heuristic;
-3. walk the dependency DAG in earliest-ready-gate-first order;
-4. for each two-qubit gate whose operands live in different traps, plan the
-   communication (which qubit moves, evictions if the target trap is full) and
-   emit the shuttle primitives, inserting chain-reordering operations where
-   the departing state is not at the correct chain end;
+3. walk the dependency DAG in earliest-ready-gate-first order (one generator);
+4. emit single-qubit gates, and two-qubit gates whose operands already share
+   a trap (most of them), through the builder's positional emitters,
+   reading qubit -> ion -> trap from the placement state's live tables.  Only
+   a two-qubit gate across traps reaches the router, which plans which qubit
+   moves (and evictions if the target trap is full); its shuttles are emitted
+   with chain reordering where the state is not at the right chain end;
 5. emit the gate itself, annotated with the chain length and ion separation
    the simulator needs to evaluate the performance and fidelity models; its
    record references the circuit gate's ``qubits`` tuple rather than a copy.
@@ -21,7 +23,7 @@ The pass follows Section VI of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.checks import checks_enabled
 from repro.compiler.builder import ProgramBuilder
@@ -33,7 +35,7 @@ from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
 from repro.ir.dag import MEASUREMENT, SINGLE_QUBIT, TWO_QUBIT
-from repro.ir.gate import Gate
+from repro.isa.operations import gate_record
 from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 
@@ -73,31 +75,6 @@ class CompilerOptions:
             raise ValueError(f"unknown mapping strategy {self.mapping!r}; expected one of {valid}")
 
 
-class _NextUseTracker:
-    """Answers "when is this qubit needed next?" for the eviction policy."""
-
-    def __init__(self, circuit: Circuit) -> None:
-        front = circuit.front_end()
-        self._uses = front.uses
-        self._pointers = [0] * circuit.num_qubits
-        self._emitted = bytearray(len(front.gates))
-
-    def mark_emitted(self, gate_index: int) -> None:
-        """Record that a two-qubit gate has been compiled."""
-
-        self._emitted[gate_index] = 1
-
-    def next_use(self, qubit: int) -> Optional[int]:
-        """Index of the next *uncompiled* two-qubit gate using ``qubit``."""
-
-        uses = self._uses[qubit]
-        pointer = self._pointers[qubit]
-        while pointer < len(uses) and self._emitted[uses[pointer]]:
-            pointer += 1
-        self._pointers[qubit] = pointer
-        return uses[pointer] if pointer < len(uses) else None
-
-
 def compile_circuit(circuit: Circuit, device: QCCDDevice,
                     options: Optional[CompilerOptions] = None) -> QCCDProgram:
     """Compile ``circuit`` for ``device`` and return the executable program."""
@@ -125,39 +102,51 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
         state: PlacementState = options.mapping_fn()(circuit, device)
     placement = state.snapshot_placement()
     builder = ProgramBuilder()
-
-    next_use = _NextUseTracker(circuit)
-    router = Router(state, device, next_use=next_use.next_use,
-                    interaction_weights=front.interaction_weights,
-                    policy=options.routing)
-    trap_of_qubit = state.trap_of_qubit
+    ion_of_qubit, trap_of_ion, chains = state.tables()
     operands = front.operands
 
     def is_local(gate_index: int) -> bool:
         qubit_a, qubit_b = operands[gate_index]
-        return trap_of_qubit(qubit_a) == trap_of_qubit(qubit_b)
+        return trap_of_ion[ion_of_qubit[qubit_a]] == trap_of_ion[ion_of_qubit[qubit_b]]
 
     scheduler = GateScheduler(circuit, is_local=is_local)
+    router = Router(state, device, next_use=scheduler.next_use,
+                    neighbours=front.neighbours, policy=options.routing)
     gates, kinds = front.gates, front.kinds
-    # One span covers the interleaved schedule/route/reorder loop: gates are
-    # scheduled earliest-ready-first, routed (shuttle planning + chain
-    # reordering) and emitted in the same pass.
+    one_ion, two_ions = builder.one_ion, builder.two_ions
+    # One (ion,) tuple per ion, for the single-qubit gate records to share.
+    single = {ion: (ion,) for ion in trap_of_ion}
+    # One span covers the interleaved schedule/route/emit loop.  Only a
+    # cross-trap gate reaches the router; its shuttles (GS swaps, evictions)
+    # may rebind the operands' ions, so they are read again after it.
     with span("compile.route", policy=options.routing,
               gates=front.num_two_qubit_gates):
-        for _ in range(len(gates)):
-            index = scheduler.next_gate()
+        for index in scheduler.order():
+            gate = gates[index]
             kind = kinds[index]
-            if kind == TWO_QUBIT:
-                moved_qubits = _emit_two_qubit(gates[index], builder, state,
-                                               device, router)
-                if moved_qubits:
-                    scheduler.note_qubits_moved(moved_qubits)
-                next_use.mark_emitted(index)
-            elif kind == SINGLE_QUBIT:
-                _emit_single_qubit(gates[index], builder, state)
+            if kind == SINGLE_QUBIT:
+                qubits = gate.qubits
+                ion = ion_of_qubit[qubits[0]]
+                trap = trap_of_ion[ion]
+                one_ion(ion, trap, gate_record, trap, single[ion], qubits,
+                        gate.name, len(chains[trap]), 0)
+            elif kind == TWO_QUBIT:
+                qubits = gate.qubits
+                ion_a, ion_b = ion_of_qubit[qubits[0]], ion_of_qubit[qubits[1]]
+                trap = trap_of_ion[ion_a]
+                if trap != trap_of_ion[ion_b]:
+                    scheduler.note_qubits_moved(
+                        _co_locate(qubits, builder, state, device, router))
+                    ion_a, ion_b = ion_of_qubit[qubits[0]], ion_of_qubit[qubits[1]]
+                    trap = trap_of_ion[ion_a]
+                chain = chains[trap]
+                two_ions(ion_a, ion_b, trap, gate_record, trap, (ion_a, ion_b),
+                         qubits, gate.name, len(chain),
+                         abs(chain.index(ion_a) - chain.index(ion_b)) - 1)
             elif kind == MEASUREMENT:
-                _emit_measurement(gates[index], builder, state)
-            scheduler.mark_done(index)
+                qubit = gate.qubits[0]
+                ion = ion_of_qubit[qubit]
+                builder.measure(trap=trap_of_ion[ion], ion=ion, qubit=qubit)
 
     program = QCCDProgram(
         operations=OpSequence(tuple(builder.records)),
@@ -184,33 +173,19 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
 
 
 # --------------------------------------------------------------------------- #
-def _emit_single_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState) -> None:
-    qubit = gate.qubits[0]
-    trap = state.trap_of_qubit(qubit)
-    builder.gate(trap=trap, ions=builder.single(state.ion_of_qubit(qubit)),
-                 qubits=gate.qubits, name=gate.name,
-                 chain_length=len(state.chain(trap)))
+def _co_locate(qubits: Tuple[int, int], builder: ProgramBuilder,
+               state: PlacementState, device: QCCDDevice,
+               router: Router) -> List[int]:
+    """Emit the router's shuttles bringing a cross-trap gate's operands into
+    one trap; returns the qubits moved."""
 
-
-def _emit_measurement(gate: Gate, builder: ProgramBuilder, state: PlacementState) -> None:
-    qubit = gate.qubits[0]
-    trap = state.trap_of_qubit(qubit)
-    ion = state.ion_of_qubit(qubit)
-    builder.measure(trap=trap, ion=ion, qubit=qubit)
-
-
-def _emit_two_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState,
-                    device: QCCDDevice, router: Router) -> List[int]:
-    qubit_a, qubit_b = gate.qubits
-    plan = router.plan_two_qubit_gate(qubit_a, qubit_b)
+    qubit_a, qubit_b = qubits
     moved: List[int] = []
-    if plan is not None:
-        for request in plan.all_shuttles:
-            source = state.trap_of_qubit(request.qubit)
-            emit_shuttle(builder, state, device, request.qubit, request.destination)
-            router.note_qubit_moved(request.qubit, source, request.destination)
-            moved.append(request.qubit)
-
+    for request in router.plan_two_qubit_gate(qubit_a, qubit_b).all_shuttles:
+        source = state.trap_of_qubit(request.qubit)
+        emit_shuttle(builder, state, device, request.qubit, request.destination)
+        router.note_qubit_moved(request.qubit, source, request.destination)
+        moved.append(request.qubit)
     trap = state.trap_of_qubit(qubit_a)
     other = state.trap_of_qubit(qubit_b)
     if trap != other:
@@ -218,15 +193,4 @@ def _emit_two_qubit(gate: Gate, builder: ProgramBuilder, state: PlacementState,
             f"router failed to co-locate qubits {qubit_a} and {qubit_b} "
             f"({trap} vs {other})"
         )
-    chain = state.chain(trap)
-    ion_a = state.ion_of_qubit(qubit_a)
-    ion_b = state.ion_of_qubit(qubit_b)
-    builder.gate(
-        trap=trap,
-        ions=(ion_a, ion_b),
-        qubits=gate.qubits,
-        name=gate.name,
-        chain_length=len(chain),
-        ion_distance=chain.distance_between(ion_a, ion_b),
-    )
     return moved

@@ -109,11 +109,9 @@ def interaction_aware_mapping(circuit: Circuit, device: QCCDDevice) -> Placement
     """
 
     _check_fits(circuit, device)
-    interactions = circuit.interaction_counts()
-    weight: Dict[int, Dict[int, int]] = defaultdict(dict)
-    for (a, b), count in interactions.items():
-        weight[a][b] = count
-        weight[b][a] = count
+    # Per qubit, its interaction count with each neighbour, from the
+    # circuit's cached front-end.
+    weight = [dict(pairs) for pairs in circuit.front_end().neighbours]
 
     state = PlacementState(device)
     traps = list(device.topology.traps)

@@ -70,11 +70,6 @@ class TrapChain:
             raise ValueError(f"trap {self.trap_name} is empty")
         return self._ions[self.end_index(side)]
 
-    def distance_between(self, ion_a: int, ion_b: int) -> int:
-        """Number of ions strictly between two chain members."""
-
-        return abs(self.index_of(ion_a) - self.index_of(ion_b)) - 1
-
     # ------------------------------------------------------------------ #
     def insert(self, ion: int, side: str, allow_overfill: bool = False) -> None:
         """Merge ``ion`` into the chain at one end.
@@ -104,13 +99,20 @@ class TrapChain:
         self._ions.pop(index)
         return index
 
-    def swap_adjacent(self, ion_a: int, ion_b: int) -> None:
-        """Physically exchange two adjacent ions (one IS hop)."""
+    def hop(self, position: int, step: int) -> int:
+        """One IS hop: physically exchange the ion at index ``position`` with
+        its neighbour at ``position + step`` (``step`` is 1 or -1); returns
+        the neighbour."""
 
-        index_a, index_b = self.index_of(ion_a), self.index_of(ion_b)
-        if abs(index_a - index_b) != 1:
+        ions = self._ions
+        other = position + step
+        size = len(ions)
+        if step not in (1, -1) or not (0 <= position < size and 0 <= other < size):
             raise ValueError("ion swap requires adjacent ions")
-        self._ions[index_a], self._ions[index_b] = self._ions[index_b], self._ions[index_a]
+        neighbour = ions[other]
+        ions[other] = ions[position]
+        ions[position] = neighbour
+        return neighbour
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TrapChain({self.trap_name}, {self._ions})"
@@ -180,6 +182,16 @@ class PlacementState:
 
         return self._qubit_of_ion.get(ion)
 
+    def tables(self) -> Tuple[Dict[int, int], Dict[int, Optional[str]],
+                              Dict[str, List[int]]]:
+        """The live lookup tables ``(ion of each qubit, trap of each ion,
+        ion list of each trap's chain)``, for the compile loop's per-gate
+        reads.  Read only: the mutators below, and :meth:`TrapChain.hop` for
+        an ion swap (which moves no ion between traps), make every change."""
+
+        return (self._ion_of_qubit, self._ion_trap,
+                {name: chain._ions for name, chain in self.chains.items()})
+
     def chain(self, trap_name: str) -> TrapChain:
         """The chain of ``trap_name``."""
 
@@ -225,11 +237,6 @@ class PlacementState:
             self._ion_of_qubit[qubit_a] = ion_b
         if qubit_b is not None:
             self._ion_of_qubit[qubit_b] = ion_a
-
-    def swap_positions(self, trap_name: str, ion_a: int, ion_b: int) -> None:
-        """Ion swap: physically exchange two adjacent ions in a chain."""
-
-        self.chains[trap_name].swap_adjacent(ion_a, ion_b)
 
     # ------------------------------------------------------------------ #
     def snapshot_placement(self) -> InitialPlacement:

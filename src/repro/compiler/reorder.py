@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.compiler.builder import ProgramBuilder
 from repro.compiler.placement_state import PlacementState
 from repro.hardware.device import QCCDDevice, ReorderMethod
+from repro.isa.operations import ion_swap_record, swap_gate_record
 
 
 def reorder_to_end(builder: ProgramBuilder, state: PlacementState, device: QCCDDevice,
@@ -37,27 +38,21 @@ def reorder_to_end(builder: ProgramBuilder, state: PlacementState, device: QCCDD
     target = chain.end_index(side)
     if position == target:
         return 0
+    size = len(chain)
 
     if device.reorder is ReorderMethod.GS:
         end_ion = chain.ion_at_end(side)
-        distance = chain.distance_between(ion, end_ion)
-        builder.swap_gate(
-            trap=trap_name,
-            ions=(ion, end_ion),
-            qubits=(qubit, state.qubit_of_ion(end_ion)),
-            chain_length=len(chain),
-            ion_distance=distance,
-        )
+        builder.two_ions(ion, end_ion, trap_name, swap_gate_record, trap_name,
+                         (ion, end_ion), (qubit, state.qubit_of_ion(end_ion)),
+                         size, abs(target - position) - 1)
         state.swap_states(ion, end_ion)
         return 1
 
-    # Ion swapping: hop the physical ion toward the end one neighbour at a time.
-    emitted = 0
+    # Ion swapping: hop the physical ion toward the end one neighbour at a
+    # time, by its chain index.
     step = 1 if target > position else -1
-    while position != target:
-        neighbour = chain.ions[position + step]
-        builder.ion_swap(trap=trap_name, ions=(ion, neighbour), chain_size=len(chain))
-        state.swap_positions(trap_name, ion, neighbour)
-        position += step
-        emitted += 1
-    return emitted
+    for index in range(position, target, step):
+        neighbour = chain.hop(index, step)
+        builder.two_ions(ion, neighbour, trap_name, ion_swap_record, trap_name,
+                         (ion, neighbour), size)
+    return abs(target - position)

@@ -17,20 +17,25 @@ simple, deterministic greedy heuristics in the spirit of Section VI:
 * **Eviction destination**: the nearest trap (by shuttle distance) with free
   space, excluding the two gate traps.
 
-Performance: the router keeps an incremental per-(qubit, trap) affinity table
-instead of rescanning the destination chain's residents for every cross-trap
-gate.  The table is seeded from the initial placement and updated in O(degree
-of the moved qubit in the interaction graph) whenever the compile loop reports
-a shuttle via :meth:`Router.note_qubit_moved`.  Eviction destinations come
-from a static per-origin trap list presorted by (shuttle distance, name), so
-the nearest trap with free space is found by an early-exit walk instead of a
-full scan of every trap.
+Performance: the compile loop asks the router only about gates whose
+operands sit in different traps.  The router keeps an incremental affinity
+table -- per trap, one list indexed by qubit of the total interaction weight
+with that trap's current residents -- instead of rescanning the destination
+chain for every cross-trap gate.  The table is seeded from the initial
+placement and updated whenever the compile loop reports a shuttle via
+:meth:`Router.note_qubit_moved`: one list update per interaction-graph
+neighbour of the moved qubit.  That adjacency is the circuit's
+(:attr:`CircuitFrontEnd.neighbours <repro.ir.dag.CircuitFrontEnd>`), built
+once per circuit however many devices it is compiled for.  Eviction
+destinations come from a static per-origin trap list presorted by (shuttle
+distance, name), so the nearest trap with free space is found by an
+early-exit walk instead of a full scan of every trap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.placement_state import PlacementState
 from repro.hardware.device import QCCDDevice
@@ -38,8 +43,9 @@ from repro.hardware.device import QCCDDevice
 #: Returns the next gate index at which ``qubit`` is used, or ``None``.
 NextUseFn = Callable[[int], Optional[int]]
 
-#: Undirected interaction histogram of the circuit: ``{(min, max): count}``.
-InteractionWeights = Dict[Tuple[int, int], int]
+#: Per program qubit, its ``(neighbour, interaction count)`` pairs
+#: (:func:`repro.ir.dag.interaction_adjacency`).
+Adjacency = Sequence[Sequence[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class Router:
 
     def __init__(self, state: PlacementState, device: QCCDDevice,
                  next_use: Optional[NextUseFn] = None,
-                 interaction_weights: Optional[InteractionWeights] = None,
+                 neighbours: Optional[Adjacency] = None,
                  policy: str = "affinity") -> None:
         if policy not in ROUTING_POLICIES:
             raise ValueError(
@@ -94,7 +100,6 @@ class Router:
         self.state = state
         self.device = device
         self.next_use = next_use or (lambda qubit: None)
-        self.interaction_weights = interaction_weights or {}
         self.policy = policy
         # Trap-to-trap distances are static; cache them once.
         self._distances = device.topology.distance_matrix()
@@ -108,18 +113,14 @@ class Router:
             ))
             for origin in trap_names
         }
-        # Interaction-graph adjacency: qubit -> ((neighbour, weight), ...).
-        neighbours: Dict[int, List[Tuple[int, int]]] = {}
-        for (qubit_a, qubit_b), weight in self.interaction_weights.items():
-            neighbours.setdefault(qubit_a, []).append((qubit_b, weight))
-            neighbours.setdefault(qubit_b, []).append((qubit_a, weight))
-        self._neighbours: Dict[int, Tuple[Tuple[int, int], ...]] = {
-            qubit: tuple(entries) for qubit, entries in neighbours.items()
-        }
-        # Incremental affinity table: qubit -> {trap: total interaction weight
-        # with the qubits currently resident in that trap}.  Seeded from the
-        # live placement; zero entries are simply absent.
-        self._affinity_table: Dict[int, Dict[str, int]] = {}
+        # Without an adjacency no qubit interacts; program qubits are
+        # numbered below the device's ion count.
+        self._neighbours = neighbours or ((),) * device.num_qubits
+        # Incremental affinity table: per trap, per qubit, the total
+        # interaction weight with the qubits currently resident in that trap.
+        # Seeded from the live placement.
+        self._affinity_table: Dict[str, List[int]] = {
+            trap_name: [0] * len(self._neighbours) for trap_name in state.chains}
         for trap_name, chain in state.chains.items():
             for ion in chain.ions:
                 resident = state.qubit_of_ion(ion)
@@ -132,9 +133,9 @@ class Router:
         """Add (or remove) ``qubit``'s weights to its neighbours' affinity
         for ``trap_name``."""
 
-        for neighbour, weight in self._neighbours.get(qubit, ()):
-            row = self._affinity_table.setdefault(neighbour, {})
-            row[trap_name] = row.get(trap_name, 0) + sign * weight
+        row = self._affinity_table[trap_name]
+        for neighbour, weight in self._neighbours[qubit]:
+            row[neighbour] += sign * weight
 
     def note_qubit_moved(self, qubit: int, source: Optional[str], destination: str) -> None:
         """Update the affinity table after ``qubit`` shuttled between traps.
@@ -150,14 +151,10 @@ class Router:
             self._credit_residency(qubit, source, -1)
         self._credit_residency(qubit, destination, +1)
 
-    def _weight(self, qubit_a: int, qubit_b: int) -> int:
-        key = (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
-        return self.interaction_weights.get(key, 0)
-
     def _affinity(self, qubit: int, trap_name: str) -> int:
         """Total interaction count between ``qubit`` and the residents of a trap."""
 
-        return self._affinity_table.get(qubit, {}).get(trap_name, 0)
+        return self._affinity_table[trap_name][qubit]
 
     def _move_gain(self, qubit: int, source: str, destination: str) -> int:
         """How much moving ``qubit`` improves its locality (higher is better)."""

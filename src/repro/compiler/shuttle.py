@@ -9,35 +9,30 @@ A shuttle is lowered to the primitive sequence of Figure 2d / Figure 4:
    to the far end, split again),
 4. merge it into the destination chain at the end facing the incoming segment.
 
+The route is replayed from the topology's cached
+:class:`~repro.hardware.topology.ShuttlePath`, which carries its segments,
+junctions and pass-through traps in order and the chain end of every trap it
+leaves, passes through or enters, so a shuttle computes no path, port side or
+segment lookup of its own.  Every primitive goes through the builder's
+single-ion emitter.
+
 The placement state is updated as operations are emitted so that the compiler
 always sees the machine exactly as the simulator will replay it.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.compiler.builder import ProgramBuilder
 from repro.compiler.placement_state import PlacementState
 from repro.compiler.reorder import reorder_to_end
 from repro.hardware.device import QCCDDevice
-
-
-def _node_sequence(device: QCCDDevice, source: str, destination: str) -> List[str]:
-    """Nodes visited by the shortest path, source and destination included."""
-
-    path = device.topology.shortest_path(source, destination)
-    nodes = [source]
-    for segment in path.segments:
-        nodes.append(segment.other_end(nodes[-1]))
-    return nodes
+from repro.isa.operations import junction_record, merge_record, move_record, split_record
 
 
 def emit_shuttle(builder: ProgramBuilder, state: PlacementState, device: QCCDDevice,
                  qubit: int, destination: str) -> None:
     """Emit every primitive needed to bring ``qubit`` into trap ``destination``."""
 
-    topology = device.topology
     source = state.trap_of_qubit(qubit)
     if source is None:
         raise ValueError(f"qubit {qubit} is in transit; cannot start a new shuttle")
@@ -48,39 +43,37 @@ def emit_shuttle(builder: ProgramBuilder, state: PlacementState, device: QCCDDev
             f"destination trap {destination} is full; the router must evict first"
         )
 
-    nodes = _node_sequence(device, source, destination)
+    path = device.topology.shortest_path(source, destination)
+    emit = builder.one_ion
 
     # Depart: reorder to the exit end, then split.
-    exit_side = topology.port_side(source, nodes[1])
-    reorder_to_end(builder, state, device, qubit, source, exit_side)
+    reorder_to_end(builder, state, device, qubit, source, path.exit_side)
     ion = state.ion_of_qubit(qubit)
-    builder.split(trap=source, ion=ion, chain_size=len(state.chain(source)), side=exit_side)
+    emit(ion, source, split_record, source, ion, len(state.chain(source)), path.exit_side)
     state.split(source, ion)
 
-    # Travel node by node.
-    for index in range(1, len(nodes)):
-        previous, node = nodes[index - 1], nodes[index]
-        segment = topology.segment_between(previous, node)
-        builder.move(ion=ion, segment=segment.name, length=segment.length,
-                     from_node=previous, to_node=node)
-
-        if index == len(nodes) - 1:
-            entry_side = topology.port_side(destination, previous)
-            builder.merge(trap=destination, ion=ion, side=entry_side)
-            state.merge(destination, ion, entry_side)
-        elif topology.is_trap(node):
+    # Travel step by step.
+    node = source
+    for step in path.steps:
+        element = step.element
+        if step.kind == "segment":
+            end = element.other_end(node)
+            emit(ion, None, move_record, ion, element.name, element.length, node, end)
+            node = end
+        elif step.kind == "junction":
+            emit(ion, None, junction_record, ion, element.name, element.degree)
+        else:
             # Pass-through trap (linear topologies, Figure 4): merge, bring the
             # state to the far end, split back out.  The chain may transiently
             # hold capacity+1 ions while the travelling ion is inside.
-            entry_side = topology.port_side(node, previous)
-            next_side = topology.port_side(node, nodes[index + 1])
-            builder.merge(trap=node, ion=ion, side=entry_side)
+            entry_side, exit_side = step.sides
+            emit(ion, node, merge_record, node, ion, entry_side)
             state.merge(node, ion, entry_side, allow_overfill=True)
-            reorder_to_end(builder, state, device, qubit, node, next_side)
+            reorder_to_end(builder, state, device, qubit, node, exit_side)
             ion = state.ion_of_qubit(qubit)
-            builder.split(trap=node, ion=ion, chain_size=len(state.chain(node)),
-                          side=next_side)
+            emit(ion, node, split_record, node, ion, len(state.chain(node)), exit_side)
             state.split(node, ion)
-        else:
-            junction = topology.junction(node)
-            builder.cross_junction(ion=ion, junction=junction.name, degree=junction.degree)
+
+    # Arrive: merge at the end facing the last segment.
+    emit(ion, destination, merge_record, destination, ion, path.entry_side)
+    state.merge(destination, ion, path.entry_side)

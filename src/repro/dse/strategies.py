@@ -48,14 +48,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.dse.knobs import STRATEGY_KNOBS, strategy_knobs
 from repro.dse.pareto import OBJECTIVES, best_record, objective_value
 from repro.dse.space import AXES
 
 #: CLI names of the built-in strategies.  The last four are adaptive: each
 #: is a :class:`ProposerStrategy` whose proposer
 #: :func:`~repro.dse.adaptive.propose.make_proposer` builds by name.
-STRATEGY_NAMES = ("grid", "random", "greedy", "halving", "bayes",
-                  "adaptive-halving", "ehvi", "parego")
+STRATEGY_NAMES = tuple(STRATEGY_KNOBS)
 
 #: The multi-objective members of the family (vector-valued ingest).
 MOO_STRATEGY_NAMES = ("ehvi", "parego")
@@ -357,21 +357,27 @@ class ProposerStrategy(Strategy):
 
 def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
                   samples: Optional[int] = None,
-                  proxy_qubits: int = 12,
-                  batch_size: int = 4,
+                  proxy_qubits: Optional[int] = None,
+                  batch_size: Optional[int] = None,
                   max_evals: Optional[int] = None,
                   surrogate: Optional[str] = None,
                   objectives=None) -> Strategy:
     """Build a strategy from its CLI name and knobs.
 
-    An adaptive name gives a :class:`ProposerStrategy` whose spec holds
-    the knobs its proposer reads: ``batch_size`` and ``max_evals`` (when
-    given) for the budgeted ``bayes``, ``ehvi`` and ``parego``,
-    ``proxy_qubits`` for ``adaptive-halving``, ``metric`` for the scalar
-    two and the validated ``objectives`` for the multi-objective two, and
-    ``surrogate`` when given (each proposer has its own default).
+    Each strategy reads the knobs :data:`~repro.dse.knobs.STRATEGY_KNOBS`
+    lists (``proxy_qubits`` defaults to 12, ``batch_size`` to 4); any other
+    knob given is refused by its flag.  An adaptive name gives a
+    :class:`ProposerStrategy` whose spec holds the knobs its proposer
+    reads: ``batch_size`` and ``max_evals`` (when given) for the budgeted
+    ``bayes``, ``ehvi`` and ``parego``, ``proxy_qubits`` for
+    ``adaptive-halving``, ``metric`` for the scalar two and the validated
+    ``objectives`` for the multi-objective two, and ``surrogate`` when given
+    (each proposer has its own default).
     """
 
+    knobs = strategy_knobs(name, samples=samples, proxy_qubits=proxy_qubits,
+                           batch_size=batch_size, max_evals=max_evals,
+                           surrogate=surrogate)
     if name in MOO_STRATEGY_NAMES:
         if metric != "fidelity":
             # Mirror the --objectives-with-scalar-strategy error below: a
@@ -400,19 +406,8 @@ def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
         return CoordinateDescent(seed=seed, metric=metric)
     elif name == "halving":
         return SuccessiveHalving(seed=seed, metric=metric,
-                                 proxy_qubits=proxy_qubits)
-    elif name == "bayes":
+                                 proxy_qubits=knobs["proxy_qubits"])
+    else:  # bayes, adaptive-halving
         spec = {"name": name, "seed": seed, "metric": metric}
-    elif name == "adaptive-halving":
-        spec = {"name": name, "seed": seed, "metric": metric,
-                "proxy_qubits": proxy_qubits}
-    else:
-        raise ValueError(f"unknown strategy {name!r}; "
-                         f"expected one of {STRATEGY_NAMES}")
-    if name != "adaptive-halving":  # the ladder sizes itself: no budget
-        spec["batch_size"] = batch_size
-        if max_evals is not None:
-            spec["max_evals"] = max_evals
-    if surrogate is not None:
-        spec["surrogate"] = surrogate
+    spec.update(knobs)
     return ProposerStrategy(spec)

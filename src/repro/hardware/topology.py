@@ -11,6 +11,10 @@ asks (Section VI):
 * which *intermediate traps* the path passes through -- in linear topologies a
   shuttle that crosses a trap must merge into and split back out of that
   trap's chain (Figure 4), which costs time and adds motional energy.
+
+Routes, port sides and segments are cached per node pair.  A route carries
+the chain ends it leaves, passes through and enters by, so the compiler
+replays a shuttle from the cached :class:`ShuttlePath` alone.
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ class PathStep:
     * ``junction`` -- cross a junction, including the turn (carries the
       Junction);
     * ``trap`` -- pass *through* an intermediate trap, which requires merging
-      into and splitting back out of its chain (carries the Trap).
+      into and splitting back out of its chain (carries the Trap, and in
+      ``sides`` the chain ends the ion enters and leaves by).
     """
 
     kind: str
     element: object
+    sides: Optional[Tuple[str, str]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("segment", "junction", "trap"):
@@ -54,11 +60,18 @@ class PathStep:
 
 @dataclass(frozen=True)
 class ShuttlePath:
-    """A planned route for one ion between two traps."""
+    """A planned route for one ion between two traps.
+
+    ``exit_side`` is the chain end of ``source`` the ion leaves by and
+    ``entry_side`` the end of ``destination`` it merges at (``None`` for the
+    empty route of a trap to itself).
+    """
 
     source: str
     destination: str
     steps: Tuple[PathStep, ...] = field(default=())
+    exit_side: Optional[str] = None
+    entry_side: Optional[str] = None
 
     @property
     def segments(self) -> List[Segment]:
@@ -433,12 +446,16 @@ class Topology:
             steps.append(PathStep("segment", self.segment_between(here, there)))
             if index + 1 < len(nodes) - 1:
                 # an interior node: either a junction to cross or a trap to
-                # pass through
+                # pass through, entering from ``here``
                 if self.is_trap(there):
-                    steps.append(PathStep("trap", self._traps[there]))
+                    sides = (self.port_side(there, here),
+                             self.port_side(there, nodes[index + 2]))
+                    steps.append(PathStep("trap", self._traps[there], sides))
                 else:
                     steps.append(PathStep("junction", self._junctions[there]))
-        return ShuttlePath(nodes[0], nodes[-1], tuple(steps))
+        return ShuttlePath(nodes[0], nodes[-1], tuple(steps),
+                           self.port_side(nodes[0], nodes[1]),
+                           self.port_side(nodes[-1], nodes[-2]))
 
     def port_side(self, trap_name: str, neighbor: str) -> str:
         """Which end of ``trap_name``'s ion chain the path toward ``neighbor``

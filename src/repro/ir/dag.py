@@ -9,18 +9,17 @@ Everything here depends on the circuit alone, never on a device, so it is
 computed once per circuit and reused for every device the circuit is
 compiled for (Figures 7 and 8 compile each application for 12 devices).
 :class:`CircuitFrontEnd` holds that work: gate kinds, the dependency edges,
-the two-qubit operand table, the interaction histogram, per-qubit use lists
-and the first-use order, every per-gate sequence a tuple or ``bytes`` so the
-cyclic collector stops walking it.  :meth:`Circuit.front_end
-<repro.ir.circuit.Circuit.front_end>` builds and caches it;
-:class:`DependencyDAG` is a read-only view over its edge tuples.
+the two-qubit operand table, the interaction histogram as a per-qubit
+adjacency, per-qubit use lists and the first-use order, every per-gate
+sequence a tuple or ``bytes`` so the cyclic collector stops walking it.
+:meth:`Circuit.front_end <repro.ir.circuit.Circuit.front_end>` builds and
+caches it; :class:`DependencyDAG` is a read-only view over its edge tuples.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ir.gate import GateKind
@@ -68,9 +67,11 @@ class CircuitFrontEnd:
     operands:
         Per gate, its ``(qubit_a, qubit_b)`` if it is a two-qubit gate, else
         ``None``.
-    interaction_weights:
-        Undirected interaction histogram ``{(min, max): count}`` over the
-        two-qubit gates, in first-occurrence order (the router's affinity).
+    neighbours:
+        Per program qubit, its ``(neighbour, count)`` pairs: the undirected
+        interaction histogram over the two-qubit gates, in first-occurrence
+        order, as an adjacency (:func:`interaction_adjacency`; the router's
+        affinity and the interaction-aware mapping read it).
     uses:
         Per program qubit, the indices of the two-qubit gates using it.
     first_use_order:
@@ -81,7 +82,7 @@ class CircuitFrontEnd:
     """
 
     __slots__ = ("circuit", "gates", "kinds", "predecessors", "successors",
-                 "in_degrees", "operands", "interaction_weights", "uses",
+                 "in_degrees", "operands", "neighbours", "uses",
                  "first_use_order", "num_two_qubit_gates")
 
     def __init__(self, circuit: "Circuit") -> None:
@@ -127,12 +128,23 @@ class CircuitFrontEnd:
         self.successors: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, successors))
         self.in_degrees: Tuple[int, ...] = tuple(map(len, predecessors))
         self.operands: Tuple[Optional[Tuple[int, int]], ...] = tuple(operands)
-        self.interaction_weights: Mapping[Tuple[int, int], int] = \
-            MappingProxyType(weights)
+        self.neighbours = interaction_adjacency(weights, num_qubits)
         self.uses: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, uses))
         self.first_use_order: Tuple[int, ...] = tuple(first_use) + tuple(
             qubit for qubit in range(num_qubits) if last_use[qubit] < 0)
         self.num_two_qubit_gates = sum(weights.values())
+
+
+def interaction_adjacency(weights: Mapping[Tuple[int, int], int],
+                          num_qubits: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per qubit below ``num_qubits``, its ``(neighbour, count)`` pairs of
+    the histogram ``weights``, in the histogram's order."""
+
+    neighbours: List[List[Tuple[int, int]]] = [[] for _ in range(num_qubits)]
+    for (qubit_a, qubit_b), weight in weights.items():
+        neighbours[qubit_a].append((qubit_b, weight))
+        neighbours[qubit_b].append((qubit_a, weight))
+    return tuple(map(tuple, neighbours))
 
 
 class DependencyDAG:

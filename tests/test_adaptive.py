@@ -344,7 +344,9 @@ TINY_FLAGS = ["--apps", "QFT,BV", "--qubits", "8", "--topologies", "L3",
 #: What each adaptive strategy must keep doing, recorded at commit fad6e5e
 #: (before a strategy became its proposer spec).  ``dse dispatch
 #: --print-only`` on the 8-point space writes these ``strategy`` entries,
-#: with default flags and with ``--max-evals 6 --surrogate trees``.
+#: with default flags and with ``--max-evals 6 --surrogate trees``
+#: (``--surrogate trees`` alone for ``adaptive-halving``, which reads no
+#: budget).
 MANIFEST_STRATEGIES = {
     "bayes": (
         {"batch_size": 4, "max_evals": 8, "metric": "fidelity",
@@ -401,17 +403,46 @@ class TestStrategySpecs:
     @pytest.mark.parametrize("name", sorted(MANIFEST_STRATEGIES))
     def test_dispatch_manifest_strategy_entry(self, name, tmp_path, capsys):
         default, budgeted = MANIFEST_STRATEGIES[name]
-        for flags, expected in (([], default),
-                                (["--max-evals", "6", "--surrogate", "trees"],
-                                 budgeted)):
+        knobs = dict(surrogate="trees") if name == "adaptive-halving" else \
+            dict(max_evals=6, surrogate="trees")
+        budget_flags = [item for knob, value in knobs.items() for item in
+                        ("--" + knob.replace("_", "-"), str(value))]
+        for flags, expected in (([], default), (budget_flags, budgeted)):
             store = tmp_path / f"store{len(flags)}"
             assert main(["dse", "dispatch", *TINY_FLAGS, "--strategy", name,
                          *flags, "--store", str(store), "--print-only"]) == 0
             assert read_manifest(store)["strategy"] == expected
         # `dse run` runs the spec the manifest records, less the parts the
         # dispatcher adds.
-        spec = make_strategy(name, max_evals=6, surrogate="trees").spec
+        spec = make_strategy(name, **knobs).spec
         assert dict(spec, parts=2) == budgeted
+
+    @pytest.mark.parametrize("strategy, flags, flag", [
+        ("adaptive-halving", ["--max-evals", "6"], "--max-evals"),
+        ("adaptive-halving", ["--batch-size", "2"], "--batch-size"),
+        ("bayes", ["--proxy-qubits", "8"], "--proxy-qubits"),
+        ("grid", ["--max-evals", "3", "--surrogate", "trees"], "--max-evals"),
+        ("grid", ["--surrogate", "trees"], "--surrogate"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "dispatch"])
+    def test_knob_the_strategy_does_not_read_is_refused(
+            self, command, strategy, flags, flag, tmp_path):
+        argv = ["dse", command, *TINY_FLAGS, "--strategy", strategy, *flags,
+                "--store", str(tmp_path / "store")]
+        if command == "dispatch":
+            argv.append("--print-only")
+        with pytest.raises(SystemExit, match=f"{flag} does not apply to "
+                                             f"--strategy {strategy}"):
+            main(argv)
+        assert not (tmp_path / "store" / "dispatch.json").exists()
+
+    @pytest.mark.parametrize("strategy", ["grid", "greedy", "bayes"])
+    def test_samples_apply_only_to_random(self, strategy, tmp_path):
+        with pytest.raises(SystemExit, match="--samples does not apply"):
+            main(["dse", "run", *TINY_FLAGS, "--strategy", strategy,
+                  "--samples", "3"])
+        with pytest.raises(ValueError, match="--samples does not apply"):
+            make_strategy(strategy, samples=3)
 
     @pytest.mark.parametrize("name", sorted(PROPOSALS))
     def test_proposal_sequence_best_and_frontier(self, name):

@@ -129,15 +129,15 @@ class TestFrontEndMemo:
         """The collector stops walking the per-gate tables.
 
         A pass untracks a tuple only once the tuples inside it are untracked,
-        and the nesting is two deep (table -> per-gate tuple), so two full
-        collections settle every table.
+        and the nesting is at most three deep (adjacency -> per-qubit tuple
+        -> pair), so three full collections settle every table.
         """
 
         front = qft8.front_end(lower_to_native=True)
         tables = {name: getattr(front, name) for name in (
             "kinds", "predecessors", "successors", "in_degrees", "operands",
-            "uses", "first_use_order")}
-        for _ in range(2):
+            "neighbours", "uses", "first_use_order")}
+        for _ in range(3):
             gc.collect()
         assert [name for name, table in tables.items()
                 if gc.is_tracked(table)] == []

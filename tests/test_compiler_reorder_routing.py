@@ -7,6 +7,7 @@ from repro.compiler.placement_state import PlacementState
 from repro.compiler.reorder import reorder_to_end
 from repro.compiler.routing import Router
 from repro.hardware import build_device
+from repro.ir.dag import interaction_adjacency
 from repro.isa.operations import IonSwapOp, SwapGateOp
 
 
@@ -106,7 +107,7 @@ class TestRouter:
         # Qubit 0 interacts heavily with its trap mates; qubit 3 does not.
         state = make_state(device, {"T0": [0, 1], "T1": [3, 4]})
         weights = {(0, 1): 10, (0, 3): 1}
-        router = Router(state, device, interaction_weights=weights)
+        router = Router(state, device, neighbours=interaction_adjacency(weights, 8))
         plan = router.plan_two_qubit_gate(0, 3)
         assert plan.primary.qubit == 3
         assert plan.gate_trap == "T0"
@@ -140,6 +141,6 @@ class TestRouter:
     def test_fixed_policy_always_moves_first_operand(self, device):
         state = make_state(device, {"T0": [0, 1], "T1": [2, 3]})
         router = Router(state, device, policy="fixed",
-                        interaction_weights={(0, 1): 100})
+                        neighbours=interaction_adjacency({(0, 1): 100}, 8))
         plan = router.plan_two_qubit_gate(0, 2)
         assert plan.primary.qubit == 0

@@ -7,6 +7,7 @@ import pytest
 from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
 from repro.compiler.scheduler import GateScheduler
 from repro.ir.circuit import Circuit
+from repro.ir.dag import DependencyDAG
 
 
 class TestGateScheduler:
@@ -18,7 +19,7 @@ class TestGateScheduler:
     def test_schedule_respects_dependencies(self, qft8):
         order = GateScheduler(qft8).schedule()
         position = {gate: i for i, gate in enumerate(order)}
-        dag = GateScheduler(qft8).dag
+        dag = DependencyDAG(qft8)
         for gate in range(len(qft8)):
             for predecessor in dag.predecessors(gate):
                 assert position[predecessor] < position[gate]
@@ -28,55 +29,77 @@ class TestGateScheduler:
         circuit.add("cx", 0, 1)  # remote under our fake locality
         circuit.add("cx", 2, 3)  # local
         scheduler = GateScheduler(circuit, is_local=lambda index: index == 1)
-        assert scheduler.next_gate() == 1
+        assert next(scheduler.order()) == 1
 
     def test_falls_back_to_program_order(self):
         circuit = Circuit(4)
         circuit.add("cx", 0, 1)
         circuit.add("cx", 2, 3)
         scheduler = GateScheduler(circuit, is_local=lambda index: False)
-        assert scheduler.next_gate() == 0
+        assert next(scheduler.order()) == 0
 
-    def test_mark_done_unlocks_successors(self):
+    def test_resume_unlocks_successors(self):
         circuit = Circuit(2)
         circuit.add("h", 0)
         circuit.add("cx", 0, 1)
+        circuit.add("h", 1)
         scheduler = GateScheduler(circuit)
-        assert scheduler.ready_gates() == [0]
-        scheduler.mark_done(scheduler.next_gate())
-        assert scheduler.ready_gates() == [1]
+        order = scheduler.order()
+        assert next(order) == 0
+        assert scheduler.ready_gates() == []
+        # Resuming marks gate 0 done, which makes gate 1 ready.
+        assert next(order) == 1
+        assert scheduler.ready_gates() == []
+        assert next(order) == 2
 
-    def test_double_mark_done_rejected(self):
+    def test_each_gate_is_handed_out_once(self):
         circuit = Circuit(1).add("h", 0)
         scheduler = GateScheduler(circuit)
-        index = scheduler.next_gate()
-        scheduler.mark_done(index)
-        with pytest.raises(ValueError):
-            scheduler.mark_done(index)
+        assert list(scheduler.order()) == [0]
+        # A second walk of a finished scheduler hands out nothing.
+        assert list(scheduler.order()) == []
 
-    def test_next_gate_on_empty_raises(self):
+    def test_order_on_empty_circuit_stops(self):
         scheduler = GateScheduler(Circuit(1))
-        with pytest.raises(RuntimeError):
-            scheduler.next_gate()
+        with pytest.raises(StopIteration):
+            next(scheduler.order())
 
     def test_done_and_bool(self):
         circuit = Circuit(1).add("h", 0)
         scheduler = GateScheduler(circuit)
         assert bool(scheduler)
         assert not scheduler.done()
-        scheduler.mark_done(scheduler.next_gate())
+        order = scheduler.order()
+        assert next(order) == 0
+        assert not scheduler.done()
+        assert list(order) == []
         assert scheduler.done()
         assert not bool(scheduler)
 
+    def test_next_use_skips_handed_out_gates(self):
+        circuit = Circuit(3)
+        circuit.add("cx", 0, 1)
+        circuit.add("cx", 1, 2)
+        circuit.add("cx", 0, 2)
+        scheduler = GateScheduler(circuit)
+        assert [scheduler.next_use(qubit) for qubit in range(3)] == [0, 0, 1]
+        order = scheduler.order()
+        assert next(order) == 0
+        assert [scheduler.next_use(qubit) for qubit in range(3)] == [2, 1, 1]
+        assert list(order) == [1, 2]
+        assert [scheduler.next_use(qubit) for qubit in range(3)] == [None] * 3
+
 
 class TestSchedulerOrderProperty:
-    """``GateScheduler`` against an in-test reference on random circuits.
+    """``GateScheduler.order()`` against an in-test reference on random
+    circuits.
 
     The reference re-derives the ready set from scratch every step: the
     smallest-index local ready gate, else the smallest-index ready gate,
     where every gate that is not two-qubit is local.  Locality comes from a
     random trap per qubit; after each handed-out gate some qubits change
-    traps and are reported, as the compile loop reports shuttled qubits.
+    traps and are reported, as the compile loop reports shuttled qubits
+    between the generator's yields.
     """
 
     def test_order_matches_reference(self):
@@ -121,21 +144,25 @@ class TestSchedulerOrderProperty:
                 return local(index)
 
             scheduler = GateScheduler(circuit, is_local=is_local)
+            order = scheduler.order()
             emitted = set()
             for _ in range(len(circuit)):
                 ready = [index for index in range(len(circuit))
                          if index not in emitted
                          and predecessors[index] <= emitted]
-                assert scheduler.ready_gates() == ready
                 expected = min([index for index in ready if local(index)]
                                or ready)
-                assert scheduler.next_gate() == expected
+                assert next(order) == expected
+                # While the gate is handed out, the rest of the ready set
+                # waits in the scheduler.
+                assert scheduler.ready_gates() == \
+                    [index for index in ready if index != expected]
                 moved = data.draw(st.lists(qubit, max_size=3, unique=True))
                 for moved_qubit in moved:
                     trap[moved_qubit] = data.draw(st.integers(0, 2))
                 scheduler.note_qubits_moved(moved)
                 emitted.add(expected)
-                scheduler.mark_done(expected)
+            assert list(order) == []
             assert scheduler.done() and not scheduler
 
         check()

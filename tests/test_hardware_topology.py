@@ -108,6 +108,20 @@ class TestLinearPaths:
         with pytest.raises(KeyError):
             l4.port_side("T0", "T3")
 
+    def test_path_sides_pass_through_traps(self, l4):
+        path = l4.shortest_path("T0", "T2")
+        assert (path.exit_side, path.entry_side) == ("tail", "head")
+        assert [(step.kind, step.sides) for step in path.steps] == [
+            ("segment", None), ("trap", ("head", "tail")), ("segment", None)]
+        assert path.steps[1].element.name == "T1"
+        assert l4.shortest_path("T1", "T1").exit_side is None
+
+    def test_path_cache_cleared_when_graph_grows(self, l4):
+        before = l4.shortest_path("T0", "T3")
+        l4.add_junction(Junction(9, 2, "J9"))
+        after = l4.shortest_path("T0", "T3")
+        assert after == before and after is not before
+
 
 class TestGridPaths:
     @pytest.fixture
@@ -136,6 +150,12 @@ class TestGridPaths:
         assert path.num_intermediate_traps == 0
         assert path.num_junctions == 3
         assert path.num_segments == 4
+
+    def test_path_sides_cross_junctions(self, g2x3):
+        path = g2x3.shortest_path("T0", "T5")
+        assert path.exit_side == g2x3.port_side("T0", "J0")
+        assert path.entry_side == g2x3.port_side("T5", path.segments[-1].other_end("T5"))
+        assert all(step.sides is None for step in path.steps)
 
     def test_no_pass_through_traps_anywhere(self, g2x3):
         for a in g2x3.traps:
