@@ -39,7 +39,7 @@ import pytest
 from _common import bench_capacities, bench_scale, bench_suite, record_bench
 
 from repro.dse import DSERunner, DesignSpace, ExperimentStore, pareto_frontier
-from repro.toolflow.parallel import ProgramCache, SweepTask, flatten, run_tasks
+from repro.toolflow.parallel import ProgramCache, SweepTask, execute_task
 
 
 def _space_and_suite():
@@ -59,8 +59,10 @@ def test_dse_store_routed_sweep(benchmark):
 
     # Bare executor reference: the same points, no store, no fingerprints.
     def bare():
-        tasks = [SweepTask(suite[p.app], p.config) for p in points]
-        return flatten(run_tasks(tasks, cache=ProgramCache()))
+        cache = ProgramCache()
+        return [record for p in points
+                for record in execute_task(SweepTask(suite[p.app], p.config),
+                                           cache)]
 
     start = time.perf_counter()
     bare_records = bare()

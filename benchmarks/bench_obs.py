@@ -191,18 +191,13 @@ def test_timeline_fold_and_profile_cost(benchmark, tmp_path):
     benchmark(lambda: fold_timeline(events, bucket_s=5.0))
 
 
-def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
-    """Time distributed tracing: traced pool workers and the span merger.
+def test_trace_merge_cost(benchmark, tmp_path):
+    """Time the span merger over a synthetic fleet's event streams.
 
-    Two perf-history sections for the fleet-tracing layer.
-    ``worker_tracing`` compares a ``jobs=2`` sweep untraced vs traced --
-    the traced run adds per-task span shipping through the pool result
-    tuple, allowed to cost but tracked so a regression (say, shipping
-    spans per *span* instead of per task) shows up in ``bench diff``.
-    ``shard_merge`` times reading the span records of a synthetic
-    many-worker fleet's event streams plus the deterministic merge -- the
-    post-run step of every traced dispatch, and the interactive cost of
-    ``repro trace merge``.
+    ``shard_merge`` times reading the span records of a many-worker
+    fleet's event streams plus the deterministic merge -- the post-run step
+    of every traced dispatch (``--jobs N`` runs included), and the
+    interactive cost of ``repro trace merge``.
     """
 
     import json
@@ -210,29 +205,6 @@ def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
     from repro.dse.dispatch import TELEMETRY_DIR
     from repro.obs import write_merged_trace
     from repro.obs.distributed import SHARD_SCHEMA_VERSION, SPAN_EVENT
-    from repro.toolflow import SweepTask
-    from repro.toolflow.parallel import run_tasks
-
-    suite = bench_suite()
-    topology, capacities = _sweep_spec()
-    base = ArchitectureConfig(topology=topology)
-    circuit = next(iter(suite.values()))
-    tasks = [SweepTask(circuit, base.with_updates(trap_capacity=cap),
-                       gates=SWEEP_GATES)
-             for cap in capacities]
-
-    untraced_s = _best_of(lambda: run_tasks(tasks, jobs=2), repeats=2)
-
-    def traced_run():
-        enable_tracing()
-        try:
-            run_tasks(tasks, jobs=2)
-        finally:
-            tracer = disable_tracing()
-        return tracer
-
-    traced_s = _best_of(lambda: traced_run(), repeats=2)
-    shipped = len(traced_run().foreign)
 
     # A synthetic fleet's streams: 8 workers x `spans_per` span records.
     spans_per = 2_000 if bench_scale() == "paper" else 250
@@ -258,16 +230,8 @@ def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
 
     print()
     print(f"Distributed tracing (scale={bench_scale()}):")
-    print(f"  jobs=2 sweep         : {untraced_s * 1e3:8.1f} ms untraced, "
-          f"{traced_s * 1e3:8.1f} ms traced ({shipped} spans shipped)")
     print(f"  shard merge          : {merge_s * 1e3:8.2f} ms "
           f"({shard_spans} spans across 8 shards)")
-    record_bench("obs", "worker_tracing", {
-        "tasks": len(tasks),
-        "untraced_sweep_s": untraced_s,
-        "traced_sweep_s": traced_s,
-        "spans_shipped": shipped,
-    })
     record_bench("obs", "shard_merge", {
         "shards": 8,
         "shard_spans": shard_spans,
@@ -275,7 +239,6 @@ def test_worker_tracing_and_merge_cost(benchmark, tmp_path):
         "merge_spans_per_s": shard_spans / merge_s if merge_s else 0.0,
     })
 
-    assert shipped > 0, "the traced pool sweep shipped no spans home"
     benchmark(lambda: write_merged_trace(tmp_path / "store", merged))
 
 

@@ -7,10 +7,10 @@ capacity).  The adaptive subsystem answers the same question with a
 fraction of the evaluations: a surrogate model (random-Fourier-feature
 ridge regression or a bagged tree ensemble) is trained online on every
 evaluated point, and an expected-improvement acquisition proposes the next
-batch.  Everything is deterministic under a fixed seed -- for any
-``--jobs`` value *and* for distributed propose/evaluate runs, where
-workers lease signed proposal batches off a ledger inside the store
-directory.
+batch.  Everything is deterministic under a fixed seed -- serial *and*
+distributed propose/evaluate runs, where workers lease signed proposal
+batches off a ledger inside the store directory (``dse dispatch``, or
+``dse run --jobs N`` with N local workers), propose the same points.
 
 Quickstart (default mode)::
 

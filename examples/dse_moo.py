@@ -9,8 +9,9 @@ frontier could previously only be recovered by exhaustive sweeps.  The
 ``repro.dse.moo`` subsystem searches it directly: an expected-hypervolume-
 improvement proposer (``--strategy ehvi``, one surrogate per objective)
 and a seeded random-weight Chebyshev scalarization baseline
-(``--strategy parego``), both deterministic under a fixed seed for any
-``--jobs`` value and for distributed propose/evaluate runs.
+(``--strategy parego``), both deterministic under a fixed seed, serial
+or distributed over propose/evaluate workers (``dse dispatch``, or ``dse
+run --jobs N``).
 
 Quickstart (default mode)::
 

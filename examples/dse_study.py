@@ -14,7 +14,8 @@ subsystem:
 
 Run:  python examples/dse_study.py  (store lands in ./dse_study_store/)
 
-The same study, CLI-style::
+The same study, CLI-style (``--jobs 2``: two local work-ledger workers
+fill the store, then the run replays it)::
 
     python -m repro dse run --apps QFT,Adder --qubits 16 \\
         --topologies L4,G2x2 --capacities 6,8,10 --gates AM1,FM \\

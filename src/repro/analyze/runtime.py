@@ -2,7 +2,7 @@
 
 ``--check`` on ``run``/``sweep``/``dse run`` flips a process-wide flag
 (:mod:`repro.checks`, mirrored into the ``REPRO_CHECK`` environment variable
-so process-pool workers inherit it); while it is set, the compile pipeline
+so ledger workers inherit it); while it is set, the compile pipeline
 and the sweep executor import this module and pass every program through
 :func:`verify_or_raise` -- the full static verifier plus the race detector
 -- and abort with :class:`StaticAnalysisError` on the first error-severity

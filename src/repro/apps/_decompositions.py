@@ -24,12 +24,6 @@ def controlled_phase(circuit: Circuit, theta: float, control: int, target: int) 
     circuit.add("rz", target, params=(theta / 2.0,))
 
 
-def controlled_z(circuit: Circuit, qubit_a: int, qubit_b: int) -> None:
-    """CZ emitted directly (one MS gate on hardware)."""
-
-    circuit.add("cz", qubit_a, qubit_b)
-
-
 def zz_interaction(circuit: Circuit, theta: float, qubit_a: int, qubit_b: int) -> None:
     """exp(-i theta ZZ/2) emitted as a native RZZ gate (one MS gate)."""
 
@@ -103,13 +97,6 @@ def hadamard_all(circuit: Circuit, qubits) -> None:
 
     for qubit in qubits:
         circuit.add("h", qubit)
-
-
-def rotation_layer(circuit: Circuit, qubits, name: str, angle: float) -> None:
-    """Apply the same single-qubit rotation to every qubit in ``qubits``."""
-
-    for qubit in qubits:
-        circuit.add(name, qubit, params=(angle,))
 
 
 PI = math.pi

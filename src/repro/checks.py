@@ -5,8 +5,8 @@ compiled program (:func:`repro.analyze.runtime.verify_or_raise`).  The flag
 lives here, apart from :mod:`repro.analyze`, so that the compiler and the
 sweep executor test it with one call and import the verifier, the race
 detector and their dependencies only when it is on.  It is mirrored into the
-``REPRO_CHECK`` environment variable so process-pool and dispatched workers
-inherit it.
+``REPRO_CHECK`` environment variable so the ledger workers of ``--jobs N``
+and of ``dse dispatch`` inherit it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def checks_enabled() -> bool:
 def enable_checks(enabled: bool = True) -> None:
     """Turn runtime verification on (or off) for this process and children.
 
-    The environment mirror is what carries the flag into pool workers --
+    The environment mirror is what carries the flag into ledger workers --
     they are spawned after the CLI parses ``--check`` and read the variable
     when they first test the flag.
     """

@@ -8,7 +8,7 @@ designers can explore configurations without writing scripts::
     python -m repro table2
     python -m repro run --app QAOA --topology L6 --capacity 20 --gate FM --reorder GS
     python -m repro sweep --figure 6 --small --output fig6.json
-    python -m repro sweep --figure 8 --jobs 4 --store runs/fig8
+    python -m repro sweep --figure 8 --jobs 2 --store runs/fig8
     python -m repro device --topology G2x3 --capacity 20
     python -m repro check-budget
     python -m repro check --src src/repro         # determinism linter
@@ -17,17 +17,19 @@ designers can explore configurations without writing scripts::
 
 Sweeps share one compiled-program cache per invocation, so design points that
 differ only in the two-qubit gate implementation are compiled once (and the
-program is released once all of them are stored); ``--jobs N`` additionally
-fans the sweep out to N worker processes with identical, deterministic
-output, and ``--store DIR`` persists every evaluated design point, so an
-interrupted sweep resumes where it stopped and points that repeat across
-figures replay instead of compiling again.
+program is released once all of them are stored), and ``--store DIR``
+persists every evaluated design point, so an interrupted sweep resumes where
+it stopped and points that repeat across figures replay instead of
+compiling again.  ``--jobs N`` first fills the store (``--store``, else a
+temporary directory) through N local workers of the ``dse dispatch`` work
+ledger, then runs the serial sweep, which replays every point: the output
+is a serial run's, byte for byte.
 
 Custom design-space studies run through the ``dse`` family (quickstart)::
 
-    # Every point of a space, resumably, 4 worker processes:
+    # Every point of a space, resumably, 2 local ledger workers:
     python -m repro dse run --apps QFT,BV --qubits 16 --topologies L3,G2x2 \\
-        --capacities 6,8,10 --store runs/study --jobs 4
+        --capacities 6,8,10 --store runs/study --jobs 2
 
     # The same study split across two machines, then merged by file drop:
     python -m repro dse run ... --store runs/study --shard 1/2
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import List, Optional
 
 # Only what build_parser needs: each _cmd_* imports the layers it runs, so
@@ -223,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--small", action="store_true",
                        help="use the reduced suite and a short capacity sweep")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for the sweep (default: 1 = serial; "
-                            "results are deterministic for any value)")
+                       help="local ledger workers that fill the store first "
+                            "(--store, else a temporary one), which the "
+                            "serial sweep then replays; output is identical "
+                            "for any value (default: 1 = serial; paper scale "
+                            "only, not --small)")
     sweep.add_argument("--store", default=None,
                        help="experiment-store directory: evaluated design points "
                             "persist there and interrupted sweeps resume without "
@@ -452,7 +457,10 @@ def _add_dse_parsers(subparsers) -> None:
                           "(default: trees for adaptive-halving, rff for "
                           "bayes/ehvi/parego)")
     run.add_argument("--jobs", type=_positive_int, default=1,
-                     help="worker processes (default: 1 = serial)")
+                     help="local ledger workers that fill the store first "
+                          "(--store, else a temporary one), which the "
+                          "serial run then replays; grid and the proposer "
+                          "strategies, not --shard (default: 1 = serial)")
     run.add_argument("--shard", default=None,
                      help="evaluate only shard i/N of the points (e.g. 2/4), "
                           "split by compilation so a program's gate variants "
@@ -523,9 +531,6 @@ def _add_dse_parsers(subparsers) -> None:
                           help="lease time-to-live in seconds; must exceed "
                                "the slowest task group (one compile plus all "
                                "its gate-variant simulations; default: 60)")
-    dispatch.add_argument("--jobs", type=_positive_int, default=1,
-                          help="process-pool width inside each worker "
-                               "(default: 1)")
     dispatch.add_argument("--throttle-s", type=_positive_float, default=None,
                           help="sleep this long after each completed task "
                                "group in every worker (load limiter)")
@@ -549,8 +554,6 @@ def _add_dse_parsers(subparsers) -> None:
                         help="experiment-store directory with a dispatch.json")
     worker.add_argument("--owner", default=None,
                         help="lease-owner identity (default: <host>-pid<pid>)")
-    worker.add_argument("--jobs", type=_positive_int, default=None,
-                        help="override the manifest's per-worker jobs")
 
     propose = dse_sub.add_parser(
         "propose",
@@ -704,10 +707,11 @@ def _cmd_run(args) -> int:
 def _cache_summary_line(cache) -> str:
     """One-line compile-cache + batch-engine summary for sweep commands.
 
-    With ``--jobs N`` the counters include the pool workers' activity (merged
-    back per task), so the line is identical for any job count -- sweep
-    output stays byte-for-byte independent of ``--jobs``.  The ``entries``
-    count is process-local and deliberately not printed.
+    With ``--jobs N`` the counters include the ledger workers' activity
+    (their summed ``worker_exit`` counters, merged into ``cache``), so the
+    line is identical for any job count -- sweep output stays byte-for-byte
+    independent of ``--jobs``.  The ``entries`` count is process-local and
+    deliberately not printed.
     """
 
     stats = cache.stats()
@@ -719,14 +723,40 @@ def _cache_summary_line(cache) -> str:
             f"{stats['batch_timeline_hits']} dedup hits")
 
 
+def _store_dir(args, stack: ExitStack):
+    """The store directory of a ``sweep``/``dse run`` command.
+
+    ``--store``; under ``--jobs N`` without one, a temporary directory
+    (removed when ``stack`` closes) for the ledger workers to fill.
+    """
+
+    if args.store or args.jobs == 1:
+        return args.store
+    import tempfile
+
+    return stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-"))
+
+
 def _cmd_sweep(args) -> int:
+    from functools import partial
+
     from repro.apps import scaled_suite, table2_suite
     from repro.io import figure_bundle_to_dict
     from repro.toolflow.config import ArchitectureConfig
     from repro.toolflow.figures import figure6, figure7, figure8
     from repro.toolflow.parallel import ProgramCache
+    from repro.toolflow.sweep import (
+        capacity_space,
+        microarchitecture_space,
+        topology_space,
+    )
 
-    store = _open_store(args.store) if args.store else None
+    if args.small and args.jobs > 1:
+        raise SystemExit(
+            "error: --jobs does not take --small: ledger workers build each "
+            "application by name at its default size, and the reduced "
+            "suite's 16-qubit circuits are not those (Supremacy runs 8 "
+            "cycles, QAOA 4 layers); run --small serially")
     if args.small:
         suite = scaled_suite(16)
         capacities = (6, 8, 10)
@@ -738,20 +768,31 @@ def _cmd_sweep(args) -> int:
         base_linear = ArchitectureConfig(topology="L6")
         topologies = ("L6", "G2x3")
 
-    cache = ProgramCache()
     if args.figure == 6:
-        bundle = figure6(suite, capacities=capacities,
-                         base=base_linear.with_updates(gate="FM", reorder="GS"),
-                         jobs=args.jobs, cache=cache, store=store)
-        series = {"fidelity": bundle["fidelity"], "runtime_s": bundle["runtime_s"]}
+        base = base_linear.with_updates(gate="FM", reorder="GS")
+        space = capacity_space(suite, capacities, base)
+        figure = partial(figure6, suite, capacities=capacities, base=base)
     elif args.figure == 7:
-        bundle = figure7(suite, capacities=capacities, topologies=topologies,
-                         jobs=args.jobs, cache=cache, store=store)
-        series = {"fidelity": bundle["fidelity"], "runtime_s": bundle["runtime_s"]}
+        space = topology_space(suite, topologies, capacities)
+        figure = partial(figure7, suite, capacities=capacities,
+                         topologies=topologies)
     else:
-        bundle = figure8(suite, capacities=capacities, base=base_linear,
-                         jobs=args.jobs, cache=cache, store=store)
-        series = {"fidelity": bundle["fidelity"], "runtime_s": bundle["runtime_s"]}
+        space = microarchitecture_space(suite, capacities, base=base_linear)
+        figure = partial(figure8, suite, capacities=capacities,
+                         base=base_linear)
+
+    cache = ProgramCache()
+    with ExitStack() as stack:
+        store_dir = _store_dir(args, stack)
+        if args.jobs > 1:
+            from repro.dse.dispatch import fill_store
+
+            cache.metrics.merge(fill_store(space, store_dir,
+                                           workers=args.jobs))
+        store = (stack.enter_context(_open_store(store_dir)) if store_dir
+                 else None)
+        bundle = figure(cache=cache, store=store)
+    series = {"fidelity": bundle["fidelity"], "runtime_s": bundle["runtime_s"]}
 
     print(f"Figure {args.figure} series over capacities {list(capacities)}:")
     for metric, per_app in series.items():
@@ -760,9 +801,8 @@ def _cmd_sweep(args) -> int:
             print(f"  {app:12s} {values}")
     print()
     print(_cache_summary_line(cache))
-    if store is not None:
+    if args.store:
         print(f"Experiment store: {store.directory} ({len(store)} points)")
-        store.close()
     if args.output and not _write_json(figure_bundle_to_dict(bundle), args.output):
         return 1
     return 0
@@ -814,32 +854,52 @@ def _cmd_dse_run(args) -> int:
                                  surrogate=args.surrogate,
                                  objectives=args.objectives)
         shard = Shard.parse(args.shard) if args.shard else None
+        spec = strategy.ledger_spec() if args.jobs > 1 else None
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    store = _open_store(args.store) if args.store else None
+    if shard is not None and args.jobs > 1:
+        raise SystemExit("error: --jobs does not take --shard: splitting a "
+                         "space across machines is what `repro dse dispatch` "
+                         "is for (--print-only prints one worker command "
+                         "per machine)")
+    with ExitStack() as stack:
+        store_dir = _store_dir(args, stack)
+        store = (stack.enter_context(_open_store(store_dir)) if store_dir
+                 else None)
 
-    objective_note = (f"objectives {','.join(strategy.objectives)}"
-                      if getattr(strategy, "objectives", None)
-                      else f"metric {args.metric}")
-    print(f"Design space: {space.size} points "
-          f"({len(space.apps)} apps x {len(space.qubits)} sizes x "
-          f"{len(space.topologies)} topologies x "
-          f"{len(space.capacities)} capacities x {len(space.gates)} gates x "
-          f"{len(space.reorders)} reorders x {len(space.buffers)} buffers)")
-    if store is not None:
-        print(f"Store       : {store.directory} ({len(store)} points already "
-              f"evaluated)")
-    print(f"Strategy    : {strategy.name} (seed {args.seed}, {objective_note})"
-          + (f", shard {args.shard}" if shard else ""))
+        objective_note = (f"objectives {','.join(strategy.objectives)}"
+                          if getattr(strategy, "objectives", None)
+                          else f"metric {args.metric}")
+        print(f"Design space: {space.size} points "
+              f"({len(space.apps)} apps x {len(space.qubits)} sizes x "
+              f"{len(space.topologies)} topologies x "
+              f"{len(space.capacities)} capacities x {len(space.gates)} gates x "
+              f"{len(space.reorders)} reorders x {len(space.buffers)} buffers)")
+        if args.store:
+            print(f"Store       : {store.directory} ({len(store)} points already "
+                  f"evaluated)")
+        print(f"Strategy    : {strategy.name} (seed {args.seed}, {objective_note})"
+              + (f", shard {args.shard}" if shard else ""))
 
-    runner = DSERunner(space, store=store, jobs=args.jobs, shard=shard)
-    try:
-        result = runner.run(strategy)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        dispatched = 0
+        if args.jobs > 1:
+            from repro.dse.dispatch import fill_store
+
+            before = len(store)
+            fill_store(space, store_dir, workers=args.jobs, strategy=spec)
+            store.reload()
+            dispatched = len(store) - before
+        runner = DSERunner(space, store=store, shard=shard)
+        try:
+            result = runner.run(strategy)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
     stats = runner.stats
-    print(f"\nEvaluated {stats['evaluated']} points, replayed {stats['reused']} "
-          f"from the store, left {stats['skipped']} to other shards.")
+    # The points the ledger workers stored are this command's evaluations,
+    # which its replay counted as reused.
+    print(f"\nEvaluated {stats['evaluated'] + dispatched} points, replayed "
+          f"{stats['reused'] - dispatched} from the store, left "
+          f"{stats['skipped']} to other shards.")
 
     evaluated = result.evaluated
     if evaluated:
@@ -872,8 +932,6 @@ def _cmd_dse_run(args) -> int:
               f"{len(result.frontier)} points, normalised hypervolume "
               f"{hv:.6f}")
         _print_record_table(result.frontier)
-    if runner.store.directory is not None:
-        runner.store.close()
 
     if args.output:
         payload = {
@@ -1071,7 +1129,6 @@ def _cmd_dse_dispatch(args) -> int:
         dispatcher = Dispatcher(
             space, args.store, workers=args.workers, shards=args.shards,
             ttl_s=args.ttl_s if args.ttl_s is not None else DEFAULT_TTL_S,
-            jobs=args.jobs,
             throttle_s=args.throttle_s if args.throttle_s is not None else 0.0,
             strategy=strategy)
     except ValueError as exc:
@@ -1079,7 +1136,7 @@ def _cmd_dse_dispatch(args) -> int:
 
     if strategy is None:
         print(f"Design space: {space.size} points -> {dispatcher.shards} "
-              f"leased shards, {args.workers} worker(s) x {args.jobs} job(s)")
+              f"leased shards, {args.workers} worker(s)")
     else:
         print(f"Design space: {space.size} points, adaptive strategy "
               f"{args.strategy} (seed {args.seed}) -> proposal batches x "
@@ -1194,8 +1251,7 @@ def _cmd_dse_worker(args) -> int:
     from repro.dse import dispatch
 
     try:
-        summary = dispatch.run_worker(args.store, owner=args.owner,
-                                      jobs=args.jobs)
+        summary = dispatch.run_worker(args.store, owner=args.owner)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(f"worker {summary['owner']}: completed "

@@ -12,10 +12,10 @@ compile/simulate core:
   greedy coordinate descent, successive halving and the four adaptive
   strategies (``bayes``, ``adaptive-halving``, ``ehvi``, ``parego``, each
   a :class:`ProposerStrategy` over its proposer spec), all deterministic
-  under a fixed seed for any worker count.
+  under a fixed seed however the work is split.
 * :mod:`~repro.dse.runner` -- :class:`DSERunner`, which drives points through
-  the parallel sweep executor with store replay, gate fan-out and
-  ``--shard i/N`` support.
+  the sweep executor with store replay, gate fan-out and ``--shard i/N``
+  support.
 * :mod:`~repro.dse.pareto` -- best-point selection and fidelity-vs-runtime
   Pareto frontiers.
 * :mod:`~repro.dse.dispatch` -- filesystem-coordinated distributed
@@ -23,9 +23,10 @@ compile/simulate core:
   (atomic claims, heartbeat renewal, expiry-based reclaim of dead
   workers), the one worker loop :func:`run_worker`, and a
   :class:`Dispatcher` that writes a grid's shards (or runs an adaptive
-  proposer), runs local worker processes (``repro dse dispatch``) or
-  prints remote launch commands, and watches progress with a
-  ``wall_s``-driven ETA.
+  proposer), runs local worker processes (``repro dse dispatch``, and
+  ``--jobs N`` of ``repro sweep`` and ``dse run`` through
+  :func:`~repro.dse.dispatch.fill_store`) or prints remote launch
+  commands, and watches progress with a ``wall_s``-driven ETA.
 * :mod:`~repro.dse.adaptive` -- model-based search: incremental surrogate
   regressors, expected-improvement/UCB batch proposers, a surrogate-ranked
   multi-fidelity ladder, and the proposer of the distributed

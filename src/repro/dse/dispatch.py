@@ -31,6 +31,9 @@ filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
   processes (or prints the per-machine command lines for remote launch),
   runs an adaptive run's proposer in-process, and watches progress
   through its :class:`FleetView`.
+* :func:`fill_store` -- the ``--jobs N`` path of ``repro sweep`` and
+  ``repro dse run``: one local :class:`Dispatcher` run that fills the
+  command's store before its serial driver replays every point.
 
 Correctness leans on two properties rather than on perfect mutual
 exclusion: evaluation is **idempotent** (results are deterministic) and the
@@ -46,6 +49,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import socket
 import subprocess
 import sys
@@ -499,7 +503,7 @@ class WorkerTelemetry(LogWriter):
 # Dispatch manifest: the one file a worker needs to join a run.
 # --------------------------------------------------------------------------- #
 def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = None,
-                   ttl_s: float = DEFAULT_TTL_S, jobs: int = 1,
+                   ttl_s: float = DEFAULT_TTL_S,
                    throttle_s: float = 0.0, mode: str = "shards",
                    strategy: Optional[Dict[str, object]] = None) -> Path:
     """Write ``<store>/dispatch.json`` describing the run (atomic replace).
@@ -510,7 +514,7 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     ``"adaptive"`` -- workers lease proposal parts written by a strategy
     proposer, see :mod:`repro.dse.adaptive.protocol`), the shard count
     (shards mode), the strategy spec (adaptive mode), the lease TTL, the
-    per-worker ``jobs`` and the fixed ``ledger`` layout marker.  In shards
+    throttle and the fixed ``ledger`` layout marker.  In shards
     mode the shard items ``shard-<i>of<N>`` and the complete marker are
     written *before* the manifest, so a worker never reads a manifest
     without its work.  A budgeted strategy's spec without ``max_evals``
@@ -520,7 +524,7 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
 
     Re-preparing an existing dispatch is allowed only if the space, mode,
     shard count and strategy are unchanged (the work must stay stable
-    across resumes); TTL/jobs/throttle may be retuned.  A *new* manifest is
+    across resumes); TTL and throttle may be retuned.  A *new* manifest is
     refused when ``<store>/leases/`` already holds anything -- items, leases,
     done markers or a complete marker: they belong to an earlier run, and
     workers would claim its items or trust its markers without evaluating
@@ -546,7 +550,6 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
         "mode": mode,
         "ledger": LEDGER_LAYOUT,
         "ttl_s": float(ttl_s),
-        "jobs": int(jobs),
         "throttle_s": float(throttle_s),
     }
     if shards is not None:
@@ -587,8 +590,10 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
 def read_manifest(store_dir) -> Dict:
     """Load and validate the dispatch manifest of a store directory.
 
-    Refused by name: a manifest without the work-ledger layout marker, and
-    a store holding the ``traces/`` directory of an older version.
+    Refused by name: a manifest without the work-ledger layout marker, a
+    manifest of an older version that ran a process pool inside each
+    worker (``jobs`` above 1), and a store holding the ``traces/``
+    directory of an older version.
     """
 
     from repro.io.serialization import check_schema_version
@@ -609,6 +614,13 @@ def read_manifest(store_dir) -> Dict:
             f"has another layout (no \"ledger\": \"{LEDGER_LAYOUT}\" marker); "
             f"this version can neither join nor resume it.  Use a fresh "
             f"store directory")
+    if int(manifest.get("jobs", 1)) > 1:
+        raise ValueError(
+            f"{path} asks each worker for a process pool of "
+            f"{manifest['jobs']} jobs, which this version no longer has: a "
+            f"worker evaluates one task at a time, and parallelism comes "
+            f"from more workers.  Prepare the run again in a fresh store "
+            f"directory with --workers")
     refuse_trace_shards(store_dir)
     return manifest
 
@@ -616,8 +628,7 @@ def read_manifest(store_dir) -> Dict:
 # --------------------------------------------------------------------------- #
 # Worker loop
 # --------------------------------------------------------------------------- #
-def run_worker(store_dir, *, owner: Optional[str] = None,
-               jobs: Optional[int] = None, circuits=None) -> Dict[str, object]:
+def run_worker(store_dir, *, owner: Optional[str] = None) -> Dict[str, object]:
     """Lease and evaluate work items from ``store_dir`` until the run completes.
 
     The loop behind every ``repro dse worker``, local or remote, for grid
@@ -657,7 +668,6 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
     ledger = WorkLedger.for_store(store_dir,
                                   ttl_s=manifest.get("ttl_s", DEFAULT_TTL_S))
     owner = owner or default_owner()
-    jobs = int(manifest.get("jobs", 1)) if jobs is None else int(jobs)
     throttle_s = float(manifest.get("throttle_s", 0.0))
 
     # Join the dispatcher's trace when it stamped one into our environment:
@@ -677,8 +687,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         telemetry = logs.enter_context(
             WorkerTelemetry(store_dir, owner, clock=ledger.clock))
         telemetry.emit("worker_start", mode=manifest["mode"],
-                       shards=manifest.get("shards"), jobs=jobs,
-                       pid=os.getpid())
+                       shards=manifest.get("shards"), pid=os.getpid())
         # One store file per owner.  After a takeover, an alive-but-slow
         # previous owner may still flush one in-flight group before its
         # next heartbeat notices the loss, and two processes appending to
@@ -687,8 +696,7 @@ def run_worker(store_dir, *, owner: Optional[str] = None,
         # them losslessly.
         store = logs.enter_context(ExperimentStore(
             store_dir, writer=f"worker-{filename_safe(owner)}"))
-        runner = DSERunner(space, store=store, jobs=jobs, cache=cache,
-                           circuits=circuits)
+        runner = DSERunner(space, store=store, cache=cache)
         while True:
             name = ledger.claim_next(owner)
             if name is None:
@@ -926,9 +934,6 @@ class Dispatcher:
         Lease time-to-live; must exceed the slowest task group's wall time
         -- one compile plus all its folded gate-variant simulations --
         since heartbeats fire once per completed task group.
-    jobs:
-        Process-pool width *inside* each worker (total parallelism is
-        ``workers x jobs``).
     throttle_s:
         Optional sleep per heartbeat inside workers -- a load limiter for
         shared machines, also used by the CI smoke tests to widen the kill
@@ -956,7 +961,7 @@ class Dispatcher:
 
     def __init__(self, space: DesignSpace, store_dir, *, workers: int = 2,
                  shards: Optional[int] = None, ttl_s: float = DEFAULT_TTL_S,
-                 jobs: int = 1, throttle_s: float = 0.0, poll_s: float = 0.2,
+                 throttle_s: float = 0.0, poll_s: float = 0.2,
                  max_respawns: Optional[int] = None,
                  strategy: Optional[Dict[str, object]] = None) -> None:
         if workers < 1:
@@ -974,7 +979,6 @@ class Dispatcher:
             self.shards = None
             self.strategy.setdefault("parts", self.workers)
         self.ttl_s = float(ttl_s)
-        self.jobs = int(jobs)
         self.throttle_s = float(throttle_s)
         self.poll_s = float(poll_s)
         self.max_respawns = (self.workers if max_respawns is None
@@ -990,7 +994,7 @@ class Dispatcher:
 
         return write_manifest(
             self.store_dir, self.space, shards=self.shards, ttl_s=self.ttl_s,
-            jobs=self.jobs, throttle_s=self.throttle_s,
+            throttle_s=self.throttle_s,
             mode="shards" if self.strategy is None else "adaptive",
             strategy=self.strategy)
 
@@ -1142,3 +1146,48 @@ class Dispatcher:
             "shards": snapshot["shards"],
         })
         return summary
+
+
+def fill_store(space: DesignSpace, store_dir, *, workers: int,
+               strategy: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Evaluate ``space`` into ``store_dir`` with ``workers`` local workers.
+
+    The ``--jobs N`` path of ``repro sweep`` and ``repro dse run``: one
+    :class:`Dispatcher` run -- the grid in static shards, or the proposer
+    of ``strategy`` (a :meth:`~repro.dse.strategies.Strategy.ledger_spec`)
+    -- after which the command's serial driver replays every point from
+    the store, so its records, trace and best point are a serial run's.
+
+    Exits non-zero when the run did not complete, leaving its dispatch
+    state in place: the same command on the same ``--store`` resumes it.
+    A completed run's ``dispatch.json``, ``leases/`` and ``telemetry/``
+    are removed, so the store takes a later ``--jobs`` run of another space
+    (:func:`write_manifest` would refuse it) and a later traced run adopts
+    none of this run's spans.
+
+    Returns the workers' summed ``worker_exit`` counters, a
+    :meth:`~repro.obs.metrics.MetricsRegistry.delta` the caller can merge.
+    """
+
+    store_dir = Path(store_dir)
+    try:
+        summary = Dispatcher(space, store_dir, workers=workers,
+                             strategy=strategy, poll_s=IDLE_WAIT_S).run()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    if not summary["complete"]:
+        raise SystemExit(
+            f"error: the {workers} local workers stopped before the run was "
+            f"complete; the dispatch state in {store_dir} is kept, so the "
+            f"same command on a --store directory resumes it")
+    reader = TelemetryReader(store_dir)
+    reader.poll()
+    counters: Dict[str, int] = {}
+    for event in reader.events:
+        if event["event"] == "worker_exit":
+            for name, value in event["counters"].items():
+                counters[name] = counters.get(name, 0) + value
+    (store_dir / MANIFEST_NAME).unlink()
+    for name in (LEASE_DIR, TELEMETRY_DIR):
+        shutil.rmtree(store_dir / name, ignore_errors=True)
+    return {"counters": counters}

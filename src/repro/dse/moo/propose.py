@@ -3,8 +3,8 @@
 Both proposers run on the batch machine of
 :mod:`repro.dse.adaptive.propose` (:class:`BatchProposer`: seeded first
 batch, budget, metered ``next_batch()`` / ``ingest()``), so they run
-unchanged through :class:`~repro.dse.runner.DSERunner`, ``--jobs N`` worker
-pools and the distributed proposal ledger.  What they add is that their
+unchanged through :class:`~repro.dse.runner.DSERunner` and the distributed
+proposal ledger (``dse dispatch``, or ``dse run --jobs N``).  What they add is that their
 ``values()`` are *objective vectors*
 (:func:`~repro.dse.moo.objectives.objective_vector`) instead of scalars,
 and that ``frontier()`` exposes the current Pareto archive.

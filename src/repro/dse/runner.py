@@ -1,7 +1,7 @@
 """The DSE runner: drives design points through the compile/simulate pipeline.
 
 :class:`DSERunner` is the execution layer between a :class:`DesignSpace` (or
-any point list a strategy proposes) and the parallel sweep executor of
+any point list a strategy proposes) and the sweep executor of
 :mod:`repro.toolflow.parallel`:
 
 * **Store-first.**  Every point is fingerprinted; points already in the
@@ -14,9 +14,10 @@ any point list a strategy proposes) and the parallel sweep executor of
   driver.
 * **Release.**  Once the store holds a point under every gate of the space,
   the runner drops that compilation from its program cache.
-* **Deterministic parallelism.**  Tasks run through
-  :func:`~repro.toolflow.parallel.run_tasks`; results come back in point
-  order for any ``jobs`` value.
+* **One task at a time.**  Each task runs through
+  :func:`~repro.toolflow.parallel.execute_task`, in point order.  Parallel
+  runs go through the work ledger (:mod:`repro.dse.dispatch`), whose
+  workers each drive a runner of their own over the shared store.
 * **Sharding.**  With ``shard=Shard(i, n)`` the runner evaluates only the
   points whose *compilation* hashes into shard ``i`` (see
   :meth:`DSERunner.partition_key`), so every gate variant of a program
@@ -45,7 +46,7 @@ from repro.io.fingerprint import design_point_fingerprint
 from repro.ir.circuit import Circuit
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import span
-from repro.toolflow.parallel import ProgramCache, SweepTask, iter_tasks
+from repro.toolflow.parallel import ProgramCache, SweepTask, execute_task
 
 
 def _default_circuit_builder(app: str, qubits: Optional[int]) -> Circuit:
@@ -55,7 +56,7 @@ def _default_circuit_builder(app: str, qubits: Optional[int]) -> Circuit:
 
 
 class DSERunner:
-    """Evaluates design points against a store, a cache and a worker pool.
+    """Evaluates design points against a store and a compiled-program cache.
 
     Parameters
     ----------
@@ -68,8 +69,6 @@ class DSERunner:
         given, point ``qubits`` must be ``None`` (the circuits *are* the
         sizes); when omitted, circuits are built on demand from the Table II
         generators at each point's size.
-    jobs:
-        Worker processes for the underlying sweep executor (1 = serial).
     shard:
         Evaluate only this shard's points (see :class:`Shard`).
     cache:
@@ -91,7 +90,6 @@ class DSERunner:
 
     def __init__(self, space: DesignSpace, store: Optional[ExperimentStore] = None, *,
                  circuits: Optional[Dict[str, Circuit]] = None,
-                 jobs: int = 1,
                  shard: Optional[Shard] = None,
                  cache: Optional[ProgramCache] = None,
                  circuit_builder: Optional[Callable[[str, Optional[int]], Circuit]] = None,
@@ -107,7 +105,6 @@ class DSERunner:
         self.space = space
         self.store = store if store is not None else ExperimentStore()
         self.circuits = dict(circuits) if circuits is not None else None
-        self.jobs = jobs
         self.shard = shard
         self.cache = cache if cache is not None else ProgramCache()
         self.heartbeat = heartbeat
@@ -172,10 +169,9 @@ class DSERunner:
 
         Points already in the store come back as
         :class:`~repro.dse.store.CachedRecord` without recomputation; fresh
-        points are executed (in parallel for ``jobs > 1``) and appended to
-        the store.  Shard-foreign points yield ``None`` (they belong to
-        another shard and are not evaluated here) unless the store already
-        has them.
+        points are executed and appended to the store.  Shard-foreign points
+        yield ``None`` (they belong to another shard and are not evaluated
+        here) unless the store already has them.
         """
 
         points = list(points)
@@ -230,29 +226,23 @@ class DSERunner:
                 groups.append([index])
             prev_index, prev_key = index, key
 
-        tasks = []
+        # Every completed design point is persisted the moment its task
+        # finishes, so a killed run resumes at point granularity.
+        results: List[object] = [None] * len(points)
         for group in groups:
             first = points[group[0]]
             circuit = self.circuit_for(first.app, first.qubits)
-            if len(group) == 1:
-                tasks.append(SweepTask(circuit, first.config))
-            else:
-                gates = tuple(points[index].config.gate for index in group)
-                tasks.append(SweepTask(circuit, first.config, gates=gates))
-
-        # Stream task results: every completed design point is persisted the
-        # moment it finishes, so a killed run resumes at point granularity.
-        results: List[object] = [None] * len(points)
-        for group, task, records in zip(groups, tasks,
-                                        iter_tasks(tasks, jobs=self.jobs,
-                                                   cache=self.cache)):
+            gates = (None if len(group) == 1 else
+                     tuple(points[index].config.gate for index in group))
+            records = execute_task(SweepTask(circuit, first.config,
+                                             gates=gates), self.cache)
             for index, record in zip(group, records):
                 results[index] = record
                 self.stats["evaluated"] += 1
                 self.store.add(record_to_row(fingerprints[index],
                                              points[index], record,
                                              provenance=self.provenance))
-            self._release_if_stored(points[group[0]], task.circuit)
+            self._release_if_stored(first, circuit)
             if self.heartbeat is not None:
                 self.heartbeat()
 

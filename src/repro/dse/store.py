@@ -128,9 +128,11 @@ class CachedResult:
         return int(self._metrics["num_ms_gates"])
 
     def as_dict(self) -> Dict[str, float]:
-        """The stored metrics (same keys as ``SimulationResult.as_dict``)."""
+        """The stored metrics, in ``SimulationResult.as_dict`` order."""
 
-        return dict(self._metrics)
+        from repro.sim.results import headline_metrics
+
+        return headline_metrics(self)
 
 
 class CachedRecord:

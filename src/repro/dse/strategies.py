@@ -2,11 +2,11 @@
 
 Each strategy decides *which* points to evaluate (and in what order); the
 :class:`~repro.dse.runner.DSERunner` decides *how* (store replay, gate
-fan-out, worker pool, sharding).  All strategies are deterministic under a
-fixed seed: randomness comes only from ``random.Random(seed)``, evaluation
-results are independent of ``jobs``, and every tie breaks towards the
-earlier candidate, so the same (space, strategy, seed) always explores the
-same points and reports the same best.
+fan-out, sharding).  All strategies are deterministic under a fixed seed:
+randomness comes only from ``random.Random(seed)``, evaluation results do
+not depend on which process computed them, and every tie breaks towards
+the earlier candidate, so the same (space, strategy, seed) always explores
+the same points and reports the same best.
 
 * :class:`ExhaustiveGrid` -- every point, in enumeration order (the paper's
   figure sweeps; shardable).
@@ -35,10 +35,11 @@ same points and reports the same best.
 
 Every strategy stamps its provenance (name, seed, multi-fidelity rung) into
 the rows it persists (schema v3), so ``dse status --by-strategy`` can
-attribute stored points.  The adaptive strategies can additionally run
-distributed through the propose/evaluate ledger (``repro dse dispatch
---strategy bayes``, with the same spec in the manifest); the proposal
-sequence is identical either way.
+attribute stored points.  The grid and the adaptive strategies can
+additionally run on the work ledger (:meth:`Strategy.ledger_spec`: ``repro
+dse dispatch``, or ``dse run --jobs N``); the adaptive ones through the
+propose/evaluate protocol, with the same spec in the manifest, so the
+proposal sequence is identical either way.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ class Strategy:
     def run(self, runner) -> StrategyResult:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def ledger_spec(self) -> Optional[Dict[str, object]]:
+        """The ``strategy`` a :class:`~repro.dse.dispatch.Dispatcher` runs
+        for this one: ``None`` for the grid's static shards, a proposer spec
+        for the propose/evaluate protocol.
+
+        Raises ``ValueError`` for a strategy that is neither, which no
+        ledger worker can run.
+        """
+
+        raise ValueError(
+            f"strategy {self.name!r} cannot run on the work ledger, which "
+            f"evaluates a whole grid in shards or a proposer's batches; run "
+            f"it without --jobs")
+
     def provenance(self, *, rung: Optional[int] = None,
                    proxy_qubits: Optional[int] = None) -> Dict[str, object]:
         """The provenance stamp for rows this strategy asks to evaluate."""
@@ -126,6 +141,9 @@ class ExhaustiveGrid(Strategy):
 
     name = "grid"
     shardable = True
+
+    def ledger_spec(self) -> None:
+        return None
 
     def run(self, runner) -> StrategyResult:
         runner.provenance = self.provenance()
@@ -257,20 +275,19 @@ class SuccessiveHalving(Strategy):
         self.min_survivors = min_survivors
 
     def run(self, runner) -> StrategyResult:
-        space = runner.space
-        candidates = list(space.points())
-        full_sizes = {qubits for qubits in space.qubits}
-        # The proxy ladder only makes sense below the true size; None means
-        # "application default" (paper scale, 64-78 qubits).
-        size_cap = min((qubits for qubits in full_sizes if qubits is not None),
-                       default=None)
+        candidates = list(runner.space.points())
+        # The proxy ladder only makes sense below the true size: the
+        # smallest candidate's.  None is the application's default size
+        # (64-78 qubits), read off the circuit the final rung builds anyway.
+        size_cap = min(point.qubits if point.qubits is not None
+                       else runner.circuit_for(point.app, None).num_qubits
+                       for point in candidates)
 
         all_records: List[object] = []
         trace: List[Dict[str, object]] = []
         size = self.proxy_qubits
         rung = 0
-        while len(candidates) > self.min_survivors and \
-                (size_cap is None or size < size_cap):
+        while len(candidates) > self.min_survivors and size < size_cap:
             proxies = [point.with_qubits(size) for point in candidates]
             runner.provenance = self.provenance(rung=rung, proxy_qubits=size)
             records = runner.evaluate(proxies)
@@ -308,9 +325,10 @@ class ProposerStrategy(Strategy):
     ``ingest`` with the runner's ``evaluate`` -- exactly the loop
     :func:`repro.dse.adaptive.protocol.run_proposer` drives over the work
     ledger -- so serial, ``--jobs N`` and dispatched runs propose the same
-    sequence.  A multi-objective spec (``objectives``) also reports the
-    Pareto archive (``result.frontier``) next to the scalar best under the
-    first objective.
+    sequence (:meth:`ledger_spec` hands the spec to the dispatcher).  A
+    multi-objective spec (``objectives``) also reports the Pareto archive
+    (``result.frontier``) next to the scalar best under the first
+    objective.
     """
 
     shardable = False
@@ -324,6 +342,9 @@ class ProposerStrategy(Strategy):
         # multi-objective spec, else its metric.
         super().__init__(objectives[0] if objectives
                          else self.spec.get("metric", "fidelity"))
+
+    def ledger_spec(self) -> Dict[str, object]:
+        return dict(self.spec)
 
     def run(self, runner) -> StrategyResult:
         from repro.dse.adaptive.propose import make_proposer

@@ -51,12 +51,6 @@ class PathStep:
         if self.kind not in ("segment", "junction", "trap"):
             raise ValueError(f"unknown path step kind: {self.kind!r}")
 
-    @property
-    def resource_name(self) -> str:
-        """Name of the exclusive resource this step occupies."""
-
-        return self.element.name
-
 
 @dataclass(frozen=True)
 class ShuttlePath:

@@ -1,8 +1,8 @@
 """Observability: span tracing, metrics, trace export, timeline, profile.
 
-The stack runs distributed, adaptive searches over process pools and a
-lease-coordinated worker fleet; this package is the telemetry layer that
-makes those executions debuggable:
+The stack runs distributed, adaptive searches over a lease-coordinated
+worker fleet; this package is the telemetry layer that makes those
+executions debuggable:
 
 * :mod:`~repro.obs.trace` -- context-manager spans
   (``with span("compile.route", gates=n):``) with ContextVar parenting and
@@ -11,15 +11,15 @@ makes those executions debuggable:
 * :mod:`~repro.obs.metrics` -- process-wide counters/gauges/histograms
   (with bounded-bucket p50/p90/p99 quantiles) and snapshot/delta/merge,
   generalising the hand-rolled ``ProgramCache.stats()`` /
-  ``BatchPlan.stats()`` counter plumbing so pool workers and dispatched
-  workers aggregate identically for any ``--jobs``.
+  ``BatchPlan.stats()`` counter plumbing, so the counters of dispatched
+  workers (those of ``--jobs N`` included) sum to a serial run's.
 * :mod:`~repro.obs.export` -- Chrome trace-event JSON (loads in
   Perfetto), flat span JSONL, and a per-run manifest (config fingerprint,
   schema versions, phase timings, metrics snapshot), all written through
   :func:`repro.io.appendlog.atomic_write_text` so crashed runs keep their
   traces.
 * :mod:`~repro.obs.distributed` -- fleet-wide tracing: trace-context
-  propagation into worker subprocesses and pool children, the span
+  propagation into worker subprocesses, the span
   records each worker appends to its event stream
   (``<store>/telemetry/<owner>.jsonl``), and the deterministic merger
   behind ``repro trace merge`` and the automatic merge of ``dse dispatch

@@ -8,9 +8,8 @@ the dispatcher process.  Three pieces make that work:
   environment (the ``REPRO_CHECK`` pattern of
   :mod:`repro.checks`: ``spawn_worker_process`` copies the
   parent environment, so stamping the spawn env is all the propagation
-  needed) and into process-pool children through the pool initializer of
-  :func:`repro.toolflow.parallel.iter_tasks`.  Every process arms a
-  tracer parented under the same root.
+  needed).  Every worker arms a tracer parented under the same root; the
+  local workers of a ``--jobs N`` sweep are dispatched workers too.
 * **Span records** -- after every completed work unit and at exit, each
   worker appends the spans closed since its previous flush to its one
   event stream (:meth:`~repro.dse.dispatch.WorkerTelemetry.flush_spans`);
@@ -51,9 +50,7 @@ __all__ = [
     "SHARD_SCHEMA_VERSION",
     "SPAN_EVENT",
     "TraceContext",
-    "adopt_exported",
     "adopt_shards",
-    "drain_records",
     "export_records",
     "refuse_trace_shards",
     "span_record",
@@ -153,20 +150,6 @@ def span_record(tracer: Tracer, record: Dict[str, object],
     return record
 
 
-def drain_records(tracer: Tracer, *,
-                  owner: Optional[str] = None) -> List[Dict[str, object]]:
-    """Export and *clear* the tracer's records (pool-child shipping).
-
-    Span ids keep incrementing, so records drained in separate batches
-    stay unique per ``(pid, span_id)``.
-    """
-
-    records = export_records(tracer, owner=owner)
-    tracer.spans.clear()
-    tracer.foreign.clear()
-    return records
-
-
 def _to_frame(record: Dict[str, object],
               epoch_s: float) -> Dict[str, object]:
     """A span record rebased into a host tracer's time frame, less the
@@ -177,17 +160,6 @@ def _to_frame(record: Dict[str, object],
     record.pop("schema_version", None)
     record.pop("event", None)
     return record
-
-
-def adopt_exported(tracer: Tracer, records) -> None:
-    """Adopt exported (``epoch_start_s``-framed) records into a tracer.
-
-    The in-memory counterpart of :func:`adopt_shards`: pool children ship
-    their drained records home through the task result instead of a worker
-    stream, and the parent folds them in here, rebased into its time frame.
-    """
-
-    tracer.adopt(_to_frame(record, tracer.epoch_s) for record in records)
 
 
 def span_refusal(record: Dict[str, object]) -> Optional[str]:

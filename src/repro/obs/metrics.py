@@ -2,13 +2,13 @@
 
 Any component registers named series (:mod:`repro.sim.batch`'s ``stats=``
 dict drives them through :class:`CounterDict`).  The one counter protocol
-across processes: a ``--jobs`` pool worker snapshots its
-``ProgramCache.metrics`` before a task and ships the
-:meth:`MetricsRegistry.delta` home with the result, and the parent
-:meth:`MetricsRegistry.merge`\\ s it -- so aggregate counts are identical
-for any ``--jobs`` value (deltas are merged in task-submission order, and
-counters are integers, so there is no float-association drift).  A
-dispatched worker's ``done`` events carry the same delta's counters.
+across processes: a dispatched worker's ``done`` events carry the
+:meth:`MetricsRegistry.delta` of its ``ProgramCache.metrics`` since the
+previous item, and its ``worker_exit`` event the totals.  ``repro sweep
+--jobs N`` sums the ``worker_exit`` counters of its local ledger workers
+and :meth:`MetricsRegistry.merge`\\ s them into its own cache's registry --
+so the printed counts equal a serial run's (counters are integers, so the
+sum has no float-association drift).
 
 Naming convention (see ``docs/observability.md``): dotted lowercase paths,
 ``<component>.<series>`` -- ``cache.hits``, ``cache.batch.variants``,
@@ -103,8 +103,8 @@ class Histogram:
     *bounded* set of log-spaced buckets (:data:`BUCKETS_PER_DECADE` per
     decade, clamped to [1e-9, 1e9)), so :meth:`quantile` answers p50/p90/p99
     in O(buckets) with a fixed memory ceiling regardless of how many values
-    stream through.  Bucket counts are integers, so the pool
-    snapshot->delta->merge protocol keeps quantiles **jobs-count-invariant**:
+    stream through.  Bucket counts are integers, so the
+    snapshot->delta->merge protocol keeps quantiles **split-invariant**:
     merging worker deltas in any split reproduces the serial bucket counts
     exactly, and quantiles are a pure function of those counts.
     """
@@ -168,9 +168,9 @@ class Histogram:
 class MetricsRegistry:
     """Named counters/gauges/histograms with snapshot/delta/merge support.
 
-    The pool-worker protocol: the worker takes ``before = reg.snapshot()``,
-    does the work, and returns ``reg.delta(before)``; the parent calls
-    ``reg.merge(delta)``.  Counter and histogram count/sum movements add;
+    The worker protocol: a worker takes ``before = reg.snapshot()``, does
+    the work, and reports ``reg.delta(before)``; whoever sums the workers
+    calls ``reg.merge(delta)``.  Counter and histogram count/sum movements add;
     histogram min/max fold with min/max (idempotent, so re-reporting an
     old extreme is harmless); gauges carry their latest value.
     """
@@ -262,7 +262,7 @@ class MetricsRegistry:
                 "histograms": histograms}
 
     def merge(self, delta: Dict[str, object]) -> None:
-        """Fold a :meth:`delta` (e.g. from a pool worker) into this registry."""
+        """Fold a :meth:`delta` (e.g. summed worker counters) into this registry."""
 
         for name, moved in delta.get("counters", {}).items():
             self.counter(name).inc(moved)

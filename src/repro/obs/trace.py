@@ -15,9 +15,9 @@ call stack (including across threads, each of which sees its own chain).
 Tracing also crosses process boundaries: every tracer carries a root
 ``trace_id`` plus an optional ``parent_ref`` (``"pid:span_id"`` naming a
 span in another process), and :mod:`repro.obs.distributed` propagates
-both into dispatched worker subprocesses and process-pool children, whose
-spans flow back as *foreign records* via :meth:`Tracer.adopt` -- so a
-fleet run yields one trace under one root id.
+both into dispatched worker subprocesses, whose spans flow back as
+*foreign records* via :meth:`Tracer.adopt` -- so a fleet run yields one
+trace under one root id.
 
 Span ids are small per-tracer integers (allocation order), so traces of a
 deterministic run are structurally reproducible; only the timings vary.
@@ -223,7 +223,7 @@ def enable_tracing(*, trace_id: Optional[str] = None,
     trace (see :mod:`repro.obs.distributed`); omitted, a new root trace
     id is minted.
 
-    The parent chain restarts with the tracer: a forked pool child
+    The parent chain restarts with the tracer: a forked child process
     inherits the parent process's ``_PARENT`` ContextVar, and without the
     reset its spans would carry a ``parent_id`` naming a span of a
     *different* process's tracer.

@@ -125,19 +125,7 @@ class SimulationResult:
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary of the headline metrics (used by sweep tables)."""
 
-        return {
-            "duration_us": self.duration,
-            "duration_s": self.duration_seconds,
-            "fidelity": self.fidelity,
-            "log_fidelity": self.log_fidelity,
-            "computation_s": self.computation_seconds,
-            "communication_s": self.communication_seconds,
-            "max_motional_energy": self.max_motional_energy,
-            "mean_background_error": self.mean_background_error,
-            "mean_motional_error": self.mean_motional_error,
-            "num_shuttles": float(self.num_shuttles),
-            "num_ms_gates": float(self.num_ms_gates),
-        }
+        return headline_metrics(self)
 
     @staticmethod
     def fidelity_from_log(log_fidelity: float) -> float:
@@ -150,3 +138,27 @@ class SimulationResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"SimulationResult({self.circuit_name!r} on {self.device_name!r}: "
                 f"time={self.duration_seconds:.4f}s, fidelity={self.fidelity:.4g})")
+
+
+def headline_metrics(result) -> Dict[str, float]:
+    """The headline metrics of a result, in the one order every view lists.
+
+    ``result`` is a :class:`SimulationResult` or a store row's
+    :class:`~repro.dse.store.CachedResult`, which exposes the same
+    attributes; store rows keep the metrics with sorted keys, so a replayed
+    record lists them in this order only through here.
+    """
+
+    return {
+        "duration_us": result.duration,
+        "duration_s": result.duration_seconds,
+        "fidelity": result.fidelity,
+        "log_fidelity": result.log_fidelity,
+        "computation_s": result.computation_seconds,
+        "communication_s": result.communication_seconds,
+        "max_motional_energy": result.max_motional_energy,
+        "mean_background_error": result.mean_background_error,
+        "mean_motional_error": result.mean_motional_error,
+        "num_shuttles": float(result.num_shuttles),
+        "num_ms_gates": float(result.num_ms_gates),
+    }

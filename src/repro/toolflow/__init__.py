@@ -11,8 +11,9 @@ paper reports:
   and microarchitecture combinations, expressed as :mod:`repro.dse` design
   spaces and routed through an experiment store (resumable when persistent).
 * :mod:`~repro.toolflow.parallel` -- the sweep executor: compiled-program
-  memoization (:class:`ProgramCache`) and deterministic multi-process fan-out
-  (:func:`run_tasks`), shared by every sweep and figure driver.
+  memoization (:class:`ProgramCache`) and one task's compile and batched
+  simulation (:func:`execute_task`), shared by every sweep and figure
+  driver and by the work ledger's workers.
 * :mod:`~repro.toolflow.figures` -- harnesses that regenerate the data series
   of Figures 6, 7 and 8.
 * :mod:`~repro.toolflow.tables` -- harnesses for Tables I and II.
@@ -25,8 +26,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.toolflow.config": ("ArchitectureConfig",),
-    "repro.toolflow.parallel": ("ProgramCache", "SweepTask", "execute_task",
-                                "iter_tasks", "run_tasks"),
+    "repro.toolflow.parallel": ("ProgramCache", "SweepTask", "execute_task"),
     "repro.toolflow.runner": ("ExperimentRecord", "run_experiment",
                               "run_gate_variants"),
     "repro.toolflow.sweep": ("sweep_capacity", "sweep_topologies",

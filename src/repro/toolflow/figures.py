@@ -14,16 +14,17 @@ versions for tests and benchmarks.
   fidelity and runtime per combination.
 
 All three drivers delegate to the sweeps in :mod:`repro.toolflow.sweep` and
-therefore accept ``jobs`` (parallel worker processes; 1 = serial) and
-``cache`` (a :class:`~repro.toolflow.parallel.ProgramCache` whose hit, miss
-and batch counters the caller can read; the sweep releases each compilation
-once all its gate variants are stored, so the cache ends a figure empty).
-They also accept ``store`` (an :class:`~repro.dse.store.ExperimentStore`,
+therefore accept ``cache`` (a :class:`~repro.toolflow.parallel.ProgramCache`
+whose hit, miss and batch counters the caller can read; the sweep releases
+each compilation once all its gate variants are stored, so the cache ends a
+figure empty) and ``store`` (an :class:`~repro.dse.store.ExperimentStore`,
 in memory or persistent), which makes a figure regeneration resumable and
 is how figures share work: design points already in the store are replayed
 bit-identically instead of recomputed, so regenerating Figure 6 after
-Figure 7 on one store compiles nothing.  The assembled series are identical
-for every ``jobs`` value and store state.
+Figure 7 on one store compiles nothing.  That is also how ``repro sweep
+--jobs N`` runs a figure in parallel: ledger workers fill the store with the
+figure's space, then the driver replays it.  The assembled series are
+identical for every store state.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def _take(records, circuit: Circuit, **expected):
 def figure6(suite: Optional[Dict[str, Circuit]] = None,
             capacities: Sequence[int] = PAPER_CAPACITIES,
             base: Optional[ArchitectureConfig] = None, *,
-            jobs: int = 1,
             cache: Optional[ProgramCache] = None,
             store=None) -> Dict[str, object]:
     """Trap-sizing study (Figure 6a-g).
@@ -94,7 +94,7 @@ def figure6(suite: Optional[Dict[str, Circuit]] = None,
     supremacy_error = {"motional": [], "background": []}
 
     records = iter(sweep_capacity(suite, capacities=capacities, base=base,
-                                  jobs=jobs, cache=cache, store=store))
+                                  cache=cache, store=store))
     # Records come back in sweep-enumeration order (capacity-major, then
     # suite order), so walk the same loops to recover the suite keys.
     for capacity in capacities:
@@ -125,7 +125,6 @@ def figure7(suite: Optional[Dict[str, Circuit]] = None,
             capacities: Sequence[int] = PAPER_CAPACITIES,
             topologies: Sequence[str] = ("L6", "G2x3"),
             base: Optional[ArchitectureConfig] = None, *,
-            jobs: int = 1,
             cache: Optional[ProgramCache] = None,
             store=None) -> Dict[str, object]:
     """Topology study (Figure 7a-g).
@@ -146,8 +145,7 @@ def figure7(suite: Optional[Dict[str, Circuit]] = None,
     heating: Dict[str, List[float]] = {topology: [] for topology in topologies}
 
     records = iter(sweep_topologies(suite, topologies=topologies, capacities=capacities,
-                                    base=base, jobs=jobs, cache=cache,
-                                    store=store))
+                                    base=base, cache=cache, store=store))
     for topology in topologies:
         for capacity in capacities:
             for name in suite:
@@ -173,7 +171,6 @@ def figure8(suite: Optional[Dict[str, Circuit]] = None,
             gates: Iterable[str] = PAPER_GATES,
             reorders: Iterable[str] = PAPER_REORDERS,
             base: Optional[ArchitectureConfig] = None, *,
-            jobs: int = 1,
             cache: Optional[ProgramCache] = None,
             store=None) -> Dict[str, object]:
     """Microarchitecture study (Figure 8a-l).
@@ -201,8 +198,7 @@ def figure8(suite: Optional[Dict[str, Circuit]] = None,
 
     records = iter(sweep_microarchitecture(suite, capacities=capacities, gates=gates,
                                            reorders=reorders, base=base,
-                                           jobs=jobs, cache=cache,
-                                           store=store))
+                                           cache=cache, store=store))
     for reorder in reorders:
         for capacity in capacities:
             for name in suite:

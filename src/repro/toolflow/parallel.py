@@ -1,8 +1,8 @@
-"""Parallel, memoized execution of design-space sweeps.
+"""Memoized execution of design-space sweep tasks.
 
 The paper's figures are large sweeps: every (application x capacity x
 topology x gate x reorder) point runs the full compile->simulate pipeline.
-This module adds the two throughput layers the sweep drivers share:
+This module holds the two pieces every sweep and figure driver shares:
 
 * :class:`ProgramCache` -- a compiled-program memo keyed by the *compile
   relevant* inputs: the circuit's structural fingerprint plus (topology,
@@ -17,14 +17,12 @@ This module adds the two throughput layers the sweep drivers share:
   sweeps reuse each other's work through one shared
   :class:`~repro.dse.store.ExperimentStore`, which replays whole design
   points without compiling or simulating.
-* :func:`run_tasks` -- a deterministic sweep executor.  ``jobs=1`` (the
-  default) runs in-process against a shared cache; ``jobs>1`` fans tasks out
-  to a ``ProcessPoolExecutor`` whose workers each keep a process-local cache
-  (their cache/batch counters are merged back into the caller's cache so the
-  CLI summary stays meaningful).  A worker's cache keeps every program the
-  worker compiles until the pool shuts down: the caller's runner cannot
-  release them.  Results always come back in task-submission order, so the
-  produced record list is byte-for-byte independent of the worker count.
+* :func:`execute_task` -- one :class:`SweepTask` (a compilation and the
+  gates simulated on it) run against a cache.  The DSE runner calls it once
+  per task, in point order.  Sweeps run in parallel only through the work
+  ledger (:mod:`repro.dse.dispatch`): ``--jobs N`` fills the run's store
+  with N local ledger workers, each running this same function, and the
+  serial driver then replays every point from the store.
 
 Gate fan-outs (``SweepTask.gates``) are simulated in one batched call
 (:func:`repro.sim.batch.simulate_gate_variants`): one plan per compiled
@@ -41,12 +39,9 @@ the toolflow tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.checks import checks_enabled
 from repro.compiler.compile import CompilerOptions, compile_circuit
@@ -56,12 +51,7 @@ from repro.io.fingerprint import circuit_fingerprint
 from repro.ir.circuit import Circuit
 from repro.isa.program import QCCDProgram
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    current_span_ref,
-    current_tracer,
-    enable_tracing,
-    span,
-)
+from repro.obs.trace import span
 from repro.sim.batch import _simulate_gates, simulate_gate_variants
 from repro.sim.engine import simulate
 from repro.toolflow.config import ArchitectureConfig
@@ -279,127 +269,3 @@ def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord
             wall_s=compile_share + sim_share,
         ))
     return records
-
-
-# ---------------------------------------------------------------------------
-# Worker-side state for the process pool.  Each worker process lazily creates
-# one cache and reuses it for every task it receives, so compilations are
-# shared within a worker even though processes cannot share the parent cache.
-# ---------------------------------------------------------------------------
-_WORKER_CACHE: Optional[ProgramCache] = None
-
-
-def _pool_tracer_init(trace_id: Optional[str],
-                      parent_ref: Optional[str]) -> None:
-    """Pool-child initializer: join the parent's trace, if it has one.
-
-    Runs once per worker process.  When the parent traced the sweep, every
-    child arms a tracer under the same root ``trace_id`` with the parent's
-    open span as its cross-process ``parent_ref`` -- so ``sweep.task``
-    spans executed in pool children appear in the merged trace instead of
-    silently vanishing into untraced processes.
-    """
-
-    if trace_id is not None:
-        enable_tracing(trace_id=trace_id, parent_ref=parent_ref)
-
-
-def _worker_execute(task: SweepTask,
-                    ) -> Tuple[List[ExperimentRecord], Dict[str, object],
-                               Optional[List[Dict[str, object]]]]:
-    """Execute one task in a pool worker.
-
-    Returns the records, the worker cache's metrics movement for this task
-    (a :meth:`~repro.obs.metrics.MetricsRegistry.delta`, so the parent
-    process can merge cache/batch statistics across workers; the memo
-    itself stays process-local), and -- when the pool initializer armed a
-    tracer -- the spans this task produced, drained into the
-    self-contained shard schema so the parent can adopt them.
-    """
-
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ProgramCache()
-    before = _WORKER_CACHE.metrics.snapshot()
-    records = execute_task(task, _WORKER_CACHE)
-    spans: Optional[List[Dict[str, object]]] = None
-    tracer = current_tracer()
-    if tracer is not None and (tracer.spans or tracer.foreign):
-        from repro.obs.distributed import drain_records
-
-        spans = drain_records(tracer)
-    return records, _WORKER_CACHE.metrics.delta(before), spans
-
-
-def iter_tasks(tasks: Sequence[SweepTask], *, jobs: int = 1,
-               cache: Optional[ProgramCache] = None):
-    """Execute sweep ``tasks``, yielding per-task record lists in task order.
-
-    The streaming counterpart of :func:`run_tasks`: each task's records are
-    yielded as soon as that task (and every task before it) has finished, so
-    consumers can checkpoint incrementally -- the DSE experiment store
-    persists each design point the moment it completes, which is what makes
-    killed sweeps resumable at point granularity.
-
-    When the parent has tracing enabled, pool children join the same trace
-    (root ``trace_id`` + the parent's open span as ``parent_ref``) through
-    the pool initializer and ship their span records home with each task's
-    results, so a ``--jobs N`` sweep traces its ``sweep.task`` spans just
-    like a serial one.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``1`` (default) executes serially in-process --
-        no pickling, shared ``cache``.  Larger values fan out to a process
-        pool; yield order is still the submission order, so results are
-        deterministic regardless of ``jobs``.
-    cache:
-        Compiled-program cache for the serial path (one is created when not
-        given).  Pool workers always use process-local caches -- the
-        parameter primes nothing across processes by design -- but their
-        hit/miss and batch counters are merged back into ``cache`` as each
-        task's records are yielded, so a summary printed from it covers the
-        whole run regardless of ``jobs``.
-    """
-
-    tasks = list(tasks)
-    if jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    if jobs == 1 or len(tasks) <= 1:
-        cache = cache if cache is not None else ProgramCache()
-        for task in tasks:
-            yield execute_task(task, cache)
-        return
-    tracer = current_tracer()
-    initargs = ((tracer.trace_id, current_span_ref())
-                if tracer is not None else (None, None))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                             initializer=_pool_tracer_init,
-                             initargs=initargs) as pool:
-        chunksize = max(1, len(tasks) // (4 * jobs))
-        for records, delta, spans in pool.map(_worker_execute, tasks,
-                                              chunksize=chunksize):
-            if cache is not None:
-                cache.metrics.merge(delta)
-            if spans and tracer is not None:
-                from repro.obs.distributed import adopt_exported
-
-                adopt_exported(tracer, spans)
-            yield records
-
-
-def run_tasks(tasks: Sequence[SweepTask], *, jobs: int = 1,
-              cache: Optional[ProgramCache] = None) -> List[List[ExperimentRecord]]:
-    """Execute sweep ``tasks``, returning per-task record lists in task order.
-
-    See :func:`iter_tasks` (this is its materialised form).
-    """
-
-    return list(iter_tasks(tasks, jobs=jobs, cache=cache))
-
-
-def flatten(per_task_records: List[List[ExperimentRecord]]) -> List[ExperimentRecord]:
-    """Concatenate per-task record lists into one flat record list."""
-
-    return [record for records in per_task_records for record in records]

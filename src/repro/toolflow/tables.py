@@ -3,8 +3,9 @@
 * :func:`table1` -- shuttling primitive times (paper Table I).
 * :func:`table2` -- the benchmark suite characteristics (paper Table II).
 
-Both return row dictionaries and have ``format_*`` companions that render the
-aligned text printed by the examples and benchmark harnesses.
+Both return row dictionaries.  :func:`format_table2_text` renders Table II
+as the aligned text printed by the examples and benchmark harnesses; Table I
+renders through :func:`repro.models.shuttle_times.format_table1`.
 """
 
 from __future__ import annotations
@@ -14,19 +15,13 @@ from typing import Dict, List, Optional
 from repro.apps.suite import application_summary, table2_suite
 from repro.ir.circuit import Circuit
 from repro.models.params import ShuttleTimes
-from repro.models.shuttle_times import format_table1, operation_times
+from repro.models.shuttle_times import operation_times
 
 
 def table1(params: Optional[ShuttleTimes] = None) -> Dict[str, float]:
     """Table I rows: shuttling operation -> duration in microseconds."""
 
     return operation_times(params)
-
-
-def format_table1_text(params: Optional[ShuttleTimes] = None) -> str:
-    """Table I rendered as aligned text."""
-
-    return format_table1(params)
 
 
 def table2(circuits: Optional[Dict[str, Circuit]] = None) -> List[Dict[str, object]]:

@@ -145,3 +145,35 @@ def small_config():
     """A small architecture config usable with the 8-qubit fixtures."""
 
     return ArchitectureConfig(topology="L3", trap_capacity=6)
+
+
+@pytest.fixture
+def dse_run_output(tmp_path, capsys):
+    """``dse run`` over an 8-point 8-qubit space, each call on a fresh store.
+
+    ``dse_run_output(*flags, jobs=N)`` returns the ``--output`` JSON bytes
+    and the printed summary, less the lines naming the store or a ledger
+    worker, so a ``--jobs N`` run compares to a serial one.  A ``--jobs``
+    run must leave only the store's rows behind.
+    """
+
+    from repro.cli import main
+
+    runs = []
+
+    def run(*flags, jobs):
+        store = tmp_path / f"store{len(runs)}"
+        output = tmp_path / f"output{len(runs)}.json"
+        runs.append(store)
+        assert main(["dse", "run", "--apps", "QFT,BV", "--qubits", "8",
+                     "--topologies", "L3", "--capacities", "6,8",
+                     "--gates", "AM1,FM", "--seed", "5", *flags,
+                     "--jobs", str(jobs), "--store", str(store),
+                     "--output", str(output)]) == 0
+        summary = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith(("worker ", "Store", "Wrote"))]
+        assert [name for name in ("dispatch.json", "leases", "telemetry")
+                if (store / name).exists()] == []
+        return output.read_bytes(), summary
+
+    return run

@@ -4,7 +4,7 @@ Covers the contracts the subsystem is built around:
 
 * surrogate models and proposers are bit-deterministic under a fixed seed;
 * the same (space, strategy, seed) yields the identical proposal sequence
-  and best point for any ``jobs`` value and for single-process vs.
+  and best point for any ``--jobs`` value and for single-process vs.
   dispatched propose/evaluate runs (kill-one-worker variant included,
   driven through ``examples/dse_adaptive.py --smoke`` exactly like the
   shard dispatcher's smoke in ``tests/test_dispatch.py``);
@@ -292,14 +292,14 @@ class TestAdaptiveStrategies:
         ("bayes", dict(batch_size=2)),
         ("adaptive-halving", dict(proxy_qubits=8)),
     ])
-    def test_deterministic_for_any_jobs(self, name, kwargs):
-        outcomes = []
-        for jobs in (1, 2):
-            runner = DSERunner(_space(), jobs=jobs)
-            result = runner.run(make_strategy(name, seed=5, **kwargs))
-            outcomes.append((_rows(result.evaluated), result.best.as_row(),
-                             result.trace))
-        assert outcomes[0] == outcomes[1]
+    def test_deterministic_for_any_jobs(self, dse_run_output, name, kwargs):
+        # --jobs 2 runs the proposer over two local ledger workers, then
+        # replays the store: the output is the serial run's, byte for byte.
+        flags = ["--strategy", name]
+        for knob, value in kwargs.items():
+            flags += [f"--{knob.replace('_', '-')}", str(value)]
+        assert dse_run_output(*flags, jobs=2) == \
+            dse_run_output(*flags, jobs=1)
 
     def test_bayes_respects_quarter_budget(self):
         space = _space()

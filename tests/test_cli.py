@@ -235,3 +235,52 @@ class TestDseCommands:
                   "--topologies", "L3", "--capacities", "6,8",
                   "--strategy", "greedy", "--shard", "1/2"])
         capsys.readouterr()
+
+    def test_replayed_output_is_byte_identical(self, capsys, tmp_path):
+        # The second run replays every point from the store: its records
+        # list their metrics in the order a computed run does.
+        outputs = []
+        for name in ("fresh.json", "replayed.json"):
+            output = tmp_path / name
+            assert main(self._run_args(tmp_path / "store")
+                        + ["--output", str(output)]) == 0
+            outputs.append(output.read_bytes())
+        assert "Evaluated 0 points, replayed 8" in capsys.readouterr().out
+        assert outputs[0] == outputs[1]
+
+    def test_halving_ladder_stops_below_default_size(self, capsys, tmp_path):
+        # No --qubits: the proxies stand in for the 64-qubit default
+        # circuits, so the ladder ends below 64 (not at 96 qubits, which
+        # no 22-ion L4 device holds) and the finals run at full size.
+        output = tmp_path / "halving.json"
+        assert main(["dse", "run", "--apps", "QFT,BV", "--topologies", "L4",
+                     "--capacities", "22,24", "--gates", "AM1,FM",
+                     "--reorders", "GS,IS", "--strategy", "halving",
+                     "--output", str(output)]) == 0
+        capsys.readouterr()
+        payload = json.loads(output.read_text())
+        assert [entry["proxy_qubits"] for entry in payload["trace"]] == \
+            [12, 24, 48, None]
+        assert payload["trace"][-1]["candidates"] == 2
+
+
+class TestJobs:
+    """``--jobs N`` runs N local ledger workers; what they cannot run is
+    refused by name (equality with serial runs: ``test_dse``,
+    ``test_adaptive`` and ``test_moo``)."""
+
+    SPACE = ["--apps", "QFT,BV", "--qubits", "8", "--topologies", "L3",
+             "--capacities", "6,8", "--gates", "AM1,FM"]
+
+    def test_refusals_name_their_reason(self, capsys):
+        cases = [
+            (["sweep", "--figure", "8", "--small"], "--small"),
+            (["dse", "run", *self.SPACE, "--strategy", "greedy"],
+             "cannot run on the work ledger"),
+            (["dse", "run", *self.SPACE, "--shard", "1/2"], "--shard"),
+        ]
+        for argv, reason in cases:
+            with pytest.raises(SystemExit) as stopped:
+                main(argv + ["--jobs", "2"])
+            assert stopped.value.code != 0 and reason in str(stopped.value)
+        capsys.readouterr()

@@ -162,14 +162,29 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)
         path = write_manifest(tmp_path / "store", space, shards=4,
-                              ttl_s=12.0, jobs=2)
+                              ttl_s=12.0)
         assert path.name == "dispatch.json"
         manifest = read_manifest(tmp_path / "store")
         assert manifest["shards"] == 4
         assert manifest["ledger"] == "work-items"
         assert manifest["ttl_s"] == 12.0
-        assert manifest["jobs"] == 2
+        assert "jobs" not in manifest
         assert DesignSpace.from_dict(manifest["space"]) == space
+
+    def test_manifest_asking_for_a_worker_pool_is_refused_by_name(
+            self, tmp_path):
+        # Older versions ran a process pool of ``jobs`` inside each worker;
+        # this one has none, so such a manifest is refused, not half-run.
+        store = tmp_path / "store"
+        path = write_manifest(store, DesignSpace(**TINY_SPACE), shards=2)
+        manifest = json.loads(path.read_text())
+        for jobs, refused in ((1, False), (2, True)):
+            path.write_text(json.dumps(dict(manifest, jobs=jobs)))
+            if refused:
+                with pytest.raises(ValueError, match="process pool of 2 jobs"):
+                    read_manifest(store)
+            else:
+                assert read_manifest(store)["jobs"] == 1
 
     def test_reprepare_same_space_retunes_ttl(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)

@@ -7,7 +7,8 @@ Covers the contracts the subsystem is built around:
   shard files by directory union;
 * a killed-and-resumed run recomputes nothing and is bit-identical to a
   one-shot run;
-* every strategy is deterministic under a fixed seed for any ``jobs`` value.
+* every strategy is deterministic under a fixed seed, and those the work
+  ledger runs give the same output for any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -377,11 +378,8 @@ class TestDSERunner:
         assert stats["batch_plans"] == 4
         assert stats["batch_variants"] == 8
 
-    def test_jobs_do_not_change_results(self, mini_space, mini_circuits):
-        serial = DSERunner(mini_space, circuits=mini_circuits).evaluate_space()
-        parallel = DSERunner(mini_space, circuits=mini_circuits,
-                             jobs=2).evaluate_space()
-        assert _rows(serial) == _rows(parallel)
+    def test_jobs_do_not_change_results(self, dse_run_output):
+        assert dse_run_output(jobs=2) == dse_run_output(jobs=1)
 
     def test_duplicate_points_alias_in_batch(self, mini_space, mini_circuits):
         point = next(mini_space.points())
@@ -555,9 +553,11 @@ class TestStrategies:
     ])
     def test_seeded_strategies_deterministic_for_any_jobs(
             self, mini_space, mini_circuits, strategy_factory):
+        # Two serial runs: these strategies pick each next point in this
+        # process, so --jobs refuses them.
         outcomes = []
-        for jobs in (1, 2):
-            runner = DSERunner(mini_space, circuits=mini_circuits, jobs=jobs)
+        for _ in range(2):
+            runner = DSERunner(mini_space, circuits=mini_circuits)
             result = runner.run(strategy_factory())
             outcomes.append((_rows(result.evaluated), result.best.as_row()))
         assert outcomes[0] == outcomes[1]
@@ -631,8 +631,8 @@ class TestStrategies:
         space = DesignSpace(apps=("BV",), qubits=(16,), topologies=("L3",),
                             capacities=(6, 8), gates=("AM1", "FM"),
                             reorders=("GS",))
-        results = [DSERunner(space, jobs=jobs).run(
-            SuccessiveHalving(seed=5, proxy_qubits=8)) for jobs in (1, 2)]
+        results = [DSERunner(space).run(
+            SuccessiveHalving(seed=5, proxy_qubits=8)) for _ in range(2)]
         assert _rows(results[0].evaluated) == _rows(results[1].evaluated)
         assert results[0].best.as_row() == results[1].best.as_row()
 

@@ -390,14 +390,10 @@ class TestMOOProposers:
 # --------------------------------------------------------------------------- #
 class TestMOOStrategies:
     @pytest.mark.parametrize("name", ["ehvi", "parego"])
-    def test_deterministic_for_any_jobs(self, name):
-        outcomes = []
-        for jobs in (1, 2):
-            runner = DSERunner(_space(), jobs=jobs)
-            result = runner.run(make_strategy(name, seed=5, batch_size=2))
-            outcomes.append((_rows(result.evaluated), result.best.as_row(),
-                             _rows(result.frontier), result.trace))
-        assert outcomes[0] == outcomes[1]
+    def test_deterministic_for_any_jobs(self, dse_run_output, name):
+        flags = ["--strategy", name, "--batch-size", "2"]
+        assert dse_run_output(*flags, jobs=2) == \
+            dse_run_output(*flags, jobs=1)
 
     def test_reuses_store_across_runs(self):
         runner = DSERunner(_space())

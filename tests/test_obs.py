@@ -43,7 +43,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.toolflow import ProgramCache, SweepTask
-from repro.toolflow.parallel import execute_task, run_tasks
+from repro.toolflow.parallel import execute_task
 
 #: The golden space as ``dse run`` flags -- must match
 #: ``tests/data/regen_store_export.py`` (8 points, QFT+BV at 8 qubits).
@@ -229,7 +229,7 @@ class TestMetricsRegistry:
         assert delta["histograms"] == {}  # no new observations
 
     def test_worker_delta_merges_exactly(self):
-        """The pool protocol: snapshot -> work -> delta -> parent merge."""
+        """The worker protocol: snapshot -> work -> delta -> merge."""
 
         parent = MetricsRegistry()
         parent.counter("cache.hits").inc(2)
@@ -278,29 +278,24 @@ class TestMetricsRegistry:
         assert registry().counters() == {}
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_sweep_counters_identical_for_any_jobs(self, small_suite,
-                                                   small_config, jobs):
-        """Delta-merge determinism: jobs=N reports the same counters as
-        jobs=1 (integer deltas merged in task order cannot drift)."""
+    def test_sweep_counters_identical_for_any_jobs(self, tmp_path, jobs):
+        """The summed ``worker_exit`` counters of ``jobs`` ledger workers
+        are a serial run's, which keeps ``repro sweep``'s ``Cache:`` line
+        independent of ``--jobs``."""
 
-        tasks = [SweepTask(circuit, small_config, gates=("AM1", "FM"))
-                 for circuit in small_suite.values()]
-        serial = ProgramCache()
-        run_tasks(tasks, jobs=1, cache=serial)
-        pooled = ProgramCache()
-        run_tasks(tasks, jobs=jobs, cache=pooled)
+        from repro.dse.dispatch import fill_store
 
-        def moved(cache):
-            # Zero-valued series may be registered on one path and not the
-            # other (merges only fold nonzero deltas); the reported counts
-            # are what must agree.
-            return {name: value
-                    for name, value in cache.metrics.counters().items()
-                    if value}
-
-        assert moved(pooled) == moved(serial)
-        assert serial.metrics.counters()["cache.misses"] == len(tasks)
-        assert serial.stats() == {**pooled.stats(), "entries": len(tasks)}
+        space = DesignSpace(apps=("QFT", "BV"), qubits=(8,),
+                            topologies=("L3",), capacities=(6, 8),
+                            gates=("AM1", "FM"))
+        dispatched = ProgramCache()
+        dispatched.metrics.merge(fill_store(space, tmp_path / "store",
+                                            workers=jobs))
+        serial = DSERunner(space)
+        serial.evaluate_space()
+        assert dispatched.stats() == serial.cache.stats()
+        assert serial.cache.misses == 4
+        assert serial.cache.stats()["batch_variants"] == 8
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
 """Tests for fleet-wide distributed tracing (repro.obs.distributed).
 
 Covers the fleet-tracing guarantees: the trace context propagates into
-pool children (``sweep.task`` spans no longer vanish for ``--jobs 2``) and
-into dispatched worker subprocesses via the environment; workers flush
+dispatched worker subprocesses via the environment (so a traced ``dse run
+--jobs 2`` holds its workers' ``sweep.task`` spans); workers flush
 span records crash-safely into their one event stream beside the lease
 events, and the records merge deterministically -- the same span set
 produces a byte-identical Chrome trace regardless of how it was split
@@ -53,12 +53,9 @@ from repro.obs import (
 from repro.obs.distributed import (
     ENV_TRACE_ID,
     ENV_TRACE_PARENT,
-    drain_records,
     export_records,
 )
 from repro.obs.timeline import TelemetryReader, fold_timeline, top_snapshot
-from repro.toolflow import ArchitectureConfig, SweepTask
-from repro.toolflow.parallel import run_tasks
 
 
 @pytest.fixture(autouse=True)
@@ -155,41 +152,6 @@ class TestTraceContext:
 
 
 # --------------------------------------------------------------------------- #
-# Pool children (the --jobs 2 regression)
-# --------------------------------------------------------------------------- #
-class TestPoolChildSpans:
-    def test_jobs2_sweep_ships_task_spans_home(self, qft8):
-        config = ArchitectureConfig(topology="L3", trap_capacity=6)
-        tasks = [SweepTask(qft8, config),
-                 SweepTask(qft8, config.with_updates(trap_capacity=8))]
-        tracer = enable_tracing()
-        with span("sweep", points=len(tasks)):
-            run_tasks(tasks, jobs=2)
-        disable_tracing()
-        assert [s.name for s in tracer.spans] == ["sweep"]
-        names = {r["name"] for r in tracer.foreign}
-        assert "sweep.task" in names  # regression: these used to vanish
-        assert {r["trace_id"] for r in tracer.foreign} == {tracer.trace_id}
-        roots = [r for r in tracer.foreign if r.get("parent_id") is None]
-        assert roots and all(r["parent_ref"] == f"{tracer.pid}:1"
-                             for r in roots)
-        # The fleet critical path descends from the parent's sweep span
-        # into a pool child's task.
-        profile = build_profile(tracer.records())
-        path_names = [step["name"] for step in profile["critical_path"]]
-        assert path_names[0] == "sweep"
-        assert "sweep.task" in path_names
-        assert len({step["pid"] for step in profile["critical_path"]}) == 2
-
-    def test_untraced_jobs2_sweep_ships_nothing(self, qft8):
-        config = ArchitectureConfig(topology="L3", trap_capacity=6)
-        tasks = [SweepTask(qft8, config),
-                 SweepTask(qft8, config.with_updates(trap_capacity=8))]
-        run_tasks(tasks, jobs=2)  # no tracer armed: must not blow up
-        assert disable_tracing() is None
-
-
-# --------------------------------------------------------------------------- #
 # Shard write / read round trip
 # --------------------------------------------------------------------------- #
 class TestTraceShards:
@@ -207,16 +169,6 @@ class TestTraceShards:
         assert [r["parent_ref"] for r in roots] == ["5:2"]
         kids = [r for r in records if r["parent_id"] is not None]
         assert all("parent_ref" not in r for r in kids)
-
-    def test_drain_records_clears_and_keeps_ids_unique(self):
-        tracer = enable_tracing()
-        _make_spans(tracer)
-        first = drain_records(tracer)
-        assert tracer.spans == [] and tracer.foreign == []
-        _make_spans(tracer)
-        second = drain_records(tracer)
-        ids = [r["span_id"] for r in first + second]
-        assert len(ids) == len(set(ids))
 
     def test_writer_flush_and_read_round_trip(self, tmp_path):
         tracer = enable_tracing()
@@ -537,6 +489,33 @@ class TestTracedDispatch:
         path_names = [s["name"] for s in profile["critical_path"]]
         assert path_names[0] == "dse.dispatch"
         assert "dse.work" in path_names
+
+    def test_traced_jobs_run_holds_worker_task_spans(self, tmp_path, capsys):
+        # `dse run --jobs 2` fills its store through two ledger workers,
+        # whose spans join the command's trace.  A finished run removes its
+        # manifest, ledger and streams, so a second space dispatches into
+        # the same store and its trace holds none of the first run's spans.
+        store = tmp_path / "store"
+
+        def traced_run(name, *space):
+            trace = tmp_path / f"{name}.json"
+            assert main(["dse", "run", *space, "--jobs", "2",
+                         "--store", str(store), "--trace", str(trace)]) == 0
+            assert not any((store / leftover).exists() for leftover in
+                           ("dispatch.json", "leases", "telemetry"))
+            lines = (tmp_path / f"{name}.spans.jsonl").read_text()
+            return {span["pid"] for span in map(json.loads, lines.splitlines())
+                    if span["name"] == "sweep.task"}
+
+        first = traced_run("first", "--apps", "QFT", "--qubits", "8",
+                           "--topologies", "L3", "--capacities", "6")
+        # Eight paper-scale compilations give the later-starting worker
+        # its share (at least two in each of 8 trial runs).
+        second = traced_run("second", "--apps", "QFT,BV,QAOA,Supremacy",
+                            "--topologies", "L6", "--capacities", "14,18")
+        capsys.readouterr()
+        assert len(second) == 2
+        assert os.getpid() not in second and not first & second
 
     def test_untraced_dispatch_writes_no_shards(self, tmp_path):
         summary = Dispatcher(_tiny_space(), tmp_path, workers=1,

@@ -6,9 +6,9 @@ import pytest
 
 from repro.io.fingerprint import result_fingerprint
 from repro.toolflow import ArchitectureConfig, ProgramCache, SweepTask
-from repro.toolflow.parallel import execute_task, flatten, run_tasks
+from repro.toolflow.parallel import execute_task
 from repro.toolflow.runner import run_experiment, run_gate_variants
-from repro.toolflow.sweep import sweep_capacity, sweep_microarchitecture
+from repro.toolflow.sweep import sweep_microarchitecture
 
 
 def _record_identity(record):
@@ -207,23 +207,6 @@ class TestBatchCounters:
         assert stats["batch_timelines"] == 2
         assert stats["batch_timeline_hits"] == 2
 
-    def test_pool_workers_merge_counters(self, small_suite, small_config):
-        """jobs>1 folds worker cache/batch deltas into the caller's cache."""
-
-        tasks = [SweepTask(circuit, small_config, gates=("AM1", "FM"))
-                 for circuit in small_suite.values()]
-        parent = ProgramCache()
-        run_tasks(tasks, jobs=2, cache=parent)
-        stats = parent.stats()
-        # Distinct programs: each compiles exactly once in whichever worker.
-        assert stats["misses"] == len(tasks)
-        assert stats["hits"] == 0
-        assert stats["entries"] == 0  # memos stay process-local
-        assert stats["batch_plans"] == len(tasks)
-        assert stats["batch_variants"] == 2 * len(tasks)
-        # AM1 and FM duration vectors never collide.
-        assert stats["batch_timelines"] == 2 * len(tasks)
-
 
 class TestRunTasks:
     @pytest.fixture
@@ -235,47 +218,37 @@ class TestRunTasks:
         ]
 
     def test_serial_results_in_task_order(self, tasks):
-        per_task = run_tasks(tasks, jobs=1)
+        cache = ProgramCache()
+        per_task = [execute_task(task, cache) for task in tasks]
         assert len(per_task) == len(tasks)
         for task, records in zip(tasks, per_task):
             assert len(records) == 1
             assert records[0].application == task.circuit.name
             assert records[0].config == task.config
 
-    def test_parallel_equals_serial(self, tasks):
-        serial = flatten(run_tasks(tasks, jobs=1))
-        parallel = flatten(run_tasks(tasks, jobs=2))
-        assert [_record_identity(r) for r in serial] == \
-               [_record_identity(r) for r in parallel]
-
-    def test_parallel_order_is_deterministic(self, tasks):
-        first = flatten(run_tasks(tasks, jobs=2))
-        second = flatten(run_tasks(tasks, jobs=3))
-        assert [_record_identity(r) for r in first] == \
-               [_record_identity(r) for r in second]
-
     def test_jobs_one_is_graceful_fallback(self, tasks):
-        """jobs=1 never touches the process pool and honours a shared cache."""
+        """One process runs every task and honours a shared cache."""
 
         cache = ProgramCache()
-        run_tasks(tasks, jobs=1, cache=cache)
+        for task in tasks:
+            execute_task(task, cache)
         assert cache.misses == len(tasks)
-        run_tasks(tasks, jobs=1, cache=cache)
+        for task in tasks:
+            execute_task(task, cache)
         assert cache.hits == len(tasks)
 
-    def test_invalid_jobs_rejected(self, tasks):
-        with pytest.raises(ValueError):
-            run_tasks(tasks, jobs=0)
+    def test_invalid_jobs_rejected(self, capsys):
+        """``--jobs`` takes positive integers only."""
+
+        from repro.cli import build_parser
+
+        for argv in (["sweep", "--figure", "8"], ["dse", "run", "--apps", "QFT"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--jobs", "0"])
+        capsys.readouterr()
 
 
 class TestSweepIntegration:
-    def test_sweep_capacity_parallel_equals_serial(self, small_suite):
-        base = ArchitectureConfig(topology="L3", trap_capacity=6)
-        serial = sweep_capacity(small_suite, capacities=(6, 8), base=base)
-        parallel = sweep_capacity(small_suite, capacities=(6, 8), base=base, jobs=2)
-        assert [_record_identity(r) for r in serial] == \
-               [_record_identity(r) for r in parallel]
-
     def test_microarchitecture_cache_hit_counters(self, small_suite):
         """Each (app, capacity, reorder) compiles once and is released once
         its gates are stored; a shared store replays a repeated sweep."""
