@@ -15,6 +15,11 @@ durations -- and flags double-booked hardware:
 * **Merged dependency+resource schedule** (``RC002``/``RC003``): the exact
   predecessor relation of the program's lowering
   (:attr:`repro.sim.lower.LoweredProgram.preds`), which the simulator walks.
+  ``preds`` keeps each resource's chain of users and the dependencies
+  across resources; a dependency on an earlier op of the op's own resource
+  is left out, since the chain orders it already.  That transitive
+  reduction has the same happens-before relation as dependencies plus
+  resource chains, so with positive durations it gives the same schedule.
   Under it, *no* resource may ever be double-booked and no op may start
   before a declared dependency finishes; a finding means the lowering itself
   (or an injected predecessor table, via the ``predecessors`` hook used by
@@ -108,7 +113,7 @@ def detect_races(program: QCCDProgram, *,
                     f"{finish[dep]:g}",
                     location=f"op {index}",
                     hint="the schedule drops a declared dependency edge; "
-                         "every dep must appear among the op's "
+                         "every dep must precede the op through its "
                          "predecessors"))
     return report
 

@@ -28,7 +28,9 @@ emitting -- and checks the paper's legality rules op by op (checks ``QV001``
   consecutive ops touching the same ion are ordered by a happens-before path
   through dependencies and shared-resource chains -- the merged predecessor
   relation of the simulator's lowering (:mod:`repro.sim.lower`), so a
-  program that passes here cannot be misordered by the simulator.
+  program that passes here cannot be misordered by the simulator.  Two ops
+  on one resource are ordered by its chain, which the lowering always
+  keeps; only pairs on different resources take a reachability search.
 * **Connectivity** (when a device is supplied).  Every trap/segment/junction
   name exists in the topology, moves run along segments that join their
   endpoints with matching lengths, junction degrees agree, and merge/split
@@ -43,7 +45,7 @@ the op records and build no operation objects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.diagnostics import Report, diag
 from repro.isa.operations import (
@@ -58,7 +60,7 @@ from repro.isa.operations import (
     record_ions,
 )
 from repro.isa.program import QCCDProgram
-from repro.sim.lower import lower
+from repro.sim.lower import Predecessors, lower
 
 #: Op kinds allowed to touch a trap while it transiently holds capacity+1
 #: ions: the pass-through reorder (either microarchitecture) and the
@@ -558,22 +560,28 @@ def _check_dependency_coverage(program: QCCDProgram, report: Report) -> None:
 
     Reads the merged predecessors of the program's lowering
     (:attr:`repro.sim.lower.LoweredProgram.preds`), the relation the
-    simulator walks: op ``i`` waits on its dependencies and on the previous
-    op in program order using its resource.  If the previous op touching
-    one of ``i``'s ions is reachable through neither relation, the
-    simulator would happily overlap the two ops -- a compiler bug the
-    timeline cannot surface.
+    simulator walks: op ``i`` waits on the previous op in program order
+    using its resource and on its dependencies on other resources.  Two ops
+    claiming one resource are ordered by that resource chain, so they need
+    no search.  Otherwise, if the previous op touching one of ``i``'s ions
+    is not reachable over the merged predecessors, the simulator would
+    happily overlap the two ops -- a compiler bug the timeline cannot
+    surface.
     """
 
-    merged = [(preds,) if preds.__class__ is int else preds
-              for preds in lower(program).preds]
+    lowered = lower(program)
+    preds = lowered.preds
+    resources = lowered.resources
     last_for_ion: Dict[int, int] = {}
     for index, record in enumerate(program.records):
         ions = record_ions(record)
         for ion in ions:
             prev = last_for_ion.get(ion)
-            if prev is not None and prev not in merged[index] \
-                    and not _reachable(merged, index, prev):
+            if prev is None or resources[prev] == resources[index]:
+                continue
+            mine = preds[index]
+            direct = prev == mine if mine.__class__ is int else prev in mine
+            if not direct and not _reachable(preds, index, prev):
                 report.add(diag(
                     "QV006", f"op {index} touches ion {ion} but has no "
                              f"happens-before path to op {prev}, the "
@@ -586,10 +594,15 @@ def _check_dependency_coverage(program: QCCDProgram, report: Report) -> None:
             last_for_ion[ion] = index
 
 
-def _reachable(merged: List[Tuple[int, ...]], start: int, target: int) -> bool:
+def _reachable(preds: Sequence[Predecessors], start: int,
+               target: int) -> bool:
     """Whether ``target`` is reachable from ``start`` over merged preds."""
 
-    stack = [p for p in merged[start] if p >= target]
+    def each(node: int) -> Tuple[int, ...]:
+        node_preds = preds[node]
+        return (node_preds,) if node_preds.__class__ is int else node_preds
+
+    stack = [p for p in each(start) if p >= target]
     seen = set(stack)
     visited = 0
     while stack:
@@ -599,7 +612,7 @@ def _reachable(merged: List[Tuple[int, ...]], start: int, target: int) -> bool:
         visited += 1
         if visited > _REACH_LIMIT:
             return True  # give the program the benefit of the doubt
-        for pred in merged[node]:
+        for pred in each(node):
             if pred >= target and pred not in seen:
                 seen.add(pred)
                 stack.append(pred)

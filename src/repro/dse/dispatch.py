@@ -741,6 +741,11 @@ def run_worker(store_dir, *, owner: Optional[str] = None) -> Dict[str, object]:
                 telemetry.emit("lease_lost", work=name)
                 telemetry.flush_spans(tracer)
                 continue
+            except BaseException:
+                # The item stays undone, but its lease goes at once: a
+                # respawned worker retries it now, not after the TTL.
+                ledger.release(name, owner, done=False)
+                raise
             ledger.release(name, owner, done=True)
             completed.append(name)
             moved = cache.metrics.delta(counted)["counters"]

@@ -8,7 +8,7 @@ simulator: no two ion shuttles may occupy the same segment at the same time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,17 @@ class Segment:
         paper's Table I gives the time of moving through *one* segment, so the
         default length is 1; longer physical stretches can be modelled by a
         larger length.
+    name:
+        Canonical resource name used by the simulator (``"S<segment_id>"``),
+        set at construction so every move record through the segment shares
+        one string.
     """
 
     segment_id: int
     endpoint_a: str
     endpoint_b: str
     length: int = 1
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.segment_id < 0:
@@ -40,12 +45,7 @@ class Segment:
             raise ValueError("segment length must be at least 1")
         if self.endpoint_a == self.endpoint_b:
             raise ValueError("a segment must connect two distinct nodes")
-
-    @property
-    def name(self) -> str:
-        """Canonical resource name used by the simulator."""
-
-        return f"S{self.segment_id}"
+        object.__setattr__(self, "name", f"S{self.segment_id}")
 
     def other_end(self, node: str) -> str:
         """The endpoint opposite ``node``."""

@@ -9,8 +9,13 @@ pass over the op stream, shared with the static analyzers) and memoises
 everything a variant does not change:
 
 * **Timeline walk.**  An operation starts once its merged predecessors --
-  dependencies plus the previous user of its exclusive resource -- have
-  finished, so ``finish[i] = max(finish[p] for p in preds[i]) + dur[i]``.
+  the previous user of its exclusive resource plus its dependencies on
+  other resources -- have finished, so ``finish[i] = max(finish[p] for p
+  in preds[i]) + dur[i]``.  ``preds`` leaves out the dependencies the
+  resource chain orders already (:mod:`repro.sim.lower`); every duration
+  is positive (:func:`_evaluate` validates the model's times before a
+  walk), so those ops never finish later than the previous user and the
+  walk reads the same floats.
   The walk also advances the zero-communication timeline behind the
   Figure 6b computation/communication split and sums per-trap busy times.
   It depends on the durations alone, and every op's duration is the value
@@ -26,7 +31,9 @@ everything a variant does not change:
 * **Noise pass.**  Per variant only the fidelity-bearing ops are visited:
   two-qubit/SWAP gates evaluate equation (1) against the cached start
   times and trajectory energies; single-qubit gates and measurements add a
-  constant log-fidelity.  The totals are memoised per (timeline,
+  constant log-fidelity.  What a gate's error shares with every gate of its
+  duration slot -- MS repetitions, background error, A(N) -- is computed
+  once per slot.  The totals are memoised per (timeline,
   trajectory, fidelity parameters) combination, so re-evaluating a seen
   variant of a held program skips even this pass.  When a
   per-operation timeline is requested, the same pass records each gate's
@@ -77,6 +84,7 @@ from repro.sim.lower import (
     H_SPLIT,
     MS_PER_SWAP,
     LoweredProgram,
+    gather_by_slot,
     lower,
 )
 from repro.sim.results import OperationRecord, SimulationResult
@@ -87,7 +95,7 @@ class _Timeline:
     """Timing metrics of one slot-value vector, as the noise pass reads them.
 
     ``starts`` holds the start time of each two-qubit/SWAP gate, in
-    noise-pass order (the tuple entries of ``fid_items``), as packed
+    noise-pass order (one per entry of ``gate_ops``), as packed
     doubles: the walk computes ``finish[i] - duration[i]`` once and keeps
     nothing else per op.  A per-operation timeline walks again
     (:func:`_walk`).
@@ -191,8 +199,12 @@ class BatchPlan:
         lowered = self.lowered
         durations, finish, finish_c = _walk(lowered, values)
 
-        makespan = max(finish, default=0.0)
-        computation_time = max(finish_c, default=0.0)
+        # The latest finish is a resource chain's last op (see
+        # repro.sim.lower); zero-time communication keeps finish_c
+        # non-decreasing along each chain too.
+        makespan = max(map(finish.__getitem__, lowered.last_ops), default=0.0)
+        computation_time = max(map(finish_c.__getitem__, lowered.last_ops),
+                               default=0.0)
         communication_time = max(0.0, makespan - computation_time)
 
         # Busy time per trap: the resource's durations added in program
@@ -213,9 +225,8 @@ class BatchPlan:
                 total += durations[index]
             trap_comm_busy[name] = total
 
-        starts = array("d", [finish[item[0]] - durations[item[0]]
-                             for item in lowered.fid_items
-                             if item.__class__ is not int])
+        starts = array("d", [finish[index] - durations[index]
+                             for index in lowered.gate_ops])
         timeline = _Timeline(starts, makespan, computation_time,
                              communication_time, trap_gate_busy, trap_comm_busy)
         self._timelines[key] = timeline
@@ -319,34 +330,32 @@ def _walk(lowered: LoweredProgram, values: Sequence[float]
     timeline; neither keeps its vectors.
     """
 
-    slots = lowered.slots
-    durations = tuple(map(values.__getitem__, slots))
+    gather = gather_by_slot(lowered.slots)
+    durations = gather(values)
     # Zero-communication durations.  Adding the zeroed duration is exact:
     # x + 0.0 == x for every value the accumulator can take (all finish
     # times are >= 0.0).  A slot key's first entry is its ops' kind code.
-    cvalues = [0.0 if IS_COMM[key[0]] else value
-               for key, value in zip(lowered.slot_keys, values)]
+    cdurations = gather([0.0 if IS_COMM[key[0]] else value
+                         for key, value in zip(lowered.slot_keys, values)])
     finish: List[float] = []
     finish_c: List[float] = []
-    fin_append = finish.append
-    fin_c_append = finish_c.append
     for preds, duration, cduration in zip(lowered.preds, durations,
-                                          map(cvalues.__getitem__, slots)):
+                                          cdurations):
         if preds.__class__ is int:
-            ready = finish[preds]
-            ready_c = finish_c[preds]
-        else:
-            ready = 0.0
-            ready_c = 0.0
-            for p in preds:
-                value = finish[p]
-                if value > ready:
-                    ready = value
-                value = finish_c[p]
-                if value > ready_c:
-                    ready_c = value
-        fin_append(ready + duration)
-        fin_c_append(ready_c + cduration)
+            finish.append(finish[preds] + duration)
+            finish_c.append(finish_c[preds] + cduration)
+            continue
+        ready = 0.0
+        ready_c = 0.0
+        for p in preds:
+            value = finish[p]
+            if value > ready:
+                ready = value
+            value = finish_c[p]
+            if value > ready_c:
+                ready_c = value
+        finish.append(ready + duration)
+        finish_c.append(ready_c + cduration)
     return durations, finish, finish_c
 
 
@@ -374,6 +383,7 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
     per-operation timeline); the fan-out path passes nothing.
     """
 
+    lowered = plan.lowered
     params = fidelity_model.params
     min_fidelity = params.min_fidelity
     error_rate = params.background_heating_rate
@@ -385,19 +395,33 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
     neg_inf = -math.inf
     log_1q = log(single_qubit_fid) if single_qubit_fid > 0.0 else None
     log_measure = log(measurement_fid) if measurement_fid > 0.0 else None
-    # A(N) per duration slot; only MS-gate slots (code, distance, chain
-    # length) are ever read.
-    instability = [fidelity_model.laser_instability(key[2])
-                   if key[0] == GATE_2Q or key[0] == SWAP_GATE else 0.0
-                   for key in plan.lowered.slot_keys]
+    # Per MS-gate slot (code, distance, chain length): the MS repetitions,
+    # the background error of one MS, that error times the repetitions, and
+    # A(N) -- the values every gate of the slot would derive again.  Other
+    # slots are never read.
+    slot_terms: List[Optional[Tuple[int, float, float, float]]] = []
+    for key, duration in zip(lowered.slot_keys, values):
+        code = key[0]
+        if code == GATE_2Q:
+            repetitions = 1
+            one_ms = duration
+        elif code == SWAP_GATE:
+            repetitions = MS_PER_SWAP
+            one_ms = duration / MS_PER_SWAP
+        else:
+            slot_terms.append(None)
+            continue
+        background = error_rate * one_ms
+        slot_terms.append((repetitions, background, background * repetitions,
+                           fidelity_model.laser_instability(key[2])))
 
     log_fid = 0.0
     background_total = 0.0
     motional_total = 0.0
     num_ms = 0
     gate_pos = 0
-    for item in plan.lowered.fid_items:
-        if item.__class__ is int:
+    for item in lowered.fid_items:
+        if item < 0:
             if item == FID_1Q:
                 if log_1q is None:
                     log_fid = neg_inf
@@ -409,18 +433,15 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
                 elif log_fid != neg_inf:
                     log_fid += log_measure
             continue
-        index, slot, repetitions = item
-        duration = values[slot]
+        repetitions, background, background_reps, instability = \
+            slot_terms[item]
         # Background heating of the chain since the start of execution adds
         # to its shuttling-induced energy for the gate error (but is not
         # reported: Figure 6f tracks shuttling-induced energy only).
         background_energy = background_rate * starts[gate_pos]
-        one_ms = duration if repetitions == 1 else duration / MS_PER_SWAP
-        background = error_rate * one_ms
-        motional = instability[slot] * (
+        motional = instability * (
             2.0 * (gate_energies[gate_pos] + background_energy) + 1.0)
-        gate_pos += 1
-        background_total += background * repetitions
+        background_total += background_reps
         motional_total += motional * repetitions
         num_ms += repetitions
         total = background + motional
@@ -432,7 +453,8 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
         # clamped ** 1 is exact (IEEE pow(x, 1) == x); skip the call.
         fid = clamped if repetitions == 1 else clamped ** repetitions
         if op_fidelities is not None:
-            op_fidelities[index] = fid
+            op_fidelities[lowered.gate_ops[gate_pos]] = fid
+        gate_pos += 1
         if fid <= 0.0:
             log_fid = neg_inf
         elif log_fid != neg_inf:
@@ -458,6 +480,10 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
     slot_key = (gate, model.shuttle, model.single_qubit)
     slot = plan._duration_slots.get(slot_key)
     if slot is None:
+        # Positive durations are what the timeline walk assumes (see
+        # "Timeline walk" above); gate times are clamped positive already.
+        model.shuttle.validate()
+        model.single_qubit.validate()
         values = plan.lowered.slot_values(gate, model)
         timeline = plan.timeline_for(values, trap_names)
         plan._duration_slots[slot_key] = (values, timeline)

@@ -13,22 +13,34 @@ object is built.  Per operation ``i`` it holds:
   :data:`~repro.isa.operations.KINDS`);
 * ``resources[i]`` -- the interned id of the one exclusive resource (trap,
   segment or junction) the op claims; ``resource_names[rid]`` names it;
-* ``preds[i]`` -- the **merged predecessors**: the op's dependencies plus,
-  for its resource, the previous op in program order claiming it.  An op
-  waits on exactly these, so a timeline walk is
-  ``finish[i] = max(finish[p] for p in preds[i]) + duration[i]``.  Entries
-  outside ``[0, i)`` are dropped (a valid program has none); a single
-  predecessor is stored as a bare int, anything else as a sorted tuple;
+* ``preds[i]`` -- the **merged predecessors**: the previous op in program
+  order claiming the op's resource, plus the op's dependencies on *other*
+  resources.  A dependency on an earlier op of the same resource is left
+  out: the resource chain orders that op before the previous user already,
+  so ``preds`` is dependencies plus resource chains, transitively reduced
+  along each chain -- the same happens-before relation, hence, with
+  positive durations, the same schedule.  An op waits on exactly these, so a
+  timeline walk is ``finish[i] = max(finish[p] for p in preds[i]) +
+  duration[i]``.  Entries outside ``[0, i)`` are dropped (a valid program
+  has none); a single predecessor is stored as a bare int, anything else
+  as a sorted tuple;
 * ``slots[i]`` -- the index of the op's duration key in ``slot_keys``: the
   kind code plus whatever geometry its duration depends on (ion distance
   and chain length for MS gates, segment length, junction degree).
+
+Per resource id ``rid``, ``last_ops[rid]`` is the last op claiming it.
+With positive durations finish times rise along each resource chain, and
+every op is on one chain, so the latest finish time is one of these ops'
+finish times.
 
 The same pass builds the program-order schedules of the noise models and
 the busy-time accounting:
 
 * ``fid_items`` -- one entry per fidelity-bearing op: :data:`FID_1Q` or
-  :data:`FID_MEASURE` for the constant-fidelity kinds, else an
-  ``(op index, slot, MS repetitions)`` tuple for each two-qubit/SWAP gate;
+  :data:`FID_MEASURE` for the constant-fidelity kinds, else the op's
+  duration slot (a non-negative int) for each two-qubit/SWAP gate;
+* ``gate_ops`` -- the op id of each two-qubit/SWAP gate, in the order of
+  their ``fid_items`` entries;
 * ``heat_items`` -- one entry per op that reads or moves motional energy:
   the bare trap name for a two-qubit/SWAP gate (a snapshot of its chain's
   energy), else a tuple tagged :data:`H_SPLIT` .. :data:`H_ION_SWAP`;
@@ -52,7 +64,7 @@ gathers only while it walks a timeline.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.isa.operations import (
     GATE_1Q,
@@ -87,10 +99,25 @@ _CONSTANT_KEYS = ((GATE_1Q,), (MEASURE,), (SPLIT,), (MERGE,), (ION_SWAP,))
 Predecessors = Union[int, Tuple[int, ...]]
 
 
-def _merge(deps: Tuple[int, ...], prev: int, index: int) -> Predecessors:
+def gather_by_slot(slots: Tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """A callable taking a per-slot sequence ``seq`` to ``tuple(seq[s] for s
+    in slots)``.
+
+    An ``itemgetter`` gathers in C, at about a quarter of the cost of
+    mapping a tuple's ``__getitem__``, but it returns a tuple only for two
+    or more indices.
+    """
+
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda seq: tuple(seq[slot] for slot in slots)
+
+
+def _merge(deps: Tuple[int, ...], prev: int, index: int, rid: int,
+           resources: List[int]) -> Predecessors:
     """Merged predecessors of op ``index`` (general case; see module doc)."""
 
-    preds = {dep for dep in deps if 0 <= dep < index}
+    preds = {dep for dep in deps if 0 <= dep < index and resources[dep] != rid}
     if prev >= 0:
         preds.add(prev)
     if len(preds) == 1:
@@ -102,13 +129,15 @@ class LoweredProgram:
     """Struct-of-arrays view of one compiled program (see the module doc)."""
 
     __slots__ = ("records", "codes", "resources", "resource_names", "preds",
-                 "slots", "slot_keys", "fid_items", "heat_items", "busy_ops")
+                 "last_ops", "slots", "slot_keys", "fid_items", "gate_ops",
+                 "heat_items", "busy_ops")
 
     def __init__(self, records: Tuple[tuple, ...]) -> None:
         resources: List[int] = []
         preds: List[Predecessors] = []
         slots: List[int] = []
-        fid_items: List[object] = []
+        fid_items: List[int] = []
+        gate_ops: List[int] = []
         heat_items: List[object] = []
         slot_of: Dict[Tuple, int] = {key: slot for slot, key
                                      in enumerate(_CONSTANT_KEYS)}
@@ -116,6 +145,7 @@ class LoweredProgram:
         last_user: List[int] = []
         busy_ops: Dict[str, Tuple[List[int], List[int]]] = {}
         fid_append = fid_items.append
+        gate_append = gate_ops.append
         heat_append = heat_items.append
         is_comm = IS_COMM
 
@@ -129,7 +159,8 @@ class LoweredProgram:
                 slot = slot_of.get(key)
                 if slot is None:
                     slot = slot_of[key] = len(slot_of)
-                fid_append((index, slot, 1))
+                fid_append(slot)
+                gate_append(index)
                 heat_append(resource)
             elif code == GATE_1Q:
                 deps = record[1]
@@ -164,7 +195,8 @@ class LoweredProgram:
                 slot = slot_of.get(key)
                 if slot is None:
                     slot = slot_of[key] = len(slot_of)
-                fid_append((index, slot, MS_PER_SWAP))
+                fid_append(slot)
+                gate_append(index)
                 heat_append(resource)
             elif code == ION_SWAP:
                 _, deps, resource, _, chain_size = record
@@ -185,35 +217,50 @@ class LoweredProgram:
                 busy_ops[resource] = ([], [])
             busy_ops[resource][is_comm[code]].append(index)
 
-            # Merged predecessors.  The resource predecessor is nearly always
-            # one of the dependencies already (the builder's last-op-per-trap
-            # rule); those cases skip building a set.
+            # Merged predecessors: the resource's previous user, plus the
+            # dependencies on other resources.  The builder's last-op-per-
+            # trap rule makes that previous user the latest dependency, with
+            # the other dependencies sorted before it; those shapes skip
+            # building a set.
             prev = last_user[rid]
             last_user[rid] = index
             count = len(deps)
-            if count == 2:
-                first, second = deps
-                if (first == prev or second == prev) and \
-                        0 <= first < second < index:
-                    preds.append(deps)
-                else:
-                    preds.append(_merge(deps, prev, index))
-            elif count == 1:
+            if count == 1:
                 first = deps[0]
-                if first == prev >= 0:
+                if not 0 <= first < index:
+                    preds.append(_merge(deps, prev, index, rid, resources))
+                elif first == prev or resources[first] == rid:
                     preds.append(prev)
-                elif not 0 <= first < index:
-                    preds.append(_merge(deps, prev, index))
                 elif prev < 0:
                     preds.append(first)
                 elif first < prev:
                     preds.append((first, prev))
                 else:
                     preds.append((prev, first))
+            elif count == 2:
+                first, second = deps
+                if second == prev and 0 <= first < second:
+                    preds.append(prev if resources[first] == rid else deps)
+                elif 0 <= prev == first < second < index:
+                    # ``second`` comes after the resource's last user, so
+                    # it claims another resource.
+                    preds.append(deps)
+                else:
+                    preds.append(_merge(deps, prev, index, rid, resources))
+            elif count == 3:
+                first, second, third = deps
+                if third == prev and 0 <= first < second < third:
+                    first_same = resources[first] == rid
+                    if resources[second] == rid:
+                        preds.append(prev if first_same else (first, prev))
+                    else:
+                        preds.append((second, prev) if first_same else deps)
+                else:
+                    preds.append(_merge(deps, prev, index, rid, resources))
             elif count == 0:
                 preds.append(prev if prev >= 0 else ())
             else:
-                preds.append(_merge(deps, prev, index))
+                preds.append(_merge(deps, prev, index, rid, resources))
 
             resources.append(rid)
             slots.append(slot)
@@ -223,9 +270,11 @@ class LoweredProgram:
         self.resources = tuple(resources)
         self.resource_names = tuple(rid_of)
         self.preds = tuple(preds)
+        self.last_ops = tuple(last_user)
         self.slots = tuple(slots)
         self.slot_keys = tuple(slot_of)
         self.fid_items = tuple(fid_items)
+        self.gate_ops = tuple(gate_ops)
         self.heat_items = tuple(heat_items)
         self.busy_ops = {name: (tuple(gate_ids), tuple(comm_ids))
                          for name, (gate_ids, comm_ids) in busy_ops.items()}
@@ -275,7 +324,7 @@ class LoweredProgram:
         every call; the simulator does not keep it.
         """
 
-        return tuple(map(self.slot_values(gate, model).__getitem__, self.slots))
+        return gather_by_slot(self.slots)(self.slot_values(gate, model))
 
 
 def lower(program: QCCDProgram) -> LoweredProgram:

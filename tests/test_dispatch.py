@@ -423,6 +423,20 @@ class TestWorkerLoop:
                       for line in path.read_text().splitlines() if line]
         assert len(lines) == len(set(lines)) == space.size
 
+    def test_failing_item_is_released_for_an_immediate_retry(self, tmp_path):
+        """A point that fails (24 qubits on an 8-ion L3) gives its item
+        back as the error propagates, so a respawned worker retries it at
+        once instead of waiting out the lease TTL."""
+
+        space = DesignSpace(apps=("QFT",), qubits=(24,), topologies=("L3",),
+                            capacities=(8,), gates=("FM",), reorders=("GS",))
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, space, shards=1, ttl_s=60.0)
+        with pytest.raises(RuntimeError, match="no trap .* has free space"):
+            run_worker(store_dir, owner="doomed")
+        assert WorkLedger.for_store(store_dir).status_of("shard-1of1") == \
+            ("open", None, None)
+
     def test_heartbeat_lease_lost_aborts_mid_evaluation(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)
         beats = []

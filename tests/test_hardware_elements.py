@@ -1,5 +1,7 @@
 """Unit tests for traps, segments, junctions and ions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hardware.ion import Ion
@@ -62,6 +64,17 @@ class TestTrap:
 class TestSegment:
     def test_name(self):
         assert Segment(4, "T0", "T1").name == "S4"
+
+    def test_name_is_one_string_set_at_construction(self):
+        """Every read returns the same object, so the move records through
+        a segment share one name; repr and equality ignore it."""
+
+        segment = Segment(4, "T0", "T1", length=2)
+        assert segment.name is segment.name
+        assert repr(segment) == ("Segment(segment_id=4, endpoint_a='T0', "
+                                 "endpoint_b='T1', length=2)")
+        assert segment == Segment(4, "T0", "T1", length=2)
+        assert replace(segment, segment_id=7).name == "S7"
 
     def test_other_end(self):
         segment = Segment(0, "T0", "J1")

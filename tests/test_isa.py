@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from repro.analyze import verifier
 from repro.apps import scaled_suite
 from repro.compiler import compile_circuit
 from repro.dse import DesignSpace, DSERunner
@@ -191,8 +192,9 @@ class TestQCCDProgram:
 # --------------------------------------------------------------------------- #
 # Op records
 # --------------------------------------------------------------------------- #
-_LOWERING_ARRAYS = ("codes", "resources", "resource_names", "preds", "slots",
-                    "slot_keys", "fid_items", "heat_items", "busy_ops")
+_LOWERING_ARRAYS = ("codes", "resources", "resource_names", "preds",
+                    "last_ops", "slots", "slot_keys", "fid_items", "gate_ops",
+                    "heat_items", "busy_ops")
 
 
 def _lowering_arrays(program):
@@ -230,6 +232,46 @@ class TestOpRecords:
                     program_fingerprint(built), label
                 assert _lowering_arrays(other) == _lowering_arrays(built), label
 
+    @pytest.mark.parametrize("topology", ["L4", "G2x2"])
+    @pytest.mark.parametrize("reorder", ["GS", "IS"])
+    def test_preds_are_reduced_along_resource_chains(self, monkeypatch,
+                                                     topology, reorder):
+        """An op's predecessors are its resource's previous user plus its
+        dependencies on other resources, and QV006 searches only across
+        resources: a same-resource pair is ordered by the chain."""
+
+        searched = []
+        search = verifier._reachable
+
+        def spy(preds, start, target):
+            searched.append((start, target))
+            return search(preds, start, target)
+
+        monkeypatch.setattr(verifier, "_reachable", spy)
+        for name, circuit in scaled_suite(16).items():
+            label = f"{name}/{topology}/{reorder}"
+            device = build_device(topology, trap_capacity=6, gate="FM",
+                                  reorder=reorder, num_qubits=circuit.num_qubits)
+            program = compile_circuit(circuit, device)
+            lowered = lower(program)
+            resources = lowered.resources
+            last_user = {}
+            for index, (record, preds) in enumerate(zip(program.records,
+                                                        lowered.preds)):
+                preds = (preds,) if preds.__class__ is int else preds
+                rid = resources[index]
+                prev = last_user.get(rid)
+                assert [p for p in preds if resources[p] == rid] == \
+                    ([] if prev is None else [prev]), (label, index)
+                expected = {dep for dep in record[1] if resources[dep] != rid}
+                expected.update(() if prev is None else (prev,))
+                assert preds == tuple(sorted(expected)), (label, index)
+                last_user[rid] = index
+            del searched[:]
+            assert verifier.verify_program(program, device).ok, label
+            assert [(start, target) for start, target in searched
+                    if resources[start] == resources[target]] == [], label
+
     def test_replace_shares_the_records(self, compiled_qft8):
         program, _ = compiled_qft8
         copy = dataclasses.replace(program)
@@ -255,7 +297,7 @@ class TestOpRecords:
         simulate_gate_variants(program, device, ("AM1", "AM2", "PM", "FM"))
         lowered = lower(program)
         plan = batch_plan(program)
-        num_ms = sum(1 for item in lowered.fid_items if item.__class__ is tuple)
+        num_ms = len(lowered.gate_ops)
         assert num_ms > 0
         packed = {}
         for number, (values, timeline) in enumerate(
@@ -271,8 +313,8 @@ class TestOpRecords:
         sequences = {
             "records": program.records,
             **{name: getattr(lowered, name) for name in
-               ("codes", "resources", "preds", "slots", "slot_keys",
-                "fid_items", "heat_items")},
+               ("codes", "resources", "preds", "last_ops", "slots",
+                "slot_keys", "fid_items", "gate_ops", "heat_items")},
             **{f"busy_ops[{name!r}]": ids
                for name, ids in lowered.busy_ops.items()},
             **{f"slot values[{number}]": values for number, (values, _)

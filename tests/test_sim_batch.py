@@ -190,6 +190,29 @@ class TestModelVariantIdentity:
             simulate(program, replace(device, model=bad, name=""))
 
 
+    @pytest.mark.parametrize("part, change", [
+        ("shuttle", {"move_segment": -5.0}),
+        ("shuttle", {"split": 0.0}),
+        ("single_qubit", {"gate_time": -1.0}),
+        ("single_qubit", {"measurement_time": 0.0}),
+    ])
+    def test_non_positive_durations_raise_like_device_construction(
+            self, compiled, part, change):
+        """The timeline walk assumes positive durations, so a model with a
+        non-positive shuttle or single-qubit time is refused, as building a
+        device with it is."""
+
+        program, device = compiled["QFT", "GS"]
+        bad = replace(device.model, **{
+            part: replace(getattr(device.model, part), **change)})
+        with pytest.raises(ValueError, match="must be positive"):
+            replace(device, model=bad, name="")
+        with pytest.raises(ValueError, match="must be positive"):
+            simulate_model_variants(program, device, [bad])
+        [result] = simulate_model_variants(program, device, [device.model])
+        assert_identical(seed_engine.simulate(program, device), result, device)
+
+
 class TestTimelineIdentity:
     @pytest.mark.parametrize("reorder", REORDERS)
     @pytest.mark.parametrize("app", APPS)
