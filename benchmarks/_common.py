@@ -1,31 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers of ``bench_dse.py``, the search-quality benchmark.
 
-Every figure/table of the paper has a ``bench_*.py`` file here.  Each bench
-
-* regenerates the figure's data series and *prints* them (the same
-  rows/series the paper reports), and
-* times a representative unit of work with ``pytest-benchmark``.
-
-By default the benches run on a scaled-down suite so that
-``pytest benchmarks/ --benchmark-only`` completes in a couple of minutes.
-Set ``REPRO_BENCH_SCALE=paper`` to run the full Table II applications with the
-paper's capacity sweep (this is what EXPERIMENTS.md records).
+By default it runs on a scaled-down suite; set ``REPRO_BENCH_SCALE=paper``
+to run the full Table II applications over the paper's capacity sweep.
 
 Artefact schema (``data/BENCH_<name>.json``): top level carries
 ``schema_version``/``machine``/``python``/``scale`` metadata plus a
-``sections`` mapping, one entry per bench (see :func:`record_bench`).  The
-``batch_fanout`` section of ``BENCH_pipeline.json`` records the batched
-variant-simulation comparison (``bench_pipeline_scale.py``):
-
-* ``points``/``programs``/``gates`` -- sweep shape: compiled programs times
-  gate implementations evaluated per pass;
-* ``batched_cold_s``/``batched_warm_s`` -- best-of wall time of one
-  batched pass with cold (lowering and plans rebuilt) and warm (plans +
-  memos populated) caches, with a ``per_variant_us`` derived view;
-* ``dedup`` -- timeline cache behaviour over the run: ``timelines_built``,
-  ``timeline_hits``, ``variants``, ``hit_rate``;
-* ``ablation`` -- the heating/fidelity model fan-out (one program, many
-  parameter vectors, cold plan): ``variants``, ``batched_s``.
+``sections`` mapping, one entry per bench (see :func:`record_bench`).
 """
 
 from __future__ import annotations
@@ -35,18 +15,17 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.apps import scaled_suite, table2_suite
 from repro.ir.circuit import Circuit
 
-#: Where the machine-readable benchmark artefacts live (committed per-PR so
-#: the perf trajectory is tracked in data, not only in prose).
+#: Where the machine-readable benchmark artefacts live (committed, so the
+#: search-quality trajectory is tracked in data, not only in prose).
 BENCH_DATA_DIR = Path(__file__).parent / "data"
 
 #: Version of the artefact layout written by :func:`record_bench` (v2 added
-#: the per-section ``_meta`` provenance block; ``repro bench diff`` accepts
-#: v1 files, whose sections simply lack it).
+#: the per-section ``_meta`` provenance block).
 BENCH_SCHEMA_VERSION = 2
 
 #: Capacity sweep used at paper scale (Figures 6-8 x axis).
@@ -79,13 +58,6 @@ def bench_capacities() -> Sequence[int]:
     return PAPER_CAPACITIES if bench_scale() == "paper" else SMALL_CAPACITIES
 
 
-def reference_capacity() -> int:
-    """A single mid-sweep capacity used by the timed benchmark units."""
-
-    capacities = bench_capacities()
-    return capacities[len(capacities) // 2]
-
-
 def record_bench(name: str, section: str, payload: Dict[str, object]) -> Path:
     """Merge one section into ``data/BENCH_<name>.json`` and return the path.
 
@@ -95,12 +67,10 @@ def record_bench(name: str, section: str, payload: Dict[str, object]) -> Path:
     are only compared within one machine/scale.
 
     Since ``bench_schema`` 2 every section also carries a ``_meta`` block
-    tying the numbers to the run that produced them -- the section's
-    config fingerprint, the process metrics snapshot and the trace schema
-    version -- so ``BENCH_*.json`` and run telemetry share one provenance
-    vocabulary and ``repro bench diff`` can tell "the workload changed"
-    apart from "the same workload got slower".  ``_meta`` is skipped by
-    the diff itself (provenance, not performance).
+    tying the numbers to the run that produced them -- a fingerprint of
+    the section's payload, the process metrics snapshot and the trace
+    schema version -- so ``BENCH_*.json`` and run telemetry share one
+    provenance vocabulary.
     """
 
     from repro.io.serialization import SCHEMA_VERSION
@@ -138,13 +108,3 @@ def record_bench(name: str, section: str, payload: Dict[str, object]) -> Path:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def print_series(title: str, capacities: Sequence[int],
-                 series: Dict[str, List[float]]) -> None:
-    """Print one figure panel as an aligned table."""
-
-    from repro.analysis.series import format_series_table
-
-    print()
-    print(format_series_table(capacities, series, title=title))

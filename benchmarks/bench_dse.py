@@ -1,17 +1,11 @@
-"""DSE subsystem benchmark: store-routed sweeps, resume, and frontiers.
+"""Search-quality benchmark of the adaptive and multi-objective strategies.
 
-Measures what the exploration layer costs and what it buys, and records the
-numbers in ``data/BENCH_dse.json`` so the trajectory is tracked per-PR:
+The measure is an evaluation count: how many design points each strategy
+evaluates before it reaches what the exhaustive grid finds.  The times
+recorded beside it are single samples, for context; performance claims are
+measured with ``perfbench/``.
 
-1. **Cold grid run** through a persistent store versus the same points via
-   the bare sweep executor -- the store's overhead must stay a small
-   fraction of the pipeline time.
-2. **Resume**: re-running the space against the populated store must
-   recompute nothing and replay orders of magnitude faster than computing.
-3. **Store load**: reopening the JSONL directory (the resume startup cost).
-4. **Pareto frontier** extraction over every stored record.
-
-The adaptive subsystem gets its own artefact, ``data/BENCH_adaptive.json``:
+The adaptive subsystem records ``data/BENCH_adaptive.json``:
 evaluations-to-best versus the exhaustive grid for the surrogate-guided
 strategies, the pure proposer overhead per batch (model fitting +
 acquisition scoring, no simulation), and the incremental-reload cost of a
@@ -22,6 +16,10 @@ evaluations-to-frontier versus the exhaustive grid for EHVI and ParEGO
 (how many evaluations until the archive equals the grid's true Pareto
 frontier), the pure EHVI proposer overhead per batch, and the exact
 hypervolume cost per frontier point (2-D and 3-D).
+
+Run from the repository root::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_dse.py -s -q
 
 Default scale is small; set ``REPRO_BENCH_SCALE=paper`` for the full Table II
 suite over the paper's capacity sweep.
@@ -38,8 +36,7 @@ import pytest
 
 from _common import bench_capacities, bench_scale, bench_suite, record_bench
 
-from repro.dse import DSERunner, DesignSpace, ExperimentStore, pareto_frontier
-from repro.toolflow.parallel import ProgramCache, SweepTask, execute_task
+from repro.dse import DSERunner, DesignSpace, ExperimentStore
 
 
 def _space_and_suite():
@@ -49,105 +46,6 @@ def _space_and_suite():
                         capacities=tuple(bench_capacities()),
                         gates=("AM1", "FM"), reorders=("GS",))
     return space, suite
-
-
-def test_dse_store_routed_sweep(benchmark):
-    """Cold store-routed run vs. the bare executor; then a pure replay."""
-
-    space, suite = _space_and_suite()
-    points = list(space.points())
-
-    # Bare executor reference: the same points, no store, no fingerprints.
-    def bare():
-        cache = ProgramCache()
-        return [record for p in points
-                for record in execute_task(SweepTask(suite[p.app], p.config),
-                                           cache)]
-
-    start = time.perf_counter()
-    bare_records = bare()
-    bare_s = time.perf_counter() - start
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store_dir = Path(tmp) / "store"
-        start = time.perf_counter()
-        with ExperimentStore(store_dir) as store:
-            runner = DSERunner(space, store=store, circuits=suite)
-            records = runner.evaluate_space()
-        cold_s = time.perf_counter() - start
-        assert len(records) == len(bare_records) == space.size
-
-        start = time.perf_counter()
-        reopened = ExperimentStore(store_dir)
-        load_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        resumer = DSERunner(space, store=reopened, circuits=suite)
-        replayed = resumer.evaluate_space()
-        resume_s = time.perf_counter() - start
-        assert resumer.stats["evaluated"] == 0, "resume must recompute nothing"
-        assert [r.as_row() for r in replayed] == [r.as_row() for r in records]
-
-        start = time.perf_counter()
-        frontier = pareto_frontier(reopened.records())
-        pareto_s = time.perf_counter() - start
-        assert frontier
-
-    overhead = (cold_s - bare_s) / bare_s if bare_s > 0 else 0.0
-    print()
-    print(f"DSE store-routed sweep (scale={bench_scale()}, {space.size} points):")
-    print(f"  bare executor        : {bare_s:8.3f} s")
-    print(f"  cold via store       : {cold_s:8.3f} s   "
-          f"({100 * overhead:+.1f}% store overhead)")
-    print(f"  store reload         : {load_s * 1e3:8.1f} ms ({space.size} rows)")
-    print(f"  resume (full replay) : {resume_s * 1e3:8.1f} ms   "
-          f"({cold_s / resume_s:.0f}x faster than computing)")
-    print(f"  pareto frontier      : {pareto_s * 1e3:8.1f} ms "
-          f"({len(frontier)} frontier points)")
-    record_bench("dse", "store_routed_sweep", {
-        "points": space.size,
-        "bare_s": bare_s,
-        "cold_s": cold_s,
-        "store_overhead_fraction": overhead,
-        "store_load_s": load_s,
-        "resume_s": resume_s,
-        "pareto_s": pareto_s,
-        "frontier_points": len(frontier),
-    })
-    assert resume_s < cold_s, "replay should be cheaper than computing"
-
-    benchmark.pedantic(
-        lambda: DSERunner(space, circuits=suite).evaluate_space(),
-        rounds=2, iterations=1)
-
-
-def test_dse_strategy_costs():
-    """Evaluated-point counts per strategy (the work adaptivity saves)."""
-
-    from repro.dse import CoordinateDescent, ExhaustiveGrid, RandomSampling
-
-    space, suite = _space_and_suite()
-    counts = {}
-    timings = {}
-    for name, strategy in (
-            ("grid", ExhaustiveGrid()),
-            ("random", RandomSampling(max(2, space.size // 4), seed=0)),
-            ("greedy", CoordinateDescent(seed=0))):
-        runner = DSERunner(space, circuits=suite)
-        start = time.perf_counter()
-        runner.run(strategy)
-        timings[name] = time.perf_counter() - start
-        counts[name] = runner.stats["evaluated"]
-
-    print()
-    print(f"Strategy costs (scale={bench_scale()}, grid = {space.size} points):")
-    for name in counts:
-        print(f"  {name:8s} {counts[name]:5d} points evaluated "
-              f"in {timings[name]:6.3f} s")
-    record_bench("dse", "strategy_costs",
-                 {name: {"evaluated": counts[name], "wall_s": timings[name]}
-                  for name in counts})
-    assert counts["greedy"] <= counts["grid"]
 
 
 def test_dse_adaptive_search():
@@ -341,4 +239,4 @@ def test_dse_moo_frontier_search():
 
 
 if __name__ == "__main__":
-    sys.exit(pytest.main([__file__, "-s", "-q", "--benchmark-disable"]))
+    sys.exit(pytest.main([__file__, "-s", "-q"]))

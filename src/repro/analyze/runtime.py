@@ -12,9 +12,9 @@ Verification is memoized per program instance (an attribute stamped on the
 program, like the cached lowering of :func:`repro.sim.lower.lower`, which
 the verifier, the race detector and the simulator share), so a cached
 program re-simulated across a 96-point sweep is verified once.  The
-off-path cost when the flag is unset is one truthiness test; the
-``bench_check.py`` benchmark holds it under the same <1% budget as the
-disabled-span fast path.
+off-path cost when the flag is unset is one truthiness test; a tier-1
+bound (``tests/test_analyze.py``) holds it under 1% of the 96-point
+sweep, as for the disabled-span fast path.
 
 Emits ``check.verify`` / ``check.races`` spans and ``check.programs`` /
 ``check.findings`` / ``check.errors`` counters on the PR 7 registry.

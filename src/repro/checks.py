@@ -32,11 +32,16 @@ class StaticAnalysisError(ValueError):
 
 
 def checks_enabled() -> bool:
-    """Whether ``--check`` verification is active in this process."""
+    """Whether ``--check`` verification is active in this process.
 
-    if _enabled is not None:
-        return _enabled
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
+    The first call without an explicit setting reads :data:`ENV_FLAG` and
+    keeps the answer, so every later call is one truthiness test.
+    """
+
+    global _enabled
+    if _enabled is None:
+        _enabled = os.environ.get(ENV_FLAG, "") not in ("", "0")
+    return _enabled
 
 
 def enable_checks(enabled: bool = True) -> None:
@@ -56,7 +61,8 @@ def enable_checks(enabled: bool = True) -> None:
 
 
 def reset_checks() -> None:
-    """Forget any explicit setting; fall back to the environment (tests)."""
+    """Forget any explicit setting or cached read; the next
+    :func:`checks_enabled` reads the environment again (tests)."""
 
     global _enabled
     _enabled = None

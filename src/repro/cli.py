@@ -10,7 +10,6 @@ designers can explore configurations without writing scripts::
     python -m repro sweep --figure 6 --small --output fig6.json
     python -m repro sweep --figure 8 --jobs 2 --store runs/fig8
     python -m repro device --topology G2x3 --capacity 20
-    python -m repro check-budget
     python -m repro check --src src/repro         # determinism linter
     python -m repro check --suite                 # verify the golden suite
     python -m repro run --app QFT --check         # verify every compile
@@ -286,40 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_merge.add_argument("--output", required=True, metavar="OUT.JSON",
                              help="path of the merged Chrome trace")
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="perf-history utilities over benchmarks/data artefacts")
-    bench_sub = bench.add_subparsers(dest="bench_command")
-    bench_diff = bench_sub.add_parser(
-        "diff",
-        help="compare two BENCH_*.json artefacts with regression verdicts",
-        description="Pair up the numeric metrics of two benchmark "
-                    "artefacts, classify each key by the naming convention "
-                    "(time/size suffixes are lower-is-better, "
-                    "speedups/hit rates higher-is-better, counts "
-                    "informational), and exit non-zero when a directional "
-                    "metric moved past --threshold in the worse direction "
-                    "-- a machine-checkable CI perf gate.")
-    bench_diff.add_argument("old", metavar="OLD", help="baseline BENCH_*.json")
-    bench_diff.add_argument("new", metavar="NEW", help="candidate BENCH_*.json")
-    bench_diff.add_argument("--threshold", type=_positive_float, default=0.25,
-                            help="fractional worsening that counts as a "
-                                 "regression (default: 0.25 = 25%%)")
-    bench_diff.add_argument("--output", default=None,
-                            help="write the comparison report as JSON")
-
     device = subparsers.add_parser("device", help="describe a candidate device")
     device.add_argument("--qubits", type=int, default=None,
                         help="ions to load (default: usable capacity)")
     _add_config_arguments(device)
-
-    budget = subparsers.add_parser(
-        "check-budget",
-        help="guard the compile+simulate hot path against wall-time regressions")
-    budget.add_argument("--budget-s", type=_positive_float, default=None,
-                        help="wall-time budget in seconds for the quickstart-style "
-                             "compile+simulate unit (default: 0.5, or "
-                             "REPRO_BUDGET_S)")
 
     check = subparsers.add_parser(
         "check",
@@ -788,7 +757,8 @@ def _cmd_sweep(args) -> int:
             from repro.dse.dispatch import fill_store
 
             cache.metrics.merge(fill_store(space, store_dir,
-                                           workers=args.jobs))
+                                           workers=args.jobs,
+                                           resumable=bool(args.store)))
         store = (stack.enter_context(_open_store(store_dir)) if store_dir
                  else None)
         bundle = figure(cache=cache, store=store)
@@ -886,7 +856,8 @@ def _cmd_dse_run(args) -> int:
             from repro.dse.dispatch import fill_store
 
             before = len(store)
-            fill_store(space, store_dir, workers=args.jobs, strategy=spec)
+            fill_store(space, store_dir, workers=args.jobs, strategy=spec,
+                       resumable=bool(args.store))
             store.reload()
             dispatched = len(store) - before
         runner = DSERunner(space, store=store, shard=shard)
@@ -1463,16 +1434,6 @@ def _cmd_device(args) -> int:
     return 0
 
 
-def _cmd_check_budget(args) -> int:
-    from repro.toolflow.budget import check_budget
-
-    outcome = check_budget(args.budget_s)
-    status = "OK" if outcome["ok"] else "OVER BUDGET"
-    print(f"quickstart compile+simulate: {outcome['elapsed_s'] * 1e3:.1f} ms "
-          f"(budget {outcome['budget_s'] * 1e3:.0f} ms) -- {status}")
-    return 0 if outcome["ok"] else 1
-
-
 def _arm_checks(args) -> None:
     """Turn on ``--check`` runtime verification for this command."""
 
@@ -1618,26 +1579,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if getattr(args, "bench_command", None) != "diff":
-        print("usage: repro bench diff OLD NEW (see `repro bench --help`)",
-              file=sys.stderr)
-        return 1
-    from repro.obs import diff_bench_files, format_bench_diff
-
-    try:
-        report = diff_bench_files(args.old, args.new,
-                                  threshold=args.threshold)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot compare benchmark artefacts: {exc}",
-              file=sys.stderr)
-        return 1
-    print(format_bench_diff(report))
-    if args.output and not _write_json(report, args.output):
-        return 1
-    return 1 if report["regressions"] else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
 
@@ -1754,12 +1695,8 @@ def _dispatch_command_inner(args, parser) -> int:
         return _cmd_profile(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "device":
         return _cmd_device(args)
-    if args.command == "check-budget":
-        return _cmd_check_budget(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2
 

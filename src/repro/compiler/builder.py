@@ -20,27 +20,17 @@ three op ids; they are deduplicated and sorted by comparing them directly
 (:func:`_sorted_ids`), without building a set per op.
 
 The rules live in the two positional emitters, ``one_ion`` and ``two_ions``,
-which take a record function and its fields; the compiler calls them
-directly.  The keyword emitters (``gate``, ``split``, ...) are thin calls to
-them.  An op its record function refuses leaves the builder unchanged.
+which take a record function and its fields (``one_ion(ion, trap,
+split_record, trap, ion, chain_size, side)``); the compiler and the shuttle
+and reordering passes call them directly.  An op its record function refuses
+leaves the builder unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.operations import (
-    Operation,
-    gate_record,
-    ion_swap_record,
-    junction_record,
-    measure_record,
-    merge_record,
-    move_record,
-    op_from_record,
-    split_record,
-    swap_gate_record,
-)
+from repro.isa.operations import Operation, op_from_record
 
 
 def _sorted_ids(a: Optional[int], b: Optional[int]) -> Tuple[int, ...]:
@@ -135,60 +125,3 @@ class ProgramBuilder:
             *fields))
         last_for_ion[ion_a] = last_for_ion[ion_b] = op_id
         self._last_for_trap[trap] = op_id
-
-    # ------------------------------------------------------------------ #
-    # Keyword emitters, one per primitive
-    # ------------------------------------------------------------------ #
-    def gate(self, *, trap: str, ions: Tuple[int, ...], qubits: Tuple[int, ...],
-             name: str, chain_length: int, ion_distance: int = 0) -> None:
-        """Emit a single- or two-qubit gate inside ``trap``."""
-
-        if len(ions) == 1:
-            self.one_ion(ions[0], trap, gate_record, trap, ions, qubits, name,
-                         chain_length, ion_distance)
-        else:
-            ion_a, ion_b = ions
-            self.two_ions(ion_a, ion_b, trap, gate_record, trap, ions, qubits,
-                          name, chain_length, ion_distance)
-
-    def swap_gate(self, *, trap: str, ions: Tuple[int, int],
-                  qubits: Tuple[Optional[int], Optional[int]],
-                  chain_length: int, ion_distance: int) -> None:
-        """Emit a gate-based SWAP (GS reordering)."""
-
-        ion_a, ion_b = ions
-        self.two_ions(ion_a, ion_b, trap, swap_gate_record, trap, ions, qubits,
-                      chain_length, ion_distance)
-
-    def measure(self, *, trap: str, ion: int, qubit: int) -> None:
-        """Emit a measurement."""
-
-        self.one_ion(ion, trap, measure_record, trap, ion, qubit)
-
-    def split(self, *, trap: str, ion: int, chain_size: int, side: str) -> None:
-        """Emit a split of ``ion`` off ``trap``'s chain."""
-
-        self.one_ion(ion, trap, split_record, trap, ion, chain_size, side)
-
-    def move(self, *, ion: int, segment: str, length: int,
-             from_node: str, to_node: str) -> None:
-        """Emit a move through one segment."""
-
-        self.one_ion(ion, None, move_record, ion, segment, length, from_node,
-                     to_node)
-
-    def cross_junction(self, *, ion: int, junction: str, degree: int) -> None:
-        """Emit a junction crossing."""
-
-        self.one_ion(ion, None, junction_record, ion, junction, degree)
-
-    def merge(self, *, trap: str, ion: int, side: str) -> None:
-        """Emit a merge of a travelling ion into ``trap``."""
-
-        self.one_ion(ion, trap, merge_record, trap, ion, side)
-
-    def ion_swap(self, *, trap: str, ions: Tuple[int, int], chain_size: int) -> None:
-        """Emit a physical swap of two adjacent ions (one IS hop)."""
-
-        ion_a, ion_b = ions
-        self.two_ions(ion_a, ion_b, trap, ion_swap_record, trap, ions, chain_size)

@@ -35,7 +35,7 @@ from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
 from repro.ir.dag import MEASUREMENT, SINGLE_QUBIT, TWO_QUBIT
-from repro.isa.operations import gate_record
+from repro.isa.operations import gate_record, measure_record
 from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 
@@ -146,7 +146,8 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
             elif kind == MEASUREMENT:
                 qubit = gate.qubits[0]
                 ion = ion_of_qubit[qubit]
-                builder.measure(trap=trap_of_ion[ion], ion=ion, qubit=qubit)
+                trap = trap_of_ion[ion]
+                one_ion(ion, trap, measure_record, trap, ion, qubit)
 
     program = QCCDProgram(
         operations=OpSequence(tuple(builder.records)),

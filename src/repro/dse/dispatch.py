@@ -741,9 +741,12 @@ def run_worker(store_dir, *, owner: Optional[str] = None) -> Dict[str, object]:
                 telemetry.emit("lease_lost", work=name)
                 telemetry.flush_spans(tracer)
                 continue
-            except BaseException:
+            except BaseException as exc:
                 # The item stays undone, but its lease goes at once: a
-                # respawned worker retries it now, not after the TTL.
+                # respawned worker retries it now, not after the TTL.  The
+                # stream says what failed, for the dispatcher to report.
+                telemetry.emit("failed", work=name,
+                               error=f"{type(exc).__name__}: {exc}")
                 ledger.release(name, owner, done=False)
                 raise
             ledger.release(name, owner, done=True)
@@ -1154,7 +1157,8 @@ class Dispatcher:
 
 
 def fill_store(space: DesignSpace, store_dir, *, workers: int,
-               strategy: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+               strategy: Optional[Dict[str, object]] = None,
+               resumable: bool = True) -> Dict[str, object]:
     """Evaluate ``space`` into ``store_dir`` with ``workers`` local workers.
 
     The ``--jobs N`` path of ``repro sweep`` and ``repro dse run``: one
@@ -1163,8 +1167,11 @@ def fill_store(space: DesignSpace, store_dir, *, workers: int,
     -- after which the command's serial driver replays every point from
     the store, so its records, trace and best point are a serial run's.
 
-    Exits non-zero when the run did not complete, leaving its dispatch
-    state in place: the same command on the same ``--store`` resumes it.
+    Exits non-zero when the run did not complete, naming the last work
+    item a worker failed on and its error (the ``failed`` events of the
+    worker streams), and leaving the dispatch state in place.  When the
+    store outlives the command (``resumable``: a ``--store`` directory),
+    the message says that the same command resumes the run.
     A completed run's ``dispatch.json``, ``leases/`` and ``telemetry/``
     are removed, so the store takes a later ``--jobs`` run of another space
     (:func:`write_manifest` would refuse it) and a later traced run adopts
@@ -1180,13 +1187,20 @@ def fill_store(space: DesignSpace, store_dir, *, workers: int,
                              strategy=strategy, poll_s=IDLE_WAIT_S).run()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    if not summary["complete"]:
-        raise SystemExit(
-            f"error: the {workers} local workers stopped before the run was "
-            f"complete; the dispatch state in {store_dir} is kept, so the "
-            f"same command on a --store directory resumes it")
     reader = TelemetryReader(store_dir)
     reader.poll()
+    if not summary["complete"]:
+        message = (f"error: the {workers} local workers stopped before the "
+                   f"run was complete")
+        failures = [event for event in reader.events
+                    if event["event"] == "failed"]
+        if failures:
+            message += (f"; work item {failures[-1]['work']} failed with "
+                        f"{failures[-1]['error']}")
+        if resumable:
+            message += (f"; the dispatch state in {store_dir} is kept, so "
+                        f"the same command resumes it")
+        raise SystemExit(message)
     counters: Dict[str, int] = {}
     for event in reader.events:
         if event["event"] == "worker_exit":

@@ -15,6 +15,7 @@ as ``Gamma * tau`` are dimensionless error probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,11 @@ class ShuttleTimes:
         return self.cross_x_junction
 
     def validate(self) -> None:
-        """Raise ``ValueError`` if any duration is non-positive."""
+        """Raise ``ValueError`` if any duration is not positive and finite."""
 
         for name in ("move_segment", "split", "merge", "cross_y_junction",
                      "cross_x_junction", "ion_rotation"):
-            if getattr(self, name) <= 0:
+            if not 0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -79,9 +80,10 @@ class HeatingParams:
     background_rate: float = 4.0e-5
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on negative constants."""
+        """Raise ``ValueError`` on negative or non-finite constants."""
 
-        if self.k1 < 0 or self.k2 < 0 or self.k_junction < 0 or self.background_rate < 0:
+        if not all(0 <= value < inf for value in (
+                self.k1, self.k2, self.k_junction, self.background_rate)):
             raise ValueError("heating constants must be non-negative")
 
 
@@ -124,9 +126,9 @@ class FidelityParams:
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range constants."""
 
-        if self.background_heating_rate < 0:
+        if not 0 <= self.background_heating_rate < inf:
             raise ValueError("background_heating_rate must be non-negative")
-        if self.laser_instability_prefactor < 0:
+        if not 0 <= self.laser_instability_prefactor < inf:
             raise ValueError("laser_instability_prefactor must be non-negative")
         if not 0 <= self.single_qubit_error < 1:
             raise ValueError("single_qubit_error must be in [0, 1)")
@@ -151,9 +153,9 @@ class SingleQubitParams:
     measurement_time: float = 200.0
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on non-positive durations."""
+        """Raise ``ValueError`` on non-positive or non-finite durations."""
 
-        if self.gate_time <= 0 or self.measurement_time <= 0:
+        if not (0 < self.gate_time < inf and 0 < self.measurement_time < inf):
             raise ValueError("durations must be positive")
 
 

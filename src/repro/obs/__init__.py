@@ -30,8 +30,6 @@ executions debuggable:
 * :mod:`~repro.obs.profile` -- span-derived hierarchical profiling
   (self/total per span name, quantiles, critical path, collapsed stacks);
   the engine behind ``repro profile`` and ``--profile``.
-* :mod:`~repro.obs.benchdiff` -- threshold-based comparison of committed
-  ``BENCH_*.json`` perf history; the engine behind ``repro bench diff``.
 
 ``repro run|sweep|dse run|dse dispatch --trace out.json`` enables tracing
 for one command and writes the bundle; span/metric naming conventions and
@@ -43,8 +41,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.io.appendlog": ("atomic_write_text",),
-    "repro.obs.benchdiff": ("classify_metric", "compare_bench",
-                            "diff_bench_files", "format_bench_diff"),
     "repro.obs.distributed": ("SHARD_SCHEMA_VERSION", "SPAN_EVENT",
                               "TraceContext", "adopt_shards",
                               "write_merged_trace"),

@@ -213,7 +213,8 @@ def fold_workers(events: Sequence[Dict[str, object]], *,
         if "phase" in record:
             phase = record["phase"]
             row["phase"] = phase if isinstance(phase, str) else None
-        elif row["last_event"] in ("done", "lease_lost", "worker_exit"):
+        elif row["last_event"] in ("done", "lease_lost", "failed",
+                                   "worker_exit"):
             row["phase"] = None  # the work unit's span closed with it
     workers: Dict[str, Dict[str, object]] = {}
     for owner, row in rows.items():

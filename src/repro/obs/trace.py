@@ -7,8 +7,8 @@ when tracing is enabled the block becomes a :class:`Span` carrying
 when tracing is disabled (the default) ``span()`` returns one shared
 do-nothing context manager -- no allocation, no clock read, no ContextVar
 touch -- so instrumented hot paths cost a dict build and a global load.
-The ``bench_obs`` smoke pins that cost below 1% of the 96-point
-``bench_pipeline_scale`` sweep.
+A tier-1 bound (``tests/test_obs.py``) holds that cost below 1% of the
+96-point ``scaled_suite(16)`` microarchitecture sweep.
 
 Parenting uses a :class:`contextvars.ContextVar`, so nesting follows the
 call stack (including across threads, each of which sees its own chain).

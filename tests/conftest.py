@@ -1,11 +1,13 @@
 """Shared pytest fixtures.
 
 Fixtures build small, fast device/circuit instances; full-scale (64-78 qubit)
-circuits are exercised only by the explicitly-marked slow integration tests
-and by the benchmark harness.
+circuits are compiled only by the opt-in paper-scale tests and by
+``perfbench/``.
 """
 
 from __future__ import annotations
+
+import timeit
 
 import pytest
 
@@ -13,21 +15,20 @@ import pytest
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: full paper-scale checks (opt-in via REPRO_GOLDEN_SCALE)")
-    config.addinivalue_line(
-        "markers", "budget: wall-time budget guard for the compile+simulate hot path")
 
 from repro.apps import (
     bernstein_vazirani_circuit,
     cuccaro_adder_circuit,
     qaoa_circuit,
     qft_circuit,
+    scaled_suite,
     supremacy_circuit,
 )
 from repro.compiler import compile_circuit
 from repro.hardware import build_device
 from repro.ir.circuit import Circuit
 from repro.sim import simulate
-from repro.toolflow import ArchitectureConfig
+from repro.toolflow import ArchitectureConfig, ProgramCache, sweep_microarchitecture
 
 
 @pytest.fixture
@@ -177,3 +178,28 @@ def dse_run_output(tmp_path, capsys):
         return output.read_bytes(), summary
 
     return run
+
+
+@pytest.fixture(scope="session")
+def small_sweep():
+    """The 96-point sweep the disabled-path cost bounds are relative to.
+
+    ``sweep_microarchitecture`` over ``scaled_suite(16)`` (L4, capacities 6
+    and 8, four gates, GS and IS), each pass on a fresh program cache,
+    untraced and with ``--check`` off (tier-1's defaults).  Returns
+    ``(run, points, wall_s)``: the sweep as a callable, its point count,
+    and the best of three timed passes after a warm-up.  Session-scoped, so
+    the tracing and the check bounds share one measurement.
+    """
+
+    suite = scaled_suite(16)
+    base = ArchitectureConfig(topology="L4")
+
+    def run():
+        return sweep_microarchitecture(suite, capacities=(6, 8),
+                                       gates=("AM1", "AM2", "PM", "FM"),
+                                       reorders=("GS", "IS"), base=base,
+                                       cache=ProgramCache())
+
+    points = len(run())
+    return run, points, min(timeit.repeat(run, number=1, repeat=3))

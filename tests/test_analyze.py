@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import random
+import timeit
 
 import pytest
 
@@ -528,6 +529,37 @@ def test_env_flag_alone_enables_checks():
     os.environ["REPRO_CHECK"] = "1"
     reset_checks()
     assert checks_enabled()
+
+
+def test_first_read_of_the_env_flag_is_kept():
+    os.environ["REPRO_CHECK"] = "1"
+    assert checks_enabled()
+    del os.environ["REPRO_CHECK"]
+    assert checks_enabled()
+    reset_checks()
+    assert not checks_enabled()
+
+
+def test_disarmed_checks_cost_under_one_percent_of_the_sweep(small_sweep):
+    """Disarmed, ``--check`` costs one ``checks_enabled()`` call per compile
+    and per sweep task, at most two per design point; projected onto the
+    96-point sweep that stays under 1% of its wall time."""
+
+    _, points, sweep_s = small_sweep
+    calls = 100_000
+
+    def disarmed_pass():
+        for _ in range(calls):
+            if checks_enabled():
+                raise AssertionError("checks unexpectedly armed")
+
+    per_call_s = min(timeit.repeat(disarmed_pass, number=1, repeat=3)) / calls
+    guards = 2 * points
+    fraction = per_call_s * guards / sweep_s
+    assert fraction < 0.01, (
+        f"disarmed --check costs {100 * fraction:.3f}% of the "
+        f"{sweep_s * 1e3:.1f} ms sweep ({per_call_s * 1e9:.0f} ns x {guards} "
+        f"guards); the fast path has regressed")
 
 
 def test_verify_or_raise_memoizes_per_program(compiled_qft8):

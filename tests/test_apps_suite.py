@@ -8,6 +8,7 @@ from repro.apps.suite import (
     application_summary,
     build_application,
     scaled_suite,
+    table2_suite,
 )
 from repro.toolflow.tables import format_table2_text, table1, table2
 
@@ -57,6 +58,21 @@ class TestSummaries:
         rows = table1()
         assert rows["Move ion through one segment"] == 5.0
         assert rows["Crossing X-junction"] == 120.0
+
+    def test_table2_gate_counts_match_the_paper(self):
+        """QFT, QAOA and Supremacy reproduce Table II's two-qubit gate
+        counts exactly; Adder, BV and SquareRoot within 15%."""
+
+        rows = {row["application"]: row
+                for row in application_summary(table2_suite())}
+        for name in ("QFT", "QAOA", "Supremacy"):
+            assert rows[name]["two_qubit_gates"] == \
+                PAPER_TABLE2[name]["two_qubit_gates"]
+        for name in ("Adder", "BV", "SquareRoot"):
+            paper = PAPER_TABLE2[name]["two_qubit_gates"]
+            assert abs(rows[name]["two_qubit_gates"] - paper) / paper < 0.15
+        for name, row in rows.items():
+            assert row["qubits"] == PAPER_TABLE2[name]["qubits"]
 
     def test_table2_uses_custom_suite(self):
         rows = table2(scaled_suite(12))

@@ -1,30 +1,36 @@
-"""Wall-time budget guard: the compile+simulate hot path must stay fast.
+"""Wall-time ceiling on one compile+simulate unit: an algorithmic guard.
 
-The budget (default 0.5 s, ~50x headroom over the optimized pipeline) guards
-against *algorithmic* regressions -- an accidental O(n^2) in the scheduler,
-router or engine trips it long before CI noise does.  Also invocable as
-``python -m repro check-budget`` and ``python benchmarks/check_budget.py``.
+The unit is the quickstart workload (32-qubit, 8-layer QAOA on a six-trap
+linear device with 20-ion traps), best of three.  It runs in a few
+milliseconds; the ceiling of half a second leaves ~50x headroom, so it
+trips on an accidental O(n^2) in the scheduler, router or engine, not on a
+slow runner.  Performance itself is measured with ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import pytest
+import time
 
-from repro.toolflow.budget import DEFAULT_BUDGET_S, check_budget, resolve_budget
+from repro.apps import qaoa_circuit
+from repro.sim.engine import simulate
+from repro.toolflow.config import ArchitectureConfig
+from repro.toolflow.runner import compile_for
+
+#: Wall-time ceiling (seconds) of one quickstart compile+simulate.
+CEILING_S = 0.5
 
 
-@pytest.mark.budget
 def test_quickstart_unit_within_budget():
-    outcome = check_budget()
-    assert outcome["ok"], (
-        f"quickstart compile+simulate took {outcome['elapsed_s']:.3f}s, over the "
-        f"{outcome['budget_s']:.2f}s budget -- the hot path regressed"
-    )
-
-
-def test_resolve_budget_precedence(monkeypatch):
-    assert resolve_budget(2.0) == 2.0
-    monkeypatch.setenv("REPRO_BUDGET_S", "1.25")
-    assert resolve_budget() == 1.25
-    monkeypatch.delenv("REPRO_BUDGET_S")
-    assert resolve_budget() == DEFAULT_BUDGET_S
+    circuit = qaoa_circuit(32, layers=8)
+    config = ArchitectureConfig(topology="L6", trap_capacity=20)
+    best = float("inf")
+    for _ in range(3):
+        # A copy has no cached front-end: every repeat times a cold compile.
+        fresh = circuit.copy()
+        start = time.perf_counter()
+        program, device = compile_for(fresh, config)
+        simulate(program, device)
+        best = min(best, time.perf_counter() - start)
+    assert best <= CEILING_S, (
+        f"quickstart compile+simulate took {best:.3f}s, over the "
+        f"{CEILING_S:.2f}s ceiling -- the hot path regressed")

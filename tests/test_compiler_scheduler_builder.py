@@ -8,6 +8,16 @@ from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
 from repro.compiler.scheduler import GateScheduler
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
+from repro.isa.operations import (
+    gate_record,
+    ion_swap_record,
+    junction_record,
+    measure_record,
+    merge_record,
+    move_record,
+    split_record,
+    swap_gate_record,
+)
 
 
 class TestGateScheduler:
@@ -169,48 +179,51 @@ class TestSchedulerOrderProperty:
 
 
 class TestProgramBuilder:
+    """The builder's emitters, driven as the compiler drives them: a record
+    function and its fields."""
+
     def test_op_ids_are_dense(self):
         builder = ProgramBuilder()
-        builder.gate(trap="T0", ions=(0,), qubits=(0,), name="h", chain_length=3)
-        builder.split(trap="T0", ion=0, chain_size=3, side="tail")
-        builder.move(ion=0, segment="S0", length=1, from_node="T0", to_node="T1")
+        builder.one_ion(0, "T0", gate_record, "T0", (0,), (0,), "h", 3, 0)
+        builder.one_ion(0, "T0", split_record, "T0", 0, 3, "tail")
+        builder.one_ion(0, None, move_record, 0, "S0", 1, "T0", "T1")
         assert [op.op_id for op in builder.operations] == [0, 1, 2]
         assert builder.next_id == 3
 
     def test_ion_dependencies_chain(self):
         builder = ProgramBuilder()
-        builder.split(trap="T0", ion=5, chain_size=3, side="tail")
-        builder.move(ion=5, segment="S0", length=1, from_node="T0", to_node="T1")
-        builder.merge(trap="T1", ion=5, side="head")
+        builder.one_ion(5, "T0", split_record, "T0", 5, 3, "tail")
+        builder.one_ion(5, None, move_record, 5, "S0", 1, "T0", "T1")
+        builder.one_ion(5, "T1", merge_record, "T1", 5, "head")
         assert builder.operations[1].dependencies == (0,)
         assert builder.operations[2].dependencies == (1,)
 
     def test_trap_dependencies_serialise_trap_ops(self):
         builder = ProgramBuilder()
-        builder.gate(trap="T0", ions=(0,), qubits=(0,), name="h", chain_length=2)
-        builder.gate(trap="T0", ions=(1,), qubits=(1,), name="h", chain_length=2)
+        builder.one_ion(0, "T0", gate_record, "T0", (0,), (0,), "h", 2, 0)
+        builder.one_ion(1, "T0", gate_record, "T0", (1,), (1,), "h", 2, 0)
         # Different ions, same trap: second gate depends on the first.
         assert builder.operations[1].dependencies == (0,)
 
     def test_independent_traps_have_no_dependency(self):
         builder = ProgramBuilder()
-        builder.gate(trap="T0", ions=(0,), qubits=(0,), name="h", chain_length=2)
-        builder.gate(trap="T1", ions=(1,), qubits=(1,), name="h", chain_length=2)
+        builder.one_ion(0, "T0", gate_record, "T0", (0,), (0,), "h", 2, 0)
+        builder.one_ion(1, "T1", gate_record, "T1", (1,), (1,), "h", 2, 0)
         assert builder.operations[1].dependencies == ()
 
     def test_moves_do_not_serialise_across_ions(self):
         builder = ProgramBuilder()
-        builder.move(ion=0, segment="S0", length=1, from_node="T0", to_node="T1")
-        builder.move(ion=1, segment="S1", length=1, from_node="T2", to_node="T3")
+        builder.one_ion(0, None, move_record, 0, "S0", 1, "T0", "T1")
+        builder.one_ion(1, None, move_record, 1, "S1", 1, "T2", "T3")
         assert builder.operations[1].dependencies == ()
 
     def test_two_qubit_gate_merges_dependencies(self):
         builder = ProgramBuilder()
-        builder.gate(trap="T0", ions=(0,), qubits=(0,), name="h", chain_length=2)
-        builder.gate(trap="T1", ions=(1,), qubits=(1,), name="h", chain_length=2)
-        builder.merge(trap="T0", ion=1, side="tail")
-        builder.gate(trap="T0", ions=(0, 1), qubits=(0, 1), name="cx",
-                     chain_length=2, ion_distance=0)
+        builder.one_ion(0, "T0", gate_record, "T0", (0,), (0,), "h", 2, 0)
+        builder.one_ion(1, "T1", gate_record, "T1", (1,), (1,), "h", 2, 0)
+        builder.one_ion(1, "T0", merge_record, "T0", 1, "tail")
+        builder.two_ions(0, 1, "T0", gate_record, "T0", (0, 1), (0, 1), "cx",
+                         2, 0)
         assert set(builder.operations[-1].dependencies) == {0, 2}
 
     def test_dependency_merge_is_sorted_and_distinct(self):
@@ -224,10 +237,10 @@ class TestProgramBuilder:
 
     def test_swap_gate_and_ion_swap_emission(self):
         builder = ProgramBuilder()
-        builder.swap_gate(trap="T0", ions=(0, 1), qubits=(0, 1), chain_length=4,
-                          ion_distance=2)
-        builder.ion_swap(trap="T0", ions=(1, 2), chain_size=4)
-        builder.measure(trap="T0", ion=2, qubit=2)
-        builder.cross_junction(ion=3, junction="J0", degree=3)
+        builder.two_ions(0, 1, "T0", swap_gate_record, "T0", (0, 1), (0, 1),
+                         4, 2)
+        builder.two_ions(1, 2, "T0", ion_swap_record, "T0", (1, 2), 4)
+        builder.one_ion(2, "T0", measure_record, "T0", 2, 2)
+        builder.one_ion(3, None, junction_record, 3, "J0", 3)
         kinds = [op.kind.value for op in builder.operations]
         assert kinds == ["swap_gate", "ion_swap", "measure", "junction"]

@@ -36,7 +36,7 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
-from repro.dse.dispatch import WorkerTelemetry
+from repro.dse.dispatch import WorkerTelemetry, fill_store
 from repro.obs.timeline import TelemetryReader
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
@@ -436,6 +436,48 @@ class TestWorkerLoop:
             run_worker(store_dir, owner="doomed")
         assert WorkLedger.for_store(store_dir).status_of("shard-1of1") == \
             ("open", None, None)
+
+    def test_failing_item_leaves_a_failed_event_naming_its_error(
+            self, tmp_path):
+        """The worker's stream says which item failed and why, so the
+        dispatcher can report it once the worker is gone."""
+
+        space = DesignSpace(apps=("QFT",), qubits=(24,), topologies=("L3",),
+                            capacities=(8,), gates=("FM",), reorders=("GS",))
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, space, shards=1, ttl_s=60.0)
+        with pytest.raises(RuntimeError):
+            run_worker(store_dir, owner="doomed")
+        reader = TelemetryReader(store_dir)
+        reader.poll()
+        failed = [event for event in reader.events
+                  if event["event"] == "failed"]
+        assert len(failed) == 1
+        assert failed[0]["work"] == "shard-1of1"
+        assert failed[0]["error"].startswith(
+            "RuntimeError: no trap in the device has free space")
+
+    def test_incomplete_fill_names_the_last_failed_item(self, tmp_path,
+                                                        monkeypatch):
+        """``--jobs N``'s error names what failed, and offers a resume only
+        for a store that outlives the command."""
+
+        store_dir = tmp_path / "store"
+
+        def run(dispatcher):
+            with WorkerTelemetry(store_dir, "w0") as log:
+                log.emit("failed", work="shard-2of2", error="RuntimeError: x")
+            return {"complete": False}
+
+        monkeypatch.setattr(Dispatcher, "run", run)
+        space = DesignSpace(**TINY_SPACE)
+        with pytest.raises(SystemExit) as temporary:
+            fill_store(space, store_dir, workers=2, resumable=False)
+        assert str(temporary.value) == (
+            "error: the 2 local workers stopped before the run was complete; "
+            "work item shard-2of2 failed with RuntimeError: x")
+        with pytest.raises(SystemExit, match="the same command resumes it"):
+            fill_store(space, store_dir, workers=2, resumable=True)
 
     def test_heartbeat_lease_lost_aborts_mid_evaluation(self, tmp_path):
         space = DesignSpace(**TINY_SPACE)

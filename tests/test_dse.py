@@ -575,6 +575,7 @@ class TestStrategies:
     def test_greedy_reuses_store_across_runs(self, mini_space, mini_circuits):
         runner = DSERunner(mini_space, circuits=mini_circuits)
         first = runner.run(CoordinateDescent(seed=1))
+        assert runner.stats["evaluated"] <= mini_space.size
         rerun = DSERunner(mini_space, store=runner.store, circuits=mini_circuits)
         second = rerun.run(CoordinateDescent(seed=1))
         assert rerun.stats["evaluated"] == 0

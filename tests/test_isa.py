@@ -51,6 +51,7 @@ class TestOperationValidation:
         assert op.is_two_qubit
         assert op.kind is OpKind.GATE_2Q
         assert op.resources == ("T0",)
+        assert not hasattr(op, "__dict__")  # slotted: no per-op dict
 
     def test_single_qubit_gate_kind(self):
         op = GateOp(op_id=0, trap="T0", ions=(1,), qubits=(1,), name="h", chain_length=1)

@@ -1,5 +1,8 @@
 """Unit tests for the physical model parameter dataclasses."""
 
+from dataclasses import fields, replace
+from math import inf, nan
+
 import pytest
 
 from repro.models.params import (
@@ -32,9 +35,15 @@ class TestShuttleTimes:
             ShuttleTimes(move_segment=0.0).validate()
 
     def test_operation_times_rows(self):
+        """The five rows of the paper's Table I."""
+
         rows = operation_times()
         assert len(rows) == len(TABLE1_ROWS) == 5
+        assert rows["Move ion through one segment"] == 5.0
         assert rows["Splitting operation on a chain"] == 80.0
+        assert rows["Merging an ion with a chain"] == 80.0
+        assert rows["Crossing Y-junction"] == 100.0
+        assert rows["Crossing X-junction"] == 120.0
 
     def test_format_table1_mentions_all_rows(self):
         text = format_table1()
@@ -88,3 +97,19 @@ class TestPhysicalModel:
         broken = PhysicalModel(shuttle=ShuttleTimes(split=-1.0))
         with pytest.raises(ValueError):
             broken.validate()
+
+    def test_every_float_field_refuses_nan_and_inf(self):
+        """A NaN fails every sign test, so each check also asks for a
+        finite value."""
+
+        accepted = []
+        for cls in (ShuttleTimes, HeatingParams, FidelityParams,
+                    SingleQubitParams):
+            for field in fields(cls):
+                for value in (nan, inf):
+                    try:
+                        replace(cls(), **{field.name: value}).validate()
+                    except ValueError:
+                        continue
+                    accepted.append((cls.__name__, field.name, value))
+        assert accepted == []

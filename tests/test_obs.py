@@ -13,6 +13,7 @@ checks) and the dispatched fleet's worker-telemetry files.
 from __future__ import annotations
 
 import json
+import timeit
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,36 @@ class TestDisabledTracing:
         with first as entered:
             assert entered is first
         assert first.set(gates=3) is first
+
+    def test_disabled_spans_cost_under_one_percent_of_the_sweep(
+            self, small_sweep):
+        """The disabled fast path, priced at a representative call site (a
+        ``with`` block and an attribute keyword) and projected onto the
+        spans one traced pass of the 96-point sweep records, stays under 1%
+        of the untraced sweep's wall time."""
+
+        run, _, sweep_s = small_sweep
+        enable_tracing()
+        try:
+            run()
+        finally:
+            spans = len(disable_tracing().spans)
+        assert spans > 0
+
+        calls = 100_000
+
+        def disabled_pass():
+            for _ in range(calls):
+                with span("bench.noop", x=1):
+                    pass
+
+        per_call_s = min(timeit.repeat(disabled_pass, number=1,
+                                       repeat=3)) / calls
+        fraction = per_call_s * spans / sweep_s
+        assert fraction < 0.01, (
+            f"disabled tracing costs {100 * fraction:.3f}% of the "
+            f"{sweep_s * 1e3:.1f} ms sweep ({per_call_s * 1e9:.0f} ns x "
+            f"{spans} spans); the no-op fast path has regressed")
 
     def test_disabled_blocks_record_nothing(self):
         with span("compile"):

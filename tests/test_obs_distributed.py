@@ -693,9 +693,12 @@ class TestLivePhase:
         row = telemetry_summary(tmp_path)["w0"]
         assert row["phase"] == "dse.shard"
         telemetry.emit("done", work="shard-0")
-        telemetry.close()
         row = telemetry_summary(tmp_path)["w0"]
         assert row["phase"] is None  # the work unit's span closed with it
+        telemetry.emit("renew", work="shard-1", phase="dse.shard")
+        telemetry.emit("failed", work="shard-1", error="RuntimeError: x")
+        telemetry.close()
+        assert telemetry_summary(tmp_path)["w0"]["phase"] is None
 
     def test_render_top_shows_phase(self):
         snapshot = {

@@ -1,11 +1,9 @@
-"""Tests for span-derived profiling (repro.obs.profile), the bench-diff
-verdict engine (repro.obs.benchdiff), the v2 bench artefact schema, and
-the flush-on-failure trace writer.
+"""Tests for span-derived profiling (repro.obs.profile), the v2 bench
+artefact schema, and the flush-on-failure trace writer.
 
 The acceptance bar pinned here: profiles are deterministic pure
-functions of the span list, per-stage self times telescope exactly to
-the traced wall time, and ``repro bench diff`` exits nonzero on an
-injected synthetic regression.
+functions of the span list, and per-stage self times telescope exactly
+to the traced wall time.
 """
 
 from __future__ import annotations
@@ -23,11 +21,6 @@ from repro.obs import (
     format_profile,
     parse_spans_jsonl,
     reset_registry,
-)
-from repro.obs.benchdiff import (
-    classify_metric,
-    compare_bench,
-    format_bench_diff,
 )
 
 
@@ -219,112 +212,6 @@ class TestFlushOnFailure:
         spans = parse_spans_jsonl(
             Path(str(trace).replace(".json", ".spans.jsonl")))
         assert any(record["name"] == "doomed.phase" for record in spans)
-
-
-# --------------------------------------------------------------------------- #
-class TestClassifyMetric:
-    @pytest.mark.parametrize("key,expected", [
-        ("sweep_s", "lower"),
-        ("p99_us", "lower"),
-        ("rss_bytes", "lower"),
-        ("overhead_pct", "lower"),
-        ("replay_latency", "lower"),
-        ("speedup", "higher"),
-        ("cache_hit_rate", "higher"),
-        ("points_per_s", "higher"),
-        ("points", None),
-        ("variants", None),
-    ])
-    def test_direction(self, key, expected):
-        assert classify_metric(key) == expected
-
-
-class TestCompareBench:
-    def _artefact(self, **metrics):
-        return {"machine": "m1", "scale": "smoke",
-                "sections": {"sweep": {**metrics,
-                                       "_meta": {"metrics": {"x": 1}}}}}
-
-    def test_identical_is_ok(self):
-        artefact = self._artefact(sweep_s=1.0, points=96)
-        report = compare_bench(artefact, artefact)
-        assert report["regressions"] == 0
-        assert "verdict: OK" in format_bench_diff(report)
-
-    def test_regression_direction_and_threshold(self):
-        old = self._artefact(sweep_s=1.0, speedup=2.0, points=96)
-        new = self._artefact(sweep_s=1.5, speedup=1.0, points=200)
-        report = compare_bench(old, new, threshold=0.25)
-        kinds = {row["key"]: row["kind"] for row in report["rows"]}
-        assert kinds["sweep_s"] == "regression"      # time up 50%
-        assert kinds["speedup"] == "regression"      # higher-better halved
-        assert kinds["points"] == "info"             # direction-free
-        assert report["regressions"] == 2
-        # Under threshold: worse but tolerated.
-        mild = compare_bench(old, self._artefact(sweep_s=1.1, speedup=2.0,
-                                                 points=96),
-                             threshold=0.25)
-        assert {row["kind"] for row in mild["rows"]} == {"worse"}
-        assert mild["regressions"] == 0
-
-    def test_improvements_never_fail(self):
-        old = self._artefact(sweep_s=2.0)
-        new = self._artefact(sweep_s=0.5)
-        report = compare_bench(old, new)
-        assert report["regressions"] == 0
-        assert report["rows"][0]["kind"] == "improved"
-
-    def test_meta_subtrees_excluded(self):
-        old = self._artefact(sweep_s=1.0)
-        new = self._artefact(sweep_s=1.0)
-        new["sections"]["sweep"]["_meta"] = {"metrics": {"x": 999}}
-        assert compare_bench(old, new)["rows"] == []
-
-    def test_added_and_removed_sections(self):
-        old = {"sections": {"gone": {"x_s": 1.0}}}
-        new = {"sections": {"fresh": {"y_s": 1.0}}}
-        kinds = {(row["section"], row["kind"])
-                 for row in compare_bench(old, new)["rows"]}
-        assert kinds == {("gone", "removed"), ("fresh", "added")}
-
-    def test_cross_machine_flagged_incomparable(self):
-        old = self._artefact(sweep_s=1.0)
-        new = dict(self._artefact(sweep_s=1.0), machine="m2")
-        report = compare_bench(old, new)
-        assert report["comparable"] is False
-        assert "indicative only" in format_bench_diff(report)
-
-
-class TestBenchDiffCLI:
-    def _write(self, path, **metrics):
-        payload = {"machine": "m1", "scale": "smoke",
-                   "sections": {"sweep": metrics}}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-    def test_exit_codes(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        self._write(old, sweep_s=1.0)
-        self._write(new, sweep_s=1.0)
-        assert main(["bench", "diff", str(old), str(new)]) == 0
-        assert "verdict: OK" in capsys.readouterr().out
-        # Injected synthetic regression: nonzero exit.
-        self._write(new, sweep_s=100.0)
-        assert main(["bench", "diff", str(old), str(new)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "sweep.sweep_s" in out
-
-    def test_report_output_file(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        self._write(old, sweep_s=1.0)
-        self._write(new, sweep_s=100.0)
-        report_path = tmp_path / "report.json"
-        assert main(["bench", "diff", str(old), str(new),
-                     "--output", str(report_path)]) == 1
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        assert report["regressions"] == 1
 
 
 # --------------------------------------------------------------------------- #

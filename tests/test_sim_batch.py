@@ -36,7 +36,7 @@ from repro.toolflow.runner import compile_for
 APPS = ("QFT", "QAOA", "BV", "Adder", "SquareRoot", "Supremacy")
 GATES = ("AM1", "AM2", "PM", "FM")
 REORDERS = ("GS", "IS")
-#: Heating-constant scales of benchmarks/bench_ablation_heating.py.
+#: Heating-constant scales of the heating ablation.
 HEATING_SCALES = (0.1, 1.0, 10.0)
 
 
@@ -80,7 +80,7 @@ def timeline_hex(result):
 
 
 def heating_grid(model):
-    """The heating ablation variants of ``bench_ablation_heating.py``."""
+    """The heating ablation's variants: k1, k2 and k_junction scaled."""
 
     models = []
     for scale in HEATING_SCALES:
@@ -211,6 +211,19 @@ class TestModelVariantIdentity:
             simulate_model_variants(program, device, [bad])
         [result] = simulate_model_variants(program, device, [device.model])
         assert_identical(seed_engine.simulate(program, device), result, device)
+
+
+    def test_nan_shuttle_time_is_refused(self):
+        """A NaN segment time once passed validation, and the 16-qubit QFT
+        then reported a computation time longer than its makespan."""
+
+        program, device = compile_for(
+            scaled_suite(16)["QFT"],
+            ArchitectureConfig(topology="L4", trap_capacity=6))
+        bad = replace(device.model, shuttle=replace(
+            device.model.shuttle, move_segment=float("nan")))
+        with pytest.raises(ValueError, match="move_segment must be positive"):
+            simulate_model_variants(program, device, [bad])
 
 
 class TestTimelineIdentity:

@@ -63,15 +63,19 @@ class TestReports:
 
 class TestSingleTrapBaseline:
     def test_no_communication(self):
-        result = simulate_single_trap(qft_circuit(8), gate="FM")
-        assert result.num_shuttles == 0
-        assert result.communication_time == 0.0
-        assert result.max_motional_energy == 0.0
+        for gate in ("AM1", "AM2", "PM", "FM"):
+            result = simulate_single_trap(qft_circuit(8), gate=gate)
+            assert result.num_shuttles == 0
+            assert result.communication_time == 0.0
+            assert result.max_motional_energy == 0.0
 
     def test_fidelity_degrades_with_size(self):
         small = simulate_single_trap(qft_circuit(8))
         large = simulate_single_trap(qft_circuit(24))
         assert large.fidelity < small.fidelity
+        fidelities = [result.fidelity for result in
+                      single_trap_sweep(qft_circuit, sizes=(8, 16, 24))]
+        assert fidelities == sorted(fidelities, reverse=True)
 
     def test_am1_slower_than_fm_for_long_chains(self):
         fm = simulate_single_trap(qft_circuit(16), gate="FM")
