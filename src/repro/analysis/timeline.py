@@ -9,15 +9,19 @@ into the schedule-level views an architect actually looks at:
 * the critical path through the dependency graph (which operations bound the
   makespan),
 * a coarse Gantt rendering for terminal inspection.
+
+Resources and kinds come from the program's cached lowering, dependencies
+from its op records.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.isa.operations import OpKind
 from repro.isa.program import QCCDProgram
+from repro.isa.records import IS_COMM
+from repro.sim.lower import lower
 from repro.sim.results import OperationRecord, SimulationResult
 
 
@@ -25,6 +29,16 @@ def _require_timeline(result: SimulationResult) -> List[OperationRecord]:
     if result.timeline is None:
         raise ValueError("simulate(..., keep_timeline=True) is required for timeline analytics")
     return result.timeline
+
+
+def _trap_ops(program: QCCDProgram) -> Dict[int, Tuple[str, bool]]:
+    """``op id -> (trap, is communication)`` for every op that claims a trap."""
+
+    lowered = lower(program)
+    names = lowered.resource_names
+    return {index: (names[rid], IS_COMM[code]) for index, (rid, code)
+            in enumerate(zip(lowered.resources, lowered.codes))
+            if names[rid].startswith("T")}
 
 
 def trap_utilisation(program: QCCDProgram, result: SimulationResult) -> Dict[str, Dict[str, float]]:
@@ -37,13 +51,11 @@ def trap_utilisation(program: QCCDProgram, result: SimulationResult) -> Dict[str
     timeline = _require_timeline(result)
     makespan = result.duration or 1.0
     busy: Dict[str, Dict[str, float]] = defaultdict(lambda: {"gate": 0.0, "communication": 0.0})
+    trap_ops = _trap_ops(program)
     for record in timeline:
-        op = program[record.op_id]
-        for resource in op.resources:
-            if not resource.startswith("T"):
-                continue
-            bucket = "communication" if op.kind.is_communication else "gate"
-            busy[resource][bucket] += record.duration
+        if record.op_id in trap_ops:
+            trap, communication = trap_ops[record.op_id]
+            busy[trap]["communication" if communication else "gate"] += record.duration
     report: Dict[str, Dict[str, float]] = {}
     for trap, buckets in busy.items():
         gate = buckets["gate"] / makespan
@@ -110,9 +122,9 @@ def critical_path(program: QCCDProgram, result: SimulationResult) -> List[int]:
     start = {record.op_id: record.start for record in timeline}
     current = max(finish, key=lambda op_id: finish[op_id])
     chain = [current]
+    records = program.records
     while True:
-        op = program[current]
-        predecessors = [dep for dep in op.dependencies
+        predecessors = [dep for dep in records[current][1]
                         if abs(finish[dep] - start[current]) < 1e-9]
         if not predecessors:
             break
@@ -130,8 +142,9 @@ def communication_on_critical_path(program: QCCDProgram, result: SimulationResul
     total = sum(timeline[op_id].duration for op_id in chain)
     if total <= 0:
         return 0.0
+    records = program.records
     comm = sum(timeline[op_id].duration for op_id in chain
-               if program[op_id].kind.is_communication)
+               if IS_COMM[records[op_id][0]])
     return comm / total
 
 
@@ -141,20 +154,19 @@ def format_gantt(program: QCCDProgram, result: SimulationResult,
 
     timeline = _require_timeline(result)
     makespan = result.duration or 1.0
-    traps = sorted({resource for record in timeline
-                    for resource in program[record.op_id].resources
-                    if resource.startswith("T")})
+    trap_ops = _trap_ops(program)
+    traps = sorted({trap_ops[record.op_id][0] for record in timeline
+                    if record.op_id in trap_ops})
     rows = {trap: [" "] * width for trap in traps}
     for record in timeline:
-        op = program[record.op_id]
-        symbol = "~" if op.kind.is_communication else "#"
-        for resource in op.resources:
-            if resource not in rows:
-                continue
-            first = int(record.start / makespan * (width - 1))
-            last = int(record.finish / makespan * (width - 1))
-            for column in range(first, last + 1):
-                rows[resource][column] = symbol
+        if record.op_id not in trap_ops:
+            continue
+        trap, communication = trap_ops[record.op_id]
+        symbol = "~" if communication else "#"
+        first = int(record.start / makespan * (width - 1))
+        last = int(record.finish / makespan * (width - 1))
+        for column in range(first, last + 1):
+            rows[trap][column] = symbol
     label_width = max((len(trap) for trap in traps), default=2)
     lines = [f"{'':<{label_width}}  0 {'-' * (width - 10)} {result.duration_seconds:.3f}s"]
     for trap in traps:

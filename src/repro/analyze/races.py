@@ -1,8 +1,8 @@
 """Schedule race detector: replay resource claims symbolically.
 
-The detector computes two symbolic schedules from the op stream -- no
-device, no durations model, unit time per op unless the caller supplies
-durations -- and flags double-booked hardware:
+The detector computes two symbolic schedules from the op records and the
+program's lowering -- no device, no durations model, unit time per op
+unless the caller supplies durations -- and flags double-booked hardware:
 
 * **Dependency-only schedule** (``RC001``): every op starts as soon as its
   *declared* dependencies finish.  If two ops then overlap on the same trap,
@@ -34,8 +34,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.diagnostics import Report, diag
-from repro.isa.operations import JUNCTION, MOVE
 from repro.isa.program import QCCDProgram
+from repro.isa.records import JUNCTION, MOVE
 from repro.sim.lower import Predecessors, lower
 
 
@@ -63,7 +63,7 @@ def detect_races(program: QCCDProgram, *,
         raise ValueError(f"expected {count} durations, got {len(durations)}")
 
     resource_names = lowered.resource_names
-    deps = [op.dependencies for op in program.operations]
+    deps = [record[1] for record in program.records]
     # Ops other than moves and junction crossings claim a trap.
     trap_resources = frozenset(
         rid for code, rid in zip(lowered.codes, lowered.resources)

@@ -38,9 +38,10 @@ emitting -- and checks the paper's legality rules op by op (checks ``QV001``
 
 The replay runs in one pass over the op stream (chains are bounded by trap
 capacity, so per-op work is O(capacity)); it is cheap enough to run on every
-compile under ``--check``.  It reads ``program.operations``; the structural
-subset behind :func:`quick_validate` and the dependency-coverage check read
-the op records and build no operation objects.
+compile under ``--check``.  Every check walks the op records
+(``program.records``): the replay keeps one handler per kind code, which
+unpacks its record as the simulator's lowering does, so the verifier checks
+what the simulator runs and builds no operation objects.
 """
 
 from __future__ import annotations
@@ -48,24 +49,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.diagnostics import Report, diag
-from repro.isa.operations import (
-    GateOp,
-    IonSwapOp,
-    JunctionCrossOp,
-    MergeOp,
-    MeasureOp,
-    MoveOp,
-    SplitOp,
-    SwapGateOp,
+from repro.isa.program import QCCDProgram
+from repro.isa.records import (
+    GATE_1Q,
+    GATE_2Q,
+    ION_SWAP,
+    JUNCTION,
+    KINDS,
+    MEASURE,
+    MERGE,
+    MOVE,
+    SPLIT,
+    SWAP_GATE,
     record_ions,
 )
-from repro.isa.program import QCCDProgram
 from repro.sim.lower import Predecessors, lower
-
-#: Op kinds allowed to touch a trap while it transiently holds capacity+1
-#: ions: the pass-through reorder (either microarchitecture) and the
-#: relieving split itself.
-_OVERFILL_OK = (SwapGateOp, IonSwapOp, SplitOp)
 
 #: Cap on the backward reachability search of the dependency-coverage check;
 #: generously above any real dependency chain between two uses of one ion.
@@ -80,10 +78,10 @@ class _Replay:
     """Mutable machine state replayed from the initial placement."""
 
     __slots__ = ("chains", "position", "trap_of", "qubit_of_ion",
-                 "ion_of_qubit", "overfilled", "capacities")
+                 "ion_of_qubit", "overfilled", "capacities", "topology")
 
     def __init__(self, program: QCCDProgram,
-                 capacities: Optional[Dict[str, int]]) -> None:
+                 capacities: Optional[Dict[str, int]], topology) -> None:
         placement = program.placement
         self.chains: Dict[str, List[int]] = {
             trap: list(chain) for trap, chain in placement.trap_chains.items()
@@ -102,6 +100,7 @@ class _Replay:
             self.ion_of_qubit[qubit] = ion
         self.overfilled: Dict[str, bool] = {}
         self.capacities = capacities
+        self.topology = topology
 
 
 def verify_program(program: QCCDProgram, device=None) -> Report:
@@ -128,9 +127,17 @@ def verify_program(program: QCCDProgram, device=None) -> Report:
 
     _check_placement(program, capacities, report)
     _check_structure(program, report)
-    state = _Replay(program, capacities)
-    for op in program.operations:
-        _replay_op(op, state, topology, report)
+    state = _Replay(program, capacities, topology)
+    for index, record in enumerate(program.records):
+        code = record[0]
+        _REPLAY[code](index, record, state, report)
+        if capacities is not None and code != MOVE and code != JUNCTION:
+            trap = record[2]
+            if trap and trap not in capacities:
+                report.add(diag(
+                    "QV007", f"op {index} references unknown trap {trap!r}",
+                    location=_op_location(index),
+                    hint="the device topology has no such trap"))
     _check_final_state(state, report)
     _check_dependency_coverage(program, report)
     return report
@@ -216,104 +223,86 @@ def _check_structure(program: QCCDProgram, report: Report) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# The replay
+# The replay: one handler per kind code, each unpacking its op record
 # --------------------------------------------------------------------------- #
-def _replay_op(op, state: _Replay, topology, report: Report) -> None:
-    if isinstance(op, (GateOp, SwapGateOp)):
-        _replay_gate(op, state, report)
-    elif isinstance(op, MeasureOp):
-        _replay_measure(op, state, report)
-    elif isinstance(op, SplitOp):
-        _replay_split(op, state, report)
-    elif isinstance(op, MoveOp):
-        _replay_move(op, state, topology, report)
-    elif isinstance(op, JunctionCrossOp):
-        _replay_junction(op, state, topology, report)
-    elif isinstance(op, MergeOp):
-        _replay_merge(op, state, topology, report)
-    elif isinstance(op, IonSwapOp):
-        _replay_ion_swap(op, state, report)
-    if topology is not None and not isinstance(op, (MoveOp, JunctionCrossOp)):
-        trap = getattr(op, "trap", "")
-        if trap and state.capacities is not None \
-                and trap not in state.capacities:
-            report.add(diag(
-                "QV007", f"op {op.op_id} references unknown trap {trap!r}",
-                location=_op_location(op.op_id),
-                hint="the device topology has no such trap"))
-
-
-def _ions_in_trap(op, ions: Tuple[int, ...], state: _Replay,
-                  report: Report) -> bool:
-    chain = state.chains.get(op.trap)
+def _ions_in_trap(index: int, code: int, trap: str, ions: Sequence[int],
+                  state: _Replay, report: Report) -> bool:
+    chain = state.chains.get(trap)
     if chain is None:
         report.add(diag(
-            "QV003", f"op {op.op_id} targets trap {op.trap!r} which holds "
-                     f"no chain", location=_op_location(op.op_id),
+            "QV003", f"op {index} targets trap {trap!r} which holds "
+                     f"no chain", location=_op_location(index),
             hint="the placement never loaded this trap"))
         return False
     ok = True
     for ion in ions:
-        if state.trap_of.get(ion) != op.trap:
-            where = state.trap_of.get(ion)
+        where = state.trap_of.get(ion)
+        if where != trap:
             place = "in transit" if where is None and ion in state.position \
                 else f"in {where}" if where else "unplaced"
             report.add(diag(
-                "QV003", f"op {op.op_id} ({op.kind.value}) needs ion {ion} "
-                         f"in {op.trap} but it is {place}",
-                location=_op_location(op.op_id),
+                "QV003", f"op {index} ({KINDS[code].value}) needs ion {ion} "
+                         f"in {trap} but it is {place}",
+                location=_op_location(index),
                 hint="gates act only on co-trapped ions; shuttle the ion "
                      "first"))
             ok = False
     return ok
 
 
-def _check_overfill_gate(op, state: _Replay, report: Report) -> None:
-    if state.overfilled.get(op.trap) and not isinstance(op, _OVERFILL_OK):
+def _check_overfill(index: int, code: int, trap: str, state: _Replay,
+                    report: Report) -> None:
+    """Gates and measurements may not touch an overfilled trap; the reorder
+    ops and the relieving split may."""
+
+    if state.overfilled.get(trap):
         report.add(diag(
-            "QV001", f"op {op.op_id} ({op.kind.value}) executes on "
-                     f"overfilled trap {op.trap}",
-            location=_op_location(op.op_id),
+            "QV001", f"op {index} ({KINDS[code].value}) executes on "
+                     f"overfilled trap {trap}",
+            location=_op_location(index),
             hint="while a pass-through ion is inside, only reorder ops and "
                  "the relieving split may touch the trap"))
 
 
-def _replay_gate(op, state: _Replay, report: Report) -> None:
-    _check_overfill_gate(op, state, report)
-    if not _ions_in_trap(op, tuple(op.ions), state, report):
+def _replay_gate(index: int, record: tuple, state: _Replay,
+                 report: Report) -> None:
+    code = record[0]
+    if code == SWAP_GATE:
+        # The record names the pre-swap binding; the swap then flips it.
+        _, _, trap, ions, qubits, chain_length, ion_distance = record
+    else:
+        _, _, trap, ions, qubits, _, chain_length, ion_distance = record
+        _check_overfill(index, code, trap, state, report)
+    if not _ions_in_trap(index, code, trap, ions, state, report):
         return
-    chain = state.chains[op.trap]
-    if op.chain_length != len(chain):
+    chain = state.chains[trap]
+    if chain_length != len(chain):
         report.add(diag(
-            "QV004", f"op {op.op_id} annotates chain_length "
-                     f"{op.chain_length} but {op.trap} holds {len(chain)}",
-            location=_op_location(op.op_id),
+            "QV004", f"op {index} annotates chain_length "
+                     f"{chain_length} but {trap} holds {len(chain)}",
+            location=_op_location(index),
             hint="the FM gate-time and A(N) error models read this "
                  "annotation; re-derive it from the chain at emission"))
-    if len(op.ions) == 2:
-        index_a = chain.index(op.ions[0])
-        index_b = chain.index(op.ions[1])
-        distance = abs(index_a - index_b) - 1
-        if op.ion_distance != distance:
+    if len(ions) == 2:
+        distance = abs(chain.index(ions[0]) - chain.index(ions[1])) - 1
+        if ion_distance != distance:
             report.add(diag(
-                "QV004", f"op {op.op_id} annotates ion_distance "
-                         f"{op.ion_distance} but the ions sit {distance} "
+                "QV004", f"op {index} annotates ion_distance "
+                         f"{ion_distance} but the ions sit {distance} "
                          f"apart",
-                location=_op_location(op.op_id),
+                location=_op_location(index),
                 hint="AM/PM gate times scale with the true separation"))
-    # Qubit/ion binding: GateOp mirrors ions; SwapGateOp records the
-    # pre-swap binding, then flips it.
-    for ion, qubit in zip(op.ions, op.qubits):
+    for ion, qubit in zip(ions, qubits):
         bound = state.qubit_of_ion.get(ion)
         if bound != qubit:
             report.add(diag(
-                "QV005", f"op {op.op_id} says ion {ion} holds qubit "
+                "QV005", f"op {index} says ion {ion} holds qubit "
                          f"{qubit} but the tracked binding is {bound}",
-                location=_op_location(op.op_id),
+                location=_op_location(index),
                 hint="a missed or extra gate-based SWAP desynchronises the "
                      "qubit/ion binding"))
-    if isinstance(op, SwapGateOp):
-        ion_a, ion_b = op.ions
+    if code == SWAP_GATE:
+        ion_a, ion_b = ions
         qubit_a = state.qubit_of_ion.get(ion_a)
         qubit_b = state.qubit_of_ion.get(ion_b)
         state.qubit_of_ion[ion_a] = qubit_b
@@ -324,175 +313,184 @@ def _replay_gate(op, state: _Replay, report: Report) -> None:
             state.ion_of_qubit[qubit_b] = ion_a
 
 
-def _replay_measure(op: MeasureOp, state: _Replay, report: Report) -> None:
-    _check_overfill_gate(op, state, report)
-    if not _ions_in_trap(op, (op.ion,), state, report):
+def _replay_measure(index: int, record: tuple, state: _Replay,
+                    report: Report) -> None:
+    code, _, trap, ion, qubit = record
+    _check_overfill(index, code, trap, state, report)
+    if not _ions_in_trap(index, code, trap, (ion,), state, report):
         return
-    bound = state.qubit_of_ion.get(op.ion)
-    if bound != op.qubit:
+    bound = state.qubit_of_ion.get(ion)
+    if bound != qubit:
         report.add(diag(
-            "QV005", f"op {op.op_id} measures qubit {op.qubit} on ion "
-                     f"{op.ion} but the tracked binding is {bound}",
-            location=_op_location(op.op_id),
+            "QV005", f"op {index} measures qubit {qubit} on ion "
+                     f"{ion} but the tracked binding is {bound}",
+            location=_op_location(index),
             hint="measurement must read the ion currently holding the "
                  "qubit's state"))
 
 
-def _replay_split(op: SplitOp, state: _Replay, report: Report) -> None:
-    chain = state.chains.get(op.trap)
-    if chain is None or state.trap_of.get(op.ion) != op.trap:
+def _replay_split(index: int, record: tuple, state: _Replay,
+                  report: Report) -> None:
+    _, _, trap, ion, chain_size, side = record
+    chain = state.chains.get(trap)
+    if chain is None or state.trap_of.get(ion) != trap:
         report.add(diag(
-            "QV002", f"op {op.op_id} splits ion {op.ion} from {op.trap} "
+            "QV002", f"op {index} splits ion {ion} from {trap} "
                      f"but the ion is not there",
-            location=_op_location(op.op_id),
+            location=_op_location(index),
             hint="an ion can only be split out of the trap that holds it"))
         return
-    if op.chain_size != len(chain):
+    if chain_size != len(chain):
         report.add(diag(
-            "QV004", f"op {op.op_id} annotates chain_size {op.chain_size} "
-                     f"but {op.trap} holds {len(chain)} ions",
-            location=_op_location(op.op_id),
+            "QV004", f"op {index} annotates chain_size {chain_size} "
+                     f"but {trap} holds {len(chain)} ions",
+            location=_op_location(index),
             hint="the heating model divides motional energy by this size"))
-    end_ion = chain[0] if op.side == "head" else chain[-1]
-    if end_ion != op.ion:
+    end_ion = chain[0] if side == "head" else chain[-1]
+    if end_ion != ion:
         report.add(diag(
-            "QV004", f"op {op.op_id} splits ion {op.ion} from the "
-                     f"{op.side} of {op.trap} but ion {end_ion} sits there",
-            location=_op_location(op.op_id),
+            "QV004", f"op {index} splits ion {ion} from the "
+                     f"{side} of {trap} but ion {end_ion} sits there",
+            location=_op_location(index),
             hint="splits act on chain ends; reorder the departing state "
                  "to the end first"))
-        chain.remove(op.ion)
-    elif op.side == "head":
+        chain.remove(ion)
+    elif side == "head":
         chain.pop(0)
     else:
         chain.pop()
-    state.trap_of[op.ion] = None
-    state.position[op.ion] = op.trap
-    if state.overfilled.get(op.trap) and state.capacities is not None:
-        capacity = state.capacities.get(op.trap)
+    state.trap_of[ion] = None
+    state.position[ion] = trap
+    if state.overfilled.get(trap) and state.capacities is not None:
+        capacity = state.capacities.get(trap)
         if capacity is not None and len(chain) <= capacity:
-            state.overfilled[op.trap] = False
+            state.overfilled[trap] = False
 
 
-def _replay_move(op: MoveOp, state: _Replay, topology,
+def _replay_move(index: int, record: tuple, state: _Replay,
                  report: Report) -> None:
-    if state.trap_of.get(op.ion) is not None or op.ion not in state.position:
+    _, _, ion, segment, length, from_node, to_node = record
+    if state.trap_of.get(ion) is not None or ion not in state.position:
         report.add(diag(
-            "QV002", f"op {op.op_id} moves ion {op.ion} which is not in "
-                     f"transit", location=_op_location(op.op_id),
+            "QV002", f"op {index} moves ion {ion} which is not in "
+                     f"transit", location=_op_location(index),
             hint="split the ion off its chain before moving it"))
     else:
-        here = state.position[op.ion]
-        if op.from_node and here != op.from_node:
+        here = state.position[ion]
+        if from_node and here != from_node:
             report.add(diag(
-                "QV002", f"op {op.op_id} moves ion {op.ion} from "
-                         f"{op.from_node} but the ion is at {here}",
-                location=_op_location(op.op_id),
+                "QV002", f"op {index} moves ion {ion} from "
+                         f"{from_node} but the ion is at {here}",
+                location=_op_location(index),
                 hint="shuttle routes must be continuous hop to hop"))
-    if topology is not None:
-        _check_move_topology(op, topology, report)
-    state.position[op.ion] = op.to_node
+    if state.topology is not None:
+        _check_move_topology(index, segment, length, from_node, to_node,
+                             state.topology, report)
+    state.position[ion] = to_node
 
 
-def _check_move_topology(op: MoveOp, topology, report: Report) -> None:
+def _check_move_topology(index: int, name: str, length: int, from_node: str,
+                         to_node: str, topology, report: Report) -> None:
     try:
-        segment = topology.segment_between(op.from_node, op.to_node)
+        segment = topology.segment_between(from_node, to_node)
     except KeyError:
         report.add(diag(
-            "QV007", f"op {op.op_id} moves along {op.segment!r} but no "
-                     f"segment joins {op.from_node!r} and {op.to_node!r}",
-            location=_op_location(op.op_id),
+            "QV007", f"op {index} moves along {name!r} but no "
+                     f"segment joins {from_node!r} and {to_node!r}",
+            location=_op_location(index),
             hint="the route must follow the topology graph"))
         return
-    if segment.name != op.segment:
+    if segment.name != name:
         report.add(diag(
-            "QV007", f"op {op.op_id} names segment {op.segment!r} but "
-                     f"{op.from_node}-{op.to_node} is {segment.name}",
-            location=_op_location(op.op_id),
+            "QV007", f"op {index} names segment {name!r} but "
+                     f"{from_node}-{to_node} is {segment.name}",
+            location=_op_location(index),
             hint="the named segment must be the one joining the endpoints"))
-    if segment.length != op.length:
+    if segment.length != length:
         report.add(diag(
-            "QV007", f"op {op.op_id} annotates length {op.length} but "
+            "QV007", f"op {index} annotates length {length} but "
                      f"segment {segment.name} has length {segment.length}",
-            location=_op_location(op.op_id),
+            location=_op_location(index),
             hint="move duration scales with the true segment length"))
 
 
-def _replay_junction(op: JunctionCrossOp, state: _Replay, topology,
+def _replay_junction(index: int, record: tuple, state: _Replay,
                      report: Report) -> None:
-    if state.trap_of.get(op.ion) is not None or op.ion not in state.position:
+    _, _, ion, name, degree = record
+    if state.trap_of.get(ion) is not None or ion not in state.position:
         report.add(diag(
-            "QV002", f"op {op.op_id} crosses a junction with ion {op.ion} "
+            "QV002", f"op {index} crosses a junction with ion {ion} "
                      f"which is not in transit",
-            location=_op_location(op.op_id),
+            location=_op_location(index),
             hint="only a split-off ion can cross a junction"))
         return
-    here = state.position[op.ion]
-    if here != op.junction:
+    here = state.position[ion]
+    if here != name:
         report.add(diag(
-            "QV007", f"op {op.op_id} crosses {op.junction!r} but ion "
-                     f"{op.ion} is at {here!r}",
-            location=_op_location(op.op_id),
+            "QV007", f"op {index} crosses {name!r} but ion "
+                     f"{ion} is at {here!r}",
+            location=_op_location(index),
             hint="a crossing must happen at the junction the route "
                  "reached"))
-    if topology is not None:
+    if state.topology is not None:
         try:
-            junction = topology.junction(op.junction)
+            junction = state.topology.junction(name)
         except KeyError:
             report.add(diag(
-                "QV007", f"op {op.op_id} references unknown junction "
-                         f"{op.junction!r}",
-                location=_op_location(op.op_id),
+                "QV007", f"op {index} references unknown junction "
+                         f"{name!r}",
+                location=_op_location(index),
                 hint="the device topology has no such junction"))
             return
-        if junction.degree != op.junction_degree:
+        if junction.degree != degree:
             report.add(diag(
-                "QV007", f"op {op.op_id} annotates degree "
-                         f"{op.junction_degree} but {op.junction} has "
+                "QV007", f"op {index} annotates degree "
+                         f"{degree} but {name} has "
                          f"degree {junction.degree}",
-                location=_op_location(op.op_id),
+                location=_op_location(index),
                 hint="crossing time depends on the true junction degree"))
 
 
-def _replay_merge(op: MergeOp, state: _Replay, topology,
+def _replay_merge(index: int, record: tuple, state: _Replay,
                   report: Report) -> None:
-    if state.trap_of.get(op.ion) is not None or op.ion not in state.position:
+    _, _, trap, ion, side = record
+    if state.trap_of.get(ion) is not None or ion not in state.position:
         report.add(diag(
-            "QV002", f"op {op.op_id} merges ion {op.ion} which is not in "
-                     f"transit", location=_op_location(op.op_id),
+            "QV002", f"op {index} merges ion {ion} which is not in "
+                     f"transit", location=_op_location(index),
             hint="merge targets must have been split off and moved here"))
         return
-    here = state.position.pop(op.ion)
-    if here != op.trap:
+    here = state.position.pop(ion)
+    if here != trap:
         report.add(diag(
-            "QV002", f"op {op.op_id} merges ion {op.ion} into {op.trap} "
+            "QV002", f"op {index} merges ion {ion} into {trap} "
                      f"but the route ended at {here}",
-            location=_op_location(op.op_id),
+            location=_op_location(index),
             hint="the last move must arrive at the merging trap"))
-    if topology is not None and here == op.trap:
-        _check_port_side(op, state, topology, report)
-    chain = state.chains.setdefault(op.trap, [])
-    if op.side == "head":
-        chain.insert(0, op.ion)
+    if state.topology is not None and here == trap:
+        _check_port_side(index, trap, side, state.topology, report)
+    chain = state.chains.setdefault(trap, [])
+    if side == "head":
+        chain.insert(0, ion)
     else:
-        chain.append(op.ion)
-    state.trap_of[op.ion] = op.trap
+        chain.append(ion)
+    state.trap_of[ion] = trap
     if state.capacities is not None:
-        capacity = state.capacities.get(op.trap)
+        capacity = state.capacities.get(trap)
         if capacity is not None and len(chain) > capacity:
-            if len(chain) > capacity + 1 or state.overfilled.get(op.trap):
+            if len(chain) > capacity + 1 or state.overfilled.get(trap):
                 report.add(diag(
-                    "QV001", f"op {op.op_id} merges into {op.trap} at "
+                    "QV001", f"op {index} merges into {trap} at "
                              f"{len(chain)} ions (capacity {capacity}); "
                              f"only one transient overfill ion is legal",
-                    location=_op_location(op.op_id),
+                    location=_op_location(index),
                     hint="a pass-through chain may hold capacity+1 ions "
                          "only until the relieving split"))
             else:
-                state.overfilled[op.trap] = True
+                state.overfilled[trap] = True
 
 
-def _check_port_side(op: MergeOp, state: _Replay, topology,
+def _check_port_side(index: int, trap: str, side: str, topology,
                      report: Report) -> None:
     # The route's previous node is recoverable from the merge's position
     # history only through the move stream, so the check reconstructs it
@@ -501,37 +499,46 @@ def _check_port_side(op: MergeOp, state: _Replay, topology,
     # previous node we can only check that *some* neighbour maps to this
     # side; the move-continuity check (QV002) pins the actual route.  An
     # unknown trap is reported as QV007 by the replay itself.
-    if not topology.is_trap(op.trap):
+    if not topology.is_trap(trap):
         return
-    sides = {topology.port_side(op.trap, n) for n in topology.neighbors(op.trap)}
-    if op.side not in sides:
+    sides = {topology.port_side(trap, n) for n in topology.neighbors(trap)}
+    if side not in sides:
         report.add(diag(
-            "QV007", f"op {op.op_id} merges at the {op.side} of {op.trap} "
+            "QV007", f"op {index} merges at the {side} of {trap} "
                      f"but no incident segment attaches there",
-            location=_op_location(op.op_id),
+            location=_op_location(index),
             hint="merge sides follow the topology's port geometry"))
 
 
-def _replay_ion_swap(op: IonSwapOp, state: _Replay, report: Report) -> None:
-    if not _ions_in_trap(op, tuple(op.ions), state, report):
+def _replay_ion_swap(index: int, record: tuple, state: _Replay,
+                     report: Report) -> None:
+    code, _, trap, ions, chain_size = record
+    if not _ions_in_trap(index, code, trap, ions, state, report):
         return
-    chain = state.chains[op.trap]
-    if op.chain_size != len(chain):
+    chain = state.chains[trap]
+    if chain_size != len(chain):
         report.add(diag(
-            "QV004", f"op {op.op_id} annotates chain_size {op.chain_size} "
-                     f"but {op.trap} holds {len(chain)} ions",
-            location=_op_location(op.op_id),
+            "QV004", f"op {index} annotates chain_size {chain_size} "
+                     f"but {trap} holds {len(chain)} ions",
+            location=_op_location(index),
             hint="IS-hop heating scales with the true chain size"))
-    index_a = chain.index(op.ions[0])
-    index_b = chain.index(op.ions[1])
+    index_a = chain.index(ions[0])
+    index_b = chain.index(ions[1])
     if abs(index_a - index_b) != 1:
         report.add(diag(
-            "QV004", f"op {op.op_id} swaps ions {op.ions[0]} and "
-                     f"{op.ions[1]} which are not adjacent",
-            location=_op_location(op.op_id),
+            "QV004", f"op {index} swaps ions {ions[0]} and "
+                     f"{ions[1]} which are not adjacent",
+            location=_op_location(index),
             hint="one IS hop exchanges neighbouring ions only"))
         return
     chain[index_a], chain[index_b] = chain[index_b], chain[index_a]
+
+
+#: The replay handler of each kind code.
+_REPLAY = {GATE_1Q: _replay_gate, GATE_2Q: _replay_gate,
+           SWAP_GATE: _replay_gate, MEASURE: _replay_measure,
+           SPLIT: _replay_split, MERGE: _replay_merge, MOVE: _replay_move,
+           JUNCTION: _replay_junction, ION_SWAP: _replay_ion_swap}
 
 
 def _check_final_state(state: _Replay, report: Report) -> None:

@@ -1,7 +1,7 @@
 """ProgramBuilder: appends op records and tracks dependencies.
 
 Every emit method checks its op's fields through the kind's record function
-(:mod:`repro.isa.operations`) and appends the op record; no
+(:mod:`repro.isa.records`) and appends the op record; no
 :class:`~repro.isa.operations.Operation` object is built.
 
 Dependencies emitted per operation are
@@ -28,9 +28,10 @@ leaves the builder unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.isa.operations import Operation, op_from_record
+if TYPE_CHECKING:
+    from repro.isa.operations import Operation
 
 
 def _sorted_ids(a: Optional[int], b: Optional[int]) -> Tuple[int, ...]:
@@ -84,6 +85,8 @@ class ProgramBuilder:
     def operations(self) -> List[Operation]:
         """The emitted ops as :class:`~repro.isa.operations.Operation`
         objects, built anew on every read (for inspection)."""
+
+        from repro.isa.operations import op_from_record
 
         return [op_from_record(index, record)
                 for index, record in enumerate(self.records)]

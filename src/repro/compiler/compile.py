@@ -35,7 +35,7 @@ from repro.compiler.shuttle import emit_shuttle
 from repro.hardware.device import QCCDDevice
 from repro.ir.circuit import Circuit
 from repro.ir.dag import MEASUREMENT, SINGLE_QUBIT, TWO_QUBIT
-from repro.isa.operations import gate_record, measure_record
+from repro.isa.records import gate_record, measure_record
 from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.compiler.builder import ProgramBuilder
 from repro.compiler.placement_state import PlacementState
 from repro.hardware.device import QCCDDevice, ReorderMethod
-from repro.isa.operations import ion_swap_record, swap_gate_record
+from repro.isa.records import ion_swap_record, swap_gate_record
 
 
 def reorder_to_end(builder: ProgramBuilder, state: PlacementState, device: QCCDDevice,

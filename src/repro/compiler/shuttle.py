@@ -26,7 +26,7 @@ from repro.compiler.builder import ProgramBuilder
 from repro.compiler.placement_state import PlacementState
 from repro.compiler.reorder import reorder_to_end
 from repro.hardware.device import QCCDDevice
-from repro.isa.operations import junction_record, merge_record, move_record, split_record
+from repro.isa.records import junction_record, merge_record, move_record, split_record
 
 
 def emit_shuttle(builder: ProgramBuilder, state: PlacementState, device: QCCDDevice,

@@ -364,10 +364,15 @@ class AdaptiveHalvingProposer(Proposer):
         self.surrogate_name = surrogate
         self.min_survivors = min_survivors
         self.ucb_beta = ucb_beta
-        # The proxy ladder only makes sense below the true size; None means
-        # "application default" (paper scale, 64-78 qubits).
-        real_sizes = [qubits for qubits in space.qubits if qubits is not None]
-        self._size_cap = min(real_sizes) if real_sizes else None
+        # The proxy ladder only makes sense below the true size: the
+        # smallest candidate's, as in SuccessiveHalving.  None is the
+        # application's default size (64-78 qubits).
+        sizes = [qubits for qubits in space.qubits if qubits is not None]
+        if len(sizes) < len(space.qubits):
+            from repro.apps.suite import build_application
+
+            sizes += [build_application(app).num_qubits for app in space.apps]
+        self._size_cap = min(sizes)
         self._encoder = PointEncoder(space)
         self._survivors = list(range(len(self.candidates)))
         self._rung = 0
@@ -394,9 +399,8 @@ class AdaptiveHalvingProposer(Proposer):
         return sum(entry["proposed"] for entry in self.trace)
 
     def _at_final_rung(self) -> bool:
-        if len(self._survivors) <= self.min_survivors:
-            return True
-        return self._size_cap is not None and self._size >= self._size_cap
+        return (len(self._survivors) <= self.min_survivors
+                or self._size >= self._size_cap)
 
     def _next_batch(self) -> Optional[ProposalBatch]:
         if self._done:

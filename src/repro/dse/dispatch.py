@@ -138,10 +138,11 @@ def _live_phase() -> Dict[str, str]:
     return {"phase": name} if name else {}
 
 
-def default_owner() -> str:
-    """Default lease-owner identity: host plus pid (unique per worker)."""
+def default_owner(pid: Optional[int] = None) -> str:
+    """Default lease-owner identity: host plus pid (unique per worker), of
+    this process unless ``pid`` names another on this host."""
 
-    return f"{socket.gethostname()}-pid{os.getpid()}"
+    return f"{socket.gethostname()}-pid{os.getpid() if pid is None else pid}"
 
 
 def _signature(payload: Dict[str, object]) -> str:
@@ -1039,16 +1040,29 @@ class Dispatcher:
         return [proc for proc in self._procs if proc.poll() is None]
 
     def _reap_and_respawn(self) -> None:
-        """Replace workers that died abnormally, within the respawn budget."""
+        """Replace workers that died abnormally, within the respawn budget,
+        unless their stream holds a ``failed`` event: evaluation is
+        deterministic, so a replacement would only repeat the error."""
 
         for proc in list(self._procs):
             if proc.poll() is None or proc.returncode == 0:
                 continue
             self._procs.remove(proc)
             if (self.respawned < self.max_respawns
-                    and not self.ledger.all_done()):
+                    and not self.ledger.all_done()
+                    and not self._failed(proc.pid)):
                 self.respawned += 1
                 self._procs.append(self.spawn_worker())
+
+    def _failed(self, pid: int) -> bool:
+        """Whether the stream of the local worker ``pid`` holds a ``failed``
+        event (a spawned worker's owner is :func:`default_owner`)."""
+
+        owner = default_owner(pid)
+        reader = self.view.reader
+        reader.poll()
+        return any(event["event"] == "failed" and event["owner"] == owner
+                   for event in reader.events)
 
     def run(self, *, timeout_s: Optional[float] = None,
             on_progress: Optional[Callable[[Dict[str, object]], None]] = None,

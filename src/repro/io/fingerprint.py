@@ -12,7 +12,8 @@ Fingerprints serve two purposes:
 
 Every fingerprint is a SHA-256 hex digest over a canonical text rendering.
 Floats are rendered with ``float.hex`` so the digests are sensitive to the
-last bit -- "close enough" is not equal here by design.
+last bit -- "close enough" is not equal here by design.  A program renders
+each op record as its op class's dataclass ``repr``, without building it.
 """
 
 from __future__ import annotations
@@ -83,25 +84,22 @@ def design_point_fingerprint(circuit: Circuit, config) -> str:
     return _digest("\n".join(parts))
 
 
-def operation_signature(op) -> str:
-    """Canonical one-line rendering of a primitive operation.
-
-    Relies on the dataclass ``repr`` which lists every field in declaration
-    order; it is stable across implementation details such as ``__slots__``.
-    """
-
-    return repr(op)
-
-
 def program_fingerprint(program: QCCDProgram) -> str:
-    """Digest of a compiled program: op sequence plus initial placement."""
+    """Digest of a compiled program: op sequence plus initial placement
+    (class and field names of each op's ``repr`` read off its class)."""
 
+    from repro.isa.operations import OP_CLASSES, RECORD_FIELDS
+
+    signatures = [cls.__qualname__ + "(op_id=%r" + "".join(
+        f", {name}=%r" for name in RECORD_FIELDS[cls]) + ")"
+        for cls in OP_CLASSES]
     parts = [program.circuit_name, program.device_name]
     placement = program.placement
     parts.append(repr(sorted(placement.qubit_to_ion.items())))
     parts.append(repr(sorted(placement.ion_to_trap.items())))
     parts.append(repr(sorted(placement.trap_chains.items())))
-    parts.extend(operation_signature(op) for op in program.operations)
+    parts.extend(signatures[record[0]] % (index, *record[1:])
+                 for index, record in enumerate(program.records))
     return _digest("\n".join(parts))
 
 

@@ -23,8 +23,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List
 
-from repro.isa.operations import KINDS, OP_CLASSES
 from repro.isa.program import InitialPlacement, QCCDProgram
+from repro.isa.records import KINDS
 from repro.models.params import (
     FidelityParams,
     HeatingParams,
@@ -100,16 +100,21 @@ def _key_to_str(key):
 # Programs
 # --------------------------------------------------------------------------- #
 def program_to_dict(program: QCCDProgram) -> Dict:
-    """Serialise a compiled program (operations, placement, metadata)."""
+    """Serialise a compiled program (operations, placement, metadata).
 
+    One dictionary per op record, keyed by its op class's field names.
+    """
+
+    from repro.isa.operations import OP_CLASSES, RECORD_FIELDS
+
+    names = [RECORD_FIELDS[cls][1:] for cls in OP_CLASSES]
     operations: List[Dict] = []
-    for op in program.operations:
-        entry = {"kind": op.kind.value, "op_id": op.op_id,
-                 "dependencies": list(op.dependencies)}
-        for field in dataclasses.fields(op):
-            if field.name in ("op_id", "dependencies"):
-                continue
-            entry[field.name] = _jsonify(getattr(op, field.name))
+    for index, record in enumerate(program.records):
+        code = record[0]
+        entry = {"kind": KINDS[code].value, "op_id": index,
+                 "dependencies": list(record[1])}
+        for name, value in zip(names[code], record[2:]):
+            entry[name] = _jsonify(value)
         operations.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -139,6 +144,11 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
     so a hand-edited payload fails here before the verifier ever sees it.
     """
 
+    from repro.isa.operations import OP_CLASSES
+
+    # gate_1q and gate_2q both name GateOp; the arity follows from the
+    # operand tuple and must agree with the tag.
+    op_types = {kind.value: cls for kind, cls in zip(KINDS, OP_CLASSES)}
     check_schema_version(payload, source="program payload")
     placement_payload = payload["placement"]
     placement = InitialPlacement(
@@ -158,7 +168,7 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
     for position, entry in enumerate(entries):
         fields = dict(entry)
         kind = fields.pop("kind")
-        op_type = _OP_TYPES.get(kind)
+        op_type = op_types.get(kind)
         if op_type is None:
             raise ValueError(f"program payload: unknown operation kind {kind!r}")
         fields["dependencies"] = tuple(fields.get("dependencies", ()))
@@ -179,11 +189,6 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
         metadata=dict(payload.get("metadata") or {}),
     )
 
-
-#: Operation kind tag -> concrete class, for :func:`program_from_dict`.
-#: ``gate_1q``/``gate_2q`` are both :class:`GateOp`; the arity is derived
-#: from the operand tuple and must agree with the tag.
-_OP_TYPES = {kind.value: cls for kind, cls in zip(KINDS, OP_CLASSES)}
 
 
 # --------------------------------------------------------------------------- #

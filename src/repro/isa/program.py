@@ -7,11 +7,12 @@ order (every dependency points backwards); the simulator may overlap
 operations that have no dependency and no resource conflict.
 
 The stream is stored as op records (one plain tuple per op, see
-:mod:`repro.isa.operations`) behind an :class:`OpSequence`.  The lowering,
-the structural checks and the kind counters (``len``, :meth:`count`,
-:meth:`op_counts`, :attr:`num_shuttles`, ...) read the records;
+:mod:`repro.isa.records`) behind an :class:`OpSequence`; every toolflow
+reader and the kind counters (``len``, :meth:`count`, :meth:`op_counts`,
+:attr:`num_shuttles`, ...) walk the records.  Indexing or iterating
 ``program.operations`` builds :class:`~repro.isa.operations.Operation`
-objects on its first read and returns the same objects afterwards.
+objects once, for callers that ask for objects; only then, or when a
+program is given a list of objects, is :mod:`repro.isa.operations` loaded.
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.isa.operations import (
-    CODES,
-    IS_COMM,
-    KINDS,
-    OpKind,
-    Operation,
-    op_from_record,
-    op_record,
-)
+from repro.isa.records import CODES, IS_COMM, KINDS, OpKind
+
+if TYPE_CHECKING:  # the op classes load only when objects are asked for
+    from repro.isa.operations import Operation
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,8 @@ class OpSequence(Sequence):
     def _materialised(self) -> Tuple[Operation, ...]:
         ops = self._ops
         if ops is None:
+            from repro.isa.operations import op_from_record
+
             ops = self._ops = tuple(op_from_record(index, record)
                                     for index, record in enumerate(self.records))
         return ops
@@ -145,6 +143,8 @@ class QCCDProgram:
         operations = self.operations
         if isinstance(operations, OpSequence):
             return
+        from repro.isa.operations import op_record
+
         for index, op in enumerate(operations):
             if op.op_id != index:
                 raise ValueError(

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import QCCDDevice
-from repro.isa.operations import (
+from repro.isa.records import (
     GATE_1Q,
     GATE_2Q,
     IS_COMM,

@@ -5,12 +5,12 @@ The simulator (:mod:`repro.sim.batch`), the race detector
 (:mod:`repro.analyze.verifier`) all read a compiled
 :class:`~repro.isa.program.QCCDProgram` through the same
 :class:`LoweredProgram`, built by a single pass over the program's op
-records (``program.records``, see :mod:`repro.isa.operations`) and cached on
+records (``program.records``, see :mod:`repro.isa.records`) and cached on
 the program (:func:`lower`).  No :class:`~repro.isa.operations.Operation`
 object is built.  Per operation ``i`` it holds:
 
 * ``codes[i]`` -- the integer kind code (index into
-  :data:`~repro.isa.operations.KINDS`);
+  :data:`~repro.isa.records.KINDS`);
 * ``resources[i]`` -- the interned id of the one exclusive resource (trap,
   segment or junction) the op claims; ``resource_names[rid]`` names it;
 * ``preds[i]`` -- the **merged predecessors**: the previous op in program
@@ -66,7 +66,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.isa.operations import (
+from repro.isa.records import (
     GATE_1Q,
     GATE_2Q,
     ION_SWAP,
@@ -75,9 +75,9 @@ from repro.isa.operations import (
     MEASURE,
     MERGE,
     MOVE,
+    MS_GATES_PER_SWAP,
     SPLIT,
     SWAP_GATE,
-    SwapGateOp,
 )
 from repro.isa.program import QCCDProgram
 from repro.models.gate_times import gate_time
@@ -89,7 +89,7 @@ FID_MEASURE = -2
 #: Heating-schedule tags of the energy-moving ops.
 H_SPLIT, H_MERGE, H_MOVE, H_JUNCTION, H_ION_SWAP = range(5)
 
-MS_PER_SWAP = SwapGateOp.MS_GATES_PER_SWAP
+MS_PER_SWAP = MS_GATES_PER_SWAP
 
 #: Duration slots shared by every op of a constant-duration kind; keys of the
 #: geometry-dependent kinds are interned after these.
@@ -150,7 +150,7 @@ class LoweredProgram:
         is_comm = IS_COMM
 
         # Records unpack in their class's field order (see
-        # repro.isa.operations): code, dependencies, then the fields.
+        # repro.isa.records): code, dependencies, then the fields.
         for index, record in enumerate(records):
             code = record[0]
             if code == GATE_2Q:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.isa.operations import OpKind
+from repro.isa.records import OpKind
 from repro.isa.program import QCCDProgram
 from repro.sim.results import SimulationResult
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.isa.operations import OpKind
+from repro.isa.records import OpKind
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,23 @@ class TestAdaptiveHalvingProposer:
         assert counts == sorted(counts, reverse=True)
         assert proposer.best() is not None
 
+    def test_ladder_stops_below_the_default_application_size(self):
+        """With ``qubits=(None,)`` the ladder is capped at the smallest
+        default size (64 for BV and QFT): the 48-qubit rung is followed by
+        the full-scale one, not by 96 and 192 qubits."""
+
+        space = DesignSpace(apps=("BV", "QFT"), qubits=(None,),
+                            topologies=("L6",), capacities=(14, 18, 22, 26))
+        proposer = AdaptiveHalvingProposer(space, seed=0, proxy_qubits=48)
+        rungs = []
+        while True:
+            batch = proposer.next_batch()
+            if batch is None:
+                break
+            rungs.append((batch.proxy_qubits, len(batch.keys)))
+            proposer.ingest(batch, [0.5] * len(batch.keys))  # tied scores
+        assert rungs == [(48, 8), (None, 4)]
+
     def test_promotion_caps_at_half_and_floors_at_min(self):
         space = DesignSpace(**dict(TINY_SPACE, qubits=(16,)))
         proposer = AdaptiveHalvingProposer(space, seed=0, proxy_qubits=8,

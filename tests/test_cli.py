@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -25,6 +26,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--app", "BV", "--gate", "XY"])
         capsys.readouterr()
+
+    def test_strategy_choices_match_the_strategy_table(self):
+        """``dse run`` offers every strategy, ``dse dispatch`` those the
+        work ledger can run (the ones whose ``ledger_spec()`` does not
+        refuse)."""
+
+        from repro.dse.strategies import STRATEGY_NAMES, make_strategy
+
+        def subcommand(parser, name):
+            return next(action.choices[name] for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        def choices(command):
+            parser = subcommand(subcommand(build_parser(), "dse"), command)
+            return tuple(next(action.choices for action in parser._actions
+                              if "--strategy" in action.option_strings))
+
+        def runs_on_the_ledger(name):
+            strategy = make_strategy(
+                name, samples=2 if name == "random" else None)
+            try:
+                strategy.ledger_spec()
+            except ValueError:
+                return False
+            return True
+
+        assert choices("run") == STRATEGY_NAMES
+        assert choices("dispatch") == tuple(
+            name for name in STRATEGY_NAMES if runs_on_the_ledger(name))
 
 
 class TestCommands:

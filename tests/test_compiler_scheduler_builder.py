@@ -8,7 +8,7 @@ from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
 from repro.compiler.scheduler import GateScheduler
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
-from repro.isa.operations import (
+from repro.isa.records import (
     gate_record,
     ion_swap_record,
     junction_record,

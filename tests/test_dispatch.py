@@ -36,7 +36,7 @@ from repro.dse import (
     run_worker,
     write_manifest,
 )
-from repro.dse.dispatch import WorkerTelemetry, fill_store
+from repro.dse.dispatch import WorkerTelemetry, default_owner, fill_store
 from repro.obs.timeline import TelemetryReader
 
 #: A fast 4-point space evaluated entirely with 8-qubit circuits.
@@ -425,8 +425,8 @@ class TestWorkerLoop:
 
     def test_failing_item_is_released_for_an_immediate_retry(self, tmp_path):
         """A point that fails (24 qubits on an 8-ion L3) gives its item
-        back as the error propagates, so a respawned worker retries it at
-        once instead of waiting out the lease TTL."""
+        back as the error propagates, so another worker or a resumed run
+        retries it at once instead of waiting out the lease TTL."""
 
         space = DesignSpace(apps=("QFT",), qubits=(24,), topologies=("L3",),
                             capacities=(8,), gates=("FM",), reorders=("GS",))
@@ -512,6 +512,46 @@ class TestDispatcherLocal:
         dispatched = _export(tmp_path / "dispatched",
                              tmp_path / "dispatched.json")
         assert dispatched == serial
+
+    def test_worker_that_failed_an_item_is_not_respawned(self, tmp_path):
+        """Evaluation is deterministic: a replacement for a worker whose
+        stream holds a ``failed`` event would only repeat the error."""
+
+        space = DesignSpace(apps=("QFT",), qubits=(24,), topologies=("L3",),
+                            capacities=(8,), gates=("AM1", "FM"),
+                            reorders=("GS", "IS"))
+        summary = Dispatcher(space, tmp_path / "store", workers=2,
+                             poll_s=0.05).run(timeout_s=60.0)
+        assert summary["complete"] is False
+        assert summary["respawned"] == 0
+
+    def test_only_a_worker_that_died_without_failing_is_respawned(
+            self, tmp_path, monkeypatch):
+        """A SIGKILL or OOM kill leaves no ``failed`` event in the stream:
+        that worker gets its replacement, one that failed an item does
+        not."""
+
+        class Exited:
+            def __init__(self, pid, returncode):
+                self.pid, self.returncode = pid, returncode
+
+            def poll(self):
+                return self.returncode
+
+        store_dir = tmp_path / "store"
+        dispatcher = Dispatcher(DesignSpace(**TINY_SPACE), store_dir,
+                                workers=2)
+        dispatcher.prepare()
+        with WorkerTelemetry(store_dir, default_owner(101)) as stream:
+            stream.emit("failed", work="shard-1of8", error="RuntimeError: x")
+        spawned = []
+        monkeypatch.setattr(dispatcher, "spawn_worker",
+                            lambda: spawned.append(Exited(303, None))
+                            or spawned[-1])
+        dispatcher._procs = [Exited(101, 1), Exited(202, -9)]
+        dispatcher._reap_and_respawn()
+        assert dispatcher.respawned == 1
+        assert dispatcher._procs == spawned
 
     def test_dispatcher_wakes_when_its_worker_exits(self, tmp_path):
         # The dispatcher waits on its workers rather than sleeping poll_s,

@@ -28,6 +28,9 @@ COMPILE_SIDE = ("repro.compiler", "repro.sim.batch", "repro.analyze")
 #: What a grid dispatch must not load either: the search strategies and
 #: every proposer.
 SEARCH_SIDE = ("repro.dse.strategies", "repro.dse.adaptive", "repro.dse.moo")
+#: The op classes, which only a caller asking for op objects loads: every
+#: toolflow path reads the op records.
+OP_CLASSES = ("repro.isa.operations",)
 
 
 def _cli(*argv):
@@ -77,7 +80,7 @@ def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
                  _cli("dse", "export", "--store", str(store),
                       "--output", str(tmp_path / "export.json"))):
         assert _offending(_loaded(code, tmp_path),
-                          COMPILE_SIDE + SEARCH_SIDE) == [], code
+                          COMPILE_SIDE + SEARCH_SIDE + OP_CLASSES) == [], code
     assert json.loads((tmp_path / "export.json").read_text())["num_points"] == 0
     # An adaptive prepare builds the strategy spec and records its default
     # budget; the compile side loads only once the proposer runs.
@@ -97,17 +100,30 @@ def test_compile_paths_load_no_analyzer(module, tmp_path):
 
 def test_compile_loads_only_the_verifier(tmp_path):
     """``program.validate()`` runs the verifier's quick check; a compile
-    loads no linter, race detector or ``--check`` runtime hook."""
+    and simulation load no linter, race detector or ``--check`` runtime
+    hook, and no op class."""
 
     loaded = _loaded("from repro.apps import qft_circuit\n"
                      "from repro.compiler import compile_circuit\n"
                      "from repro.hardware import build_device\n"
+                     "from repro.sim import simulate\n"
                      "device = build_device('L3', trap_capacity=6, "
                      "num_qubits=8)\n"
-                     "compile_circuit(qft_circuit(8), device)", tmp_path)
+                     "simulate(compile_circuit(qft_circuit(8), device), "
+                     "device)", tmp_path)
     assert "repro.analyze.verifier" in loaded
+    assert "repro.sim.batch" in loaded
     assert _offending(loaded, ("repro.analyze.lint", "repro.analyze.races",
-                               "repro.analyze.runtime")) == []
+                               "repro.analyze.runtime") + OP_CLASSES) == []
+
+
+def test_checked_run_loads_no_op_class(tmp_path):
+    """``--check`` verifies and race-checks the op records."""
+
+    loaded = _loaded(_cli("run", "--app", "QFT", "--qubits", "8", "--topology",
+                          "G2x2", "--capacity", "6", "--check"), tmp_path)
+    assert "repro.analyze.runtime" in loaded
+    assert _offending(loaded, OP_CLASSES) == []
 
 
 def test_analyze_exports_resolve():
@@ -115,3 +131,12 @@ def test_analyze_exports_resolve():
 
     assert [name for name in analyze.__all__
             if getattr(analyze, name, None) is None] == []
+
+
+def test_isa_resolves_the_op_classes_on_demand(tmp_path):
+    loaded = _loaded("from repro.isa import OpKind, QCCDProgram", tmp_path)
+    assert _offending(loaded, OP_CLASSES) == []
+    import repro.isa as isa
+
+    assert [name for name in isa.__all__
+            if getattr(isa, name, None) is None] == []

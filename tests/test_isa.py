@@ -3,11 +3,19 @@ program container."""
 
 import dataclasses
 import gc
+import hashlib
+import json
 from array import array
 
 import pytest
 
-from repro.analyze import verifier
+from repro.analysis.timeline import (
+    communication_on_critical_path,
+    critical_path,
+    format_gantt,
+    trap_utilisation,
+)
+from repro.analyze import detect_races, verifier, verify_or_raise
 from repro.apps import scaled_suite
 from repro.compiler import compile_circuit
 from repro.dse import DesignSpace, DSERunner
@@ -29,6 +37,7 @@ from repro.isa.operations import (
 )
 from repro.isa.program import InitialPlacement, QCCDProgram
 from repro.obs.trace import current_tracer
+from repro.sim import simulate
 from repro.sim.batch import batch_plan, simulate_gate_variants
 from repro.sim.lower import lower
 from repro.toolflow import ArchitectureConfig, sweep_microarchitecture
@@ -331,6 +340,10 @@ class TestOpRecords:
 
     def test_compile_and_simulate_build_no_operation_objects(
             self, monkeypatch, small_suite):
+        """Compile, simulate, the ``--check`` hook (verifier and race
+        detector), the fingerprint, the JSON export and the timeline
+        analytics all walk the op records."""
+
         def refuse(op):
             raise AssertionError(f"built a {op.__class__.__name__}")
 
@@ -349,3 +362,55 @@ class TestOpRecords:
                                        topologies=("G2x2",), capacities=(6,)))
         evaluated = runner.evaluate(list(runner.space.points()))
         assert len(evaluated) == 1 and evaluated[0].num_shuttles > 0
+
+        for reorder in ("GS", "IS"):
+            device = build_device("G2x2", trap_capacity=6, gate="FM",
+                                  reorder=reorder, num_qubits=8)
+            program = compile_circuit(small_suite["QFT"], device)
+            verify_or_raise(program, device)
+            assert len(detect_races(program)) == 0
+            assert len(program_fingerprint(program)) == 64
+            assert len(program_to_dict(program)["operations"]) == len(program)
+            result = simulate(program, device, keep_timeline=True)
+            assert trap_utilisation(program, result)
+            assert critical_path(program, result)
+            assert 0.0 <= communication_on_critical_path(program, result) <= 1.0
+            assert "legend" in format_gantt(program, result)
+
+    @pytest.mark.parametrize("reorder", ["GS", "IS"])
+    def test_fingerprint_and_export_match_the_object_view(self, reorder):
+        """The fingerprint and the JSON export read the op records; their
+        output is what the op objects' dataclass ``repr`` and fields give."""
+
+        circuit = scaled_suite(16)["QFT"].copy()
+        for qubit in range(circuit.num_qubits):
+            circuit.add("measure", qubit)
+        device = build_device("G2x2", trap_capacity=6, gate="FM",
+                              reorder=reorder, num_qubits=16)
+        program = compile_circuit(circuit, device)
+        operations = []
+        for op in program.operations:
+            entry = {"kind": op.kind.value, "op_id": op.op_id,
+                     "dependencies": list(op.dependencies)}
+            for item in dataclasses.fields(op)[2:]:
+                value = getattr(op, item.name)
+                entry[item.name] = list(value) if isinstance(value, tuple) \
+                    else value
+            operations.append(entry)
+        exported = program_to_dict(program)["operations"]
+        assert len(exported) == len(operations)
+        for got, expected in zip(exported, operations):
+            assert json.dumps(got) == json.dumps(expected)
+        kinds = {entry["kind"] for entry in operations}
+        assert kinds >= {"gate_1q", "gate_2q", "measure", "split", "move",
+                         "junction", "merge",
+                         "swap_gate" if reorder == "GS" else "ion_swap"}
+
+        placement = program.placement
+        text = "\n".join([program.circuit_name, program.device_name,
+                          repr(sorted(placement.qubit_to_ion.items())),
+                          repr(sorted(placement.ion_to_trap.items())),
+                          repr(sorted(placement.trap_chains.items())),
+                          *map(repr, program.operations)])
+        assert program_fingerprint(program) == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
