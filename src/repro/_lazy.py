@@ -8,7 +8,7 @@ its submodule on first access, then kept in the package namespace::
 
     __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "repro.sim.engine": ("simulate",),
-        "repro.sim.results": ("SimulationResult", "OperationRecord"),
+        "repro.sim.results": ("SimulationResult",),
     })
 """
 

@@ -37,9 +37,3 @@ def time_breakdown(result: SimulationResult) -> Dict[str, float]:
     }
 
 
-def heating_profile(result: SimulationResult) -> Dict[str, float]:
-    """Per-trap final motional energies plus the device maximum (Figure 6f)."""
-
-    profile = dict(result.final_trap_energies)
-    profile["device_max_over_time"] = result.max_motional_energy
-    return profile

@@ -9,7 +9,6 @@ nearest-neighbour communication pattern.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from repro.apps._decompositions import zz_interaction
@@ -58,23 +57,3 @@ def qaoa_circuit(num_qubits: int = 64, layers: int = 20, *,
     return circuit
 
 
-def qaoa_maxcut_ring_circuit(num_qubits: int = 64, layers: int = 20) -> Circuit:
-    """MaxCut-on-a-ring QAOA variant (adds the wrap-around edge).
-
-    Provided for experiments beyond the paper's ansatz; the wrap-around edge
-    makes the first and last qubit interact, adding one long-range gate per
-    layer.
-    """
-
-    circuit = qaoa_circuit(num_qubits, layers)
-    ring = Circuit(num_qubits, name=f"qaoa-ring{num_qubits}x{layers}")
-    gate_iter = iter(circuit.gates)
-    layer_edge = 0
-    for gate in gate_iter:
-        ring.append(gate)
-        if gate.name == "rzz":
-            layer_edge += 1
-            if layer_edge % (num_qubits - 1) == 0:
-                gamma = gate.params[0] if gate.params else 2.0 * math.pi / 8
-                ring.add("rzz", num_qubits - 1, 0, params=(gamma,))
-    return ring

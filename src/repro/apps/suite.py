@@ -51,13 +51,14 @@ def build_application(name: str, num_qubits: int = None) -> Circuit:
     ladder size.
     """
 
+    size = 64 if num_qubits is None else num_qubits
     builders: Dict[str, Callable[[], Circuit]] = {
-        "Supremacy": lambda: supremacy_circuit(num_qubits or 64),
-        "QAOA": lambda: qaoa_circuit(num_qubits or 64),
+        "Supremacy": lambda: supremacy_circuit(size),
+        "QAOA": lambda: qaoa_circuit(size),
         "SquareRoot": lambda: squareroot_circuit(_search_register(num_qubits)),
-        "QFT": lambda: qft_circuit(num_qubits or 64),
-        "Adder": lambda: cuccaro_adder_circuit(_even(num_qubits or 64)),
-        "BV": lambda: bernstein_vazirani_circuit(num_qubits or 64),
+        "QFT": lambda: qft_circuit(size),
+        "Adder": lambda: cuccaro_adder_circuit(_even(size)),
+        "BV": lambda: bernstein_vazirani_circuit(size),
     }
     try:
         return builders[name]()

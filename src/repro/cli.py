@@ -115,12 +115,28 @@ def _positive_float(value: str) -> float:
     return number
 
 
-def _config_from_args(args) -> ArchitectureConfig:
+def _point_from_args(args, app: Optional[str] = None):
+    """``(circuit, config, device)`` of ``run``, ``device`` and ``check``.
+
+    The circuit is ``app`` at ``--qubits`` (``None`` without an app), the
+    device is built for it (or for ``--qubits`` ions).  Input the
+    validators refuse exits with one ``error:`` line.
+    """
+
+    from repro.apps import build_application
     from repro.toolflow.config import ArchitectureConfig
 
-    return ArchitectureConfig(topology=args.topology, trap_capacity=args.capacity,
-                              gate=args.gate, reorder=args.reorder,
-                              buffer_ions=args.buffer)
+    try:
+        circuit = (build_application(app, num_qubits=args.qubits) if app
+                   else None)
+        config = ArchitectureConfig(
+            topology=args.topology, trap_capacity=args.capacity,
+            gate=args.gate, reorder=args.reorder, buffer_ions=args.buffer)
+        device = config.build_device(
+            circuit.num_qubits if circuit else args.qubits)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    return circuit, config, device
 
 
 def _write_json(payload, path) -> bool:
@@ -210,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="compile and simulate one application")
     run.add_argument("--app", required=True, choices=list(APPLICATION_NAMES),
                      help="application name from Table II")
-    run.add_argument("--qubits", type=int, default=None,
+    run.add_argument("--qubits", type=_positive_int, default=None,
                      help="override the application size (total qubits)")
     run.add_argument("--output", default=None, help="write the result as JSON")
     _add_check_argument(run)
@@ -234,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "persist there and interrupted sweeps resume without "
                             "recomputation")
     sweep.add_argument("--output", default=None, help="write the series as JSON")
-    _add_check_argument(sweep)
+    _add_check_argument(sweep, jobs=True)
     _add_trace_argument(sweep)
     _add_profile_argument(sweep)
 
@@ -286,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="path of the merged Chrome trace")
 
     device = subparsers.add_parser("device", help="describe a candidate device")
-    device.add_argument("--qubits", type=int, default=None,
+    device.add_argument("--qubits", type=_positive_int, default=None,
                         help="ions to load (default: usable capacity)")
     _add_config_arguments(device)
 
@@ -305,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--app", default=None, choices=list(APPLICATION_NAMES),
                        help="compile one application with the architecture "
                             "flags and verify the program")
-    check.add_argument("--qubits", type=int, default=None,
+    check.add_argument("--qubits", type=_positive_int, default=None,
                        help="override the application size for --app")
     check.add_argument("--suite", action="store_true",
                        help="compile and verify the reduced 16-qubit suite "
@@ -319,14 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_check_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--check`` flag (see :mod:`repro.checks`)."""
+def _add_check_argument(parser: argparse.ArgumentParser, *,
+                        jobs: bool = False) -> None:
+    """The shared ``--check`` flag (see :mod:`repro.checks`); ``jobs``
+    says that the command takes ``--jobs``."""
 
     parser.add_argument(
         "--check", action="store_true",
         help="statically verify every compiled program (verifier + race "
-             "detector) and abort on the first error finding; the flag "
-             "propagates to --jobs worker processes")
+             "detector) and abort on the first error finding"
+             + ("; the flag propagates to --jobs worker processes" if jobs
+                else ""))
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -439,7 +458,7 @@ def _add_dse_parsers(subparsers) -> None:
     run.add_argument("--top", type=_positive_int, default=5,
                      help="rows to print in the summary table (default: 5)")
     run.add_argument("--output", default=None, help="write the records as JSON")
-    _add_check_argument(run)
+    _add_check_argument(run, jobs=True)
     _add_trace_argument(run)
     _add_profile_argument(run)
 
@@ -645,17 +664,16 @@ def _cmd_table2(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.analysis.breakdown import error_contributions, time_breakdown
-    from repro.apps import build_application
+    from repro.compiler import compile_circuit
     from repro.io import result_to_dict
-    from repro.toolflow.runner import run_experiment
+    from repro.sim import simulate
 
-    circuit = build_application(args.app, num_qubits=args.qubits)
-    config = _config_from_args(args)
+    circuit, config, device = _point_from_args(args, args.app)
     print(f"Application : {circuit.name} ({circuit.num_qubits} qubits, "
           f"{circuit.num_two_qubit_gates} two-qubit gates)")
     print(f"Architecture: {config.name}")
-    record = run_experiment(circuit, config)
-    result = record.result
+    program = compile_circuit(circuit, device)
+    result = simulate(program, device)
     print()
     print(f"Execution time      : {result.duration_seconds:.4f} s")
     breakdown = time_breakdown(result)
@@ -666,7 +684,7 @@ def _cmd_run(args) -> int:
     errors = error_contributions(result)
     print(f"Mean MS gate error  : {errors['total']:.3e} "
           f"(motional {errors['motional']:.3e}, background {errors['background']:.3e})")
-    print(f"Shuttles            : {record.num_shuttles}")
+    print(f"Shuttles            : {program.num_shuttles}")
     print(f"Max motional energy : {result.max_motional_energy:.2f} quanta")
     if args.output and not _write_json(result_to_dict(result), args.output):
         return 1
@@ -784,19 +802,22 @@ def _space_from_args(args):
     from repro.dse import DesignSpace
     from repro.io import load_json
 
-    if args.space:
-        return DesignSpace.from_dict(load_json(args.space))
-    if not args.apps:
+    if not args.space and not args.apps:
         raise SystemExit("error: provide --space FILE or --apps (e.g. --apps QFT,BV)")
-    return DesignSpace(
-        apps=args.apps,
-        qubits=args.qubits if args.qubits else (None,),
-        topologies=args.topologies,
-        capacities=args.capacities,
-        gates=args.gates,
-        reorders=args.reorders,
-        buffers=args.buffers,
-    )
+    try:
+        if args.space:
+            return DesignSpace.from_dict(load_json(args.space))
+        return DesignSpace(
+            apps=args.apps,
+            qubits=args.qubits if args.qubits else (None,),
+            topologies=args.topologies,
+            capacities=args.capacities,
+            gates=args.gates,
+            reorders=args.reorders,
+            buffers=args.buffers,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _print_record_table(records, limit=None) -> None:
@@ -1428,8 +1449,7 @@ def _cmd_dse(args, parser) -> int:
 def _cmd_device(args) -> int:
     from repro.visualize import device_report
 
-    config = _config_from_args(args)
-    device = config.build_device(args.qubits)
+    _, _, device = _point_from_args(args)
     print(device_report(device))
     return 0
 
@@ -1443,13 +1463,12 @@ def _arm_checks(args) -> None:
         enable_checks()
 
 
-def _verify_compiled(circuit, config, *, races: bool):
-    """Compile ``circuit`` under ``config`` and run the program checks."""
+def _verify_compiled(circuit, device, *, races: bool):
+    """Compile ``circuit`` for ``device`` and run the program checks."""
 
     from repro.analyze import detect_races, merge_reports, verify_program
     from repro.compiler import compile_circuit
 
-    device = config.build_device(circuit.num_qubits)
     program = compile_circuit(circuit, device)
     report = verify_program(program, device)
     if races:
@@ -1463,7 +1482,7 @@ def _cmd_check(args) -> int:
     import repro
     from repro.analyze import (detect_races, lint_paths, merge_reports,
                                verify_program)
-    from repro.apps import build_application, scaled_suite
+    from repro.apps import scaled_suite
     from repro.io import SCHEMA_VERSION
     from repro.toolflow.config import ArchitectureConfig
 
@@ -1480,11 +1499,10 @@ def _cmd_check(args) -> int:
             report = merge_reports([report, detect_races(program)])
         sections.append((f"verify {args.program}", report))
     if args.app:
-        circuit = build_application(args.app, num_qubits=args.qubits)
-        config = _config_from_args(args)
+        circuit, config, device = _point_from_args(args, args.app)
         sections.append((
             f"verify {circuit.name} on {config.name}",
-            _verify_compiled(circuit, config, races=not args.no_races)))
+            _verify_compiled(circuit, device, races=not args.no_races)))
     if args.suite:
         suite = scaled_suite(16)
         for topology in ("L4", "G2x2"):
@@ -1495,8 +1513,9 @@ def _cmd_check(args) -> int:
                 for name, circuit in suite.items():
                     sections.append((
                         f"verify {name} on {config.name}",
-                        _verify_compiled(circuit, config,
-                                         races=not args.no_races)))
+                        _verify_compiled(
+                            circuit, config.build_device(circuit.num_qubits),
+                            races=not args.no_races)))
     if not sections:
         raise SystemExit("error: provide --src [PATH ...], --program FILE, "
                          "--app NAME and/or --suite")

@@ -91,12 +91,6 @@ class ProgramBuilder:
         return [op_from_record(index, record)
                 for index, record in enumerate(self.records)]
 
-    @property
-    def next_id(self) -> int:
-        """The op_id the next emitted operation will receive."""
-
-        return len(self.records)
-
     # ------------------------------------------------------------------ #
     # Positional emitters: the dependency rules
     # ------------------------------------------------------------------ #

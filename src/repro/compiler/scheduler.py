@@ -160,12 +160,6 @@ class GateScheduler:
 
         return self._state.count(_DONE) == len(self._state)
 
-    def ready_gates(self) -> List[int]:
-        """The walk's ready gates not yet handed out, in program order."""
-
-        return [index for index, state in enumerate(self._state)
-                if state == _LOCAL or state == _REMOTE]
-
     def schedule(self) -> List[int]:
         """Convenience: the full schedule as a list of gate indices."""
 

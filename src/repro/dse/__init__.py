@@ -55,9 +55,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                            "WorkLedger", "estimate_eta_s", "read_manifest",
                            "run_worker", "spawn_worker_process",
                            "write_manifest"),
-    "repro.dse.pareto": ("OBJECTIVES", "best_record", "frontier_rows",
-                         "objective_value", "pareto_frontier",
-                         "per_app_frontiers"),
+    "repro.dse.pareto": ("OBJECTIVES", "best_record", "objective_value",
+                         "pareto_frontier", "per_app_frontiers"),
     "repro.dse.moo": ("DEFAULT_OBJECTIVES", "EHVIProposer", "ParEGOProposer",
                       "ParetoArchive", "cloud_rows", "dominates",
                       "hypervolume", "objective_vector", "parse_objectives",

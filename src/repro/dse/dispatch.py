@@ -430,10 +430,6 @@ class WorkLedger:
         return None
 
     # ------------------------------------------------------------------ #
-    @property
-    def complete_path(self) -> Path:
-        return self.item_path(COMPLETE_NAME)
-
     def write_complete(self, payload: Dict[str, object]) -> Path:
         return self.write_item(COMPLETE_NAME, payload)
 

@@ -120,9 +120,3 @@ class ParetoArchive:
     def get(self, key) -> Tuple[float, ...]:
         return self._vectors[key]
 
-    def would_accept(self, vector: Sequence[float]) -> bool:
-        """True when :meth:`add` would admit ``vector`` (no state change)."""
-
-        vector = tuple(float(v) for v in vector)
-        return not any(dominates(other, vector) or other == vector
-                       for other in self._vectors.values())

@@ -88,12 +88,6 @@ def pareto_frontier(records: Iterable) -> List:
     return frontier
 
 
-def frontier_rows(records: Iterable) -> List[Dict[str, object]]:
-    """The frontier as flat report rows (fastest first)."""
-
-    return [record.as_row() for record in pareto_frontier(records)]
-
-
 def per_app_frontiers(records: Iterable) -> Dict[str, List]:
     """Frontier per application, keyed by application name (sorted)."""
 

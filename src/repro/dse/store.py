@@ -444,20 +444,6 @@ class ExperimentStore:
         self.close()
 
     # ------------------------------------------------------------------ #
-    def merge_from(self, other: "ExperimentStore") -> int:
-        """Copy every row of ``other`` not already present; returns the count.
-
-        Used to fold shard outputs produced elsewhere into a master store
-        (for same-filesystem shards, dropping the shard files into the store
-        directory achieves the same thing with no copy).
-        """
-
-        added = 0
-        for row in other.rows():
-            if self.add(row):
-                added += 1
-        return added
-
     def records(self) -> List[CachedRecord]:
         """Every stored point as a record view, in insertion order."""
 

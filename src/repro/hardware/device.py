@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.hardware.topology import Topology
 from repro.models.gate_times import GateImplementation
@@ -105,31 +105,16 @@ class QCCDDevice:
 
         return sum(trap.usable_capacity(self.buffer_ions) for trap in self.topology.traps)
 
-    def total_capacity(self) -> int:
-        """Physical maximum number of ions across all traps."""
-
-        return self.topology.total_capacity()
-
     @property
     def trap_capacity(self) -> int:
         """Capacity of the (largest) trap; the paper uses uniform capacities."""
 
         return max(trap.capacity for trap in self.topology.traps)
 
-    def trap_capacities(self) -> Dict[str, int]:
-        """Mapping of trap name to capacity."""
-
-        return {trap.name: trap.capacity for trap in self.topology.traps}
-
     def with_gate(self, gate) -> "QCCDDevice":
         """Copy of this device with a different two-qubit gate implementation."""
 
         return replace(self, gate=GateImplementation.from_name(gate), name="")
-
-    def with_reorder(self, reorder) -> "QCCDDevice":
-        """Copy of this device with a different chain-reordering method."""
-
-        return replace(self, reorder=ReorderMethod.from_name(reorder), name="")
 
     def describe(self) -> str:
         """One-paragraph description used by reports and examples."""

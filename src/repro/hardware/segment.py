@@ -56,10 +56,5 @@ class Segment:
             return self.endpoint_a
         raise ValueError(f"{node!r} is not an endpoint of {self.name}")
 
-    def connects(self, node_a: str, node_b: str) -> bool:
-        """Whether this segment joins ``node_a`` and ``node_b`` (in either order)."""
-
-        return {node_a, node_b} == {self.endpoint_a, self.endpoint_b}
-
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.name}({self.endpoint_a}-{self.endpoint_b})"

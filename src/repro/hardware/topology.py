@@ -80,12 +80,6 @@ class ShuttlePath:
         return [s.element for s in self.steps if s.kind == "junction"]
 
     @property
-    def intermediate_traps(self) -> List[Trap]:
-        """Traps passed through (merge + split required at each)."""
-
-        return [s.element for s in self.steps if s.kind == "trap"]
-
-    @property
     def num_segments(self) -> int:
         """Total elementary move steps (segment lengths summed)."""
 
@@ -96,12 +90,6 @@ class ShuttlePath:
         """Number of junction crossings."""
 
         return len(self.junctions)
-
-    @property
-    def num_intermediate_traps(self) -> int:
-        """Number of traps the ion passes through."""
-
-        return len(self.intermediate_traps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -341,14 +329,6 @@ class Topology:
         except KeyError:
             raise KeyError(f"no trap named {name!r}") from None
 
-    def trap_by_id(self, trap_id: int) -> Trap:
-        """Look up a trap by numeric id."""
-
-        for trap in self._traps.values():
-            if trap.trap_id == trap_id:
-                return trap
-        raise KeyError(f"no trap with id {trap_id}")
-
     def junction(self, name: str) -> Junction:
         """Look up a junction by node name."""
 
@@ -383,11 +363,6 @@ class Topology:
             raise KeyError(f"no segment between {node_a!r} and {node_b!r}")
         self._segment_cache[key] = segment
         return segment
-
-    def total_capacity(self) -> int:
-        """Sum of trap capacities (maximum number of ions the device holds)."""
-
-        return sum(trap.capacity for trap in self._traps.values())
 
     # ------------------------------------------------------------------ #
     # Path planning

@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "model_to_dict",
         "program_from_dict",
         "program_to_dict",
-        "records_to_json",
         "result_to_dict",
         "save_json",
     ),

@@ -21,7 +21,7 @@ import dataclasses
 import json
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import Dict, List
 
 from repro.isa.program import InitialPlacement, QCCDProgram
 from repro.isa.records import KINDS
@@ -34,9 +34,6 @@ from repro.models.params import (
 )
 from repro.sim.results import SimulationResult
 from repro.toolflow.config import ArchitectureConfig
-
-if TYPE_CHECKING:  # the runner imports the compiler and the simulator
-    from repro.toolflow.runner import ExperimentRecord
 
 #: Version stamped into every persisted payload (programs, results, figure
 #: bundles, experiment-store rows).  Bump when a field changes meaning or is
@@ -194,8 +191,8 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
 # --------------------------------------------------------------------------- #
 # Results
 # --------------------------------------------------------------------------- #
-def result_to_dict(result: SimulationResult, include_timeline: bool = False) -> Dict:
-    """Serialise a simulation result's metrics (optionally with its timeline)."""
+def result_to_dict(result: SimulationResult) -> Dict:
+    """Serialise a simulation result's metrics."""
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -216,31 +213,7 @@ def result_to_dict(result: SimulationResult, include_timeline: bool = False) -> 
         "final_trap_energies": dict(result.final_trap_energies),
         "peak_occupancy": dict(result.peak_occupancy),
     }
-    if include_timeline and result.timeline is not None:
-        payload["timeline"] = [
-            {"op_id": record.op_id, "kind": record.kind.value,
-             "start": record.start, "finish": record.finish,
-             "fidelity": record.fidelity}
-            for record in result.timeline
-        ]
     return payload
-
-
-def records_to_json(records: Iterable[ExperimentRecord]) -> List[Dict]:
-    """Serialise experiment records (one row per design point)."""
-
-    rows = []
-    for record in records:
-        row = {
-            "schema_version": SCHEMA_VERSION,
-            "application": record.application,
-            "config": _config_to_dict(record.config),
-            "program_ops": record.program_size,
-            "shuttles": record.num_shuttles,
-            "result": result_to_dict(record.result),
-        }
-        rows.append(row)
-    return rows
 
 
 def _config_to_dict(config: ArchitectureConfig) -> Dict:

@@ -2,15 +2,14 @@
 
 Circuits in this toolflow are always fully unrolled (Section VI of the paper):
 no loops, no classical control.  The class therefore stays deliberately
-simple -- an immutable-ish gate list with builder helpers, statistics used by
-the experiment tables, a lowering pass to the trapped-ion native set, and the
-cached compile front-end (:class:`~repro.ir.dag.CircuitFrontEnd`).
+simple -- an immutable-ish gate list with builder helpers, the gate counts
+of Table II, a lowering pass to the trapped-ion native set, and the cached
+compile front-end (:class:`~repro.ir.dag.CircuitFrontEnd`).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.dag import CircuitFrontEnd
 from repro.ir.gate import Gate, GateKind
@@ -65,17 +64,6 @@ class Circuit:
             self.append(gate)
         return self
 
-    def compose(self, other: "Circuit", qubit_offset: int = 0) -> "Circuit":
-        """Append another circuit, shifting its qubits by ``qubit_offset``."""
-
-        if other.num_qubits + qubit_offset > self.num_qubits:
-            raise ValueError("composed circuit does not fit")
-        for gate in other.gates:
-            self.append(Gate(gate.name,
-                             tuple(q + qubit_offset for q in gate.qubits),
-                             gate.params))
-        return self
-
     def copy(self, name: Optional[str] = None) -> "Circuit":
         """Return a shallow copy (gates are immutable, so sharing is safe)."""
 
@@ -117,43 +105,6 @@ class Circuit:
 
         return sum(1 for g in self._gates if g.is_single_qubit)
 
-    @property
-    def num_measurements(self) -> int:
-        """Number of measurement operations."""
-
-        return sum(1 for g in self._gates if g.is_measurement)
-
-    def gate_counts(self) -> Dict[str, int]:
-        """Histogram of gate names."""
-
-        return dict(Counter(g.name for g in self._gates))
-
-    def two_qubit_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered list of (q0, q1) pairs touched by entangling gates."""
-
-        return [(g.qubits[0], g.qubits[1]) for g in self._gates if g.is_two_qubit]
-
-    def interaction_counts(self) -> Dict[Tuple[int, int], int]:
-        """Undirected interaction histogram ``{(min, max): count}``.
-
-        This is what the mapper uses to estimate communication affinity
-        between program qubits.
-        """
-
-        counts: Dict[Tuple[int, int], int] = defaultdict(int)
-        for a, b in self.two_qubit_pairs():
-            key = (a, b) if a < b else (b, a)
-            counts[key] += 1
-        return dict(counts)
-
-    def qubits_used(self) -> List[int]:
-        """Sorted list of qubit indices referenced by at least one gate."""
-
-        used = set()
-        for gate in self._gates:
-            used.update(gate.qubits)
-        return sorted(used)
-
     def depth(self) -> int:
         """Circuit depth counting every gate as one time step."""
 
@@ -169,54 +120,9 @@ class Circuit:
                 frontier[q] = level
         return max(frontier, default=0)
 
-    def two_qubit_depth(self) -> int:
-        """Depth counting only entangling gates."""
-
-        frontier = [0] * self.num_qubits
-        for gate in self._gates:
-            if not gate.is_two_qubit:
-                continue
-            level = max(frontier[q] for q in gate.qubits) + 1
-            for q in gate.qubits:
-                frontier[q] = level
-        return max(frontier, default=0)
-
-    def communication_distance_histogram(self) -> Dict[int, int]:
-        """Histogram of |q0 - q1| over entangling gates.
-
-        Used to characterise the communication pattern column of Table II
-        (nearest neighbour, short range, long range, all distances).
-        """
-
-        histogram: Dict[int, int] = defaultdict(int)
-        for a, b in self.two_qubit_pairs():
-            histogram[abs(a - b)] += 1
-        return dict(histogram)
-
-    def mean_interaction_distance(self) -> float:
-        """Average |q0 - q1| over entangling gates (0.0 if there are none)."""
-
-        pairs = self.two_qubit_pairs()
-        if not pairs:
-            return 0.0
-        return sum(abs(a - b) for a, b in pairs) / len(pairs)
-
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
-    def with_measurements(self) -> "Circuit":
-        """Return a copy with a final measurement on every used qubit.
-
-        If the circuit already measures a qubit, no duplicate is added.
-        """
-
-        measured = {g.qubits[0] for g in self._gates if g.is_measurement}
-        result = self.copy()
-        for qubit in self.qubits_used():
-            if qubit not in measured:
-                result.add("measure", qubit)
-        return result
-
     def lowered(self) -> "Circuit":
         """Lower to the trapped-ion native set: {1q rotations, MS-class 2q}.
 
@@ -240,12 +146,6 @@ class Circuit:
         # references the same qubits, so skip the per-append range checks.
         result._gates = gates
         return result
-
-    def remapped(self, mapping: Dict[int, int], num_qubits: Optional[int] = None) -> "Circuit":
-        """Return a copy with qubit indices renumbered through ``mapping``."""
-
-        new_n = num_qubits if num_qubits is not None else self.num_qubits
-        return Circuit(new_n, (g.remap(mapping) for g in self._gates), self.name)
 
     # ------------------------------------------------------------------ #
     # Compile front-end

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.ir.gate import GateKind
 
@@ -216,19 +216,6 @@ class DependencyDAG:
             raise RuntimeError("dependency graph has a cycle; IR is malformed")
         return order
 
-    def ready_frontier(self, completed: Set[int]) -> List[int]:
-        """Gates whose predecessors are all in ``completed`` and that are not
-        themselves completed.  This is the "ready list" of the earliest-ready-
-        gate-first heuristic."""
-
-        frontier = []
-        for index in range(self._num_gates):
-            if index in completed:
-                continue
-            if all(p in completed for p in self._predecessors[index]):
-                frontier.append(index)
-        return frontier
-
     def layers(self) -> List[List[int]]:
         """Partition gates into ASAP layers (all gates in a layer are
         mutually independent)."""
@@ -242,22 +229,3 @@ class DependencyDAG:
             grouped[lev].append(index)
         return [sorted(grouped[lev]) for lev in sorted(grouped)]
 
-    def critical_path_length(self, weights: Sequence[float] = None) -> float:
-        """Length of the longest dependency chain.
-
-        ``weights`` optionally gives a duration per gate index; the default
-        counts every gate as 1.
-        """
-
-        if weights is None:
-            weights = [1.0] * self._num_gates
-        finish: Dict[int, float] = {}
-        for index in self.topological_order():
-            start = max((finish[p] for p in self._predecessors[index]), default=0.0)
-            finish[index] = start + weights[index]
-        return max(finish.values(), default=0.0)
-
-    def iter_program_order(self) -> Iterator[int]:
-        """Iterate gate indices in original program order."""
-
-        return iter(range(self._num_gates))

@@ -36,9 +36,6 @@ TWO_QUBIT_NAMES = frozenset({"cx", "cnot", "cz", "ms", "xx", "rxx", "rzz", "swap
 #: Names recognised as measurement.
 MEASUREMENT_NAMES = frozenset({"measure", "m"})
 
-#: Two-qubit gates that are symmetric in their operands.
-SYMMETRIC_TWO_QUBIT_NAMES = frozenset({"cz", "ms", "xx", "rxx", "rzz", "swap", "cp", "cu1", "crz"})
-
 
 @lru_cache(maxsize=None)
 def classify(name: str) -> GateKind:
@@ -126,20 +123,6 @@ class Gate:
         """``True`` for measurement operations."""
 
         return self.kind is GateKind.MEASUREMENT
-
-    @property
-    def is_symmetric(self) -> bool:
-        """``True`` when operand order does not matter (e.g. CZ, MS)."""
-
-        return self.name.lower() in SYMMETRIC_TWO_QUBIT_NAMES
-
-    def remap(self, mapping) -> "Gate":
-        """Return a copy of the gate with qubits renumbered through ``mapping``.
-
-        ``mapping`` may be a dict or any object supporting ``__getitem__``.
-        """
-
-        return Gate(self.name, tuple(mapping[q] for q in self.qubits), self.params)
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         args = ", ".join(str(q) for q in self.qubits)

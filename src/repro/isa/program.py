@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.isa.records import CODES, IS_COMM, KINDS, OpKind
+from repro.isa.records import CODES, KINDS, OpKind
 
 if TYPE_CHECKING:  # the op classes load only when objects are asked for
     from repro.isa.operations import Operation
@@ -191,13 +191,6 @@ class QCCDProgram:
         trap toward another trap, i.e. every SplitOp)."""
 
         return self.count(OpKind.SPLIT)
-
-    @property
-    def num_communication_ops(self) -> int:
-        """Number of operations that exist purely for communication."""
-
-        return sum(count for code, count
-                   in self.operations.kind_counts().items() if IS_COMM[code])
 
     def communication_summary(self) -> Dict[str, int]:
         """Compact summary used by reports and the regression tests."""

@@ -91,14 +91,6 @@ class FidelityModel:
         motional = self.laser_instability(chain_length) * (2.0 * motional_energy + 1.0)
         return GateErrorBreakdown(background=background, motional=motional)
 
-    def two_qubit_fidelity(self, *, duration: float, chain_length: int,
-                           motional_energy: float) -> float:
-        """Fidelity of one MS gate, clamped to ``[min_fidelity, 1]``."""
-
-        breakdown = self.two_qubit_error(duration=duration, chain_length=chain_length,
-                                         motional_energy=motional_energy)
-        return max(self.params.min_fidelity, min(1.0, 1.0 - breakdown.total))
-
     def single_qubit_fidelity(self) -> float:
         """Fidelity of a single-qubit gate (constant)."""
 

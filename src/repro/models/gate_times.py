@@ -50,12 +50,6 @@ class GateImplementation(enum.Enum):
             valid = ", ".join(member.value for member in cls)
             raise ValueError(f"unknown gate implementation {name!r}; expected one of {valid}")
 
-    @property
-    def is_distance_dependent(self) -> bool:
-        """Whether duration depends on the ion separation ``d``."""
-
-        return self in (GateImplementation.AM1, GateImplementation.AM2, GateImplementation.PM)
-
 
 def am1_gate_time(distance: int) -> float:
     """AM1 gate duration for ions separated by ``distance`` intermediate ions."""

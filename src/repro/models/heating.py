@@ -97,16 +97,4 @@ class HeatingModel:
             raise ValueError("num_junctions must be non-negative")
         return ion_energy + self.params.k_junction * num_junctions
 
-    def idle(self, chain_energy: float, duration: float) -> float:
-        """Background (anomalous) heating of a resting chain over ``duration`` us."""
-
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return chain_energy + self.params.background_rate * duration
-
     # ------------------------------------------------------------------ #
-    def shuttle_energy_cost(self, num_segments: int, num_junctions: int) -> float:
-        """Total quanta a single shuttled ion accrues in transit (excluding the
-        split/merge contributions, which depend on the chains involved)."""
-
-        return self.params.k2 * num_segments + self.params.k_junction * num_junctions

@@ -51,7 +51,6 @@ __all__ = [
     "SPAN_EVENT",
     "TraceContext",
     "adopt_shards",
-    "export_records",
     "refuse_trace_shards",
     "span_record",
     "span_refusal",
@@ -115,21 +114,6 @@ class TraceContext:
             return tracer
         return enable_tracing(trace_id=self.trace_id,
                               parent_ref=self.parent_ref)
-
-
-def export_records(tracer: Tracer, *,
-                   owner: Optional[str] = None) -> List[Dict[str, object]]:
-    """The tracer's records in the self-contained span-record schema.
-
-    Times become absolute (``epoch_start_s``) so the records merge onto
-    any process's timeline; every record is stamped with the trace id,
-    the span-record schema version, ``"event": "span"`` and (when given)
-    the flushing worker's ``owner``; spans with no in-process parent
-    inherit the tracer's cross-process ``parent_ref``.
-    """
-
-    return [span_record(tracer, record, owner)
-            for record in tracer.records()]
 
 
 def span_record(tracer: Tracer, record: Dict[str, object],

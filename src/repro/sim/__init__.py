@@ -31,7 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.batch": ("BatchPlan", "batch_plan", "simulate_batch",
                         "simulate_gate_variants", "simulate_model_variants"),
     "repro.sim.engine": ("simulate",),
-    "repro.sim.results": ("SimulationResult", "OperationRecord"),
-    "repro.sim.metrics": ("communication_fraction", "mean_two_qubit_error",
+    "repro.sim.results": ("SimulationResult",),
+    "repro.sim.metrics": ("communication_fraction",
                           "shuttles_per_two_qubit_gate"),
 })

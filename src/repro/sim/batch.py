@@ -35,9 +35,7 @@ everything a variant does not change:
   duration slot -- MS repetitions, background error, A(N) -- is computed
   once per slot.  The totals are memoised per (timeline,
   trajectory, fidelity parameters) combination, so re-evaluating a seen
-  variant of a held program skips even this pass.  When a
-  per-operation timeline is requested, the same pass records each gate's
-  fidelity.
+  variant of a held program skips even this pass.
 * **No device churn.**  Variants are evaluated from ``(gate, model)`` pairs
   directly: :func:`simulate_gate_variants` never constructs the per-variant
   :class:`~repro.hardware.device.QCCDDevice` copies (and their topology
@@ -48,7 +46,7 @@ of an adaptive run that may reuse it, can hold for long, so each memo layer
 keeps only what a later step reads (listed on :class:`BatchPlan`).  Per two-qubit/SWAP gate that is a start time and a
 chain energy, as packed doubles (``array('d')``): 8 bytes an entry, with no
 float object behind it.  Per-op durations and finish times exist only while
-a walk runs; a per-operation timeline (``keep_timeline``) walks again.
+a walk runs (:func:`_walk`).
 
 The arithmetic is the seed three-pass engine's, operation for operation, so
 every metric is bit-identical to it: ``tests/seed_engine.py`` keeps the seed
@@ -63,14 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import QCCDDevice
-from repro.isa.records import (
-    GATE_1Q,
-    GATE_2Q,
-    IS_COMM,
-    KINDS,
-    MEASURE,
-    SWAP_GATE,
-)
+from repro.isa.records import GATE_2Q, IS_COMM, SWAP_GATE
 from repro.isa.program import QCCDProgram
 from repro.models.fidelity import FidelityModel
 from repro.models.gate_times import GateImplementation
@@ -87,7 +78,7 @@ from repro.sim.lower import (
     gather_by_slot,
     lower,
 )
-from repro.sim.results import OperationRecord, SimulationResult
+from repro.sim.results import SimulationResult
 
 
 @dataclass(slots=True, eq=False)
@@ -97,8 +88,7 @@ class _Timeline:
     ``starts`` holds the start time of each two-qubit/SWAP gate, in
     noise-pass order (one per entry of ``gate_ops``), as packed
     doubles: the walk computes ``finish[i] - duration[i]`` once and keeps
-    nothing else per op.  A per-operation timeline walks again
-    (:func:`_walk`).
+    nothing else per op.
     """
 
     starts: array
@@ -326,8 +316,8 @@ def _walk(lowered: LoweredProgram, values: Sequence[float]
     Returns ``(durations, finish, finish_c)``: ``finish[i] = max(finish[p]
     for p in preds[i]) + durations[i]``, and ``finish_c`` the same walk with
     communication ops taking no time (the Figure 6b breakdown).  The one
-    walk behind :meth:`BatchPlan.timeline_for` and the per-operation
-    timeline; neither keeps its vectors.
+    walk behind :meth:`BatchPlan.timeline_for`, which reduces the vectors
+    to the :class:`_Timeline` it keeps.
     """
 
     gather = gather_by_slot(lowered.slots)
@@ -372,15 +362,12 @@ def batch_plan(program: QCCDProgram) -> BatchPlan:
 
 def _noise_pass(plan: BatchPlan, values: Sequence[float],
                 starts: Sequence[float], gate_energies: Sequence[float],
-                fidelity_model: FidelityModel, background_rate: float,
-                op_fidelities: Optional[List[float]] = None):
+                fidelity_model: FidelityModel, background_rate: float):
     """Fidelity accumulation (equation 1) over the cached gate start times.
 
     Only the fidelity-bearing ops are visited.  ``values`` are the slot
     values; ``starts`` and ``gate_energies`` hold one entry per
-    two-qubit/SWAP gate, in visiting order.  ``op_fidelities``, when given,
-    receives each two-qubit/SWAP gate's fidelity at its op index (the
-    per-operation timeline); the fan-out path passes nothing.
+    two-qubit/SWAP gate, in visiting order.
     """
 
     lowered = plan.lowered
@@ -452,8 +439,6 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
             clamped = min_fidelity
         # clamped ** 1 is exact (IEEE pow(x, 1) == x); skip the call.
         fid = clamped if repetitions == 1 else clamped ** repetitions
-        if op_fidelities is not None:
-            op_fidelities[lowered.gate_ops[gate_pos]] = fid
         gate_pos += 1
         if fid <= 0.0:
             log_fid = neg_inf
@@ -464,8 +449,7 @@ def _noise_pass(plan: BatchPlan, values: Sequence[float],
 
 
 def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
-              trap_names: Tuple[str, ...], with_breakdown: bool,
-              keep_timeline: bool) -> SimulationResult:
+              trap_names: Tuple[str, ...]) -> SimulationResult:
     """Evaluate one (gate, physical-model) variant against the plan."""
 
     # Both noise models validate their parameters on construction; keep
@@ -494,47 +478,21 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
     background_rate = heating_params.background_rate
 
     noise_key = (id(timeline), id(trajectory), model.fidelity, background_rate)
-    op_fidelities = None
     noise = plan._noise_memo.get(noise_key)
-    if keep_timeline:
-        # Per-op fidelities: the model constant for single-qubit gates and
-        # measurements, 1.0 for shuttles; the noise pass fills in the MS
-        # gates (the memo keeps totals only, so it runs again).
-        constant = [1.0] * len(KINDS)
-        constant[GATE_1Q] = fidelity_model.single_qubit_fidelity()
-        constant[MEASURE] = fidelity_model.measurement_fidelity()
-        op_fidelities = [constant[code] for code in plan.lowered.codes]
-        noise = None
     if noise is None:
         noise = _noise_pass(plan, values, timeline.starts,
                             trajectory.gate_energies, fidelity_model,
-                            background_rate, op_fidelities)
+                            background_rate)
         plan._noise_memo[noise_key] = noise
     log_fid, background_total, motional_total, num_ms = noise
-    records = None
-    if keep_timeline:
-        durations, finish, _ = _walk(plan.lowered, values)
-        records = [
-            OperationRecord(op_id=index, kind=KINDS[code], start=end - duration,
-                            finish=end, fidelity=fidelity)
-            for index, (code, duration, end, fidelity) in enumerate(zip(
-                plan.lowered.codes, durations, finish, op_fidelities))
-        ]
 
     plan.variants_evaluated += 1
-    makespan = timeline.makespan
-    if with_breakdown:
-        computation_time = timeline.computation_time
-        communication_time = timeline.communication_time
-    else:
-        computation_time = makespan
-        communication_time = 0.0
     return SimulationResult(
-        duration=makespan,
+        duration=timeline.makespan,
         fidelity=SimulationResult.fidelity_from_log(log_fid),
         log_fidelity=log_fid,
-        computation_time=computation_time,
-        communication_time=communication_time,
+        computation_time=timeline.computation_time,
+        communication_time=timeline.communication_time,
         op_counts=program.op_counts(),
         mean_background_error=background_total / num_ms if num_ms else 0.0,
         mean_motional_error=motional_total / num_ms if num_ms else 0.0,
@@ -547,15 +505,13 @@ def _evaluate(plan: BatchPlan, program: QCCDProgram, gate, model,
         num_ms_gates=num_ms,
         trap_gate_busy_time=dict(timeline.trap_gate_busy),
         trap_comm_busy_time=dict(timeline.trap_comm_busy),
-        timeline=records,
         circuit_name=program.circuit_name,
         device_name=program.device_name,
     )
 
 
 def _simulate_specs(program: QCCDProgram, specs: Sequence[Tuple],
-                    trap_names: Tuple[str, ...], *, with_breakdown: bool = True,
-                    keep_timeline: bool = False,
+                    trap_names: Tuple[str, ...], *,
                     stats: Optional[Dict[str, int]] = None,
                     ) -> List[SimulationResult]:
     """Evaluate ``(gate, model)`` specs against the plan, tracking counters.
@@ -574,8 +530,7 @@ def _simulate_specs(program: QCCDProgram, specs: Sequence[Tuple],
 
     with span("sim.batch.variants", circuit=program.circuit_name,
               variants=len(specs)) as trace:
-        results = [_evaluate(plan, program, gate, model, trap_names,
-                             with_breakdown, keep_timeline)
+        results = [_evaluate(plan, program, gate, model, trap_names)
                    for gate, model in specs]
         trace.set(timelines=plan.timelines_built - timelines_before,
                   timeline_hits=plan.timeline_hits - hits_before)
@@ -595,18 +550,7 @@ def _trap_names(device: QCCDDevice) -> Tuple[str, ...]:
     return tuple(trap.name for trap in device.topology.traps)
 
 
-def _simulate_gates(program: QCCDProgram, device: QCCDDevice,
-                    gates: Sequence[str], *, keep_timeline: bool = False,
-                    stats: Optional[Dict[str, int]] = None,
-                    ) -> List[SimulationResult]:
-    specs = [(GateImplementation.from_name(gate), device.model)
-             for gate in gates]
-    return _simulate_specs(program, specs, _trap_names(device),
-                           keep_timeline=keep_timeline, stats=stats)
-
-
 def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
-                   with_breakdown: bool = True,
                    stats: Optional[Dict[str, int]] = None,
                    ) -> List[SimulationResult]:
     """Simulate ``program`` under every device variant, in one shared pass.
@@ -616,16 +560,10 @@ def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
     that is the fan-out).  Results are identical to calling
     :func:`repro.sim.engine.simulate` once per device, in order.
 
-    Parameters
-    ----------
-    with_breakdown:
-        As in :func:`~repro.sim.engine.simulate`: when ``False`` the
-        computation versus communication split collapses to the makespan.
-    stats:
-        Optional counter dictionary (e.g. ``ProgramCache.batch``);
-        plan/timeline activity for this call is accumulated into it under
-        the keys ``plans``/``plan_reuses``/``variants``/``timelines``/
-        ``timeline_hits``.
+    ``stats`` is an optional counter dictionary (e.g.
+    ``ProgramCache.batch``): plan/timeline activity for this call is
+    accumulated into it under the keys ``plans``/``plan_reuses``/
+    ``variants``/``timelines``/``timeline_hits``.
     """
 
     devices = list(devices)
@@ -642,8 +580,7 @@ def simulate_batch(program: QCCDProgram, devices: Sequence[QCCDDevice], *,
                 f"{first_topology.name!r}")
     return _simulate_specs(program,
                            [(device.gate, device.model) for device in devices],
-                           trap_names, with_breakdown=with_breakdown,
-                           stats=stats)
+                           trap_names, stats=stats)
 
 
 def simulate_gate_variants(program: QCCDProgram, device: QCCDDevice,
@@ -658,7 +595,9 @@ def simulate_gate_variants(program: QCCDProgram, device: QCCDDevice,
     per-variant device.
     """
 
-    return _simulate_gates(program, device, gates, stats=stats)
+    specs = [(GateImplementation.from_name(gate), device.model)
+             for gate in gates]
+    return _simulate_specs(program, specs, _trap_names(device), stats=stats)
 
 
 def simulate_model_variants(program: QCCDProgram, device: QCCDDevice,

@@ -9,26 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.isa.records import OpKind
-
-
-@dataclass(frozen=True)
-class OperationRecord:
-    """Timeline entry for one executed operation (kept on request only)."""
-
-    op_id: int
-    kind: OpKind
-    start: float
-    finish: float
-    fidelity: float = 1.0
-
-    @property
-    def duration(self) -> float:
-        """Operation duration in microseconds."""
-
-        return self.finish - self.start
 
 
 @dataclass
@@ -74,8 +57,6 @@ class SimulationResult:
     trap_gate_busy_time: Dict[str, float] = field(default_factory=dict)
     #: Busy time per trap spent on splits/merges/reordering (communication).
     trap_comm_busy_time: Dict[str, float] = field(default_factory=dict)
-    #: Full per-operation timeline (only populated when requested).
-    timeline: Optional[List[OperationRecord]] = None
     #: Name of the circuit and device configuration that produced the result.
     circuit_name: str = "circuit"
     device_name: str = "device"
@@ -115,12 +96,6 @@ class SimulationResult:
         """Operation count for ``kind``."""
 
         return self.op_counts.get(kind, 0)
-
-    @property
-    def num_communication_ops(self) -> int:
-        """Total number of communication-only operations executed."""
-
-        return sum(count for kind, count in self.op_counts.items() if kind.is_communication)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dictionary of the headline metrics (used by sweep tables)."""

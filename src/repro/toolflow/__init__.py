@@ -32,5 +32,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.toolflow.sweep": ("sweep_capacity", "sweep_topologies",
                              "sweep_microarchitecture"),
     "repro.toolflow.figures": ("figure6", "figure7", "figure8"),
-    "repro.toolflow.tables": ("table1", "table2"),
+    "repro.toolflow.tables": ("table2",),
 })

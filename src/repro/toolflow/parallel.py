@@ -29,8 +29,6 @@ Gate fan-outs (``SweepTask.gates``) are simulated in one batched call
 program, one timeline walk per distinct duration vector, and a reduced
 per-variant noise pass -- the same engine as single-point
 :func:`~repro.sim.engine.simulate`, so results do not depend on the path.
-Tasks with ``keep_timeline=True`` take the same batched evaluation, which
-then also materialises each variant's per-operation timeline.
 
 Physical-model parameters are allowed to differ between cache hits: the
 compiler never reads them (they only drive simulation), which is asserted by
@@ -52,7 +50,7 @@ from repro.ir.circuit import Circuit
 from repro.isa.program import QCCDProgram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
-from repro.sim.batch import _simulate_gates, simulate_gate_variants
+from repro.sim.batch import simulate_gate_variants
 from repro.sim.engine import simulate
 from repro.toolflow.config import ArchitectureConfig
 from repro.toolflow.runner import ExperimentRecord
@@ -199,7 +197,6 @@ class SweepTask:
     config: ArchitectureConfig
     gates: Optional[Tuple[str, ...]] = None
     options: Optional[CompilerOptions] = None
-    keep_timeline: bool = False
 
 
 def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]:
@@ -211,10 +208,9 @@ def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]
     ``dse status --eta`` and the dispatcher's progress watch.
 
     Gate fan-outs run as one batched evaluation of the whole ``gates``
-    tuple (:func:`repro.sim.batch.simulate_gate_variants`; with
-    ``keep_timeline=True`` each result also carries its per-operation
-    timeline), and each record's ``wall_s`` is an even apportionment of the
-    batch's measured wall time.
+    tuple (:func:`repro.sim.batch.simulate_gate_variants`), and each
+    record's ``wall_s`` is an even apportionment of the batch's measured
+    wall time.
     """
 
     with span("sweep.task", app=task.circuit.name,
@@ -237,7 +233,7 @@ def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord
     records: List[ExperimentRecord] = []
     if task.gates is None:
         sim_start = perf_counter()
-        result = simulate(program, device, keep_timeline=task.keep_timeline)
+        result = simulate(program, device)
         sim_s = perf_counter() - sim_start
         records.append(ExperimentRecord(
             application=task.circuit.name,
@@ -250,14 +246,8 @@ def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord
         return records
     compile_share = compile_s / len(task.gates)
     sim_start = perf_counter()
-    if task.keep_timeline:
-        # The driver behind simulate_gate_variants, which takes no
-        # timeline flag of its own.
-        results = _simulate_gates(program, device, task.gates,
-                                  keep_timeline=True, stats=cache.batch)
-    else:
-        results = simulate_gate_variants(program, device, task.gates,
-                                         stats=cache.batch)
+    results = simulate_gate_variants(program, device, task.gates,
+                                     stats=cache.batch)
     sim_share = (perf_counter() - sim_start) / len(task.gates)
     for gate, result in zip(task.gates, results):
         records.append(ExperimentRecord(

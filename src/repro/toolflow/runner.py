@@ -85,12 +85,11 @@ def compile_for(circuit: Circuit, config: ArchitectureConfig,
 
 
 def run_experiment(circuit: Circuit, config: ArchitectureConfig, *,
-                   options: Optional[CompilerOptions] = None,
-                   keep_timeline: bool = False) -> ExperimentRecord:
+                   options: Optional[CompilerOptions] = None) -> ExperimentRecord:
     """Compile and simulate one application on one candidate architecture."""
 
     program, device = compile_for(circuit, config, options)
-    result = simulate(program, device, keep_timeline=keep_timeline)
+    result = simulate(program, device)
     return ExperimentRecord(
         application=circuit.name,
         config=config,

@@ -141,12 +141,6 @@ def sweep_microarchitecture(circuits: Dict[str, Circuit],
     return _run_space(circuits, space, cache=cache, store=store)
 
 
-def records_to_rows(records: Iterable[ExperimentRecord]) -> List[Dict[str, object]]:
-    """Flatten records into dictionaries (for CSV-style reporting)."""
-
-    return [record.as_row() for record in records]
-
-
 def select(records: Iterable[ExperimentRecord], **criteria) -> List[ExperimentRecord]:
     """Filter records by application/config attributes.
 

@@ -1,11 +1,9 @@
-"""Harnesses for the paper's tables.
+"""Harness for the paper's Table II, the benchmark suite characteristics.
 
-* :func:`table1` -- shuttling primitive times (paper Table I).
-* :func:`table2` -- the benchmark suite characteristics (paper Table II).
-
-Both return row dictionaries.  :func:`format_table2_text` renders Table II
-as the aligned text printed by the examples and benchmark harnesses; Table I
-renders through :func:`repro.models.shuttle_times.format_table1`.
+:func:`table2` returns row dictionaries, and :func:`format_table2_text`
+renders them as the aligned text printed by the examples and benchmark
+harnesses.  Table I, the shuttling primitive times, renders through
+:func:`repro.models.shuttle_times.format_table1`.
 """
 
 from __future__ import annotations
@@ -14,14 +12,6 @@ from typing import Dict, List, Optional
 
 from repro.apps.suite import application_summary, table2_suite
 from repro.ir.circuit import Circuit
-from repro.models.params import ShuttleTimes
-from repro.models.shuttle_times import operation_times
-
-
-def table1(params: Optional[ShuttleTimes] = None) -> Dict[str, float]:
-    """Table I rows: shuttling operation -> duration in microseconds."""
-
-    return operation_times(params)
 
 
 def table2(circuits: Optional[Dict[str, Circuit]] = None) -> List[Dict[str, object]]:

@@ -138,7 +138,7 @@ def simulated_qft8(compiled_qft8):
     """(program, device, result) for the compiled 8-qubit QFT."""
 
     program, device = compiled_qft8
-    return program, device, simulate(program, device, keep_timeline=True)
+    return program, device, simulate(program, device)
 
 
 @pytest.fixture

@@ -5,14 +5,16 @@ durations, then heating/fidelity, then timing (plus a second timing pass
 with communication durations zeroed for the Figure 6b breakdown), each a
 plain walk over the operation objects.  It is slow and straightforward,
 and the identity tests compare every result of :mod:`repro.sim` against it
-bit for bit, including the per-operation timeline.  Do not import this
-from library code.
+bit for bit, and each op's start and finish time (:func:`timeline`)
+against the simulator's timeline walk.  Do not import this from library
+code.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from repro.hardware.device import QCCDDevice
 from repro.isa.operations import (
@@ -27,10 +29,21 @@ from repro.isa.operations import (
     SwapGateOp,
 )
 from repro.isa.program import QCCDProgram
+from repro.isa.records import OpKind
 from repro.models.fidelity import FidelityModel
 from repro.models.gate_times import gate_time
 from repro.models.heating import HeatingModel
-from repro.sim.results import OperationRecord, SimulationResult
+from repro.sim.results import SimulationResult
+
+
+@dataclass(frozen=True)
+class OperationRecord:
+    """One operation of the per-operation timeline."""
+
+    op_id: int
+    kind: OpKind
+    start: float
+    finish: float
 
 
 class ResourceTimeline:
@@ -78,18 +91,11 @@ class ResourceTimeline:
         return min(1.0, self.busy_time(resource) / horizon)
 
 
-def simulate(program: QCCDProgram, device: QCCDDevice, *,
-             keep_timeline: bool = False,
-             with_breakdown: bool = True) -> SimulationResult:
+def simulate(program: QCCDProgram, device: QCCDDevice) -> SimulationResult:
     """Simulate ``program`` on ``device`` and return the metrics.
 
-    Parameters
-    ----------
-    keep_timeline:
-        Also record a per-operation (start, finish, fidelity) timeline.
-    with_breakdown:
-        Run the extra timing pass that produces the computation versus
-        communication time split (costs one more linear pass).
+    A second timing pass, with communication durations zeroed, gives the
+    computation versus communication time split.
     """
 
     durations = _operation_durations(program, device)
@@ -98,29 +104,13 @@ def simulate(program: QCCDProgram, device: QCCDDevice, *,
     noise = _noise_pass(program, device, durations, start_times)
     makespan = max(finish_times, default=0.0)
 
-    if with_breakdown:
-        compute_durations = [
-            0.0 if op.kind.is_communication else durations[op.op_id]
-            for op in program.operations
-        ]
-        compute_finish, _, _ = _timing_pass(program, device, compute_durations)
-        computation_time = max(compute_finish, default=0.0)
-    else:
-        computation_time = makespan
+    compute_durations = [
+        0.0 if op.kind.is_communication else durations[op.op_id]
+        for op in program.operations
+    ]
+    compute_finish, _, _ = _timing_pass(program, device, compute_durations)
+    computation_time = max(compute_finish, default=0.0)
     communication_time = max(0.0, makespan - computation_time)
-
-    timeline: Optional[List[OperationRecord]] = None
-    if keep_timeline:
-        timeline = [
-            OperationRecord(
-                op_id=op.op_id,
-                kind=op.kind,
-                start=finish_times[op.op_id] - durations[op.op_id],
-                finish=finish_times[op.op_id],
-                fidelity=noise.op_fidelities[op.op_id],
-            )
-            for op in program.operations
-        ]
 
     num_ms = noise.num_ms_gates
     return SimulationResult(
@@ -141,10 +131,25 @@ def simulate(program: QCCDProgram, device: QCCDDevice, *,
         num_ms_gates=num_ms,
         trap_gate_busy_time=trap_gate_busy,
         trap_comm_busy_time=trap_comm_busy,
-        timeline=timeline,
         circuit_name=program.circuit_name,
         device_name=program.device_name,
     )
+
+
+def timeline(program: QCCDProgram, device: QCCDDevice) -> List[OperationRecord]:
+    """Every operation's start and finish time, in program order."""
+
+    durations = _operation_durations(program, device)
+    finish_times, _, _ = _timing_pass(program, device, durations)
+    return [
+        OperationRecord(
+            op_id=op.op_id,
+            kind=op.kind,
+            start=finish_times[op.op_id] - durations[op.op_id],
+            finish=finish_times[op.op_id],
+        )
+        for op in program.operations
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -202,7 +207,6 @@ class _NoiseAccumulator:
             self.occupancy[trap_name] = len(chain)
         self.peak_occupancy: Dict[str, int] = dict(self.occupancy)
         self.log_fidelity: float = 0.0
-        self.op_fidelities: List[float] = []
         self.background_error: float = 0.0
         self.motional_error: float = 0.0
         self.num_ms_gates: int = 0
@@ -223,7 +227,6 @@ class _NoiseAccumulator:
             self.log_fidelity = -math.inf
         elif self.log_fidelity != -math.inf:
             self.log_fidelity += math.log(fidelity)
-        self.op_fidelities.append(fidelity)
 
 
 def _noise_pass(program: QCCDProgram, device: QCCDDevice,

@@ -56,7 +56,7 @@ from repro.dse.adaptive.protocol import (
     read_logical_batch,
     write_batch,
 )
-from repro.dse.dispatch import WorkTampered
+from repro.dse.dispatch import COMPLETE_NAME, WorkTampered
 
 #: A fast 8-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -863,9 +863,10 @@ class TestProposalParts:
     def test_corrupt_complete_marker_reads_as_absent(self, tmp_path):
         ledger = WorkLedger.for_store(tmp_path / "store")
         ledger.directory.mkdir(parents=True)
-        ledger.complete_path.write_text('{"torn')
+        marker = ledger.item_path(COMPLETE_NAME)
+        marker.write_text('{"torn')
         assert ledger.read_complete() is None
-        ledger.complete_path.write_text('{"batches": 1}')  # unsigned
+        marker.write_text('{"batches": 1}')  # unsigned
         assert ledger.read_complete() is None
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.breakdown import error_contributions, heating_profile, time_breakdown
+from repro.analysis.breakdown import error_contributions, time_breakdown
 from repro.analysis.compare import (
     best_worst_ratio,
     crossover_capacity,
@@ -89,6 +89,7 @@ class TestBreakdown:
         assert 0.0 <= breakdown["communication_fraction"] <= 1.0
 
     def test_heating_profile(self, result):
-        profile = heating_profile(result)
-        assert profile["device_max_over_time"] >= max(
-            value for key, value in profile.items() if key.startswith("T")) - 1e-9
+        """The device maximum over time bounds every trap's final energy."""
+
+        assert result.max_motional_energy >= max(
+            result.final_trap_energies.values()) - 1e-9

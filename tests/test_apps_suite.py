@@ -10,7 +10,8 @@ from repro.apps.suite import (
     scaled_suite,
     table2_suite,
 )
-from repro.toolflow.tables import format_table2_text, table1, table2
+from repro.models.shuttle_times import operation_times
+from repro.toolflow.tables import format_table2_text, table2
 
 
 class TestBuildApplication:
@@ -22,6 +23,10 @@ class TestBuildApplication:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_application("Shor")
+
+    def test_zero_qubits_is_not_the_default_size(self):
+        with pytest.raises(ValueError):
+            build_application("QFT", num_qubits=0)
 
     def test_default_sizes_match_paper_qubits(self):
         for name in ("QFT", "QAOA", "Supremacy", "Adder", "BV"):
@@ -55,7 +60,7 @@ class TestSummaries:
             assert row["paper_qubits"] > 0
 
     def test_table1_values(self):
-        rows = table1()
+        rows = operation_times()
         assert rows["Move ion through one segment"] == 5.0
         assert rows["Crossing X-junction"] == 120.0
 

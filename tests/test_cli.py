@@ -314,3 +314,85 @@ class TestJobs:
                 main(argv + ["--jobs", "2"])
             assert stopped.value.code != 0 and reason in str(stopped.value)
         capsys.readouterr()
+
+
+class TestRefusedInput:
+    """Input a validator refuses exits with one ``error:`` line, not a
+    traceback; nothing is compiled or simulated."""
+
+    SPACE = ["--topologies", "L3", "--capacities", "6"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--app", "QFT", "--topology", "Z9"],
+         "unknown topology name 'Z9'"),
+        (["run", "--app", "QFT", "--capacity", "1"],
+         "trap_capacity must be at least 2"),
+        (["run", "--app", "QFT", "--qubits", "200", "--capacity", "20"],
+         "200 qubits do not fit a L6 device"),
+        (["run", "--app", "QFT", "--qubits", "1"], "QFT needs at least 2"),
+        (["device", "--topology", "Z9"], "unknown topology name 'Z9'"),
+        (["device", "--capacity", "1"], "trap_capacity must be at least 2"),
+        (["check", "--app", "QFT", "--topology", "Z9"],
+         "unknown topology name 'Z9'"),
+        (["dse", "run", "--apps", "QFT", "--qubits", "0", *SPACE],
+         "qubit counts must be at least 2"),
+        (["dse", "run", "--apps", "QFT", "--qubits", "8", "--topologies",
+          "L3", "--capacities", "1"], "trap capacities must be at least 2"),
+        (["dse", "dispatch", "--apps", "QFT", "--qubits", "0", *SPACE,
+          "--print-only", "--store", "{store}"],
+         "qubit counts must be at least 2"),
+    ], ids=["run-topology", "run-capacity", "run-too-many-qubits",
+            "run-one-qubit", "device-topology", "device-capacity",
+            "check-topology", "dse-run-qubits", "dse-run-capacity",
+            "dse-dispatch-qubits"])
+    def test_validator_refusal_is_one_error_line(self, argv, message,
+                                                 capsys, tmp_path):
+        argv = [arg.format(store=tmp_path / "store") for arg in argv]
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        text = str(stopped.value)
+        assert text.startswith("error: ") and message in text
+        assert "\n" not in text
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "store").exists()
+
+    def test_status_space_refusal_is_one_error_line(self, capsys, tmp_path):
+        from repro.dse import DesignSpace
+
+        payload = DesignSpace(apps=("QFT",), qubits=(8,), topologies=("L3",),
+                              capacities=(6,)).to_dict()
+        payload["capacities"] = [1]
+        spec = tmp_path / "space.json"
+        spec.write_text(json.dumps(payload))
+        (tmp_path / "store").mkdir()
+        with pytest.raises(SystemExit) as stopped:
+            main(["dse", "status", "--store", str(tmp_path / "store"),
+                  "--space", str(spec)])
+        assert str(stopped.value) == \
+            "error: trap capacities must be at least 2"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["run", "--app", "QFT"], ["device"],
+                                         ["check", "--app", "QFT"]])
+    def test_qubits_must_be_positive(self, command, capsys):
+        """``run --qubits 0`` once ran the 64-qubit default circuit."""
+
+        with pytest.raises(SystemExit) as stopped:
+            main(command + ["--qubits", "0"])
+        assert stopped.value.code == 2
+        assert "--qubits: must be a positive integer" in \
+            capsys.readouterr().err
+
+    def test_check_help_names_jobs_only_where_taken(self):
+        def check_help(*command):
+            parser = build_parser()
+            for name in command:
+                parser = next(
+                    action.choices[name] for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+            return next(action.help for action in parser._actions
+                        if "--check" in action.option_strings)
+
+        assert "--jobs" not in check_help("run")
+        assert "--jobs" in check_help("sweep")
+        assert "--jobs" in check_help("dse", "run")

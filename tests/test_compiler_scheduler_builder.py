@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
-from repro.compiler.scheduler import GateScheduler
+from repro.compiler.scheduler import _LOCAL, _REMOTE, GateScheduler
 from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
 from repro.isa.records import (
@@ -18,6 +18,13 @@ from repro.isa.records import (
     split_record,
     swap_gate_record,
 )
+
+
+def ready_gates(scheduler):
+    """The walk's ready gates not yet handed out, in program order."""
+
+    return [index for index, state in enumerate(scheduler._state)
+            if state == _LOCAL or state == _REMOTE]
 
 
 class TestGateScheduler:
@@ -56,10 +63,10 @@ class TestGateScheduler:
         scheduler = GateScheduler(circuit)
         order = scheduler.order()
         assert next(order) == 0
-        assert scheduler.ready_gates() == []
+        assert ready_gates(scheduler) == []
         # Resuming marks gate 0 done, which makes gate 1 ready.
         assert next(order) == 1
-        assert scheduler.ready_gates() == []
+        assert ready_gates(scheduler) == []
         assert next(order) == 2
 
     def test_each_gate_is_handed_out_once(self):
@@ -165,7 +172,7 @@ class TestSchedulerOrderProperty:
                 assert next(order) == expected
                 # While the gate is handed out, the rest of the ready set
                 # waits in the scheduler.
-                assert scheduler.ready_gates() == \
+                assert ready_gates(scheduler) == \
                     [index for index in ready if index != expected]
                 moved = data.draw(st.lists(qubit, max_size=3, unique=True))
                 for moved_qubit in moved:
@@ -188,7 +195,7 @@ class TestProgramBuilder:
         builder.one_ion(0, "T0", split_record, "T0", 0, 3, "tail")
         builder.one_ion(0, None, move_record, 0, "S0", 1, "T0", "T1")
         assert [op.op_id for op in builder.operations] == [0, 1, 2]
-        assert builder.next_id == 3
+        assert len(builder.records) == 3
 
     def test_ion_dependencies_chain(self):
         builder = ProgramBuilder()

@@ -288,15 +288,6 @@ class TestExperimentStore:
         assert merged.source_counts() == {"shard-1of2.jsonl": 1,
                                           "shard-2of2.jsonl": 1}
 
-    def test_merge_from_other_store(self, tmp_path):
-        source = ExperimentStore()
-        source.add(self._row("aa"))
-        source.add(self._row("bb"))
-        with ExperimentStore(tmp_path / "store") as target:
-            target.add(self._row("aa"))
-            assert target.merge_from(source) == 1
-        assert len(ExperimentStore(tmp_path / "store")) == 2
-
     def test_newer_schema_rejected(self, tmp_path):
         store_dir = tmp_path / "store"
         store_dir.mkdir()

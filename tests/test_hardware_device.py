@@ -55,7 +55,7 @@ class TestDeviceConstruction:
     def test_buffer_reduces_usable_capacity(self):
         device = build_device("L2", trap_capacity=10, buffer_ions=4)
         assert device.usable_capacity() == 12
-        assert device.total_capacity() == 20
+        assert sum(trap.capacity for trap in device.topology.traps) == 20
 
     def test_zero_usable_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -94,13 +94,10 @@ class TestDeviceHelpers:
         assert device.gate is GateImplementation.FM
         assert other.topology is device.topology
 
-    def test_with_reorder_copies(self):
-        device = build_device("L3", trap_capacity=10, reorder="GS")
-        assert device.with_reorder("IS").reorder is ReorderMethod.IS
-
     def test_trap_capacities(self):
         device = build_device("L3", trap_capacity=12)
-        assert device.trap_capacities() == {"T0": 12, "T1": 12, "T2": 12}
+        assert {trap.name: trap.capacity for trap in device.topology.traps} \
+            == {"T0": 12, "T1": 12, "T2": 12}
         assert device.trap_capacity == 12
 
     def test_describe_mentions_key_facts(self):

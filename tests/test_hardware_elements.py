@@ -85,11 +85,6 @@ class TestSegment:
         with pytest.raises(ValueError):
             Segment(0, "T0", "T1").other_end("T9")
 
-    def test_connects(self):
-        segment = Segment(0, "T0", "T1")
-        assert segment.connects("T1", "T0")
-        assert not segment.connects("T0", "T2")
-
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Segment(0, "T0", "T0")

@@ -7,6 +7,7 @@ thing and reports ``sys.modules``; the assertions are on module sets, never
 on timings.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -126,11 +127,16 @@ def test_checked_run_loads_no_op_class(tmp_path):
     assert _offending(loaded, OP_CLASSES) == []
 
 
-def test_analyze_exports_resolve():
-    import repro.analyze as analyze
+@pytest.mark.parametrize("package", [
+    "repro", "repro.analyze", "repro.dse", "repro.dse.adaptive", "repro.io",
+    "repro.isa", "repro.obs", "repro.sim", "repro.toolflow"])
+def test_lazy_exports_resolve(package):
+    """Every name a ``lazy_exports`` package lists resolves: an entry left
+    behind by a deleted name fails here, not on first use."""
 
-    assert [name for name in analyze.__all__
-            if getattr(analyze, name, None) is None] == []
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__
+            if getattr(module, name, None) is None] == []
 
 
 def test_isa_resolves_the_op_classes_on_demand(tmp_path):

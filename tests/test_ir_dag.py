@@ -58,14 +58,6 @@ class TestTraversal:
         dag = DependencyDAG(qft8)
         assert dag.topological_order() == list(range(len(qft8)))
 
-    def test_ready_frontier_initial(self, parallel_circuit):
-        dag = DependencyDAG(parallel_circuit)
-        assert dag.ready_frontier(set()) == [0, 1]
-
-    def test_ready_frontier_progresses(self, parallel_circuit):
-        dag = DependencyDAG(parallel_circuit)
-        assert dag.ready_frontier({0, 1}) == [2]
-
     def test_layers_partition_all_gates(self, qft8):
         dag = DependencyDAG(qft8)
         layers = dag.layers()
@@ -78,21 +70,7 @@ class TestTraversal:
         assert layers[0] == [0, 1]
         assert layers[1] == [2]
 
-    def test_critical_path_unweighted(self, chain_circuit):
-        assert DependencyDAG(chain_circuit).critical_path_length() == 3
-
-    def test_critical_path_weighted(self, chain_circuit):
-        dag = DependencyDAG(chain_circuit)
-        assert dag.critical_path_length([2.0, 3.0, 4.0]) == pytest.approx(9.0)
-
-    def test_critical_path_parallel(self, parallel_circuit):
-        assert DependencyDAG(parallel_circuit).critical_path_length() == 2
-
-    def test_iter_program_order(self, chain_circuit):
-        dag = DependencyDAG(chain_circuit)
-        assert list(dag.iter_program_order()) == [0, 1, 2]
-
     def test_empty_circuit(self):
         dag = DependencyDAG(Circuit(2))
         assert dag.topological_order() == []
-        assert dag.critical_path_length() == 0.0
+        assert dag.layers() == []

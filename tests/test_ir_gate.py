@@ -99,20 +99,5 @@ class TestGateConstruction:
 
 
 class TestGateProperties:
-    def test_symmetric_gates(self):
-        assert Gate("cz", (0, 1)).is_symmetric
-        assert Gate("rzz", (0, 1), (0.3,)).is_symmetric
-        assert not Gate("cx", (0, 1)).is_symmetric
-
-    def test_remap(self):
-        gate = Gate("cx", (0, 1))
-        remapped = gate.remap({0: 5, 1: 7})
-        assert remapped.qubits == (5, 7)
-        assert remapped.name == "cx"
-
-    def test_remap_preserves_params(self):
-        gate = Gate("rz", (2,), (1.5,))
-        assert gate.remap({2: 0}).params == (1.5,)
-
     def test_str_contains_name(self):
         assert "cx" in str(Gate("cx", (0, 1)))

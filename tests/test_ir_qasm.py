@@ -26,7 +26,7 @@ class TestLoads:
         circuit = qasm.loads(SAMPLE)
         assert circuit.num_qubits == 3
         assert circuit.num_two_qubit_gates == 2
-        assert circuit.num_measurements == 1
+        assert sum(gate.is_measurement for gate in circuit) == 1
 
     def test_parameter_evaluation(self):
         circuit = qasm.loads(SAMPLE)

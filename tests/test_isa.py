@@ -9,12 +9,6 @@ from array import array
 
 import pytest
 
-from repro.analysis.timeline import (
-    communication_on_critical_path,
-    critical_path,
-    format_gantt,
-    trap_utilisation,
-)
 from repro.analyze import detect_races, verifier, verify_or_raise
 from repro.apps import scaled_suite
 from repro.compiler import compile_circuit
@@ -171,7 +165,6 @@ class TestQCCDProgram:
         assert len(program) == 5
         assert program.num_two_qubit_gates == 1
         assert program.num_shuttles == 1
-        assert program.num_communication_ops == 3
 
     def test_communication_summary(self, program):
         summary = program.communication_summary()
@@ -341,8 +334,8 @@ class TestOpRecords:
     def test_compile_and_simulate_build_no_operation_objects(
             self, monkeypatch, small_suite):
         """Compile, simulate, the ``--check`` hook (verifier and race
-        detector), the fingerprint, the JSON export and the timeline
-        analytics all walk the op records."""
+        detector), the fingerprint and the JSON export all walk the op
+        records."""
 
         def refuse(op):
             raise AssertionError(f"built a {op.__class__.__name__}")
@@ -371,11 +364,7 @@ class TestOpRecords:
             assert len(detect_races(program)) == 0
             assert len(program_fingerprint(program)) == 64
             assert len(program_to_dict(program)["operations"]) == len(program)
-            result = simulate(program, device, keep_timeline=True)
-            assert trap_utilisation(program, result)
-            assert critical_path(program, result)
-            assert 0.0 <= communication_on_critical_path(program, result) <= 1.0
-            assert "legend" in format_gantt(program, result)
+            assert simulate(program, device).duration > 0.0
 
     @pytest.mark.parametrize("reorder", ["GS", "IS"])
     def test_fingerprint_and_export_match_the_object_view(self, reorder):

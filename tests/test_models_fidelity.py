@@ -35,18 +35,6 @@ class TestEquationOne:
         hot = model.two_qubit_error(duration=0.0, chain_length=10, motional_energy=5.0)
         assert hot.motional == pytest.approx(cold.motional * 11.0)
 
-    def test_fidelity_is_one_minus_total(self, model):
-        breakdown = model.two_qubit_error(duration=100.0, chain_length=15,
-                                          motional_energy=2.0)
-        fidelity = model.two_qubit_fidelity(duration=100.0, chain_length=15,
-                                            motional_energy=2.0)
-        assert fidelity == pytest.approx(1.0 - breakdown.total)
-
-    def test_fidelity_clamped_at_zero(self, model):
-        fidelity = model.two_qubit_fidelity(duration=1e9, chain_length=20,
-                                            motional_energy=1e6)
-        assert fidelity == 0.0
-
     def test_negative_inputs_rejected(self, model):
         with pytest.raises(ValueError):
             model.two_qubit_error(duration=-1.0, chain_length=10, motional_energy=0.0)
@@ -98,9 +86,9 @@ class TestDefaults:
         """A two-qubit gate in a cold, small chain should be ~99.9%+."""
 
         model = FidelityModel()
-        fidelity = model.two_qubit_fidelity(duration=150.0, chain_length=15,
-                                            motional_energy=0.0)
-        assert fidelity > 0.999
+        breakdown = model.two_qubit_error(duration=150.0, chain_length=15,
+                                          motional_energy=0.0)
+        assert 1.0 - breakdown.total > 0.999
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -90,11 +90,6 @@ class TestDispatch:
         with pytest.raises(ValueError):
             GateImplementation.from_name("XX")
 
-    def test_distance_dependence_flag(self):
-        assert GateImplementation.AM1.is_distance_dependent
-        assert GateImplementation.PM.is_distance_dependent
-        assert not GateImplementation.FM.is_distance_dependent
-
     @pytest.mark.parametrize("impl", ["AM1", "AM2", "PM", "FM"])
     def test_gate_time_positive(self, impl):
         assert gate_time(impl, distance=3, chain_length=10) > 0

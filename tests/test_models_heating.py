@@ -61,10 +61,6 @@ class TestMergeAndMove:
     def test_junction_crossing(self, model):
         assert model.cross_junction(0.2, 2) == pytest.approx(0.22)
 
-    def test_idle_background(self):
-        model = HeatingModel(HeatingParams(background_rate=1e-5))
-        assert model.idle(0.0, 1000.0) == pytest.approx(0.01)
-
     def test_negative_inputs_rejected(self, model):
         with pytest.raises(ValueError):
             model.merge(-0.1, 0.0)
@@ -72,14 +68,9 @@ class TestMergeAndMove:
             model.move(-0.1, 1)
         with pytest.raises(ValueError):
             model.move(0.1, -1)
-        with pytest.raises(ValueError):
-            model.idle(0.0, -1.0)
 
 
 class TestCompositeCosts:
-    def test_shuttle_energy_cost(self, model):
-        assert model.shuttle_energy_cost(5, 2) == pytest.approx(5 * 0.01 + 2 * 0.01)
-
     def test_round_trip_adds_fixed_heat(self, model):
         """A split followed by a merge back adds 3*k1 to the system in total."""
 

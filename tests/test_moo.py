@@ -199,8 +199,9 @@ class TestDominanceAndArchive:
         archive.add("mid", (1.0, 0.5))
         assert archive.add("high", (2.0, 1.0))
         assert archive.keys() == ["high"]
-        assert not archive.would_accept((1.5, 0.5))
-        assert archive.would_accept((0.0, 2.0))
+        assert not archive.add("dominated", (1.5, 0.5))
+        assert archive.add("other", (0.0, 2.0))
+        assert archive.keys() == ["high", "other"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -53,7 +53,7 @@ from repro.obs import (
 from repro.obs.distributed import (
     ENV_TRACE_ID,
     ENV_TRACE_PARENT,
-    export_records,
+    span_record,
 )
 from repro.obs.timeline import TelemetryReader, fold_timeline, top_snapshot
 
@@ -158,7 +158,8 @@ class TestTraceShards:
     def test_export_records_schema(self):
         tracer = enable_tracing(trace_id="root-1", parent_ref="5:2")
         _make_spans(tracer)
-        records = export_records(tracer, owner="w0")
+        records = [span_record(tracer, record, "w0")
+                   for record in tracer.records()]
         assert len(records) == 2
         for record in records:
             assert record["schema_version"] == SHARD_SCHEMA_VERSION

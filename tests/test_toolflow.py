@@ -14,7 +14,7 @@ from repro.toolflow import (
     sweep_microarchitecture,
     sweep_topologies,
 )
-from repro.toolflow.sweep import records_to_rows, select
+from repro.toolflow.sweep import select
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +112,8 @@ class TestSweeps:
     def test_records_to_rows_and_select(self, mini_suite):
         base = ArchitectureConfig(topology="L3")
         records = sweep_capacity(mini_suite, capacities=(8,), base=base)
-        rows = records_to_rows(records)
-        assert len(rows) == len(records)
+        rows = [record.as_row() for record in records]
+        assert [row["capacity"] for row in rows] == [8] * len(records)
         chosen = select(records, capacity=8)
         assert len(chosen) == len(records)
         assert select(records, capacity=99) == []
