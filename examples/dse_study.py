@@ -9,7 +9,7 @@ subsystem:
 1. declare a :class:`DesignSpace` (the cross product of sweep axes),
 2. evaluate it through a persistent :class:`ExperimentStore` (kill this
    script at any point and re-run it -- completed points replay from disk),
-3. compare an adaptive strategy (coordinate descent) against the grid,
+3. compare a greedy strategy (coordinate descent) against the grid,
 4. read off the best point and the fidelity-vs-runtime Pareto frontier.
 
 Run:  python examples/dse_study.py  (store lands in ./dse_study_store/)
@@ -24,10 +24,10 @@ fill the store, then the run replays it)::
 """
 
 from repro.dse import (
-    CoordinateDescent,
     DSERunner,
     DesignSpace,
     ExperimentStore,
+    make_strategy,
     pareto_frontier,
 )
 
@@ -52,10 +52,11 @@ def main() -> None:
         print(f"Grid: evaluated {runner.stats['evaluated']}, "
               f"replayed {runner.stats['reused']} from the store")
 
-        # 3. An adaptive strategy over the same space costs a fraction of the
+        # 3. A greedy climb over the same space costs a fraction of the
         #    grid -- and reuses any point the grid already stored.
         climber = DSERunner(space, store=store)
-        result = climber.run(CoordinateDescent(seed=7, metric="fidelity"))
+        result = climber.run(make_strategy("greedy", seed=7,
+                                           metric="fidelity"))
         print(f"Greedy: evaluated {climber.stats['evaluated']} new points, "
               f"replayed {climber.stats['reused']}")
 

@@ -8,7 +8,7 @@
 * :mod:`~repro.analysis.breakdown` -- error-source and time-breakdown helpers.
 """
 
-from repro.analysis.series import format_series_table, series_to_rows
+from repro.analysis.series import format_series_table
 from repro.analysis.compare import (
     best_worst_ratio,
     topology_fidelity_ratio,
@@ -19,7 +19,6 @@ from repro.analysis.breakdown import error_contributions, time_breakdown
 
 __all__ = [
     "format_series_table",
-    "series_to_rows",
     "best_worst_ratio",
     "topology_fidelity_ratio",
     "gate_choice_improvement",

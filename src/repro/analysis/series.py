@@ -1,26 +1,13 @@
 """Series formatting: figure bundles -> text tables.
 
 The figure harnesses return nested dictionaries of series; these helpers
-flatten them into rows and render aligned text so the benchmark harnesses can
+flatten the nesting and render aligned text so the benchmark harnesses can
 print exactly the series the paper plots.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-
-def series_to_rows(capacities: Sequence[int],
-                   series: Dict[str, Sequence[float]]) -> List[Dict[str, object]]:
-    """Transpose ``{label: [v_per_capacity]}`` into one row per capacity."""
-
-    rows = []
-    for index, capacity in enumerate(capacities):
-        row: Dict[str, object] = {"capacity": capacity}
-        for label, values in series.items():
-            row[label] = values[index] if index < len(values) else None
-        rows.append(row)
-    return rows
+from typing import Dict, Sequence
 
 
 def format_series_table(capacities: Sequence[int],

@@ -7,6 +7,6 @@ error term grow with the chain length, so fidelity collapses well before
 so the collapse can be demonstrated quantitatively alongside the QCCD results.
 """
 
-from repro.baselines.single_trap import simulate_single_trap, single_trap_sweep
+from repro.baselines.single_trap import simulate_single_trap
 
-__all__ = ["simulate_single_trap", "single_trap_sweep"]
+__all__ = ["simulate_single_trap"]

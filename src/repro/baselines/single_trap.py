@@ -14,7 +14,7 @@ baseline lets the repository demonstrate that argument with numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.ir.circuit import Circuit
 from repro.ir.gate import GateKind
@@ -90,16 +90,3 @@ def simulate_single_trap(circuit: Circuit, gate="FM",
         circuit_name=circuit.name,
         device_name=f"single-trap-{circuit.num_qubits}-{implementation.value}",
     )
-
-
-def single_trap_sweep(circuit_builder, sizes: Sequence[int],
-                      gate="FM", model: PhysicalModel = None) -> List[SimulationResult]:
-    """Fidelity of the same application family at growing single-trap sizes.
-
-    ``circuit_builder`` maps a qubit count to a circuit (e.g. ``qft_circuit``).
-    The returned list shows the single-trap fidelity collapse with size --
-    the motivation for the QCCD architecture.
-    """
-
-    return [simulate_single_trap(circuit_builder(size), gate=gate, model=model)
-            for size in sizes]

@@ -392,6 +392,48 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated buffer sizes (default: 2)")
 
 
+def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
+    """The search-strategy flags of ``dse run`` and ``dse dispatch``: the
+    strategy, its seed and objective, and the knobs of
+    :data:`~repro.dse.knobs.STRATEGY_KNOBS`.  The choices are
+    :data:`~repro.dse.strategies.STRATEGY_NAMES` written out, so that
+    ``import repro.cli`` loads no ``repro.dse``."""
+
+    parser.add_argument("--strategy", default="grid",
+                        choices=["grid", "random", "greedy", "halving",
+                                 "bayes", "adaptive-halving", "ehvi",
+                                 "parego"],
+                        help="search strategy (default: grid = exhaustive; "
+                             "ehvi/parego search the Pareto frontier of "
+                             "--objectives directly)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random seed for the seeded strategies "
+                             "(default: 0)")
+    parser.add_argument("--metric", default="fidelity",
+                        choices=list(_OBJECTIVES),
+                        help="objective to optimise (default: fidelity)")
+    parser.add_argument("--objectives", type=_comma_list, default=None,
+                        help="comma-separated objective vector for the "
+                             "multi-objective strategies (ehvi/parego), e.g. "
+                             "fidelity,runtime (default: fidelity,runtime)")
+    parser.add_argument("--samples", type=_positive_int, default=None,
+                        help="points to draw for --strategy random")
+    parser.add_argument("--proxy-qubits", type=_positive_int, default=None,
+                        help="starting proxy size for --strategy "
+                             "halving/adaptive-halving (default: 12)")
+    parser.add_argument("--batch-size", type=_positive_int, default=None,
+                        help="points per proposal batch for --strategy "
+                             "bayes/ehvi/parego (default: 4)")
+    parser.add_argument("--max-evals", type=_positive_int, default=None,
+                        help="evaluation budget for --strategy "
+                             "bayes/ehvi/parego (default: a quarter of the "
+                             "grid for bayes, half for ehvi/parego)")
+    parser.add_argument("--surrogate", default=None, choices=["rff", "trees"],
+                        help="surrogate model for --strategy "
+                             "bayes/adaptive-halving/ehvi/parego (default: "
+                             "trees for adaptive-halving, rff for the others)")
+
+
 def _add_dse_parsers(subparsers) -> None:
     """The ``dse`` family: run / dispatch / worker / status / pareto / export."""
 
@@ -408,47 +450,19 @@ def _add_dse_parsers(subparsers) -> None:
         "run", help="evaluate a design space under a search strategy",
         epilog="The space comes from --space (a JSON spec with keys apps, "
                "qubits, topologies, capacities, gates, reorders, buffers) or "
-               "from the axis flags below.  All strategies are deterministic "
-               "under a fixed --seed for any --jobs or shard split.")
+               "from the axis flags below.  Every strategy is deterministic "
+               "under a fixed --seed, and gives the same output serial and "
+               "under any --jobs; only the grid takes --shard.")
     _add_space_arguments(run)
     run.add_argument("--store", default=None,
                      help="experiment-store directory (omit for a one-off "
                           "in-memory run)")
-    run.add_argument("--strategy", default="grid",
-                     choices=["grid", "random", "greedy", "halving", "bayes",
-                              "adaptive-halving", "ehvi", "parego"],
-                     help="search strategy (default: grid = exhaustive; "
-                          "ehvi/parego search the Pareto frontier of "
-                          "--objectives directly)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="random seed for the seeded strategies (default: 0)")
-    run.add_argument("--samples", type=_positive_int, default=None,
-                     help="points to draw for --strategy random")
-    run.add_argument("--metric", default="fidelity", choices=list(_OBJECTIVES),
-                     help="objective to optimise (default: fidelity)")
-    run.add_argument("--objectives", type=_comma_list, default=None,
-                     help="comma-separated objective vector for the "
-                          "multi-objective strategies (ehvi/parego), e.g. "
-                          "fidelity,runtime (default: fidelity,runtime)")
-    run.add_argument("--proxy-qubits", type=_positive_int, default=None,
-                     help="starting proxy size for --strategy "
-                          "halving/adaptive-halving (default: 12)")
-    run.add_argument("--batch-size", type=_positive_int, default=None,
-                     help="points per proposal batch for --strategy "
-                          "bayes/ehvi/parego (default: 4)")
-    run.add_argument("--max-evals", type=_positive_int, default=None,
-                     help="evaluation budget for --strategy "
-                          "bayes/ehvi/parego (default: a quarter of the "
-                          "grid for bayes, half for ehvi/parego)")
-    run.add_argument("--surrogate", default=None, choices=["rff", "trees"],
-                     help="surrogate model for the adaptive strategies "
-                          "(default: trees for adaptive-halving, rff for "
-                          "bayes/ehvi/parego)")
+    _add_strategy_arguments(run)
     run.add_argument("--jobs", type=_positive_int, default=1,
                      help="local ledger workers that fill the store first "
                           "(--store, else a temporary one), which the "
-                          "serial run then replays; grid and the proposer "
-                          "strategies, not --shard (default: 1 = serial)")
+                          "serial run then replays; any strategy, not "
+                          "--shard (default: 1 = serial)")
     run.add_argument("--shard", default=None,
                      help="evaluate only shard i/N of the points (e.g. 2/4), "
                           "split by compilation so a program's gate variants "
@@ -465,8 +479,8 @@ def _add_dse_parsers(subparsers) -> None:
     dispatch = dse_sub.add_parser(
         "dispatch",
         help="run a design space through leased shards and worker processes",
-        description="Partition the space into M leased shards (or, with an "
-                    "adaptive --strategy, into proposer-written proposal "
+        description="Partition the space into M leased shards (or, with any "
+                    "--strategy but the grid, into proposer-written proposal "
                     "batches) and drive N worker processes to completion.  "
                     "Workers coordinate through lease files inside the store "
                     "directory: claims are atomic, heartbeats renew a lease, "
@@ -478,38 +492,7 @@ def _add_dse_parsers(subparsers) -> None:
     dispatch.add_argument("--store", required=True,
                           help="experiment-store directory shared by all "
                                "workers (dedicated to this study)")
-    dispatch.add_argument("--strategy", default="grid",
-                          choices=["grid", "bayes", "adaptive-halving",
-                                   "ehvi", "parego"],
-                          help="grid = static leased shards (default); "
-                               "bayes/adaptive-halving/ehvi/parego = the "
-                               "propose/evaluate protocol (this process runs "
-                               "the proposer, workers lease proposal batches)")
-    dispatch.add_argument("--seed", type=int, default=0,
-                          help="seed for an adaptive --strategy (default: 0)")
-    dispatch.add_argument("--metric", default="fidelity",
-                          choices=list(_OBJECTIVES),
-                          help="objective for an adaptive --strategy "
-                               "(default: fidelity)")
-    dispatch.add_argument("--objectives", type=_comma_list, default=None,
-                          help="comma-separated objective vector for "
-                               "--strategy ehvi/parego (default: "
-                               "fidelity,runtime)")
-    dispatch.add_argument("--batch-size", type=_positive_int, default=None,
-                          help="points per proposal batch for --strategy "
-                               "bayes/ehvi/parego (default: 4)")
-    dispatch.add_argument("--max-evals", type=_positive_int, default=None,
-                          help="evaluation budget for --strategy "
-                               "bayes/ehvi/parego (default: a quarter of "
-                               "the grid for bayes, half for ehvi/parego)")
-    dispatch.add_argument("--surrogate", default=None,
-                          choices=["rff", "trees"],
-                          help="surrogate model for an adaptive --strategy "
-                               "(default: trees for adaptive-halving, rff "
-                               "for bayes/ehvi/parego)")
-    dispatch.add_argument("--proxy-qubits", type=_positive_int, default=None,
-                          help="starting proxy size for --strategy "
-                               "adaptive-halving (default: 12)")
+    _add_strategy_arguments(dispatch)
     dispatch.add_argument("--workers", type=_positive_int, default=2,
                           help="local worker processes (default: 2)")
     dispatch.add_argument("--shards", type=_positive_int, default=None,
@@ -1067,8 +1050,9 @@ def _print_eta(args, view, progress, space, pending) -> int:
             return 1
         pending = progress["points_pending"]
         if pending is None:
-            # A multi-fidelity ladder has no fixed budget: its rung sizes
-            # depend on results (and proxy rows can outnumber the grid).
+            # A greedy climb or a proxy ladder has no fixed budget: its
+            # batches depend on results (and proxy rows can outnumber the
+            # grid).
             print(f"\nETA: unknown -- adaptive strategy "
                   f"{view.manifest['strategy'].get('name')!r} has no fixed "
                   f"evaluation budget (run `dse status` again once the "
@@ -1098,9 +1082,9 @@ def _cmd_dse_dispatch(args) -> int:
         try:
             strategy = make_strategy(
                 args.strategy, seed=args.seed, metric=args.metric,
-                proxy_qubits=args.proxy_qubits, batch_size=args.batch_size,
-                max_evals=args.max_evals, surrogate=args.surrogate,
-                objectives=args.objectives).spec
+                samples=args.samples, proxy_qubits=args.proxy_qubits,
+                batch_size=args.batch_size, max_evals=args.max_evals,
+                surrogate=args.surrogate, objectives=args.objectives).spec
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
     elif args.objectives:
@@ -1112,7 +1096,8 @@ def _cmd_dse_dispatch(args) -> int:
         from repro.dse.knobs import strategy_knobs
 
         try:
-            strategy_knobs("grid", proxy_qubits=args.proxy_qubits,
+            strategy_knobs("grid", samples=args.samples,
+                           proxy_qubits=args.proxy_qubits,
                            batch_size=args.batch_size,
                            max_evals=args.max_evals, surrogate=args.surrogate)
         except ValueError as exc:

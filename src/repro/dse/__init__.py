@@ -8,11 +8,12 @@ compile/simulate core:
   fingerprints.
 * :mod:`~repro.dse.store` -- :class:`ExperimentStore`, an append-only JSONL
   store keyed by point fingerprint: dedup, resume-after-kill, shard merge.
-* :mod:`~repro.dse.strategies` -- exhaustive grid, seeded random sampling,
-  greedy coordinate descent, successive halving and the four adaptive
-  strategies (``bayes``, ``adaptive-halving``, ``ehvi``, ``parego``, each
-  a :class:`ProposerStrategy` over its proposer spec), all deterministic
-  under a fixed seed however the work is split.
+* :mod:`~repro.dse.strategies` -- the exhaustive grid and, through one
+  driver (:class:`ProposerStrategy`, each strategy its proposer spec),
+  seeded random sampling, greedy coordinate descent, successive halving
+  and the four adaptive strategies (``bayes``, ``adaptive-halving``,
+  ``ehvi``, ``parego``), all deterministic under a fixed seed however the
+  work is split.
 * :mod:`~repro.dse.runner` -- :class:`DSERunner`, which drives points through
   the sweep executor with store replay, gate fan-out and ``--shard i/N``
   support.
@@ -22,16 +23,18 @@ compile/simulate core:
   execution: a :class:`WorkLedger` of signed work items and lease files
   (atomic claims, heartbeat renewal, expiry-based reclaim of dead
   workers), the one worker loop :func:`run_worker`, and a
-  :class:`Dispatcher` that writes a grid's shards (or runs an adaptive
-  proposer), runs local worker processes (``repro dse dispatch``, and
-  ``--jobs N`` of ``repro sweep`` and ``dse run`` through
+  :class:`Dispatcher` that writes a grid's shards (or runs any other
+  strategy's proposer), runs local worker processes (``repro dse
+  dispatch``, and ``--jobs N`` of ``repro sweep`` and ``dse run`` through
   :func:`~repro.dse.dispatch.fill_store`) or prints remote launch
   commands, and watches progress with a ``wall_s``-driven ETA.
-* :mod:`~repro.dse.adaptive` -- model-based search: incremental surrogate
-  regressors, expected-improvement/UCB batch proposers, a surrogate-ranked
-  multi-fidelity ladder, and the proposer of the distributed
-  propose/evaluate protocol (signed proposal parts in the store's work
-  ledger; ``repro dse dispatch --strategy bayes``, ``repro dse propose``).
+* :mod:`~repro.dse.adaptive` -- the proposers of every strategy but the
+  grid (seeded sampling, coordinate descent, the multi-fidelity ladder in
+  a fixed and a surrogate-ranked variant, expected-improvement/UCB batch
+  search over incremental surrogate regressors), and the proposer side of
+  the distributed propose/evaluate protocol (signed proposal parts in the
+  store's work ledger; ``repro dse dispatch --strategy bayes``, ``repro
+  dse propose``).
 * :mod:`~repro.dse.moo` -- multi-objective frontier search: named objective
   vectors, the incremental Pareto archive, exact 2-D/3-D hypervolume, and
   the EHVI/ParEGO proposers (``repro dse run|dispatch --strategy
@@ -68,8 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                         "StoreCorruptionWarning", "record_to_row",
                         "row_to_record"),
     "repro.dse.strategies": ("MOO_STRATEGY_NAMES", "STRATEGY_NAMES",
-                             "CoordinateDescent", "ExhaustiveGrid",
-                             "ProposerStrategy", "RandomSampling", "Strategy",
-                             "StrategyResult", "SuccessiveHalving",
-                             "make_strategy"),
+                             "ExhaustiveGrid", "ProposerStrategy", "Strategy",
+                             "StrategyResult", "make_strategy"),
 })

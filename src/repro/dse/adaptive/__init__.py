@@ -1,11 +1,11 @@
-"""Adaptive, model-based design-space search.
+"""Proposer-driven design-space search: every strategy but the grid.
 
-This package layers surrogate-guided optimization over the exploration
-engine of :mod:`repro.dse`: instead of fixing every evaluated point up
-front (grid, random, halving ladders), an adaptive run alternates between
-*proposing* a small batch of candidate points -- chosen by a surrogate
-model trained on every result seen so far -- and *evaluating* that batch
-through the ordinary compile/simulate pipeline and experiment store.
+This package holds the proposers of :mod:`repro.dse`: instead of fixing
+every evaluated point up front (the grid), a proposer-driven run
+alternates between *proposing* a batch of candidate points -- a seeded
+sample, an axis sweep, a proxy rung, or the picks of a surrogate model
+trained on every result seen so far -- and *evaluating* that batch through
+the ordinary compile/simulate pipeline and experiment store.
 
 * :mod:`~repro.dse.adaptive.model` -- pure-python incremental surrogate
   regressors over encoded design points: random-Fourier-feature ridge
@@ -14,10 +14,11 @@ through the ordinary compile/simulate pipeline and experiment store.
   bit-deterministic under a fixed seed.
 * :mod:`~repro.dse.adaptive.propose` -- expected-improvement and UCB
   acquisition, the one proposer factory (:func:`make_proposer`) and budget
-  rule (:func:`default_max_evals`), the :class:`BayesProposer` batch
-  proposer, and the :class:`AdaptiveHalvingProposer` multi-fidelity
-  scheduler that promotes points through the scaled-proxy ladder on
-  surrogate rank instead of a fixed eta.
+  rule (:func:`default_max_evals`), the ``random`` and ``greedy``
+  proposers, the :class:`BayesProposer` batch proposer, and the
+  scaled-proxy ladder, which promotes the best-ranked half of each rung
+  (``halving``) or, as :class:`AdaptiveHalvingProposer`, only the
+  candidates its surrogate rates as possible winners.
 * :mod:`~repro.dse.adaptive.protocol` -- the proposer of the distributed
   propose/evaluate split: it writes each batch as signed proposal parts
   into the store's work ledger (:class:`~repro.dse.dispatch.WorkLedger`,
@@ -27,14 +28,14 @@ through the ordinary compile/simulate pipeline and experiment store.
   batch.  A killed proposer or worker is recoverable from the ledger
   alone.
 
-The four adaptive strategies of :mod:`repro.dse.strategies` -- ``bayes``,
-``adaptive-halving`` and the multi-objective ``ehvi`` and ``parego`` of
-:mod:`repro.dse.moo` -- are each one proposer spec: a
-:class:`~repro.dse.strategies.ProposerStrategy` drives its proposer
-single-process through :class:`~repro.dse.runner.DSERunner`; ``repro dse
-dispatch --strategy bayes`` and ``repro dse propose`` drive it across a
-worker fleet.  Either way the proposal sequence depends only on (space,
-strategy, seed) and the deterministic evaluation results, so serial,
+Every strategy of :mod:`repro.dse.strategies` but the grid -- ``random``,
+``greedy``, ``halving``, ``bayes``, ``adaptive-halving`` and the
+multi-objective ``ehvi`` and ``parego`` of :mod:`repro.dse.moo` -- is one
+proposer spec: a :class:`~repro.dse.strategies.ProposerStrategy` drives
+its proposer single-process through :class:`~repro.dse.runner.DSERunner`;
+``repro dse dispatch --strategy bayes`` and ``repro dse propose`` drive it
+across a worker fleet.  Either way the proposal sequence depends only on
+(space, strategy, seed) and the deterministic evaluation results, so serial,
 ``--jobs N`` and dispatched runs -- even with workers killed mid-batch --
 explore the same points and report the same best.
 

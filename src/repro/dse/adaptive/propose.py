@@ -1,6 +1,7 @@
-"""The proposers of adaptive search, their one factory and one budget rule.
+"""The proposers of every search strategy but the grid, their one factory
+and one budget rule.
 
-A *proposer* owns the decision side of an adaptive run: it enumerates the
+A *proposer* owns the decision side of a search: it enumerates the
 candidate points of a :class:`~repro.dse.space.DesignSpace` once, then
 alternates ``next_batch()`` (which points to evaluate next) with
 ``ingest()`` (fold the batch's :meth:`~Proposer.values` back in).
@@ -10,39 +11,42 @@ serial, ``--jobs N``, or a fleet of workers leasing batches off the
 proposal ledger -- reproduces the identical sequence and best point, and a
 restarted proposer regenerates its own history from the ledger.
 
-An adaptive strategy *is* its proposer spec: the ``strategy`` entry of a
-dispatch manifest (``{"name": "bayes", "seed": 0, ...}``), which
-:func:`make_proposer` turns into a proposer and
-:func:`default_max_evals` gives its default budget.
+Every strategy but the grid *is* its proposer spec: the ``strategy`` entry
+of a dispatch manifest (``{"name": "bayes", "seed": 0, ...}``), which
+:func:`make_proposer` turns into a proposer and :func:`default_max_evals`
+gives its default budget.
 
 * :class:`Proposer` -- what every proposer shares: the candidates, metered
   ``next_batch``/``ingest``, the values it ingests, the provenance stamp
   of the rows it asks for, and the outcome its complete marker records.
+* :class:`RandomProposer` -- ``random``: one seeded batch of ``samples``
+  points, in enumeration order.
+* :class:`GreedyProposer` -- ``greedy``: coordinate descent, a seeded start
+  point and then one batch per axis sweep.
 * :class:`BatchProposer` -- the batch machine of the budgeted proposers
   (``bayes`` here, ``ehvi`` and ``parego`` in
   :mod:`repro.dse.moo.propose`): a seeded random first batch, then the top
   acquisition scorers, within an evaluation budget.
 * :class:`BayesProposer` -- classic batch Bayesian optimization: expected
   improvement or UCB under one surrogate model.
-* :class:`AdaptiveHalvingProposer` -- multi-fidelity search over the
-  scaled-proxy ladder of :class:`~repro.dse.strategies.SuccessiveHalving`,
-  but the survivor set of each rung is chosen by surrogate rank: a
-  candidate survives while its upper confidence bound reaches the rung's
-  best observed score, instead of a fixed ``1/eta`` fraction.
+* :class:`HalvingProposer` -- ``halving``: the scaled-proxy ladder, one
+  batch per rung, each proxy rung promoting its best-ranked half.
+* :class:`AdaptiveHalvingProposer` -- ``adaptive-halving``: the same
+  ladder, but only the candidates whose surrogate upper confidence bound
+  reaches the rung's best observed score may compete for promotion.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import random
-
 from repro.dse.adaptive.model import PointEncoder, make_surrogate
 from repro.dse.pareto import objective_value
-from repro.dse.space import DesignPoint, DesignSpace
+from repro.dse.space import AXES, DesignPoint, DesignSpace
 from repro.obs.metrics import registry as _metrics_registry
 
 #: Acquisition functions understood by :class:`BayesProposer`.
@@ -50,8 +54,11 @@ ACQUISITIONS = ("ei", "ucb")
 
 #: The default budget of each budgeted strategy, as the share of the grid
 #: it evaluates: best-point search a quarter, frontier search half (a
-#: frontier has many members).  A ladder sizes itself and has no budget.
+#: frontier has many members).  The other strategies size themselves.
 GRID_SHARE = {"bayes": 4, "ehvi": 2, "parego": 2}
+
+#: The most axis-sweep rounds a greedy climb runs.
+MAX_ROUNDS = 10
 
 
 def _norm_cdf(z: float) -> float:
@@ -77,14 +84,24 @@ def upper_confidence_bound(mean: float, std: float, beta: float = 2.0) -> float:
     return mean + beta * std
 
 
+def _best_of(scores: Dict[int, float]) -> Optional[Tuple[int, float]]:
+    """``(key, value)`` of the highest score (ties: the earliest key)."""
+
+    if not scores:
+        return None
+    best_key = min(scores, key=lambda key: (-scores[key], key))
+    return best_key, scores[best_key]
+
+
 def default_max_evals(name: str, space_size: int,
                       batch_size: int = 4) -> Optional[int]:
     """The one budget rule: strategy ``name``'s evaluation budget when its
     spec gives no ``max_evals``.
 
     Its :data:`GRID_SHARE` of the grid, floored at two batches and capped
-    at the grid itself; ``None`` for a strategy without a fixed budget
-    (``adaptive-halving``).  The budgeted proposers default to it, and
+    at the grid itself; ``None`` for a strategy without a budget share
+    (``random`` draws its ``samples``, ``greedy`` and the ladders size
+    themselves).  The budgeted proposers default to it, and
     :func:`~repro.dse.dispatch.write_manifest` records it so the fleet view
     plans a run's points without constructing a proposer.
     """
@@ -185,6 +202,137 @@ class Proposer:
                     "point": self.candidates[best[0]].spec()}}
 
 
+class RandomProposer(Proposer):
+    """Seeded random sampling: one batch of ``samples`` points.
+
+    The points are drawn without replacement and evaluated in enumeration
+    order, so the batch is a sub-grid whose gate variants share their
+    compilations.
+    """
+
+    name = "random"
+
+    def __init__(self, space: DesignSpace, *, seed: int = 0,
+                 metric: str = "fidelity", samples: int) -> None:
+        if samples < 1:
+            raise ValueError("samples must be a positive integer")
+        super().__init__(space, seed=seed, metric=metric)
+        self.samples = samples
+        self._scores: Dict[int, float] = {}
+        self._proposed = False
+
+    @property
+    def evaluations(self) -> int:
+        return len(self._scores)
+
+    def _next_batch(self) -> Optional[ProposalBatch]:
+        if self._proposed:
+            return None
+        self._proposed = True
+        count = min(self.samples, len(self.candidates))
+        keys = sorted(random.Random(self.seed).sample(
+            range(len(self.candidates)), count))
+        return ProposalBatch(number=1, keys=tuple(keys), points=tuple(
+            self.candidates[key] for key in keys))
+
+    def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
+        self._scores = dict(zip(batch.keys, (float(v) for v in values)))
+
+    def best(self) -> Optional[Tuple[int, float]]:
+        return _best_of(self._scores)
+
+    def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
+        return {"round": 0, "sampled": len(batch.keys),
+                "of": len(self.candidates)}
+
+
+class GreedyProposer(Proposer):
+    """Greedy coordinate descent: optimise one axis at a time until converged.
+
+    The first batch is a seeded start point.  Each round then sweeps the
+    axes with more than one value, in :data:`~repro.dse.space.AXES` order,
+    one batch per axis: every value of the axis, the other coordinates
+    fixed.  The climb moves to the sweep's best point (the first on ties)
+    when it beats the current one, and ends after a round that moves
+    nothing, or after :data:`MAX_ROUNDS` rounds.  Points evaluated before
+    replay from the store, so the climb costs far fewer simulations than
+    the grid whenever axes interact weakly.  :meth:`best` is the climb's
+    endpoint, not a re-scan of every batch.
+    """
+
+    name = "greedy"
+
+    def __init__(self, space: DesignSpace, *, seed: int = 0,
+                 metric: str = "fidelity") -> None:
+        super().__init__(space, seed=seed, metric=metric)
+        self._key_of = {point: key
+                        for key, point in enumerate(self.candidates)}
+        rng = random.Random(seed)
+        self._coords = {axis: rng.choice(space.axis_values(axis))
+                        for axis in AXES}
+        self._axes = [axis for axis in AXES
+                      if len(space.axis_values(axis)) > 1]
+        #: ``(key, value)`` of the climb's current point.
+        self._current: Optional[Tuple[int, float]] = None
+        self._round = 0
+        self._step = 0  # the next sweep's index into _axes
+        self._moved = False
+        self._batches = 0
+        self._evaluations = 0
+        self._entry: Dict[str, object] = {}
+
+    @property
+    def evaluations(self) -> int:
+        return self._evaluations
+
+    def _sweep(self, axis: str) -> List[int]:
+        return [self._key_of[self.space.point_for(dict(self._coords,
+                                                       **{axis: value}))]
+                for value in self.space.axis_values(axis)]
+
+    def _next_batch(self) -> Optional[ProposalBatch]:
+        if self._current is None:
+            keys = [self._key_of[self.space.point_for(self._coords)]]
+        else:
+            if self._step == len(self._axes):
+                if not self._moved or self._round + 1 == MAX_ROUNDS:
+                    return None
+                self._round += 1
+                self._step = 0
+                self._moved = False
+            keys = self._sweep(self._axes[self._step])
+        self._batches += 1
+        return ProposalBatch(
+            number=self._batches, keys=tuple(keys),
+            points=tuple(self.candidates[key] for key in keys))
+
+    def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
+        values = [float(value) for value in values]
+        self._evaluations += len(values)
+        if self._current is None:
+            self._current = (batch.keys[0], values[0])
+            self._entry = {"round": 0, "axis": None, "value": None,
+                           "score": values[0]}
+            return
+        axis = self._axes[self._step]
+        best = max(range(len(values)), key=values.__getitem__)
+        value = self.space.axis_values(axis)[best]
+        if value != self._coords[axis] and values[best] > self._current[1]:
+            self._coords[axis] = value
+            self._current = (batch.keys[best], values[best])
+            self._moved = True
+        self._entry = {"round": self._round, "axis": axis,
+                       "value": self._coords[axis],
+                       "score": self._current[1]}
+        self._step += 1
+
+    def best(self) -> Optional[Tuple[int, float]]:
+        return self._current
+
+    def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
+        return self._entry
+
+
 class BatchProposer(Proposer):
     """The batch machine of the budgeted proposers.
 
@@ -214,13 +362,6 @@ class BatchProposer(Proposer):
         self._observed: Dict[int, object] = {}
         self._proposed: set = set()
         self._batches = 0
-
-    def spec(self) -> Dict[str, object]:
-        """JSON-safe constructor spec (what :func:`make_proposer` takes)."""
-
-        return {"name": self.name, "seed": self.seed,
-                "batch_size": self.batch_size, "max_evals": self.max_evals,
-                "surrogate": self.surrogate_name}
 
     @property
     def evaluations(self) -> int:
@@ -298,10 +439,6 @@ class BayesProposer(BatchProposer):
         self._surrogate = make_surrogate(surrogate, self._encoder.dim,
                                          seed=seed)
 
-    def spec(self) -> Dict[str, object]:
-        return dict(super().spec(), metric=self.metric,
-                    acquisition=self.acquisition, ucb_beta=self.ucb_beta)
-
     def _scores(self, unproposed: Sequence[int]) -> List[float]:
         best = max(self._observed.values())
         scores = []
@@ -321,11 +458,7 @@ class BayesProposer(BatchProposer):
     def best(self) -> Optional[Tuple[int, float]]:
         """``(candidate index, value)`` of the best observation (ties: earliest)."""
 
-        if not self._observed:
-            return None
-        best_key = min(self._observed,
-                       key=lambda key: (-self._observed[key], key))
-        return best_key, self._observed[best_key]
+        return _best_of(self._observed)
 
     def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
         best = self.best()
@@ -333,27 +466,28 @@ class BayesProposer(BatchProposer):
                     best=None if best is None else best[1])
 
 
-class AdaptiveHalvingProposer(Proposer):
-    """Multi-fidelity scheduler: surrogate-ranked promotion up a proxy ladder.
+class HalvingProposer(Proposer):
+    """Successive halving up a scaled-proxy ladder.
 
     Rung ``r`` evaluates the surviving candidates with their applications
-    rebuilt at ``proxy_qubits * 2**r`` qubits (the same ladder as
-    :class:`~repro.dse.strategies.SuccessiveHalving`).  After each rung a
-    fresh surrogate is fit on the rung's scores, and a candidate is
-    promoted while its upper confidence bound reaches the rung's best
-    observed score -- so the survivor count adapts to how separable the
-    rung's results are (a clear leader eliminates aggressively, a noisy
-    rung keeps contenders) instead of a fixed ``1/eta``.  Survivors are
-    capped at half the rung (progress is guaranteed) and floored at
-    ``min_survivors``; the final rung runs at the space's true size.
+    rebuilt at ``proxy_qubits * 2**r`` qubits (a structurally identical
+    small-suite instance), while that is below the smallest candidate's
+    true size.  Each proxy rung promotes its best-scoring contenders
+    (ties: the earliest key): at most half the rung, so progress is
+    guaranteed, and at least ``min_survivors``, refilled from the rung's
+    ranking.  Every candidate contends here, which is successive halving
+    with ``eta = 2``; :class:`AdaptiveHalvingProposer` narrows the
+    contenders (:meth:`_contenders`).  The last rung runs the survivors at
+    the space's true size, and :meth:`best` is the best of them.  Proxy
+    evaluations are ordinary design points, so they persist in the store
+    and are shared across strategies and reruns.
     """
 
-    name = "adaptive-halving"
+    name = "halving"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  metric: str = "fidelity", proxy_qubits: int = 12,
-                 surrogate: str = "trees", min_survivors: int = 1,
-                 ucb_beta: float = 1.0) -> None:
+                 min_survivors: int = 1) -> None:
         if proxy_qubits < 8:
             raise ValueError("proxy_qubits must be at least 8 "
                              "(the smallest scaled suite)")
@@ -361,19 +495,16 @@ class AdaptiveHalvingProposer(Proposer):
             raise ValueError("min_survivors must be positive")
         super().__init__(space, seed=seed, metric=metric)
         self.proxy_qubits = proxy_qubits
-        self.surrogate_name = surrogate
         self.min_survivors = min_survivors
-        self.ucb_beta = ucb_beta
         # The proxy ladder only makes sense below the true size: the
-        # smallest candidate's, as in SuccessiveHalving.  None is the
-        # application's default size (64-78 qubits).
+        # smallest candidate's.  None is the application's default size
+        # (64-78 qubits).
         sizes = [qubits for qubits in space.qubits if qubits is not None]
         if len(sizes) < len(space.qubits):
             from repro.apps.suite import build_application
 
             sizes += [build_application(app).num_qubits for app in space.apps]
         self._size_cap = min(sizes)
-        self._encoder = PointEncoder(space)
         self._survivors = list(range(len(self.candidates)))
         self._rung = 0
         self._size = proxy_qubits
@@ -381,18 +512,6 @@ class AdaptiveHalvingProposer(Proposer):
         self._batches = 0
         self._done = False
         self.trace: List[Dict[str, object]] = []
-
-    # ------------------------------------------------------------------ #
-    def spec(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "metric": self.metric,
-            "proxy_qubits": self.proxy_qubits,
-            "surrogate": self.surrogate_name,
-            "min_survivors": self.min_survivors,
-            "ucb_beta": self.ucb_beta,
-        }
 
     @property
     def evaluations(self) -> int:
@@ -406,21 +525,15 @@ class AdaptiveHalvingProposer(Proposer):
         if self._done:
             return None
         self._batches += 1
-        if self._at_final_rung():
-            return ProposalBatch(
-                number=self._batches,
-                keys=tuple(self._survivors),
-                points=tuple(self.candidates[key] for key in self._survivors),
-                rung=self._rung,
-                proxy_qubits=None,  # full scale
-            )
+        final = self._at_final_rung()
         return ProposalBatch(
             number=self._batches,
             keys=tuple(self._survivors),
-            points=tuple(self.candidates[key].with_qubits(self._size)
+            points=tuple(self.candidates[key] if final
+                         else self.candidates[key].with_qubits(self._size)
                          for key in self._survivors),
             rung=self._rung,
-            proxy_qubits=self._size,
+            proxy_qubits=None if final else self._size,
         )
 
     def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
@@ -441,10 +554,66 @@ class AdaptiveHalvingProposer(Proposer):
         self._rung += 1
         self._size *= 2
 
+    def _contenders(self, batch: ProposalBatch,
+                    scores: Dict[int, float]) -> Sequence[int]:
+        """The keys of a proxy rung that may compete for promotion."""
+
+        return batch.keys
+
     def _promote(self, batch: ProposalBatch,
                  scores: Dict[int, float]) -> List[int]:
-        """Surrogate-ranked survivor selection for one proxy rung."""
+        """Survivor selection for one proxy rung."""
 
+        contenders = set(self._contenders(batch, scores))
+        # Rank the contenders by observed score (the rule above chose who
+        # *may* win; the rung's data orders them), then bound the count: at
+        # most half the rung (guaranteed progress), at least min_survivors
+        # (never eliminate everyone on model overconfidence).
+        cap = max(self.min_survivors, math.ceil(len(batch.keys) / 2))
+        ranked = sorted(batch.keys, key=lambda key: (-scores[key], key))
+        chosen = [key for key in ranked if key in contenders][:cap]
+        for key in ranked:  # refill to the floor from the rung ranking
+            if len(chosen) >= self.min_survivors:
+                break
+            if key not in chosen:
+                chosen.append(key)
+        return sorted(chosen)
+
+    def best(self) -> Optional[Tuple[int, float]]:
+        """Best *full-scale* candidate (ties: earliest); None before the end."""
+
+        return _best_of(self._final_scores)
+
+    def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
+        return dict(self.trace[-1], batch=batch.number) if self.trace else {}
+
+
+class AdaptiveHalvingProposer(HalvingProposer):
+    """The halving ladder with surrogate-ranked promotion.
+
+    After each proxy rung a fresh surrogate is fit on the rung's scores,
+    and only the candidates whose upper confidence bound reaches the rung's
+    best observed score may compete for promotion -- so the survivor count
+    adapts to how separable the rung's results are (a clear leader
+    eliminates aggressively, a noisy rung keeps contenders) instead of a
+    fixed half.  The ladder's cap and floor still bound it.
+    """
+
+    name = "adaptive-halving"
+
+    def __init__(self, space: DesignSpace, *, seed: int = 0,
+                 metric: str = "fidelity", proxy_qubits: int = 12,
+                 surrogate: str = "trees", min_survivors: int = 1,
+                 ucb_beta: float = 1.0) -> None:
+        super().__init__(space, seed=seed, metric=metric,
+                         proxy_qubits=proxy_qubits,
+                         min_survivors=min_survivors)
+        self.surrogate_name = surrogate
+        self.ucb_beta = ucb_beta
+        self._encoder = PointEncoder(space)
+
+    def _contenders(self, batch: ProposalBatch,
+                    scores: Dict[int, float]) -> Sequence[int]:
         surrogate = make_surrogate(
             self.surrogate_name, self._encoder.dim,
             seed=self.seed * 1009 + self._rung)
@@ -459,46 +628,25 @@ class AdaptiveHalvingProposer(Proposer):
             bound = upper_confidence_bound(mean, std, self.ucb_beta)
             if bound >= best_observed - 1e-12:
                 optimistic.append(key)
-        # Rank promotion candidates by observed score (surrogate chose who
-        # *may* win; the rung's data orders them), then bound the count:
-        # at most half the rung (guaranteed progress), at least
-        # min_survivors (never eliminate everyone on model overconfidence).
-        cap = max(self.min_survivors, math.ceil(len(batch.keys) / 2))
-        ranked = sorted(batch.keys, key=lambda key: (-scores[key], key))
-        chosen = [key for key in ranked if key in set(optimistic)][:cap]
-        for key in ranked:  # refill to the floor from the rung ranking
-            if len(chosen) >= self.min_survivors:
-                break
-            if key not in chosen:
-                chosen.append(key)
-        return sorted(chosen)
-
-    def best(self) -> Optional[Tuple[int, float]]:
-        """Best *full-scale* candidate (ties: earliest); None before the end."""
-
-        if not self._final_scores:
-            return None
-        best_key = min(self._final_scores,
-                       key=lambda key: (-self._final_scores[key], key))
-        return best_key, self._final_scores[best_key]
-
-    def trace_entry(self, batch: ProposalBatch) -> Dict[str, object]:
-        return dict(self.trace[-1], batch=batch.number) if self.trace else {}
+        return optimistic
 
 
 def make_proposer(space: DesignSpace, spec: Dict[str, object]) -> Proposer:
-    """The one proposer factory: build any adaptive strategy's proposer
-    from its spec (a dispatch manifest's ``strategy`` entry less
-    ``parts``, or a proposer's own :meth:`spec`).
+    """The one proposer factory: build the proposer of any strategy but
+    the grid from its spec (a dispatch manifest's ``strategy`` entry less
+    ``parts``, or a :class:`~repro.dse.strategies.ProposerStrategy`'s
+    ``spec``).
 
     Its table covers the scalar proposers here and the multi-objective
-    ones of :mod:`repro.dse.moo.propose` (``ehvi``, ``parego``).
+    ones of :mod:`repro.dse.moo.propose` (``ehvi``, ``parego``), in the
+    order of :data:`~repro.dse.strategies.STRATEGY_NAMES`.
     """
 
     from repro.dse.moo.propose import EHVIProposer, ParEGOProposer
 
-    table = {cls.name: cls for cls in (BayesProposer, AdaptiveHalvingProposer,
-                                       EHVIProposer, ParEGOProposer)}
+    table = {cls.name: cls for cls in (
+        RandomProposer, GreedyProposer, HalvingProposer, BayesProposer,
+        AdaptiveHalvingProposer, EHVIProposer, ParEGOProposer)}
     spec = dict(spec)
     name = spec.pop("name", None)
     if name not in table:

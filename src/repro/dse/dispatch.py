@@ -13,9 +13,9 @@ filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
   and may be taken over atomically by rename, which is how the item of a
   SIGKILLed worker gets re-leased.  Completed items leave a ``.done``
   marker so they are never claimed again.  A grid run's items are its
-  static shards, written with the manifest; an adaptive run's are the
-  proposal parts its proposer (:mod:`repro.dse.adaptive.protocol`) writes
-  as the search goes.
+  static shards, written with the manifest; any other strategy's (an
+  ``adaptive``-mode run) are the proposal parts its proposer
+  (:mod:`repro.dse.adaptive.protocol`) writes as the search goes.
 * :func:`run_worker` -- the worker loop behind ``repro dse worker``.  Claim
   an item, evaluate its points with heartbeat renewal after every persisted
   task group, mark it done, repeat; when items remain but none is
@@ -27,9 +27,9 @@ filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
   worker, each tick reading only what was appended since the last.
 * :class:`Dispatcher` -- writes the dispatch manifest (a grid space
   partitioned into M shards, M > N workers, so a death costs at most one
-  shard of progress; or an adaptive strategy), runs N local worker
+  shard of progress; or any other strategy's spec), runs N local worker
   processes (or prints the per-machine command lines for remote launch),
-  runs an adaptive run's proposer in-process, and watches progress
+  runs that strategy's proposer in-process, and watches progress
   through its :class:`FleetView`.
 * :func:`fill_store` -- the ``--jobs N`` path of ``repro sweep`` and
   ``repro dse run``: one local :class:`Dispatcher` run that fills the
@@ -832,11 +832,12 @@ class FleetView:
     appended since the last.  The manifest is read on the first tick that
     finds one; a refused one is not used, its reason kept in :attr:`refusal`.
 
-    Planned points (``points_total``): a grid run plans its space; an
-    adaptive run the ``max_evals`` its manifest records (at most the
-    space), or its stored rows once the complete marker exists; a ladder
-    with no budget ``None``, unknown.  ``ttl_s`` overrides the manifest's
-    lease TTL; ``clock`` stamps every age.
+    Planned points (``points_total``): a grid run plans its space; a
+    proposer run the ``max_evals`` its manifest records, else its
+    ``samples`` (at most the space), or its stored rows once the complete
+    marker exists; a run with neither (``greedy``, the ladders) ``None``,
+    unknown.  ``ttl_s`` overrides the manifest's lease TTL; ``clock``
+    stamps every age.
     """
 
     def __init__(self, store_dir, *, ttl_s: Optional[float] = None,
@@ -881,7 +882,8 @@ class FleetView:
             shards = ledger.status_counts()
             total = DesignSpace.from_dict(self.manifest["space"]).size
             if self.manifest["mode"] == "adaptive":
-                budget = self.manifest["strategy"].get("max_evals")
+                spec = self.manifest["strategy"]
+                budget = spec.get("max_evals", spec.get("samples"))
                 if ledger.read_complete() is not None:
                     total = done
                 else:
@@ -954,7 +956,7 @@ class Dispatcher:
         (default ``workers``; 0 disables respawning), while unfinished
         work remains.
     strategy:
-        An adaptive strategy spec (``{"name": "bayes", "seed": ...}``, a
+        A proposer strategy spec (``{"name": "bayes", "seed": ...}``, a
         :class:`~repro.dse.strategies.ProposerStrategy`'s ``spec``).
         Given one, the run is a propose/evaluate search: each proposal
         batch is split into ``workers`` leaseable parts (unless the spec

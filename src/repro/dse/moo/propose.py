@@ -80,9 +80,6 @@ class _MOOProposer(BatchProposer):
                          surrogate=surrogate)
         self._archive = ParetoArchive(len(self.objectives))
 
-    def spec(self) -> Dict[str, object]:
-        return dict(super().spec(), objectives=list(self.objectives))
-
     def values(self, records: Sequence[object]) -> List[Tuple[float, ...]]:
         """Each record's :func:`~repro.dse.moo.objectives.objective_vector`."""
 
@@ -181,11 +178,6 @@ class EHVIProposer(_MOOProposer):
             for index in range(len(self.objectives))
         ]
 
-    def spec(self) -> Dict[str, object]:
-        payload = super().spec()
-        payload["samples"] = self.samples
-        return payload
-
     def _observe(self, key: int, vector: Tuple[float, ...]) -> None:
         features = self._features[key]
         for surrogate, value in zip(self._surrogates, vector):
@@ -238,11 +230,6 @@ class ParEGOProposer(_MOOProposer):
         if rho < 0:
             raise ValueError("rho must be non-negative")
         self.rho = rho
-
-    def spec(self) -> Dict[str, object]:
-        payload = super().spec()
-        payload["rho"] = self.rho
-        return payload
 
     def _weights(self) -> Tuple[float, ...]:
         """The batch's scalarization weights (seeded, simplex-uniform)."""

@@ -280,10 +280,9 @@ class DSERunner:
         strategy = strategy if strategy is not None else ExhaustiveGrid()
         if self.shard is not None and not strategy.shardable:
             raise ValueError(
-                f"strategy {strategy.name!r} adapts to earlier results and "
-                f"cannot be sharded; run it unsharded (or shard grid/random, "
-                f"or distribute adaptive search with "
-                f"`repro dse dispatch --strategy {strategy.name}`)")
+                f"strategy {strategy.name!r} cannot be sharded: only the "
+                f"grid takes --shard; run it unsharded, or distribute it "
+                f"with `repro dse dispatch --strategy {strategy.name}`")
         try:
             return strategy.run(self)
         finally:

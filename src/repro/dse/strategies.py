@@ -1,4 +1,5 @@
-"""Pluggable search strategies over a design space.
+"""Search strategies over a design space: the grid, and one driver for
+every other strategy.
 
 Each strategy decides *which* points to evaluate (and in what order); the
 :class:`~repro.dse.runner.DSERunner` decides *how* (store replay, gate
@@ -9,22 +10,21 @@ the earlier candidate, so the same (space, strategy, seed) always explores
 the same points and reports the same best.
 
 * :class:`ExhaustiveGrid` -- every point, in enumeration order (the paper's
-  figure sweeps; shardable).
-* :class:`RandomSampling` -- a seeded subset of the grid (shardable).
-* :class:`CoordinateDescent` -- greedy hill-climb: sweep one axis at a time
-  from a seeded start, move to the best neighbour, repeat until a full round
-  makes no progress.
-* :class:`SuccessiveHalving` -- rank all candidates on a cheap scaled-down
-  proxy suite, keep the top ``1/eta``, grow the proxy, and only evaluate the
-  survivors at full scale.
-* :class:`ProposerStrategy` -- the four adaptive strategies, each one
-  proposer spec (:mod:`repro.dse.adaptive.propose`) driven in-process:
+  figure sweeps; the one strategy that takes ``--shard``).
+* :class:`ProposerStrategy` -- every other strategy, each one proposer
+  spec (:mod:`repro.dse.adaptive.propose`) driven in-process:
 
+  - ``random`` -- a seeded random subset of the grid, in one batch;
+  - ``greedy`` -- coordinate descent: a seeded start point, then one batch
+    per axis sweep, moving to the best point until a round moves nothing;
+  - ``halving`` -- successive halving: rank the candidates on a cheap
+    scaled-down proxy suite, keep the best half, grow the proxy, and
+    evaluate only the survivors at full scale;
   - ``bayes`` -- surrogate-guided batch search: seeded random
     initialisation, then expected-improvement/UCB batches under an
     incremental surrogate model, within a budget of a quarter of the grid;
-  - ``adaptive-halving`` -- the multi-fidelity proxy ladder with
-    surrogate-ranked promotion instead of a fixed eta;
+  - ``adaptive-halving`` -- the same proxy ladder, promoting only the
+    candidates the surrogate rates as possible winners;
   - ``ehvi`` / ``parego`` -- multi-objective frontier search
     (:mod:`repro.dse.moo`): expected-hypervolume-improvement over one
     surrogate per objective, and the seeded random-weight Chebyshev
@@ -35,27 +35,24 @@ the same points and reports the same best.
 
 Every strategy stamps its provenance (name, seed, multi-fidelity rung) into
 the rows it persists (schema v3), so ``dse status --by-strategy`` can
-attribute stored points.  The grid and the adaptive strategies can
-additionally run on the work ledger (:meth:`Strategy.ledger_spec`: ``repro
-dse dispatch``, or ``dse run --jobs N``); the adaptive ones through the
-propose/evaluate protocol, with the same spec in the manifest, so the
-proposal sequence is identical either way.
+attribute stored points.  Every strategy also runs on the work ledger
+(:meth:`Strategy.ledger_spec`: ``repro dse dispatch``, or ``dse run --jobs
+N``): the grid in static shards, the others through the propose/evaluate
+protocol with the same spec in the manifest, so the proposal sequence is
+identical either way.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dse.knobs import STRATEGY_KNOBS, strategy_knobs
-from repro.dse.pareto import OBJECTIVES, best_record, objective_value
-from repro.dse.space import AXES
+from repro.dse.pareto import OBJECTIVES, best_record
 
-#: CLI names of the built-in strategies.  The last four are adaptive: each
-#: is a :class:`ProposerStrategy` whose proposer
-#: :func:`~repro.dse.adaptive.propose.make_proposer` builds by name.
+#: CLI names of the built-in strategies: the grid, then the strategies of
+#: :func:`~repro.dse.adaptive.propose.make_proposer`'s table, each a
+#: :class:`ProposerStrategy` over its proposer.
 STRATEGY_NAMES = tuple(STRATEGY_KNOBS)
 
 #: The multi-objective members of the family (vector-valued ingest).
@@ -73,7 +70,8 @@ class StrategyResult:
     #: The best record under the strategy's objective (None if all points
     #: belonged to other shards).
     best: Optional[object]
-    #: Per-round trace (strategy-specific dictionaries, for reports).
+    #: One entry per proposal batch (its proposer's ``trace_entry``, for
+    #: reports); empty for the grid.
     trace: List[Dict[str, object]] = field(default_factory=list)
     #: Pareto-archive records of a multi-objective run (stable candidate-key
     #: order); None for the scalar strategies.
@@ -107,23 +105,9 @@ class Strategy:
     def ledger_spec(self) -> Optional[Dict[str, object]]:
         """The ``strategy`` a :class:`~repro.dse.dispatch.Dispatcher` runs
         for this one: ``None`` for the grid's static shards, a proposer spec
-        for the propose/evaluate protocol.
+        for the propose/evaluate protocol."""
 
-        Raises ``ValueError`` for a strategy that is neither, which no
-        ledger worker can run.
-        """
-
-        raise ValueError(
-            f"strategy {self.name!r} cannot run on the work ledger, which "
-            f"evaluates a whole grid in shards or a proposer's batches; run "
-            f"it without --jobs")
-
-    def provenance(self, *, rung: Optional[int] = None,
-                   proxy_qubits: Optional[int] = None) -> Dict[str, object]:
-        """The provenance stamp for rows this strategy asks to evaluate."""
-
-        return {"strategy": self.name, "seed": getattr(self, "seed", None),
-                "rung": rung, "proxy_qubits": proxy_qubits}
+        return None
 
     def _result(self, records: List[object],
                 trace: Optional[List[Dict[str, object]]] = None) -> StrategyResult:
@@ -142,179 +126,15 @@ class ExhaustiveGrid(Strategy):
     name = "grid"
     shardable = True
 
-    def ledger_spec(self) -> None:
-        return None
-
     def run(self, runner) -> StrategyResult:
-        runner.provenance = self.provenance()
+        runner.provenance = {"strategy": self.name, "seed": None,
+                             "rung": None, "proxy_qubits": None}
         records = runner.evaluate(list(runner.space.points()))
         return self._result(records)
 
 
-class RandomSampling(Strategy):
-    """Evaluate a seeded random subset of the grid.
-
-    ``samples`` points are drawn without replacement and evaluated in
-    enumeration order (so the executed batch is a sub-grid: deterministic,
-    shardable, and maximally cache-friendly).
-    """
-
-    name = "random"
-    shardable = True
-
-    def __init__(self, samples: int, seed: int = 0, metric: str = "fidelity") -> None:
-        super().__init__(metric)
-        if samples < 1:
-            raise ValueError("samples must be a positive integer")
-        self.samples = samples
-        self.seed = seed
-
-    def run(self, runner) -> StrategyResult:
-        runner.provenance = self.provenance()
-        all_points = list(runner.space.points())
-        rng = random.Random(self.seed)
-        count = min(self.samples, len(all_points))
-        chosen = sorted(rng.sample(range(len(all_points)), count))
-        records = runner.evaluate([all_points[index] for index in chosen])
-        trace = [{"round": 0, "sampled": count, "of": len(all_points)}]
-        return self._result(records, trace)
-
-
-class CoordinateDescent(Strategy):
-    """Greedy hill-climb: optimise one axis at a time until converged.
-
-    From a seeded start point, each round sweeps the axes in declaration
-    order; for every axis the strategy evaluates all candidate values (other
-    coordinates fixed) and moves to the best.  Converged when a full round
-    moves nothing.  Already-evaluated points replay from the store, so the
-    climb costs far fewer simulations than the grid whenever axes interact
-    weakly.
-    """
-
-    name = "greedy"
-    shardable = False
-
-    def __init__(self, seed: int = 0, metric: str = "fidelity",
-                 max_rounds: int = 10) -> None:
-        super().__init__(metric)
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be a positive integer")
-        self.seed = seed
-        self.max_rounds = max_rounds
-
-    def run(self, runner) -> StrategyResult:
-        runner.provenance = self.provenance()
-        space = runner.space
-        rng = random.Random(self.seed)
-        coords = {axis: rng.choice(space.axis_values(axis)) for axis in AXES}
-
-        all_records: List[object] = []
-        trace: List[Dict[str, object]] = []
-        current = runner.evaluate([space.point_for(coords)])[0]
-        all_records.append(current)
-        for round_index in range(self.max_rounds):
-            moved = False
-            for axis in AXES:
-                values = space.axis_values(axis)
-                if len(values) == 1:
-                    continue
-                candidates = []
-                for value in values:
-                    candidate = dict(coords)
-                    candidate[axis] = value
-                    candidates.append(space.point_for(candidate))
-                records = runner.evaluate(candidates)
-                all_records.extend(records)
-                best_index = max(range(len(records)),
-                                 key=lambda i: objective_value(records[i], self.metric))
-                if values[best_index] != coords[axis]:
-                    if objective_value(records[best_index], self.metric) > \
-                            objective_value(current, self.metric):
-                        coords[axis] = values[best_index]
-                        current = records[best_index]
-                        moved = True
-                trace.append({"round": round_index, "axis": axis,
-                              "value": coords[axis],
-                              "score": objective_value(current, self.metric)})
-            if not moved:
-                break
-
-        result = self._result(all_records, trace)
-        result.best = current  # the climb's endpoint, not a global re-scan
-        return result
-
-
-class SuccessiveHalving(Strategy):
-    """Rank candidates on a cheap scaled-down proxy, halve, then go full scale.
-
-    Every architectural point is first scored with its application rebuilt at
-    ``proxy_qubits`` (a structurally identical small-suite instance -- the
-    16-qubit suites used throughout the tests and benches).  The top
-    ``1/eta`` fraction survives; the proxy size doubles each rung; the final
-    survivors are evaluated at the space's true size.  Proxy evaluations are
-    ordinary design points, so they persist in the store and are shared
-    across strategies and reruns.
-    """
-
-    name = "halving"
-    shardable = False
-
-    def __init__(self, seed: int = 0, metric: str = "fidelity", eta: int = 2,
-                 proxy_qubits: int = 12, min_survivors: int = 1) -> None:
-        super().__init__(metric)
-        if eta < 2:
-            raise ValueError("eta must be at least 2")
-        if proxy_qubits < 8:
-            raise ValueError("proxy_qubits must be at least 8 "
-                             "(the smallest scaled suite)")
-        if min_survivors < 1:
-            raise ValueError("min_survivors must be positive")
-        self.seed = seed
-        self.eta = eta
-        self.proxy_qubits = proxy_qubits
-        self.min_survivors = min_survivors
-
-    def run(self, runner) -> StrategyResult:
-        candidates = list(runner.space.points())
-        # The proxy ladder only makes sense below the true size: the
-        # smallest candidate's.  None is the application's default size
-        # (64-78 qubits), read off the circuit the final rung builds anyway.
-        size_cap = min(point.qubits if point.qubits is not None
-                       else runner.circuit_for(point.app, None).num_qubits
-                       for point in candidates)
-
-        all_records: List[object] = []
-        trace: List[Dict[str, object]] = []
-        size = self.proxy_qubits
-        rung = 0
-        while len(candidates) > self.min_survivors and size < size_cap:
-            proxies = [point.with_qubits(size) for point in candidates]
-            runner.provenance = self.provenance(rung=rung, proxy_qubits=size)
-            records = runner.evaluate(proxies)
-            all_records.extend(records)
-            ranked = sorted(range(len(candidates)),
-                            key=lambda i: (-objective_value(records[i], self.metric), i))
-            keep = max(self.min_survivors,
-                       math.ceil(len(candidates) / self.eta))
-            survivors = sorted(ranked[:keep])
-            trace.append({"rung": rung, "proxy_qubits": size,
-                          "candidates": len(candidates), "kept": keep})
-            candidates = [candidates[i] for i in survivors]
-            size *= 2
-            rung += 1
-
-        runner.provenance = self.provenance(rung=rung)
-        finals = runner.evaluate(candidates)
-        all_records.extend(finals)
-        trace.append({"rung": rung, "proxy_qubits": None,
-                      "candidates": len(candidates), "kept": len(candidates)})
-        result = self._result(all_records, trace)
-        result.best = best_record([r for r in finals if r is not None], self.metric)
-        return result
-
-
 class ProposerStrategy(Strategy):
-    """An adaptive strategy: its proposer spec, driven in-process.
+    """Any strategy but the grid: its proposer spec, driven in-process.
 
     ``spec`` is the ``strategy`` entry ``repro dse dispatch`` writes into
     its manifest (:func:`make_strategy` builds it for both commands;
@@ -330,8 +150,6 @@ class ProposerStrategy(Strategy):
     (``result.frontier``) next to the scalar best under the first
     objective.
     """
-
-    shardable = False
 
     def __init__(self, spec: Dict[str, object]) -> None:
         self.spec = dict(spec)
@@ -387,13 +205,14 @@ def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
 
     Each strategy reads the knobs :data:`~repro.dse.knobs.STRATEGY_KNOBS`
     lists (``proxy_qubits`` defaults to 12, ``batch_size`` to 4); any other
-    knob given is refused by its flag.  An adaptive name gives a
-    :class:`ProposerStrategy` whose spec holds the knobs its proposer
-    reads: ``batch_size`` and ``max_evals`` (when given) for the budgeted
-    ``bayes``, ``ehvi`` and ``parego``, ``proxy_qubits`` for
-    ``adaptive-halving``, ``metric`` for the scalar two and the validated
-    ``objectives`` for the multi-objective two, and ``surrogate`` when given
-    (each proposer has its own default).
+    knob given is refused by its flag.  ``grid`` gives an
+    :class:`ExhaustiveGrid`; every other name a :class:`ProposerStrategy`
+    whose spec holds the seed, the knobs its proposer reads (``samples``
+    for ``random``, ``proxy_qubits`` for the two ladders, ``batch_size``
+    and ``max_evals`` when given for the budgeted ``bayes``, ``ehvi`` and
+    ``parego``, and ``surrogate`` when given, each proposer having its own
+    default), and ``metric`` for the scalar strategies or the validated
+    ``objectives`` for the multi-objective two.
     """
 
     knobs = strategy_knobs(name, samples=samples, proxy_qubits=proxy_qubits,
@@ -419,16 +238,9 @@ def make_strategy(name: str, *, seed: int = 0, metric: str = "fidelity",
                          f"use --metric with {name!r}")
     elif name == "grid":
         return ExhaustiveGrid(metric=metric)
-    elif name == "random":
-        if samples is None:
-            raise ValueError("random sampling needs --samples")
-        return RandomSampling(samples, seed=seed, metric=metric)
-    elif name == "greedy":
-        return CoordinateDescent(seed=seed, metric=metric)
-    elif name == "halving":
-        return SuccessiveHalving(seed=seed, metric=metric,
-                                 proxy_qubits=knobs["proxy_qubits"])
-    else:  # bayes, adaptive-halving
+    elif name == "random" and samples is None:
+        raise ValueError("random sampling needs --samples")
+    else:
         spec = {"name": name, "seed": seed, "metric": metric}
     spec.update(knobs)
     return ProposerStrategy(spec)

@@ -3,7 +3,6 @@
 A QCCD device is a set of small ion traps interconnected by shuttling paths.
 The model is split into:
 
-* :mod:`~repro.hardware.ion` -- an individual ion (one physical qubit).
 * :mod:`~repro.hardware.trap` -- a trapping zone holding a linear ion chain.
 * :mod:`~repro.hardware.segment` / :mod:`~repro.hardware.junction` -- the
   shuttling-path elements ions travel through between traps.
@@ -15,7 +14,6 @@ The model is split into:
   in the paper (linear ``L6``, grid ``G2x3``) and their generalisations.
 """
 
-from repro.hardware.ion import Ion
 from repro.hardware.trap import Trap
 from repro.hardware.segment import Segment
 from repro.hardware.junction import Junction
@@ -29,7 +27,6 @@ from repro.hardware.builders import (
 )
 
 __all__ = [
-    "Ion",
     "Trap",
     "Segment",
     "Junction",

@@ -2,8 +2,9 @@
 
 Quantum IR has only data dependencies: two gates conflict exactly when they
 share a qubit.  The scheduler (Section VI) needs, for every gate, the set of
-gates that must complete first, and a way to walk the program in
-"earliest ready gate first" order.  This module provides both.
+gates that must complete first, to walk the program in "earliest ready
+gate first" order (:class:`~repro.compiler.scheduler.GateScheduler`).  This
+module provides the edges.
 
 Everything here depends on the circuit alone, never on a device, so it is
 computed once per circuit and reused for every device the circuit is
@@ -13,13 +14,11 @@ the two-qubit operand table, the interaction histogram as a per-qubit
 adjacency, per-qubit use lists and the first-use order, every per-gate
 sequence a tuple or ``bytes`` so the cyclic collector stops walking it.
 :meth:`Circuit.front_end <repro.ir.circuit.Circuit.front_end>` builds and
-caches it; :class:`DependencyDAG` is a read-only view over its edge tuples.
+caches it.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.ir.gate import GateKind
@@ -145,87 +144,3 @@ def interaction_adjacency(weights: Mapping[Tuple[int, int], int],
         neighbours[qubit_a].append((qubit_b, weight))
         neighbours[qubit_b].append((qubit_a, weight))
     return tuple(map(tuple, neighbours))
-
-
-class DependencyDAG:
-    """Gate-level dependency graph for a :class:`~repro.ir.circuit.Circuit`.
-
-    Nodes are gate indices (positions in the circuit's gate list).  An edge
-    ``i -> j`` means gate ``j`` uses a qubit last touched by gate ``i`` and
-    therefore cannot start before ``i`` finishes.  The edges are the
-    circuit's cached :class:`CircuitFrontEnd` tables; the view copies
-    nothing.
-    """
-
-    def __init__(self, circuit: "Circuit") -> None:
-        self.circuit = circuit
-        front = circuit.front_end()
-        self._predecessors = front.predecessors
-        self._successors = front.successors
-        self._in_degrees = front.in_degrees
-        self._num_gates = len(front.gates)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_gates(self) -> int:
-        """Number of nodes (gates) in the DAG."""
-
-        return self._num_gates
-
-    def predecessors(self, index: int) -> Tuple[int, ...]:
-        """Gate indices that must finish before gate ``index`` may start."""
-
-        return self._predecessors[index]
-
-    def successors(self, index: int) -> Tuple[int, ...]:
-        """Gate indices that directly depend on gate ``index``."""
-
-        return self._successors[index]
-
-    def roots(self) -> List[int]:
-        """Gates with no predecessors (ready at time zero)."""
-
-        return [i for i in range(self._num_gates) if not self._in_degrees[i]]
-
-    def in_degrees(self) -> List[int]:
-        """In-degree per gate index; useful for ready-list scheduling."""
-
-        return list(self._in_degrees)
-
-    # ------------------------------------------------------------------ #
-    def topological_order(self) -> List[int]:
-        """A topological order of gate indices (Kahn's algorithm).
-
-        Ties are broken by picking the smallest ready index, which makes the
-        result identical to the original gate list (dependencies always point
-        backwards in program order) -- a useful invariant checked by tests.
-        """
-
-        in_degree = self.in_degrees()
-        ready = [i for i in range(self._num_gates) if in_degree[i] == 0]
-        heapq.heapify(ready)
-        order: List[int] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for succ in self._successors[node]:
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    heapq.heappush(ready, succ)
-        if len(order) != self._num_gates:
-            raise RuntimeError("dependency graph has a cycle; IR is malformed")
-        return order
-
-    def layers(self) -> List[List[int]]:
-        """Partition gates into ASAP layers (all gates in a layer are
-        mutually independent)."""
-
-        level: Dict[int, int] = {}
-        for index in self.topological_order():
-            preds = self._predecessors[index]
-            level[index] = 1 + max((level[p] for p in preds), default=-1)
-        grouped: Dict[int, List[int]] = defaultdict(list)
-        for index, lev in level.items():
-            grouped[lev].append(index)
-        return [sorted(grouped[lev]) for lev in sorted(grouped)]
-

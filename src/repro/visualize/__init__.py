@@ -5,12 +5,11 @@ series as ASCII charts and whole experiments as text reports, which is what
 the examples print and what EXPERIMENTS.md records.
 """
 
-from repro.visualize.ascii_chart import ascii_line_chart, ascii_bar_chart
+from repro.visualize.ascii_chart import ascii_line_chart
 from repro.visualize.report import experiment_report, device_report
 
 __all__ = [
     "ascii_line_chart",
-    "ascii_bar_chart",
     "experiment_report",
     "device_report",
 ]

@@ -1,8 +1,8 @@
 """Minimal ASCII charts for terminal output.
 
-Only two chart types are needed by the examples: a multi-series line chart
-over a shared x axis (the capacity sweeps) and a horizontal bar chart (per-app
-comparisons).  Both degrade gracefully for constant or empty series.
+The examples need a multi-series line chart over a shared x axis (the
+capacity sweeps), and ``repro dse top`` draws sparklines.  Both degrade
+gracefully for constant or empty series.
 """
 
 from __future__ import annotations
@@ -80,18 +80,3 @@ def ascii_sparkline(values: Sequence[float]) -> str:
         _SPARK_LEVELS[0] if value <= 0 else
         _SPARK_LEVELS[max(1, min(top, int(round(value / largest * top))))]
         for value in values)
-
-
-def ascii_bar_chart(values: Dict[str, float], width: int = 50,
-                    title: str = "", value_format: str = "{:.4g}") -> str:
-    """Render ``{label: value}`` as a horizontal bar chart."""
-
-    if not values:
-        return f"{title}\n(no data)" if title else "(no data)"
-    label_width = max(len(label) for label in values)
-    largest = max(abs(value) for value in values.values()) or 1.0
-    lines = [title] if title else []
-    for label, value in values.items():
-        bar = "#" * max(1, int(round(abs(value) / largest * width))) if value else ""
-        lines.append(f"{label:<{label_width}} | {bar} {value_format.format(value)}")
-    return "\n".join(lines)

@@ -57,6 +57,7 @@ from repro.dse.adaptive.protocol import (
     write_batch,
 )
 from repro.dse.dispatch import COMPLETE_NAME, WorkTampered
+from repro.dse.strategies import STRATEGY_NAMES
 
 #: A fast 8-point space evaluated entirely with 8-qubit circuits.
 TINY_SPACE = dict(apps=("QFT", "BV"), qubits=(8,), topologies=("L3",),
@@ -308,6 +309,9 @@ class TestAdaptiveStrategies:
     @pytest.mark.parametrize("name,kwargs", [
         ("bayes", dict(batch_size=2)),
         ("adaptive-halving", dict(proxy_qubits=8)),
+        ("random", dict(samples=3)),
+        ("greedy", dict()),
+        ("halving", dict(proxy_qubits=8)),
     ])
     def test_deterministic_for_any_jobs(self, dse_run_output, name, kwargs):
         # --jobs 2 runs the proposer over two local ledger workers, then
@@ -352,57 +356,105 @@ class TestAdaptiveStrategies:
         assert make_strategy("bayes", surrogate="trees").spec["surrogate"] \
             == "trees"
 
+    def test_strategy_names_are_the_grid_and_the_proposer_table(self):
+        """Every strategy but the grid is a proposer: the strategy table is
+        ``grid`` followed by :func:`make_proposer`'s table, in its order."""
+
+        for name in STRATEGY_NAMES[1:]:
+            spec = make_strategy(name, samples=3 if name == "random"
+                                 else None).spec
+            assert make_proposer(_space(), spec).name == name
+        with pytest.raises(ValueError) as refused:
+            make_proposer(_space(), {"name": "grid"})
+        assert str(refused.value).endswith(
+            f"expected one of {STRATEGY_NAMES[1:]}")
+        assert STRATEGY_NAMES[0] == "grid"
+
 
 # --------------------------------------------------------------------------- #
 #: The 8-point space as ``dse`` flags (``_space()``).
 TINY_FLAGS = ["--apps", "QFT,BV", "--qubits", "8", "--topologies", "L3",
               "--capacities", "6,8", "--gates", "AM1,FM", "--reorders", "GS"]
 
-#: What each adaptive strategy must keep doing, recorded at commit fad6e5e
-#: (before a strategy became its proposer spec).  ``dse dispatch
-#: --print-only`` on the 8-point space writes these ``strategy`` entries,
+#: What each strategy's ``dse dispatch --print-only`` on the 8-point space
+#: writes as the manifest's ``strategy`` entry: two cases of (knobs given as
+#: flags, entry).  The entries of the four adaptive strategies were
+#: recorded at commit fad6e5e (before a strategy became its proposer spec),
 #: with default flags and with ``--max-evals 6 --surrogate trees``
 #: (``--surrogate trees`` alone for ``adaptive-halving``, which reads no
-#: budget).
+#: budget); ``random``, ``greedy`` and ``halving`` record the knobs they
+#: read and no budget.
+_BUDGETED = dict(max_evals=6, surrogate="trees")
 MANIFEST_STRATEGIES = {
     "bayes": (
-        {"batch_size": 4, "max_evals": 8, "metric": "fidelity",
-         "name": "bayes", "parts": 2, "seed": 0},
-        {"batch_size": 4, "max_evals": 6, "metric": "fidelity",
-         "name": "bayes", "parts": 2, "seed": 0, "surrogate": "trees"}),
+        ({}, {"batch_size": 4, "max_evals": 8, "metric": "fidelity",
+              "name": "bayes", "parts": 2, "seed": 0}),
+        (_BUDGETED, {"batch_size": 4, "max_evals": 6, "metric": "fidelity",
+                     "name": "bayes", "parts": 2, "seed": 0,
+                     "surrogate": "trees"})),
     "adaptive-halving": (
-        {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
-         "proxy_qubits": 12, "seed": 0},
-        {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
-         "proxy_qubits": 12, "seed": 0, "surrogate": "trees"}),
+        ({}, {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
+              "proxy_qubits": 12, "seed": 0}),
+        (dict(surrogate="trees"),
+         {"metric": "fidelity", "name": "adaptive-halving", "parts": 2,
+          "proxy_qubits": 12, "seed": 0, "surrogate": "trees"})),
     "ehvi": (
-        {"batch_size": 4, "max_evals": 8, "name": "ehvi",
-         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0},
-        {"batch_size": 4, "max_evals": 6, "name": "ehvi",
-         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0,
-         "surrogate": "trees"}),
+        ({}, {"batch_size": 4, "max_evals": 8, "name": "ehvi",
+              "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0}),
+        (_BUDGETED, {"batch_size": 4, "max_evals": 6, "name": "ehvi",
+                     "objectives": ["fidelity", "runtime"], "parts": 2,
+                     "seed": 0, "surrogate": "trees"})),
     "parego": (
-        {"batch_size": 4, "max_evals": 8, "name": "parego",
-         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0},
-        {"batch_size": 4, "max_evals": 6, "name": "parego",
-         "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0,
-         "surrogate": "trees"}),
+        ({}, {"batch_size": 4, "max_evals": 8, "name": "parego",
+              "objectives": ["fidelity", "runtime"], "parts": 2, "seed": 0}),
+        (_BUDGETED, {"batch_size": 4, "max_evals": 6, "name": "parego",
+                     "objectives": ["fidelity", "runtime"], "parts": 2,
+                     "seed": 0, "surrogate": "trees"})),
+    "random": (
+        (dict(samples=3), {"metric": "fidelity", "name": "random",
+                           "parts": 2, "samples": 3, "seed": 0}),
+        (dict(samples=5, seed=2), {"metric": "fidelity", "name": "random",
+                                   "parts": 2, "samples": 5, "seed": 2})),
+    "greedy": (
+        ({}, {"metric": "fidelity", "name": "greedy", "parts": 2,
+              "seed": 0}),
+        (dict(metric="runtime"), {"metric": "runtime", "name": "greedy",
+                                  "parts": 2, "seed": 0})),
+    "halving": (
+        ({}, {"metric": "fidelity", "name": "halving", "parts": 2,
+              "proxy_qubits": 12, "seed": 0}),
+        (dict(proxy_qubits=8), {"metric": "fidelity", "name": "halving",
+                                "parts": 2, "proxy_qubits": 8, "seed": 0})),
 }
 
-#: Seed 5, batch size 2, a budget of 6 (``adaptive-halving`` takes only the
-#: seed): the proposal batches as candidate keys, the best key and the
-#: frontier keys, recorded at the same commit.
+#: Seed 5, and batch size 2 with a budget of 6 for the budgeted strategies,
+#: 3 samples for ``random``: the proposal batches as candidate keys, the
+#: best key and the frontier keys, recorded at the same commit
+#: (``random`` and ``greedy`` at commit 301368b, when each still ran its
+#: own loop).
 PROPOSALS = {
     "bayes": ([[4, 5], [6, 7], [0, 2]], 7, None),
     "adaptive-halving": ([[0, 1, 2, 3, 4, 5, 6, 7]], 7, None),
     "ehvi": ([[4, 5], [0, 1], [2, 3]], 3, [3]),
     "parego": ([[4, 5], [2, 3], [6, 7]], 7, [7]),
+    "random": ([[2, 4, 5]], 2, None),
+    "greedy": ([[4], [0, 4], [4, 6], [6, 7], [3, 7], [5, 7], [6, 7]], 7,
+               None),
+}
+
+#: The two ladders on the 8-point space at 16 qubits, from an 8-qubit proxy
+#: rung, seed 5: each batch's proxy size and keys, and the best key,
+#: recorded at commit 301368b (``halving`` then ran its own rung loop).
+LADDERS = {
+    "halving": ([(8, [0, 1, 2, 3, 4, 5, 6, 7]), (None, [2, 3, 6, 7])], 7),
+    "adaptive-halving": ([(8, [0, 1, 2, 3, 4, 5, 6, 7]), (None, [7])], 7),
 }
 
 
 def _knobs(name, **budget):
-    return dict(seed=5) if name == "adaptive-halving" else \
-        dict(seed=5, batch_size=2, **budget)
+    if name in ("bayes", "ehvi", "parego"):
+        return dict(seed=5, batch_size=2, **budget)
+    return dict(seed=5, samples=3) if name == "random" else dict(seed=5)
 
 
 def _label(record):
@@ -414,25 +466,22 @@ def _point_label(point):
 
 
 class TestStrategySpecs:
-    """Each adaptive strategy is one proposer spec: the manifest entry, the
-    proposal sequence and the metering are the same for all four."""
+    """Every strategy but the grid is one proposer spec: the manifest entry,
+    the proposal sequence and the metering work the same for all seven."""
 
     @pytest.mark.parametrize("name", sorted(MANIFEST_STRATEGIES))
     def test_dispatch_manifest_strategy_entry(self, name, tmp_path, capsys):
-        default, budgeted = MANIFEST_STRATEGIES[name]
-        knobs = dict(surrogate="trees") if name == "adaptive-halving" else \
-            dict(max_evals=6, surrogate="trees")
-        budget_flags = [item for knob, value in knobs.items() for item in
-                        ("--" + knob.replace("_", "-"), str(value))]
-        for flags, expected in (([], default), (budget_flags, budgeted)):
-            store = tmp_path / f"store{len(flags)}"
+        for case, (knobs, expected) in enumerate(MANIFEST_STRATEGIES[name]):
+            flags = [item for knob, value in knobs.items() for item in
+                     ("--" + knob.replace("_", "-"), str(value))]
+            store = tmp_path / f"store{case}"
             assert main(["dse", "dispatch", *TINY_FLAGS, "--strategy", name,
                          *flags, "--store", str(store), "--print-only"]) == 0
             assert read_manifest(store)["strategy"] == expected
         # `dse run` runs the spec the manifest records, less the parts the
         # dispatcher adds.
         spec = make_strategy(name, **knobs).spec
-        assert dict(spec, parts=2) == budgeted
+        assert dict(spec, parts=2) == expected
 
     @pytest.mark.parametrize("strategy, flags, flag", [
         ("adaptive-halving", ["--max-evals", "6"], "--max-evals"),
@@ -440,6 +489,8 @@ class TestStrategySpecs:
         ("bayes", ["--proxy-qubits", "8"], "--proxy-qubits"),
         ("grid", ["--max-evals", "3", "--surrogate", "trees"], "--max-evals"),
         ("grid", ["--surrogate", "trees"], "--surrogate"),
+        ("grid", ["--samples", "3"], "--samples"),
+        ("halving", ["--surrogate", "trees"], "--surrogate"),
     ])
     @pytest.mark.parametrize("command", ["run", "dispatch"])
     def test_knob_the_strategy_does_not_read_is_refused(
@@ -507,15 +558,41 @@ class TestStrategySpecs:
                 "dse.propose.latency_s"]
         finally:
             reset_registry()
-        batches = len(result.trace)
-        points = sum(entry["proposed"] for entry in result.trace)
-        assert (batches, points) == ((1, 8) if name == "adaptive-halving"
-                                     else (2, 4))
+        batches = len(result.trace)  # one trace entry per batch
+        points = len(result.records)
+        assert (batches, points) == {"adaptive-halving": (1, 8),
+                                     "random": (1, 3),
+                                     "greedy": (7, 13)}.get(name, (2, 4))
         assert counters["dse.propose.batches"] == batches
         assert counters["dse.propose.points"] == points
         assert counters["dse.ingest.batches"] == batches
         assert counters["dse.ingest.values"] == points
         assert latency["count"] == batches
+
+
+    @pytest.mark.parametrize("name", sorted(LADDERS))
+    def test_ladder_proposals_and_best(self, name):
+        """``halving`` and ``adaptive-halving`` climb one ladder; only which
+        candidates of a rung may compete for promotion differs."""
+
+        space = DesignSpace(**dict(TINY_SPACE, qubits=(16,)))
+        strategy = make_strategy(name, seed=5, proxy_qubits=8)
+        proposer = make_proposer(space, strategy.spec)
+        runner = DSERunner(space)
+        batches = []
+        while True:
+            batch = proposer.next_batch()
+            if batch is None:
+                break
+            batches.append((batch.proxy_qubits, list(batch.keys)))
+            records = runner.evaluate(list(batch.points))
+            proposer.ingest(batch, proposer.values(records))
+        expected_batches, best = LADDERS[name]
+        assert batches == expected_batches
+        assert proposer.best()[0] == best
+        key_of = {_point_label(point): key
+                  for key, point in enumerate(space.points())}
+        assert key_of[_label(DSERunner(space).run(strategy).best)] == best
 
 
 # --------------------------------------------------------------------------- #
@@ -906,6 +983,45 @@ class TestProposeEvaluateProtocol:
         # Byte-identical canonical exports.
         assert ExperimentStore(tmp_path / "serial").export_rows() == \
             ExperimentStore(store_dir).export_rows()
+
+    @pytest.mark.parametrize("name, knobs", [
+        ("random", dict(samples=3)),
+        ("greedy", dict()),
+        ("halving", dict(proxy_qubits=8)),
+    ])
+    def test_dispatched_strategies_match_serial(self, tmp_path, name, knobs):
+        """``random``, ``greedy`` and ``halving`` run on the work ledger
+        like the adaptive strategies: the same raw rows and export."""
+
+        space = DesignSpace(**dict(TINY_SPACE, qubits=(16,)))
+        strategy = make_strategy(name, seed=5, **knobs)
+        with ExperimentStore(tmp_path / "serial") as store:
+            serial = DSERunner(space, store=store).run(strategy)
+
+        store_dir = tmp_path / "dispatched"
+        write_manifest(store_dir, space, mode="adaptive",
+                       strategy=strategy.ledger_spec(), ttl_s=60.0)
+        worker = threading.Thread(
+            target=run_worker, args=(store_dir,),
+            kwargs=dict(owner="threaded-worker"))
+        worker.start()
+        summary = run_proposer(store_dir, poll_s=0.02)
+        worker.join(timeout=120.0)
+        assert not worker.is_alive()
+
+        assert summary["batches"] == len(serial.trace)
+        assert summary["proposals"] == serial.trace
+        best, serial_best = summary["best"]["point"], serial.best.as_row()
+        assert (f"{best['app'].lower()}16", best["config"]["trap_capacity"],
+                best["config"]["gate"]) == \
+            (serial_best["application"], serial_best["capacity"],
+             serial_best["gate"])
+        assert ExperimentStore(tmp_path / "serial").export_rows() == \
+            ExperimentStore(store_dir).export_rows()
+        rows = [{row["fingerprint"]: row["provenance"] for row in
+                 ExperimentStore(directory).rows()}
+                for directory in (tmp_path / "serial", store_dir)]
+        assert rows[0] == rows[1]
 
     def test_killed_proposer_restarts_from_ledger(self, tmp_path):
         """A second proposer run continues/validates from the batch files."""

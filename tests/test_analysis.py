@@ -10,26 +10,13 @@ from repro.analysis.compare import (
     reorder_fidelity_ratio,
     topology_fidelity_ratio,
 )
-from repro.analysis.series import (
-    flatten_nested_series,
-    format_series_table,
-    series_to_rows,
-)
+from repro.analysis.series import flatten_nested_series, format_series_table
 from repro.compiler import compile_circuit
 from repro.hardware import build_device
 from repro.sim import simulate
 
 
 class TestSeries:
-    def test_series_to_rows(self):
-        rows = series_to_rows([14, 18], {"QFT": [0.1, 0.2], "BV": [0.9, 0.95]})
-        assert rows[0] == {"capacity": 14, "QFT": 0.1, "BV": 0.9}
-        assert rows[1]["BV"] == 0.95
-
-    def test_series_to_rows_handles_short_series(self):
-        rows = series_to_rows([14, 18], {"QFT": [0.1]})
-        assert rows[1]["QFT"] is None
-
     def test_format_series_table(self):
         text = format_series_table([14, 18], {"QFT": [0.1, 0.2]}, title="Fidelity")
         assert "Fidelity" in text

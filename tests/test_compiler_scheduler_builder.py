@@ -7,7 +7,6 @@ import pytest
 from repro.compiler.builder import ProgramBuilder, _sorted_ids, _sorted_ids3
 from repro.compiler.scheduler import _LOCAL, _REMOTE, GateScheduler
 from repro.ir.circuit import Circuit
-from repro.ir.dag import DependencyDAG
 from repro.isa.records import (
     gate_record,
     ion_swap_record,
@@ -36,9 +35,9 @@ class TestGateScheduler:
     def test_schedule_respects_dependencies(self, qft8):
         order = GateScheduler(qft8).schedule()
         position = {gate: i for i, gate in enumerate(order)}
-        dag = DependencyDAG(qft8)
+        predecessors = qft8.front_end().predecessors
         for gate in range(len(qft8)):
-            for predecessor in dag.predecessors(gate):
+            for predecessor in predecessors[gate]:
                 assert position[predecessor] < position[gate]
 
     def test_prefers_local_gates(self):

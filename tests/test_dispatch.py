@@ -661,19 +661,21 @@ class TestDispatchCli:
         assert "ETA: 2 pending points / 2 active worker(s)" in out
 
     @pytest.mark.parametrize("run", ["grid", "bayes", "bayes-complete",
-                                     "ladder"])
+                                     "ladder", "random"])
     def test_top_progress_and_eta_agree_on_planned_points(
             self, capsys, tmp_path, monkeypatch, run):
         # One rule plans the points: a grid its space, a bayes run its
         # budget (4 of these 8 points) until its complete marker makes it
-        # the stored rows, a ladder nothing (unknown).  The dse top header,
-        # Dispatcher.progress() and dse status --eta all read it.
+        # the stored rows, a random run its samples, a ladder nothing
+        # (unknown).  The dse top header, Dispatcher.progress() and dse
+        # status --eta all read it.
         space = DesignSpace(apps=("QFT", "BV"), qubits=(8,),
                             topologies=("L3",), capacities=(6, 8),
                             gates=("AM1", "FM"))
         strategy = {"grid": None,
                     "bayes": {"name": "bayes", "seed": 0, "batch_size": 2},
-                    "ladder": {"name": "adaptive-halving", "seed": 0}}
+                    "ladder": {"name": "adaptive-halving", "seed": 0},
+                    "random": {"name": "random", "seed": 0, "samples": 3}}
         monkeypatch.chdir(tmp_path)
         dispatcher = Dispatcher(space, "store", workers=1, strategy=strategy[
             "bayes" if run == "bayes-complete" else run])
@@ -684,7 +686,8 @@ class TestDispatchCli:
             dispatcher.ledger.write_complete({"batches": 1, "evaluations": 2,
                                               "best": None})
         total, pending = {"grid": (8, 6), "bayes": (4, 2),
-                          "bayes-complete": (2, 0), "ladder": (None, None)}[run]
+                          "bayes-complete": (2, 0), "ladder": (None, None),
+                          "random": (3, 1)}[run]
         progress = dispatcher.progress()
         assert (progress["points_total"], progress["points_pending"]) == \
             (total, pending)

@@ -7,8 +7,8 @@ Covers the contracts the subsystem is built around:
   shard files by directory union;
 * a killed-and-resumed run recomputes nothing and is bit-identical to a
   one-shot run;
-* every strategy is deterministic under a fixed seed, and those the work
-  ledger runs give the same output for any ``--jobs`` value.
+* every strategy is deterministic under a fixed seed, and gives the same
+  output for any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ from dataclasses import replace
 import pytest
 
 from repro.dse import (
-    CoordinateDescent,
     DSERunner,
     DesignPoint,
     DesignSpace,
     ExhaustiveGrid,
     ExperimentStore,
-    RandomSampling,
     Shard,
     StoreCorruptionWarning,
-    SuccessiveHalving,
     best_record,
     make_strategy,
     pareto_frontier,
@@ -528,7 +525,7 @@ class TestResumeAndShard:
     def test_adaptive_strategy_refuses_shard(self, mini_space, mini_circuits):
         runner = DSERunner(mini_space, circuits=mini_circuits, shard=Shard(1, 2))
         with pytest.raises(ValueError, match="cannot be sharded"):
-            runner.run(CoordinateDescent())
+            runner.run(make_strategy("greedy"))
 
 
 # --------------------------------------------------------------------------- #
@@ -539,13 +536,13 @@ class TestStrategies:
         assert result.best is best_record(result.evaluated)
 
     @pytest.mark.parametrize("strategy_factory", [
-        lambda: RandomSampling(4, seed=7),
-        lambda: CoordinateDescent(seed=7),
+        lambda: make_strategy("random", samples=4, seed=7),
+        lambda: make_strategy("greedy", seed=7),
     ])
     def test_seeded_strategies_deterministic_for_any_jobs(
             self, mini_space, mini_circuits, strategy_factory):
-        # Two serial runs: these strategies pick each next point in this
-        # process, so --jobs refuses them.
+        # Two serial runs on pre-built circuits, which the ledger workers do
+        # not share (their --jobs runs: tests/test_adaptive.py).
         outcomes = []
         for _ in range(2):
             runner = DSERunner(mini_space, circuits=mini_circuits)
@@ -556,7 +553,7 @@ class TestStrategies:
     def test_random_sampling_seed_changes_sample(self, mini_space, mini_circuits):
         def sample(seed):
             runner = DSERunner(mini_space, circuits=mini_circuits)
-            result = runner.run(RandomSampling(3, seed=seed))
+            result = runner.run(make_strategy("random", samples=3, seed=seed))
             return [(row["application"], row["capacity"], row["gate"])
                     for row in _rows(result.evaluated)]
 
@@ -565,10 +562,10 @@ class TestStrategies:
 
     def test_greedy_reuses_store_across_runs(self, mini_space, mini_circuits):
         runner = DSERunner(mini_space, circuits=mini_circuits)
-        first = runner.run(CoordinateDescent(seed=1))
+        first = runner.run(make_strategy("greedy", seed=1))
         assert runner.stats["evaluated"] <= mini_space.size
         rerun = DSERunner(mini_space, store=runner.store, circuits=mini_circuits)
-        second = rerun.run(CoordinateDescent(seed=1))
+        second = rerun.run(make_strategy("greedy", seed=1))
         assert rerun.stats["evaluated"] == 0
         assert _rows(first.evaluated) == _rows(second.evaluated)
         assert first.best.as_row() == second.best.as_row()
@@ -612,11 +609,11 @@ class TestStrategies:
         space = DesignSpace(apps=("QFT", "BV"), qubits=(16,), topologies=("L3",),
                             capacities=(6, 8), gates=("FM",), reorders=("GS",))
         runner = DSERunner(space)
-        result = runner.run(SuccessiveHalving(proxy_qubits=8))
+        result = runner.run(make_strategy("halving", proxy_qubits=8))
         assert result.best is not None
         # The winner is evaluated at the true size, not the proxy size.
         assert result.best.as_row()["application"].endswith("16")
-        kept = [entry["candidates"] for entry in result.trace]
+        kept = [entry["proposed"] for entry in result.trace]
         assert kept == sorted(kept, reverse=True)
 
     def test_halving_is_deterministic(self):
@@ -624,7 +621,8 @@ class TestStrategies:
                             capacities=(6, 8), gates=("AM1", "FM"),
                             reorders=("GS",))
         results = [DSERunner(space).run(
-            SuccessiveHalving(seed=5, proxy_qubits=8)) for _ in range(2)]
+            make_strategy("halving", seed=5, proxy_qubits=8))
+            for _ in range(2)]
         assert _rows(results[0].evaluated) == _rows(results[1].evaluated)
         assert results[0].best.as_row() == results[1].best.as_row()
 

@@ -1,32 +1,12 @@
-"""Unit tests for traps, segments, junctions and ions."""
+"""Unit tests for traps, segments and junctions."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.hardware.ion import Ion
 from repro.hardware.junction import Junction
 from repro.hardware.segment import Segment
 from repro.hardware.trap import Trap
-
-
-class TestIon:
-    def test_defaults(self):
-        ion = Ion(3)
-        assert ion.ion_id == 3
-        assert ion.program_qubit is None
-        assert ion.species == "Yb171"
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            Ion(-1)
-
-    def test_hashable(self):
-        assert hash(Ion(1)) == hash(Ion(1))
-
-    def test_str_mentions_holder(self):
-        assert "q5" in str(Ion(0, program_qubit=5))
-        assert "spare" in str(Ion(0))
 
 
 class TestTrap:

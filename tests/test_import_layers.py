@@ -83,10 +83,12 @@ def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
         assert _offending(_loaded(code, tmp_path),
                           COMPILE_SIDE + SEARCH_SIDE + OP_CLASSES) == [], code
     assert json.loads((tmp_path / "export.json").read_text())["num_points"] == 0
-    # An adaptive prepare builds the strategy spec and records its default
+    # A proposer prepare builds the strategy spec and records its default
     # budget; the compile side loads only once the proposer runs.
-    for strategy in ("bayes", "adaptive-halving", "ehvi", "parego"):
-        code = _cli("dse", "dispatch", *space, "--strategy", strategy,
+    for strategy in ("random", "greedy", "halving", "bayes",
+                     "adaptive-halving", "ehvi", "parego"):
+        knobs = ("--samples", "3") if strategy == "random" else ()
+        code = _cli("dse", "dispatch", *space, "--strategy", strategy, *knobs,
                     "--store", str(tmp_path / strategy), "--print-only")
         assert _offending(_loaded(code, tmp_path), COMPILE_SIDE) == [], code
 

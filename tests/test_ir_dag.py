@@ -1,9 +1,8 @@
-"""Unit tests for the dependency DAG."""
+"""Unit tests for the dependency edges of the circuit front-end."""
 
 import pytest
 
 from repro.ir.circuit import Circuit
-from repro.ir.dag import DependencyDAG
 
 
 @pytest.fixture
@@ -30,47 +29,31 @@ def parallel_circuit():
 
 class TestStructure:
     def test_chain_dependencies(self, chain_circuit):
-        dag = DependencyDAG(chain_circuit)
-        assert dag.predecessors(0) == ()
-        assert dag.predecessors(1) == (0,)
-        assert dag.predecessors(2) == (1,)
+        front = chain_circuit.front_end()
+        assert front.predecessors[0] == ()
+        assert front.predecessors[1] == (0,)
+        assert front.predecessors[2] == (1,)
 
     def test_successors(self, chain_circuit):
-        dag = DependencyDAG(chain_circuit)
-        assert dag.successors(0) == (1,)
-        assert dag.successors(2) == ()
+        front = chain_circuit.front_end()
+        assert front.successors[0] == (1,)
+        assert front.successors[2] == ()
 
     def test_parallel_roots(self, parallel_circuit):
-        dag = DependencyDAG(parallel_circuit)
-        assert dag.roots() == [0, 1]
-        assert set(dag.predecessors(2)) == {0, 1}
+        front = parallel_circuit.front_end()
+        assert [gate for gate, degree in enumerate(front.in_degrees)
+                if not degree] == [0, 1]
+        assert set(front.predecessors[2]) == {0, 1}
 
     def test_in_degrees(self, parallel_circuit):
-        dag = DependencyDAG(parallel_circuit)
-        assert dag.in_degrees() == [0, 0, 2]
+        assert list(parallel_circuit.front_end().in_degrees) == [0, 0, 2]
 
     def test_num_gates(self, chain_circuit):
-        assert DependencyDAG(chain_circuit).num_gates == 3
+        assert len(chain_circuit.front_end().gates) == 3
 
 
 class TestTraversal:
-    def test_topological_order_matches_program_order(self, qft8):
-        dag = DependencyDAG(qft8)
-        assert dag.topological_order() == list(range(len(qft8)))
-
-    def test_layers_partition_all_gates(self, qft8):
-        dag = DependencyDAG(qft8)
-        layers = dag.layers()
-        flattened = [index for layer in layers for index in layer]
-        assert sorted(flattened) == list(range(len(qft8)))
-
-    def test_layers_are_independent(self, parallel_circuit):
-        dag = DependencyDAG(parallel_circuit)
-        layers = dag.layers()
-        assert layers[0] == [0, 1]
-        assert layers[1] == [2]
-
     def test_empty_circuit(self):
-        dag = DependencyDAG(Circuit(2))
-        assert dag.topological_order() == []
-        assert dag.layers() == []
+        front = Circuit(2).front_end()
+        assert (front.gates, front.predecessors, front.successors) == \
+            ((), (), ())

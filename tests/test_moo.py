@@ -377,16 +377,6 @@ class TestMOOProposers:
         with pytest.raises(ValueError, match="unknown adaptive strategy"):
             make_proposer(_space(), {"name": "moo"})
 
-    @pytest.mark.parametrize("name", ["ehvi", "parego"])
-    def test_spec_round_trips_through_factory(self, name):
-        space = _space()
-        first = make_proposer(space, {"name": name, "seed": 7,
-                                      "objectives": ["runtime", "fidelity"],
-                                      "batch_size": 2})
-        rebuilt = make_proposer(space, first.spec())
-        assert rebuilt.spec() == first.spec()
-        assert rebuilt.objectives == ("runtime", "fidelity")
-
 
 # --------------------------------------------------------------------------- #
 class TestMOOStrategies:

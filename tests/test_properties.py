@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import compile_circuit
 from repro.hardware import build_device
 from repro.ir.circuit import Circuit
-from repro.ir.dag import DependencyDAG
 from repro.ir.gate import Gate
 from repro.isa.operations import GateOp, OpKind
 from repro.models.fidelity import FidelityModel
@@ -121,13 +120,13 @@ def test_fidelity_monotone_in_energy(chain, energy_low, energy_delta):
 @settings(max_examples=30, deadline=None)
 @given(circuit=random_circuits())
 def test_dag_topological_order_is_valid(circuit):
-    dag = DependencyDAG(circuit)
-    order = dag.topological_order()
-    assert sorted(order) == list(range(len(circuit)))
-    position = {gate: i for i, gate in enumerate(order)}
+    # Dependencies point backwards, so program order is a topological order
+    # of the front-end's edges; successors mirror predecessors.
+    front = circuit.front_end()
     for gate in range(len(circuit)):
-        for predecessor in dag.predecessors(gate):
-            assert position[predecessor] < position[gate]
+        for predecessor in front.predecessors[gate]:
+            assert predecessor < gate
+            assert gate in front.successors[predecessor]
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,8 @@ elsewhere:
 * as an identifier token of ``src/`` code outside the name's own
   definition -- strings, comments and docstrings do not count, so neither
   a lazy-export entry nor a docstring mention is a use, and neither is the
-  name of another definition;
+  name of another definition or a package ``__init__``'s ``from ...
+  import`` re-export;
 * as a word anywhere in ``examples/``, ``perfbench/``, ``benchmarks/``,
   ``docs/`` or the CI workflow.
 
@@ -19,9 +20,10 @@ exempt.
 
 Blind spot: the scan matches names, not bindings, so a dead method whose
 name some live identifier shares passes (``Topology.total_capacity`` and
-``QCCDDevice.total_capacity`` kept each other alive that way, and a
-module-level ``mean_two_qubit_error`` hid behind the result property), and
-so does a name that a package ``__init__`` imports to re-export.
+``QCCDDevice.total_capacity`` kept each other alive that way, a
+module-level ``mean_two_qubit_error`` hid behind the result property, and
+the proposers' ``spec()`` methods behind ``DesignPoint.spec`` and
+``ProposerStrategy.spec``).
 """
 
 import ast
@@ -118,14 +120,26 @@ def _user_words():
     return words
 
 
+def _reexport_lines(file, tree):
+    """Lines of a package ``__init__``'s ``from ... import`` statements."""
+
+    if file.name != "__init__.py":
+        return set()
+    return {line for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     uses = defaultdict(list)  # name -> [(file, line)]
     candidates = []
     for file in sorted(SRC.rglob("*.py")):
         source = file.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        reexports = _reexport_lines(file, tree)
         for name, lines in _identifier_lines(source).items():
-            uses[name].extend((file, line) for line in lines)
-        for qualified, name, first, last in _definitions(ast.parse(source)):
+            uses[name].extend((file, line) for line in lines
+                              if line not in reexports)
+        for qualified, name, first, last in _definitions(tree):
             candidates.append((qualified, name, file, first, last))
     words = _user_words()
 

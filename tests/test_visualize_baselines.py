@@ -3,15 +3,10 @@
 import pytest
 
 from repro.apps import qft_circuit
-from repro.baselines import simulate_single_trap, single_trap_sweep
+from repro.baselines import simulate_single_trap
 from repro.hardware import build_device
 from repro.toolflow import ArchitectureConfig, run_experiment
-from repro.visualize import (
-    ascii_bar_chart,
-    ascii_line_chart,
-    device_report,
-    experiment_report,
-)
+from repro.visualize import ascii_line_chart, device_report, experiment_report
 
 
 class TestAsciiCharts:
@@ -29,18 +24,6 @@ class TestAsciiCharts:
     def test_line_chart_constant_series(self):
         chart = ascii_line_chart([1, 2], {"flat": [0.5, 0.5]})
         assert "flat" in chart
-
-    def test_bar_chart(self):
-        chart = ascii_bar_chart({"L6": 0.5, "G2x3": 1.0}, title="ratio")
-        assert "ratio" in chart
-        assert chart.count("#") > 0
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in ascii_bar_chart({})
-
-    def test_bar_chart_zero_values(self):
-        chart = ascii_bar_chart({"a": 0.0, "b": 0.0})
-        assert "a" in chart
 
 
 class TestReports:
@@ -73,19 +56,14 @@ class TestSingleTrapBaseline:
         small = simulate_single_trap(qft_circuit(8))
         large = simulate_single_trap(qft_circuit(24))
         assert large.fidelity < small.fidelity
-        fidelities = [result.fidelity for result in
-                      single_trap_sweep(qft_circuit, sizes=(8, 16, 24))]
+        fidelities = [simulate_single_trap(qft_circuit(size)).fidelity
+                      for size in (8, 16, 24)]
         assert fidelities == sorted(fidelities, reverse=True)
 
     def test_am1_slower_than_fm_for_long_chains(self):
         fm = simulate_single_trap(qft_circuit(16), gate="FM")
         am1 = simulate_single_trap(qft_circuit(16), gate="AM1")
         assert am1.duration > fm.duration
-
-    def test_sweep(self):
-        results = single_trap_sweep(qft_circuit, sizes=(4, 8, 12))
-        assert len(results) == 3
-        assert results[0].fidelity >= results[-1].fidelity
 
     def test_gate_count_matches_circuit(self):
         circuit = qft_circuit(6)
