@@ -17,32 +17,27 @@ BV              64      63              Short and long range
 Every generator returns a :class:`~repro.ir.circuit.Circuit` already lowered
 to single-qubit rotations plus MS-class two-qubit gates, so Table II's
 "two-qubit gates" column equals ``circuit.num_two_qubit_gates``.
+
+:data:`APPLICATION_NAMES` is a constant of this package; the generators and
+the suite builders resolve on first access (PEP 562, :mod:`repro._lazy`), so
+the CLI shell -- which names the applications in its parser and refuses an
+unknown one before it stores or spawns anything -- loads no generator and no
+circuit IR.
 """
 
-from repro.apps.qft import qft_circuit
-from repro.apps.bv import bernstein_vazirani_circuit
-from repro.apps.adder import cuccaro_adder_circuit
-from repro.apps.qaoa import qaoa_circuit
-from repro.apps.supremacy import supremacy_circuit
-from repro.apps.squareroot import squareroot_circuit
-from repro.apps.suite import (
-    APPLICATION_NAMES,
-    build_application,
-    table2_suite,
-    scaled_suite,
-    application_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "qft_circuit",
-    "bernstein_vazirani_circuit",
-    "cuccaro_adder_circuit",
-    "qaoa_circuit",
-    "supremacy_circuit",
-    "squareroot_circuit",
-    "APPLICATION_NAMES",
-    "build_application",
-    "table2_suite",
-    "scaled_suite",
-    "application_summary",
-]
+#: Canonical application names, in the order of Table II.
+APPLICATION_NAMES = ("Supremacy", "QAOA", "SquareRoot", "QFT", "Adder", "BV")
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.qft": ("qft_circuit",),
+    "repro.apps.bv": ("bernstein_vazirani_circuit",),
+    "repro.apps.adder": ("cuccaro_adder_circuit",),
+    "repro.apps.qaoa": ("qaoa_circuit",),
+    "repro.apps.supremacy": ("supremacy_circuit",),
+    "repro.apps.squareroot": ("squareroot_circuit",),
+    "repro.apps.suite": ("build_application", "table2_suite", "scaled_suite",
+                         "application_summary"),
+})
+__all__.append("APPLICATION_NAMES")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro.apps import APPLICATION_NAMES
 from repro.apps.adder import cuccaro_adder_circuit
 from repro.apps.bv import bernstein_vazirani_circuit
 from repro.apps.qaoa import qaoa_circuit
@@ -18,9 +19,6 @@ from repro.apps.qft import qft_circuit
 from repro.apps.squareroot import squareroot_circuit
 from repro.apps.supremacy import supremacy_circuit
 from repro.ir.circuit import Circuit
-
-#: Canonical application names, in the order of Table II.
-APPLICATION_NAMES = ("Supremacy", "QAOA", "SquareRoot", "QFT", "Adder", "BV")
 
 #: Communication pattern column of Table II.
 COMMUNICATION_PATTERNS = {

@@ -780,7 +780,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _space_from_args(args):
-    """A DesignSpace from ``--space`` JSON or from the axis flags."""
+    """A DesignSpace from ``--space`` JSON or from the axis flags.
+
+    Every application must be one of :data:`APPLICATION_NAMES`: the
+    commands build each circuit by name, so an unknown one is refused here,
+    before anything prints, is stored or spawns.
+    """
 
     from repro.dse import DesignSpace
     from repro.io import load_json
@@ -789,18 +794,24 @@ def _space_from_args(args):
         raise SystemExit("error: provide --space FILE or --apps (e.g. --apps QFT,BV)")
     try:
         if args.space:
-            return DesignSpace.from_dict(load_json(args.space))
-        return DesignSpace(
-            apps=args.apps,
-            qubits=args.qubits if args.qubits else (None,),
-            topologies=args.topologies,
-            capacities=args.capacities,
-            gates=args.gates,
-            reorders=args.reorders,
-            buffers=args.buffers,
-        )
+            space = DesignSpace.from_dict(load_json(args.space))
+        else:
+            space = DesignSpace(
+                apps=args.apps,
+                qubits=args.qubits if args.qubits else (None,),
+                topologies=args.topologies,
+                capacities=args.capacities,
+                gates=args.gates,
+                reorders=args.reorders,
+                buffers=args.buffers,
+            )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    for app in space.apps:
+        if app not in APPLICATION_NAMES:
+            raise SystemExit(f"error: unknown application {app!r}; expected "
+                             f"one of {', '.join(APPLICATION_NAMES)}")
+    return space
 
 
 def _print_record_table(records, limit=None) -> None:
@@ -828,6 +839,7 @@ def _cmd_dse_run(args) -> int:
                                  surrogate=args.surrogate,
                                  objectives=args.objectives)
         shard = Shard.parse(args.shard) if args.shard else None
+        strategy.check_shard(shard)
         spec = strategy.ledger_spec() if args.jobs > 1 else None
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")

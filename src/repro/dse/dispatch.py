@@ -17,10 +17,10 @@ filesystem (NFS scratch space, a laptop's tmpdir, a CI runner):
   ``adaptive``-mode run) are the proposal parts its proposer
   (:mod:`repro.dse.adaptive.protocol`) writes as the search goes.
 * :func:`run_worker` -- the worker loop behind ``repro dse worker``.  Claim
-  an item, evaluate its points with heartbeat renewal after every persisted
-  task group, mark it done, repeat; when items remain but none is
-  claimable, wait for a lease to expire (or for the proposer) instead of
-  stranding the work.
+  an item (of a grid, the costliest open shard), evaluate its points with
+  heartbeat renewal after every persisted task group, mark it done,
+  repeat; when items remain but none is claimable, wait for a lease to
+  expire (or for the proposer) instead of stranding the work.
 * :class:`FleetView` -- the one operator's view of a dispatched store:
   stored and planned points, item states, an ETA driven by the per-point
   ``wall_s`` timings store rows record since schema v2, and one row per
@@ -62,6 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.dse.space import DesignSpace, Shard, point_from_spec
 from repro.dse.store import ExperimentStore
 from repro.io.appendlog import LogWriter, atomic_write_text
+from repro.io.jsonfile import SCHEMA_VERSION, check_schema_version
 from repro.obs.distributed import (
     TraceContext,
     adopt_shards,
@@ -250,8 +251,6 @@ class WorkLedger:
     def write_item(self, name: str, payload: Dict[str, object]) -> Path:
         """Persist one signed item (atomic: temp file + rename)."""
 
-        from repro.io.serialization import SCHEMA_VERSION
-
         body = {"schema_version": SCHEMA_VERSION}
         body.update(payload)
         body["signature"] = _signature(body)
@@ -261,8 +260,6 @@ class WorkLedger:
 
     def read_item(self, name: str) -> Dict[str, object]:
         """Load and signature-check one item."""
-
-        from repro.io.serialization import check_schema_version
 
         path = self.item_path(name)
         try:
@@ -411,20 +408,28 @@ class WorkLedger:
             counts[self.status_of(name)[0]] += 1
         return counts
 
-    def claim_next(self, owner: str) -> Optional[str]:
+    def claim_next(self, owner: str,
+                   estimates: Optional[Dict[str, int]] = None) -> Optional[str]:
         """Claim the first available item for ``owner`` (or ``None``).
 
-        Workers start their scan at an owner-dependent offset so N workers
-        hitting a fresh ledger at once mostly claim N different items on
-        the first pass instead of stampeding the first one.
+        Items with a cost in ``estimates`` (a grid worker's
+        :meth:`~repro.dse.runner.DSERunner.shard_estimates`) come first,
+        costliest first, ties by name: every worker, local or remote,
+        follows that one order, so the last items claimed are the cheapest
+        and the workers finish together.  The other items -- all of them
+        without ``estimates``, such as an adaptive run's proposal parts --
+        follow in a scan that starts at an owner-dependent offset, so N
+        workers hitting a fresh ledger at once mostly claim N different
+        items on the first pass instead of stampeding the first one.
         """
 
+        estimates = estimates or {}
         names = self.work_names()
-        if not names:
-            return None
-        offset = zlib.crc32(owner.encode()) % len(names)
-        for step in range(len(names)):
-            name = names[(offset + step) % len(names)]
+        ranked = sorted((name for name in names if name in estimates),
+                        key=lambda name: (-estimates[name], name))
+        rest = [name for name in names if name not in estimates]
+        offset = zlib.crc32(owner.encode()) % len(rest) if rest else 0
+        for name in ranked + rest[offset:] + rest[:offset]:
             if not self.is_done(name) and self.claim(name, owner):
                 return name
         return None
@@ -528,8 +533,6 @@ def write_manifest(store_dir, space: DesignSpace, *, shards: Optional[int] = Non
     a point.
     """
 
-    from repro.io.serialization import SCHEMA_VERSION
-
     if mode not in ("shards", "adaptive"):
         raise ValueError(f"unknown dispatch mode {mode!r}; "
                          f"expected 'shards' or 'adaptive'")
@@ -593,8 +596,6 @@ def read_manifest(store_dir) -> Dict:
     directory of an older version.
     """
 
-    from repro.io.serialization import check_schema_version
-
     path = Path(store_dir) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text())
@@ -641,6 +642,15 @@ def run_worker(store_dir, *, owner: Optional[str] = None) -> Dict[str, object]:
     re-polls every :data:`IDLE_WAIT_S` rather than exiting and stranding a
     dead worker's item.  It exits once the ledger's complete marker exists
     and every item is done.
+
+    Before its first claim a grid worker sets up (the
+    ``dse.worker.setup`` span): it builds the space's circuits and ranks
+    the shards by :meth:`~repro.dse.runner.DSERunner.shard_estimates`, so
+    it claims the costliest open shard first
+    (:meth:`WorkLedger.claim_next`).  If a circuit cannot be built, the
+    claims go unranked and the first item that needs the circuit fails, so
+    the error is reported as an item's.  An adaptive worker has no set-up:
+    proposal parts carry no estimate.
 
     One store view and one :class:`~repro.dse.runner.DSERunner` -- with
     its built circuits, point fingerprints and compiled-program cache --
@@ -694,8 +704,19 @@ def run_worker(store_dir, *, owner: Optional[str] = None) -> Dict[str, object]:
         store = logs.enter_context(ExperimentStore(
             store_dir, writer=f"worker-{filename_safe(owner)}"))
         runner = DSERunner(space, store=store, cache=cache)
+        estimates = None
+        if manifest["mode"] == "shards":
+            with span("dse.worker.setup", owner=owner,
+                      shards=manifest["shards"]):
+                try:
+                    estimates = runner.shard_estimates(manifest["shards"])
+                except ValueError:
+                    # A circuit that cannot be built fails the first item
+                    # that needs it, whose ``failed`` event names the item
+                    # and the error; until then the claims go unranked.
+                    pass
         while True:
-            name = ledger.claim_next(owner)
+            name = ledger.claim_next(owner, estimates)
             if name is None:
                 if ledger.all_done():
                     break
@@ -932,11 +953,15 @@ class Dispatcher:
         Local worker processes to run (ignored by :meth:`command_lines`,
         which targets remote launch).
     shards:
-        Lease granularity of a grid run; defaults to ``4 * workers`` so
-        workers stay busy through the tail and a worker death forfeits at
-        most one shard of fresh progress.  Shards hold whole compilations,
-        so a space with few distinct compilations may leave some shards
-        empty.
+        Lease granularity of a grid run; defaults to ``4 * workers`` so a
+        worker death forfeits at most one shard of fresh progress.  Shards
+        hold whole compilations, hashed to shards regardless of cost, so
+        their costs differ (10,215 to 44,218 circuit gates over the Figure
+        8 space's 8 shards) and a space with few distinct compilations may
+        leave some shards empty.  Workers claim the costliest open shard
+        first (:meth:`~repro.dse.runner.DSERunner.shard_estimates`), which
+        is what keeps ``4 * workers`` shards balanced: the last claims are
+        the cheapest, so the workers finish close together.
     ttl_s:
         Lease time-to-live; must exceed the slowest task group's wall time
         -- one compile plus all its folded gate-variant simulations --

@@ -163,6 +163,29 @@ class DSERunner:
         key = ProgramCache.key_for(circuit, point.config)
         return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
+    def shard_estimates(self, count: int) -> Dict[str, int]:
+        """Estimated cost of each of ``count`` shards, by shard name.
+
+        The circuit gate count summed over the shard's distinct
+        compilations: a compile and its simulations grow with the gates
+        routed, and the gate variants of a compilation share one batched
+        fan-out, so each compilation counts once.  Building it reads only
+        the circuits and partition keys the first evaluation needs anyway.
+        """
+
+        shards = [Shard(index, count) for index in range(1, count + 1)]
+        estimates = {shard.name: 0 for shard in shards}
+        seen = set()
+        for point in self.space.points():
+            key = self.partition_key(point)
+            if key in seen:
+                continue
+            seen.add(key)
+            owner = next(shard for shard in shards if shard.owns(key))
+            estimates[owner.name] += self.circuit_for(point.app,
+                                                      point.qubits).num_gates
+        return estimates
+
     # ------------------------------------------------------------------ #
     def evaluate(self, points: Sequence[DesignPoint]) -> List[object]:
         """Evaluate ``points``, returning one record per point, in order.
@@ -278,11 +301,7 @@ class DSERunner:
         from repro.dse.strategies import ExhaustiveGrid
 
         strategy = strategy if strategy is not None else ExhaustiveGrid()
-        if self.shard is not None and not strategy.shardable:
-            raise ValueError(
-                f"strategy {strategy.name!r} cannot be sharded: only the "
-                f"grid takes --shard; run it unsharded, or distribute it "
-                f"with `repro dse dispatch --strategy {strategy.name}`")
+        strategy.check_shard(self.shard)
         try:
             return strategy.run(self)
         finally:

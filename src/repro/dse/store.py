@@ -36,17 +36,27 @@ Files go through the shared append log (:mod:`repro.io.appendlog`), so
 read -- O(new rows), which keeps the dispatcher's progress ticks and the
 adaptive proposer's ingest loop cheap at paper scale.  The store adds its
 own rules: the schema gate, fingerprint and required keys, first-wins dedup.
+
+Rows stay plain dictionaries until a caller asks for a record view:
+:func:`row_to_record` is the one place that imports
+:mod:`repro.dse.space` (and through it the architecture config and the
+physical model) to rebuild a point.  Loading, adding, reloading and
+exporting rows import only the standard library, the append log and
+:mod:`repro.io.jsonfile`, so ``repro dse export`` loads no data-model
+layer.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.dse.space import DesignPoint, point_from_spec
 from repro.io.appendlog import LogReader, LogWriter, StoreCorruptionWarning
-from repro.io.serialization import SCHEMA_VERSION, check_schema_version
+from repro.io.jsonfile import SCHEMA_VERSION, check_schema_version
+
+if TYPE_CHECKING:  # a point is rebuilt only where a row becomes a record
+    from repro.dse.space import DesignPoint
 
 #: Default writer file name (shard writers use ``shard-<i>of<N>.jsonl``).
 DEFAULT_WRITER = "results"
@@ -197,6 +207,8 @@ class CachedRecord:
 
 def row_to_record(row: Dict[str, object]) -> CachedRecord:
     """Rebuild a record view from one stored row."""
+
+    from repro.dse.space import point_from_spec
 
     return CachedRecord(
         point=point_from_spec(row["point"]),

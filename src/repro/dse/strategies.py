@@ -102,6 +102,15 @@ class Strategy:
     def run(self, runner) -> StrategyResult:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def check_shard(self, shard) -> None:
+        """Refuse a shard (``None`` is no shard) unless :attr:`shardable`."""
+
+        if shard is not None and not self.shardable:
+            raise ValueError(
+                f"strategy {self.name!r} cannot be sharded: only the grid "
+                f"takes --shard; run it unsharded, or distribute it with "
+                f"`repro dse dispatch --strategy {self.name}`")
+
     def ledger_spec(self) -> Optional[Dict[str, object]]:
         """The ``strategy`` a :class:`~repro.dse.dispatch.Dispatcher` runs
         for this one: ``None`` for the grid's static shards, a proposer spec

@@ -18,13 +18,17 @@ format, not a substitute for recompiling.
 from __future__ import annotations
 
 import dataclasses
-import json
 from enum import Enum
-from pathlib import Path
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.isa.program import InitialPlacement, QCCDProgram
-from repro.isa.records import KINDS
+# The schema gate and the file helpers live in the stdlib-only
+# repro.io.jsonfile and are re-exported here.
+from repro.io.jsonfile import (  # noqa: F401
+    SCHEMA_VERSION,
+    check_schema_version,
+    load_json,
+    save_json,
+)
 from repro.models.params import (
     FidelityParams,
     HeatingParams,
@@ -32,45 +36,11 @@ from repro.models.params import (
     ShuttleTimes,
     SingleQubitParams,
 )
-from repro.sim.results import SimulationResult
 from repro.toolflow.config import ArchitectureConfig
 
-#: Version stamped into every persisted payload (programs, results, figure
-#: bundles, experiment-store rows).  Bump when a field changes meaning or is
-#: removed, or when an addition carries semantics downstream tooling must be
-#: able to detect (inert additions alone do not require one).  Loaders accept
-#: any version up to and including this one (missing = 0, the pre-versioned
-#: format).
-#:
-#: History: 1 = first versioned format; 2 = experiment-store rows may carry a
-#: per-point ``wall_s`` timing (absent in v1 rows, which still load -- missing
-#: timings are treated as unknown, never as zero; the bump is what lets
-#: timing-aware tooling tell the two generations apart); 3 = experiment-store
-#: rows may carry a ``provenance`` stamp (strategy name, seed, multi-fidelity
-#: rung) and dispatch manifests may declare a coordination ``mode``
-#: (``"shards"`` or ``"adaptive"`` propose/evaluate) -- v1/v2 artefacts still
-#: load with provenance absent and mode defaulting to shards.
-SCHEMA_VERSION = 3
-
-
-def check_schema_version(payload: Dict, *, source: str = "payload") -> int:
-    """Validate a payload's ``schema_version`` against what this build reads.
-
-    Returns the payload's version (``0`` for pre-versioned artefacts, which
-    are always accepted).  Raises ``ValueError`` for payloads written by a
-    *newer* schema than this build understands -- silently misreading a field
-    is worse than a loud failure.
-    """
-
-    version = payload.get("schema_version", 0)
-    if not isinstance(version, int) or version < 0:
-        raise ValueError(f"{source}: malformed schema_version {version!r}")
-    if version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{source}: schema_version {version} is newer than the supported "
-            f"version {SCHEMA_VERSION}; upgrade the toolflow to read it"
-        )
-    return version
+if TYPE_CHECKING:  # the program and result layers load only to convert them
+    from repro.isa.program import QCCDProgram
+    from repro.sim.results import SimulationResult
 
 
 def _jsonify(value):
@@ -103,6 +73,7 @@ def program_to_dict(program: QCCDProgram) -> Dict:
     """
 
     from repro.isa.operations import OP_CLASSES, RECORD_FIELDS
+    from repro.isa.records import KINDS
 
     names = [RECORD_FIELDS[cls][1:] for cls in OP_CLASSES]
     operations: List[Dict] = []
@@ -142,6 +113,8 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
     """
 
     from repro.isa.operations import OP_CLASSES
+    from repro.isa.program import InitialPlacement, QCCDProgram
+    from repro.isa.records import KINDS
 
     # gate_1q and gate_2q both name GateOp; the arity follows from the
     # operand tuple and must agree with the tag.
@@ -290,23 +263,3 @@ def figure_bundle_to_dict(bundle: Dict) -> Dict:
         else:
             payload[key] = _jsonify(value)
     return payload
-
-
-# --------------------------------------------------------------------------- #
-# File I/O
-# --------------------------------------------------------------------------- #
-def save_json(payload, path) -> Path:
-    """Write ``payload`` (any JSON-safe structure) to ``path``; returns the path."""
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-    return path
-
-
-def load_json(path) -> Dict:
-    """Read a JSON artefact written by :func:`save_json`."""
-
-    with open(path) as handle:
-        return json.load(handle)

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.io.appendlog import atomic_write_text
+from repro.io.jsonfile import SCHEMA_VERSION
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.trace import Tracer
 
@@ -173,8 +174,6 @@ def run_manifest(tracer: Tracer, *,
                  config: Optional[object] = None,
                  extra: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     """The per-run manifest: fingerprint, schema versions, phase timings."""
-
-    from repro.io.serialization import SCHEMA_VERSION
 
     metrics = metrics if metrics is not None else registry()
     manifest: Dict[str, object] = {

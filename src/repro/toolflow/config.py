@@ -3,17 +3,20 @@
 The config captures exactly the knobs the paper sweeps -- topology, trap
 capacity, two-qubit gate implementation and chain reordering method -- plus
 the physical model parameters.  ``build_device`` turns it into a concrete
-:class:`~repro.hardware.device.QCCDDevice` sized for a given application.
+:class:`~repro.hardware.device.QCCDDevice` sized for a given application;
+only then is the hardware layer imported, so a process that only describes
+designs -- the dispatcher writing a manifest -- never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.hardware.builders import build_device, make_topology
-from repro.hardware.device import QCCDDevice
 from repro.models.params import PhysicalModel
+
+if TYPE_CHECKING:  # the hardware layer loads only to build a device
+    from repro.hardware.device import QCCDDevice
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class ArchitectureConfig:
     def num_traps(self) -> int:
         """Number of traps implied by the topology name."""
 
+        from repro.hardware.builders import make_topology
+
         return make_topology(self.topology, self.trap_capacity).num_traps
 
     def max_buffer_for(self, num_qubits: int) -> int:
@@ -80,6 +85,8 @@ class ArchitectureConfig:
 
     def build_device(self, num_qubits: Optional[int] = None) -> QCCDDevice:
         """Instantiate the device, sized for ``num_qubits`` program qubits."""
+
+        from repro.hardware.builders import build_device
 
         buffer_ions = self.buffer_ions
         if num_qubits is not None:

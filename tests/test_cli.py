@@ -327,10 +327,19 @@ class TestRefusedInput:
         (["dse", "dispatch", "--apps", "QFT", "--qubits", "0", *SPACE,
           "--print-only", "--store", "{store}"],
          "qubit counts must be at least 2"),
+        (["dse", "run", "--apps", "QFT", "--qubits", "8", *SPACE,
+          "--strategy", "greedy", "--shard", "1/2", "--store", "{store}"],
+         "strategy 'greedy' cannot be sharded"),
+        (["dse", "run", "--apps", "QTF", "--qubits", "8", *SPACE,
+          "--store", "{store}"], "unknown application 'QTF'"),
+        (["dse", "dispatch", "--apps", "QTF", "--qubits", "8", *SPACE,
+          "--workers", "1", "--store", "{store}"],
+         "unknown application 'QTF'"),
     ], ids=["run-topology", "run-capacity", "run-too-many-qubits",
             "run-one-qubit", "device-topology", "device-capacity",
             "check-topology", "dse-run-qubits", "dse-run-capacity",
-            "dse-dispatch-qubits"])
+            "dse-dispatch-qubits", "dse-run-shard-greedy", "dse-run-app",
+            "dse-dispatch-app"])
     def test_validator_refusal_is_one_error_line(self, argv, message,
                                                  capsys, tmp_path):
         argv = [arg.format(store=tmp_path / "store") for arg in argv]

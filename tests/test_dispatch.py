@@ -135,6 +135,30 @@ class TestWorkLedger:
             assert ledger.read_item(name)["shards"] == 3
         assert ledger.claim_next("d") is None  # everything leased
 
+    # Unequal costs with one tie, against the owner rotation's order.
+    ESTIMATES = {"shard-1of4": 5, "shard-2of4": 9, "shard-3of4": 5,
+                 "shard-4of4": 7}
+
+    def test_next_claim_takes_the_costliest_first_ties_by_name(self,
+                                                               tmp_path):
+        # Whatever the owner, whose rotation would start anywhere.
+        for owner in ("a", "b", "c", "d"):
+            store_dir = tmp_path / owner
+            write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=4)
+            ledger = WorkLedger.for_store(store_dir)
+            claimed = [ledger.claim_next(owner, self.ESTIMATES)
+                       for _ in range(5)]
+            assert claimed == ["shard-2of4", "shard-4of4", "shard-1of4",
+                               "shard-3of4", None], owner
+
+    def test_two_owners_on_a_fresh_ledger_take_the_two_costliest(self,
+                                                                 tmp_path):
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=4)
+        ledger = WorkLedger.for_store(store_dir)
+        assert [ledger.claim_next(owner, self.ESTIMATES)
+                for owner in ("b", "a")] == ["shard-2of4", "shard-4of4"]
+
     def test_states_and_counts(self, tmp_path):
         store_dir = tmp_path / "store"
         write_manifest(store_dir, DesignSpace(**TINY_SPACE), shards=4)
@@ -365,6 +389,18 @@ class TestWorkerLoop:
         assert [row.get("provenance") for row in
                 ExperimentStore(store_dir).rows()] == [None] * space.size
 
+    def test_worker_completes_the_shards_costliest_first(self, tmp_path):
+        space = DesignSpace(apps=("QFT", "BV", "QAOA"), qubits=(8,),
+                            topologies=("L3",), capacities=(6, 8),
+                            gates=("FM",), reorders=("GS",))
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, space, shards=4, ttl_s=60.0)
+        estimates = DSERunner(space).shard_estimates(4)
+        assert len(set(estimates.values())) > 1
+        summary = run_worker(store_dir, owner="solo")
+        assert summary["completed"] == sorted(
+            estimates, key=lambda name: (-estimates[name], name))
+
     # A point-fingerprint partition keeps TINY_SPACE's gate pairs together
     # at 3 shards but splits one at 5, so both counts are checked.
     @pytest.mark.parametrize("shards", [3, 5])
@@ -456,6 +492,23 @@ class TestWorkerLoop:
         assert failed[0]["work"] == "shard-1of1"
         assert failed[0]["error"].startswith(
             "RuntimeError: no trap in the device has free space")
+
+    def test_unbuildable_circuit_fails_its_item_not_the_setup(self, tmp_path):
+        """The shard ranking needs every circuit; one that cannot be built
+        is still reported by the item that needs it, so the dispatcher
+        names it and does not respawn the worker."""
+
+        space = DesignSpace(apps=("Adder",), qubits=(4,), topologies=("L3",),
+                            capacities=(6,), gates=("FM",), reorders=("GS",))
+        store_dir = tmp_path / "store"
+        write_manifest(store_dir, space, shards=1, ttl_s=60.0)
+        with pytest.raises(ValueError, match="needs at least 6 qubits"):
+            run_worker(store_dir, owner="doomed")
+        reader = TelemetryReader(store_dir)
+        reader.poll()
+        assert [(event["work"], event["error"]) for event in reader.events
+                if event["event"] == "failed"] == [
+            ("shard-1of1", "ValueError: the adder needs at least 6 qubits")]
 
     def test_incomplete_fill_names_the_last_failed_item(self, tmp_path,
                                                         monkeypatch):

@@ -455,6 +455,24 @@ class TestResumeAndShard:
         assert rerun.stats["evaluated"] == 0
         assert rerun.cache.stats()["misses"] == 0
 
+    def test_shard_estimates_sum_each_compilation_once(self, mini_space,
+                                                        mini_circuits):
+        runner = DSERunner(mini_space, circuits=mini_circuits)
+        compilations = {}
+        for point in mini_space.points():
+            circuit = mini_circuits[point.app]
+            key = ProgramCache.key_for(circuit, point.config)
+            compilations[key] = (runner.partition_key(point),
+                                 circuit.num_gates)
+        assert len(compilations) == 4  # 2 apps x 2 capacities; gates share
+        for count in range(1, 6):
+            shards = [Shard(index, count) for index in range(1, count + 1)]
+            expected = {shard.name: 0 for shard in shards}
+            for digest, gates in compilations.values():
+                (owner,) = [shard for shard in shards if shard.owns(digest)]
+                expected[owner.name] += gates
+            assert runner.shard_estimates(count) == expected
+
     def test_shards_partition_points(self, mini_space, mini_circuits):
         full = DSERunner(mini_space, circuits=mini_circuits).evaluate_space()
         points = list(mini_space.points())

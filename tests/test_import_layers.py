@@ -17,13 +17,15 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
 #: What a bare ``import repro`` or the CLI shell must not load: every layer
-#: package, and networkx (a test-only dependency).
-LAYERS = ("repro.hardware", "repro.compiler", "repro.sim", "repro.toolflow",
-          "repro.dse", "repro.analyze", "repro.obs", "networkx")
+#: package, the circuit IR, and networkx (a test-only dependency).
+LAYERS = ("repro.ir", "repro.hardware", "repro.compiler", "repro.sim",
+          "repro.toolflow", "repro.dse", "repro.analyze", "repro.obs",
+          "networkx")
 #: What a process that never compiles must not load.
 COMPILE_SIDE = ("repro.compiler", "repro.sim.batch", "repro.analyze")
 #: What a grid dispatch must not load either: the search strategies and
@@ -32,6 +34,9 @@ SEARCH_SIDE = ("repro.dse.strategies", "repro.dse.adaptive", "repro.dse.moo")
 #: The op classes, which only a caller asking for op objects loads: every
 #: toolflow path reads the op records.
 OP_CLASSES = ("repro.isa.operations",)
+#: The data-model layers below the toolflow: the circuit IR, the hardware,
+#: the program ISA and the simulator.
+DATA_MODEL = ("repro.ir", "repro.hardware", "repro.isa", "repro.sim")
 
 
 def _cli(*argv):
@@ -43,11 +48,12 @@ def _cli(*argv):
 
 
 def _loaded(code, tmp_path):
-    """The module names a fresh interpreter holds after running ``code``."""
+    """The module names a fresh interpreter holds after running ``code``
+    (or when ``code`` writes them to ``OUT`` and exits early)."""
 
     out = tmp_path / "modules.json"
-    probe = (f"import json, sys\n{code}\n"
-             f"open({str(out)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n")
+    probe = (f"import json, sys\nOUT = {str(out)!r}\n{code}\n"
+             f"open(OUT, 'w').write(json.dumps(sorted(sys.modules)))\n")
     subprocess.run([sys.executable, "-c", probe], check=True, cwd=tmp_path,
                    env=dict(os.environ, PYTHONPATH=str(SRC)),
                    stdout=subprocess.DEVNULL)
@@ -60,13 +66,59 @@ def _offending(modules, prefixes):
                    for prefix in prefixes)]
 
 
+def _generators(modules):
+    """The application generators: ``repro.apps``'s submodules (the package
+    itself holds only the names)."""
+
+    return [name for name in modules if name.startswith("repro.apps.")]
+
+
 @pytest.mark.parametrize("code", [
     "import repro",
     "import repro.cli",
     _cli("info"),
 ], ids=["import repro", "import repro.cli", "repro info"])
 def test_package_and_cli_shell_load_no_layer_and_no_networkx(code, tmp_path):
-    assert _offending(_loaded(code, tmp_path), LAYERS) == []
+    """The parser and ``repro info`` read the application names from
+    ``repro.apps``'s constant, not from a generator."""
+
+    loaded = _loaded(code, tmp_path)
+    assert _offending(loaded, LAYERS) + _generators(loaded) == []
+
+
+def test_exporter_loads_no_data_model_layer(tmp_path):
+    """``dse export`` copies JSON rows: no point, config or model is built."""
+
+    store = tmp_path / "store"
+    assert main(["dse", "run", "--apps", "BV", "--qubits", "8",
+                 "--topologies", "L3", "--capacities", "6", "--gates",
+                 "AM1,FM", "--store", str(store)]) == 0
+    loaded = _loaded(_cli("dse", "export", "--store", str(store),
+                          "--output", str(tmp_path / "export.json")),
+                     tmp_path)
+    assert json.loads((tmp_path / "export.json").read_text())["num_points"] == 2
+    assert _generators(loaded) + _offending(
+        loaded, DATA_MODEL + ("repro.models", "repro.toolflow",
+                              "repro.dse.space")) == []
+
+
+def test_dispatcher_spawns_its_first_worker_without_the_data_model(tmp_path):
+    """A real ``dse dispatch``, probed at its first worker spawn: the
+    manifest and the ledger need the space's description, never a circuit,
+    a device, a program or a result."""
+
+    spawn = ("import os, subprocess\n"
+             "def spawn(*args, **kwargs):\n"
+             "    open(OUT, 'w').write(json.dumps(sorted(sys.modules)))\n"
+             "    os._exit(0)\n"
+             "subprocess.Popen = spawn\n")
+    loaded = _loaded(spawn + _cli(
+        "dse", "dispatch", "--apps", "QFT,BV", "--qubits", "8",
+        "--topologies", "L3", "--capacities", "6", "--workers", "2",
+        "--store", str(tmp_path / "store")), tmp_path)
+    assert "repro.dse.dispatch" in loaded
+    assert (tmp_path / "store" / "dispatch.json").exists()
+    assert _generators(loaded) + _offending(loaded, DATA_MODEL) == []
 
 
 def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
@@ -130,8 +182,8 @@ def test_checked_run_loads_no_op_class(tmp_path):
 
 
 @pytest.mark.parametrize("package", [
-    "repro", "repro.analyze", "repro.dse", "repro.dse.adaptive", "repro.io",
-    "repro.isa", "repro.obs", "repro.sim", "repro.toolflow"])
+    "repro", "repro.analyze", "repro.apps", "repro.dse", "repro.dse.adaptive",
+    "repro.io", "repro.isa", "repro.obs", "repro.sim", "repro.toolflow"])
 def test_lazy_exports_resolve(package):
     """Every name a ``lazy_exports`` package lists resolves: an entry left
     behind by a deleted name fails here, not on first use."""

@@ -471,6 +471,9 @@ class TestTracedDispatch:
         roots = [r for r in records if r["parent_id"] is None]
         assert roots and all(r["parent_ref"] == "1:1" for r in roots)
         assert "dse.work" in {r["name"] for r in records}
+        # The set-up before the first claim has its own span.
+        (setup,) = [r for r in records if r["name"] == "dse.worker.setup"]
+        assert setup["attrs"] == {"owner": "w0", "shards": 1}
 
     def test_dispatch_merges_fleet_trace(self, tmp_path):
         tracer = enable_tracing()
