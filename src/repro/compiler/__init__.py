@@ -5,8 +5,8 @@ The compiler takes a fully unrolled circuit IR and a candidate
 :class:`~repro.isa.program.QCCDProgram`:
 
 1. **Mapping** (:mod:`~repro.compiler.mapping`): program qubits are placed
-   onto traps with a greedy heuristic that orders qubits by first use and
-   leaves buffer slots for incoming shuttles.
+   onto traps with the paper's greedy heuristic, which orders qubits by
+   first use and leaves buffer slots for incoming shuttles.
 2. **Scheduling** (:mod:`~repro.compiler.scheduler`): gates are processed in
    earliest-ready-gate-first order, preferring gates that are already local.
 3. **Routing** (:mod:`~repro.compiler.routing`,
@@ -17,18 +17,20 @@ The compiler takes a fully unrolled circuit IR and a candidate
    the correct chain end before splits, using gate-based swapping (GS) or
    physical ion swapping (IS).
 
-:func:`compile_circuit` is the public entry point.
+:func:`compile_circuit` is the public entry point.  It has one
+configuration: it always lowers SWAPs to the native set, maps greedily,
+routes by interaction affinity and validates the result; what varies
+between design points is the device (topology, trap capacity, gate
+implementation, reordering), as in the paper's Figures 6-8.
 """
 
-from repro.compiler.compile import compile_circuit, CompilerOptions
+from repro.compiler.compile import compile_circuit
 from repro.compiler.placement_state import PlacementState, TrapChain
-from repro.compiler.mapping import greedy_mapping, round_robin_mapping
+from repro.compiler.mapping import greedy_mapping
 
 __all__ = [
     "compile_circuit",
-    "CompilerOptions",
     "PlacementState",
     "TrapChain",
     "greedy_mapping",
-    "round_robin_mapping",
 ]

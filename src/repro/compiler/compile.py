@@ -7,7 +7,8 @@ The pass follows Section VI of the paper:
    interaction histogram, per-qubit use lists, first-use order) comes from
    the circuit's cached :class:`~repro.ir.dag.CircuitFrontEnd`, built once
    however many devices the circuit is compiled for;
-2. map program qubits onto traps with the selected heuristic;
+2. map program qubits onto traps with the paper's greedy heuristic
+   (:func:`~repro.compiler.mapping.greedy_mapping`);
 3. walk the dependency DAG in earliest-ready-gate-first order (one generator);
 4. emit single-qubit gates, and two-qubit gates whose operands already share
    a trap (most of them), through the builder's positional emitters,
@@ -22,12 +23,11 @@ The pass follows Section VI of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.checks import checks_enabled
 from repro.compiler.builder import ProgramBuilder
-from repro.compiler.mapping import MAPPING_STRATEGIES
+from repro.compiler.mapping import greedy_mapping
 from repro.compiler.placement_state import PlacementState
 from repro.compiler.routing import Router
 from repro.compiler.scheduler import GateScheduler
@@ -40,57 +40,18 @@ from repro.isa.program import OpSequence, QCCDProgram
 from repro.obs.trace import span
 
 
-@dataclass(frozen=True)
-class CompilerOptions:
-    """Knobs of the compilation pass.
-
-    Attributes
-    ----------
-    mapping:
-        Initial mapping strategy: ``"greedy"`` (the paper's heuristic),
-        ``"round_robin"`` or ``"interaction_aware"``.
-    routing:
-        Shuttle direction policy: ``"affinity"`` (default; move the operand
-        whose interactions pull it toward the destination), ``"space"`` or
-        ``"fixed"`` (see :mod:`repro.compiler.routing`).
-    lower_to_native:
-        Whether to rewrite SWAP gates into three MS-class gates before
-        compiling (the paper's IR is already in the native set).
-    validate:
-        Run the placement-state consistency checks after compilation.
-    """
-
-    mapping: str = "greedy"
-    routing: str = "affinity"
-    lower_to_native: bool = True
-    validate: bool = True
-
-    def mapping_fn(self):
-        """Resolve the mapping strategy name to its implementation."""
-
-        try:
-            return MAPPING_STRATEGIES[self.mapping]
-        except KeyError:
-            valid = ", ".join(sorted(MAPPING_STRATEGIES))
-            raise ValueError(f"unknown mapping strategy {self.mapping!r}; expected one of {valid}")
-
-
-def compile_circuit(circuit: Circuit, device: QCCDDevice,
-                    options: Optional[CompilerOptions] = None) -> QCCDProgram:
+def compile_circuit(circuit: Circuit, device: QCCDDevice) -> QCCDProgram:
     """Compile ``circuit`` for ``device`` and return the executable program."""
 
-    options = options or CompilerOptions()
-    with span("compile", circuit=circuit.name, device=device.name,
-              mapping=options.mapping, routing=options.routing) as trace:
-        program = _compile_circuit(circuit, device, options)
+    with span("compile", circuit=circuit.name, device=device.name) as trace:
+        program = _compile_circuit(circuit, device)
         trace.set(ops=len(program), shuttles=program.num_shuttles)
         return program
 
 
-def _compile_circuit(circuit: Circuit, device: QCCDDevice,
-                     options: CompilerOptions) -> QCCDProgram:
+def _compile_circuit(circuit: Circuit, device: QCCDDevice) -> QCCDProgram:
     with span("compile.lower"):
-        front = circuit.front_end(options.lower_to_native)
+        front = circuit.front_end(lower_to_native=True)
     circuit = front.circuit
     if circuit.num_qubits > device.num_qubits:
         raise ValueError(
@@ -98,8 +59,8 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
             f"{device.num_qubits} ions"
         )
 
-    with span("compile.map", strategy=options.mapping):
-        state: PlacementState = options.mapping_fn()(circuit, device)
+    with span("compile.map"):
+        state: PlacementState = greedy_mapping(circuit, device)
     placement = state.snapshot_placement()
     builder = ProgramBuilder()
     ion_of_qubit, trap_of_ion, chains = state.tables()
@@ -111,7 +72,7 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
 
     scheduler = GateScheduler(circuit, is_local=is_local)
     router = Router(state, device, next_use=scheduler.next_use,
-                    neighbours=front.neighbours, policy=options.routing)
+                    neighbours=front.neighbours)
     gates, kinds = front.gates, front.kinds
     one_ion, two_ions = builder.one_ion, builder.two_ions
     # One (ion,) tuple per ion, for the single-qubit gate records to share.
@@ -119,8 +80,7 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
     # One span covers the interleaved schedule/route/emit loop.  Only a
     # cross-trap gate reaches the router; its shuttles (GS swaps, evictions)
     # may rebind the operands' ions, so they are read again after it.
-    with span("compile.route", policy=options.routing,
-              gates=front.num_two_qubit_gates):
+    with span("compile.route", gates=front.num_two_qubit_gates):
         for index in scheduler.order():
             gate = gates[index]
             kind = kinds[index]
@@ -157,15 +117,14 @@ def _compile_circuit(circuit: Circuit, device: QCCDDevice,
         metadata={
             "num_program_qubits": circuit.num_qubits,
             "num_circuit_two_qubit_gates": front.num_two_qubit_gates,
-            "mapping": options.mapping,
+            "mapping": "greedy",
             "gate": device.gate.value,
             "reorder": device.reorder.value,
         },
     )
-    if options.validate:
-        with span("compile.validate"):
-            state.validate()
-            program.validate()
+    with span("compile.validate"):
+        state.validate()
+        program.validate()
     if checks_enabled():
         from repro.analyze.runtime import verify_or_raise
 

@@ -2,7 +2,7 @@
 
 When a two-qubit gate's operands sit in different traps, the compiler must
 pick which operand to shuttle and, if the receiving trap is full, which
-resident ion to evict (and to which trap).  The policies are deliberately
+resident ion to evict (and to which trap).  The decisions are deliberately
 simple, deterministic greedy heuristics in the spirit of Section VI:
 
 * **Destination choice**: shuttle the operand whose interaction affinity pulls
@@ -76,31 +76,15 @@ class CommunicationPlan:
         return self.evictions + (self.primary,)
 
 
-#: Available routing policies:
-#: * ``"affinity"`` -- move the operand whose interactions pull it toward the
-#:   destination (minimises future communication; the default).
-#: * ``"space"`` -- move into whichever trap has more free slots.
-#: * ``"fixed"`` -- always move the first operand into the second operand's
-#:   trap when it has room (the simplest policy; useful as an ablation
-#:   baseline for how much routing intelligence matters).
-ROUTING_POLICIES = ("affinity", "space", "fixed")
-
-
 class Router:
     """Greedy communication planner over a live placement state."""
 
     def __init__(self, state: PlacementState, device: QCCDDevice,
                  next_use: Optional[NextUseFn] = None,
-                 neighbours: Optional[Adjacency] = None,
-                 policy: str = "affinity") -> None:
-        if policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {policy!r}; expected one of {ROUTING_POLICIES}"
-            )
+                 neighbours: Optional[Adjacency] = None) -> None:
         self.state = state
         self.device = device
         self.next_use = next_use or (lambda qubit: None)
-        self.policy = policy
         # Trap-to-trap distances are static; cache them once.
         self._distances = device.topology.distance_matrix()
         # Static eviction-destination order: per origin, every trap presorted
@@ -204,10 +188,6 @@ class Router:
             return False
         if free_a <= 0:
             return True
-        if self.policy == "fixed":
-            return True
-        if self.policy == "space":
-            return free_b >= free_a
         gain_a = self._move_gain(qubit_a, trap_a, trap_b)
         gain_b = self._move_gain(qubit_b, trap_b, trap_a)
         if gain_a != gain_b:

@@ -30,7 +30,7 @@ compile/simulate core:
   commands, and watches progress with a ``wall_s``-driven ETA.
 * :mod:`~repro.dse.adaptive` -- the proposers of every strategy but the
   grid (seeded sampling, coordinate descent, the multi-fidelity ladder in
-  a fixed and a surrogate-ranked variant, expected-improvement/UCB batch
+  a fixed and a surrogate-ranked variant, expected-improvement batch
   search over incremental surrogate regressors), and the proposer side of
   the distributed propose/evaluate protocol (signed proposal parts in the
   store's work ledger; ``repro dse dispatch --strategy bayes``, ``repro

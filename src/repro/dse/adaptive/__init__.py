@@ -12,9 +12,10 @@ the ordinary compile/simulate pipeline and experiment store.
   regression (:class:`RFFSurrogate`) and a bagged regression-tree ensemble
   with predictive variance (:class:`TreeEnsembleSurrogate`), both
   bit-deterministic under a fixed seed.
-* :mod:`~repro.dse.adaptive.propose` -- expected-improvement and UCB
-  acquisition, the one proposer factory (:func:`make_proposer`) and budget
-  rule (:func:`default_max_evals`), the ``random`` and ``greedy``
+* :mod:`~repro.dse.adaptive.propose` -- expected-improvement
+  acquisition (and the upper confidence bound of adaptive-halving's
+  promotion filter), the one proposer factory (:func:`make_proposer`) and
+  budget rule (:func:`default_max_evals`), the ``random`` and ``greedy``
   proposers, the :class:`BayesProposer` batch proposer, and the
   scaled-proxy ladder, which promotes the best-ranked half of each rung
   (``halving``) or, as :class:`AdaptiveHalvingProposer`, only the

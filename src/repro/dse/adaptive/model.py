@@ -34,6 +34,16 @@ from repro.dse.space import DesignSpace
 #: Surrogate names accepted by :func:`make_surrogate` and the CLI.
 SURROGATE_NAMES = ("rff", "trees")
 
+#: :class:`RFFSurrogate`'s random Fourier features, their RBF lengthscale
+#: and the ridge term on the Gram diagonal.
+RFF_FEATURES = 32
+RFF_LENGTHSCALE = 1.5
+RFF_RIDGE = 1e-2
+
+#: :class:`TreeEnsembleSurrogate`'s bag size and tree depth bound.
+ENSEMBLE_TREES = 12
+TREE_MAX_DEPTH = 4
+
 
 class PointEncoder:
     """Encode design points of one space as fixed-length float vectors."""
@@ -159,29 +169,26 @@ class RFFSurrogate:
     objective's mean, the raw (linear) terms capture additive main effects
     -- which is what lets a handful of observations already rank "FM is the
     best gate" or "capacity helps" across the one-hot axes -- and the
-    ``features`` cosine features approximate an RBF kernel of the given
-    ``lengthscale`` for the interactions.  ``observe`` updates the
-    sufficient statistics in O(size^2); ``predict`` factorises lazily and
-    returns the posterior mean and predictive standard deviation.
+    :data:`RFF_FEATURES` cosine features approximate an RBF kernel of
+    lengthscale :data:`RFF_LENGTHSCALE` for the interactions.  ``observe``
+    updates the sufficient statistics in O(size^2); ``predict`` factorises
+    lazily and returns the posterior mean and predictive standard
+    deviation.
     """
 
     name = "rff"
 
-    def __init__(self, dim: int, *, features: int = 32,
-                 lengthscale: float = 1.5, ridge: float = 1e-2,
-                 seed: int = 0) -> None:
+    def __init__(self, dim: int, *, seed: int = 0) -> None:
         if dim < 1:
             raise ValueError("encoded dimension must be positive")
-        if features < 1:
-            raise ValueError("feature count must be positive")
         rng = random.Random(seed)
         self.dim = dim
-        self.features = features
-        self._weights = [[rng.gauss(0.0, 1.0 / lengthscale) for _ in range(dim)]
-                         for _ in range(features)]
-        self._phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(features)]
-        size = 1 + dim + features  # constant + linear + cosine features
-        self._gram = [[ridge if i == j else 0.0 for j in range(size)]
+        self._weights = [[rng.gauss(0.0, 1.0 / RFF_LENGTHSCALE)
+                          for _ in range(dim)] for _ in range(RFF_FEATURES)]
+        self._phases = [rng.uniform(0.0, 2.0 * math.pi)
+                        for _ in range(RFF_FEATURES)]
+        size = 1 + dim + RFF_FEATURES  # constant + linear + cosine features
+        self._gram = [[RFF_RIDGE if i == j else 0.0 for j in range(size)]
                       for i in range(size)]
         self._moment = [0.0] * size
         self._sum_y = 0.0
@@ -191,7 +198,7 @@ class RFFSurrogate:
         self._theta: Optional[List[float]] = None
 
     def _features_of(self, x: Sequence[float]) -> List[float]:
-        scale = math.sqrt(2.0 / self.features)
+        scale = math.sqrt(2.0 / RFF_FEATURES)
         phi = [1.0]
         phi.extend(x)
         for weights, phase in zip(self._weights, self._phases):
@@ -258,10 +265,10 @@ class _TreeNode:
 
 
 def _build_tree(xs: List[Sequence[float]], ys: List[float], indices: List[int],
-                depth: int, max_depth: int, min_leaf: int) -> _TreeNode:
+                depth: int) -> _TreeNode:
     mean = sum(ys[i] for i in indices) / len(indices)
     node = _TreeNode(mean)
-    if depth >= max_depth or len(indices) < 2 * min_leaf:
+    if depth >= TREE_MAX_DEPTH or len(indices) < 2:
         return node
     best = None  # (sse, feature, threshold, left_indices, right_indices)
     dim = len(xs[indices[0]])
@@ -275,9 +282,9 @@ def _build_tree(xs: List[Sequence[float]], ys: List[float], indices: List[int],
             prefix_y.append(prefix_y[-1] + ys[i])
             prefix_y2.append(prefix_y2[-1] + ys[i] * ys[i])
         total_y, total_y2 = prefix_y[-1], prefix_y2[-1]
-        # min_leaf >= 1 keeps every split strictly interior, so both sides
-        # of the comparison below always exist.
-        for split in range(min_leaf, len(ordered) - min_leaf + 1):
+        # Every split leaves at least one observation on each side, so
+        # both sides of the comparison below always exist.
+        for split in range(1, len(ordered)):
             if values[split - 1] == values[split]:
                 continue  # cannot separate equal feature values
             left_n, right_n = split, len(ordered) - split
@@ -292,8 +299,8 @@ def _build_tree(xs: List[Sequence[float]], ys: List[float], indices: List[int],
     if best is None:
         return node
     _, node.feature, node.threshold, left_idx, right_idx = best
-    node.left = _build_tree(xs, ys, left_idx, depth + 1, max_depth, min_leaf)
-    node.right = _build_tree(xs, ys, right_idx, depth + 1, max_depth, min_leaf)
+    node.left = _build_tree(xs, ys, left_idx, depth + 1)
+    node.right = _build_tree(xs, ys, right_idx, depth + 1)
     return node
 
 
@@ -314,18 +321,10 @@ class TreeEnsembleSurrogate:
 
     name = "trees"
 
-    def __init__(self, dim: int, *, trees: int = 12, max_depth: int = 4,
-                 min_leaf: int = 1, seed: int = 0) -> None:
+    def __init__(self, dim: int, *, seed: int = 0) -> None:
         if dim < 1:
             raise ValueError("encoded dimension must be positive")
-        if trees < 2:
-            raise ValueError("an ensemble needs at least two trees")
-        if min_leaf < 1:
-            raise ValueError("min_leaf must be at least 1")
         self.dim = dim
-        self.trees = trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.seed = seed
         self._xs: List[Sequence[float]] = []
         self._ys: List[float] = []
@@ -344,13 +343,12 @@ class TreeEnsembleSurrogate:
         n = len(self._ys)
         indices = list(range(n))
         forest = []
-        for tree in range(self.trees):
+        for tree in range(ENSEMBLE_TREES):
             # Integer seed mix: stable across processes and Python versions
             # (tuple seeding would hash, which TypeErrors on 3.11+).
             rng = random.Random(self.seed * 1_000_003 + tree * 8191 + n)
             sample = sorted(rng.choices(indices, k=n))
-            forest.append(_build_tree(self._xs, self._ys, sample, 0,
-                                      self.max_depth, self.min_leaf))
+            forest.append(_build_tree(self._xs, self._ys, sample, 0))
         self._fitted = forest
 
     def predict(self, x: Sequence[float]) -> Tuple[float, float]:

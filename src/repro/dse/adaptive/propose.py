@@ -28,7 +28,7 @@ gives its default budget.
   :mod:`repro.dse.moo.propose`): a seeded random first batch, then the top
   acquisition scorers, within an evaluation budget.
 * :class:`BayesProposer` -- classic batch Bayesian optimization: expected
-  improvement or UCB under one surrogate model.
+  improvement under one surrogate model.
 * :class:`HalvingProposer` -- ``halving``: the scaled-proxy ladder, one
   batch per rung, each proxy rung promoting its best-ranked half.
 * :class:`AdaptiveHalvingProposer` -- ``adaptive-halving``: the same
@@ -49,9 +49,6 @@ from repro.dse.pareto import objective_value
 from repro.dse.space import AXES, DesignPoint, DesignSpace
 from repro.obs.metrics import registry as _metrics_registry
 
-#: Acquisition functions understood by :class:`BayesProposer`.
-ACQUISITIONS = ("ei", "ucb")
-
 #: The default budget of each budgeted strategy, as the share of the grid
 #: it evaluates: best-point search a quarter, frontier search half (a
 #: frontier has many members).  The other strategies size themselves.
@@ -59,6 +56,11 @@ GRID_SHARE = {"bayes": 4, "ehvi": 2, "parego": 2}
 
 #: The most axis-sweep rounds a greedy climb runs.
 MAX_ROUNDS = 10
+
+#: The confidence width of adaptive-halving's promotion filter: a
+#: candidate competes when its surrogate's ``mean + UCB_BETA * std``
+#: reaches the rung's best observed score.
+UCB_BETA = 1.0
 
 
 def _norm_cdf(z: float) -> float:
@@ -78,7 +80,7 @@ def expected_improvement(mean: float, std: float, best: float) -> float:
     return (mean - best) * _norm_cdf(z) + std * _norm_pdf(z)
 
 
-def upper_confidence_bound(mean: float, std: float, beta: float = 2.0) -> float:
+def upper_confidence_bound(mean: float, std: float, beta: float) -> float:
     """Optimism-in-the-face-of-uncertainty score ``mean + beta * std``."""
 
     return mean + beta * std
@@ -418,24 +420,20 @@ class BayesProposer(BatchProposer):
         the operating point the adaptive subsystem is built for.
     surrogate:
         ``"rff"`` or ``"trees"`` (see :mod:`repro.dse.adaptive.model`).
-    acquisition:
-        ``"ei"`` (expected improvement, default) or ``"ucb"``.
+
+    Guided batches take the unproposed candidates of highest expected
+    improvement over the best observation.
     """
 
     name = "bayes"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  metric: str = "fidelity", batch_size: int = 4,
-                 max_evals: Optional[int] = None, surrogate: str = "rff",
-                 acquisition: str = "ei", ucb_beta: float = 2.0) -> None:
+                 max_evals: Optional[int] = None,
+                 surrogate: str = "rff") -> None:
         super().__init__(space, seed=seed, metric=metric,
                          batch_size=batch_size, max_evals=max_evals,
                          surrogate=surrogate)
-        if acquisition not in ACQUISITIONS:
-            raise ValueError(f"unknown acquisition {acquisition!r}; "
-                             f"expected one of {ACQUISITIONS}")
-        self.acquisition = acquisition
-        self.ucb_beta = ucb_beta
         self._surrogate = make_surrogate(surrogate, self._encoder.dim,
                                          seed=seed)
 
@@ -444,10 +442,7 @@ class BayesProposer(BatchProposer):
         scores = []
         for index in unproposed:
             mean, std = self._surrogate.predict(self._features[index])
-            if self.acquisition == "ei":
-                scores.append(expected_improvement(mean, std, best))
-            else:
-                scores.append(upper_confidence_bound(mean, std, self.ucb_beta))
+            scores.append(expected_improvement(mean, std, best))
         return scores
 
     def _ingest(self, batch: ProposalBatch, values: Sequence[float]) -> None:
@@ -603,13 +598,11 @@ class AdaptiveHalvingProposer(HalvingProposer):
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  metric: str = "fidelity", proxy_qubits: int = 12,
-                 surrogate: str = "trees", min_survivors: int = 1,
-                 ucb_beta: float = 1.0) -> None:
+                 surrogate: str = "trees", min_survivors: int = 1) -> None:
         super().__init__(space, seed=seed, metric=metric,
                          proxy_qubits=proxy_qubits,
                          min_survivors=min_survivors)
         self.surrogate_name = surrogate
-        self.ucb_beta = ucb_beta
         self._encoder = PointEncoder(space)
 
     def _contenders(self, batch: ProposalBatch,
@@ -625,7 +618,7 @@ class AdaptiveHalvingProposer(HalvingProposer):
         optimistic = []
         for key in batch.keys:
             mean, std = surrogate.predict(features[key])
-            bound = upper_confidence_bound(mean, std, self.ucb_beta)
+            bound = upper_confidence_bound(mean, std, UCB_BETA)
             if bound >= best_observed - 1e-12:
                 optimistic.append(key)
         return optimistic

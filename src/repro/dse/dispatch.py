@@ -70,7 +70,6 @@ from repro.obs.distributed import (
     span_record,
 )
 from repro.obs.export import filename_safe
-from repro.obs.timeline import TelemetryReader, fold_workers
 from repro.obs.trace import (
     current_span_name,
     current_span_ref,
@@ -863,6 +862,10 @@ class FleetView:
 
     def __init__(self, store_dir, *, ttl_s: Optional[float] = None,
                  clock: Optional[LeaseClock] = None) -> None:
+        # The stream reader loads here, not at module import: a worker
+        # writes its stream but never reads one.
+        from repro.obs.timeline import TelemetryReader
+
         self.store_dir = Path(store_dir)
         self.clock = clock if clock is not None else LeaseClock()
         self.reader = TelemetryReader(self.store_dir)
@@ -915,6 +918,8 @@ class FleetView:
                 eta_s=None if pending is None else estimate_eta_s(
                     pending, self.store.wall_timings(),
                     max(1, shards["active"])))
+        from repro.obs.timeline import fold_workers
+
         self.reader.poll()
         progress["workers"] = fold_workers(self.reader.events,
                                            now=self.clock.now())
@@ -1224,6 +1229,8 @@ def fill_store(space: DesignSpace, store_dir, *, workers: int,
                              strategy=strategy, poll_s=IDLE_WAIT_S).run()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    from repro.obs.timeline import TelemetryReader
+
     reader = TelemetryReader(store_dir)
     reader.poll()
     if not summary["complete"]:

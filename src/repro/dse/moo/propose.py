@@ -58,6 +58,14 @@ from repro.dse.space import DesignSpace
 #: Default objective pair: the paper's headline trade-off (Figures 6-8).
 DEFAULT_OBJECTIVES = ("fidelity", "runtime")
 
+#: Monte-Carlo draws per candidate of :class:`EHVIProposer`'s expected
+#: hypervolume improvement.
+EHVI_SAMPLES = 16
+
+#: Weight of the linear term in :class:`ParEGOProposer`'s augmented
+#: Chebyshev scalarization (it breaks ties where the min term is flat).
+PAREGO_RHO = 0.05
+
 
 class _MOOProposer(BatchProposer):
     """What the multi-objective proposers add to the batch machine.
@@ -154,24 +162,22 @@ class EHVIProposer(_MOOProposer):
     One surrogate per objective (seeded independently, so ``rff`` feature
     maps differ across objectives) learns the raw objective landscape.
     Scoring normalises predictions into the observed min-max box and takes
-    a seeded ``samples``-draw Monte-Carlo estimate of the hypervolume each
-    candidate would add to the archive.  The sample draw is a pure function
-    of (seed, batch number, candidate visit order), so the acquisition --
-    and with it the whole proposal sequence -- is deterministic.
+    a seeded :data:`EHVI_SAMPLES`-draw Monte-Carlo estimate of the
+    hypervolume each candidate would add to the archive.  The sample draw
+    is a pure function of (seed, batch number, candidate visit order), so
+    the acquisition -- and with it the whole proposal sequence -- is
+    deterministic.
     """
 
     name = "ehvi"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  objectives=DEFAULT_OBJECTIVES, batch_size: int = 4,
-                 max_evals: Optional[int] = None, surrogate: str = "rff",
-                 samples: int = 16) -> None:
+                 max_evals: Optional[int] = None,
+                 surrogate: str = "rff") -> None:
         super().__init__(space, seed=seed, objectives=objectives,
                          batch_size=batch_size, max_evals=max_evals,
                          surrogate=surrogate)
-        if samples < 1:
-            raise ValueError("samples must be a positive integer")
-        self.samples = samples
         self._surrogates = [
             make_surrogate(surrogate, self._encoder.dim,
                            seed=seed * 131 + index)
@@ -194,7 +200,7 @@ class EHVIProposer(_MOOProposer):
             predictions = [surrogate.predict(self._features[index])
                            for surrogate in self._surrogates]
             total = 0.0
-            for _ in range(self.samples):
+            for _ in range(EHVI_SAMPLES):
                 sampled = tuple(rng.gauss(mean, std) if std > 0 else mean
                                 for mean, std in predictions)
                 # Exclusive contribution against the (fixed, already
@@ -202,7 +208,7 @@ class EHVIProposer(_MOOProposer):
                 # into the sample's box, never re-filtered.
                 total += hypervolume_improvement(
                     archive, normalise(sampled, bounds), reference)
-            scores.append(total / self.samples)
+            scores.append(total / EHVI_SAMPLES)
         return scores
 
 
@@ -211,9 +217,9 @@ class ParEGOProposer(_MOOProposer):
 
     Every guided batch draws one weight vector from the unit simplex,
     collapses each observed objective vector ``v`` (min-max normalised)
-    to ``min_i(w_i v_i) + rho * sum_i(w_i v_i)``, fits a fresh surrogate
-    on the scalarised landscape in sorted key order, and proposes the
-    candidates with the highest expected improvement.  Rotating weights
+    to ``min_i(w_i v_i) + PAREGO_RHO * sum_i(w_i v_i)``, fits a fresh
+    surrogate on the scalarised landscape in sorted key order, and proposes
+    the candidates with the highest expected improvement.  Rotating weights
     sweep the frontier one scalar problem at a time -- far cheaper than
     EHVI per batch, at the cost of frontier coverage per evaluation.
     """
@@ -222,14 +228,11 @@ class ParEGOProposer(_MOOProposer):
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  objectives=DEFAULT_OBJECTIVES, batch_size: int = 4,
-                 max_evals: Optional[int] = None, surrogate: str = "rff",
-                 rho: float = 0.05) -> None:
+                 max_evals: Optional[int] = None,
+                 surrogate: str = "rff") -> None:
         super().__init__(space, seed=seed, objectives=objectives,
                          batch_size=batch_size, max_evals=max_evals,
                          surrogate=surrogate)
-        if rho < 0:
-            raise ValueError("rho must be non-negative")
-        self.rho = rho
 
     def _weights(self) -> Tuple[float, ...]:
         """The batch's scalarization weights (seeded, simplex-uniform)."""
@@ -243,7 +246,7 @@ class ParEGOProposer(_MOOProposer):
                    weights: Tuple[float, ...],
                    bounds) -> float:
         scaled = [w * v for w, v in zip(weights, normalise(vector, bounds))]
-        return min(scaled) + self.rho * sum(scaled)
+        return min(scaled) + PAREGO_RHO * sum(scaled)
 
     def _scores(self, unproposed: Sequence[int]) -> List[float]:
         bounds = vector_bounds(self._observed.values())

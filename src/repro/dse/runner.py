@@ -49,12 +49,6 @@ from repro.obs.trace import span
 from repro.toolflow.parallel import ProgramCache, SweepTask, execute_task
 
 
-def _default_circuit_builder(app: str, qubits: Optional[int]) -> Circuit:
-    from repro.apps.suite import build_application
-
-    return build_application(app, num_qubits=qubits)
-
-
 class DSERunner:
     """Evaluates design points against a store and a compiled-program cache.
 
@@ -92,7 +86,6 @@ class DSERunner:
                  circuits: Optional[Dict[str, Circuit]] = None,
                  shard: Optional[Shard] = None,
                  cache: Optional[ProgramCache] = None,
-                 circuit_builder: Optional[Callable[[str, Optional[int]], Circuit]] = None,
                  heartbeat: Optional[Callable[[], None]] = None,
                  ) -> None:
         if (store is not None and shard is not None
@@ -108,7 +101,6 @@ class DSERunner:
         self.shard = shard
         self.cache = cache if cache is not None else ProgramCache()
         self.heartbeat = heartbeat
-        self._circuit_builder = circuit_builder or _default_circuit_builder
         self._circuit_memo: Dict[Tuple[str, Optional[int]], Circuit] = {}
         self._fingerprint_memo: Dict[DesignPoint, str] = {}
         self.stats = {"evaluated": 0, "reused": 0, "skipped": 0}
@@ -137,7 +129,9 @@ class DSERunner:
             except KeyError:
                 raise ValueError(f"no circuit provided for application {app!r}")
         else:
-            circuit = self._circuit_builder(app, qubits)
+            from repro.apps.suite import build_application
+
+            circuit = build_application(app, num_qubits=qubits)
         self._circuit_memo[key] = circuit
         return circuit
 
@@ -160,7 +154,13 @@ class DSERunner:
         """
 
         circuit = self.circuit_for(point.app, point.qubits)
-        key = ProgramCache.key_for(circuit, point.config)
+        # Hashed with the compile configuration the key carried while the
+        # compiler was configurable (greedy mapping, affinity routing, SWAP
+        # lowering): dropping those constants would move points between
+        # shards, and a store an earlier version dispatched would then
+        # resume with done shards that own points nobody evaluated.
+        key = ProgramCache.key_for(circuit, point.config) + (
+            "greedy", "affinity", True)
         return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
     def shard_estimates(self, count: int) -> Dict[str, int]:

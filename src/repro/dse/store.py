@@ -390,9 +390,6 @@ class ExperimentStore:
         return [row["wall_s"] for row in self._rows.values()
                 if isinstance(row.get("wall_s"), (int, float))]
 
-    def fingerprints(self) -> List[str]:
-        return list(self._rows)
-
     def source_counts(self) -> Dict[str, int]:
         """Rows per originating file (``"memory"`` for unpersisted rows)."""
 

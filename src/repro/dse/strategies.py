@@ -21,7 +21,7 @@ the same points and reports the same best.
     scaled-down proxy suite, keep the best half, grow the proxy, and
     evaluate only the survivors at full scale;
   - ``bayes`` -- surrogate-guided batch search: seeded random
-    initialisation, then expected-improvement/UCB batches under an
+    initialisation, then expected-improvement batches under an
     incremental surrogate model, within a budget of a quarter of the grid;
   - ``adaptive-halving`` -- the same proxy ladder, promoting only the
     candidates the surrogate rates as possible winners;

@@ -85,12 +85,6 @@ class ShuttlePath:
 
         return sum(seg.length for seg in self.segments)
 
-    @property
-    def num_junctions(self) -> int:
-        """Number of junction crossings."""
-
-        return len(self.junctions)
-
     def __len__(self) -> int:
         return len(self.steps)
 

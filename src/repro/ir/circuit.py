@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.dag import CircuitFrontEnd
-from repro.ir.gate import Gate, GateKind
+from repro.ir.gate import Gate
 
 
 class Circuit:
@@ -104,21 +104,6 @@ class Circuit:
         """Number of single-qubit gates."""
 
         return sum(1 for g in self._gates if g.is_single_qubit)
-
-    def depth(self) -> int:
-        """Circuit depth counting every gate as one time step."""
-
-        frontier = [0] * self.num_qubits
-        for gate in self._gates:
-            if gate.kind is GateKind.BARRIER:
-                level = max(frontier[q] for q in gate.qubits)
-                for q in gate.qubits:
-                    frontier[q] = level
-                continue
-            level = max(frontier[q] for q in gate.qubits) + 1
-            for q in gate.qubits:
-                frontier[q] = level
-        return max(frontier, default=0)
 
     # ------------------------------------------------------------------ #
     # Transformations

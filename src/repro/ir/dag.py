@@ -70,7 +70,7 @@ class CircuitFrontEnd:
         Per program qubit, its ``(neighbour, count)`` pairs: the undirected
         interaction histogram over the two-qubit gates, in first-occurrence
         order, as an adjacency (:func:`interaction_adjacency`; the router's
-        affinity and the interaction-aware mapping read it).
+        affinity reads it).
     uses:
         Per program qubit, the indices of the two-qubit gates using it.
     first_use_order:

@@ -15,39 +15,19 @@ Four model families are implemented, each in its own module:
 
 :mod:`~repro.models.params` groups every tunable constant in frozen
 dataclasses so that experiments are reproducible and ablations are explicit.
+The names below resolve on first access (:mod:`repro._lazy`), so a process
+that only reads the parameters (the dispatcher, building a design space)
+loads no model.
 """
 
-from repro.models.params import (
-    FidelityParams,
-    HeatingParams,
-    ShuttleTimes,
-    SingleQubitParams,
-    PhysicalModel,
-)
-from repro.models.gate_times import (
-    GateImplementation,
-    gate_time,
-    am1_gate_time,
-    am2_gate_time,
-    pm_gate_time,
-    fm_gate_time,
-)
-from repro.models.heating import HeatingModel
-from repro.models.fidelity import FidelityModel, GateErrorBreakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FidelityParams",
-    "HeatingParams",
-    "ShuttleTimes",
-    "SingleQubitParams",
-    "PhysicalModel",
-    "GateImplementation",
-    "gate_time",
-    "am1_gate_time",
-    "am2_gate_time",
-    "pm_gate_time",
-    "fm_gate_time",
-    "HeatingModel",
-    "FidelityModel",
-    "GateErrorBreakdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.models.params": ("FidelityParams", "HeatingParams", "ShuttleTimes",
+                            "SingleQubitParams", "PhysicalModel"),
+    "repro.models.gate_times": ("GateImplementation", "gate_time",
+                                "am1_gate_time", "am2_gate_time",
+                                "pm_gate_time", "fm_gate_time"),
+    "repro.models.heating": ("HeatingModel",),
+    "repro.models.fidelity": ("FidelityModel", "GateErrorBreakdown"),
+})

@@ -81,12 +81,6 @@ class SimulationResult:
         return self.communication_time * 1e-6
 
     @property
-    def error_rate(self) -> float:
-        """1 - fidelity."""
-
-        return 1.0 - self.fidelity
-
-    @property
     def mean_two_qubit_error(self) -> float:
         """Mean total error per MS gate (background + motional)."""
 

@@ -6,11 +6,11 @@ This module holds the two pieces every sweep and figure driver shares:
 
 * :class:`ProgramCache` -- a compiled-program memo keyed by the *compile
   relevant* inputs: the circuit's structural fingerprint plus (topology,
-  capacity, reorder, buffer, mapping, routing, lowering).  The two-qubit gate
-  implementation is deliberately **not** part of the key: it changes only
-  durations and fidelities, never the compiled operation sequence, which is
-  exactly the sharing :func:`~repro.toolflow.runner.run_gate_variants`
-  exploits for Figure 8.  With the cache, *every* sweep (capacity, topology,
+  capacity, reorder, buffer).  The two-qubit gate implementation is
+  deliberately **not** part of the key: it changes only durations and
+  fidelities, never the compiled operation sequence, which is exactly the
+  sharing :func:`~repro.toolflow.runner.run_gate_variants` exploits for
+  Figure 8.  With the cache, *every* sweep (capacity, topology,
   microarchitecture) shares compilations the same way.  A compilation is
   held only while its sweep still needs it: the DSE runner releases it once
   every gate of the design space has a stored row at that point.  Separate
@@ -42,7 +42,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.checks import checks_enabled
-from repro.compiler.compile import CompilerOptions, compile_circuit
+from repro.compiler.compile import compile_circuit
 from repro.hardware.device import QCCDDevice
 from repro.models.gate_times import GateImplementation
 from repro.io.fingerprint import circuit_fingerprint
@@ -103,28 +103,22 @@ class ProgramCache:
         return len(self._programs)
 
     @staticmethod
-    def key_for(circuit: Circuit, config: ArchitectureConfig,
-                options: Optional[CompilerOptions] = None) -> Tuple:
+    def key_for(circuit: Circuit, config: ArchitectureConfig) -> Tuple:
         """The compile-relevant identity of a sweep point.
 
         Excludes the gate implementation (it does not affect compilation) and
         the physical model parameters (the compiler never reads them).
         """
 
-        options = options or CompilerOptions()
         return (
             circuit_fingerprint(circuit),
             config.topology,
             config.trap_capacity,
             config.reorder,
             config.buffer_ions,
-            options.mapping,
-            options.routing,
-            options.lower_to_native,
         )
 
     def get_or_compile(self, circuit: Circuit, config: ArchitectureConfig,
-                       options: Optional[CompilerOptions] = None,
                        ) -> Tuple[QCCDProgram, QCCDDevice]:
         """Return the compiled ``(program, device)`` for a sweep point.
 
@@ -133,7 +127,7 @@ class ProgramCache:
         stored.
         """
 
-        key = self.key_for(circuit, config, options)
+        key = self.key_for(circuit, config)
         entry = self._programs.get(key)
         if entry is not None:
             self._hits.inc()
@@ -148,7 +142,7 @@ class ProgramCache:
             return program, device
         self._misses.inc()
         device = config.build_device(circuit.num_qubits)
-        program = compile_circuit(circuit, device, options)
+        program = compile_circuit(circuit, device)
         self._programs[key] = (program, device)
         return program, device
 
@@ -196,7 +190,6 @@ class SweepTask:
     circuit: Circuit
     config: ArchitectureConfig
     gates: Optional[Tuple[str, ...]] = None
-    options: Optional[CompilerOptions] = None
 
 
 def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]:
@@ -220,7 +213,7 @@ def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]
 
 def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]:
     compile_start = perf_counter()
-    program, device = cache.get_or_compile(task.circuit, task.config, task.options)
+    program, device = cache.get_or_compile(task.circuit, task.config)
     if checks_enabled():
         # Covers the cache-hit path (a fresh compile already verified); the
         # per-program memo makes repeat hits free.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.compiler.compile import CompilerOptions, compile_circuit
+from repro.compiler.compile import compile_circuit
 from repro.ir.circuit import Circuit
 from repro.sim.batch import simulate_gate_variants
 from repro.sim.engine import simulate
@@ -75,20 +75,19 @@ class ExperimentRecord:
         return dict(cached)
 
 
-def compile_for(circuit: Circuit, config: ArchitectureConfig,
-                options: Optional[CompilerOptions] = None) -> tuple:
+def compile_for(circuit: Circuit, config: ArchitectureConfig) -> tuple:
     """Compile ``circuit`` for ``config``; returns ``(program, device)``."""
 
     device = config.build_device(circuit.num_qubits)
-    program = compile_circuit(circuit, device, options)
+    program = compile_circuit(circuit, device)
     return program, device
 
 
-def run_experiment(circuit: Circuit, config: ArchitectureConfig, *,
-                   options: Optional[CompilerOptions] = None) -> ExperimentRecord:
+def run_experiment(circuit: Circuit,
+                   config: ArchitectureConfig) -> ExperimentRecord:
     """Compile and simulate one application on one candidate architecture."""
 
-    program, device = compile_for(circuit, config, options)
+    program, device = compile_for(circuit, config)
     result = simulate(program, device)
     return ExperimentRecord(
         application=circuit.name,
@@ -100,8 +99,8 @@ def run_experiment(circuit: Circuit, config: ArchitectureConfig, *,
 
 
 def run_gate_variants(circuit: Circuit, config: ArchitectureConfig,
-                      gates: Iterable[str] = ("AM1", "AM2", "PM", "FM"), *,
-                      options: Optional[CompilerOptions] = None) -> Dict[str, ExperimentRecord]:
+                      gates: Iterable[str] = ("AM1", "AM2", "PM", "FM"),
+                      ) -> Dict[str, ExperimentRecord]:
     """Evaluate several gate implementations from a single compilation.
 
     The compiled program depends on topology, capacity and reordering method
@@ -112,7 +111,7 @@ def run_gate_variants(circuit: Circuit, config: ArchitectureConfig,
     simulating each variant on its own.
     """
 
-    program, device = compile_for(circuit, config, options)
+    program, device = compile_for(circuit, config)
     gates = tuple(gates)
     results = simulate_gate_variants(program, device, gates)
     records: Dict[str, ExperimentRecord] = {}

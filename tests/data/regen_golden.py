@@ -6,6 +6,9 @@ behaviour; the whole point of the golden file is to catch unintentional
 drift.  Run from the repository root::
 
     PYTHONPATH=src python tests/data/regen_golden.py
+
+The output is deterministic: CI's ``golden-export`` job runs this script
+and fails when ``git diff --exit-code`` finds the file changed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from repro.io.fingerprint import (
     program_fingerprint,
     result_metrics_hex,
 )
-from repro.compiler import CompilerOptions
 from repro.sim.engine import simulate
 from repro.toolflow import ArchitectureConfig
 from repro.toolflow.runner import compile_for
@@ -40,16 +42,6 @@ COMPILE_PLAN = ("paper_compile", table2_suite,
                  for topology in ("L6", "G2x3")
                  for capacity in (14, 18, 22, 26, 30, 34)
                  for reorder in ("GS", "IS")])
-
-#: Compile-only snapshot of the mapping and routing policies the other
-#: sections (greedy mapping, affinity routing) never take: op count and
-#: program fingerprint per application of ``scaled_suite(16)`` for every
-#: (mapping, routing) pair on the three scaled16 devices -- 162 compilations.
-POLICY_PLAN = ("policies16", lambda: scaled_suite(16),
-               [("L4", 8, "GS"), ("L4", 8, "IS"), ("G2x2", 8, "GS")],
-               [(mapping, routing)
-                for mapping in ("greedy", "round_robin", "interaction_aware")
-                for routing in ("affinity", "space", "fixed")])
 
 
 def snapshot() -> dict:
@@ -87,24 +79,6 @@ def snapshot() -> dict:
                 "num_ops": len(program),
             }
         print(f"{scale} {key}: {len(suite)} programs")
-    scale, suite_fn, configs, policies = POLICY_PLAN
-    suite = suite_fn()
-    golden[scale] = {}
-    for topology, capacity, reorder in configs:
-        config = ArchitectureConfig(topology=topology, trap_capacity=capacity,
-                                    reorder=reorder)
-        key = f"{topology}-cap{capacity}-{reorder}"
-        golden[scale][key] = {}
-        for mapping, routing in policies:
-            options = CompilerOptions(mapping=mapping, routing=routing)
-            entries = golden[scale][key][f"{mapping}/{routing}"] = {}
-            for name, circuit in suite.items():
-                program, _ = compile_for(circuit, config, options)
-                entries[name] = {
-                    "program": program_fingerprint(program),
-                    "num_ops": len(program),
-                }
-        print(f"{scale} {key}: {len(policies) * len(suite)} programs")
     return golden
 
 

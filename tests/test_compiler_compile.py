@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.compiler import compile_circuit
-from repro.compiler.compile import CompilerOptions
 from repro.hardware import build_device
 from repro.io.fingerprint import program_fingerprint
 from repro.ir.circuit import Circuit
@@ -111,10 +110,7 @@ class TestFrontEndMemo:
 
         device = build_device("L2", trap_capacity=6, num_qubits=2)
         circuit = Circuit(2).add("cx", 0, 1).add("swap", 0, 1)
-        unlowered = compile_circuit(circuit, device,
-                                    CompilerOptions(lower_to_native=False))
         program = compile_circuit(circuit, device)
-        assert unlowered.num_two_qubit_gates == 2
         assert program.num_two_qubit_gates == 4
         assert program.records == compile_circuit(circuit.copy(), device).records
 
@@ -163,33 +159,9 @@ class TestReorderMethods:
 
 
 class TestOptions:
-    def test_unknown_mapping_rejected(self, qft8):
-        device = build_device("L3", trap_capacity=6, num_qubits=8)
-        with pytest.raises(ValueError):
-            compile_circuit(qft8, device, CompilerOptions(mapping="magic"))
-
-    def test_alternative_mappings_compile(self, qft8):
-        device = build_device("L3", trap_capacity=6, num_qubits=8)
-        for mapping in ("greedy", "round_robin", "interaction_aware"):
-            program = compile_circuit(qft8, device, CompilerOptions(mapping=mapping))
-            assert program.count(OpKind.GATE_2Q) == qft8.num_two_qubit_gates
-
-    def test_routing_policies_compile(self, qft8):
-        device = build_device("L3", trap_capacity=6, num_qubits=8)
-        for routing in ("affinity", "space", "fixed"):
-            program = compile_circuit(qft8, device, CompilerOptions(routing=routing))
-            # Whatever the policy, every application gate is emitted and the
-            # non-local ones triggered at least some communication.
-            assert program.count(OpKind.GATE_2Q) == qft8.num_two_qubit_gates
-            assert program.num_shuttles > 0
-
-    def test_unknown_routing_rejected(self, qft8):
-        device = build_device("L3", trap_capacity=6, num_qubits=8)
-        with pytest.raises(ValueError):
-            compile_circuit(qft8, device, CompilerOptions(routing="teleport"))
-
     def test_metadata_recorded(self, compiled_qft8):
         program, device = compiled_qft8
+        assert program.metadata["mapping"] == "greedy"
         assert program.metadata["gate"] == device.gate.value
         assert program.metadata["num_program_qubits"] == 8
 

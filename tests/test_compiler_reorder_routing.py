@@ -132,15 +132,3 @@ class TestRouter:
         router = Router(state, device)
         with pytest.raises(ValueError):
             router.plan_two_qubit_gate(0, 2)
-
-    def test_unknown_policy_rejected(self, device):
-        state = make_state(device, {"T0": [0]})
-        with pytest.raises(ValueError):
-            Router(state, device, policy="random")
-
-    def test_fixed_policy_always_moves_first_operand(self, device):
-        state = make_state(device, {"T0": [0, 1], "T1": [2, 3]})
-        router = Router(state, device, policy="fixed",
-                        neighbours=interaction_adjacency({(0, 1): 100}, 8))
-        plan = router.plan_two_qubit_gate(0, 2)
-        assert plan.primary.qubit == 0

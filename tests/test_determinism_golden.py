@@ -13,13 +13,14 @@ suite runs when ``REPRO_GOLDEN_SCALE=paper`` is set (it compiles 64-78 qubit
 circuits and takes a few seconds).  So does the compile-only
 ``paper_compile`` snapshot: op count and program fingerprint of every Table II
 application on the Figure 7/8 device grid ({L6, G2x3} x six capacities x
-{GS, IS}, 144 compilations).  The compile-only ``policies16`` snapshot pins
-the mapping and routing policies the other sections never take: every
-(mapping, routing) pair on the three 16-qubit configs, 162 compilations.
+{GS, IS}, 144 compilations).
 
 Regenerate after an *intentional* behaviour change with::
 
     PYTHONPATH=src python tests/data/regen_golden.py
+
+The CI ``golden-export`` job runs that script and byte-diffs the file, so
+the generator and the committed snapshot cannot drift apart.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from pathlib import Path
 import pytest
 
 from repro.apps import scaled_suite, table2_suite
-from repro.compiler import CompilerOptions
 from repro.io.fingerprint import (
     circuit_fingerprint,
     program_fingerprint,
@@ -107,28 +107,6 @@ class TestGoldenDeterminism:
                 assert program_fingerprint(program) == entry["program"], (
                     f"{key}/{name}: compiled op sequence diverged"
                 )
-
-    def test_policy_compiles_bit_identical(self):
-        """Every mapping x routing policy pair at 16 qubits matches its op
-        sequence (the other sections compile greedy/affinity only)."""
-
-        golden = _golden()["policies16"]
-        suite = scaled_suite(16)
-        compiled = 0
-        for key, per_policy in golden.items():
-            config = _config_from_key(key)
-            for policy, per_app in per_policy.items():
-                mapping, routing = policy.split("/")
-                options = CompilerOptions(mapping=mapping, routing=routing)
-                for name, entry in per_app.items():
-                    program, _ = compile_for(suite[name], config, options)
-                    assert len(program) == entry["num_ops"], \
-                        f"{key}/{policy}/{name}: op count"
-                    assert program_fingerprint(program) == entry["program"], (
-                        f"{key}/{policy}/{name}: compiled op sequence diverged"
-                    )
-                    compiled += 1
-        assert compiled == 162
 
     def test_simulation_is_repeatable(self):
         """Re-simulating the same program yields the same metric bits."""

@@ -56,6 +56,12 @@ def _rows(records):
     return [record.as_row() for record in records]
 
 
+def _fingerprints(store):
+    """The store's row fingerprints, in load order."""
+
+    return [row["fingerprint"] for row in store.rows()]
+
+
 # --------------------------------------------------------------------------- #
 class TestDesignSpace:
     def test_size_and_enumeration_order(self, mini_space):
@@ -185,7 +191,7 @@ class TestExperimentStore:
         (store_dir / "shard-1of2.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.warns(StoreCorruptionWarning, match="torn or corrupt"):
             store = ExperimentStore(store_dir)
-        assert sorted(store.fingerprints()) == ["aa", "cc"]
+        assert sorted(_fingerprints(store)) == ["aa", "cc"]
         assert store.skipped_lines == 1
 
     def test_valid_json_but_incomplete_row_is_skipped(self, tmp_path):
@@ -200,7 +206,7 @@ class TestExperimentStore:
         (store_dir / "results.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.warns(StoreCorruptionWarning):
             store = ExperimentStore(store_dir)
-        assert store.fingerprints() == ["aa"]
+        assert _fingerprints(store) == ["aa"]
         assert store.skipped_lines == 2
         assert [record.application for record in store.records()] == ["qft8"]
 
@@ -216,7 +222,7 @@ class TestExperimentStore:
         (store_dir / "results.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.warns(StoreCorruptionWarning, match="malformed"):
             store = ExperimentStore(store_dir)
-        assert store.fingerprints() == ["aa"]
+        assert _fingerprints(store) == ["aa"]
         assert store.skipped_lines == 1
 
     def test_binary_garbage_in_file_does_not_abort_load(self, tmp_path):
@@ -228,7 +234,7 @@ class TestExperimentStore:
             handle.write(json.dumps(self._row("bb")).encode() + b"\n")
         with pytest.warns(StoreCorruptionWarning):
             store = ExperimentStore(store_dir)
-        assert sorted(store.fingerprints()) == ["aa", "bb"]
+        assert sorted(_fingerprints(store)) == ["aa", "bb"]
 
     def test_unterminated_complete_trailing_row_survives_append(self, tmp_path):
         # A kill can land between writing a full row and its newline.  The
@@ -240,11 +246,11 @@ class TestExperimentStore:
         (store_dir / "results.jsonl").write_text(
             json.dumps(self._row("aa")) + "\n" + json.dumps(self._row("bb")))
         store = ExperimentStore(store_dir)
-        assert sorted(store.fingerprints()) == ["aa", "bb"]
+        assert sorted(_fingerprints(store)) == ["aa", "bb"]
         store.add(self._row("cc"))
         store.close()
         reloaded = ExperimentStore(store_dir)
-        assert sorted(reloaded.fingerprints()) == ["aa", "bb", "cc"]
+        assert sorted(_fingerprints(reloaded)) == ["aa", "bb", "cc"]
         assert reloaded.skipped_lines == 0
 
     def test_torn_fragment_is_dropped_on_append(self, tmp_path):
@@ -255,11 +261,11 @@ class TestExperimentStore:
         (store_dir / "results.jsonl").write_text(
             json.dumps(self._row("aa")) + "\n" + '{"fingerprint": "bb", "tor')
         store = ExperimentStore(store_dir)
-        assert store.fingerprints() == ["aa"]
+        assert _fingerprints(store) == ["aa"]
         store.add(self._row("cc"))
         store.close()
         reloaded = ExperimentStore(store_dir)
-        assert sorted(reloaded.fingerprints()) == ["aa", "cc"]
+        assert sorted(_fingerprints(reloaded)) == ["aa", "cc"]
         assert reloaded.skipped_lines == 0  # the scar is gone, not skipped
 
     def test_truncated_trailing_line_is_skipped(self, tmp_path):
@@ -281,7 +287,7 @@ class TestExperimentStore:
         with ExperimentStore(tmp_path / "store", writer="shard-2of2") as two:
             two.add(self._row("bb"))
         merged = ExperimentStore(tmp_path / "store")
-        assert sorted(merged.fingerprints()) == ["aa", "bb"]
+        assert sorted(_fingerprints(merged)) == ["aa", "bb"]
         assert merged.source_counts() == {"shard-1of2.jsonl": 1,
                                           "shard-2of2.jsonl": 1}
 
@@ -472,6 +478,21 @@ class TestResumeAndShard:
                 (owner,) = [shard for shard in shards if shard.owns(digest)]
                 expected[owner.name] += gates
             assert runner.shard_estimates(count) == expected
+
+    def test_figure8_shards_keep_their_membership(self):
+        """The Figure 8 space that ``dispatch-2`` splits keeps its shard
+        membership across versions: a store an earlier version dispatched
+        resumes with every done shard owning exactly the points it ran."""
+
+        from repro.apps import table2_suite
+        from repro.toolflow.sweep import microarchitecture_space
+
+        space = microarchitecture_space(
+            list(table2_suite()), base=ArchitectureConfig(topology="L6"))
+        assert DSERunner(space).shard_estimates(8) == {
+            "shard-1of8": 33512, "shard-2of8": 26035, "shard-3of8": 10215,
+            "shard-4of8": 44218, "shard-5of8": 20607, "shard-6of8": 26279,
+            "shard-7of8": 16788, "shard-8of8": 43314}
 
     def test_shards_partition_points(self, mini_space, mini_circuits):
         full = DSERunner(mini_space, circuits=mini_circuits).evaluate_space()

@@ -80,7 +80,7 @@ class TestLinearPaths:
     def test_adjacent_path(self, l4):
         path = l4.shortest_path("T0", "T1")
         assert path.num_segments == 1
-        assert path.num_junctions == 0
+        assert len(path.junctions) == 0
         assert pass_through_traps(path) == []
 
     def test_distant_path_passes_through_traps(self, l4):
@@ -145,13 +145,13 @@ class TestGridPaths:
 
     def test_same_column_path_uses_one_junction(self, g2x3):
         path = g2x3.shortest_path("T0", "T3")  # column 0, rows 0 and 1
-        assert path.num_junctions == 1
+        assert len(path.junctions) == 1
         assert pass_through_traps(path) == []
 
     def test_cross_column_path(self, g2x3):
         path = g2x3.shortest_path("T0", "T5")  # corner to corner
         assert pass_through_traps(path) == []
-        assert path.num_junctions == 3
+        assert len(path.junctions) == 3
         assert path.num_segments == 4
 
     def test_path_sides_cross_junctions(self, g2x3):

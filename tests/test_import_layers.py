@@ -37,6 +37,10 @@ OP_CLASSES = ("repro.isa.operations",)
 #: The data-model layers below the toolflow: the circuit IR, the hardware,
 #: the program ISA and the simulator.
 DATA_MODEL = ("repro.ir", "repro.hardware", "repro.isa", "repro.sim")
+#: The physical models; a design space needs only their parameters
+#: (``repro.models.params``).
+MODELS = ("repro.models.gate_times", "repro.models.heating",
+          "repro.models.fidelity")
 
 
 def _cli(*argv):
@@ -118,7 +122,21 @@ def test_dispatcher_spawns_its_first_worker_without_the_data_model(tmp_path):
         "--store", str(tmp_path / "store")), tmp_path)
     assert "repro.dse.dispatch" in loaded
     assert (tmp_path / "store" / "dispatch.json").exists()
-    assert _generators(loaded) + _offending(loaded, DATA_MODEL) == []
+    assert _generators(loaded) + _offending(loaded, DATA_MODEL + MODELS) == []
+
+
+def test_worker_loads_no_stream_reader(tmp_path):
+    """A real ``dse worker`` writes its stream but reads none: it runs its
+    shards without the timeline module the operator's views read."""
+
+    store = tmp_path / "store"
+    assert main(["dse", "dispatch", "--apps", "BV", "--qubits", "8",
+                 "--topologies", "L3", "--capacities", "6", "--gates", "FM",
+                 "--store", str(store), "--print-only"]) == 0
+    loaded = _loaded(_cli("dse", "worker", "--store", str(store),
+                          "--owner", "probe"), tmp_path)
+    assert (store / "worker-probe.jsonl").read_text().count("\n") == 1
+    assert _offending(loaded, ("repro.obs.timeline",)) == []
 
 
 def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
@@ -183,7 +201,8 @@ def test_checked_run_loads_no_op_class(tmp_path):
 
 @pytest.mark.parametrize("package", [
     "repro", "repro.analyze", "repro.apps", "repro.dse", "repro.dse.adaptive",
-    "repro.io", "repro.isa", "repro.obs", "repro.sim", "repro.toolflow"])
+    "repro.io", "repro.isa", "repro.models", "repro.obs", "repro.sim",
+    "repro.toolflow"])
 def test_lazy_exports_resolve(package):
     """Every name a ``lazy_exports`` package lists resolves: an entry left
     behind by a deleted name fails here, not on first use."""

@@ -79,19 +79,6 @@ class TestStatistics:
         c.add("cx", 1, 0)
         assert c.front_end().neighbours == (((1, 2),), ((0, 2),), ())
 
-    def test_depth(self):
-        c = Circuit(3)
-        c.add("h", 0)
-        c.add("cx", 0, 1)
-        c.add("cx", 1, 2)
-        assert c.depth() == 3
-
-    def test_parallel_gates_share_depth(self):
-        c = Circuit(4)
-        c.add("cx", 0, 1)
-        c.add("cx", 2, 3)
-        assert c.depth() == 1
-
 
 class TestTransformations:
     def test_lowered_rewrites_swap(self):

@@ -368,10 +368,6 @@ class TestMOOProposers:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             EHVIProposer(_space(), batch_size=0)
-        with pytest.raises(ValueError, match="samples"):
-            EHVIProposer(_space(), samples=0)
-        with pytest.raises(ValueError, match="rho"):
-            ParEGOProposer(_space(), rho=-1.0)
         with pytest.raises(ValueError, match="unknown objective"):
             EHVIProposer(_space(), objectives=("fidelity", "latency"))
         with pytest.raises(ValueError, match="unknown adaptive strategy"):

@@ -129,12 +129,6 @@ def test_dag_topological_order_is_valid(circuit):
             assert gate in front.successors[predecessor]
 
 
-@settings(max_examples=30, deadline=None)
-@given(circuit=random_circuits())
-def test_depth_never_exceeds_gate_count(circuit):
-    assert circuit.depth() <= len(circuit)
-
-
 # --------------------------------------------------------------------------- #
 # Compile-and-simulate invariants on random circuits
 # --------------------------------------------------------------------------- #

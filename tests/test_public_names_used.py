@@ -1,14 +1,16 @@
 """Every public name in ``src/repro`` has a caller outside the tests.
 
 The scan takes each public top-level function and class of every module,
-and each public method of a top-level class, and looks for the name
-elsewhere:
+and each public method or property of a top-level class, and looks for
+the name elsewhere:
 
-* as an identifier token of ``src/`` code outside the name's own
-  definition -- strings, comments and docstrings do not count, so neither
-  a lazy-export entry nor a docstring mention is a use, and neither is the
-  name of another definition or a package ``__init__``'s ``from ...
-  import`` re-export;
+* in ``src/`` code outside the name's own definition: a top-level name as
+  any identifier token, a method or property only as an attribute access
+  (``x.name``, also inside f-strings) -- strings, comments and docstrings
+  do not count, so neither a lazy-export entry nor a docstring mention is
+  a use, and neither is the name of another definition, a local variable
+  or parameter, or a package ``__init__``'s ``from ... import``
+  re-export;
 * as a word anywhere in ``examples/``, ``perfbench/``, ``benchmarks/``,
   ``docs/`` or the CI workflow.
 
@@ -18,12 +20,17 @@ tests, or, if the tests compare the system against it, add it to
 :class:`ast.NodeVisitor` subclasses are called by name lookup and are
 exempt.
 
-Blind spot: the scan matches names, not bindings, so a dead method whose
-name some live identifier shares passes (``Topology.total_capacity`` and
-``QCCDDevice.total_capacity`` kept each other alive that way, a
-module-level ``mean_two_qubit_error`` hid behind the result property, and
-the proposers' ``spec()`` methods behind ``DesignPoint.spec`` and
-``ProposerStrategy.spec``).
+Blind spot: the scan matches names, not bindings.  A method counts as
+used only through an attribute access, so a local or parameter of the
+same name does not hide it (``ExperimentStore.fingerprints``,
+``SimulationResult.error_rate``, ``Circuit.depth`` and
+``ShuttlePath.num_junctions`` were hidden that way until the rule said
+so, and were deleted).  A dead method still passes when a live attribute
+of another class shares its name (``Topology.total_capacity`` and
+``QCCDDevice.total_capacity`` kept each other alive that way, and the
+proposers' ``spec()`` methods hid behind ``DesignPoint.spec`` and
+``ProposerStrategy.spec``), and a dead top-level name passes when any
+identifier shares it.
 """
 
 import ast
@@ -85,27 +92,34 @@ def _first_line(node):
 
 
 def _identifier_lines(source):
-    """Line numbers of each identifier token, definition names left out.
+    """Line numbers of each identifier token, definition names left out,
+    and of each attribute access (an identifier after a ``.``).
 
-    Before Python 3.12 an f-string is one string token, so the names in its
-    replacement fields are read from its syntax tree.
+    Returns ``(identifiers, attributes)``.  Before Python 3.12 an f-string
+    is one string token, so the names in its replacement fields are read
+    from its syntax tree.
     """
 
     lines = defaultdict(list)
+    attributes = defaultdict(list)
     previous = None
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        line = token.start[0]
         if token.type == tokenize.NAME and previous not in ("def", "class"):
-            lines[token.string].append(token.start[0])
+            lines[token.string].append(line)
+            if previous == ".":
+                attributes[token.string].append(line)
         elif token.type == tokenize.STRING and \
                 "f" in token.string.split(token.string[-1])[0].lower():
             for node in ast.walk(ast.parse(token.string, mode="eval")):
                 if isinstance(node, ast.Name):
-                    lines[node.id].append(token.start[0])
+                    lines[node.id].append(line)
                 elif isinstance(node, ast.Attribute):
-                    lines[node.attr].append(token.start[0])
+                    lines[node.attr].append(line)
+                    attributes[node.attr].append(line)
         if token.type not in (tokenize.NL, tokenize.COMMENT):
             previous = token.string
-    return lines
+    return lines, attributes
 
 
 def _user_words():
@@ -131,14 +145,17 @@ def _reexport_lines(file, tree):
 
 def test_every_public_name_has_a_caller_outside_tests():
     uses = defaultdict(list)  # name -> [(file, line)]
+    accesses = defaultdict(list)  # attribute name -> [(file, line)]
     candidates = []
     for file in sorted(SRC.rglob("*.py")):
         source = file.read_text(encoding="utf-8")
         tree = ast.parse(source)
         reexports = _reexport_lines(file, tree)
-        for name, lines in _identifier_lines(source).items():
-            uses[name].extend((file, line) for line in lines
-                              if line not in reexports)
+        identifiers, attributes = _identifier_lines(source)
+        for found, into in ((identifiers, uses), (attributes, accesses)):
+            for name, lines in found.items():
+                into[name].extend((file, line) for line in lines
+                                  if line not in reexports)
         for qualified, name, first, last in _definitions(tree):
             candidates.append((qualified, name, file, first, last))
     words = _user_words()
@@ -147,7 +164,8 @@ def test_every_public_name_has_a_caller_outside_tests():
         qualified for qualified, name, file, first, last in candidates
         if name not in words and not any(
             use_file != file or not first <= line <= last
-            for use_file, line in uses[name]))
+            for use_file, line in (accesses if "." in qualified
+                                   else uses)[name]))
     assert [name for name in unused if name not in ALLOWED] == [], \
         "public names only tests use: delete them or add them to ALLOWED"
     assert sorted(set(ALLOWED) - set(unused)) == [], \

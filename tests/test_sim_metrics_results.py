@@ -41,9 +41,6 @@ class TestSimulationResult:
         assert result.computation_seconds == pytest.approx(6e-4)
         assert result.communication_seconds == pytest.approx(4e-4)
 
-    def test_error_rate(self):
-        assert make_result().error_rate == pytest.approx(0.5)
-
     def test_mean_two_qubit_error(self):
         assert make_result().mean_two_qubit_error == pytest.approx(4.1e-4)
 
