@@ -28,7 +28,7 @@ from repro.dse import (
     DesignSpace,
     ExperimentStore,
     make_strategy,
-    pareto_frontier,
+    record_frontier,
 )
 
 
@@ -66,7 +66,7 @@ def main() -> None:
           f"  fidelity={best.fidelity:.4e}  runtime={best.duration_seconds:.4f}s")
 
     print("\nFidelity-vs-runtime Pareto frontier (fastest first):")
-    for record in pareto_frontier(records):
+    for record in record_frontier(records, ("runtime", "fidelity")):
         print(f"  {record.application:8s} {record.config.name:18s} "
               f"runtime={record.duration_seconds:.4f}s "
               f"fidelity={record.fidelity:.4e}")

@@ -17,8 +17,7 @@ compile/simulate core:
 * :mod:`~repro.dse.runner` -- :class:`DSERunner`, which drives points through
   the sweep executor with store replay, gate fan-out and ``--shard i/N``
   support.
-* :mod:`~repro.dse.pareto` -- best-point selection and fidelity-vs-runtime
-  Pareto frontiers.
+* :mod:`~repro.dse.pareto` -- the objectives and best-point selection.
 * :mod:`~repro.dse.dispatch` -- filesystem-coordinated distributed
   execution: a :class:`WorkLedger` of signed work items and lease files
   (atomic claims, heartbeat renewal, expiry-based reclaim of dead
@@ -58,8 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                            "WorkLedger", "estimate_eta_s", "read_manifest",
                            "run_worker", "spawn_worker_process",
                            "write_manifest"),
-    "repro.dse.pareto": ("OBJECTIVES", "best_record", "objective_value",
-                         "pareto_frontier", "per_app_frontiers"),
+    "repro.dse.pareto": ("OBJECTIVES", "best_record", "objective_value"),
     "repro.dse.moo": ("DEFAULT_OBJECTIVES", "EHVIProposer", "ParEGOProposer",
                       "ParetoArchive", "cloud_rows", "dominates",
                       "hypervolume", "objective_vector", "parse_objectives",

@@ -29,10 +29,8 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dse.knobs import SURROGATE_NAMES
 from repro.dse.space import DesignSpace
-
-#: Surrogate names accepted by :func:`make_surrogate` and the CLI.
-SURROGATE_NAMES = ("rff", "trees")
 
 #: :class:`RFFSurrogate`'s random Fourier features, their RBF lengthscale
 #: and the ridge term on the Gram diagonal.

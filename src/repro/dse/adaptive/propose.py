@@ -62,6 +62,9 @@ MAX_ROUNDS = 10
 #: reaches the rung's best observed score.
 UCB_BETA = 1.0
 
+#: The fewest candidates a proxy rung of the halving ladder promotes.
+MIN_SURVIVORS = 1
+
 
 def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -469,7 +472,7 @@ class HalvingProposer(Proposer):
     small-suite instance), while that is below the smallest candidate's
     true size.  Each proxy rung promotes its best-scoring contenders
     (ties: the earliest key): at most half the rung, so progress is
-    guaranteed, and at least ``min_survivors``, refilled from the rung's
+    guaranteed, and at least :data:`MIN_SURVIVORS`, refilled from its
     ranking.  Every candidate contends here, which is successive halving
     with ``eta = 2``; :class:`AdaptiveHalvingProposer` narrows the
     contenders (:meth:`_contenders`).  The last rung runs the survivors at
@@ -481,16 +484,12 @@ class HalvingProposer(Proposer):
     name = "halving"
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
-                 metric: str = "fidelity", proxy_qubits: int = 12,
-                 min_survivors: int = 1) -> None:
+                 metric: str = "fidelity", proxy_qubits: int = 12) -> None:
         if proxy_qubits < 8:
             raise ValueError("proxy_qubits must be at least 8 "
                              "(the smallest scaled suite)")
-        if min_survivors < 1:
-            raise ValueError("min_survivors must be positive")
         super().__init__(space, seed=seed, metric=metric)
         self.proxy_qubits = proxy_qubits
-        self.min_survivors = min_survivors
         # The proxy ladder only makes sense below the true size: the
         # smallest candidate's.  None is the application's default size
         # (64-78 qubits).
@@ -513,7 +512,7 @@ class HalvingProposer(Proposer):
         return sum(entry["proposed"] for entry in self.trace)
 
     def _at_final_rung(self) -> bool:
-        return (len(self._survivors) <= self.min_survivors
+        return (len(self._survivors) <= MIN_SURVIVORS
                 or self._size >= self._size_cap)
 
     def _next_batch(self) -> Optional[ProposalBatch]:
@@ -562,13 +561,13 @@ class HalvingProposer(Proposer):
         contenders = set(self._contenders(batch, scores))
         # Rank the contenders by observed score (the rule above chose who
         # *may* win; the rung's data orders them), then bound the count: at
-        # most half the rung (guaranteed progress), at least min_survivors
+        # most half the rung (guaranteed progress), at least MIN_SURVIVORS
         # (never eliminate everyone on model overconfidence).
-        cap = max(self.min_survivors, math.ceil(len(batch.keys) / 2))
+        cap = max(MIN_SURVIVORS, math.ceil(len(batch.keys) / 2))
         ranked = sorted(batch.keys, key=lambda key: (-scores[key], key))
         chosen = [key for key in ranked if key in contenders][:cap]
         for key in ranked:  # refill to the floor from the rung ranking
-            if len(chosen) >= self.min_survivors:
+            if len(chosen) >= MIN_SURVIVORS:
                 break
             if key not in chosen:
                 chosen.append(key)
@@ -598,10 +597,9 @@ class AdaptiveHalvingProposer(HalvingProposer):
 
     def __init__(self, space: DesignSpace, *, seed: int = 0,
                  metric: str = "fidelity", proxy_qubits: int = 12,
-                 surrogate: str = "trees", min_survivors: int = 1) -> None:
+                 surrogate: str = "trees") -> None:
         super().__init__(space, seed=seed, metric=metric,
-                         proxy_qubits=proxy_qubits,
-                         min_survivors=min_survivors)
+                         proxy_qubits=proxy_qubits)
         self.surrogate_name = surrogate
         self._encoder = PointEncoder(space)
 

@@ -25,6 +25,10 @@ STRATEGY_KNOBS = {
 #: Defaults of the knobs that have one, applied where a strategy reads them.
 KNOB_DEFAULTS = {"proxy_qubits": 12, "batch_size": 4}
 
+#: The values of the ``surrogate`` knob
+#: (:func:`~repro.dse.adaptive.model.make_surrogate`).
+SURROGATE_NAMES = ("rff", "trees")
+
 
 def strategy_knobs(name: str, **given) -> Dict[str, object]:
     """The knobs strategy ``name`` reads, from ``given`` (``None``: not

@@ -5,8 +5,8 @@ the record objects the stores and sweep drivers produce, giving the CLI and
 reports their multi-objective answers:
 
 * :func:`record_frontier` -- the non-dominated records of a collection
-  under any named objective set (the n-D generalisation of
-  :func:`repro.dse.pareto.pareto_frontier`).
+  under any named objective set (under ``("runtime", "fidelity")``, the
+  fidelity-vs-runtime frontier fastest first: ``dse pareto``'s default).
 * :func:`cloud_rows` -- *every* record as a flat report row with a
   ``dominated`` column and a stable n-D ordering, so downstream tooling can
   plot the full cloud and highlight the frontier without re-deriving

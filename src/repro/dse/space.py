@@ -38,6 +38,11 @@ DEFAULT_ORDER = AXES
 KNOWN_GATES = ("AM1", "AM2", "PM", "FM")
 KNOWN_REORDERS = ("GS", "IS")
 
+#: The JSON type of each list's values in a spec file.
+_SPEC_TYPES = {"apps": str, "qubits": (int, type(None)), "topologies": str,
+               "capacities": int, "gates": str, "reorders": str,
+               "buffers": int, "order": str}
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -239,13 +244,19 @@ class DesignSpace:
 
         def axis(name: str, default) -> Tuple:
             value = payload.get(name, default)
-            if isinstance(value, (str, int, float)) or value is None:
+            if not isinstance(value, (list, tuple)):
                 value = (value,)
+            for item in value:
+                if not isinstance(item, _SPEC_TYPES[name]):
+                    raise ValueError(f"design-space spec: {name!r} holds {item!r}")
             return tuple(value)
 
         defaults = cls(apps=("QFT",))
-        model = (model_from_dict(payload["model"]) if "model" in payload
-                 else PhysicalModel())
+        try:
+            model = (model_from_dict(payload["model"]) if "model" in payload
+                     else PhysicalModel())
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"design-space spec: malformed 'model' ({exc})")
         return cls(
             apps=axis("apps", ()),
             qubits=axis("qubits", defaults.qubits),

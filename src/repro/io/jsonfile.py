@@ -39,6 +39,9 @@ def check_schema_version(payload: Dict, *, source: str = "payload") -> int:
     is worse than a loud failure.
     """
 
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: expected a JSON object, got "
+                         f"{type(payload).__name__}")
     version = payload.get("schema_version", 0)
     if not isinstance(version, int) or version < 0:
         raise ValueError(f"{source}: malformed schema_version {version!r}")

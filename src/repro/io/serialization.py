@@ -110,8 +110,19 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
     entry's ``kind`` tag must match the op its fields build (a ``gate_1q``
     entry with two ions is refused) as must a declared ``num_operations``,
     so a hand-edited payload fails here before the verifier ever sees it.
+    A payload of the wrong shape raises ``ValueError`` too.
     """
 
+    check_schema_version(payload, source="program payload")
+    try:
+        return _program_from_payload(payload)
+    except KeyError as exc:
+        raise ValueError(f"program payload: missing key {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"program payload: malformed ({exc})") from None
+
+
+def _program_from_payload(payload: Dict) -> QCCDProgram:
     from repro.isa.operations import OP_CLASSES
     from repro.isa.program import InitialPlacement, QCCDProgram
     from repro.isa.records import KINDS
@@ -119,7 +130,6 @@ def program_from_dict(payload: Dict) -> QCCDProgram:
     # gate_1q and gate_2q both name GateOp; the arity follows from the
     # operand tuple and must agree with the tag.
     op_types = {kind.value: cls for kind, cls in zip(KINDS, OP_CLASSES)}
-    check_schema_version(payload, source="program payload")
     placement_payload = payload["placement"]
     placement = InitialPlacement(
         qubit_to_ion={int(q): ion

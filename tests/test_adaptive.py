@@ -288,22 +288,31 @@ class TestAdaptiveHalvingProposer:
 
     def test_promotion_caps_at_half_and_floors_at_min(self):
         space = DesignSpace(**dict(TINY_SPACE, qubits=(16,)))
-        proposer = AdaptiveHalvingProposer(space, seed=0, proxy_qubits=8,
-                                           min_survivors=2)
+        proposer = AdaptiveHalvingProposer(space, seed=0, proxy_qubits=8)
         batch = proposer.next_batch()
         assert batch.proxy_qubits == 8  # a genuine proxy rung
         # All candidates tie: the UCB rule would keep everyone, so the cap
         # must bound survivors at half the rung.
         proposer.ingest(batch, [0.5] * len(batch.keys))
-        kept = proposer.trace[-1]["kept"]
-        assert kept <= max(2, -(-len(batch.keys) // 2))
-        assert kept >= 2
+        assert 1 <= proposer.trace[-1]["kept"] <= -(-len(batch.keys) // 2)
+
+        class NoContenders(AdaptiveHalvingProposer):
+            def _contenders(self, batch, scores):
+                return ()
+
+        # A rule that admits nobody still promotes the rung's best key (the
+        # earliest of the tied best): the floor refills from the ranking.
+        proposer = NoContenders(space, seed=0, proxy_qubits=8)
+        batch = proposer.next_batch()
+        scores = [float(key % 3) for key in batch.keys]
+        proposer.ingest(batch, scores)
+        assert proposer.trace[-1]["kept"] == 1
+        best = batch.keys[scores.index(max(scores))]
+        assert proposer.next_batch().keys == (best,)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="proxy_qubits"):
             AdaptiveHalvingProposer(_space(), proxy_qubits=4)
-        with pytest.raises(ValueError, match="min_survivors"):
-            AdaptiveHalvingProposer(_space(), min_survivors=0)
 
 
 # --------------------------------------------------------------------------- #

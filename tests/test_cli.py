@@ -367,6 +367,56 @@ class TestRefusedInput:
             "error: trap capacities must be at least 2"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, content, message", [
+        (["dse", "run", "--space", "{file}"], None, "cannot read"),
+        (["dse", "run", "--space", "{file}"], "[1, 2]",
+         "design-space spec: expected a JSON object, got list"),
+        (["dse", "run", "--space", "{file}"],
+         '{"apps": ["QFT"], "capacities": "x"}',
+         "design-space spec: 'capacities' holds 'x'"),
+        (["dse", "status", "--store", "{store}", "--space", "{file}"], None,
+         "cannot read"),
+        (["check", "--program", "{file}"], None, "cannot read"),
+        (["check", "--program", "{file}"], "not json", "cannot read"),
+        (["check", "--program", "{file}"], "[]",
+         "program payload: expected a JSON object, got list"),
+        (["check", "--program", "{file}"], "{}",
+         "program payload: missing key 'placement'"),
+    ], ids=["space-missing", "space-list", "space-capacities",
+            "status-space-missing", "program-missing", "program-not-json",
+            "program-list", "program-no-placement"])
+    def test_bad_input_file_is_one_error_line(self, argv, content, message,
+                                              capsys, tmp_path):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        (tmp_path / "store").mkdir()
+        argv = [arg.format(file=path, store=tmp_path / "store")
+                for arg in argv]
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        text = str(stopped.value)
+        assert text.startswith("error: ") and message in text
+        assert "\n" not in text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["status"], ["pareto"], ["top", "--once"],
+        ["export", "--output", "{tmp}/export.json"]])
+    def test_read_commands_refuse_a_missing_store(self, command, capsys,
+                                                  tmp_path):
+        """They once created the directory and exited 0 (``export`` with
+        an empty export)."""
+
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as stopped:
+            main(["dse", command[0], "--store", str(store),
+                  *(arg.format(tmp=tmp_path) for arg in command[1:])])
+        assert str(stopped.value) == \
+            f"error: cannot read experiment store {store}: no such directory"
+        assert capsys.readouterr().out == ""
+        assert not store.exists() and not (tmp_path / "export.json").exists()
+
     @pytest.mark.parametrize("command", [["run", "--app", "QFT"], ["device"],
                                          ["check", "--app", "QFT"]])
     def test_qubits_must_be_positive(self, command, capsys):

@@ -28,8 +28,8 @@ from repro.dse import (
     StoreCorruptionWarning,
     best_record,
     make_strategy,
-    pareto_frontier,
     point_from_spec,
+    record_frontier,
     record_to_row,
     row_to_record,
 )
@@ -688,6 +688,11 @@ class _StubRecord:
                 "duration_s": self.duration_seconds, "fidelity": self.fidelity}
 
 
+#: ``dse pareto``'s default view: the fidelity-vs-runtime frontier,
+#: fastest first.
+FASTEST_FIRST = ("runtime", "fidelity")
+
+
 class TestPareto:
     def test_frontier_drops_dominated(self):
         records = [
@@ -697,13 +702,13 @@ class TestPareto:
             _StubRecord("a", 3.0, 0.95),  # frontier (most reliable)
             _StubRecord("a", 3.5, 0.95),  # dominated (same fidelity, slower)
         ]
-        frontier = pareto_frontier(records)
+        frontier = record_frontier(records, FASTEST_FIRST)
         assert [(r.duration_seconds, r.fidelity) for r in frontier] == \
             [(0.5, 0.5), (1.0, 0.9), (3.0, 0.95)]
 
     def test_frontier_tie_on_runtime_keeps_most_reliable(self):
         records = [_StubRecord("a", 1.0, 0.7), _StubRecord("a", 1.0, 0.9)]
-        assert pareto_frontier(records) == [records[1]]
+        assert record_frontier(records, FASTEST_FIRST) == [records[1]]
 
     def test_best_record_tie_breaks_to_first(self):
         records = [_StubRecord("a", 1.0, 0.9), _StubRecord("b", 2.0, 0.9)]
@@ -712,7 +717,7 @@ class TestPareto:
 
     def test_real_records_frontier(self, mini_space, mini_circuits):
         records = DSERunner(mini_space, circuits=mini_circuits).evaluate_space()
-        frontier = pareto_frontier(records)
+        frontier = record_frontier(records, FASTEST_FIRST)
         assert frontier
         durations = [record.duration_seconds for record in frontier]
         fidelities = [record.fidelity for record in frontier]

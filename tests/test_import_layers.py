@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import COMMANDS, main
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -41,6 +41,8 @@ DATA_MODEL = ("repro.ir", "repro.hardware", "repro.isa", "repro.sim")
 #: (``repro.models.params``).
 MODELS = ("repro.models.gate_times", "repro.models.heating",
           "repro.models.fidelity")
+#: The CLI's command-group modules.
+CLI_GROUPS = sorted({f"repro.cli.{group}" for group, _ in COMMANDS.values()})
 
 
 def _cli(*argv):
@@ -137,6 +139,26 @@ def test_worker_loads_no_stream_reader(tmp_path):
                           "--owner", "probe"), tmp_path)
     assert (store / "worker-probe.jsonl").read_text().count("\n") == 1
     assert _offending(loaded, ("repro.obs.timeline",)) == []
+
+
+def test_worker_loads_no_other_command_group(tmp_path):
+    """A dispatched worker compiles the CLI shell and the ``dse`` group
+    only."""
+
+    store = tmp_path / "store"
+    assert main(["dse", "dispatch", "--apps", "BV", "--qubits", "8",
+                 "--topologies", "L3", "--capacities", "6", "--gates", "FM",
+                 "--store", str(store), "--print-only"]) == 0
+    loaded = _loaded(_cli("dse", "worker", "--store", str(store),
+                          "--owner", "probe"), tmp_path)
+    assert [group for group in CLI_GROUPS if group in loaded] == \
+        ["repro.cli.dse"]
+
+
+def test_sweep_loads_no_dse_command_group(tmp_path):
+    loaded = _loaded(_cli("sweep", "--figure", "6", "--small"), tmp_path)
+    assert [group for group in CLI_GROUPS if group in loaded] == \
+        ["repro.cli.paper"]
 
 
 def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):

@@ -136,13 +136,22 @@ class TestObjectives:
         assert normalise((2.0, 5.0), ((0.0, 1.0), (3.0, 3.0))) == (1.0, 0.5)
 
     def test_cli_metric_choices_mirror_objectives(self):
-        # cli._OBJECTIVES avoids importing the dse package at parser build
-        # time; this pins the mirror so a new objective cannot be
-        # selectable via --objectives but rejected by --metric.
-        from repro.cli import _OBJECTIVES
+        # A new objective cannot be selectable via --objectives but
+        # rejected by --metric of `dse run` or `dse dispatch`.
+        import argparse
+
+        from repro.cli import build_parser
         from repro.dse.pareto import OBJECTIVES as CANONICAL
 
-        assert _OBJECTIVES == CANONICAL
+        def subcommand(parser, name):
+            return next(action.choices[name] for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        for command in ("run", "dispatch"):
+            parser = subcommand(subcommand(build_parser(), "dse"), command)
+            choices = next(action.choices for action in parser._actions
+                           if "--metric" in action.option_strings)
+            assert tuple(choices) == CANONICAL
 
     def test_metric_cli_run_accepts_new_objectives(self, capsys):
         assert main(["dse", "run", "--apps", "QFT,BV", "--qubits", "8",
