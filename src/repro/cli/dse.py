@@ -655,7 +655,6 @@ def _read_key(timeout_s: float) -> Optional[str]:
 
 
 def _cmd_status(args) -> int:
-    from repro.dse import DSERunner
     from repro.dse.dispatch import FleetView
 
     _refuse_missing_store(args.store)
@@ -692,6 +691,8 @@ def _cmd_status(args) -> int:
 
     pending = None
     if space is not None:
+        from repro.dse import DSERunner
+
         runner = DSERunner(space, store=store)
         pending = sum(1 for point in space.points()
                       if runner.fingerprint(point) not in store)

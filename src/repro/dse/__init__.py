@@ -65,7 +65,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.dse.runner": ("DSERunner",),
     "repro.dse.space": ("AXES", "DesignPoint", "DesignSpace", "Shard",
                         "point_from_spec"),
-    "repro.dse.store": ("CachedRecord", "CachedResult", "ExperimentStore",
+    "repro.dse.store": ("CachedResult", "ExperimentStore",
                         "StoreCorruptionWarning", "record_to_row",
                         "row_to_record"),
     "repro.dse.strategies": ("MOO_STRATEGY_NAMES", "STRATEGY_NAMES",

@@ -3,9 +3,9 @@
 The paper's design-space study boils down to two questions per application:
 which architecture maximises reliability, and what does the
 reliability/runtime trade-off curve look like (Figures 6-8 read off its
-extremes).  These helpers score and rank any mix of live
-:class:`~repro.toolflow.runner.ExperimentRecord` and store-replayed
-:class:`~repro.dse.store.CachedRecord` objects; the frontiers are
+extremes).  These helpers score and rank
+:class:`~repro.toolflow.runner.ExperimentRecord` objects, computed or
+replayed from a store alike; the frontiers are
 :func:`repro.dse.moo.frontier.record_frontier`'s.  A leaf module: the CLI
 reads :data:`OBJECTIVES` without loading a strategy.
 

@@ -10,8 +10,8 @@ any point list a strategy proposes) and the sweep executor of
 * **Gate fan-out.**  Consecutive pending points that differ only in the
   two-qubit gate implementation become one :class:`SweepTask` -- one
   compilation, batch-simulated under every gate in a single shared pass
-  (:func:`repro.sim.batch.simulate_batch`), exactly like the Figure 8
-  driver.
+  (:func:`repro.sim.batch.simulate_gate_variants`); a lone point is a
+  fan-out of one gate.
 * **Release.**  Once the store holds a point under every gate of the space,
   the runner drops that compilation from its program cache.
 * **One task at a time.**  Each task runs through
@@ -190,11 +190,11 @@ class DSERunner:
     def evaluate(self, points: Sequence[DesignPoint]) -> List[object]:
         """Evaluate ``points``, returning one record per point, in order.
 
-        Points already in the store come back as
-        :class:`~repro.dse.store.CachedRecord` without recomputation; fresh
-        points are executed and appended to the store.  Shard-foreign points
-        yield ``None`` (they belong to another shard and are not evaluated
-        here) unless the store already has them.
+        Points already in the store are replayed from their rows
+        (:func:`~repro.dse.store.row_to_record`) without recomputation;
+        fresh points are executed and appended to the store.  Shard-foreign
+        points yield ``None`` (they belong to another shard and are not
+        evaluated here) unless the store already has them.
         """
 
         points = list(points)
@@ -255,8 +255,7 @@ class DSERunner:
         for group in groups:
             first = points[group[0]]
             circuit = self.circuit_for(first.app, first.qubits)
-            gates = (None if len(group) == 1 else
-                     tuple(points[index].config.gate for index in group))
+            gates = tuple(points[index].config.gate for index in group)
             records = execute_task(SweepTask(circuit, first.config,
                                              gates=gates), self.cache)
             for index, record in zip(group, records):

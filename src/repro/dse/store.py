@@ -37,10 +37,11 @@ read -- O(new rows), which keeps the dispatcher's progress ticks and the
 adaptive proposer's ingest loop cheap at paper scale.  The store adds its
 own rules: the schema gate, fingerprint and required keys, first-wins dedup.
 
-Rows stay plain dictionaries until a caller asks for a record view:
+Rows stay plain dictionaries until a caller asks for a record:
 :func:`row_to_record` is the one place that imports
 :mod:`repro.dse.space` (and through it the architecture config and the
-physical model) to rebuild a point.  Loading, adding, reloading and
+physical model) to rebuild a point, and the record class, which loads no
+compiler or simulator.  Loading, adding, reloading and
 exporting rows import only the standard library, the append log and
 :mod:`repro.io.jsonfile`, so ``repro dse export`` loads no data-model
 layer.
@@ -57,6 +58,7 @@ from repro.io.jsonfile import SCHEMA_VERSION, check_schema_version
 
 if TYPE_CHECKING:  # a point is rebuilt only where a row becomes a record
     from repro.dse.space import DesignPoint
+    from repro.toolflow.runner import ExperimentRecord
 
 #: Default writer file name (shard writers use ``shard-<i>of<N>.jsonl``).
 DEFAULT_WRITER = "results"
@@ -145,75 +147,19 @@ class CachedResult:
         return headline_metrics(self)
 
 
-class CachedRecord:
-    """Record view over one store row, interchangeable with ExperimentRecord.
-
-    Exposes ``application``, ``config``, ``result``, ``program_size``,
-    ``num_shuttles`` and ``as_row()`` exactly like
-    :class:`~repro.toolflow.runner.ExperimentRecord`, so sweep and figure
-    drivers do not care whether a point was computed in this process or
-    replayed from disk.
-    """
-
-    __slots__ = ("point", "application", "result", "program_size",
-                 "num_shuttles", "wall_s", "provenance")
-
-    def __init__(self, point: DesignPoint, application: str,
-                 metrics: Dict[str, float],
-                 program_size: int, num_shuttles: int,
-                 wall_s: Optional[float] = None,
-                 provenance: Optional[Dict[str, object]] = None) -> None:
-        self.point = point
-        # The circuit's own name (e.g. "qft64"), which can differ from the
-        # suite key the point addresses it by (e.g. "QFT").
-        self.application = application
-        self.result = CachedResult(metrics)
-        self.program_size = program_size
-        self.num_shuttles = num_shuttles
-        # Wall-clock seconds the original evaluation took; ``None`` for rows
-        # written before schema v2 (unknown, deliberately not zero -- ETA
-        # math must ignore them, not average them in).
-        self.wall_s = wall_s
-        # Who asked for the point: strategy name, seed and multi-fidelity
-        # rung (schema v3); ``None`` for older rows or direct evaluations.
-        self.provenance = provenance
-
-    @property
-    def config(self):
-        return self.point.config
-
-    @property
-    def fidelity(self) -> float:
-        return self.result.fidelity
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.result.duration_seconds
-
-    def as_row(self) -> Dict[str, object]:
-        row = {
-            "application": self.application,
-            "topology": self.config.topology,
-            "capacity": self.config.trap_capacity,
-            "gate": self.config.gate,
-            "reorder": self.config.reorder,
-            "buffer": self.config.buffer_ions,
-            "program_ops": self.program_size,
-            "shuttles": self.num_shuttles,
-        }
-        row.update(self.result.as_dict())
-        return row
-
-
-def row_to_record(row: Dict[str, object]) -> CachedRecord:
-    """Rebuild a record view from one stored row."""
+def row_to_record(row: Dict[str, object]) -> ExperimentRecord:
+    """Rebuild the record of one stored row; its ``result`` is a
+    :class:`CachedResult` over the row's metrics."""
 
     from repro.dse.space import point_from_spec
+    from repro.toolflow.runner import ExperimentRecord
 
-    return CachedRecord(
-        point=point_from_spec(row["point"]),
+    return ExperimentRecord(
+        # The circuit's own name (e.g. "qft64"), which can differ from the
+        # suite key the point addresses it by (e.g. "QFT").
         application=row["application"],
-        metrics=row["metrics"],
+        config=point_from_spec(row["point"]).config,
+        result=CachedResult(row["metrics"]),
         program_size=row["program_ops"],
         num_shuttles=row["shuttles"],
         wall_s=row.get("wall_s"),
@@ -221,9 +167,10 @@ def row_to_record(row: Dict[str, object]) -> CachedRecord:
     )
 
 
-def record_to_row(fingerprint: str, point: DesignPoint, record, *,
+def record_to_row(fingerprint: str, point: DesignPoint,
+                  record: ExperimentRecord, *,
                   provenance: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Serialise one evaluated point (live or cached record) to a store row.
+    """Serialise one evaluated point (computed or replayed) to a store row.
 
     The ``wall_s`` timing is recorded only when the record carries one;
     replays of pre-v2 rows stay timing-free rather than gaining a fake zero.
@@ -241,11 +188,10 @@ def record_to_row(fingerprint: str, point: DesignPoint, record, *,
         "shuttles": record.num_shuttles,
         "metrics": record.result.as_dict(),
     }
-    wall_s = getattr(record, "wall_s", None)
-    if wall_s is not None:
-        row["wall_s"] = wall_s
+    if record.wall_s is not None:
+        row["wall_s"] = record.wall_s
     if provenance is None:
-        provenance = getattr(record, "provenance", None)
+        provenance = record.provenance
     if provenance:
         row["provenance"] = {key: provenance[key] for key in sorted(provenance)}
     return row
@@ -453,7 +399,7 @@ class ExperimentStore:
         self.close()
 
     # ------------------------------------------------------------------ #
-    def records(self) -> List[CachedRecord]:
-        """Every stored point as a record view, in insertion order."""
+    def records(self) -> List[ExperimentRecord]:
+        """Every stored point as a record, in insertion order."""
 
         return [row_to_record(row) for row in self.rows()]

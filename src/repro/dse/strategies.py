@@ -176,6 +176,11 @@ class ProposerStrategy(Strategy):
     def run(self, runner) -> StrategyResult:
         from repro.dse.adaptive.propose import make_proposer
 
+        if "proxy_qubits" in self.spec and runner.circuits is not None:
+            raise ValueError(
+                f"strategy {self.name!r} needs the default application "
+                f"builder: its proxy rungs rebuild the applications at other "
+                f"sizes, and this runner was given pre-built circuits")
         proposer = make_proposer(runner.space, self.spec)
         records: List[object] = []
         trace: List[Dict[str, object]] = []

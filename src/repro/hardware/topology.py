@@ -385,9 +385,10 @@ class Topology:
         return path
 
     def all_shortest_paths(self, source: str, destination: str) -> List[ShuttlePath]:
-        """Every shortest route between two traps (used by congestion-aware
-        routing to pick an uncontended alternative), in networkx's order.
-        Raises ``ValueError`` when no route exists."""
+        """Every shortest route between two traps, in networkx's order: the
+        route reference the tests compare against networkx (the compiler
+        routes on :meth:`shortest_path` alone).  Raises ``ValueError`` when
+        no route exists."""
 
         self._check_endpoints(source, destination)
         if source == destination:

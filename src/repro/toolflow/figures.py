@@ -13,9 +13,10 @@ versions for tests and benchmarks.
 * :func:`figure8` -- microarchitecture study (AM1/AM2/PM/FM x GS/IS on L6):
   fidelity and runtime per combination.
 
-All three drivers delegate to the sweeps in :mod:`repro.toolflow.sweep` and
-therefore accept ``cache`` (a :class:`~repro.toolflow.parallel.ProgramCache`
-whose hit, miss and batch counters the caller can read; the sweep releases
+Each driver evaluates its space of :mod:`repro.toolflow.sweep` on a
+:class:`~repro.dse.runner.DSERunner` over the suite's circuits and
+therefore accepts ``cache`` (a :class:`~repro.toolflow.parallel.ProgramCache`
+whose hit, miss and batch counters the caller can read; the runner releases
 each compilation once all its gate variants are stored, so the cache ends a
 figure empty) and ``store`` (an :class:`~repro.dse.store.ExperimentStore`,
 in memory or persistent), which makes a figure regeneration resumable and
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.apps.suite import table2_suite
+from repro.dse.runner import DSERunner
 from repro.ir.circuit import Circuit
 from repro.toolflow.config import ArchitectureConfig
 from repro.toolflow.parallel import ProgramCache
@@ -39,9 +41,9 @@ from repro.toolflow.sweep import (
     PAPER_CAPACITIES,
     PAPER_GATES,
     PAPER_REORDERS,
-    sweep_capacity,
-    sweep_microarchitecture,
-    sweep_topologies,
+    capacity_space,
+    microarchitecture_space,
+    topology_space,
 )
 
 
@@ -53,9 +55,9 @@ def _take(records, circuit: Circuit, **expected):
     """Next record, verified against the enumeration the caller is walking.
 
     The figure drivers recover each record's suite key positionally (the
-    sweeps return records in task order); this guard turns any future drift
-    between the sweep enumeration and the walk into a loud error instead of
-    silently misattributed series.
+    runner returns records in enumeration order); this guard turns any
+    future drift between the space's enumeration and the walk into a loud
+    error instead of silently misattributed series.
     """
 
     record = next(records)
@@ -93,10 +95,11 @@ def figure6(suite: Optional[Dict[str, Circuit]] = None,
     qft_breakdown = {"computation_s": [], "communication_s": []}
     supremacy_error = {"motional": [], "background": []}
 
-    records = iter(sweep_capacity(suite, capacities=capacities, base=base,
-                                  cache=cache, store=store))
-    # Records come back in sweep-enumeration order (capacity-major, then
-    # suite order), so walk the same loops to recover the suite keys.
+    space = capacity_space(suite, capacities, base)
+    records = iter(DSERunner(space, store=store, circuits=suite,
+                             cache=cache).evaluate_space())
+    # Records come back in enumeration order (capacity-major, then suite
+    # order), so walk the same loops to recover the suite keys.
     for capacity in capacities:
         for name in suite:
             result = _take(records, suite[name], trap_capacity=capacity).result
@@ -144,8 +147,9 @@ def figure7(suite: Optional[Dict[str, Circuit]] = None,
     }
     heating: Dict[str, List[float]] = {topology: [] for topology in topologies}
 
-    records = iter(sweep_topologies(suite, topologies=topologies, capacities=capacities,
-                                    base=base, cache=cache, store=store))
+    space = topology_space(suite, topologies, capacities, base)
+    records = iter(DSERunner(space, store=store, circuits=suite,
+                             cache=cache).evaluate_space())
     for topology in topologies:
         for capacity in capacities:
             for name in suite:
@@ -179,8 +183,8 @@ def figure8(suite: Optional[Dict[str, Circuit]] = None,
     ``runtime_s`` keyed ``app -> combo -> series``.  Each (application,
     capacity, reorder) triple is compiled once and batch-simulated under
     every gate implementation in one shared pass
-    (:func:`repro.sim.batch.simulate_batch` via the DSE runner's gate
-    fan-out).
+    (:func:`repro.sim.batch.simulate_gate_variants` via the DSE runner's
+    gate fan-out).
     """
 
     suite = _suite_or_default(suite)
@@ -196,9 +200,9 @@ def figure8(suite: Optional[Dict[str, Circuit]] = None,
         name: {combo: [] for combo in combos} for name in suite
     }
 
-    records = iter(sweep_microarchitecture(suite, capacities=capacities, gates=gates,
-                                           reorders=reorders, base=base,
-                                           cache=cache, store=store))
+    space = microarchitecture_space(suite, capacities, gates, reorders, base)
+    records = iter(DSERunner(space, store=store, circuits=suite,
+                             cache=cache).evaluate_space())
     for reorder in reorders:
         for capacity in capacities:
             for name in suite:

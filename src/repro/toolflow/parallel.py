@@ -24,11 +24,12 @@ This module holds the two pieces every sweep and figure driver shares:
   with N local ledger workers, each running this same function, and the
   serial driver then replays every point from the store.
 
-Gate fan-outs (``SweepTask.gates``) are simulated in one batched call
+Every task, a lone point included, is simulated in one batched call
 (:func:`repro.sim.batch.simulate_gate_variants`): one plan per compiled
 program, one timeline walk per distinct duration vector, and a reduced
-per-variant noise pass -- the same engine as single-point
-:func:`~repro.sim.engine.simulate`, so results do not depend on the path.
+per-variant noise pass -- the engine behind
+:func:`~repro.sim.engine.simulate` too, so results do not depend on the
+path.
 
 Physical-model parameters are allowed to differ between cache hits: the
 compiler never reads them (they only drive simulation), which is asserted by
@@ -42,7 +43,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.checks import checks_enabled
-from repro.compiler.compile import compile_circuit
 from repro.hardware.device import QCCDDevice
 from repro.models.gate_times import GateImplementation
 from repro.io.fingerprint import circuit_fingerprint
@@ -51,17 +51,16 @@ from repro.isa.program import QCCDProgram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.sim.batch import simulate_gate_variants
-from repro.sim.engine import simulate
 from repro.toolflow.config import ArchitectureConfig
-from repro.toolflow.runner import ExperimentRecord
+from repro.toolflow.runner import ExperimentRecord, compile_for
 
 
 class ProgramCache:
     """Memo of compiled programs, shared across sweep points.
 
     The cached device is the one the program was compiled for; requests for a
-    different gate implementation receive ``device.with_gate(...)`` copies,
-    mirroring :func:`~repro.toolflow.runner.run_gate_variants`.
+    different gate implementation or physical model receive a copy carrying
+    the requested ones.
 
     A program stays held until :meth:`release` drops it.  The DSE runner
     (:class:`~repro.dse.runner.DSERunner`, behind every sweep and figure
@@ -141,8 +140,7 @@ class ProgramCache:
                 device = replace(device, gate=gate, model=config.model, name="")
             return program, device
         self._misses.inc()
-        device = config.build_device(circuit.num_qubits)
-        program = compile_circuit(circuit, device)
+        program, device = compile_for(circuit, config)
         self._programs[key] = (program, device)
         return program, device
 
@@ -182,9 +180,9 @@ class ProgramCache:
 class SweepTask:
     """One unit of sweep work: compile once, simulate one or more gates.
 
-    ``gates`` is ``None`` for a plain :func:`run_experiment`-style point; a
-    tuple of gate implementation names produces one record per gate from the
-    single compilation (the Figure 8 fan-out).
+    ``gates`` is a tuple of gate implementation names, one record per gate
+    from the single compilation (the Figure 8 fan-out); ``None`` means the
+    config's own gate.
     """
 
     circuit: Circuit
@@ -193,62 +191,38 @@ class SweepTask:
 
 
 def execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]:
-    """Run one task against ``cache``; mirrors the serial runner drivers.
+    """Run one task against ``cache``: one compilation, one batched
+    evaluation of every gate (:func:`repro.sim.batch.simulate_gate_variants`,
+    counted in ``cache.batch``), one record per gate.
 
-    Every record carries ``wall_s``, the wall-clock cost of producing it: its
-    simulation share plus an even share of the task's compile time (zero on a
-    cache hit).  The DSE store persists these timings, which is what drives
-    ``dse status --eta`` and the dispatcher's progress watch.
-
-    Gate fan-outs run as one batched evaluation of the whole ``gates``
-    tuple (:func:`repro.sim.batch.simulate_gate_variants`), and each
-    record's ``wall_s`` is an even apportionment of the batch's measured
-    wall time.
+    Every record carries ``wall_s``, the wall-clock cost of producing it: an
+    even share of the task's compile time (the memo lookup on a cache hit)
+    plus an even share of the batch's.  The DSE store persists these
+    timings, which is what drives ``dse status --eta`` and the dispatcher's
+    progress watch.
     """
 
-    with span("sweep.task", app=task.circuit.name,
-              gates=len(task.gates) if task.gates else 1):
-        return _execute_task(task, cache)
+    gates = task.gates if task.gates is not None else (task.config.gate,)
+    with span("sweep.task", app=task.circuit.name, gates=len(gates)):
+        compile_start = perf_counter()
+        program, device = cache.get_or_compile(task.circuit, task.config)
+        if checks_enabled():
+            # Covers the cache-hit path (a fresh compile already verified);
+            # the per-program memo makes repeat hits free.
+            from repro.analyze.runtime import verify_or_raise
 
-
-def _execute_task(task: SweepTask, cache: ProgramCache) -> List[ExperimentRecord]:
-    compile_start = perf_counter()
-    program, device = cache.get_or_compile(task.circuit, task.config)
-    if checks_enabled():
-        # Covers the cache-hit path (a fresh compile already verified); the
-        # per-program memo makes repeat hits free.
-        from repro.analyze.runtime import verify_or_raise
-
-        verify_or_raise(program, device)
-    compile_s = perf_counter() - compile_start
-    program_size = len(program)
-    num_shuttles = program.num_shuttles
-    records: List[ExperimentRecord] = []
-    if task.gates is None:
+            verify_or_raise(program, device)
+        compile_share = (perf_counter() - compile_start) / len(gates)
         sim_start = perf_counter()
-        result = simulate(program, device)
-        sim_s = perf_counter() - sim_start
-        records.append(ExperimentRecord(
-            application=task.circuit.name,
-            config=task.config,
-            result=result,
-            program_size=program_size,
-            num_shuttles=num_shuttles,
-            wall_s=compile_s + sim_s,
-        ))
-        return records
-    compile_share = compile_s / len(task.gates)
-    sim_start = perf_counter()
-    results = simulate_gate_variants(program, device, task.gates,
-                                     stats=cache.batch)
-    sim_share = (perf_counter() - sim_start) / len(task.gates)
-    for gate, result in zip(task.gates, results):
-        records.append(ExperimentRecord(
+        results = simulate_gate_variants(program, device, gates,
+                                         stats=cache.batch)
+        sim_share = (perf_counter() - sim_start) / len(gates)
+        program_size, num_shuttles = len(program), program.num_shuttles
+        return [ExperimentRecord(
             application=task.circuit.name,
             config=task.config.with_updates(gate=gate),
             result=result,
             program_size=program_size,
             num_shuttles=num_shuttles,
             wall_s=compile_share + sim_share,
-        ))
-    return records
+        ) for gate, result in zip(gates, results)]

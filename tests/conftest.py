@@ -25,10 +25,12 @@ from repro.apps import (
     supremacy_circuit,
 )
 from repro.compiler import compile_circuit
+from repro.dse import DSERunner
 from repro.hardware import build_device
 from repro.ir.circuit import Circuit
 from repro.sim import simulate
-from repro.toolflow import ArchitectureConfig, ProgramCache, sweep_microarchitecture
+from repro.toolflow import ArchitectureConfig
+from repro.toolflow.sweep import microarchitecture_space
 
 
 @pytest.fixture
@@ -184,22 +186,23 @@ def dse_run_output(tmp_path, capsys):
 def small_sweep():
     """The 96-point sweep the disabled-path cost bounds are relative to.
 
-    ``sweep_microarchitecture`` over ``scaled_suite(16)`` (L4, capacities 6
-    and 8, four gates, GS and IS), each pass on a fresh program cache,
-    untraced and with ``--check`` off (tier-1's defaults).  Returns
+    The Figure 8 space over ``scaled_suite(16)`` (L4, capacities 6 and 8,
+    four gates, GS and IS) on a DSE runner, each pass with a fresh store
+    and program cache, untraced and with ``--check`` off (tier-1's
+    defaults).  Returns
     ``(run, points, wall_s)``: the sweep as a callable, its point count,
     and the best of three timed passes after a warm-up.  Session-scoped, so
     the tracing and the check bounds share one measurement.
     """
 
     suite = scaled_suite(16)
-    base = ArchitectureConfig(topology="L4")
+    space = microarchitecture_space(suite, capacities=(6, 8),
+                                    gates=("AM1", "AM2", "PM", "FM"),
+                                    reorders=("GS", "IS"),
+                                    base=ArchitectureConfig(topology="L4"))
 
     def run():
-        return sweep_microarchitecture(suite, capacities=(6, 8),
-                                       gates=("AM1", "AM2", "PM", "FM"),
-                                       reorders=("GS", "IS"), base=base,
-                                       cache=ProgramCache())
+        return DSERunner(space, circuits=suite).evaluate_space()
 
     points = len(run())
     return run, points, min(timeit.repeat(run, number=1, repeat=3))

@@ -353,6 +353,26 @@ class TestAdaptiveStrategies:
         with pytest.raises(ValueError, match="cannot be sharded"):
             runner.run(make_strategy("bayes"))
 
+    @pytest.mark.parametrize("name", ["halving", "adaptive-halving"])
+    def test_ladders_refuse_prebuilt_circuits_before_proposing(
+            self, qft8, bv8, monkeypatch, name):
+        """A proxy rung rebuilds each application at another size, which a
+        runner over pre-built circuits cannot do: the strategy says so by
+        name before its proposer builds a single application."""
+
+        def no_proposer(*args, **kwargs):
+            raise AssertionError("the proposer was built")
+
+        monkeypatch.setattr("repro.dse.adaptive.propose.make_proposer",
+                            no_proposer)
+        space = DesignSpace(apps=("QFT", "BV"), topologies=("L3",),
+                            capacities=(6, 8), gates=("FM",))
+        runner = DSERunner(space, circuits={"QFT": qft8, "BV": bv8})
+        with pytest.raises(ValueError, match=f"strategy '{name}' needs the "
+                           f"default application builder: its proxy rungs"):
+            runner.run(make_strategy(name))
+        assert runner.stats["evaluated"] == 0
+
     def test_adaptive_halving_best_is_full_scale(self):
         space = DesignSpace(apps=("BV",), qubits=(16,), topologies=("L3",),
                             capacities=(6, 8), gates=("AM1", "FM"),
@@ -674,8 +694,9 @@ class TestProvenance:
         record = reloaded.records()[0]
         assert record.provenance["strategy"] == "bayes"
         # Merging the replayed record into a fresh store keeps the stamp.
-        from repro.dse import record_to_row
-        row = record_to_row("ff", record.point, record)
+        from repro.dse import point_from_spec, record_to_row
+        point = point_from_spec(next(reloaded.rows())["point"])
+        row = record_to_row("ff", point, record)
         assert row["provenance"]["strategy"] == "bayes"
 
     def test_status_by_strategy_cli(self, tmp_path, capsys):

@@ -98,6 +98,9 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 6 series" in out
+        # Every point is a one-gate fan-out, counted like Figure 8's.
+        assert "Cache: 0 hits / 18 misses | batch: 18 variants over 18 " \
+            "plans (+0 reuses), 18 timelines walked, 0 dedup hits\n" in out
         payload = json.loads(output.read_text())
         assert payload["capacities"] == [6, 8, 10]
 

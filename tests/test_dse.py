@@ -322,9 +322,11 @@ class TestExperimentStore:
         assert by_fp["aa"].wall_s is None
         assert by_fp["bb"].wall_s == 0.25
         # Replaying a v1 record into another store must not invent a timing.
-        replay_row = record_to_row("aa", by_fp["aa"].point, by_fp["aa"])
+        point = {fp: point_from_spec(reloaded.get(fp)["point"])
+                 for fp in ("aa", "bb")}
+        replay_row = record_to_row("aa", point["aa"], by_fp["aa"])
         assert "wall_s" not in replay_row
-        replay_new = record_to_row("bb", by_fp["bb"].point, by_fp["bb"])
+        replay_new = record_to_row("bb", point["bb"], by_fp["bb"])
         assert replay_new["wall_s"] == 0.25
         # ... and the canonical export treats both generations alike: no
         # timings, no per-row schema stamps (a resumed PR2-era store must

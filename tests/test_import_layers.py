@@ -185,6 +185,22 @@ def test_store_dispatcher_and_exporter_load_no_compiler(tmp_path):
         assert _offending(_loaded(code, tmp_path), COMPILE_SIDE) == [], code
 
 
+@pytest.mark.parametrize("command", [("pareto",), ("status", "--by-strategy")],
+                         ids=["pareto", "status"])
+def test_record_readers_load_no_compiler(command, tmp_path):
+    """``dse pareto`` and ``dse status`` build every record of a store
+    through ``row_to_record``: the one record class loads no compiler or
+    simulator."""
+
+    store = tmp_path / "store"
+    assert main(["dse", "run", "--apps", "BV", "--qubits", "8",
+                 "--topologies", "L3", "--capacities", "6", "--gates",
+                 "AM1,FM", "--store", str(store)]) == 0
+    loaded = _loaded(_cli("dse", *command, "--store", str(store)), tmp_path)
+    assert "repro.toolflow.runner" in loaded
+    assert _offending(loaded, COMPILE_SIDE) == []
+
+
 @pytest.mark.parametrize("module", ["repro.compiler.compile",
                                     "repro.toolflow.parallel"])
 def test_compile_paths_load_no_analyzer(module, tmp_path):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import scaled_suite
+from repro.dse import DSERunner
 from repro.isa.operations import OpKind
 from repro.models.params import HeatingParams
 from repro.sim.batch import simulate_model_variants
@@ -24,7 +25,7 @@ from repro.toolflow import (
     run_gate_variants,
 )
 from repro.toolflow.runner import compile_for
-from repro.toolflow.sweep import sweep_capacity
+from repro.toolflow.sweep import capacity_space
 
 #: The capacity sweep of the scaled-down figures.
 CAPACITIES = (6, 8, 10)
@@ -84,8 +85,8 @@ class TestSectionIXTrapSizing:
         """Figure 6g: gate error is dominated by the motional term, for
         every application at every capacity of the sweep."""
 
-        for record in sweep_capacity(suite, capacities=CAPACITIES,
-                                     base=FIGURE6_BASE):
+        space = capacity_space(suite, CAPACITIES, FIGURE6_BASE)
+        for record in DSERunner(space, circuits=suite).evaluate_space():
             assert record.result.mean_motional_error > \
                 record.result.mean_background_error
 

@@ -34,7 +34,8 @@ from repro.obs.trace import current_tracer
 from repro.sim import simulate
 from repro.sim.batch import batch_plan, simulate_gate_variants
 from repro.sim.lower import lower
-from repro.toolflow import ArchitectureConfig, sweep_microarchitecture
+from repro.toolflow import ArchitectureConfig
+from repro.toolflow.sweep import microarchitecture_space
 
 
 class TestOpKind:
@@ -346,10 +347,10 @@ class TestOpRecords:
                    chain_length=1)
         assert current_tracer() is None
 
-        records = sweep_microarchitecture(
-            small_suite, capacities=(6, 8), gates=("AM1", "FM"),
-            reorders=("GS", "IS"),
-            base=ArchitectureConfig(topology="L3", trap_capacity=6))
+        space = microarchitecture_space(
+            small_suite, (6, 8), ("AM1", "FM"), ("GS", "IS"),
+            ArchitectureConfig(topology="L3", trap_capacity=6))
+        records = DSERunner(space, circuits=small_suite).evaluate_space()
         assert len(records) == len(small_suite) * 2 * 2 * 2
         runner = DSERunner(DesignSpace(apps=("QFT",), qubits=(8,),
                                        topologies=("G2x2",), capacities=(6,)))

@@ -38,9 +38,11 @@ import tracemalloc
 import pytest
 
 from repro.apps import scaled_suite, table2_suite
+from repro.dse import DSERunner
 from repro.sim.batch import simulate_gate_variants
-from repro.toolflow import ArchitectureConfig, ProgramCache, sweep_microarchitecture
+from repro.toolflow import ArchitectureConfig, ProgramCache
 from repro.toolflow.runner import compile_for
+from repro.toolflow.sweep import microarchitecture_space
 
 GATES = ("AM1", "AM2", "PM", "FM")
 #: Bytes per op a compiled, fan-out-simulated program may keep.
@@ -85,9 +87,11 @@ def _retained_bytes_per_op(suite, configs) -> float:
 def _check_sweep_retained(suite, topology, capacities) -> None:
     def run():
         cache = ProgramCache()
-        records = sweep_microarchitecture(
-            suite, capacities=capacities, gates=GATES, reorders=("GS", "IS"),
-            base=ArchitectureConfig(topology=topology), cache=cache)
+        space = microarchitecture_space(
+            suite, capacities, GATES, ("GS", "IS"),
+            ArchitectureConfig(topology=topology))
+        records = DSERunner(space, circuits=suite,
+                            cache=cache).evaluate_space()
         return records, cache
 
     (records, cache), retained = _traced(run)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import scaled_suite
+from repro.dse import DSERunner
 from repro.toolflow import (
     ArchitectureConfig,
     figure6,
@@ -10,11 +11,12 @@ from repro.toolflow import (
     figure8,
     run_experiment,
     run_gate_variants,
-    sweep_capacity,
-    sweep_microarchitecture,
-    sweep_topologies,
 )
-from repro.toolflow.sweep import select
+from repro.toolflow.sweep import (
+    capacity_space,
+    microarchitecture_space,
+    topology_space,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,36 +89,36 @@ class TestRunner:
         assert records["PM"].config.gate == "PM"
 
 
+def _sweep(suite, space):
+    return DSERunner(space, circuits=suite).evaluate_space()
+
+
 class TestSweeps:
     def test_sweep_capacity(self, mini_suite):
         base = ArchitectureConfig(topology="L3")
-        records = sweep_capacity(mini_suite, capacities=(6, 8), base=base)
+        records = _sweep(mini_suite, capacity_space(mini_suite, (6, 8), base))
         assert len(records) == 4
         capacities = {record.config.trap_capacity for record in records}
         assert capacities == {6, 8}
 
     def test_sweep_topologies(self, mini_suite):
         base = ArchitectureConfig()
-        records = sweep_topologies(mini_suite, topologies=("L3", "G2x2"),
-                                   capacities=(8,), base=base)
+        records = _sweep(mini_suite, topology_space(
+            mini_suite, ("L3", "G2x2"), (8,), base))
         assert len(records) == 4
         assert {record.config.topology for record in records} == {"L3", "G2x2"}
 
     def test_sweep_microarchitecture(self, mini_suite):
         base = ArchitectureConfig(topology="L3")
-        records = sweep_microarchitecture(mini_suite, capacities=(8,),
-                                          gates=("FM", "AM2"), reorders=("GS",),
-                                          base=base)
+        records = _sweep(mini_suite, microarchitecture_space(
+            mini_suite, (8,), ("FM", "AM2"), ("GS",), base))
         assert len(records) == 4
 
-    def test_records_to_rows_and_select(self, mini_suite):
+    def test_records_to_rows(self, mini_suite):
         base = ArchitectureConfig(topology="L3")
-        records = sweep_capacity(mini_suite, capacities=(8,), base=base)
+        records = _sweep(mini_suite, capacity_space(mini_suite, (8,), base))
         rows = [record.as_row() for record in records]
         assert [row["capacity"] for row in rows] == [8] * len(records)
-        chosen = select(records, capacity=8)
-        assert len(chosen) == len(records)
-        assert select(records, capacity=99) == []
 
 
 class TestFigureHarnesses:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dse import DSERunner
 from repro.io.fingerprint import result_fingerprint
 from repro.toolflow import ArchitectureConfig, ProgramCache, SweepTask
 from repro.toolflow.parallel import execute_task
 from repro.toolflow.runner import run_experiment, run_gate_variants
-from repro.toolflow.sweep import sweep_microarchitecture
+from repro.toolflow.sweep import microarchitecture_space
 
 
 def _record_identity(record):
@@ -226,16 +227,20 @@ class TestSweepIntegration:
         """Each (app, capacity, reorder) compiles once and is released once
         its gates are stored; a shared store replays a repeated sweep."""
 
-        from repro.dse.store import CachedRecord, ExperimentStore
+        from repro.dse.store import CachedResult, ExperimentStore
 
         base = ArchitectureConfig(topology="L3", trap_capacity=6)
         cache = ProgramCache()
         store = ExperimentStore()
 
+        def sweep(gates, store=None):
+            space = microarchitecture_space(small_suite, (6,), gates,
+                                            ("GS",), base)
+            return DSERunner(space, store=store, circuits=small_suite,
+                             cache=cache).evaluate_space()
+
         def first_sweep():
-            return sweep_microarchitecture(
-                small_suite, capacities=(6,), gates=("AM1", "FM"),
-                reorders=("GS",), base=base, cache=cache, store=store)
+            return sweep(("AM1", "FM"), store)
 
         first = first_sweep()
         # Each app's 2-gate fan-out runs through the batch engine: one plan,
@@ -246,19 +251,19 @@ class TestSweepIntegration:
             misses=len(small_suite), entries=0,
             batch_plans=len(small_suite), batch_variants=2 * len(small_suite),
             batch_timelines=2 * len(small_suite))
-        sweep_microarchitecture(small_suite, capacities=(6,), gates=("PM",),
-                                reorders=("GS",), base=base, cache=cache)
-        # Single-gate points are not folded into a gates tuple, so the second
-        # sweep takes the serial path: no new batch activity.  The first
-        # sweep released its programs, so this one compiles them again.
+        sweep(("PM",))
+        # A single-gate point is a fan-out of one gate: one more plan,
+        # variant and timeline per app.  The first sweep released its
+        # programs, so this one compiles them again.
         assert cache.stats() == _stats(
             misses=2 * len(small_suite), entries=0,
-            batch_plans=len(small_suite), batch_variants=2 * len(small_suite),
-            batch_timelines=2 * len(small_suite))
+            batch_plans=2 * len(small_suite),
+            batch_variants=3 * len(small_suite),
+            batch_timelines=3 * len(small_suite))
         # Re-running the first sweep on its store compiles nothing: every
         # point replays from the store.
         again = first_sweep()
         assert cache.misses == 2 * len(small_suite)
-        assert all(isinstance(record, CachedRecord) for record in again)
+        assert all(isinstance(record.result, CachedResult) for record in again)
         assert [record.as_row() for record in again] == \
                [record.as_row() for record in first]
